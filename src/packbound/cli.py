@@ -391,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact minimum bins for an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=int, default=None,
+                   help="search node budget (default: PACKBOUND_NODE_BUDGET, else 2000000)")
     p.set_defaults(func=cmd_oracle)
     return parser
 

@@ -6,10 +6,23 @@ literal numerator/denominator is hopeless for large runs (the denominator of
 10**-(2**50) would need a petabyte), so ``Exact`` keeps the perturbations in
 factored form and decides comparisons by exact dominance arguments:
 
-* every kept base is >= 10, so any term is at most 10**-e in magnitude;
+* the only perturbation bases are 10 and 20 (``check_base``), the two the
+  constructions use.  So any term is at most 10**-e in magnitude,
+  and no power of one base equals a power of the other: distinct
+  ``(base, exp)`` pairs have distinct magnitudes, a strict total order that
+  canonical term tuples are sorted by (largest first).  Any other base
+  raises ``ValueError``;
 * distinct exponents of one base are compared directly;
 * a leading term (or a materialized cluster of nearby terms) outweighs the
   remaining tail whenever an exact integer inequality certifies it.
+
+Comparisons run in two tiers.  First an integer dominance certificate: when
+the rational parts differ, their cross-multiplied difference is tested
+against a bound on both perturbation tails, ``sum|coef| * 10**-e_min``, which
+every value caches for itself; this builds no ``Exact`` and no ``Fraction``.
+Only when that cannot decide (equal rational parts, or a difference too
+small to beat the tails) is the difference formed and its sign certified
+term by term.  Sums merge the two canonical term tuples in one linear pass.
 
 Every code path is exact.  When a shortcut test cannot certify an answer the
 term group is expanded into a literal ``Fraction`` (cheap for the moderate
@@ -20,12 +33,14 @@ exponents where that can happen); if even that would be astronomically large,
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
 __all__ = [
     "Exact",
     "PrecisionError",
+    "check_base",
     "rat",
     "power",
     "parse_rational",
@@ -46,6 +61,12 @@ _CLUSTER_GAP = 512
 
 class PrecisionError(ArithmeticError):
     """A comparison could not be certified without an astronomical expansion."""
+
+
+def check_base(base: int) -> None:
+    """Raise ValueError unless `base` may carry a perturbation: 10 or 20."""
+    if base not in (10, 20):
+        raise ValueError(f"perturbation base must be 10 or 20, got {base}")
 
 
 def _as_fraction(v) -> Fraction:
@@ -137,18 +158,15 @@ def _log10_bounds(base: int, exp: int) -> tuple[int, int]:
     """Integers (lo, hi) with 10**lo <= base**exp <= 10**hi, certified."""
     if base == 10:
         return exp, exp
-    if base == 20:
-        # 2**10 >= 10**3 gives the floor; 2**e <= 10**ceil(e/2) the ceiling
-        return exp + 3 * (exp // 10), exp + (exp + 1) // 2
-    digits = len(str(base))
-    return exp * (digits - 1), exp * digits
+    # base 20: 2**10 >= 10**3 gives the floor; 2**e <= 10**ceil(e/2) the ceiling
+    return exp + 3 * (exp // 10), exp + (exp + 1) // 2
 
 
 def _mag_lt(a_base: int, a_exp: int, b_base: int, b_exp: int) -> bool:
     """Is a_base**-a_exp < b_base**-b_exp, certified exactly.
 
-    Distinct (base, exp) pairs never produce equal values (bases share no
-    common power here), so strict order is total.
+    Distinct (base, exp) pairs never produce equal values (10 and 20 share
+    no common power), so strict order is total.
     """
     if a_base == b_base:
         return a_exp > b_exp
@@ -174,8 +192,7 @@ def _mag_lt(a_base: int, a_exp: int, b_base: int, b_exp: int) -> bool:
 def _canonical(terms: dict[tuple[int, int], Fraction]) -> tuple:
     kept = [(b, e, c) for (b, e), c in terms.items() if c != 0]
     for b, e, _ in kept:
-        if b < 10:
-            raise ValueError("perturbation bases must be >= 10")
+        check_base(b)
         if e < 1:
             raise ValueError("perturbation exponents must be >= 1")
 
@@ -197,6 +214,24 @@ def _expand(terms: Iterable[tuple[int, int, Fraction]]) -> Fraction:
     return total
 
 
+def _add_ratios(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """n1/d1 + n2/d2 for nonnegative ratios in lowest terms, in lowest terms."""
+    if d1 == d2:
+        n, d = n1 + n2, d1
+    else:
+        n, d = n1 * d2 + n2 * d1, d1 * d2
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _abs_coef_sum(terms: tuple) -> tuple[int, int]:
+    """sum(|coef|) over `terms` as (numerator, denominator) in lowest terms."""
+    n, d = 0, 1
+    for _, _, c in terms:
+        n, d = _add_ratios(n, d, abs(c.numerator), c.denominator)
+    return n, d
+
+
 def _sign_of_terms(terms: tuple) -> int:
     """Exact sign of sum(c * b**-e) over canonical terms."""
     while terms:
@@ -212,27 +247,29 @@ def _sign_of_terms(terms: tuple) -> int:
             prev_exp = terms[cut][1]
             cut += 1
         cluster, tail = terms[:cut], terms[cut:]
-        value = Fraction(0)  # cluster scaled by lead_base**lead_exp
-        for _, e, c in cluster:
+        value = cluster[0][2]  # cluster scaled by lead_base**lead_exp
+        for _, e, c in cluster[1:]:
             value += c / Fraction(lead_base) ** (e - lead_exp)
         if value == 0:
             terms = tail
             continue
         if not tail:
             return 1 if value > 0 else -1
-        # tail bound: every term magnitude <= 10**-e <= lead-base units
+        # the tail is at most sum|c| times its leading magnitude; certify
+        # |value| / sum|c| * (lead/tail magnitude ratio) > 1, with
+        # s_num/s_den = sum|c| / |value| in lowest terms
         t_base, t_exp, _ = tail[0]
-        s = sum(abs(c) for _, _, c in tail)
-        ratio = abs(value) / s  # need ratio * (lead/tail magnitude ratio) > 1
+        n, d = _abs_coef_sum(tail)
+        s_num, s_den = value.denominator * n, abs(value.numerator) * d
+        g = math.gcd(s_num, s_den)
+        s_num, s_den = s_num // g, s_den // g
         if t_base == lead_base:
-            ok = _ratio_certified(ratio.denominator, ratio.numerator, lead_base, t_exp - lead_exp)
+            ok = _ratio_certified(s_num, s_den, lead_base, t_exp - lead_exp)
         else:
             # tail magnitude <= 10**-tail_lo; cluster >= |value| * 10**-lead_hi
             tail_lo, _ = _log10_bounds(t_base, t_exp)
             _, lead_hi = _log10_bounds(lead_base, lead_exp)
-            ok = _ratio_certified(
-                ratio.denominator, ratio.numerator, 10, tail_lo - lead_hi
-            )
+            ok = _ratio_certified(s_num, s_den, 10, tail_lo - lead_hi)
         if ok:
             return 1 if value > 0 else -1
         # could not certify: expand everything (small exponents) or give up
@@ -245,15 +282,44 @@ def _sign_of_terms(terms: tuple) -> int:
     return 0
 
 
+def _sum_tails(t1: tuple, t2: tuple) -> tuple[int, int, int]:
+    """Tail bound (see Exact._tail_bound) of two tails taken together."""
+    return (min(t1[0], t2[0]),) + _add_ratios(t1[1], t1[2], t2[1], t2[2])
+
+
+def _merge_terms(xs: tuple, ys: tuple) -> tuple:
+    """Canonical sum of two canonical term tuples, in one merge pass."""
+    out = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if x[0] == y[0] and x[1] == y[1]:
+            c = x[2] + y[2]
+            if c:
+                out.append((x[0], x[1], c))
+            i += 1
+            j += 1
+        elif _mag_lt(y[0], y[1], x[0], x[1]):
+            out.append(x)
+            i += 1
+        else:
+            out.append(y)
+            j += 1
+    out.extend(xs[i:])
+    out.extend(ys[j:])
+    return tuple(out)
+
+
 class Exact:
     """Immutable exact number ``rational + sum(coef * base**-exp)``."""
 
-    __slots__ = ("_rat", "_terms", "_hash")
+    __slots__ = ("_rat", "_terms", "_hash", "_tail")
 
-    def __init__(self, rational: RationalLike | Fraction = 0, _terms: tuple = ()):
+    def __init__(self, rational: RationalLike | Fraction = 0, _terms: tuple = (), _tail=None):
         self._rat = _as_fraction(rational)
         self._terms = _terms
         self._hash = None
+        self._tail = _tail  # see _tail_bound; a cache, never part of the value
 
     # -- construction -------------------------------------------------
 
@@ -273,29 +339,43 @@ class Exact:
     def is_rational(self) -> bool:
         return not self._terms
 
+    def _tail_bound(self) -> tuple[int, int, int]:
+        """(e_min, n, d) with |sum of terms| <= (n/d) * 10**-e_min; needs terms.
+
+        Every base is >= 10, so each term is at most |coef| * 10**-e_min;
+        n/d is exactly sum(|coef|), in lowest terms.
+        """
+        if self._tail is None:
+            n, d = _abs_coef_sum(self._terms)
+            self._tail = (min(e for _, e, _ in self._terms), n, d)
+        return self._tail
+
     # -- arithmetic ----------------------------------------------------
 
-    def _term_dict(self) -> dict[tuple[int, int], Fraction]:
-        return {(b, e): c for b, e, c in self._terms}
-
     def __add__(self, other) -> "Exact":
-        if isinstance(other, (int, Fraction)):
-            return Exact(self._rat + other, self._terms)
         if isinstance(other, Exact):
-            terms = self._term_dict()
-            for b, e, c in other._terms:
-                terms[(b, e)] = terms.get((b, e), Fraction(0)) + c
-            return Exact.from_terms(self._rat + other._rat, terms)
+            if not other._terms:
+                terms, tail = self._terms, self._tail
+            elif not self._terms:
+                terms, tail = other._terms, other._tail
+            else:
+                terms, tail = _merge_terms(self._terms, other._terms), None
+                if len(terms) == len(self._terms) + len(other._terms):
+                    # no shared (base, exp): the coefficient sums just add
+                    tail = _sum_tails(self._tail_bound(), other._tail_bound())
+            return Exact(self._rat + other._rat, terms, tail)
+        if isinstance(other, (int, Fraction)):
+            return Exact(self._rat + other, self._terms, self._tail)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "Exact":
-        return Exact(-self._rat, tuple((b, e, -c) for b, e, c in self._terms))
+        return Exact(-self._rat, tuple((b, e, -c) for b, e, c in self._terms), self._tail)
 
     def __sub__(self, other) -> "Exact":
         if isinstance(other, (int, Fraction)):
-            return Exact(self._rat - other, self._terms)
+            return Exact(self._rat - other, self._terms, self._tail)
         if isinstance(other, Exact):
             return self + (-other)
         return NotImplemented
@@ -327,33 +407,47 @@ class Exact:
     # -- comparison ----------------------------------------------------
 
     def sign(self) -> int:
+        q = self._rat
         if not self._terms:
-            q = self._rat
             return (q > 0) - (q < 0)
-        if self._rat != 0:
-            # terms all have magnitude <= 10**-e_min (bases >= 10)
-            e_min = min(e for _, e, _ in self._terms)
-            s = sum(abs(c) for _, _, c in self._terms)
-            r = abs(self._rat) / s
-            verdict = _pow_exceeds(r.numerator, r.denominator, e_min)
-            if verdict is None and e_min <= _EXPAND_CAP:
-                total = self._rat + _expand(self._terms)
-                return (total > 0) - (total < 0)
-            if verdict is None:
-                raise PrecisionError("rational-vs-perturbation tie too deep to expand")
+        if q != 0:
+            # |q| > (n/d) * 10**-e_min certifies that q decides the sign
+            e_min, n, d = self._tail_bound()
+            r_num, r_den = abs(q.numerator) * d, q.denominator * n
+            g = math.gcd(r_num, r_den)
+            verdict = _pow_exceeds(r_num // g, r_den // g, e_min)
             if verdict:
-                return 1 if self._rat > 0 else -1
-            # perturbation sum dominates the rational part: impossible for a
-            # bound-certified verdict, so fall through to exact expansion
-            total = self._rat + _expand(self._terms)
+                return 1 if q > 0 else -1
+            if verdict is None and e_min > _EXPAND_CAP:
+                raise PrecisionError("rational-vs-perturbation tie too deep to expand")
+            # no certificate (or the perturbation bound beats q): expand exactly
+            total = q + _expand(self._terms)
             return (total > 0) - (total < 0)
         return _sign_of_terms(self._terms)
 
     def _cmp(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            other = Exact(other)
-        if not isinstance(other, Exact):
+        if isinstance(other, Exact):
+            o_rat, o_terms = other._rat, other._terms
+        elif isinstance(other, (int, Fraction)):
+            o_rat, o_terms = other, ()
+        else:
             return NotImplemented
+        q, terms = self._rat, self._terms
+        # numerator of q - o_rat over the denominator q.den * o_rat.den
+        num = q.numerator * o_rat.denominator - o_rat.numerator * q.denominator
+        if terms is o_terms or terms == o_terms:
+            return (num > 0) - (num < 0)
+        if num:
+            # tier 1: the rational difference beats both tails together
+            if not terms:
+                e, n, d = other._tail_bound()
+            elif not o_terms:
+                e, n, d = self._tail_bound()
+            else:
+                e, n, d = _sum_tails(self._tail_bound(), other._tail_bound())
+            if _pow_exceeds(abs(num) * d, q.denominator * o_rat.denominator * n, e):
+                return 1 if num > 0 else -1
+        # tier 2: certify the sign of the difference term by term
         return (self - other).sign()
 
     def __eq__(self, other):

@@ -18,7 +18,7 @@ from typing import Optional
 from .exact import Exact, rat
 from .model import Item, Packing, Placement, VariantRules, validate_packing
 
-__all__ = ["OracleInstance", "OracleResult", "BudgetExceeded", "min_bins"]
+__all__ = ["OracleInstance", "OracleResult", "BudgetExceeded", "InvalidWitness", "min_bins"]
 
 ONE = rat(1)
 ZERO = rat(0)
@@ -34,11 +34,16 @@ class BudgetExceeded(RuntimeError):
         self.best_cost = best_cost
 
 
+class InvalidWitness(RuntimeError):
+    """The search's witness packing breaks a rule or disagrees with its count."""
+
+
 @dataclass(frozen=True)
 class OracleInstance:
     items: tuple[Item, ...]
     rules: VariantRules
-    node_budget: int = DEFAULT_NODE_BUDGET
+    # None: PACKBOUND_NODE_BUDGET if set, else DEFAULT_NODE_BUDGET
+    node_budget: Optional[int] = None
 
     def __post_init__(self):
         if self.rules.is_geometric:
@@ -108,7 +113,11 @@ def min_bins(instance: OracleInstance) -> OracleResult:
     if not ordered:
         return OracleResult(0, Packing(rules), 0, True)
 
-    budget = _env_budget() or instance.node_budget
+    budget = instance.node_budget
+    if budget is None:
+        budget = _env_budget()
+    if budget is None:
+        budget = DEFAULT_NODE_BUDGET
     lower = _lower_bound(rules, ordered)
     best_packing = _greedy(rules, ordered)
     best = best_packing.cost
@@ -190,7 +199,9 @@ def min_bins(instance: OracleInstance) -> OracleResult:
             search(0)
         except BudgetExceeded:
             proven = False  # best is an upper bound only
-    result = OracleResult(best, best_packing, nodes, proven)
-    assert not validate_packing(result.witness)
-    assert result.witness.cost == result.count
-    return result
+    violations = validate_packing(best_packing)
+    if violations:
+        raise InvalidWitness(f"witness packing invalid: {'; '.join(map(str, violations[:3]))}")
+    if best_packing.cost != best:
+        raise InvalidWitness(f"witness uses {best_packing.cost} bins, count says {best}")
+    return OracleResult(best, best_packing, nodes, proven)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .exact import Exact, power
+from .exact import Exact, check_base, power
 
 __all__ = [
     "OracleConfig",
@@ -46,13 +46,12 @@ class NothingToObserve(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleConfig:
-    k: int  # separation base, >= 2 (10 and 20 in the constructions)
+    k: int  # separation base: a perturbation base, 10 or 20 (exact.check_base)
     n: int  # maximum number of values
     offset: int = 0  # extra exponent depth, for stacking scales across phases
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("k must be at least 2")
+        check_base(self.k)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.offset < 0:

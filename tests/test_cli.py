@@ -116,6 +116,45 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["minBins"] == 2 and payload["proven"]
 
+    SEARCHED = ["5/12", "4/12", "3/12", "5/13", "4/13", "3/13", "6/13", "7/24", "5/24"]
+
+    def searched_instance(self, tmp_path):
+        instance = tmp_path / "searched.json"
+        instance.write_text(json.dumps({
+            "rules": {"kind": "one-d"},
+            "items": [{"size": s} for s in self.SEARCHED],
+        }))
+        return str(instance)
+
+    def test_explicit_budget_beats_environment(self, capsys, tmp_path, monkeypatch):
+        path = self.searched_instance(tmp_path)
+        monkeypatch.setenv("PACKBOUND_NODE_BUDGET", "1")
+        code, out, _ = run_cli(capsys, "oracle", "--instance", path)
+        assert code == 2 and json.loads(out)["proven"] is False
+        code, out, _ = run_cli(capsys, "oracle", "--instance", path, "--budget", "10000")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["proven"] is True and payload["minBins"] == 3
+
+    def test_invalid_witness_exits_solver_failure(self, capsys, tmp_path, monkeypatch):
+        from packbound import optoracle
+        from packbound.model import Violation
+
+        bad = Violation(0, "overfull", (0,), "load exceeds 1")
+        monkeypatch.setattr(optoracle, "validate_packing", lambda packing: [bad])
+        code, out, err = run_cli(capsys, "oracle", "--instance", self.searched_instance(tmp_path))
+        assert code == 4 and out == ""
+        assert "witness packing invalid" in err
+
+    def test_bad_perturbation_base(self, capsys, tmp_path):
+        instance = tmp_path / "base.json"
+        instance.write_text(json.dumps({
+            "rules": {"kind": "one-d"},
+            "items": [{"size": {"rational": "1/2", "tiny": [{"base": 100, "exp": 3, "coef": "1"}]}}],
+        }))
+        code, _, err = run_cli(capsys, "oracle", "--instance", str(instance))
+        assert code == 3 and "10 or 20" in err
+
     def test_bad_instance(self, capsys, tmp_path):
         instance = tmp_path / "bad.json"
         instance.write_text("{}")

@@ -170,3 +170,134 @@ class TestFormatting:
         j = v.to_json()
         assert j["rational"] == "1/7"
         assert {t["base"] for t in j["tiny"]} == {10, 20}
+
+
+class TestBaseRule:
+    """Only 10 and 20 may be perturbation bases: their powers never coincide."""
+
+    @pytest.mark.parametrize("base", [2, 9, 11, 30, 100, 400])
+    def test_other_bases_rejected(self, base):
+        with pytest.raises(ValueError):
+            power(base, 3)
+        with pytest.raises(ValueError):
+            Exact.from_terms(0, {(10, 4): Fraction(1), (base, 5): Fraction(1)})
+
+    def test_shared_power_base_cannot_be_built(self):
+        # 100**-300000 == 10**-600000 could never be ordered against it
+        with pytest.raises(ValueError):
+            power(100, 300000)
+
+
+# mixed bases 10 and 20, small coefficients (often cancelling), exponents
+# small enough that the literal Fraction is the oracle
+fast_terms = st.dictionaries(
+    st.tuples(st.sampled_from([10, 20]), st.integers(min_value=1, max_value=40)),
+    st.sampled_from([Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(1, 2),
+                     Fraction(1), Fraction(2)]),
+    max_size=4,
+)
+
+
+def from_parts(q, terms):
+    return Exact.from_terms(q, terms)
+
+
+@st.composite
+def compare_pairs(draw):
+    """(a, b) pairs of the three kinds a comparison distinguishes."""
+    kind = draw(st.sampled_from(["rational", "dominance", "terms"]))
+    q1 = draw(small_rationals)
+    if kind == "rational":
+        shared = draw(fast_terms)  # equal tails: the rationals decide
+        return from_parts(q1, shared), from_parts(draw(small_rationals), shared)
+    if kind == "dominance":
+        q2 = draw(small_rationals.filter(lambda q: q != q1))
+        return from_parts(q1, draw(fast_terms)), from_parts(q2, draw(fast_terms))
+    t1 = draw(fast_terms)
+    # b reuses some of a's terms, with equal or opposite coefficients
+    t2 = {key: draw(st.sampled_from([c, -c])) for key, c in t1.items() if draw(st.booleans())}
+    t2.update(draw(fast_terms))
+    return from_parts(q1, t1), from_parts(q1, t2)
+
+
+def assert_order_matches(a, b, s):
+    assert (a < b) == (s < 0)
+    assert (a <= b) == (s <= 0)
+    assert (a > b) == (s > 0)
+    assert (a >= b) == (s >= 0)
+
+
+class TestComparisonFastPaths:
+    @given(compare_pairs())
+    @settings(max_examples=400)
+    def test_order_agrees_with_difference_sign_and_literal(self, pair):
+        a, b = pair
+        s = (a - b).sign()
+        assert_order_matches(a, b, s)
+        fa, fb = a.as_fraction(), b.as_fraction()
+        assert s == (fa > fb) - (fa < fb)
+
+    @given(compare_pairs(), st.integers(min_value=1, max_value=3))
+    @settings(max_examples=200)
+    def test_rational_operands_on_either_side(self, pair, n):
+        a, _ = pair
+        q = a.rational_part + Fraction(1, n)
+        assert_order_matches(a, q, (a - q).sign())
+        assert_order_matches(rat(q), a, (rat(q) - a).sign())
+        assert (q > a) == (a < q)
+
+    @given(small_rationals, small_rationals, fast_terms, fast_terms,
+           st.integers(min_value=0, max_value=2**60))
+    @settings(max_examples=200)
+    def test_deep_exponents_agree_with_difference_sign(self, q1, q2, t1, t2, shift):
+        deep = lambda terms: {(b, e + shift): c for (b, e), c in terms.items()}
+        a, b = from_parts(q1, deep(t1)), from_parts(q2, deep(t2))
+        try:
+            s = (a - b).sign()
+        except PrecisionError:
+            return  # a tie no certificate can settle; never a wrong answer
+        assert_order_matches(a, b, s)
+        if q1 != q2 and shift >= 60:  # tails below 10**-60: the rationals decide
+            assert s == (q1 > q2) - (q1 < q2)
+
+    def test_dominance_needs_both_tails(self):
+        # each tail alone is beaten by the rational gap; together they tie it
+        gap = Fraction(2, 10**5)
+        a = rat(gap) + power(10, 5, -1)
+        b = rat(0) + power(10, 5)
+        assert (a - b).sign() == 0
+        assert not a < b and not a > b and a <= b and a >= b
+
+
+class TestMergeAddition:
+    @given(small_rationals, fast_terms, small_rationals, fast_terms)
+    @settings(max_examples=300)
+    def test_sum_terms_equal_canonical_dict_sum(self, q1, t1, q2, t2):
+        total = dict(t1)
+        for key, c in t2.items():
+            total[key] = total.get(key, Fraction(0)) + c
+        expected = Exact.from_terms(q1 + q2, total)
+        got = from_parts(q1, t1) + from_parts(q2, t2)
+        assert got.terms == expected.terms
+        assert got.rational_part == q1 + q2
+        assert (from_parts(q1, t1) - from_parts(q2, t2)).as_fraction() == (
+            from_parts(q1, t1).as_fraction() - from_parts(q2, t2).as_fraction()
+        )
+
+    def test_cancellation_drops_terms(self):
+        a = power(10, 7) + power(20, 3, 2) + power(10, 9)
+        assert (a - power(20, 3, 2)).terms == (power(10, 7) + power(10, 9)).terms
+        assert (a - a).terms == ()
+
+
+class TestCachedTailIsInvisible:
+    @given(small_rationals, fast_terms, small_rationals)
+    @settings(max_examples=200)
+    def test_cache_never_shows(self, q, terms, other):
+        fresh = from_parts(q, terms)
+        used = from_parts(q, terms)
+        _ = used < other, used >= rat(other) + power(10, 3)  # fills the cache
+        assert used == fresh and hash(used) == hash(fresh)
+        assert str(used) == str(fresh) and repr(used) == repr(fresh)
+        assert used.to_json() == fresh.to_json()
+        assert len({used, fresh}) == 1

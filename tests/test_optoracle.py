@@ -2,13 +2,20 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from packbound import optoracle
+
 from packbound.exact import power, rat
-from packbound.model import Item, VariantRules, validate_packing
-from packbound.optoracle import OracleInstance, min_bins
+from packbound.model import Item, VariantRules, Violation, validate_packing
+from packbound.optoracle import InvalidWitness, OracleInstance, min_bins
 
 ONED = VariantRules("one-d")
+
+# greedy first-fit-decreasing needs 4 bins, the volume bound says 3: the
+# search runs (99 nodes) and proves 3
+SEARCHED = ["5/12", "4/12", "3/12", "5/13", "4/13", "3/13", "6/13", "7/24", "5/24"]
 
 
 def items_of(sizes, colors=None):
@@ -123,3 +130,17 @@ class TestWitness:
         result = min_bins(OracleInstance(items_of(sizes, colors), rules))
         assert result.count == brute_force_min(sizes, colors, 2)
         assert validate_packing(result.witness) == []
+
+
+class TestSafetyChecks:
+    def test_invalid_witness_is_an_error_not_an_assert(self, monkeypatch):
+        bad = Violation(0, "overfull", (0,), "load exceeds 1")
+        monkeypatch.setattr(optoracle, "validate_packing", lambda packing: [bad])
+        with pytest.raises(InvalidWitness, match="overfull"):
+            min_bins(OracleInstance(items_of(SEARCHED), ONED))
+
+    def test_explicit_budget_beats_environment(self, monkeypatch):
+        monkeypatch.setenv("PACKBOUND_NODE_BUDGET", "1")
+        assert not min_bins(OracleInstance(items_of(SEARCHED), ONED)).proven
+        result = min_bins(OracleInstance(items_of(SEARCHED), ONED, node_budget=10_000))
+        assert result.proven and result.count == 3

@@ -180,3 +180,10 @@ class TestProtocol:
         t = oracle.trace()
         assert t[0]["value"].startswith("10^-")
         assert t[0]["class"] == "small" and t[1]["class"] == "large"
+
+
+class TestConfigBases:
+    @pytest.mark.parametrize("k", [2, 3, 9, 11, 100])
+    def test_bases_other_than_10_and_20_rejected_up_front(self, k):
+        with pytest.raises(ValueError):
+            OracleConfig(k, 4)
