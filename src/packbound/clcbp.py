@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algorithms import AlgorithmSession, fork_replay, make_session
+from .algorithms import check_replay, feed, make_session
 from .exact import Exact, rat
 from .model import Item, Packing, Placement, VariantRules, validate_packing
 from .optoracle import OracleInstance, min_bins
@@ -125,22 +125,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _replay(rules, prefix, algorithm_id, reference) -> AlgorithmSession:
-    session = fork_replay(rules, None, prefix, algorithm_id)
-    same = [(i.ident, p.bin_index) for i, p in session.transcript] == [
-        (i.ident, p.bin_index) for i, p in reference.transcript[: len(prefix)]
-    ]
-    if not same:
-        raise CrossCheckFailure("prefix replay diverged from the recorded run")
-    return session
-
-
-def _feed(session, items) -> int:
-    for item in items:
-        session.place(item)
-    return session.cost
-
-
 def _opt_packing(rules, groups) -> Packing:
     packing = Packing(rules)
     for b, group in enumerate(groups):
@@ -196,6 +180,8 @@ def run_full(algorithm_id: str, t: int, m: int,
         "small < eps/10 and large > 2*eps",
     ))
 
+    check_replay(base_session)
+
     smalls_in_order = [it for it in tinies if it.ident in small_tinies]
     census = ClassCensus(t, per_count, tiny_bins)
     scenarios = []
@@ -207,8 +193,7 @@ def run_full(algorithm_id: str, t: int, m: int,
         Item(10 * m + j, huge_size, color=smalls_in_order[j].color, label="huge")
         for j in range(count_h)
     ]
-    session = _replay(rules, tinies, algorithm_id, base_session)
-    alg_h = _feed(session, huge_items)
+    alg_h = feed(base_session.fork(), huge_items)
     groups = []
     mates = smalls_in_order[:count_h]  # huge j matches small j by color
     filler_pool = smalls_in_order[count_h:]
@@ -248,7 +233,7 @@ def run_full(algorithm_id: str, t: int, m: int,
     # wave two: thirds with color reuse
     reusable = [it.color for it in tinies
                 if len(base_session.packing.bins[_bin_of(base_session, it.ident)]) < t]
-    session_t = _replay(rules, tinies, algorithm_id, base_session)
+    session_t = base_session.fork()
     oracle_thirds = AdaptiveOracle(OracleConfig(config.k_thirds, config.thirds_budget))
     thirds: list[Item] = []
     small_thirds: set[int] = set()
@@ -340,8 +325,7 @@ def run_full(algorithm_id: str, t: int, m: int,
     ]
     for it in thirds:
         ledger.matched[it.color] = ledger.matched.get(it.color, 0) + 1
-    session = _replay(rules, tinies + thirds, algorithm_id, session_t)
-    alg_half = _feed(session, halves)
+    alg_half = feed(session_t.fork(), halves)
     opt_half = _opt_packing(rules, _halves_groups(t, tinies, thirds, halves,
                                                   reusable, small_tinies))
     sc_half = ScenarioOutcome("six-tenths", len(halves), alg_half,
@@ -359,8 +343,7 @@ def run_full(algorithm_id: str, t: int, m: int,
         Item(items_suffix + len(halves) + j, shy, color=it.color, label="matching")
         for j, it in enumerate(small_third_items)
     ]
-    session = _replay(rules, tinies + thirds, algorithm_id, session_t)
-    alg_two = _feed(session, two_thirds)
+    alg_two = feed(session_t.fork(), two_thirds)
     opt_two = _opt_packing(rules, _two_thirds_groups(
         t, tinies, thirds, small_third_items, large_third_items, two_thirds,
         reusable, small_thirds))

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import clcbp, knownopt, squares
-from .algorithms import IllegalPlacement, UnknownAlgorithm, algorithm_ids
+from .algorithms import IllegalPlacement, UnknownAlgorithm, algorithm_ids, feed, fork_replay
 from .exact import decimal_str, fraction_str, parse_rational
 from .mathprog import (
     REFERENCE_TARGETS,
@@ -31,7 +31,7 @@ from .mathprog import (
 )
 from .model import rules_from_json, items_from_json, packing_to_json
 from .optoracle import OracleInstance, min_bins
-from .reports import checks_pass, report_to_json
+from .reports import CrossCheckFailure, checks_pass, report_to_json
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 2
@@ -138,7 +138,7 @@ def _ko_report(run) -> dict:
     }
 
 
-def _sp_report(run, include_packings=True) -> dict:
+def _sp_report(run) -> dict:
     return {
         "variant": "sp",
         "algorithm": run.algorithm_id,
@@ -150,8 +150,7 @@ def _sp_report(run, include_packings=True) -> dict:
             "quarters": str(run.quarters_threshold),
             "thirds": str(run.thirds_threshold),
         },
-        "scenarios": [sc.to_json(include_packings=include_packings)
-                      for sc in run.scenarios],
+        "scenarios": [sc.to_json(include_packings=True) for sc in run.scenarios],
         "crossChecks": [
             {"name": c.name, "pass": c.passed, "detail": c.detail}
             for c in run.checks
@@ -214,6 +213,9 @@ def cmd_duel(args) -> int:
     except IllegalPlacement as exc:
         # the algorithm broke the packing rules: its failure, not the adversary's
         print(f"algorithm failure: {exc}", file=sys.stderr)
+        return EXIT_CROSSCHECK
+    except (CrossCheckFailure, knownopt.CensusGap, squares.CensusGap) as exc:
+        print(f"cross-check failure: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
     except ValueError as exc:
         return _fail_config(str(exc))
@@ -300,12 +302,40 @@ def _verify_certificates_suite() -> list[dict]:
     return out
 
 
+def _fork_matches_replay(run, scenario: str, prefix: list) -> bool:
+    """Feed a scenario's items to a prefix session, then to its fork made
+    before them, and to a fresh replay of prefix + items: all three must place
+    every item alike, at the cost the run reported."""
+    outcome = next(sc for sc in run.scenarios if sc.scenario == scenario)
+    rules = outcome.opt_packing.rules
+    prefix_ids = {it.ident for it in prefix}
+    items = sorted((it for contents in outcome.opt_packing.bins for it, _ in contents
+                    if it.ident not in prefix_ids), key=lambda it: it.ident)
+    live = fork_replay(rules, rules.advice, prefix, run.algorithm_id)
+    branch = live.fork()
+    try:
+        feed(live, items)
+        feed(branch, items)  # a fork sharing state with `live` diverges here
+    except IllegalPlacement:
+        return False
+    replay = fork_replay(rules, rules.advice, prefix + items, run.algorithm_id)
+    return (live.transcript == branch.transcript == replay.transcript
+            and branch.cost == outcome.alg_cost)
+
+
 def _verify_determinism_suite() -> list[dict]:
     run_a = knownopt.run_full("first-fit", 8)
     run_b = knownopt.run_full("first-fit", 8)
+    sp = squares.run_full("shelf-first-fit", 10)
+    cl = clcbp.run_full("ccff", 2, 6)
     return [{
         "name": "ko-first-fit-m8-byte-identical",
         "pass": report_to_json(_ko_report(run_a)) == report_to_json(_ko_report(run_b)),
+    }, {
+        "name": "fork-matches-replay",
+        "pass": _fork_matches_replay(run_a, "units", run_a.sevenths + run_a.thirds)
+        and _fork_matches_replay(sp, "six-tenths", sp.quarters + sp.thirds)
+        and _fork_matches_replay(cl, "six-tenths", cl.tinies + cl.thirds),
     }]
 
 

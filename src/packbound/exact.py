@@ -158,8 +158,9 @@ def _log10_bounds(base: int, exp: int) -> tuple[int, int]:
     """Integers (lo, hi) with 10**lo <= base**exp <= 10**hi, certified."""
     if base == 10:
         return exp, exp
-    # base 20: 2**10 >= 10**3 gives the floor; 2**e <= 10**ceil(e/2) the ceiling
-    return exp + 3 * (exp // 10), exp + (exp + 1) // 2
+    # base 20: 20**e = 10**e * 2**e, with 30102/100000 < log10 2 < 30103/100000
+    # (10**30102 < 2**100000 < 10**30103, checked in the tests)
+    return exp + exp * 30102 // 100000, exp - (-exp * 30103 // 100000)
 
 
 def _mag_lt(a_base: int, a_exp: int, b_base: int, b_exp: int) -> bool:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algorithms import AlgorithmSession, fork_replay, make_session
+from .algorithms import AlgorithmSession, check_replay, feed, make_session
 from .exact import Exact, rat
 from .model import Item, Packing, Placement, VariantRules, validate_packing
 from .optoracle import OracleInstance, min_bins
@@ -161,22 +161,6 @@ def _run_wave(session: AlgorithmSession, oracle: AdaptiveOracle, count: int,
     return items, smalls
 
 
-def _replay(rules, m, prefix, algorithm_id, reference: AlgorithmSession) -> AlgorithmSession:
-    session = fork_replay(rules, m, prefix, algorithm_id)
-    same = [
-        (i.ident, p.bin_index) for i, p in session.transcript
-    ] == [(i.ident, p.bin_index) for i, p in reference.transcript[: len(prefix)]]
-    if not same:
-        raise CrossCheckFailure("prefix replay diverged from the recorded run")
-    return session
-
-
-def _feed(session: AlgorithmSession, items) -> int:
-    for item in items:
-        session.place(item)
-    return session.cost
-
-
 def _opt_packing(rules, groups) -> Packing:
     """Build a packing with one group of items per bin and validate it."""
     packing = Packing(rules)
@@ -211,9 +195,10 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
         all(rat(SEVENTH) < it.size < upper for it in sevenths),
     ))
     s_end_multi = sum(1 for b in range(bins7) if len(base_session.packing.bins[b]) >= 2)
+    check_replay(base_session)
 
-    # wave two: thirds (continues a replayed prefix)
-    two_wave_session = _replay(rules, m, sevenths, algorithm_id, base_session)
+    # wave two: thirds (continues a fork of the wave-one session)
+    two_wave_session = base_session.fork()
     oracle2 = AdaptiveOracle(OracleConfig(config.k, m))
     thirds, small_thirds = _run_wave(two_wave_session, oracle2, m, THIRD, "third", m)
     gamma2 = oracle2.separator().gamma
@@ -237,8 +222,7 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
 
     # 1: four-fifths items after wave one
     items1 = [Item(2 * m + i, rat(F(4, 5)), label="four-fifths") for i in range(m)]
-    session = _replay(rules, m, sevenths, algorithm_id, base_session)
-    alg1 = _feed(session, items1)
+    alg1 = feed(base_session.fork(), items1)
     opt1 = _opt_packing(rules, [[items1[j], sevenths[j]] for j in range(m)])
     sc1 = ScenarioOutcome("four-fifths", len(items1), alg1, opt_cost=m, opt_packing=opt1)
     sc1.checks.append(Check.at_least("alg-lower-bound", alg1, m + s_end_multi))
@@ -248,8 +232,7 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
     count2 = m - _ceil_div(bins7, 6)
     filler = rat(F(6, 7)) - gamma1
     items2 = [Item(2 * m + i, filler, label="big-fill") for i in range(count2)]
-    session = _replay(rules, m, sevenths, algorithm_id, base_session)
-    alg2 = _feed(session, items2)
+    alg2 = feed(base_session.fork(), items2)
     groups = [large_sevenths[i::_ceil_div(bins7, 6)] for i in range(_ceil_div(bins7, 6))]
     fill_bins = [[it] for it in items2]
     for j, small in enumerate(small_seventh_items):
@@ -261,8 +244,7 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
 
     # 3: unit items after both waves
     items3 = [Item(2 * m + i, rat(1), label="unit") for i in range(m // 2)]
-    session = _replay(rules, m, sevenths + thirds, algorithm_id, two_wave_session)
-    alg3 = _feed(session, items3)
+    alg3 = feed(two_wave_session.fork(), items3)
     mixed = [
         [sevenths[2 * j], sevenths[2 * j + 1], thirds[2 * j], thirds[2 * j + 1]]
         for j in range(m // 2)
@@ -274,8 +256,7 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
 
     # 4: items just over one half
     items4 = [Item(2 * m + i, rat(F(13, 25)), label="over-half") for i in range(m)]
-    session = _replay(rules, m, sevenths + thirds, algorithm_id, two_wave_session)
-    alg4 = _feed(session, items4)
+    alg4 = feed(two_wave_session.fork(), items4)
     opt4 = _opt_packing(
         rules, [[items4[j], thirds[j], sevenths[j]] for j in range(m)]
     )
@@ -290,8 +271,7 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
     count5 = m - max(m // 4, _ceil_div(bins3, 2))
     shy = rat(F(2, 3)) - gamma2
     items5 = [Item(2 * m + i, shy, label="short-two-thirds") for i in range(count5)]
-    session = _replay(rules, m, sevenths + thirds, algorithm_id, two_wave_session)
-    alg5 = _feed(session, items5)
+    alg5 = feed(two_wave_session.fork(), items5)
     opt5 = _opt_packing(rules, _scenario5_groups(
         m, bins3, sevenths, large_thirds, small_third_items, items5))
     sc5 = ScenarioOutcome("short-two-thirds", count5, alg5, opt_cost=m, opt_packing=opt5)

@@ -88,7 +88,8 @@ class Row:
 
     @staticmethod
     def build(label, coeffs: dict, relation: str, const) -> "Row":
-        assert relation in ("<=", ">=", "==")
+        if relation not in ("<=", ">=", "=="):
+            raise ValueError(f"row {label}: unknown relation {relation!r}")
         packed = tuple(
             (v, _pair(c)) for v, c in coeffs.items() if _pair(c) != (F(0), F(0))
         )
@@ -235,7 +236,8 @@ def _solve_lp(n, rows, minimize: Optional[list] = None):
                 factor = cost[b]
                 cost = [x - factor * y for x, y in zip(cost, tab[i])]
         status = _bland(tab, basis, cost, range(total))
-        assert status == "optimal"  # phase 1 is always bounded
+        if status != "optimal":  # phase 1 is always bounded
+            raise Unbounded("phase 1 of the simplex reported an unbounded ray")
         if -cost[-1] != 0:
             return "infeasible", None, None
         # drive leftover artificials out of the basis
@@ -286,10 +288,12 @@ def _rows_for_lp(program: Program, r0: Optional[Fraction]):
     for row in program.rows:
         if r0 is None:
             coeffs, rhs, rel = row.coeff_dict(), row.const[0], row.relation
-            assert row.const[1] == 0
+            if row.const[1] != 0:
+                raise ValueError(f"row {row.label}: linear solve requires an R-free constant")
             line = [F(0)] * len(variables)
             for var, (c, d) in coeffs.items():
-                assert d == 0, "linear solve requires d == 0"
+                if d != 0:
+                    raise ValueError(f"row {row.label}: linear solve requires d == 0")
                 line[index[var]] = c
         else:
             coeffs, rhs, rel = row.substitute(r0)

@@ -78,7 +78,7 @@ class ScenarioOutcome:
         return out
 
 
-def report_to_json(report: dict, out_path=None, include_packings=True) -> str:
+def report_to_json(report: dict, out_path=None) -> str:
     """Deterministic, byte-stable JSON rendering of a run report."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import AlgorithmSession, fork_replay, make_session
+from .algorithms import check_replay, feed, make_session
 from .exact import Exact, rat
 from .model import Item, Packing, Placement, VariantRules, validate_packing
 from .oracle import AdaptiveOracle, OracleConfig
@@ -173,6 +173,11 @@ def _ceil_div(a: int, b: int) -> int:
 # -- closed-form layouts ----------------------------------------------------
 
 
+def _check_count(layout: str, items: list, most: int) -> None:
+    if len(items) > most:
+        raise ValueError(f"{layout} places at most {most} squares of a kind, got {len(items)}")
+
+
 def l_strip_layout(extent: Exact, smalls: list[Item]) -> list[tuple[Item, Exact, Exact]]:
     """Up to five squares around a block [0, extent]^2: opposite corner plus
     two along each arm of the leftover L-strip.
@@ -180,7 +185,7 @@ def l_strip_layout(extent: Exact, smalls: list[Item]) -> list[tuple[Item, Exact,
     Requires every side < 1 - extent and 2 * side <= extent-side clearance,
     which holds for quarters against any extent <= 3/4 used here.
     """
-    assert len(smalls) <= 5
+    _check_count("l_strip_layout", smalls, 5)
     coords = []
     one = rat(1)
     placed_col = []
@@ -203,7 +208,8 @@ def l_strip_layout(extent: Exact, smalls: list[Item]) -> list[tuple[Item, Exact,
 def corner_court_layout(big: Item, thirds: list[Item], quarters: list[Item]):
     """Big square at the origin, thirds in the three free corners, one
     quarter against each arm between the corner squares."""
-    assert len(thirds) <= 3 and len(quarters) <= 2
+    _check_count("corner_court_layout", thirds, 3)
+    _check_count("corner_court_layout", quarters, 2)
     one = rat(1)
     coords = [(big, rat(0), rat(0))]
     arm_anchor = {}
@@ -228,7 +234,8 @@ def corner_court_layout(big: Item, thirds: list[Item], quarters: list[Item]):
 
 def block_court_layout(thirds: list[Item], quarters: list[Item]):
     """2x2 block of thirds in the corner, up to five quarters in the L-strip."""
-    assert len(thirds) <= 4 and len(quarters) <= 5
+    _check_count("block_court_layout", thirds, 4)
+    _check_count("block_court_layout", quarters, 5)
     p = THIRD_PITCH
     spots = [(rat(0), rat(0)), (p, rat(0)), (rat(0), p), (p, p)]
     coords = [(t, x, y) for t, (x, y) in zip(thirds, spots)]
@@ -238,7 +245,7 @@ def block_court_layout(thirds: list[Item], quarters: list[Item]):
 
 def grid_layout(quarters: list[Item]) -> list[tuple[Item, Exact, Exact]]:
     """Up to nine quarters on a 3x3 grid of pitch just above every side."""
-    assert len(quarters) <= 9
+    _check_count("grid_layout", quarters, 9)
     p = QUARTER_PITCH
     coords = []
     for idx, q in enumerate(quarters):
@@ -290,6 +297,8 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
         all(rat(QUARTER) < q.size < rat(F(2501, 10000)) for q in quarters),
     ))
 
+    check_replay(base_session)
+
     quarter_ids = {q.ident for q in quarters}
     large_quarters = [q for q in quarters if q.ident not in small_quarters]
     small_quarter_items = [q for q in quarters if q.ident in small_quarters]
@@ -301,8 +310,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     big_side = rat(F(3, 4)) - gamma1
     items1 = [Item(10 * m + i, big_side, label="three-quarter-fill")
               for i in range(count1)]
-    session = _replay(rules, quarters, algorithm_id, base_session)
-    alg1 = _feed(session, items1)
+    alg1 = feed(base_session.fork(), items1)
     bins_sc1 = []
     for j, big in enumerate(items1):
         group = small_quarter_items[5 * j : 5 * j + 5]
@@ -321,7 +329,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     scenarios.append(sc1)
 
     # wave two: thirds with the weighted stopping rule
-    session_t = _replay(rules, quarters, algorithm_id, base_session)
+    session_t = base_session.fork()
     oracle2 = AdaptiveOracle(OracleConfig(config.k, 3 * m // 2))
     thirds: list[Item] = []
     small_thirds: set[int] = set()
@@ -366,8 +374,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     count2 = mprime // 3
     items2 = [Item(10 * m + i, rat(F(3, 5)), label="six-tenths")
               for i in range(count2)]
-    session = _replay(rules, quarters + thirds, algorithm_id, session_t)
-    alg2 = _feed(session, items2)
+    alg2 = feed(session_t.fork(), items2)
     taken = 0
     bins_sc2 = []
     quarter_pool = list(quarters)
@@ -400,8 +407,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     shy = rat(F(2, 3)) - gamma2
     items3 = [Item(10 * m + i, shy, label="short-two-thirds")
               for i in range(count3)]
-    session = _replay(rules, quarters + thirds, algorithm_id, session_t)
-    alg3 = _feed(session, items3)
+    alg3 = feed(session_t.fork(), items3)
     bins_sc3 = []
     quarter_pool = list(quarters)
     small_pool = list(small_third_items)
@@ -433,23 +439,6 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
         gamma1, gamma2, census, scenarios, checks,
         {"quarters": oracle1.trace(), "thirds": oracle2.trace()},
     )
-
-
-def _replay(rules, prefix, algorithm_id, reference) -> AlgorithmSession:
-    session = fork_replay(rules, None, prefix, algorithm_id)
-    same = [(i.ident, p.bin_index, p.x, p.y) for i, p in session.transcript] == [
-        (i.ident, p.bin_index, p.x, p.y)
-        for i, p in reference.transcript[: len(prefix)]
-    ]
-    if not same:
-        raise CrossCheckFailure("prefix replay diverged from the recorded run")
-    return session
-
-
-def _feed(session, items) -> int:
-    for item in items:
-        session.place(item)
-    return session.cost
 
 
 def _census(session, quarter_ids, small_thirds, bins4, bins3, sm3, lg3) -> SquaresCensus:

@@ -10,6 +10,7 @@ from packbound.algorithms import (
     ONE_D_BASELINES,
     UnknownAlgorithm,
     algorithm_ids,
+    feed,
     fork_replay,
     make_session,
 )
@@ -17,6 +18,21 @@ from packbound.exact import rat
 from packbound.model import Item, VariantRules, validate_packing
 
 ONED = VariantRules("one-d")
+
+# every shipped algorithm with the rules of the variant it plays
+RULES_FOR = {
+    **{algo: ONED for algo in ONE_D_BASELINES},
+    "ccff": VariantRules("class-constrained", t=2),
+    "shelf-first-fit": VariantRules("squares"),
+}
+
+item_specs = st.lists(
+    st.tuples(
+        st.fractions(min_value=Fraction(1, 50), max_value=1, max_denominator=100),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=12,
+)
 
 
 def run(algorithm_id, sizes, rules=ONED, advice=None, colors=None):
@@ -148,3 +164,39 @@ class TestSessionContract:
         ff = run("first-fit", sizes)
         nf = run("next-fit", sizes)
         assert bins_as_fractions(ff) != bins_as_fractions(nf)
+
+
+class TestFork:
+    def test_every_shipped_algorithm_is_covered(self):
+        shipped = {a for a in algorithm_ids() if "test" not in a}
+        assert shipped == set(RULES_FOR)
+
+    @pytest.mark.parametrize("algo", sorted(RULES_FOR))
+    @given(prefix_specs=item_specs, fork_specs=item_specs, own_specs=item_specs)
+    @settings(max_examples=40, deadline=None)
+    def test_fork_is_isolated(self, algo, prefix_specs, fork_specs, own_specs):
+        rules = RULES_FOR[algo]
+
+        def items(specs, start):
+            return [Item(start + i, rat(size), color=color if rules.colored else None)
+                    for i, (size, color) in enumerate(specs)]
+
+        prefix = items(prefix_specs, 0)
+        on_fork, on_original = items(fork_specs, 100), items(own_specs, 200)
+        session = make_session(algo, rules)
+        feed(session, prefix)
+        bins_before = [list(b) for b in session.packing.bins]
+        transcript_before = list(session.transcript)
+
+        branch = session.fork()
+        feed(branch, on_fork)
+        assert branch.transcript == fork_replay(rules, None, prefix + on_fork, algo).transcript
+        assert session.packing.bins == bins_before
+        assert session.transcript == transcript_before
+
+        branch_bins = [list(b) for b in branch.packing.bins]
+        feed(session, on_original)
+        assert session.transcript == fork_replay(
+            rules, None, prefix + on_original, algo).transcript
+        assert branch.packing.bins == branch_bins
+        assert len(branch.transcript) == len(prefix) + len(on_fork)

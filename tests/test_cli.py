@@ -2,7 +2,27 @@
 
 import json
 
+from packbound.algorithms import register_algorithm
 from packbound.cli import main
+from packbound.model import Placement
+
+_sessions_started = [0]
+
+
+def _flaky_factory(rules, advice):
+    """Every other session packs differently: not a deterministic algorithm."""
+    _sessions_started[0] += 1
+    per_bin = 1 + _sessions_started[0] % 2
+
+    def place(packing, item):
+        if packing.cost and len(packing.bins[-1]) < per_bin:
+            return Placement(packing.cost - 1)
+        return Placement(packing.cost)
+
+    return place
+
+
+register_algorithm("flaky-test", _flaky_factory)
 
 
 def run_cli(capsys, *argv):
@@ -165,3 +185,10 @@ class TestOracle:
         code, _, err = run_cli(capsys, "duel", "--variant", "sp",
                                "--algorithm", "first-fit", "--m", "4")
         assert code == 2 and "algorithm failure" in err
+
+    def test_nondeterministic_algorithm_fails_the_replay_check(self, capsys):
+        code, out, err = run_cli(capsys, "duel", "--variant", "ko",
+                                 "--algorithm", "flaky-test", "--m", "8")
+        assert code == 2
+        assert "cross-check failure: prefix replay diverged" in err
+        assert "Traceback" not in err and out == ""

@@ -102,6 +102,19 @@ class TestDeepExponents:
         assert power(20, 5) < power(10, 6)  # 20^-5 = 1/3.2e6 < 1e-6
         assert power(20, 10) > power(10, 14)
 
+    def test_log10_of_two_bounds(self):
+        # the certified bracket 30102/100000 < log10 2 < 30103/100000
+        assert 10**30102 < 2**100000 < 10**30103
+
+    def test_cross_base_order_beyond_literal_settlement(self):
+        # 20^-40000 is about 10^-52041; both exponents are too deep to expand
+        assert power(20, 40000) < power(10, 52000)
+        assert not power(20, 40000) > power(10, 52000)
+        assert power(10, 52000) > power(20, 40000)
+        assert not power(10, 52000) < power(20, 40000)
+        assert power(20, 40000) > power(10, 52100)
+        assert power(10, 52100) < power(20, 40000)
+
     def test_unexpandable_fraction_raises(self):
         with pytest.raises(PrecisionError):
             (rat(1) + power(10, 2**40)).as_fraction()

@@ -17,6 +17,7 @@ from packbound.mathprog import (
     check_certificate,
     combine_rows,
     feasible_at,
+    _rows_for_lp,
     ko_certificate_suite,
     solve_min_r_exact,
 )
@@ -65,6 +66,18 @@ class TestStructure:
         assert dict(row.coeffs) == {"e1": (F(1), F(0)), "e2": (F(2), F(0)),
                                     "e3": (F(3), F(0))}
         assert row.const == (F(1), F(0)) and row.relation == "=="
+
+
+    def test_unknown_relation_raises(self):
+        with pytest.raises(ValueError, match="relation"):
+            Row.build("bad", {"x": 1}, "<", 1)
+
+    def test_linear_solve_rejects_r_terms(self):
+        trivial = builtin_program("ko-case1")
+        for row in (Row.build("c", {"ratio": 1}, ">=", (1, 1)),
+                    Row.build("d", {"ratio": (1, 1)}, ">=", 1)):
+            with pytest.raises(ValueError, match="linear solve"):
+                _rows_for_lp(type(trivial)("r-terms", ("ratio",), (row,)), None)
 
 
 class TestFeasibility:

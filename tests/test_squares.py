@@ -1,9 +1,13 @@
 """Square-packing adversary: geometry, stopping rule, census, layouts."""
 
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import packbound
 from packbound.exact import power, rat
 from packbound.model import (
     Item,
@@ -93,6 +97,37 @@ class TestLayouts:
         packing = build_and_validate(block_court_layout(thirds, quarters))
         assert len(packing.bins[0]) == 9
 
+    @pytest.mark.parametrize("layout, args", [
+        (grid_layout, lambda q: (q[:10],)),
+        (l_strip_layout, lambda q: (rat(F(3, 4)), q[:6])),
+        (corner_court_layout, lambda q: (q[0], q[1:4], q[4:7])),
+        (block_court_layout, lambda q: (q[:4], q[4:10])),
+    ])
+    def test_oversized_layouts_raise(self, layout, args):
+        quarters = [Item(i, rat(F(1, 4))) for i in range(10)]
+        with pytest.raises(ValueError):
+            layout(*args(quarters))
+
+    def test_guard_survives_optimized_python(self):
+        """The size guards are real raises, not asserts that `python -O` strips."""
+        script = (
+            "import sys\n"
+            "from packbound.exact import rat\n"
+            "from packbound.model import Item\n"
+            "from packbound.squares import grid_layout\n"
+            "if __debug__:\n"
+            "    sys.exit(2)\n"
+            "try:\n"
+            "    grid_layout([Item(i, rat('1/4')) for i in range(10)])\n"
+            "except ValueError:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(1)\n"
+        )
+        src = str(Path(packbound.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              env={"PYTHONPATH": src}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestRun:
     def test_golden_census_m20(self, shelf20):
@@ -149,3 +184,4 @@ class TestRun:
         b = run_full("shelf-first-fit", 10)
         assert [sc.ratio for sc in a.scenarios] == [sc.ratio for sc in b.scenarios]
         assert a.census == b.census
+
