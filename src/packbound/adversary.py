@@ -1,0 +1,108 @@
+"""The skeleton the three adversaries (knownopt, squares, clcbp) share.
+
+Each construction feeds adaptive waves, classifying every item small or
+large from where the algorithm puts it (`present`, `run_wave`), then
+branches into continuations that feed a fork of the live session and come
+with a validated offline packing (`continuation`, `offline_packing`).
+Census tables, stopping rules, groupings and layouts stay in the variant's
+module; `census_category` only looks a bin up in such a table.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+from .algorithms import AlgorithmSession, feed
+from .exact import Exact
+from .model import Item, Packing, PackingError, Placement, VariantRules, validate_packing
+from .oracle import AdaptiveOracle
+from .reports import CrossCheckFailure, ScenarioOutcome
+
+__all__ = ["CensusGap", "census_category", "ceil_div", "offline_packing", "continuation",
+           "present", "run_wave"]
+
+
+class CensusGap(RuntimeError):
+    """A bin shape or side pattern matched no census category (should be unreachable)."""
+
+
+def census_category(bands: dict, n_wave_one: int, n_thirds: int, wave_one: str) -> str:
+    """Census name of a bin holding `n_wave_one` wave-one items (called
+    `wave_one` in the error) and `n_thirds` thirds; `bands[n_thirds]` lists
+    ((lo, hi), name) ranges of `n_wave_one`."""
+    for (lo, hi), name in bands.get(n_thirds, ()):
+        if lo <= n_wave_one <= hi:
+            return name
+    raise CensusGap(f"bin shape ({n_wave_one} {wave_one}, {n_thirds} thirds)")
+
+
+def ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def offline_packing(rules: VariantRules, bins) -> Packing:
+    """Build a packing bin by bin and validate it.
+
+    Each bin is a list of entries: an `Item`, or an `(item, x, y)` triple
+    placing a square's lower-left corner.  Raises `CrossCheckFailure` when an
+    entry breaks a rule or the finished packing does not validate.
+    """
+    packing = Packing(rules)
+    try:
+        for b, entries in enumerate(bins):
+            for entry in entries:
+                if isinstance(entry, Item):
+                    packing.add_item(entry, Placement(b))
+                else:
+                    item, x, y = entry
+                    packing.add_item(item, Placement(b, x, y))
+    except PackingError as exc:
+        raise CrossCheckFailure(f"offline construction invalid: {exc}") from exc
+    violations = validate_packing(packing)
+    if violations:
+        raise CrossCheckFailure(f"offline construction invalid: {violations[:3]}")
+    return packing
+
+
+def continuation(name: str, session: AlgorithmSession, items: list[Item],
+                 opt_packing: Packing, opt_cost: Optional[int] = None) -> ScenarioOutcome:
+    """Feed `items` to a fork of `session` and pair its cost with `opt_packing`.
+
+    `opt_cost` is the optimum when it is known in advance; without it the
+    packing's cost is reported as an upper bound on the optimum.
+    """
+    alg_cost = feed(session.fork(), items)
+    opt_upper = opt_packing.cost if opt_cost is None else None
+    return ScenarioOutcome(name, len(items), alg_cost, opt_cost=opt_cost,
+                           opt_upper=opt_upper, opt_packing=opt_packing)
+
+
+def present(session: AlgorithmSession, oracle: AdaptiveOracle, item: Item,
+            small_when: Optional[Callable[[list], bool]] = None) -> bool:
+    """Place one adaptive item, tell the oracle whether it is small, return that.
+
+    An item that opens a fresh bin is large.  An item placed into an open bin
+    is small, unless `small_when` is given: then it is small when
+    `small_when(before)` holds, `before` being the target bin's
+    `(item, placement)` pairs from before this placement.
+    """
+    fresh = session.cost
+    b = session.place(item).bin_index
+    # add_item appends, so the bin's last entry is this item
+    small = b < fresh and (small_when is None or small_when(session.packing.bins[b][:-1]))
+    oracle.observe(small)
+    return small
+
+
+def run_wave(session: AlgorithmSession, oracle: AdaptiveOracle, count: int,
+             make_item: Callable[[int, Exact], Item]) -> tuple[list[Item], set[int]]:
+    """Present `count` items, item i being `make_item(i, a)` for the oracle's
+    next value a; returns the items and the idents of the small ones."""
+    items: list[Item] = []
+    smalls: set[int] = set()
+    for i in range(count):
+        item = make_item(i, oracle.next_value())
+        if present(session, oracle, item):
+            smalls.add(item.ident)
+        items.append(item)
+    return items, smalls

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exact import Exact, rat
-from .model import Item, Packing, PackingError, Placement, VariantRules
+from .model import ONE, ZERO, Item, Packing, PackingError, Placement, VariantRules
 from .reports import CrossCheckFailure
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
     "register_algorithm",
     "algorithm_ids",
 ]
-
-ONE = rat(1)
-ZERO = rat(0)
 
 
 class IllegalPlacement(RuntimeError):

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algorithms import check_replay, feed, make_session
+from .adversary import continuation, offline_packing, present, run_wave
+from .algorithms import check_replay, make_session
 from .exact import Exact, rat
-from .model import Item, Packing, Placement, VariantRules, validate_packing
+from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, CrossCheckFailure, ScenarioOutcome
@@ -47,7 +48,7 @@ class ClassConstrainedConfig:
         if self.t not in (2, 3):
             raise ValueError("t must be 2 or 3")
         if self.m < 6 or self.m % 6:
-            raise ValueError("M must be a positive multiple of 6")
+            raise ValueError("M must be a positive integer divisible by 6")
 
     @property
     def thirds_budget(self) -> int:
@@ -121,21 +122,6 @@ def closed_form_bounds(tiny_bins: int, per_count: dict, t: int, m: int) -> dict:
     return bounds
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _opt_packing(rules, groups) -> Packing:
-    packing = Packing(rules)
-    for b, group in enumerate(groups):
-        for item in group:
-            packing.add_item(item, Placement(b))
-    violations = validate_packing(packing)
-    if violations:
-        raise CrossCheckFailure(f"offline construction invalid: {violations[:3]}")
-    return packing
-
-
 def run_full(algorithm_id: str, t: int, m: int,
              verify_oracle: Optional[bool] = None) -> ClassConstrainedRun:
     config = ClassConstrainedConfig(t, m)
@@ -148,18 +134,8 @@ def run_full(algorithm_id: str, t: int, m: int,
     base_session = make_session(algorithm_id, rules)
     oracle_tiny = AdaptiveOracle(OracleConfig(
         config.k_tiny, m, offset=config.tiny_window_offset()))
-    tinies: list[Item] = []
-    small_tinies: set[int] = set()
-    for i in range(m):
-        a = oracle_tiny.next_value()
-        item = Item(i, a, color=i, label="tiny")
-        pre = base_session.cost
-        placement = base_session.place(item)
-        into_nonempty = placement.bin_index < pre
-        oracle_tiny.observe(into_nonempty)
-        if into_nonempty:
-            small_tinies.add(item.ident)
-        tinies.append(item)
+    tinies, small_tinies = run_wave(
+        base_session, oracle_tiny, m, lambda i, a: Item(i, a, color=i, label="tiny"))
     sep_tiny = oracle_tiny.separator()
     tiny_margin = sep_tiny.gamma * 10  # epsilon of the huge branch
 
@@ -193,7 +169,6 @@ def run_full(algorithm_id: str, t: int, m: int,
         Item(10 * m + j, huge_size, color=smalls_in_order[j].color, label="huge")
         for j in range(count_h)
     ]
-    alg_h = feed(base_session.fork(), huge_items)
     groups = []
     mates = smalls_in_order[:count_h]  # huge j matches small j by color
     filler_pool = smalls_in_order[count_h:]
@@ -203,9 +178,9 @@ def run_full(algorithm_id: str, t: int, m: int,
     leftover = filler_pool + [it for it in tinies if it.ident not in small_tinies]
     for j in range(0, len(leftover), t):
         groups.append(leftover[j : j + t])
-    opt_h = _opt_packing(rules, groups)
-    sc_h = ScenarioOutcome("huge", count_h, alg_h, opt_upper=opt_h.cost, opt_packing=opt_h)
-    sc_h.checks.append(Check.equal("alg-forced-cost", alg_h, tiny_bins + count_h))
+    opt_h = offline_packing(rules, groups)
+    sc_h = continuation("huge", base_session, huge_items, opt_h)
+    sc_h.checks.append(Check.equal("alg-forced-cost", sc_h.alg_cost, tiny_bins + count_h))
     sc_h.checks.append(Check.equal("opt-construction-cost", opt_h.cost, m // t))
     if verify_oracle:
         packed = [it for b in opt_h.bins for it, _ in b]
@@ -231,8 +206,9 @@ def run_full(algorithm_id: str, t: int, m: int,
         )
 
     # wave two: thirds with color reuse
-    reusable = [it.color for it in tinies
-                if len(base_session.packing.bins[_bin_of(base_session, it.ident)]) < t]
+    in_short_bins = {it.ident for contents in base_session.packing.bins
+                     if len(contents) < t for it, _ in contents}
+    reusable = [it.color for it in tinies if it.ident in in_short_bins]
     session_t = base_session.fork()
     oracle_thirds = AdaptiveOracle(OracleConfig(config.k_thirds, config.thirds_budget))
     thirds: list[Item] = []
@@ -249,18 +225,15 @@ def run_full(algorithm_id: str, t: int, m: int,
             fresh_colors.append(fresh)
         return fresh
 
+    def holds_a_third(before) -> bool:
+        return any(it.label == "third" for it, _ in before)
+
     def present_one():
         nonlocal z1, z2
         a = oracle_thirds.next_value()
         item = Item(m + len(thirds), rat(THIRD) + a,
                     color=third_color(len(thirds)), label="third")
-        pre_bins = [list(b) for b in session_t.packing.bins]
-        placement = session_t.place(item)
-        second_third = placement.bin_index < len(pre_bins) and any(
-            it.label == "third" for it, _ in pre_bins[placement.bin_index]
-        )
-        oracle_thirds.observe(second_third)
-        if second_third:
+        if present(session_t, oracle_thirds, item, small_when=holds_a_third):
             small_thirds.add(item.ident)
             z2 += 1
         else:
@@ -325,13 +298,11 @@ def run_full(algorithm_id: str, t: int, m: int,
     ]
     for it in thirds:
         ledger.matched[it.color] = ledger.matched.get(it.color, 0) + 1
-    alg_half = feed(session_t.fork(), halves)
-    opt_half = _opt_packing(rules, _halves_groups(t, tinies, thirds, halves,
-                                                  reusable, small_tinies))
-    sc_half = ScenarioOutcome("six-tenths", len(halves), alg_half,
-                              opt_upper=opt_half.cost, opt_packing=opt_half)
+    opt_half = offline_packing(rules, _halves_groups(t, tinies, thirds, halves,
+                                                     reusable, small_tinies))
+    sc_half = continuation("six-tenths", session_t, halves, opt_half)
     sc_half.checks.append(Check.at_least(
-        "alg-lower-bound", alg_half, per_count[t] + z1 + 2 * z2))
+        "alg-lower-bound", sc_half.alg_cost, per_count[t] + z1 + 2 * z2))
     slack_half = 0 if t == 2 else 1
     sc_half.checks.append(Check.at_most(
         "opt-within-formula", opt_half.cost, z1 + z2 + slack_half))
@@ -343,14 +314,12 @@ def run_full(algorithm_id: str, t: int, m: int,
         Item(items_suffix + len(halves) + j, shy, color=it.color, label="matching")
         for j, it in enumerate(small_third_items)
     ]
-    alg_two = feed(session_t.fork(), two_thirds)
-    opt_two = _opt_packing(rules, _two_thirds_groups(
+    opt_two = offline_packing(rules, _two_thirds_groups(
         t, tinies, thirds, small_third_items, large_third_items, two_thirds,
         reusable, small_thirds))
-    sc_two = ScenarioOutcome("short-two-thirds", len(two_thirds), alg_two,
-                             opt_upper=opt_two.cost, opt_packing=opt_two)
+    sc_two = continuation("short-two-thirds", session_t, two_thirds, opt_two)
     sc_two.checks.append(Check.at_least(
-        "alg-lower-bound", alg_two, per_count[t] + z1 + z2))
+        "alg-lower-bound", sc_two.alg_cost, per_count[t] + z1 + z2))
     if t == 2:
         x1, x2 = per_count[1], per_count[2]
         bound = F(z1, 2) + z2 + x2 - F(max(x1, x2), 2) + 1
@@ -367,13 +336,6 @@ def run_full(algorithm_id: str, t: int, m: int,
         tiny_margin, thirds_margin, census, scenarios, closed, checks, ledger,
         {"tinies": oracle_tiny.trace(), "thirds": oracle_thirds.trace()},
     )
-
-
-def _bin_of(session, ident) -> int:
-    for b, contents in enumerate(session.packing.bins):
-        if any(it.ident == ident for it, _ in contents):
-            return b
-    raise KeyError(ident)
 
 
 def _rider_map(tinies, reusable_used):

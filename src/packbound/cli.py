@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import clcbp, knownopt, squares
+from .adversary import CensusGap
 from .algorithms import IllegalPlacement, UnknownAlgorithm, algorithm_ids, feed, fork_replay
 from .exact import decimal_str, fraction_str, parse_rational
 from .mathprog import (
@@ -31,7 +32,7 @@ from .mathprog import (
 )
 from .model import rules_from_json, items_from_json, packing_to_json
 from .optoracle import OracleInstance, min_bins
-from .reports import CrossCheckFailure, checks_pass, report_to_json
+from .reports import Check, CrossCheckFailure, checks_pass, report_to_json
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 2
@@ -118,115 +119,102 @@ def cmd_bounds(args) -> int:
 # -- duel ---------------------------------------------------------------------
 
 
-def _ko_report(run) -> dict:
+def _ko_extras(run) -> dict:
+    c = run.census
     return {
-        "variant": "ko",
-        "algorithm": run.algorithm_id,
-        "m": run.m,
-        "census": {**run.census.category_counts(),
-                   "bins7": run.census.bins7, "bins3": run.census.bins3},
+        "census": {**c.category_counts(), "bins7": c.bins7, "bins3": c.bins3},
         "thresholds": {
             "sevenths": str(run.sevenths_threshold),
             "thirds": str(run.thirds_threshold),
         },
-        "scenarios": [sc.to_json() for sc in run.scenarios],
-        "crossChecks": [
-            {"name": c.name, "pass": c.passed, "detail": c.detail}
-            for c in run.checks
-        ],
-        "oracleTraces": run.traces,
     }
 
 
-def _sp_report(run) -> dict:
+def _sp_extras(run) -> dict:
+    c = run.census
     return {
-        "variant": "sp",
-        "algorithm": run.algorithm_id,
-        "m": run.m,
-        "census": {**run.census.category_counts(),
-                   "bins4": run.census.bins4, "bins3": run.census.bins3,
-                   "smallThirds": run.census.sm3, "largeThirds": run.census.lg3},
+        "census": {**c.category_counts(), "bins4": c.bins4, "bins3": c.bins3,
+                   "smallThirds": c.sm3, "largeThirds": c.lg3},
         "thresholds": {
             "quarters": str(run.quarters_threshold),
             "thirds": str(run.thirds_threshold),
         },
-        "scenarios": [sc.to_json(include_packings=True) for sc in run.scenarios],
-        "crossChecks": [
-            {"name": c.name, "pass": c.passed, "detail": c.detail}
-            for c in run.checks
-        ],
-        "oracleTraces": run.traces,
     }
 
 
-def _clcbp_report(run) -> dict:
+def _clcbp_extras(run) -> dict:
+    c = run.census
     return {
-        "variant": "clcbp",
         "t": run.t,
-        "algorithm": run.algorithm_id,
-        "m": run.m,
         "census": {
-            "tinyBinsByCount": {str(j): n for j, n in run.census.per_count.items()},
-            "tinyBins": run.census.tiny_bins,
-            "thirdBins": run.census.z1,
-            "pairedThirdBins": run.census.z2,
+            "tinyBinsByCount": {str(j): n for j, n in c.per_count.items()},
+            "tinyBins": c.tiny_bins,
+            "thirdBins": c.z1,
+            "pairedThirdBins": c.z2,
         },
         "closedFormBounds": {
             name: {"exact": fraction_str(v), "decimal": decimal_str(v)}
             for name, v in run.closed_form.items()
         },
         "colorLedger": run.ledger.summary() if run.ledger else None,
-        "scenarios": [sc.to_json() for sc in run.scenarios],
-        "crossChecks": [
-            {"name": c.name, "pass": c.passed, "detail": c.detail}
-            for c in run.checks
-        ],
+    }
+
+
+# variant -> (play the duel for the parsed arguments, the variant's own
+# report keys, whether the report carries the offline packings).  The lambdas
+# look run_full up on its module at call time.
+DUELS = {
+    "ko": (lambda args: knownopt.run_full(args.algorithm, args.m), _ko_extras, False),
+    "sp": (lambda args: squares.run_full(args.algorithm, args.m), _sp_extras, True),
+    "clcbp": (lambda args: clcbp.run_full(args.algorithm, args.t, args.m),
+              _clcbp_extras, False),
+}
+
+# what a duel raises when a run goes wrong after a valid configuration
+DUEL_FAILURES = (IllegalPlacement, CrossCheckFailure, CensusGap)
+
+
+def _failure_text(exc: Exception) -> str:
+    # an illegal placement is the algorithm's failure, not the adversary's
+    kind = "algorithm failure" if isinstance(exc, IllegalPlacement) else "cross-check failure"
+    return f"{kind}: {exc}"
+
+
+def _duel_report(variant: str, run) -> dict:
+    _, extras, packings = DUELS[variant]
+    return {
+        "variant": variant,
+        "algorithm": run.algorithm_id,
+        "m": run.m,
+        **extras(run),
+        "scenarios": [sc.to_json(include_packings=packings) for sc in run.scenarios],
+        "crossChecks": [c.to_json() for c in run.checks],
         "oracleTraces": run.traces,
     }
 
 
+def _run_passes(run) -> bool:
+    return checks_pass(run.checks) and all(checks_pass(sc.checks) for sc in run.scenarios)
+
+
 def cmd_duel(args) -> int:
+    play, _, _ = DUELS[args.variant]
     try:
-        if args.variant == "ko":
-            if args.m % 4:
-                return _fail_config("ko requires M divisible by 4")
-            run = knownopt.run_full(args.algorithm, args.m)
-            report = _ko_report(run)
-        elif args.variant == "sp":
-            if args.m % 2:
-                return _fail_config("sp requires even M")
-            run = squares.run_full(args.algorithm, args.m)
-            report = _sp_report(run)
-        elif args.variant == "clcbp":
-            if args.t not in (2, 3):
-                return _fail_config("clcbp requires --t 2 or 3")
-            if args.m % 6:
-                return _fail_config("clcbp requires M divisible by 6")
-            run = clcbp.run_full(args.algorithm, args.t, args.m)
-            report = _clcbp_report(run)
-        else:
-            return _fail_config(f"unknown variant {args.variant}")
+        run = play(args)
     except UnknownAlgorithm:
         return _fail_config(
             f"unknown algorithm {args.algorithm!r}; known: {', '.join(algorithm_ids())}"
         )
-    except IllegalPlacement as exc:
-        # the algorithm broke the packing rules: its failure, not the adversary's
-        print(f"algorithm failure: {exc}", file=sys.stderr)
-        return EXIT_CROSSCHECK
-    except (CrossCheckFailure, knownopt.CensusGap, squares.CensusGap) as exc:
-        print(f"cross-check failure: {exc}", file=sys.stderr)
+    except DUEL_FAILURES as exc:
+        print(_failure_text(exc), file=sys.stderr)
         return EXIT_CROSSCHECK
     except ValueError as exc:
         return _fail_config(str(exc))
 
-    all_pass = all(c["pass"] for c in report["crossChecks"]) and all(
-        c["pass"] for sc in report["scenarios"] for c in sc["crossChecks"]
-    )
-    text = report_to_json(report, out_path=args.out)
+    text = report_to_json(_duel_report(args.variant, run), out_path=args.out)
     if not args.out:
         print(text)
-    return EXIT_OK if all_pass else EXIT_CROSSCHECK
+    return EXIT_OK if _run_passes(run) else EXIT_CROSSCHECK
 
 
 # -- verify -------------------------------------------------------------------
@@ -259,10 +247,7 @@ def _verify_geometry_suite() -> list[dict]:
     out = []
     for m in (4, 10, 20):
         run = squares.run_full("shelf-first-fit", m)
-        ok = checks_pass(run.checks) and all(
-            checks_pass(sc.checks) for sc in run.scenarios
-        )
-        out.append({"name": f"sp-shelf-first-fit-m{m}", "pass": ok})
+        out.append({"name": f"sp-shelf-first-fit-m{m}", "pass": _run_passes(run)})
     return out
 
 
@@ -271,17 +256,11 @@ def _verify_variant_suite() -> list[dict]:
     for algo in ("next-fit", "first-fit", "best-fit", "harmonic-5"):
         for m in (4, 8):
             run = knownopt.run_full(algo, m)
-            ok = checks_pass(run.checks) and all(
-                checks_pass(sc.checks) for sc in run.scenarios
-            )
-            out.append({"name": f"ko-{algo}-m{m}", "pass": ok})
+            out.append({"name": f"ko-{algo}-m{m}", "pass": _run_passes(run)})
     for t in (2, 3):
         for m in (6, 12):
             run = clcbp.run_full("ccff", t, m)
-            ok = checks_pass(run.checks) and all(
-                checks_pass(sc.checks) for sc in run.scenarios
-            )
-            out.append({"name": f"clcbp{t}-ccff-m{m}", "pass": ok})
+            out.append({"name": f"clcbp{t}-ccff-m{m}", "pass": _run_passes(run)})
     return out
 
 
@@ -330,7 +309,8 @@ def _verify_determinism_suite() -> list[dict]:
     cl = clcbp.run_full("ccff", 2, 6)
     return [{
         "name": "ko-first-fit-m8-byte-identical",
-        "pass": report_to_json(_ko_report(run_a)) == report_to_json(_ko_report(run_b)),
+        "pass": report_to_json(_duel_report("ko", run_a))
+        == report_to_json(_duel_report("ko", run_b)),
     }, {
         "name": "fork-matches-replay",
         "pass": _fork_matches_replay(run_a, "units", run_a.sevenths + run_a.thirds)
@@ -357,7 +337,11 @@ def cmd_verify(args) -> int:
     suites = []
     ok = True
     for name in names:
-        checks = VERIFY_SUITES[name]()
+        try:
+            checks = VERIFY_SUITES[name]()
+        except DUEL_FAILURES as exc:
+            # a suite that cannot finish is one failed check; the others still run
+            checks = [Check(f"{name}-completes", False, _failure_text(exc)).to_json()]
         ok &= all(c["pass"] for c in checks)
         suites.append({"suite": name, "checks": checks})
     print(report_to_json({"suites": suites, "pass": ok}))
@@ -408,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("duel", help="run an adversary against an algorithm")
-    p.add_argument("--variant", required=True, choices=("ko", "sp", "clcbp"))
+    p.add_argument("--variant", required=True, choices=tuple(DUELS))
     p.add_argument("--algorithm", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, default=2)

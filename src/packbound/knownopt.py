@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .algorithms import AlgorithmSession, check_replay, feed, make_session
+from .adversary import (CensusGap, census_category, ceil_div, continuation, offline_packing,
+                        run_wave)
+from .algorithms import check_replay, make_session
 from .exact import Exact, rat
-from .model import Item, Packing, Placement, VariantRules, validate_packing
+from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
-from .reports import Check, CrossCheckFailure, ScenarioOutcome
+from .reports import Check, ScenarioOutcome
 
 __all__ = ["KnownOptConfig", "KnownOptCensus", "CensusGap", "run_full", "SCENARIOS"]
 
@@ -35,10 +37,6 @@ THIRD = F(1, 3)
 SCENARIOS = ("four-fifths", "big-fill", "units", "over-half", "short-two-thirds")
 
 
-class CensusGap(RuntimeError):
-    """A bin shape matched no census category (should be unreachable)."""
-
-
 @dataclass(frozen=True)
 class KnownOptConfig:
     m: int
@@ -46,7 +44,7 @@ class KnownOptConfig:
 
     def __post_init__(self):
         if self.m < 4 or self.m % 4:
-            raise ValueError("M must be a positive multiple of 4")
+            raise ValueError("M must be a positive integer divisible by 4")
 
 
 @dataclass
@@ -112,65 +110,16 @@ class KnownOptRun:
     traces: dict
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+# thirds in the bin -> ((lo, hi) sevenths, census name)
+_SHAPES = {
+    0: (((4, 6), "s46"), ((3, 3), "s3"), ((2, 2), "s2"), ((1, 1), "s1")),
+    1: (((2, 4), "s24t1"), ((1, 1), "s1t1"), ((0, 0), "t1")),
+    2: (((2, 2), "s2t2"), ((1, 1), "s1t2"), ((0, 0), "t2")),
+}
 
 
 def _classify_bin(n_sevenths: int, n_thirds: int) -> str:
-    if n_thirds == 0:
-        if 4 <= n_sevenths <= 6:
-            return "s46"
-        if n_sevenths == 3:
-            return "s3"
-        if n_sevenths == 2:
-            return "s2"
-        if n_sevenths == 1:
-            return "s1"
-    elif n_thirds == 1:
-        if 2 <= n_sevenths <= 4:
-            return "s24t1"
-        if n_sevenths == 1:
-            return "s1t1"
-        if n_sevenths == 0:
-            return "t1"
-    elif n_thirds == 2:
-        if n_sevenths == 2:
-            return "s2t2"
-        if n_sevenths == 1:
-            return "s1t2"
-        if n_sevenths == 0:
-            return "t2"
-    raise CensusGap(f"bin shape ({n_sevenths} sevenths, {n_thirds} thirds)")
-
-
-def _run_wave(session: AlgorithmSession, oracle: AdaptiveOracle, count: int,
-              base: Fraction, label: str, start_id: int):
-    """Feed `count` adaptive items of size base + a; returns (items, smalls)."""
-    items: list[Item] = []
-    smalls: set[int] = set()
-    for i in range(count):
-        a = oracle.next_value()
-        item = Item(start_id + i, rat(base) + a, label=label)
-        pre_bins = session.cost
-        placement = session.place(item)
-        into_nonempty = placement.bin_index < pre_bins
-        oracle.observe(into_nonempty)  # satisfied => small
-        if into_nonempty:
-            smalls.add(item.ident)
-        items.append(item)
-    return items, smalls
-
-
-def _opt_packing(rules, groups) -> Packing:
-    """Build a packing with one group of items per bin and validate it."""
-    packing = Packing(rules)
-    for b, group in enumerate(groups):
-        for item in group:
-            packing.add_item(item, Placement(b))
-    violations = validate_packing(packing)
-    if violations:
-        raise CrossCheckFailure(f"offline construction invalid: {violations[:3]}")
-    return packing
+    return census_category(_SHAPES, n_sevenths, n_thirds, "sevenths")
 
 
 def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) -> KnownOptRun:
@@ -184,7 +133,8 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
     # wave one: sevenths
     base_session = make_session(algorithm_id, rules, m)
     oracle1 = AdaptiveOracle(OracleConfig(config.k, m))
-    sevenths, small_sevenths = _run_wave(base_session, oracle1, m, SEVENTH, "seventh", 0)
+    sevenths, small_sevenths = run_wave(
+        base_session, oracle1, m, lambda i, a: Item(i, rat(SEVENTH) + a, label="seventh"))
     gamma1 = oracle1.separator().gamma
     bins7 = base_session.cost
     checks.append(Check.equal("wave1-bins-equal-large-items",
@@ -200,7 +150,8 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
     # wave two: thirds (continues a fork of the wave-one session)
     two_wave_session = base_session.fork()
     oracle2 = AdaptiveOracle(OracleConfig(config.k, m))
-    thirds, small_thirds = _run_wave(two_wave_session, oracle2, m, THIRD, "third", m)
+    thirds, small_thirds = run_wave(
+        two_wave_session, oracle2, m, lambda i, a: Item(m + i, rat(THIRD) + a, label="third"))
     gamma2 = oracle2.separator().gamma
     bins3 = two_wave_session.cost - bins7
     checks.append(Check.equal("wave2-new-bins-equal-large-items",
@@ -222,61 +173,56 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
 
     # 1: four-fifths items after wave one
     items1 = [Item(2 * m + i, rat(F(4, 5)), label="four-fifths") for i in range(m)]
-    alg1 = feed(base_session.fork(), items1)
-    opt1 = _opt_packing(rules, [[items1[j], sevenths[j]] for j in range(m)])
-    sc1 = ScenarioOutcome("four-fifths", len(items1), alg1, opt_cost=m, opt_packing=opt1)
-    sc1.checks.append(Check.at_least("alg-lower-bound", alg1, m + s_end_multi))
+    opt1 = offline_packing(rules, [[items1[j], sevenths[j]] for j in range(m)])
+    sc1 = continuation("four-fifths", base_session, items1, opt1, opt_cost=m)
+    sc1.checks.append(Check.at_least("alg-lower-bound", sc1.alg_cost, m + s_end_multi))
     scenarios.append(sc1)
 
     # 2: fillers that only a small seventh can join
-    count2 = m - _ceil_div(bins7, 6)
+    count2 = m - ceil_div(bins7, 6)
     filler = rat(F(6, 7)) - gamma1
     items2 = [Item(2 * m + i, filler, label="big-fill") for i in range(count2)]
-    alg2 = feed(base_session.fork(), items2)
-    groups = [large_sevenths[i::_ceil_div(bins7, 6)] for i in range(_ceil_div(bins7, 6))]
+    groups = [large_sevenths[i::ceil_div(bins7, 6)] for i in range(ceil_div(bins7, 6))]
     fill_bins = [[it] for it in items2]
     for j, small in enumerate(small_seventh_items):
         fill_bins[j].append(small)
-    opt2 = _opt_packing(rules, groups + fill_bins)
-    sc2 = ScenarioOutcome("big-fill", count2, alg2, opt_cost=m, opt_packing=opt2)
-    sc2.checks.append(Check.equal("alg-forced-cost", alg2, bins7 + count2))
+    opt2 = offline_packing(rules, groups + fill_bins)
+    sc2 = continuation("big-fill", base_session, items2, opt2, opt_cost=m)
+    sc2.checks.append(Check.equal("alg-forced-cost", sc2.alg_cost, bins7 + count2))
     scenarios.append(sc2)
 
     # 3: unit items after both waves
     items3 = [Item(2 * m + i, rat(1), label="unit") for i in range(m // 2)]
-    alg3 = feed(two_wave_session.fork(), items3)
     mixed = [
         [sevenths[2 * j], sevenths[2 * j + 1], thirds[2 * j], thirds[2 * j + 1]]
         for j in range(m // 2)
     ]
-    opt3 = _opt_packing(rules, mixed + [[u] for u in items3])
-    sc3 = ScenarioOutcome("units", len(items3), alg3, opt_cost=m, opt_packing=opt3)
-    sc3.checks.append(Check.equal("alg-forced-cost", alg3, bins7 + bins3 + m // 2))
+    opt3 = offline_packing(rules, mixed + [[u] for u in items3])
+    sc3 = continuation("units", two_wave_session, items3, opt3, opt_cost=m)
+    sc3.checks.append(Check.equal("alg-forced-cost", sc3.alg_cost, bins7 + bins3 + m // 2))
     scenarios.append(sc3)
 
     # 4: items just over one half
     items4 = [Item(2 * m + i, rat(F(13, 25)), label="over-half") for i in range(m)]
-    alg4 = feed(two_wave_session.fork(), items4)
-    opt4 = _opt_packing(
+    opt4 = offline_packing(
         rules, [[items4[j], thirds[j], sevenths[j]] for j in range(m)]
     )
-    sc4 = ScenarioOutcome("over-half", m, alg4, opt_cost=m, opt_packing=opt4)
+    sc4 = continuation("over-half", two_wave_session, items4, opt4, opt_cost=m)
     c = census
     sc4.checks.append(Check.at_least(
-        "alg-lower-bound", alg4, m + c.s46 + c.s24t1 + c.s2t2 + c.s1t2 + c.t2
+        "alg-lower-bound", sc4.alg_cost, m + c.s46 + c.s24t1 + c.s2t2 + c.s1t2 + c.t2
     ))
     scenarios.append(sc4)
 
     # 5: items just under two thirds, count set by the wave-two bin count
-    count5 = m - max(m // 4, _ceil_div(bins3, 2))
+    count5 = m - max(m // 4, ceil_div(bins3, 2))
     shy = rat(F(2, 3)) - gamma2
     items5 = [Item(2 * m + i, shy, label="short-two-thirds") for i in range(count5)]
-    alg5 = feed(two_wave_session.fork(), items5)
-    opt5 = _opt_packing(rules, _scenario5_groups(
+    opt5 = offline_packing(rules, _scenario5_groups(
         m, bins3, sevenths, large_thirds, small_third_items, items5))
-    sc5 = ScenarioOutcome("short-two-thirds", count5, alg5, opt_cost=m, opt_packing=opt5)
+    sc5 = continuation("short-two-thirds", two_wave_session, items5, opt5, opt_cost=m)
     sc5.checks.append(Check.at_least(
-        "alg-lower-bound", alg5, bins7 + bins3 - c.s2 - c.s1 + count5
+        "alg-lower-bound", sc5.alg_cost, bins7 + bins3 - c.s2 - c.s1 + count5
     ))
     scenarios.append(sc5)
 
@@ -331,7 +277,7 @@ def _scenario5_groups(m, bins3, sevenths, large_thirds, small_third_items, items
             fill[m // 4 + j].append(remaining_smalls.pop(0))
         groups.extend(fill)
     else:
-        half_bins = _ceil_div(bins3, 2)
+        half_bins = ceil_div(bins3, 2)
         for j in range(half_bins):
             pair = larges[2 * j : 2 * j + 2]
             groups.append(pair + [s.pop(), s.pop()])

@@ -16,12 +16,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .exact import Exact, rat
-from .model import Item, Packing, Placement, VariantRules, validate_packing
+from .model import ONE, ZERO, Item, Packing, Placement, VariantRules, validate_packing
 
 __all__ = ["OracleInstance", "OracleResult", "BudgetExceeded", "InvalidWitness", "min_bins"]
-
-ONE = rat(1)
-ZERO = rat(0)
 
 DEFAULT_NODE_BUDGET = 2_000_000
 

@@ -39,6 +39,9 @@ class Check:
     def truth(name, flag, detail="") -> "Check":
         return Check(name, bool(flag), detail)
 
+    def to_json(self) -> dict:
+        return {"name": self.name, "pass": self.passed, "detail": self.detail}
+
 
 def checks_pass(checks) -> bool:
     return all(c.passed for c in checks)
@@ -68,10 +71,7 @@ class ScenarioOutcome:
             "optUpper": self.opt_upper,
             "ratio": fraction_str(self.ratio),
             "ratioDecimal": decimal_str(self.ratio),
-            "crossChecks": [
-                {"name": c.name, "pass": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
+            "crossChecks": [c.to_json() for c in self.checks],
         }
         if include_packings and self.opt_packing is not None:
             out["optPacking"] = packing_to_json(self.opt_packing)

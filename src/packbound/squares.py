@@ -22,11 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algorithms import check_replay, feed, make_session
+from .adversary import (CensusGap, census_category, ceil_div, continuation, offline_packing,
+                        present, run_wave)
+from .algorithms import check_replay, make_session
 from .exact import Exact, rat
-from .model import Item, Packing, Placement, VariantRules, validate_packing
+from .model import Item, VariantRules
 from .oracle import AdaptiveOracle, OracleConfig
-from .reports import Check, CrossCheckFailure, ScenarioOutcome
+from .reports import Check, ScenarioOutcome
 
 __all__ = ["SquaresConfig", "SquaresCensus", "CensusGap", "run_full",
            "l_strip_layout", "corner_court_layout", "block_court_layout",
@@ -41,10 +43,6 @@ THIRD_PITCH = rat(F(33344, 100000))  # strictly above every third side
 SCENARIOS = ("three-quarter-fill", "six-tenths", "short-two-thirds")
 
 
-class CensusGap(RuntimeError):
-    """A bin shape or side pattern matched no census category."""
-
-
 @dataclass(frozen=True)
 class SquaresConfig:
     m: int
@@ -52,7 +50,7 @@ class SquaresConfig:
 
     def __post_init__(self):
         if self.m < 2 or self.m % 2:
-            raise ValueError("M must be a positive even integer")
+            raise ValueError("M must be a positive integer divisible by 2")
 
 
 @dataclass
@@ -127,19 +125,18 @@ class SquaresCensus:
         return checks
 
 
+# thirds in the bin -> ((lo, hi) quarters, census name)
+_SHAPES = {
+    0: (((6, 9), "f69"), ((1, 5), "f15")),
+    1: (((5, 8), "f58t1"), ((1, 4), "f14t1"), ((0, 0), "t13")),
+    2: (((5, 7), "f57t2"), ((4, 4), "f4t2"), ((1, 3), "f13t2"), ((0, 0), "t13")),
+    3: (((5, 6), "f56t3"), ((3, 4), "f34t3"), ((1, 2), "f12t3"), ((0, 0), "t13")),
+    4: (((5, 5), "f5t4"), ((2, 4), "f24t4"), ((1, 1), "f1t4"), ((0, 0), "t4")),
+}
+
+
 def _classify_bin(nf: int, nt: int, n_large: int) -> str:
-    table = {
-        0: (((6, 9), "f69"), ((1, 5), "f15")),
-        1: (((5, 8), "f58t1"), ((1, 4), "f14t1"), ((0, 0), "t13")),
-        2: (((5, 7), "f57t2"), ((4, 4), "f4t2"), ((1, 3), "f13t2"), ((0, 0), "t13")),
-        3: (((5, 6), "f56t3"), ((3, 4), "f34t3"), ((1, 2), "f12t3"), ((0, 0), "t13")),
-        4: (((5, 5), "f5t4"), ((2, 4), "f24t4"), ((1, 1), "f1t4"), ((0, 0), "t4")),
-    }
-    if nt not in table:
-        raise CensusGap(f"bin shape ({nf} quarters, {nt} thirds)")
-    name = next((nm for (lo, hi), nm in table[nt] if lo <= nf <= hi), None)
-    if name is None:
-        raise CensusGap(f"bin shape ({nf} quarters, {nt} thirds)")
+    name = census_category(_SHAPES, nf, nt, "quarters")
     if nt > 0:
         expected_large = 0 if nf >= 5 else 1
         if n_large != expected_large:
@@ -164,10 +161,6 @@ class SquaresRun:
     scenarios: list[ScenarioOutcome]
     checks: list[Check]
     traces: dict
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 # -- closed-form layouts ----------------------------------------------------
@@ -254,17 +247,6 @@ def grid_layout(quarters: list[Item]) -> list[tuple[Item, Exact, Exact]]:
     return coords
 
 
-def _build_packing(bins: list[list[tuple[Item, Exact, Exact]]]) -> Packing:
-    packing = Packing(VariantRules("squares"))
-    for b, coords in enumerate(bins):
-        for item, x, y in coords:
-            packing.add_item(item, Placement(b, x, y))
-    violations = validate_packing(packing)
-    if violations:
-        raise CrossCheckFailure(f"square construction invalid: {violations[:3]}")
-    return packing
-
-
 # -- the run -----------------------------------------------------------------
 
 
@@ -276,18 +258,8 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     # wave one: quarters
     base_session = make_session(algorithm_id, rules)
     oracle1 = AdaptiveOracle(OracleConfig(config.k, m))
-    quarters: list[Item] = []
-    small_quarters: set[int] = set()
-    for i in range(m):
-        a = oracle1.next_value()
-        item = Item(i, rat(QUARTER) + a, label="quarter")
-        pre = base_session.cost
-        placement = base_session.place(item)
-        into_nonempty = placement.bin_index < pre
-        oracle1.observe(into_nonempty)
-        if into_nonempty:
-            small_quarters.add(item.ident)
-        quarters.append(item)
+    quarters, small_quarters = run_wave(
+        base_session, oracle1, m, lambda i, a: Item(i, rat(QUARTER) + a, label="quarter"))
     gamma1 = oracle1.separator().gamma
     bins4 = base_session.cost
     checks.append(Check.equal("wave1-bins-equal-large-items",
@@ -306,21 +278,19 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     scenarios = []
 
     # scenario 1: big squares right after wave one
-    count1 = _ceil_div(m - bins4, 5)
+    count1 = ceil_div(m - bins4, 5)
     big_side = rat(F(3, 4)) - gamma1
     items1 = [Item(10 * m + i, big_side, label="three-quarter-fill")
               for i in range(count1)]
-    alg1 = feed(base_session.fork(), items1)
     bins_sc1 = []
     for j, big in enumerate(items1):
         group = small_quarter_items[5 * j : 5 * j + 5]
         bins_sc1.append([(big, rat(0), rat(0))] + l_strip_layout(big.size, group))
-    for g in range(_ceil_div(bins4, 9)):
+    for g in range(ceil_div(bins4, 9)):
         bins_sc1.append(grid_layout(large_quarters[9 * g : 9 * g + 9]))
-    opt1 = _build_packing(bins_sc1)
-    sc1 = ScenarioOutcome("three-quarter-fill", count1, alg1,
-                          opt_upper=opt1.cost, opt_packing=opt1)
-    sc1.checks.append(Check.equal("alg-forced-cost", alg1, bins4 + count1))
+    opt1 = offline_packing(rules, bins_sc1)
+    sc1 = continuation("three-quarter-fill", base_session, items1, opt1)
+    sc1.checks.append(Check.equal("alg-forced-cost", sc1.alg_cost, bins4 + count1))
     sc1.checks.append(Check.truth(
         "opt-within-formula",
         F(opt1.cost) <= F(m, 5) - F(4 * bins4, 45) + 2,
@@ -334,20 +304,15 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     thirds: list[Item] = []
     small_thirds: set[int] = set()
     sm3 = lg3 = 0
+
+    def holds_a_third_or_five_quarters(before) -> bool:
+        return (any(it.ident >= m for it, _ in before)
+                or sum(1 for it, _ in before if it.ident in quarter_ids) >= 5)
+
     while True:
         a = oracle2.next_value()
         item = Item(m + len(thirds), rat(THIRD) + a, label="third")
-        pre_bins = [list(b) for b in session_t.packing.bins]
-        placement = session_t.place(item)
-        if placement.bin_index < len(pre_bins):
-            before = pre_bins[placement.bin_index]
-            n_quarters = sum(1 for it, _ in before if it.ident in quarter_ids)
-            has_third = any(it.ident >= m for it, _ in before)
-            satisfied = has_third or n_quarters >= 5
-        else:
-            satisfied = False
-        oracle2.observe(satisfied)
-        if satisfied:
+        if present(session_t, oracle2, item, small_when=holds_a_third_or_five_quarters):
             small_thirds.add(item.ident)
             sm3 += 1
         else:
@@ -374,8 +339,6 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     count2 = mprime // 3
     items2 = [Item(10 * m + i, rat(F(3, 5)), label="six-tenths")
               for i in range(count2)]
-    alg2 = feed(session_t.fork(), items2)
-    taken = 0
     bins_sc2 = []
     quarter_pool = list(quarters)
     for j, big in enumerate(items2):
@@ -386,15 +349,14 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     if leftover_thirds:
         bins_sc2.append([(t, THIRD_PITCH * j, rat(0))
                          for j, t in enumerate(leftover_thirds)])
-    for g in range(_ceil_div(len(quarter_pool), 9) if quarter_pool else 0):
+    for g in range(ceil_div(len(quarter_pool), 9)):
         bins_sc2.append(grid_layout(quarter_pool[9 * g : 9 * g + 9]))
-    opt2 = _build_packing(bins_sc2)
-    sc2 = ScenarioOutcome("six-tenths", count2, alg2,
-                          opt_upper=opt2.cost, opt_packing=opt2)
+    opt2 = offline_packing(rules, bins_sc2)
+    sc2 = continuation("six-tenths", session_t, items2, opt2)
     c = census
     reusable2 = c.f15 + c.f14t1 + c.f13t2 + c.f12t3 + c.t13
     sc2.checks.append(Check.at_least(
-        "alg-lower-bound", alg2, bins4 + bins3 - reusable2 + count2))
+        "alg-lower-bound", sc2.alg_cost, bins4 + bins3 - reusable2 + count2))
     sc2.checks.append(Check.truth(
         "opt-within-formula",
         F(opt2.cost) <= F(m, 9) + F(7 * sm3, 27) + F(7 * lg3, 27) + 3,
@@ -407,7 +369,6 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     shy = rat(F(2, 3)) - gamma2
     items3 = [Item(10 * m + i, shy, label="short-two-thirds")
               for i in range(count3)]
-    alg3 = feed(session_t.fork(), items3)
     bins_sc3 = []
     quarter_pool = list(quarters)
     small_pool = list(small_third_items)
@@ -416,17 +377,15 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
         two = [quarter_pool.pop(0) for _ in range(min(2, len(quarter_pool)))]
         bins_sc3.append(corner_court_layout(big, three, two))
     block_thirds = large_thirds + small_pool
-    n_blocks = _ceil_div(len(block_thirds), 4) if block_thirds else 0
-    n_blocks = max(n_blocks, _ceil_div(len(quarter_pool), 5) if quarter_pool else 0)
+    n_blocks = max(ceil_div(len(block_thirds), 4), ceil_div(len(quarter_pool), 5))
     for g in range(n_blocks):
         four = block_thirds[4 * g : 4 * g + 4]
         five = [quarter_pool.pop(0) for _ in range(min(5, len(quarter_pool)))]
         bins_sc3.append(block_court_layout(four, five))
-    opt3 = _build_packing(bins_sc3)
-    sc3 = ScenarioOutcome("short-two-thirds", count3, alg3,
-                          opt_upper=opt3.cost, opt_packing=opt3)
+    opt3 = offline_packing(rules, bins_sc3)
+    sc3 = continuation("short-two-thirds", session_t, items3, opt3)
     sc3.checks.append(Check.at_least(
-        "alg-lower-bound", alg3, bins4 + bins3 - c.f15 + count3))
+        "alg-lower-bound", sc3.alg_cost, bins4 + bins3 - c.f15 + count3))
     sc3.checks.append(Check.truth(
         "opt-within-formula",
         F(opt3.cost) <= F(sm3, 3) + F(lg3, 4) + 2,

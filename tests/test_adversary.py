@@ -1,0 +1,151 @@
+"""The shared adversary skeleton: presenting items, waves, offline packings."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from packbound import adversary, knownopt, squares
+from packbound.adversary import (
+    CensusGap,
+    ceil_div,
+    continuation,
+    offline_packing,
+    present,
+    run_wave,
+)
+from packbound.algorithms import make_session
+from packbound.exact import rat
+from packbound.model import Item, Placement, VariantRules, Violation
+from packbound.oracle import AdaptiveOracle, OracleConfig
+from packbound.reports import CrossCheckFailure
+
+ONE_D = VariantRules("one-d")
+SQUARES = VariantRules("squares")
+
+
+class CountingOracle(AdaptiveOracle):
+    def __init__(self, n):
+        super().__init__(OracleConfig(10, n))
+        self.observed = []
+
+    def observe(self, satisfied):
+        self.observed.append(satisfied)
+        super().observe(satisfied)
+
+
+def _item(ident, size):
+    return Item(ident, rat(F(size)))
+
+
+def _present(session, oracle, item, small_when=None):
+    oracle.next_value()
+    return present(session, oracle, item, small_when=small_when)
+
+
+class TestPresent:
+    def test_item_opening_a_fresh_bin_is_never_small(self):
+        session = make_session("first-fit", ONE_D)
+        oracle = CountingOracle(2)
+        always = lambda before: True  # noqa: E731
+        assert _present(session, oracle, _item(0, "3/5"), always) is False
+        assert _present(session, oracle, _item(1, "3/5"), always) is False
+        assert session.cost == 2 and oracle.observed == [False, False]
+
+    def test_item_joining_an_open_bin_is_small_by_default(self):
+        session = make_session("first-fit", ONE_D)
+        oracle = CountingOracle(2)
+        assert _present(session, oracle, _item(0, "1/4"), None) is False
+        assert _present(session, oracle, _item(1, "1/4"), None) is True
+
+    def test_small_when_sees_the_bin_before_the_placement(self):
+        session = make_session("first-fit", ONE_D)
+        first, second = _item(0, "1/4"), _item(1, "1/4")
+        session.place(first)
+        seen = []
+
+        def small_when(before):
+            seen.append(list(before))
+            return False
+
+        assert _present(session, CountingOracle(1), second, small_when) is False
+        assert seen == [[(first, Placement(0))]]
+        assert session.packing.bin_items(0) == [first, second]
+
+    def test_small_when_decides_the_class(self):
+        session = make_session("first-fit", ONE_D)
+        session.place(_item(0, "1/4"))
+        holds_two = lambda before: len(before) >= 2  # noqa: E731
+        oracle = CountingOracle(2)
+        assert _present(session, oracle, _item(1, "1/4"), holds_two) is False
+        assert _present(session, oracle, _item(2, "1/4"), holds_two) is True
+        assert oracle.observed == [False, True]
+
+
+class TestRunWave:
+    def test_one_observation_per_item(self):
+        session = make_session("next-fit", ONE_D)
+        oracle = CountingOracle(9)
+        items, smalls = run_wave(session, oracle, 9,
+                                 lambda i, a: Item(i, rat(F(1, 4)) + a))
+        assert [it.ident for it in items] == list(range(9))
+        assert len(oracle.observed) == 9 == len(oracle.emitted)
+        assert smalls == {e.index for e in oracle.emitted if e.small}
+        # next-fit packs three quarters-plus per bin: the first of each is large
+        assert smalls == {1, 2, 4, 5, 7, 8} and session.cost == 3
+
+    def test_item_sizes_carry_the_oracle_values(self):
+        session = make_session("first-fit", ONE_D)
+        oracle = AdaptiveOracle(OracleConfig(10, 3))
+        items, _ = run_wave(session, oracle, 3, lambda i, a: Item(i, rat(F(1, 3)) + a))
+        assert [it.size for it in items] == [rat(F(1, 3)) + e.value for e in oracle.emitted]
+
+
+class TestOfflinePacking:
+    def test_valid_one_d_groups(self):
+        a, b, c = _item(0, "1/2"), _item(1, "1/2"), _item(2, "2/3")
+        packing = offline_packing(ONE_D, [[a, b], [c]])
+        assert packing.cost == 2 and packing.bin_items(0) == [a, b]
+
+    def test_overfull_bin_raises(self):
+        with pytest.raises(CrossCheckFailure, match="offline construction invalid"):
+            offline_packing(ONE_D, [[_item(0, "3/5"), _item(1, "3/5")]])
+
+    def test_overlapping_squares_raise(self):
+        half = rat(F(1, 2))
+        bins = [[(Item(0, half), rat(0), rat(0)),
+                 (Item(1, half), rat(F(1, 4)), rat(F(1, 4)))]]
+        with pytest.raises(CrossCheckFailure, match="overlaps"):
+            offline_packing(SQUARES, bins)
+
+    def test_square_triples_keep_their_corners(self):
+        half = rat(F(1, 2))
+        packing = offline_packing(SQUARES, [[(Item(0, half), half, rat(0))]])
+        assert packing.bins[0][0][1] == Placement(0, half, rat(0))
+
+    def test_a_violation_found_by_validation_raises(self, monkeypatch):
+        bad = Violation(0, "capacity", (0,), "content total exceeds 1")
+        monkeypatch.setattr(adversary, "validate_packing", lambda packing: [bad])
+        with pytest.raises(CrossCheckFailure, match="capacity"):
+            offline_packing(ONE_D, [[_item(0, "1/2")]])
+
+
+class TestContinuation:
+    def test_feeds_a_fork_and_reports_the_bound_kind(self):
+        session = make_session("first-fit", ONE_D)
+        session.place(_item(0, "1/2"))
+        items = [_item(1, "2/3"), _item(2, "1/3")]
+        opt = offline_packing(ONE_D, [[_item(0, "1/2"), items[1]], [items[0]]])
+        upper = continuation("upper", session, items, opt)
+        exact = continuation("exact", session, items, opt, opt_cost=2)
+        assert session.cost == 1  # the live session is untouched
+        assert (upper.alg_cost, upper.items_presented) == (2, 2)
+        assert (upper.opt_cost, upper.opt_upper) == (None, 2)
+        assert (exact.opt_cost, exact.opt_upper) == (2, None)
+
+
+def test_one_census_gap_class():
+    assert knownopt.CensusGap is squares.CensusGap is CensusGap
+
+
+def test_ceil_div():
+    assert [ceil_div(a, 9) for a in (0, 1, 9, 10, 18)] == [0, 1, 1, 2, 2]

@@ -114,6 +114,40 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--only", "nonsense")
         assert code == 3
 
+    def test_failing_suite_is_reported_not_raised(self, capsys, monkeypatch):
+        from packbound import squares
+        from packbound.algorithms import IllegalPlacement
+
+        def broken(*args, **kwargs):
+            raise IllegalPlacement("shelf-first-fit broke the rules on item 3")
+
+        monkeypatch.setattr(squares, "run_full", broken)
+        code, out, err = run_cli(capsys, "verify", "--only", "geometry")
+        assert code == 2 and "Traceback" not in err
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        [check] = payload["suites"][0]["checks"]
+        assert check["pass"] is False
+        assert check["detail"] == "algorithm failure: shelf-first-fit broke the rules on item 3"
+
+    def test_other_suites_run_after_a_failing_one(self, capsys, monkeypatch):
+        from packbound import knownopt
+        from packbound.reports import CrossCheckFailure
+
+        def broken(*args, **kwargs):
+            raise CrossCheckFailure("prefix replay diverged from the recorded run")
+
+        monkeypatch.setattr(knownopt, "run_full", broken)
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 2 and "Traceback" not in err
+        suites = {s["suite"]: s["checks"] for s in json.loads(out)["suites"]}
+        assert set(suites) == {"oracle", "geometry", "census", "certificates", "determinism"}
+        for name in ("census", "determinism"):
+            assert [c["pass"] for c in suites[name]] == [False]
+            assert suites[name][0]["detail"].startswith("cross-check failure: prefix replay")
+        for name in ("oracle", "geometry", "certificates"):
+            assert all(c["pass"] for c in suites[name])
+
     def test_full_matrix(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0

@@ -1,10 +1,10 @@
-"""Small-M duel reports stay byte-identical to the recorded digests.
+"""Duel and verify reports stay byte-identical to the recorded digests.
 
 tests/fixtures/small_duels.json holds the stdout sha256 and exit code of
 `packbound duel` for every shipped adversary x algorithm pairing at
-M in {8, 12, 24}.  At M = 8 the ko adversary also runs the exact
-minimum-bin check; clcbp needs M divisible by 6, so its M = 8 entries pin
-the configuration error (exit 3, empty stdout).
+M in {8, 12, 24, 48}, and of the full `packbound verify`.  At M = 8 the ko
+adversary also runs the exact minimum-bin check; clcbp needs M divisible by
+6, so its M = 8 entries pin the configuration error (exit 3, empty stdout).
 """
 
 import hashlib
@@ -15,12 +15,21 @@ import pytest
 
 from packbound.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "fixtures" / "small_duels.json").read_text())["duels"]
+FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "small_duels.json").read_text())
+GOLDEN = FIXTURE["duels"]
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_duel_report_matches_recorded_digest(capsys, key):
-    code = main(key.split())
-    out = capsys.readouterr().out
-    assert code == GOLDEN[key]["exit"]
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[key]["sha256"]
+    assert _run(capsys, key.split()) == (GOLDEN[key]["exit"], GOLDEN[key]["sha256"])
+
+
+def test_verify_report_matches_recorded_digest(capsys):
+    want = FIXTURE["verify"]
+    assert _run(capsys, ["verify"]) == (want["exit"], want["sha256"])
