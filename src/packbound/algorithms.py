@@ -34,6 +34,7 @@ __all__ = [
     "fork_replay",
     "check_replay",
     "feed",
+    "first_fit",
     "register_algorithm",
     "algorithm_ids",
 ]
@@ -150,14 +151,12 @@ def _next_fit(rules, advice):
     return place
 
 
-def _first_fit(rules, advice):
-    def place(packing: Packing, item: Item) -> Placement:
-        for b in range(packing.cost):
-            if _fits(packing, b, item):
-                return Placement(b)
-        return Placement(packing.cost)
-
-    return place
+def first_fit(packing: Packing, item: Item) -> Placement:
+    """The earliest bin the item fits in, else a fresh bin."""
+    for b in range(packing.cost):
+        if _fits(packing, b, item):
+            return Placement(b)
+    return Placement(packing.cost)
 
 
 def _best_fit(rules, advice):
@@ -237,7 +236,8 @@ class _ShelfFirstFit:
                 if side <= height and cursor + side <= ONE:
                     bin_shelves[j] = (y, height, cursor + side)
                     return Placement(b, cursor, y)
-            used = sum((height for _, height, _ in bin_shelves), ZERO)
+            top_y, top_height, _ = bin_shelves[-1]  # shelves stack bottom-up
+            used = top_y + top_height
             if used + side <= ONE:
                 bin_shelves.append((used, side, side))
                 return Placement(b, ZERO, used)
@@ -247,10 +247,10 @@ class _ShelfFirstFit:
 
 _REGISTRY: dict[str, Callable] = {
     "next-fit": _next_fit,
-    "first-fit": _first_fit,
+    "first-fit": lambda rules, advice: first_fit,
     "best-fit": _best_fit,
     "harmonic-5": lambda rules, advice: _Harmonic(5),
-    "ccff": _first_fit,  # first fit honours the color cap through _fits
+    "ccff": lambda rules, advice: first_fit,  # honours the color cap through _fits
     "shelf-first-fit": lambda rules, advice: _ShelfFirstFit(),
 }
 

@@ -33,16 +33,15 @@ __all__ = ["ClassConstrainedConfig", "ClassCensus", "run_full", "closed_form_bou
 
 F = Fraction
 THIRD = F(1, 3)
-
-SCENARIOS = ("huge", "six-tenths", "short-two-thirds")
+TINY_BASE = 20  # wave-one oracle base
+THIRDS_BASE = 10  # wave-two oracle base
+ORACLE_CHECK_MAX_M = 6  # the exact search confirms the huge branch's optimum up to here
 
 
 @dataclass(frozen=True)
 class ClassConstrainedConfig:
     t: int
     m: int
-    k_tiny: int = 20
-    k_thirds: int = 10
 
     def __post_init__(self):
         if self.t not in (2, 3):
@@ -56,7 +55,7 @@ class ClassConstrainedConfig:
 
     def tiny_window_offset(self) -> int:
         # every tiny exponent must sit far beyond every wave-two exponent
-        thirds_hi = OracleConfig(self.k_thirds, self.thirds_budget).window_hi
+        thirds_hi = OracleConfig(THIRDS_BASE, self.thirds_budget).window_hi
         return 2 * thirds_hi + 16
 
 
@@ -122,18 +121,15 @@ def closed_form_bounds(tiny_bins: int, per_count: dict, t: int, m: int) -> dict:
     return bounds
 
 
-def run_full(algorithm_id: str, t: int, m: int,
-             verify_oracle: Optional[bool] = None) -> ClassConstrainedRun:
+def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     config = ClassConstrainedConfig(t, m)
-    if verify_oracle is None:
-        verify_oracle = m <= 6
     rules = VariantRules("class-constrained", t=t)
     checks: list[Check] = []
 
     # wave one: tiny items, one fresh color each
     base_session = make_session(algorithm_id, rules)
     oracle_tiny = AdaptiveOracle(OracleConfig(
-        config.k_tiny, m, offset=config.tiny_window_offset()))
+        TINY_BASE, m, offset=config.tiny_window_offset()))
     tinies, small_tinies = run_wave(
         base_session, oracle_tiny, m, lambda i, a: Item(i, a, color=i, label="tiny"))
     sep_tiny = oracle_tiny.separator()
@@ -182,7 +178,7 @@ def run_full(algorithm_id: str, t: int, m: int,
     sc_h = continuation("huge", base_session, huge_items, opt_h)
     sc_h.checks.append(Check.equal("alg-forced-cost", sc_h.alg_cost, tiny_bins + count_h))
     sc_h.checks.append(Check.equal("opt-construction-cost", opt_h.cost, m // t))
-    if verify_oracle:
+    if m <= ORACLE_CHECK_MAX_M:
         packed = [it for b in opt_h.bins for it, _ in b]
         result = min_bins(OracleInstance(tuple(packed), rules))
         sc_h.checks.append(Check.truth(
@@ -210,7 +206,7 @@ def run_full(algorithm_id: str, t: int, m: int,
                      if len(contents) < t for it, _ in contents}
     reusable = [it.color for it in tinies if it.ident in in_short_bins]
     session_t = base_session.fork()
-    oracle_thirds = AdaptiveOracle(OracleConfig(config.k_thirds, config.thirds_budget))
+    oracle_thirds = AdaptiveOracle(OracleConfig(THIRDS_BASE, config.thirds_budget))
     thirds: list[Item] = []
     small_thirds: set[int] = set()
     z1 = z2 = 0
@@ -298,8 +294,7 @@ def run_full(algorithm_id: str, t: int, m: int,
     ]
     for it in thirds:
         ledger.matched[it.color] = ledger.matched.get(it.color, 0) + 1
-    opt_half = offline_packing(rules, _halves_groups(t, tinies, thirds, halves,
-                                                     reusable, small_tinies))
+    opt_half = offline_packing(rules, _halves_groups(t, tinies, thirds, halves))
     sc_half = continuation("six-tenths", session_t, halves, opt_half)
     sc_half.checks.append(Check.at_least(
         "alg-lower-bound", sc_half.alg_cost, per_count[t] + z1 + 2 * z2))
@@ -315,8 +310,7 @@ def run_full(algorithm_id: str, t: int, m: int,
         for j, it in enumerate(small_third_items)
     ]
     opt_two = offline_packing(rules, _two_thirds_groups(
-        t, tinies, thirds, small_third_items, large_third_items, two_thirds,
-        reusable, small_thirds))
+        t, tinies, thirds, small_third_items, large_third_items, two_thirds))
     sc_two = continuation("short-two-thirds", session_t, two_thirds, opt_two)
     sc_two.checks.append(Check.at_least(
         "alg-lower-bound", sc_two.alg_cost, per_count[t] + z1 + z2))
@@ -344,7 +338,7 @@ def _rider_map(tinies, reusable_used):
     return {c: by_color[c] for c in reusable_used}
 
 
-def _halves_groups(t, tinies, thirds, halves, reusable, small_tinies):
+def _halves_groups(t, tinies, thirds, halves):
     """One bin per third: the third, its matching item, a same-color tiny
     when one exists, and unique-color tinies up to the color cap."""
     used_colors = {it.color for it in thirds}
@@ -367,8 +361,7 @@ def _halves_groups(t, tinies, thirds, halves, reusable, small_tinies):
     return groups
 
 
-def _two_thirds_groups(t, tinies, thirds, small_third_items, large_third_items,
-                       matches, reusable, small_thirds):
+def _two_thirds_groups(t, tinies, thirds, small_third_items, large_third_items, matches):
     """Small thirds pair with their matching item; large thirds pack in
     same-color pairs first, remaining ones two per bin; tinies ride along."""
     used_colors = {it.color for it in thirds}

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .adversary import (CensusGap, census_category, ceil_div, continuation, offline_packing,
                         run_wave)
@@ -28,19 +27,18 @@ from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, ScenarioOutcome
 
-__all__ = ["KnownOptConfig", "KnownOptCensus", "CensusGap", "run_full", "SCENARIOS"]
+__all__ = ["KnownOptConfig", "KnownOptCensus", "CensusGap", "run_full"]
 
 F = Fraction
 SEVENTH = F(1, 7)
 THIRD = F(1, 3)
-
-SCENARIOS = ("four-fifths", "big-fill", "units", "over-half", "short-two-thirds")
+SEPARATION_BASE = 10  # both waves' oracle base
+ORACLE_CHECK_MAX_M = 8  # the exact search confirms the offline optima up to here
 
 
 @dataclass(frozen=True)
 class KnownOptConfig:
     m: int
-    k: int = 10
 
     def __post_init__(self):
         if self.m < 4 or self.m % 4:
@@ -122,17 +120,15 @@ def _classify_bin(n_sevenths: int, n_thirds: int) -> str:
     return census_category(_SHAPES, n_sevenths, n_thirds, "sevenths")
 
 
-def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) -> KnownOptRun:
+def run_full(algorithm_id: str, m: int) -> KnownOptRun:
     """Run all five branches; oracle-verify offline optima when M is small."""
-    config = KnownOptConfig(m)
-    if verify_oracle is None:
-        verify_oracle = m <= 8
+    KnownOptConfig(m)  # validates M
     rules = VariantRules("known-opt", advice=m)
     checks: list[Check] = []
 
     # wave one: sevenths
     base_session = make_session(algorithm_id, rules, m)
-    oracle1 = AdaptiveOracle(OracleConfig(config.k, m))
+    oracle1 = AdaptiveOracle(OracleConfig(SEPARATION_BASE, m))
     sevenths, small_sevenths = run_wave(
         base_session, oracle1, m, lambda i, a: Item(i, rat(SEVENTH) + a, label="seventh"))
     gamma1 = oracle1.separator().gamma
@@ -149,7 +145,7 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
 
     # wave two: thirds (continues a fork of the wave-one session)
     two_wave_session = base_session.fork()
-    oracle2 = AdaptiveOracle(OracleConfig(config.k, m))
+    oracle2 = AdaptiveOracle(OracleConfig(SEPARATION_BASE, m))
     thirds, small_thirds = run_wave(
         two_wave_session, oracle2, m, lambda i, a: Item(m + i, rat(THIRD) + a, label="third"))
     gamma2 = oracle2.separator().gamma
@@ -229,7 +225,7 @@ def run_full(algorithm_id: str, m: int, verify_oracle: Optional[bool] = None) ->
     for sc in scenarios:
         sc.checks.append(Check.equal(
             f"opt-construction-cost", sc.opt_packing.cost, m))
-        if verify_oracle:
+        if m <= ORACLE_CHECK_MAX_M:
             packed = [it for b in sc.opt_packing.bins for it, _ in b]
             result = min_bins(OracleInstance(tuple(packed), rules))
             sc.checks.append(Check.truth(

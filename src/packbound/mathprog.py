@@ -341,11 +341,9 @@ def bisect_min_r(
     if not feasible_at(program, hi):
         raise NoUpperBound(f"{program.program_id} infeasible at R = {hi}")
     pattern = [feasible_at(program, lo + (hi - lo) * F(i, grid - 1)) for i in range(grid)]
-    switched = False
     for a, b in zip(pattern, pattern[1:]):
         if a and not b:
             raise NonMonotoneDetected(program.program_id)
-        switched = switched or (not a and b)
     if pattern[0]:
         # already feasible at the left end: the bracket degenerates there
         return lo, lo

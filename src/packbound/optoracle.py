@@ -3,10 +3,12 @@
 Complete branch and bound: items are branched in decreasing size, the next
 item goes into each distinguishable open bin and then one fresh bin.  Bins
 with identical remaining room and color set are interchangeable for every
-future decision, so only the first of each signature is branched.  A greedy
-first-fit-decreasing packing seeds the incumbent; the search proves
-optimality or improves on it.  All arithmetic is exact, because adversarial
-instances differ by amounts no float can see.
+future decision, so only the first of each signature is branched.  The
+first-fit baseline (`algorithms.first_fit`) fed the items in decreasing size
+seeds the incumbent; the search proves optimality or improves on it.  A node
+is pruned when max(open bins, ceil(total size)) >= best: open bins stay open,
+and every packing needs the volume bound.  All arithmetic is exact, because
+adversarial instances differ by amounts no float can see.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
+from .algorithms import first_fit
 from .exact import Exact, rat
 from .model import ONE, ZERO, Item, Packing, Placement, VariantRules, validate_packing
 
@@ -64,48 +67,34 @@ def _sorted_items(items) -> list[Item]:
     return sorted(items, key=lambda it: (it.size, -it.ident), reverse=True)
 
 
-def _lower_bound(rules: VariantRules, items) -> int:
+def _volume_bound(items) -> int:
     total = sum((it.size for it in items), ZERO)
     # ceil of an Exact total: tiny perturbations cannot cross an integer on
     # their own, so ceil(rational part) + adjustment via exact comparison
     bound = 0
     while rat(bound) < total:
         bound += 1
-    if rules.colored:
-        colors = {it.color for it in items}
-        per_bin = rules.t
-        color_bound = -(-len(colors) // per_bin)
-        bound = max(bound, color_bound)
-    return max(bound, 1 if items else 0)
+    return bound
+
+
+def _lower_bound(rules: VariantRules, items, volume: int) -> int:
+    if not rules.colored:
+        return volume
+    return max(volume, -(-len({it.color for it in items}) // rules.t))
 
 
 def _greedy(rules: VariantRules, ordered: list[Item]) -> Packing:
     packing = Packing(rules)
     for item in ordered:
-        placed = False
-        for b in range(packing.cost):
-            load_ok = packing.bin_load(b) + item.size <= ONE
-            color_ok = True
-            if rules.colored:
-                colors = packing.bin_colors(b)
-                color_ok = item.color in colors or len(colors) < rules.t
-            if load_ok and color_ok:
-                packing.add_item(item, Placement(b))
-                placed = True
-                break
-        if not placed:
-            packing.add_item(item, Placement(packing.cost))
+        packing.add_item(item, first_fit(packing, item))
     return packing
 
 
 def min_bins(instance: OracleInstance) -> OracleResult:
     """Provably minimum bin count with a witness packing."""
     rules = instance.rules
-    search_rules = rules
     if rules.kind == "known-opt":  # packing rules are plain 1-D
-        search_rules = VariantRules("one-d")
-        instance = OracleInstance(instance.items, search_rules, instance.node_budget)
-        rules = search_rules
+        rules = VariantRules("one-d")
     ordered = _sorted_items(instance.items)
     if not ordered:
         return OracleResult(0, Packing(rules), 0, True)
@@ -115,31 +104,18 @@ def min_bins(instance: OracleInstance) -> OracleResult:
         budget = _env_budget()
     if budget is None:
         budget = DEFAULT_NODE_BUDGET
-    lower = _lower_bound(rules, ordered)
+    volume = _volume_bound(ordered)
+    lower = _lower_bound(rules, ordered, volume)
     best_packing = _greedy(rules, ordered)
     best = best_packing.cost
     if best == lower:
         return OracleResult(best, best_packing, 0, True)
-
-    sizes = [it.size for it in ordered]
-    suffix_total = [ZERO] * (len(ordered) + 1)
-    for i in range(len(ordered) - 1, -1, -1):
-        suffix_total[i] = suffix_total[i + 1] + sizes[i]
 
     nodes = 0
     # bins held as parallel lists: loads, color sets, assignment lists
     loads: list[Exact] = []
     colors: list[set] = []
     content: list[list[Item]] = []
-
-    def remaining_bound(index: int) -> int:
-        # open bins stay; remaining volume beyond total free room forces more
-        free = sum((ONE - l for l in loads), ZERO)
-        need = suffix_total[index] - free
-        extra = 0
-        while rat(extra) < need:
-            extra += 1
-        return len(loads) + extra
 
     def search(index: int):
         nonlocal nodes, best, best_packing
@@ -155,7 +131,12 @@ def min_bins(instance: OracleInstance) -> OracleResult:
                         packing.add_item(it, Placement(b))
                 best_packing = packing
             return
-        if remaining_bound(index) >= best:
+        # Every item before `index` sits in an open bin, so the volume still
+        # to place beyond the open bins' free room is exactly
+        # total - len(loads), and every completion of this node uses at least
+        # max(len(loads), ceil(total)) bins.  The color bound is not applied
+        # here; doing so would prune colored searches differently.
+        if max(len(loads), volume) >= best:
             return
         item = ordered[index]
         seen_signatures = set()
@@ -191,11 +172,10 @@ def min_bins(instance: OracleInstance) -> OracleResult:
         return
 
     proven = True
-    if best > lower:
-        try:
-            search(0)
-        except BudgetExceeded:
-            proven = False  # best is an upper bound only
+    try:
+        search(0)
+    except BudgetExceeded:
+        proven = False  # best is an upper bound only
     violations = validate_packing(best_packing)
     if violations:
         raise InvalidWitness(f"witness packing invalid: {'; '.join(map(str, violations[:3]))}")

@@ -39,14 +39,12 @@ QUARTER = F(1, 4)
 THIRD = F(1, 3)
 QUARTER_PITCH = rat(F(2501, 10000))  # strictly above every quarter side
 THIRD_PITCH = rat(F(33344, 100000))  # strictly above every third side
-
-SCENARIOS = ("three-quarter-fill", "six-tenths", "short-two-thirds")
+SEPARATION_BASE = 10  # both waves' oracle base
 
 
 @dataclass(frozen=True)
 class SquaresConfig:
     m: int
-    k: int = 10
 
     def __post_init__(self):
         if self.m < 2 or self.m % 2:
@@ -251,13 +249,13 @@ def grid_layout(quarters: list[Item]) -> list[tuple[Item, Exact, Exact]]:
 
 
 def run_full(algorithm_id: str, m: int) -> SquaresRun:
-    config = SquaresConfig(m)
+    SquaresConfig(m)  # validates M
     rules = VariantRules("squares")
     checks: list[Check] = []
 
     # wave one: quarters
     base_session = make_session(algorithm_id, rules)
-    oracle1 = AdaptiveOracle(OracleConfig(config.k, m))
+    oracle1 = AdaptiveOracle(OracleConfig(SEPARATION_BASE, m))
     quarters, small_quarters = run_wave(
         base_session, oracle1, m, lambda i, a: Item(i, rat(QUARTER) + a, label="quarter"))
     gamma1 = oracle1.separator().gamma
@@ -300,7 +298,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
 
     # wave two: thirds with the weighted stopping rule
     session_t = base_session.fork()
-    oracle2 = AdaptiveOracle(OracleConfig(config.k, 3 * m // 2))
+    oracle2 = AdaptiveOracle(OracleConfig(SEPARATION_BASE, 3 * m // 2))
     thirds: list[Item] = []
     small_thirds: set[int] = set()
     sm3 = lg3 = 0

@@ -146,7 +146,7 @@ def test_criterion_4_oracle_property_suite():
 def test_criterion_5_ko_ground_truth():
     t0 = time.time()
     for algo, m in itertools.product(ONE_D_BASELINES, (4, 8)):
-        run = knownopt.run_full(algo, m, verify_oracle=False)
+        run = knownopt.run_full(algo, m)
         assert len(run.scenarios) == 5
         for sc in run.scenarios:
             assert sc.opt_packing.cost == m, (algo, m, sc.scenario)
@@ -161,7 +161,7 @@ def test_criterion_5_ko_ground_truth():
 def test_criterion_6_forced_cost_equalities():
     t0 = time.time()
     for algo, m in itertools.product(ONE_D_BASELINES, (4, 8)):
-        run = knownopt.run_full(algo, m, verify_oracle=False)
+        run = knownopt.run_full(algo, m)
         by_name = {sc.scenario: sc for sc in run.scenarios}
         bins7, bins3 = run.census.bins7, run.census.bins3
         assert by_name["big-fill"].alg_cost == bins7 + (m - -(-bins7 // 6))
@@ -172,7 +172,7 @@ def test_criterion_6_forced_cost_equalities():
         bins4 = run.census.bins4
         assert sc1.alg_cost == bins4 + -(-(m - bins4) // 5)
     for t, m in itertools.product((2, 3), (6, 12)):
-        run = clcbp.run_full("ccff", t, m, verify_oracle=False)
+        run = clcbp.run_full("ccff", t, m)
         sc = run.scenarios[0]
         x = run.census.tiny_bins
         assert sc.alg_cost == x + (m - x) // t
@@ -198,7 +198,7 @@ def test_criterion_7_geometry():
 def test_criterion_8_census_identities():
     t0 = time.time()
     for algo, m in itertools.product(ONE_D_BASELINES, (4, 8)):
-        run = knownopt.run_full(algo, m, verify_oracle=False)
+        run = knownopt.run_full(algo, m)
         c = run.census
         assert (c.s24t1 + c.s1t1 + 2 * c.s1t2 + 2 * c.s2t2 + c.t1 + 2 * c.t2) == m
         assert (6 * c.s46 + 3 * c.s3 + 2 * c.s2 + c.s1 + 4 * c.s24t1
@@ -215,7 +215,7 @@ def test_criterion_8_census_identities():
         assert counts["t13"] + counts["t4"] == c.bins3
         assert 12 * m <= 8 * c.sm3 + 15 * c.lg3 <= 12 * m + 15
     for m in (6, 12):
-        run = clcbp.run_full("ccff", 3, m, verify_oracle=False)
+        run = clcbp.run_full("ccff", 3, m)
         c = run.census
         z1, z2, x3 = c.z1, c.z2, c.per_count[3]
         assert (3 * z1 + 4 * z2 <= 2 * m) or (2 * z1 + 3 * z2 <= 6 * x3 <= 2 * m)
@@ -233,9 +233,9 @@ def test_criterion_9_asymptotic_trend():
     }
     for algo, (at8, at48) in frozen.items():
         small = max(sc.ratio for sc in
-                    knownopt.run_full(algo, 8, verify_oracle=False).scenarios)
+                    knownopt.run_full(algo, 8).scenarios)
         large = max(sc.ratio for sc in
-                    knownopt.run_full(algo, 48, verify_oracle=False).scenarios)
+                    knownopt.run_full(algo, 48).scenarios)
         assert (small, large) == (at8, at48), algo
     assert frozen["first-fit"][1] > frozen["first-fit"][0]
     assert frozen["first-fit"][1] > F(13, 10)

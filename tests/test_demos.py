@@ -1,0 +1,23 @@
+"""Every demo script runs to completion against the package under src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import packbound
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_cleanly(demo):
+    src = str(Path(packbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PACKBOUND_NODE_BUDGET", None)
+    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=demo.parent,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr

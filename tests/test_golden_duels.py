@@ -5,6 +5,10 @@ tests/fixtures/small_duels.json holds the stdout sha256 and exit code of
 M in {8, 12, 24, 48}, and of the full `packbound verify`.  At M = 8 the ko
 adversary also runs the exact minimum-bin check; clcbp needs M divisible by
 6, so its M = 8 entries pin the configuration error (exit 3, empty stdout).
+It also holds `packbound oracle` on the instance files in
+tests/fixtures/oracle/: stdout carries the search's node count, so any change
+in pruning or in the greedy seed shows.  `color-bound.json` has a color bound
+above its volume bound, and the `--budget 10` runs exhaust the budget (exit 2).
 """
 
 import hashlib
@@ -15,8 +19,10 @@ import pytest
 
 from packbound.cli import main
 
-FIXTURE = json.loads((Path(__file__).parent / "fixtures" / "small_duels.json").read_text())
+FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE = json.loads((FIXTURES / "small_duels.json").read_text())
 GOLDEN = FIXTURE["duels"]
+ORACLE = FIXTURE["oracle"]
 
 
 def _run(capsys, argv):
@@ -33,3 +39,10 @@ def test_duel_report_matches_recorded_digest(capsys, key):
 def test_verify_report_matches_recorded_digest(capsys):
     want = FIXTURE["verify"]
     assert _run(capsys, ["verify"]) == (want["exit"], want["sha256"])
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE))
+def test_oracle_report_matches_recorded_digest(capsys, key):
+    command, flag, name, *budget = key.split()
+    argv = [command, flag, str(FIXTURES / "oracle" / name), *budget]
+    assert _run(capsys, argv) == (ORACLE[key]["exit"], ORACLE[key]["sha256"])

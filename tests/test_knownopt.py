@@ -104,7 +104,7 @@ class TestScenarios:
     @pytest.mark.parametrize("algo", ONE_D_BASELINES + ("solo-test",))
     @pytest.mark.parametrize("m", [4, 8])
     def test_forced_equalities_and_bounds(self, algo, m):
-        run = run_full(algo, m, verify_oracle=False)
+        run = run_full(algo, m)
         by_name = {sc.scenario: sc for sc in run.scenarios}
         c = run.census
         count2 = by_name["big-fill"].items_presented
@@ -118,7 +118,7 @@ class TestScenarios:
     @pytest.mark.parametrize("algo", ONE_D_BASELINES)
     @pytest.mark.parametrize("m", [4, 8])
     def test_offline_cost_exactly_m_and_oracle_confirms(self, algo, m):
-        run = run_full(algo, m, verify_oracle=True)
+        run = run_full(algo, m)
         for sc in run.scenarios:
             assert sc.opt_cost == m
             assert sc.opt_packing.cost == m
@@ -148,6 +148,6 @@ class TestTrend:
     def test_first_fit_ratio_grows_with_m(self):
         small = max(sc.ratio for sc in run_full("first-fit", 8).scenarios)
         large = max(sc.ratio for sc in
-                    run_full("first-fit", 48, verify_oracle=False).scenarios)
+                    run_full("first-fit", 48).scenarios)
         assert large > small
         assert large > F(13, 10)

@@ -174,7 +174,7 @@ class TestEmpiricalCensusAgainstPrograms:
     def test_ko_census_satisfies_rows(self, algo, m):
         from packbound import knownopt
 
-        run = knownopt.run_full(algo, m, verify_oracle=False)
+        run = knownopt.run_full(algo, m)
         c = run.census
         by_name = {sc.scenario: sc for sc in run.scenarios}
         point = {name: F(count, m) for name, count in c.category_counts().items()}
