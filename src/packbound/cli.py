@@ -20,6 +20,7 @@ from .exact import decimal_str, fraction_str, parse_rational
 from .mathprog import (
     REFERENCE_TARGETS,
     Infeasible,
+    MismatchedTarget,
     NoUpperBound,
     NonMonotoneDetected,
     Unbounded,
@@ -31,7 +32,7 @@ from .mathprog import (
     solve_min_r_exact,
 )
 from .model import rules_from_json, items_from_json, packing_to_json
-from .optoracle import OracleInstance, min_bins
+from .optoracle import DEFAULT_NODE_BUDGET, OracleInstance, min_bins
 from .reports import Check, CrossCheckFailure, checks_pass, report_to_json
 
 EXIT_OK = 0
@@ -46,6 +47,16 @@ def _fail_config(message: str) -> int:
 
 
 # -- bounds -------------------------------------------------------------------
+
+
+def _replayed_certificates():
+    """Yield (certificate, the derived row rendered or the mismatch, whether
+    it matched) for each hand multiplier certificate."""
+    for cert in ko_certificate_suite():
+        try:
+            yield cert, check_certificate(cert).render(), True
+        except MismatchedTarget as exc:
+            yield cert, str(exc), False
 
 
 def cmd_bounds(args) -> int:
@@ -78,36 +89,21 @@ def cmd_bounds(args) -> int:
                 "decimal": decimal,
                 "status": "OK" if passed else "MISMATCH",
             })
-        for cert in ko_certificate_suite():
-            program = builtin_program("ko-case1")
-            try:
-                derived = check_certificate(program, cert)
-                rows.append({
-                    "program": f"certificate:{cert.name}",
-                    "reference": cert.target.render(),
-                    "computed": derived.render(),
-                    "decimal": "",
-                    "status": "OK",
-                })
-            except AssertionError as exc:
-                ok = False
-                rows.append({
-                    "program": f"certificate:{cert.name}",
-                    "reference": cert.target.render(),
-                    "computed": str(exc),
-                    "decimal": "",
-                    "status": "MISMATCH",
-                })
+        for cert, computed, passed in _replayed_certificates():
+            ok &= passed
+            rows.append({
+                "program": f"certificate:{cert.name}",
+                "reference": cert.target.render(),
+                "computed": computed,
+                "decimal": "",
+                "status": "OK" if passed else "MISMATCH",
+            })
     except (Infeasible, Unbounded, NonMonotoneDetected, NoUpperBound) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
     if args.json:
         print(report_to_json({"bounds": rows}))
-    elif args.csv:
-        print("program,reference,computed,status")
-        for r in rows:
-            print(f"{r['program']},{r['reference']},\"{r['computed']}\",{r['status']}")
     else:
         width = max(len(r["program"]) for r in rows)
         for r in rows:
@@ -265,14 +261,8 @@ def _verify_variant_suite() -> list[dict]:
 
 
 def _verify_certificates_suite() -> list[dict]:
-    out = []
-    program = builtin_program("ko-case1")
-    for cert in ko_certificate_suite():
-        try:
-            check_certificate(program, cert)
-            out.append({"name": f"certificate-{cert.name}", "pass": True})
-        except AssertionError:
-            out.append({"name": f"certificate-{cert.name}", "pass": False})
+    out = [{"name": f"certificate-{cert.name}", "pass": passed}
+           for cert, _, passed in _replayed_certificates()]
     out.append({
         "name": "ko-optima",
         "pass": solve_min_r_exact(builtin_program("ko-case1")) == Fraction(87, 62)
@@ -388,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="solve the built-in bound programs")
     p.add_argument("--tol", default="1/1000000000", help="bisection tolerance")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("duel", help="run an adversary against an algorithm")
@@ -405,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exact minimum bins for an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--budget", type=int, default=None,
-                   help="search node budget (default: PACKBOUND_NODE_BUDGET, else 2000000)")
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                   help=f"search node budget (default {DEFAULT_NODE_BUDGET})")
     p.set_defaults(func=cmd_oracle)
     return parser
 

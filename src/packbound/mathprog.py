@@ -2,11 +2,15 @@
 
 Programs minimize a ratio variable R subject to rows whose coefficients are
 affine in R: a row stores one (c, d) pair per variable, meaning (c + d*R) *
-var, and a (c0, d0) constant pair.  The two known-opt programs are linear in
-R and solved outright by an exact rational simplex (Bland's rule); the
-remaining programs carry genuine R*var products and are settled by exact
-feasibility tests at fixed R inside a bisection, guarded by a monotonicity
-sample of the feasibility pattern.
+var, and a (c0, d0) constant pair.  `_rows_for_lp` lowers a program to dense
+rows, either with R kept as a column or with R fixed to a value.
+
+The two known-opt programs are linear in R and solved outright by the exact
+two-phase rational simplex (Bland's rule).  The remaining programs carry
+genuine R*var products: `feasible_at` fixes R and runs phase 1 alone (its
+verdict is whether the artificial sum reaches zero), and `bisect_min_r`
+brackets min R on [R_LO, R_HI] with it, guarded by a monotonicity sample of
+MONOTONE_SAMPLES feasibility tests.
 
 Hand-written multiplier certificates are replayed symbolically, so the known
 closed-form bounds (87/62, 17/12) are reproduced instead of trusted.
@@ -95,25 +99,6 @@ class Row:
         )
         return Row(label, packed, _pair(const), relation)
 
-    def coeff_dict(self) -> dict:
-        return {v: c for v, c in self.coeffs}
-
-    def substitute(self, r0: Fraction) -> tuple[dict, Fraction, str]:
-        """Fix R = r0: returns (linear coeffs, rhs, relation)."""
-        coeffs = {}
-        for var, (c, d) in self.coeffs:
-            value = c + d * r0
-            if var == "ratio":
-                # the ratio column itself becomes a constant contribution
-                continue
-            if value != 0:
-                coeffs[var] = value
-        rhs = self.const[0] + self.const[1] * r0
-        for var, (c, d) in self.coeffs:
-            if var == "ratio":
-                rhs -= (c + d * r0) * r0
-        return coeffs, rhs, self.relation
-
     def render(self) -> str:
         parts = []
         for var, (c, d) in self.coeffs:
@@ -184,10 +169,21 @@ def _bland(tab, basis, cost, allowed) -> str:
         cost[:] = [x - factor * y for x, y in zip(cost, tab[leave])]
 
 
-def _solve_lp(n, rows, minimize: Optional[list] = None):
-    """min c*x s.t. rows (coeff list, rhs, rel), x >= 0.  Exact two-phase.
+def _price_out(cost, tab, basis):
+    """Zero the cost row on every basic column."""
+    for i, b in enumerate(basis):
+        if cost[b] != 0:
+            factor = cost[b]
+            cost[:] = [x - factor * y for x, y in zip(cost, tab[i])]
 
-    Returns (status, x, value); status in {'optimal', 'infeasible', 'unbounded'}.
+
+def _phase1(n, rows):
+    """Phase 1 of the exact simplex over rows (coeff list, rhs, rel), x >= 0.
+
+    Minimizes the sum of the artificial columns.  Returns the final tableau,
+    its basis, the number of columns before the artificials (structural then
+    slack) and the cost row, whose last entry is minus that minimum: the rows
+    are feasible exactly when it is zero.
     """
     # normalize rhs >= 0
     norm = []
@@ -200,147 +196,113 @@ def _solve_lp(n, rows, minimize: Optional[list] = None):
 
     slack_cols = sum(1 for _, _, rel in norm if rel in ("<=", ">="))
     art_cols = sum(1 for _, _, rel in norm if rel in (">=", "=="))
-    total = n + slack_cols + art_cols
+    real = n + slack_cols
     tab = []
     basis = []
     s_at = n
-    a_at = n + slack_cols
-    art_index = []
+    a_at = real
     for coeffs, rhs, rel in norm:
         row = list(coeffs) + [F(0)] * (slack_cols + art_cols) + [rhs]
         if rel == "<=":
             row[s_at] = F(1)
             basis.append(s_at)
             s_at += 1
-        elif rel == ">=":
-            row[s_at] = F(-1)
-            s_at += 1
-            row[a_at] = F(1)
-            basis.append(a_at)
-            art_index.append(a_at)
-            a_at += 1
         else:
+            if rel == ">=":
+                row[s_at] = F(-1)
+                s_at += 1
             row[a_at] = F(1)
             basis.append(a_at)
-            art_index.append(a_at)
             a_at += 1
         tab.append(row)
 
-    # phase 1: minimize artificial sum
-    if art_index:
-        cost = [F(0)] * (total + 1)
-        for a in art_index:
-            cost[a] = F(1)
-        for i, b in enumerate(basis):
-            if cost[b] != 0:
-                factor = cost[b]
-                cost = [x - factor * y for x, y in zip(cost, tab[i])]
-        status = _bland(tab, basis, cost, range(total))
-        if status != "optimal":  # phase 1 is always bounded
-            raise Unbounded("phase 1 of the simplex reported an unbounded ray")
-        if -cost[-1] != 0:
-            return "infeasible", None, None
-        # drive leftover artificials out of the basis
-        for i in range(len(tab)):
-            if basis[i] in art_index:
-                pivot_col = next(
-                    (j for j in range(n + slack_cols) if tab[i][j] != 0), None
-                )
-                if pivot_col is not None:
-                    _pivot(tab, basis, i, pivot_col)
-        keep = [i for i in range(len(tab)) if basis[i] not in art_index]
-        tab = [tab[i] for i in keep]
-        basis = [basis[i] for i in keep]
-
-    allowed = range(n + slack_cols)
-    if minimize is None:
-        x = [F(0)] * n
-        for i, b in enumerate(basis):
-            if b < n:
-                x[b] = tab[i][-1]
-        return "optimal", x, F(0)
-
-    cost = [F(0)] * (total + 1)
-    for j in range(n):
-        cost[j] = minimize[j]
-    for i, b in enumerate(basis):
-        if cost[b] != 0:
-            factor = cost[b]
-            cost = [x - factor * y for x, y in zip(cost, tab[i])]
-    status = _bland(tab, basis, cost, allowed)
-    if status == "unbounded":
-        return "unbounded", None, None
-    x = [F(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            x[b] = tab[i][-1]
-    return "optimal", x, -cost[-1]
+    cost = [F(0)] * real + [F(1)] * art_cols + [F(0)]
+    _price_out(cost, tab, basis)
+    if _bland(tab, basis, cost, range(real + art_cols)) != "optimal":
+        raise Unbounded("phase 1 of the simplex reported an unbounded ray")
+    return tab, basis, real, cost
 
 
 # -- program-level operations ------------------------------------------------
 
 
-def _rows_for_lp(program: Program, r0: Optional[Fraction]):
-    """Rows in dense-list form; r0 fixes the ratio, None keeps it a column."""
+def _rows_for_lp(program: Program, r0: Optional[Fraction] = None):
+    """Rows in dense-list form over x >= 0.
+
+    With r0 given, R = r0 is substituted: each coefficient becomes c + d*r0
+    and the ratio column, now a constant, moves to the right-hand side.
+    Without it the ratio stays a column and only the c parts are read.
+    """
+    r = F(0) if r0 is None else r0
     variables = [v for v in program.variables if r0 is None or v != "ratio"]
     index = {v: i for i, v in enumerate(variables)}
     dense = []
     for row in program.rows:
-        if r0 is None:
-            coeffs, rhs, rel = row.coeff_dict(), row.const[0], row.relation
-            if row.const[1] != 0:
-                raise ValueError(f"row {row.label}: linear solve requires an R-free constant")
-            line = [F(0)] * len(variables)
-            for var, (c, d) in coeffs.items():
-                if d != 0:
-                    raise ValueError(f"row {row.label}: linear solve requires d == 0")
-                line[index[var]] = c
-        else:
-            coeffs, rhs, rel = row.substitute(r0)
-            line = [F(0)] * len(variables)
-            for var, c in coeffs.items():
-                line[index[var]] = c
-        dense.append((line, rhs, rel))
+        line = [F(0)] * len(variables)
+        rhs = row.const[0] + row.const[1] * r
+        for var, (c, d) in row.coeffs:
+            if var in index:
+                line[index[var]] = c + d * r
+            else:
+                rhs -= (c + d * r) * r
+        dense.append((line, rhs, row.relation))
     return variables, dense
 
 
 def solve_min_r_exact(program: Program) -> Fraction:
     """Exact optimum of a program that is linear in R."""
     if not program.linear_in_r:
-        raise ValueError(f"{program.program_id} has R*variable products")
-    variables, dense = _rows_for_lp(program, None)
-    objective = [F(1) if v == "ratio" else F(0) for v in variables]
-    status, _, value = _solve_lp(len(variables), dense, objective)
-    if status == "infeasible":
+        raise ValueError(f"{program.program_id}: linear solve requires rows with no R terms")
+    variables, dense = _rows_for_lp(program)
+    n = len(variables)
+    tab, basis, real, cost = _phase1(n, dense)
+    if cost[-1] != 0:
         raise Infeasible(program.program_id)
-    if status == "unbounded":
+    # phase 2: drive leftover artificials out of the basis, drop the rows
+    # they still hold, then minimize the ratio over the real columns
+    for i in range(len(tab)):
+        if basis[i] >= real:
+            pivot_col = next((j for j in range(real) if tab[i][j] != 0), None)
+            if pivot_col is not None:
+                _pivot(tab, basis, i, pivot_col)
+    keep = [i for i in range(len(tab)) if basis[i] < real]
+    tab = [tab[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    objective = [F(1) if v == "ratio" else F(0) for v in variables]
+    cost = objective + [F(0)] * (len(cost) - n)
+    _price_out(cost, tab, basis)
+    if _bland(tab, basis, cost, range(real)) == "unbounded":
         raise Unbounded(program.program_id)
-    return value
+    return -cost[-1]
 
 
 def feasible_at(program: Program, r0: Fraction) -> bool:
     """Exact feasibility of the row system with R fixed to r0."""
     variables, dense = _rows_for_lp(program, F(r0))
-    status, _, _ = _solve_lp(len(variables), dense, None)
-    return status == "optimal"
+    *_, cost = _phase1(len(variables), dense)
+    return cost[-1] == 0
 
 
-def bisect_min_r(
-    program: Program,
-    tol: Fraction = F(1, 10**9),
-    lo: Fraction = F(1),
-    hi: Fraction = F(3),
-    grid: int = 32,
-) -> tuple[Fraction, Fraction]:
+# bisect_min_r searches min R inside [R_LO, R_HI]
+R_LO = F(1)
+R_HI = F(3)
+MONOTONE_SAMPLES = 32
+
+
+def bisect_min_r(program: Program, tol: Fraction = F(1, 10**9)) -> tuple[Fraction, Fraction]:
     """Bracket (lo, hi) with hi - lo <= tol, infeasible at lo, feasible at hi.
 
-    Feasibility must be monotone nondecreasing in R; a sample over `grid`
-    evenly spaced points aborts with NonMonotoneDetected otherwise.
+    Feasibility must be monotone nondecreasing in R; a sample over
+    MONOTONE_SAMPLES evenly spaced points aborts with NonMonotoneDetected
+    otherwise.
     """
-    lo, hi, tol = F(lo), F(hi), F(tol)
+    lo, hi, tol = R_LO, R_HI, F(tol)
     if not feasible_at(program, hi):
         raise NoUpperBound(f"{program.program_id} infeasible at R = {hi}")
-    pattern = [feasible_at(program, lo + (hi - lo) * F(i, grid - 1)) for i in range(grid)]
+    pattern = [
+        feasible_at(program, lo + (hi - lo) * F(i, MONOTONE_SAMPLES - 1))
+        for i in range(MONOTONE_SAMPLES)
+    ]
     for a, b in zip(pattern, pattern[1:]):
         if a and not b:
             raise NonMonotoneDetected(program.program_id)
@@ -387,7 +349,7 @@ def combine_rows(ingredients) -> tuple[dict, tuple, str]:
     return coeffs, (const[0], const[1]), ">="
 
 
-def check_certificate(program: Program, certificate: Certificate) -> Row:
+def check_certificate(certificate: Certificate) -> Row:
     """Replay the weighted sum symbolically and compare to the target row."""
     coeffs, const, relation = combine_rows(certificate.ingredients)
     derived = Row.build(f"derived-{certificate.name}", coeffs, relation, const)

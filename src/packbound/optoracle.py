@@ -6,16 +6,17 @@ with identical remaining room and color set are interchangeable for every
 future decision, so only the first of each signature is branched.  The
 first-fit baseline (`algorithms.first_fit`) fed the items in decreasing size
 seeds the incumbent; the search proves optimality or improves on it.  A node
-is pruned when max(open bins, ceil(total size)) >= best: open bins stay open,
-and every packing needs the volume bound.  All arithmetic is exact, because
-adversarial instances differ by amounts no float can see.
+is pruned when max(open bins, lower) >= best, where lower is the root bound
+ceil(total size), raised for colored rules to ceil(colors / t): open bins
+stay open, and every packing needs the root bound.  The search stops after
+`OracleInstance.node_budget` nodes (DEFAULT_NODE_BUDGET unless the instance
+sets one) with the incumbent as an upper bound.  All arithmetic is exact,
+because adversarial instances differ by amounts no float can see.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Optional
 
 from .algorithms import first_fit
 from .exact import Exact, rat
@@ -42,8 +43,7 @@ class InvalidWitness(RuntimeError):
 class OracleInstance:
     items: tuple[Item, ...]
     rules: VariantRules
-    # None: PACKBOUND_NODE_BUDGET if set, else DEFAULT_NODE_BUDGET
-    node_budget: Optional[int] = None
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
         if self.rules.is_geometric:
@@ -56,11 +56,6 @@ class OracleResult:
     witness: Packing
     nodes: int
     proven: bool  # True: provably minimal; False: budget ran out
-
-
-def _env_budget() -> Optional[int]:
-    raw = os.environ.get("PACKBOUND_NODE_BUDGET")
-    return int(raw) if raw else None
 
 
 def _sorted_items(items) -> list[Item]:
@@ -77,7 +72,10 @@ def _volume_bound(items) -> int:
     return bound
 
 
-def _lower_bound(rules: VariantRules, items, volume: int) -> int:
+def _lower_bound(rules: VariantRules, items) -> int:
+    """Bins every packing needs: the volume bound, and for colored rules
+    at least ceil(colors / t)."""
+    volume = _volume_bound(items)
     if not rules.colored:
         return volume
     return max(volume, -(-len({it.color for it in items}) // rules.t))
@@ -100,12 +98,7 @@ def min_bins(instance: OracleInstance) -> OracleResult:
         return OracleResult(0, Packing(rules), 0, True)
 
     budget = instance.node_budget
-    if budget is None:
-        budget = _env_budget()
-    if budget is None:
-        budget = DEFAULT_NODE_BUDGET
-    volume = _volume_bound(ordered)
-    lower = _lower_bound(rules, ordered, volume)
+    lower = _lower_bound(rules, ordered)
     best_packing = _greedy(rules, ordered)
     best = best_packing.cost
     if best == lower:
@@ -131,12 +124,10 @@ def min_bins(instance: OracleInstance) -> OracleResult:
                         packing.add_item(it, Placement(b))
                 best_packing = packing
             return
-        # Every item before `index` sits in an open bin, so the volume still
-        # to place beyond the open bins' free room is exactly
-        # total - len(loads), and every completion of this node uses at least
-        # max(len(loads), ceil(total)) bins.  The color bound is not applied
-        # here; doing so would prune colored searches differently.
-        if max(len(loads), volume) >= best:
+        # Open bins stay open, and no completion beats the root bound: every
+        # item before `index` already sits in an open bin, so the volume
+        # bound recounted here would equal max(len(loads), ceil(total)).
+        if max(len(loads), lower) >= best:
             return
         item = ordered[index]
         seen_signatures = set()

@@ -180,10 +180,9 @@ class TestOracle:
         }))
         return str(instance)
 
-    def test_explicit_budget_beats_environment(self, capsys, tmp_path, monkeypatch):
+    def test_explicit_budget(self, capsys, tmp_path):
         path = self.searched_instance(tmp_path)
-        monkeypatch.setenv("PACKBOUND_NODE_BUDGET", "1")
-        code, out, _ = run_cli(capsys, "oracle", "--instance", path)
+        code, out, _ = run_cli(capsys, "oracle", "--instance", path, "--budget", "1")
         assert code == 2 and json.loads(out)["proven"] is False
         code, out, _ = run_cli(capsys, "oracle", "--instance", path, "--budget", "10000")
         assert code == 0

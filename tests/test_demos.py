@@ -16,7 +16,6 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 def test_demo_runs_cleanly(demo):
     src = str(Path(packbound.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop("PACKBOUND_NODE_BUDGET", None)
     proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=demo.parent,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

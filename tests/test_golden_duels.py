@@ -1,8 +1,9 @@
-"""Duel and verify reports stay byte-identical to the recorded digests.
+"""Duel, verify and bounds reports stay byte-identical to the recorded digests.
 
 tests/fixtures/small_duels.json holds the stdout sha256 and exit code of
 `packbound duel` for every shipped adversary x algorithm pairing at
-M in {8, 12, 24, 48}, and of the full `packbound verify`.  At M = 8 the ko
+M in {8, 12, 24, 48}, of the full `packbound verify`, and of
+`packbound bounds` as a table and as JSON.  At M = 8 the ko
 adversary also runs the exact minimum-bin check; clcbp needs M divisible by
 6, so its M = 8 entries pin the configuration error (exit 3, empty stdout).
 It also holds `packbound oracle` on the instance files in
@@ -39,6 +40,12 @@ def test_duel_report_matches_recorded_digest(capsys, key):
 def test_verify_report_matches_recorded_digest(capsys):
     want = FIXTURE["verify"]
     assert _run(capsys, ["verify"]) == (want["exit"], want["sha256"])
+
+
+@pytest.mark.parametrize("key", sorted(FIXTURE["bounds"]))
+def test_bounds_report_matches_recorded_digest(capsys, key):
+    want = FIXTURE["bounds"][key]
+    assert _run(capsys, key.split()) == (want["exit"], want["sha256"])
 
 
 @pytest.mark.parametrize("key", sorted(ORACLE))

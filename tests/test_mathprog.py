@@ -17,7 +17,6 @@ from packbound.mathprog import (
     check_certificate,
     combine_rows,
     feasible_at,
-    _rows_for_lp,
     ko_certificate_suite,
     solve_min_r_exact,
 )
@@ -77,7 +76,7 @@ class TestStructure:
         for row in (Row.build("c", {"ratio": 1}, ">=", (1, 1)),
                     Row.build("d", {"ratio": (1, 1)}, ">=", 1)):
             with pytest.raises(ValueError, match="linear solve"):
-                _rows_for_lp(type(trivial)("r-terms", ("ratio",), (row,)), None)
+                solve_min_r_exact(type(trivial)("r-terms", ("ratio",), (row,)))
 
 
 class TestFeasibility:
@@ -136,8 +135,7 @@ class TestCertificates:
         assert [c.name for c in suite] == [
             "five-row-mix", "ko-case1-bound", "ko-case2-bound",
         ]
-        program = builtin_program("ko-case1")
-        derived = {c.name: check_certificate(program, c) for c in suite}
+        derived = {c.name: check_certificate(c) for c in suite}
         final1 = derived["ko-case1-bound"]
         assert dict(final1.coeffs) == {"ratio": (F(62), F(0)), "s3": (F(-10), F(0))}
         assert final1.const == (F(87), F(0))
@@ -163,7 +161,7 @@ class TestCertificates:
             Row.build("x", {"ratio": 5}, ">=", 6),
         )
         with pytest.raises(MismatchedTarget):
-            check_certificate(program, bad)
+            check_certificate(bad)
 
 
 class TestEmpiricalCensusAgainstPrograms:

@@ -139,8 +139,7 @@ class TestSafetyChecks:
         with pytest.raises(InvalidWitness, match="overfull"):
             min_bins(OracleInstance(items_of(SEARCHED), ONED))
 
-    def test_explicit_budget_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("PACKBOUND_NODE_BUDGET", "1")
-        assert not min_bins(OracleInstance(items_of(SEARCHED), ONED)).proven
+    def test_explicit_budget(self):
+        assert not min_bins(OracleInstance(items_of(SEARCHED), ONED, node_budget=1)).proven
         result = min_bins(OracleInstance(items_of(SEARCHED), ONED, node_budget=10_000))
         assert result.proven and result.count == 3
