@@ -5,8 +5,10 @@ before seeing the next item.  Placements are applied to a live packing with
 full rule validation, so an algorithm bug surfaces as IllegalPlacement and is
 reported as an algorithm failure, never an adversary failure.
 
-Algorithms see only the variant rules, the optional packed-cost advice, and
-the items themselves; adversary internals are off limits.
+Algorithms see only the packing (whose rules carry the known-opt advice)
+and the items themselves; adversary internals are off limits.  No strategy
+tests capacity or the color cap itself: each asks `Packing.fits`, so that
+rule lives in `model.Packing` alone.
 
 Adversaries branch by forking a live session (`AlgorithmSession.fork`): a
 copy of the packing, the transcript and the strategy's state, so every
@@ -28,7 +30,6 @@ from .reports import CrossCheckFailure
 __all__ = [
     "AlgorithmSession",
     "IllegalPlacement",
-    "AdviceMismatch",
     "UnknownAlgorithm",
     "make_session",
     "fork_replay",
@@ -44,10 +45,6 @@ class IllegalPlacement(RuntimeError):
     """The algorithm proposed a placement that violates the rules."""
 
 
-class AdviceMismatch(ValueError):
-    """Advice supplied for a variant that takes none, or missing for known-opt."""
-
-
 class UnknownAlgorithm(KeyError):
     pass
 
@@ -55,17 +52,12 @@ class UnknownAlgorithm(KeyError):
 class AlgorithmSession:
     """One run of one algorithm: owns a packing and a placement transcript."""
 
-    def __init__(self, algorithm_id: str, rules: VariantRules, advice: Optional[int]):
-        if (rules.kind == "known-opt") != (advice is not None):
-            raise AdviceMismatch("advice must be present exactly for known-opt")
-        if advice is not None and advice != rules.advice:
-            raise AdviceMismatch("advice disagrees with the rules")
+    def __init__(self, algorithm_id: str, rules: VariantRules):
         self.algorithm_id = algorithm_id
         self.rules = rules
-        self.advice = advice
         self.packing = Packing(rules)
         self.transcript: list[tuple[Item, Placement]] = []
-        self._strategy = _REGISTRY[algorithm_id](rules, advice)
+        self._strategy = _own(_REGISTRY[algorithm_id])
 
     @property
     def cost(self) -> int:
@@ -88,23 +80,28 @@ class AlgorithmSession:
         clone = copy.copy(self)
         clone.packing = self.packing.copy()
         clone.transcript = list(self.transcript)
-        fork_state = getattr(self._strategy, "fork", None)
-        if fork_state is not None:
-            clone._strategy = fork_state()
+        clone._strategy = _own(self._strategy)
         return clone
 
 
-def make_session(algorithm_id: str, rules: VariantRules,
-                 advice: Optional[int] = None) -> AlgorithmSession:
+def _own(strategy: Callable) -> Callable:
+    """A session's own strategy: a fork of a stateful one, else the shared function."""
+    fork = getattr(strategy, "fork", None)
+    return strategy if fork is None else fork()
+
+
+def make_session(algorithm_id: str, rules: VariantRules) -> AlgorithmSession:
     if algorithm_id not in _REGISTRY:
         raise UnknownAlgorithm(algorithm_id)
-    return AlgorithmSession(algorithm_id, rules, advice)
+    return AlgorithmSession(algorithm_id, rules)
 
 
-def fork_replay(rules: VariantRules, advice: Optional[int], prefix: list[Item],
-                algorithm_id: str) -> AlgorithmSession:
+# `prefix` stays the third positional parameter: the benchmark's tracer
+# (perfbench/tracer.py) counts replayed items from that argument.
+def fork_replay(algorithm_id: str, rules: VariantRules,
+                prefix: list[Item]) -> AlgorithmSession:
     """Fresh session fed the prefix; determinism makes it equal any earlier run."""
-    session = make_session(algorithm_id, rules, advice)
+    session = make_session(algorithm_id, rules)
     for item in prefix:
         session.place(item)
     return session
@@ -113,7 +110,7 @@ def fork_replay(rules: VariantRules, advice: Optional[int], prefix: list[Item],
 def check_replay(session: AlgorithmSession) -> None:
     """Replay the session's items through a fresh session; raise on divergence."""
     prefix = [item for item, _ in session.transcript]
-    replay = fork_replay(session.rules, session.advice, prefix, session.algorithm_id)
+    replay = fork_replay(session.algorithm_id, session.rules, prefix)
     if replay.transcript != session.transcript:
         raise CrossCheckFailure("prefix replay diverged from the recorded run")
 
@@ -131,49 +128,35 @@ def feed(session: AlgorithmSession, items) -> int:
 # `register_algorithm` for the rule on strategy state.
 
 
-def _fits(packing: Packing, index: int, item: Item) -> bool:
-    if packing.bin_load(index) + item.size > ONE:
-        return False
-    if packing.rules.colored:
-        colors = packing.bin_colors(index)
-        if item.color not in colors and len(colors) >= packing.rules.t:
-            return False
-    return True
-
-
-def _next_fit(rules, advice):
-    def place(packing: Packing, item: Item) -> Placement:
-        last = packing.cost - 1
-        if last >= 0 and _fits(packing, last, item):
-            return Placement(last)
-        return Placement(packing.cost)
-
-    return place
+def _next_fit(packing: Packing, item: Item) -> Placement:
+    """The last bin if the item fits there, else a fresh bin."""
+    last = packing.cost - 1
+    if last >= 0 and packing.fits(last, item):
+        return Placement(last)
+    return Placement(packing.cost)
 
 
 def first_fit(packing: Packing, item: Item) -> Placement:
     """The earliest bin the item fits in, else a fresh bin."""
     for b in range(packing.cost):
-        if _fits(packing, b, item):
+        if packing.fits(b, item):
             return Placement(b)
     return Placement(packing.cost)
 
 
-def _best_fit(rules, advice):
-    def place(packing: Packing, item: Item) -> Placement:
-        best = None
-        best_room = None
-        for b in range(packing.cost):
-            if not _fits(packing, b, item):
-                continue
-            room = ONE - packing.bin_load(b)
-            if best_room is None or room < best_room:
-                best, best_room = b, room
-        if best is None:
-            return Placement(packing.cost)
-        return Placement(best)
-
-    return place
+def _best_fit(packing: Packing, item: Item) -> Placement:
+    """The fitting bin with the least room left, else a fresh bin."""
+    best = None
+    best_room = None
+    for b in range(packing.cost):
+        if not packing.fits(b, item):
+            continue
+        room = ONE - packing.bin_load(b)
+        if best_room is None or room < best_room:
+            best, best_room = b, room
+    if best is None:
+        return Placement(packing.cost)
+    return Placement(best)
 
 
 class _Harmonic:
@@ -200,11 +183,12 @@ class _Harmonic:
         cls = self.classify(item.size)
         b = self.open_bin[cls]
         if b is not None:
-            if cls < self.classes:
-                ok = self.count_in_open[cls] < cls
+            if cls < self.classes:  # the count alone keeps capacity
+                ok = self.count_in_open[cls] < cls and (
+                    not packing.rules.colored or packing.fits(b, item))
             else:
-                ok = packing.bin_load(b) + item.size <= ONE
-            if ok and (not packing.rules.colored or _fits(packing, b, item)):
+                ok = packing.fits(b, item)
+            if ok:
                 self.count_in_open[cls] += 1
                 return Placement(b)
         fresh = packing.cost
@@ -247,26 +231,27 @@ class _ShelfFirstFit:
 
 _REGISTRY: dict[str, Callable] = {
     "next-fit": _next_fit,
-    "first-fit": lambda rules, advice: first_fit,
+    "first-fit": first_fit,
     "best-fit": _best_fit,
-    "harmonic-5": lambda rules, advice: _Harmonic(5),
-    "ccff": lambda rules, advice: first_fit,  # honours the color cap through _fits
-    "shelf-first-fit": lambda rules, advice: _ShelfFirstFit(),
+    "harmonic-5": _Harmonic(5),  # prototype: every session owns a fork
+    "ccff": first_fit,  # honours the color cap through Packing.fits
+    "shelf-first-fit": _ShelfFirstFit(),
 }
 
 ONE_D_BASELINES = ("next-fit", "first-fit", "best-fit", "harmonic-5")
 
 
-def register_algorithm(algorithm_id: str, factory: Callable) -> None:
-    """Add a strategy factory (rules, advice) -> (packing, item) -> Placement.
+def register_algorithm(algorithm_id: str, strategy: Callable) -> None:
+    """Add a deterministic strategy (packing, item) -> Placement.
 
-    The strategy must be deterministic.  A strategy that keeps state between
-    calls must be an object with a `fork()` method returning an independent
-    copy of that state; `AlgorithmSession.fork` calls it.  Any other callable
-    (a plain function or lambda) is shared between forks, so it must keep no
-    state of its own and read whatever it needs from the packing.
+    A strategy that keeps state between calls must be an object with a
+    `fork()` method returning an independent copy of that state: the
+    registered object is a prototype, and every session, new or forked, owns
+    a `fork()` of the one it starts from.  Any other callable (a plain
+    function or lambda) is shared by every session, so it must keep no state
+    of its own and read whatever it needs from the packing.
     """
-    _REGISTRY[algorithm_id] = factory
+    _REGISTRY[algorithm_id] = strategy
 
 
 def algorithm_ids() -> list[str]:

@@ -280,14 +280,14 @@ def _fork_matches_replay(run, scenario: str, prefix: list) -> bool:
     prefix_ids = {it.ident for it in prefix}
     items = sorted((it for contents in outcome.opt_packing.bins for it, _ in contents
                     if it.ident not in prefix_ids), key=lambda it: it.ident)
-    live = fork_replay(rules, rules.advice, prefix, run.algorithm_id)
+    live = fork_replay(run.algorithm_id, rules, prefix)
     branch = live.fork()
     try:
         feed(live, items)
         feed(branch, items)  # a fork sharing state with `live` diverges here
     except IllegalPlacement:
         return False
-    replay = fork_replay(rules, rules.advice, prefix + items, run.algorithm_id)
+    replay = fork_replay(run.algorithm_id, rules, prefix + items)
     return (live.transcript == branch.transcript == replay.transcript
             and branch.cost == outcome.alg_cost)
 
@@ -349,10 +349,12 @@ def cmd_oracle(args) -> int:
         items = tuple(item for item, _ in items_from_json(payload["items"]))
     except (OSError, KeyError, ValueError) as exc:
         return _fail_config(f"bad instance file: {exc}")
-    if rules.is_geometric:
-        return _fail_config("exact search covers one-dimensional variants only")
     try:
-        result = min_bins(OracleInstance(items, rules, node_budget=args.budget))
+        instance = OracleInstance(items, rules, node_budget=args.budget)
+    except ValueError as exc:  # a geometric variant
+        return _fail_config(str(exc))
+    try:
+        result = min_bins(instance)
     except Exception as exc:  # search-level failure
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

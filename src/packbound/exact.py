@@ -58,6 +58,9 @@ _EXPAND_CAP = 200_000
 # literally before dominance is applied (guards against cancellation).
 _CLUSTER_GAP = 512
 
+# Significant digits of every decimal rendering in the reports.
+DECIMAL_DIGITS = 12
+
 
 class PrecisionError(ArithmeticError):
     """A comparison could not be certified without an astronomical expansion."""
@@ -93,8 +96,8 @@ def fraction_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_str(q: Fraction, sig: int = 12) -> str:
-    """Display-only decimal rendering, `sig` significant digits, half-even."""
+def decimal_str(q: Fraction) -> str:
+    """Display-only decimal rendering, DECIMAL_DIGITS significant digits, half-even."""
     if q == 0:
         return "0"
     sign = "-" if q < 0 else ""
@@ -103,7 +106,7 @@ def decimal_str(q: Fraction, sig: int = 12) -> str:
     exp = len(str(p)) - len(str(d))
     if p * 10 ** max(0, -exp) < d * 10 ** max(0, exp):
         exp -= 1
-    shift = sig - 1 - exp
+    shift = DECIMAL_DIGITS - 1 - exp
     scaled = p * 10**shift if shift >= 0 else p
     divisor = d if shift >= 0 else d * 10**-shift
     digits, rem = divmod(scaled, divisor)
@@ -112,10 +115,10 @@ def decimal_str(q: Fraction, sig: int = 12) -> str:
     if twice > divisor or (twice == divisor and digits % 2 == 1):
         digits += 1
     text = str(digits)
-    if len(text) > sig:  # rounding overflowed into one more digit
-        text = text[:sig]
+    if len(text) > DECIMAL_DIGITS:  # rounding overflowed into one more digit
+        text = text[:DECIMAL_DIGITS]
         exp += 1
-    if 0 <= exp < sig:
+    if 0 <= exp < DECIMAL_DIGITS:
         intpart = text[: exp + 1]
         frac = text[exp + 1 :].rstrip("0")
         return sign + intpart + ("." + frac if frac else "")

@@ -127,7 +127,7 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
     checks: list[Check] = []
 
     # wave one: sevenths
-    base_session = make_session(algorithm_id, rules, m)
+    base_session = make_session(algorithm_id, rules)
     oracle1 = AdaptiveOracle(OracleConfig(SEPARATION_BASE, m))
     sevenths, small_sevenths = run_wave(
         base_session, oracle1, m, lambda i, a: Item(i, rat(SEVENTH) + a, label="seventh"))

@@ -137,6 +137,7 @@ class Packing:
         self.rules = rules
         self.bins: list[list[tuple[Item, Placement]]] = []
         self._loads: list[Exact] = []  # 1-D variants: cached content totals
+        self._colors: list[set] = []  # cached color sets (empty unless colored)
         self._ids: set[int] = set()
 
     @property
@@ -150,14 +151,32 @@ class Packing:
         return self._loads[index]
 
     def bin_colors(self, index: int) -> set:
-        return {item.color for item, _ in self.bins[index] if item.color is not None}
+        """The bin's cached color set; read it, never mutate it."""
+        return self._colors[index]
 
     def copy(self) -> "Packing":
         clone = Packing(self.rules)
         clone.bins = [list(b) for b in self.bins]
         clone._loads = list(self._loads)
+        clone._colors = [set(c) for c in self._colors]
         clone._ids = set(self._ids)
         return clone
+
+    # -- the one-dimensional bin rule -----------------------------------
+
+    def _load_after(self, b: int, item: Item) -> Exact:
+        return item.size if b == len(self.bins) else self._loads[b] + item.size
+
+    def _breaks_color_cap(self, b: int, item: Item) -> bool:
+        if not self.rules.colored or b == len(self.bins):
+            return False
+        colors = self._colors[b]
+        return item.color not in colors and len(colors) >= self.rules.t
+
+    def fits(self, b: int, item: Item) -> bool:
+        """Whether 1-D bin `b` (open, or the next fresh one) takes `item`:
+        capacity, then the color cap.  `add_item` applies the same rule."""
+        return self._load_after(b, item) <= ONE and not self._breaks_color_cap(b, item)
 
     # -- mutation -------------------------------------------------------
 
@@ -186,37 +205,48 @@ class Packing:
             raise BadPlacement("coordinates are only meaningful for squares", b)
 
         fresh = b == len(self.bins)
-        contents = [] if fresh else self.bins[b]
-
         if rules.is_geometric:
             square = (placement.x, placement.y, item.size)
-            for other, oplace in contents:
+            for other, oplace in ([] if fresh else self.bins[b]):
                 if not squares_disjoint(square, (oplace.x, oplace.y, other.size)):
                     raise GeometricOverlap(
                         f"item {item.ident} overlaps item {other.ident}", b
                     )
         else:
-            load = ZERO if fresh else self._loads[b]
-            if load + item.size > ONE:
+            load = self._load_after(b, item)
+            if load > ONE:
                 raise CapacityExceeded(
                     f"item {item.ident} of size {item.size} exceeds bin capacity", b
                 )
-            if rules.colored:
-                colors = set() if fresh else self.bin_colors(b)
-                if item.color not in colors and len(colors) >= rules.t:
-                    raise ColorLimitExceeded(
-                        f"item {item.ident} would be color {len(colors) + 1} of a bin capped at {rules.t}",
-                        b,
-                    )
+            if self._breaks_color_cap(b, item):
+                raise ColorLimitExceeded(
+                    f"item {item.ident} would be color {len(self._colors[b]) + 1} of a bin capped at {rules.t}",
+                    b,
+                )
 
         if fresh:
             self.bins.append([])
             self._loads.append(ZERO)
+            self._colors.append(set())
         self.bins[b].append((item, placement))
         if not rules.is_geometric:
-            self._loads[b] = self._loads[b] + item.size
+            self._loads[b] = load
+        if item.color is not None:
+            self._colors[b].add(item.color)
         self._ids.add(item.ident)
 
+    def pop(self, b: int) -> Item:
+        """Undo the last `add_item` on bin `b`; an emptied last bin closes."""
+        item, _ = self.bins[b].pop()
+        self._ids.discard(item.ident)
+        if not self.bins[b] and b == len(self.bins) - 1:
+            del self.bins[b], self._loads[b], self._colors[b]
+            return item
+        if not self.rules.is_geometric:
+            self._loads[b] = self._loads[b] - item.size
+        if item.color is not None and all(other.color != item.color for other, _ in self.bins[b]):
+            self._colors[b].discard(item.color)
+        return item
 
 def validate_packing(packing: Packing) -> list[Violation]:
     """All rule violations in a packing; empty means fully feasible."""

@@ -12,6 +12,10 @@ stay open, and every packing needs the root bound.  The search stops after
 `OracleInstance.node_budget` nodes (DEFAULT_NODE_BUDGET unless the instance
 sets one) with the incumbent as an upper bound.  All arithmetic is exact,
 because adversarial instances differ by amounts no float can see.
+
+The search runs on one `model.Packing`: it probes a bin with `fits`, places
+with `add_item` and backtracks with `pop`, so it obeys the same bin rule as
+every online strategy, and a better leaf is kept as a `copy()` of it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algorithms import first_fit
-from .exact import Exact, rat
-from .model import ONE, ZERO, Item, Packing, Placement, VariantRules, validate_packing
+from .exact import rat
+from .model import ZERO, Item, Packing, Placement, VariantRules, validate_packing
 
 __all__ = ["OracleInstance", "OracleResult", "BudgetExceeded", "InvalidWitness", "min_bins"]
 
@@ -81,13 +85,6 @@ def _lower_bound(rules: VariantRules, items) -> int:
     return max(volume, -(-len({it.color for it in items}) // rules.t))
 
 
-def _greedy(rules: VariantRules, ordered: list[Item]) -> Packing:
-    packing = Packing(rules)
-    for item in ordered:
-        packing.add_item(item, first_fit(packing, item))
-    return packing
-
-
 def min_bins(instance: OracleInstance) -> OracleResult:
     """Provably minimum bin count with a witness packing."""
     rules = instance.rules
@@ -99,16 +96,15 @@ def min_bins(instance: OracleInstance) -> OracleResult:
 
     budget = instance.node_budget
     lower = _lower_bound(rules, ordered)
-    best_packing = _greedy(rules, ordered)
+    best_packing = Packing(rules)
+    for item in ordered:
+        best_packing.add_item(item, first_fit(best_packing, item))
     best = best_packing.cost
     if best == lower:
         return OracleResult(best, best_packing, 0, True)
 
     nodes = 0
-    # bins held as parallel lists: loads, color sets, assignment lists
-    loads: list[Exact] = []
-    colors: list[set] = []
-    content: list[list[Item]] = []
+    packing = Packing(rules)  # the search's one live packing
 
     def search(index: int):
         nonlocal nodes, best, best_packing
@@ -116,51 +112,32 @@ def min_bins(instance: OracleInstance) -> OracleResult:
         if nodes > budget:
             raise BudgetExceeded(best)
         if index == len(ordered):
-            if len(loads) < best:
-                best = len(loads)
-                packing = Packing(rules)
-                for b, items_in_bin in enumerate(content):
-                    for it in items_in_bin:
-                        packing.add_item(it, Placement(b))
-                best_packing = packing
+            if packing.cost < best:
+                best = packing.cost
+                best_packing = packing.copy()
             return
         # Open bins stay open, and no completion beats the root bound: every
         # item before `index` already sits in an open bin, so the volume
-        # bound recounted here would equal max(len(loads), ceil(total)).
-        if max(len(loads), lower) >= best:
+        # bound recounted here would equal max(open bins, ceil(total)).
+        if max(packing.cost, lower) >= best:
             return
         item = ordered[index]
         seen_signatures = set()
-        for b in range(len(loads)):
-            if loads[b] + item.size > ONE:
+        for b in range(packing.cost):
+            if not packing.fits(b, item):
                 continue
-            if rules.colored:
-                cols = colors[b]
-                if item.color not in cols and len(cols) >= rules.t:
-                    continue
-            signature = (loads[b], frozenset(colors[b]) if rules.colored else None)
+            signature = (packing.bin_load(b), frozenset(packing.bin_colors(b)))
             if signature in seen_signatures:
                 continue
             seen_signatures.add(signature)
-            loads[b] = loads[b] + item.size
-            added_color = rules.colored and item.color not in colors[b]
-            if added_color:
-                colors[b].add(item.color)
-            content[b].append(item)
+            packing.add_item(item, Placement(b))
             search(index + 1)
-            content[b].pop()
-            if added_color:
-                colors[b].discard(item.color)
-            loads[b] = loads[b] - item.size
-        if len(loads) + 1 < best:  # fresh bin, only if it can still improve
-            loads.append(item.size)
-            colors.append({item.color} if rules.colored else set())
-            content.append([item])
+            packing.pop(b)
+        if packing.cost + 1 < best:  # fresh bin, only if it can still improve
+            fresh = packing.cost
+            packing.add_item(item, Placement(fresh))
             search(index + 1)
-            content.pop()
-            colors.pop()
-            loads.pop()
-        return
+            packing.pop(fresh)
 
     proven = True
     try:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from packbound.algorithms import (
-    AdviceMismatch,
     ONE_D_BASELINES,
     UnknownAlgorithm,
     algorithm_ids,
@@ -35,8 +34,8 @@ item_specs = st.lists(
 )
 
 
-def run(algorithm_id, sizes, rules=ONED, advice=None, colors=None):
-    session = make_session(algorithm_id, rules, advice)
+def run(algorithm_id, sizes, rules=ONED, colors=None):
+    session = make_session(algorithm_id, rules)
     for i, s in enumerate(sizes):
         color = colors[i] if colors else None
         session.place(Item(i, rat(s), color=color))
@@ -121,14 +120,6 @@ class TestBaselines:
 
 
 class TestSessionContract:
-    def test_advice_only_for_known_opt(self):
-        with pytest.raises(AdviceMismatch):
-            make_session("first-fit", ONED, advice=8)
-        with pytest.raises(AdviceMismatch):
-            make_session("first-fit", VariantRules("known-opt", advice=8))
-        session = make_session("first-fit", VariantRules("known-opt", advice=8), advice=8)
-        assert session.advice == 8
-
     def test_unknown_algorithm(self):
         with pytest.raises(UnknownAlgorithm):
             make_session("quantum-fit", ONED)
@@ -154,7 +145,7 @@ class TestSessionContract:
         sizes = ["3/5", "13/25", "33/100", "1/7", "1/7", "9/10", "1/3"]
         first = run(algo, sizes)
         prefix = [item for item, _ in first.transcript]
-        replay = fork_replay(ONED, None, prefix, algo)
+        replay = fork_replay(algo, ONED, prefix)
         assert [(i.ident, p.bin_index) for i, p in first.transcript] == [
             (i.ident, p.bin_index) for i, p in replay.transcript
         ]
@@ -190,13 +181,13 @@ class TestFork:
 
         branch = session.fork()
         feed(branch, on_fork)
-        assert branch.transcript == fork_replay(rules, None, prefix + on_fork, algo).transcript
+        assert branch.transcript == fork_replay(algo, rules, prefix + on_fork).transcript
         assert session.packing.bins == bins_before
         assert session.transcript == transcript_before
 
         branch_bins = [list(b) for b in branch.packing.bins]
         feed(session, on_original)
         assert session.transcript == fork_replay(
-            rules, None, prefix + on_original, algo).transcript
+            algo, rules, prefix + on_original).transcript
         assert branch.packing.bins == branch_bins
         assert len(branch.transcript) == len(prefix) + len(on_fork)

@@ -11,11 +11,11 @@ from packbound.optoracle import OracleInstance, min_bins
 from packbound.reports import checks_pass
 
 
-def _solo_factory(rules, advice):
-    return lambda packing, item: Placement(packing.cost)
+def _solo(packing, item):
+    return Placement(packing.cost)
 
 
-register_algorithm("solo-test-clcbp", _solo_factory)
+register_algorithm("solo-test-clcbp", _solo)
 
 
 @pytest.fixture(scope="module")

@@ -6,23 +6,25 @@ from packbound.algorithms import register_algorithm
 from packbound.cli import main
 from packbound.model import Placement
 
-_sessions_started = [0]
+class _Flaky:
+    """Every fork packs differently from the last: not a deterministic algorithm."""
 
+    forks = 0
 
-def _flaky_factory(rules, advice):
-    """Every other session packs differently: not a deterministic algorithm."""
-    _sessions_started[0] += 1
-    per_bin = 1 + _sessions_started[0] % 2
+    def __init__(self, per_bin=1):
+        self.per_bin = per_bin
 
-    def place(packing, item):
-        if packing.cost and len(packing.bins[-1]) < per_bin:
+    def fork(self):
+        _Flaky.forks += 1
+        return _Flaky(1 + _Flaky.forks % 2)
+
+    def __call__(self, packing, item):
+        if packing.cost and len(packing.bins[-1]) < self.per_bin:
             return Placement(packing.cost - 1)
         return Placement(packing.cost)
 
-    return place
 
-
-register_algorithm("flaky-test", _flaky_factory)
+register_algorithm("flaky-test", _Flaky())
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +209,16 @@ class TestOracle:
         }))
         code, _, err = run_cli(capsys, "oracle", "--instance", str(instance))
         assert code == 3 and "10 or 20" in err
+
+    def test_geometric_instance(self, capsys, tmp_path):
+        instance = tmp_path / "squares.json"
+        instance.write_text(json.dumps({
+            "rules": {"kind": "squares"},
+            "items": [{"size": "1/2"}, {"size": "1/3"}],
+        }))
+        code, out, err = run_cli(capsys, "oracle", "--instance", str(instance))
+        assert code == 3 and out == ""
+        assert err == "error: exact search covers one-dimensional variants only\n"
 
     def test_bad_instance(self, capsys, tmp_path):
         instance = tmp_path / "bad.json"

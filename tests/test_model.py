@@ -14,6 +14,7 @@ from packbound.model import (
     Item,
     OutOfBinBounds,
     Packing,
+    PackingError,
     Placement,
     VariantRules,
     item_to_json,
@@ -148,6 +149,56 @@ class TestSquares:
             p.add_item(Item(1, rat("1/2")), Placement(0, rat("1/4"), rat("1/4")))
         p.add_item(Item(2, rat("1/2")), Placement(0, rat("1/2"), rat(0)))
         assert p.cost == 1 and validate_packing(p) == []
+
+
+class TestFitsAndPop:
+    """`fits` is the 1-D rule `add_item` enforces; `pop` undoes `add_item`."""
+
+    RULES = [ONED, VariantRules("known-opt", advice=3),
+             VariantRules("class-constrained", t=2)]
+
+    item_specs = st.lists(
+        st.tuples(
+            st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
+                         max_denominator=40),
+            st.sampled_from((-1, 0, 1)),  # perturbation sign
+            st.integers(min_value=0, max_value=3),  # color
+            st.integers(min_value=0, max_value=6),  # target bin, clipped
+        ),
+        min_size=1,
+        max_size=14,
+    )
+
+    @staticmethod
+    def state(p):
+        return ([list(b) for b in p.bins], list(p._loads),
+                [set(c) for c in p._colors], set(p._ids), p.cost)
+
+    @pytest.mark.parametrize("rules", RULES, ids=lambda r: r.kind)
+    @given(specs=item_specs)
+    @settings(max_examples=80, deadline=None)
+    def test_fits_matches_add_item_and_pop_restores(self, rules, specs):
+        p = Packing(rules)
+        for ident, (size, tilt, color, target) in enumerate(specs):
+            item = Item(ident, rat(size) + tilt * power(10, 30),
+                        color=color if rules.colored else None)
+            for b in range(p.cost + 1):
+                before = p.copy()
+                fits = p.fits(b, item)
+                try:
+                    p.add_item(item, Placement(b))
+                except PackingError:
+                    assert not fits
+                else:
+                    assert fits
+                    assert p.pop(b) == item
+                assert self.state(p) == self.state(before)
+            b = min(target, p.cost)
+            if p.fits(b, item):
+                p.add_item(item, Placement(b))
+        assert validate_packing(p) == []
+        for b in range(p.cost):
+            assert p.bin_colors(b) == {i.color for i in p.bin_items(b) if i.color is not None}
 
 
 class TestValidate:
