@@ -20,7 +20,7 @@ for name, value in run.closed_form.items():
 print(f"\nthirds wave: {len(run.thirds)} items, "
       f"{c.z1} bins with thirds, {c.z2} with a pair")
 if run.ledger:
-    print(f"color ledger: {run.ledger.summary()}")
+    print(f"color ledger: {run.ledger}")
 
 print("\nbranches:")
 for sc in run.scenarios:

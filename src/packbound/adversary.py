@@ -69,8 +69,16 @@ def continuation(name: str, session: AlgorithmSession, items: list[Item],
     """Feed `items` to a fork of `session` and pair its cost with `opt_packing`.
 
     `opt_cost` is the optimum when it is known in advance; without it the
-    packing's cost is reported as an upper bound on the optimum.
+    packing's cost is reported as an upper bound on the optimum.  Raises
+    `CrossCheckFailure` unless `opt_packing` holds exactly the session's
+    items and `items`.
     """
+    packed = {it.ident for contents in opt_packing.bins for it, _ in contents}
+    branch = {it.ident for it, _ in session.transcript} | {it.ident for it in items}
+    if packed != branch:
+        raise CrossCheckFailure(
+            f"{name}: offline packing does not hold the branch's items "
+            f"(missing {sorted(branch - packed)[:3]}, extra {sorted(packed - branch)[:3]})")
     alg_cost = feed(session.fork(), items)
     opt_upper = opt_packing.cost if opt_cost is None else None
     return ScenarioOutcome(name, len(items), alg_cost, opt_cost=opt_cost,

@@ -13,6 +13,15 @@ matching items of size 3/5, or per-small-third matching items a hair under
 The other branch skips wave two entirely: near-unit "huge" items colored by
 small tiny items, one per floor((M - X)/t), forcing cost X + count against
 an offline M/t.
+
+Offline packings: huge j shares a bin with small tiny j, whose color it
+carries, and t - 1 further small tinies.  In the finals each third, or
+same-color pair or chunk of two large thirds, gets a bin; a tiny whose color
+a third reuses rides with the first bin of that color, and the other tinies
+fill the bins' free color slots in ident order (`_TinyPool`).  Whatever tinies
+are left pack t to a bin.  The color ledger counts the colors the thirds
+reuse and the fresh ones they take (two thirds per color), and the matching
+items of the 3/5 final, one per third.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .adversary import continuation, offline_packing, present, run_wave
+from .adversary import ceil_div, continuation, offline_packing, present, run_wave
 from .algorithms import check_replay, make_session
 from .exact import Exact, rat
 from .model import Item, VariantRules
@@ -49,15 +58,6 @@ class ClassConstrainedConfig:
         if self.m < 6 or self.m % 6:
             raise ValueError("M must be a positive integer divisible by 6")
 
-    @property
-    def thirds_budget(self) -> int:
-        return 2 * self.m
-
-    def tiny_window_offset(self) -> int:
-        # every tiny exponent must sit far beyond every wave-two exponent
-        thirds_hi = OracleConfig(THIRDS_BASE, self.thirds_budget).window_hi
-        return 2 * thirds_hi + 16
-
 
 @dataclass
 class ClassCensus:
@@ -81,20 +81,6 @@ class ClassCensus:
 
 
 @dataclass
-class ColorLedger:
-    reused_colors: list
-    fresh_colors: list
-    matched: dict  # color -> number of matching items issued
-
-    def summary(self) -> dict:
-        return {
-            "reusedColors": len(self.reused_colors),
-            "freshColors": len(self.fresh_colors),
-            "matchedItems": sum(self.matched.values()),
-        }
-
-
-@dataclass
 class ClassConstrainedRun:
     algorithm_id: str
     t: int
@@ -109,7 +95,7 @@ class ClassConstrainedRun:
     scenarios: list[ScenarioOutcome]
     closed_form: dict
     checks: list[Check]
-    ledger: Optional[ColorLedger]
+    ledger: Optional[dict]  # reusedColors, freshColors, matchedItems
     traces: dict
 
 
@@ -122,14 +108,16 @@ def closed_form_bounds(tiny_bins: int, per_count: dict, t: int, m: int) -> dict:
 
 
 def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
-    config = ClassConstrainedConfig(t, m)
+    ClassConstrainedConfig(t, m)  # raises ValueError on a bad t or M
     rules = VariantRules("class-constrained", t=t)
     checks: list[Check] = []
+    thirds_budget = 2 * m
+    # every tiny exponent must sit far beyond every wave-two exponent
+    tiny_offset = 2 * OracleConfig(THIRDS_BASE, thirds_budget).window_hi + 16
 
     # wave one: tiny items, one fresh color each
     base_session = make_session(algorithm_id, rules)
-    oracle_tiny = AdaptiveOracle(OracleConfig(
-        TINY_BASE, m, offset=config.tiny_window_offset()))
+    oracle_tiny = AdaptiveOracle(OracleConfig(TINY_BASE, m, offset=tiny_offset))
     tinies, small_tinies = run_wave(
         base_session, oracle_tiny, m, lambda i, a: Item(i, a, color=i, label="tiny"))
     sep_tiny = oracle_tiny.separator()
@@ -161,19 +149,14 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     # huge branch
     count_h = (m - tiny_bins) // t
     huge_size = rat(1) - tiny_margin
-    huge_items = [
-        Item(10 * m + j, huge_size, color=smalls_in_order[j].color, label="huge")
-        for j in range(count_h)
-    ]
-    groups = []
-    mates = smalls_in_order[:count_h]  # huge j matches small j by color
-    filler_pool = smalls_in_order[count_h:]
-    for huge, mate in zip(huge_items, mates):
-        fillers = [filler_pool.pop(0) for _ in range(t - 1)]
-        groups.append([huge, mate] + fillers)
-    leftover = filler_pool + [it for it in tinies if it.ident not in small_tinies]
-    for j in range(0, len(leftover), t):
-        groups.append(leftover[j : j + t])
+    mates, fillers = smalls_in_order[:count_h], smalls_in_order[count_h:]
+    huge_items = [Item(10 * m + j, huge_size, color=mate.color, label="huge")
+                  for j, mate in enumerate(mates)]
+    # huge j shares its bin with small tiny j (its color) and t - 1 fillers
+    groups = [[huge, mate] + fillers[j * (t - 1):(j + 1) * (t - 1)]
+              for j, (huge, mate) in enumerate(zip(huge_items, mates))]
+    larges = [it for it in tinies if it.ident not in small_tinies]
+    groups += _chunks(fillers[count_h * (t - 1):] + larges, t)
     opt_h = offline_packing(rules, groups)
     sc_h = continuation("huge", base_session, huge_items, opt_h)
     sc_h.checks.append(Check.equal("alg-forced-cost", sc_h.alg_cost, tiny_bins + count_h))
@@ -206,20 +189,14 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
                      if len(contents) < t for it, _ in contents}
     reusable = [it.color for it in tinies if it.ident in in_short_bins]
     session_t = base_session.fork()
-    oracle_thirds = AdaptiveOracle(OracleConfig(THIRDS_BASE, config.thirds_budget))
+    oracle_thirds = AdaptiveOracle(OracleConfig(THIRDS_BASE, thirds_budget))
     thirds: list[Item] = []
     small_thirds: set[int] = set()
     z1 = z2 = 0
-    fresh_colors: list[int] = []
 
     def third_color(index: int) -> int:
         pair = index // 2
-        if pair < len(reusable):
-            return reusable[pair]
-        fresh = m + (pair - len(reusable))
-        if fresh not in fresh_colors:
-            fresh_colors.append(fresh)
-        return fresh
+        return reusable[pair] if pair < len(reusable) else m + pair - len(reusable)
 
     def holds_a_third(before) -> bool:
         return any(it.label == "third" for it, _ in before)
@@ -281,7 +258,12 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         "smallest third perturbation exceeds 6x the largest tiny",
     ))
 
-    ledger = ColorLedger(reusable[: len(thirds) // 2], fresh_colors, {})
+    pairs = ceil_div(len(thirds), 2)
+    ledger = {
+        "reusedColors": min(pairs, len(reusable)),
+        "freshColors": max(0, pairs - len(reusable)),
+        "matchedItems": len(thirds),
+    }
 
     large_third_items = [it for it in thirds if it.ident not in small_thirds]
     small_third_items = [it for it in thirds if it.ident in small_thirds]
@@ -292,8 +274,6 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         Item(items_suffix + j, rat(F(3, 5)), color=it.color, label="matching")
         for j, it in enumerate(thirds)
     ]
-    for it in thirds:
-        ledger.matched[it.color] = ledger.matched.get(it.color, 0) + 1
     opt_half = offline_packing(rules, _halves_groups(t, tinies, thirds, halves))
     sc_half = continuation("six-tenths", session_t, halves, opt_half)
     sc_half.checks.append(Check.at_least(
@@ -310,7 +290,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         for j, it in enumerate(small_third_items)
     ]
     opt_two = offline_packing(rules, _two_thirds_groups(
-        t, tinies, thirds, small_third_items, large_third_items, two_thirds))
+        t, tinies, small_third_items, large_third_items, two_thirds))
     sc_two = continuation("short-two-thirds", session_t, two_thirds, opt_two)
     sc_two.checks.append(Check.at_least(
         "alg-lower-bound", sc_two.alg_cost, per_count[t] + z1 + z2))
@@ -332,84 +312,68 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     )
 
 
-def _rider_map(tinies, reusable_used):
-    """Tiny items whose color was reused ride a bin holding that color."""
-    by_color = {it.color: it for it in tinies}
-    return {c: by_color[c] for c in reusable_used}
+def _chunks(items: list, size: int) -> list[list]:
+    return [items[j:j + size] for j in range(0, len(items), size)]
+
+
+class _TinyPool:
+    """The wave-one tinies as the offline bins draw them.
+
+    A tiny whose color some third reuses rides with the first bin that asks
+    for that color; the others, each the only item of its color, fill free
+    color slots in ident order, and whatever is left packs t to a bin.
+    """
+
+    def __init__(self, tinies: list[Item], thirds: list[Item]):
+        used = {it.color for it in thirds}
+        self._riders = {it.color: it for it in tinies if it.color in used}
+        self._unique = [it for it in tinies if it.color not in used]
+        self._taken = 0
+
+    def rider(self, color) -> list[Item]:
+        """The tiny of a reused color, handed out once."""
+        tiny = self._riders.pop(color, None)
+        return [] if tiny is None else [tiny]
+
+    def take(self, n: int) -> list[Item]:
+        """The next n unique-color tinies (fewer when they run out)."""
+        out = self._unique[self._taken:self._taken + n]
+        self._taken += len(out)
+        return out
+
+    def rest(self, t: int) -> list[list[Item]]:
+        return _chunks(self._unique[self._taken:], t)
 
 
 def _halves_groups(t, tinies, thirds, halves):
-    """One bin per third: the third, its matching item, a same-color tiny
-    when one exists, and unique-color tinies up to the color cap."""
-    used_colors = {it.color for it in thirds}
-    riders = _rider_map(tinies, [c for c in used_colors if c < len(tinies)])
-    unique = [it for it in tinies if it.color not in riders]
-    groups = []
-    placed_rider = set()
-    for third, match in zip(thirds, halves):
-        bin_items = [third, match]
-        color = third.color
-        if color in riders and color not in placed_rider:
-            bin_items.append(riders[color])
-            placed_rider.add(color)
-        for _ in range(t - 1):
-            if unique:
-                bin_items.append(unique.pop(0))
-        groups.append(bin_items)
-    for j in range(0, len(unique), t):
-        groups.append(unique[j : j + t])
-    return groups
+    """One bin per third: the third, its matching item, its rider when it
+    has one, and t - 1 unique-color tinies."""
+    pool = _TinyPool(tinies, thirds)
+    groups = [[third, match] + pool.rider(third.color) + pool.take(t - 1)
+              for third, match in zip(thirds, halves)]
+    return groups + pool.rest(t)
 
 
-def _two_thirds_groups(t, tinies, thirds, small_third_items, large_third_items, matches):
+def _two_thirds_groups(t, tinies, small_thirds, large_thirds, matches):
     """Small thirds pair with their matching item; large thirds pack in
     same-color pairs first, remaining ones two per bin; tinies ride along."""
-    used_colors = {it.color for it in thirds}
-    riders = _rider_map(tinies, [c for c in used_colors if c < len(tinies)])
-    unique = [it for it in tinies if it.color not in riders]
-    placed_rider = set()
+    pool = _TinyPool(tinies, small_thirds + large_thirds)
+    # same-color rider adds no color; t-1 unique colors still fit
+    groups = [[small, match] + pool.rider(small.color) + pool.take(t - 1)
+              for small, match in zip(small_thirds, matches)]
 
-    def rider_for(color):
-        if color in riders and color not in placed_rider:
-            placed_rider.add(color)
-            return [riders[color]]
-        return []
-
-    def fill_unique(n):
-        out = []
-        for _ in range(n):
-            if unique:
-                out.append(unique.pop(0))
-        return out
-
-    groups = []
-    for small, match in zip(small_third_items, matches):
-        # same-color rider adds no color; t-1 unique colors still fit
-        bin_items = [small, match] + rider_for(small.color) + fill_unique(t - 1)
-        groups.append(bin_items)
-
-    z1, z2 = len(large_third_items), len(small_third_items)
-    k_same = (z1 - z2) // 2
+    k_same = (len(large_thirds) - len(small_thirds)) // 2
     by_color: dict = {}
-    for it in large_third_items:
+    for it in large_thirds:
         by_color.setdefault(it.color, []).append(it)
     same_pairs = [pair for pair in by_color.values() if len(pair) == 2]
-    loose = [it for pair in by_color.values() if len(pair) == 1 for it in pair]
     if len(same_pairs) < k_same:
         raise CrossCheckFailure("fewer same-color large pairs than guaranteed")
-    for pair in same_pairs[k_same:]:
-        loose.extend(pair)
-    for pair in same_pairs[:k_same]:
-        bin_items = list(pair) + rider_for(pair[0].color) + fill_unique(t - 1)
-        groups.append(bin_items)
-    for j in range(0, len(loose), 2):
-        chunk = loose[j : j + 2]
-        bin_items = list(chunk)
-        for it in chunk:
-            bin_items += rider_for(it.color)
-        free_colors = t - len({it.color for it in bin_items})
-        bin_items += fill_unique(free_colors)
-        groups.append(bin_items)
-    for j in range(0, len(unique), t):
-        groups.append(unique[j : j + t])
-    return groups
+    groups += [pair + pool.rider(pair[0].color) + pool.take(t - 1)
+               for pair in same_pairs[:k_same]]
+    loose = [it for pair in by_color.values() if len(pair) == 1 for it in pair]
+    loose += [it for pair in same_pairs[k_same:] for it in pair]
+    for chunk in _chunks(loose, 2):
+        bin_items = chunk + [r for it in chunk for r in pool.rider(it.color)]
+        groups.append(bin_items + pool.take(t - len({it.color for it in bin_items})))
+    return groups + pool.rest(t)

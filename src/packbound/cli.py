@@ -152,7 +152,7 @@ def _clcbp_extras(run) -> dict:
             name: {"exact": fraction_str(v), "decimal": decimal_str(v)}
             for name, v in run.closed_form.items()
         },
-        "colorLedger": run.ledger.summary() if run.ledger else None,
+        "colorLedger": run.ledger,
     }
 
 

@@ -32,11 +32,7 @@ DEFAULT_NODE_BUDGET = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):
-    """Search budget ran out; carries the best packing found so far."""
-
-    def __init__(self, best_cost, message="node budget exceeded"):
-        super().__init__(message)
-        self.best_cost = best_cost
+    """The search ran out of nodes; `min_bins` keeps its incumbent."""
 
 
 class InvalidWitness(RuntimeError):
@@ -110,7 +106,7 @@ def min_bins(instance: OracleInstance) -> OracleResult:
         nonlocal nodes, best, best_packing
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(best)
+            raise BudgetExceeded("node budget exceeded")
         if index == len(ordered):
             if packing.cost < best:
                 best = packing.cost

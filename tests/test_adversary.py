@@ -142,6 +142,21 @@ class TestContinuation:
         assert (upper.opt_cost, upper.opt_upper) == (None, 2)
         assert (exact.opt_cost, exact.opt_upper) == (2, None)
 
+    def test_a_packing_that_drops_an_item_raises(self):
+        session = make_session("first-fit", ONE_D)
+        session.place(_item(0, "1/2"))
+        items = [_item(1, "2/3"), _item(2, "1/3")]
+        opt = offline_packing(ONE_D, [[_item(0, "1/2")], [items[0]]])
+        with pytest.raises(CrossCheckFailure, match=r"dropped: .*missing \[2\], extra \[\]"):
+            continuation("dropped", session, items, opt)
+
+    def test_a_packing_with_a_foreign_item_raises(self):
+        session = make_session("first-fit", ONE_D)
+        items = [_item(1, "2/3")]
+        opt = offline_packing(ONE_D, [[items[0], _item(9, "1/4")]])
+        with pytest.raises(CrossCheckFailure, match=r"missing \[\], extra \[9\]"):
+            continuation("foreign", session, items, opt)
+
 
 def test_one_census_gap_class():
     assert knownopt.CensusGap is squares.CensusGap is CensusGap

@@ -5,17 +5,34 @@ from fractions import Fraction as F
 import pytest
 
 from packbound.algorithms import register_algorithm
-from packbound.clcbp import ClassConstrainedConfig, closed_form_bounds, run_full
-from packbound.model import Placement, validate_packing
+from packbound.clcbp import (
+    ClassConstrainedConfig,
+    _halves_groups,
+    _two_thirds_groups,
+    closed_form_bounds,
+    run_full,
+)
+from packbound.exact import rat
+from packbound.model import Item, Placement, validate_packing
 from packbound.optoracle import OracleInstance, min_bins
-from packbound.reports import checks_pass
+from packbound.reports import CrossCheckFailure, checks_pass
 
 
 def _solo(packing, item):
     return Placement(packing.cost)
 
 
+def _first_fit_past_bin_zero(packing, item):
+    """First fit that never adds to bin 0: the first tiny keeps a short bin,
+    so its color is reused."""
+    for b in range(1, packing.cost):
+        if packing.fits(b, item):
+            return Placement(b)
+    return Placement(packing.cost)
+
+
 register_algorithm("solo-test-clcbp", _solo)
+register_algorithm("past-bin-zero-test-clcbp", _first_fit_past_bin_zero)
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +189,90 @@ class TestFinals:
         x3 = c.per_count[3]
         assert by_name["six-tenths"].alg_cost >= x3 + c.z1 + 2 * c.z2
         assert by_name["short-two-thirds"].alg_cost >= x3 + c.z1 + c.z2
+
+
+class TestColorLedger:
+    @pytest.mark.parametrize("algorithm,t,m", [
+        ("ccff", 3, 12), ("past-bin-zero-test-clcbp", 2, 12),
+        ("past-bin-zero-test-clcbp", 3, 24),
+    ])
+    def test_counts_the_colors_the_thirds_carry(self, algorithm, t, m):
+        run = run_full(algorithm, t, m)
+        colors = {it.color for it in run.thirds}
+        assert run.ledger == {
+            "reusedColors": len({c for c in colors if c < m}),
+            "freshColors": len({c for c in colors if c >= m}),
+            "matchedItems": len(run.thirds),
+        }
+
+    def test_reused_colors_ride_in_valid_packings(self):
+        run = run_full("past-bin-zero-test-clcbp", 2, 12)
+        assert run.ledger == {"reusedColors": 2, "freshColors": 3, "matchedItems": 10}
+        assert all(checks_pass(sc.checks) for sc in run.scenarios)
+
+    def test_no_ledger_without_wave_two(self):
+        assert run_full("solo-test-clcbp", 2, 6).ledger is None
+
+
+def _items(first, colors):
+    return [Item(first + j, rat("1/100"), color=c) for j, c in enumerate(colors)]
+
+
+def _idents(groups):
+    return [[it.ident for it in contents] for contents in groups]
+
+
+class TestGroupings:
+    """The offline groupings on hand-built thirds.  Large thirds are 100+,
+    small thirds 200+, their two-thirds matches 300+, the 3/5 matches 400+;
+    tiny i has color i.  Every shipped algorithm leaves clcbp with no
+    same-color large pair, so the duels never reach these branches."""
+
+    def _groups(self, t, large_colors, small_colors, n_tinies):
+        tinies = _items(0, range(n_tinies))
+        large, small = _items(100, large_colors), _items(200, small_colors)
+        thirds = large + small
+        halves = _items(400, [it.color for it in thirds])
+        return (_idents(_halves_groups(t, tinies, thirds, halves)),
+                _idents(_two_thirds_groups(t, tinies, small, large,
+                                           _items(300, small_colors))))
+
+    def test_same_color_pair_takes_its_rider(self):
+        halves, two = self._groups(2, [0, 0, 1, 1, 2], [3], 6)
+        assert halves == [[100, 400, 0, 4], [101, 401, 5], [102, 402, 1],
+                          [103, 403], [104, 404, 2], [200, 405, 3]]
+        assert two == [[200, 300, 3, 4], [100, 101, 0, 5], [102, 103, 1], [104, 2]]
+
+    def test_broken_pair_riders_land_in_loose_chunks(self):
+        halves, two = self._groups(2, [0, 0, 1, 1, 2], [3, 4, 5], 8)
+        assert halves == [[100, 400, 0, 6], [101, 401, 7], [102, 402, 1],
+                          [103, 403], [104, 404, 2], [200, 405, 3],
+                          [201, 406, 4], [202, 407, 5]]
+        assert two == [[200, 300, 3, 6], [201, 301, 4, 7], [202, 302, 5],
+                       [100, 101, 0], [104, 102, 2, 1], [103]]
+
+    def test_t3_fills_two_free_slots(self):
+        halves, two = self._groups(3, [0, 0, 1, 1, 2], [3], 9)
+        assert halves == [[100, 400, 0, 4, 5], [101, 401, 6, 7], [102, 402, 1, 8],
+                          [103, 403], [104, 404, 2], [200, 405, 3]]
+        assert two == [[200, 300, 3, 4, 5], [100, 101, 0, 6, 7], [102, 103, 1, 8],
+                       [104, 2]]
+
+    def test_leftover_tinies_pack_t_to_a_bin(self):
+        halves, two = self._groups(2, [0, 0, 1, 1, 2], [3], 11)
+        assert halves == [[100, 400, 0, 4], [101, 401, 5], [102, 402, 1, 6],
+                          [103, 403, 7], [104, 404, 2, 8], [200, 405, 3, 9], [10]]
+        assert two == [[200, 300, 3, 4], [100, 101, 0, 5], [102, 103, 1, 6],
+                       [104, 2, 7], [8, 9], [10]]
+        halves, two = self._groups(3, [0, 0, 1, 1, 2], [3, 4, 5], 14)
+        assert halves == [[100, 400, 0, 6, 7], [101, 401, 8, 9],
+                          [102, 402, 1, 10, 11], [103, 403, 12, 13], [104, 404, 2],
+                          [200, 405, 3], [201, 406, 4], [202, 407, 5]]
+        assert two == [[200, 300, 3, 6, 7], [201, 301, 4, 8, 9],
+                       [202, 302, 5, 10, 11], [100, 101, 0, 12, 13],
+                       [104, 102, 2, 1], [103]]
+
+    def test_too_few_same_color_pairs_raise(self):
+        tinies, large = _items(0, range(6)), _items(100, [0, 1, 7, 7])
+        with pytest.raises(CrossCheckFailure, match="fewer same-color large pairs"):
+            _two_thirds_groups(2, tinies, [], large, [])

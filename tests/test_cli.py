@@ -2,6 +2,7 @@
 
 import json
 
+from packbound import clcbp
 from packbound.algorithms import register_algorithm
 from packbound.cli import main
 from packbound.model import Placement
@@ -102,6 +103,25 @@ class TestDuel:
         code, _, err = run_cli(capsys, "duel", "--variant", "ko",
                                "--algorithm", "quantum-fit", "--m", "8")
         assert code == 3 and "unknown algorithm" in err
+
+    def test_offline_packing_missing_an_item_fails_the_duel(self, capsys, monkeypatch):
+        groups = clcbp._two_thirds_groups
+
+        def drop_a_tiny(*args):
+            bins = groups(*args)
+            for contents in bins:
+                for it in contents:
+                    if it.label == "tiny":
+                        contents.remove(it)
+                        return [c for c in bins if c]
+            raise AssertionError("no tiny to drop")
+
+        monkeypatch.setattr(clcbp, "_two_thirds_groups", drop_a_tiny)
+        code, out, err = run_cli(capsys, "duel", "--variant", "clcbp",
+                                 "--algorithm", "ccff", "--t", "2", "--m", "48")
+        assert code == 2 and out == ""
+        assert "cross-check failure: short-two-thirds: offline packing" in err
+        assert "Traceback" not in err
 
 
 class TestVerify:
