@@ -151,7 +151,7 @@ def _best_fit(packing: Packing, item: Item) -> Placement:
     for b in range(packing.cost):
         if not packing.fits(b, item):
             continue
-        room = ONE - packing.bin_load(b)
+        room = packing.bin_room(b)
         if best_room is None or room < best_room:
             best, best_room = b, room
     if best is None:
@@ -203,29 +203,55 @@ class _ShelfFirstFit:
     Squares go left-to-right on the first shelf (scanning bins in creation
     order) that is tall enough and has horizontal room; a new shelf opens on
     top of the current stack when it fits, else a new bin opens.
+
+    Each shelf caches its horizontal room, each bin the room above its top
+    shelf and its cap: the largest side it still takes, the larger of the top
+    room and every shelf's min(height, room).  A bin whose cap is below the
+    side is skipped with one comparison, and a probe never adds; only the
+    bin placed into recomputes its cap.
     """
 
     def __init__(self):
-        self.shelves: list[list[tuple]] = []  # per bin: [(y, height, cursor)]
+        self.shelves: list[list[tuple]] = []  # per bin: [(y, height, cursor, room)]
+        self.tops: list[Exact] = []  # per bin: room above the top shelf
+        self.caps: list[Exact] = []  # per bin: the largest side it still takes
 
     def fork(self) -> "_ShelfFirstFit":
         clone = _ShelfFirstFit()
         clone.shelves = [list(bin_shelves) for bin_shelves in self.shelves]
+        clone.tops = list(self.tops)
+        clone.caps = list(self.caps)
         return clone
+
+    def _update_cap(self, b: int) -> None:
+        cap = self.tops[b]
+        for _, height, _, room in self.shelves[b]:
+            fit = height if height <= room else room
+            if fit > cap:
+                cap = fit
+        self.caps[b] = cap
 
     def __call__(self, packing: Packing, item: Item) -> Placement:
         side = item.size
-        for b, bin_shelves in enumerate(self.shelves):
-            for j, (y, height, cursor) in enumerate(bin_shelves):
-                if side <= height and cursor + side <= ONE:
-                    bin_shelves[j] = (y, height, cursor + side)
+        for b, cap in enumerate(self.caps):
+            if side > cap:
+                continue
+            bin_shelves = self.shelves[b]
+            for j, (y, height, cursor, room) in enumerate(bin_shelves):
+                if side <= height and side <= room:
+                    bin_shelves[j] = (y, height, cursor + side, room - side)
+                    self._update_cap(b)
                     return Placement(b, cursor, y)
-            top_y, top_height, _ = bin_shelves[-1]  # shelves stack bottom-up
+            top_y, top_height, _, _ = bin_shelves[-1]  # the cap says the top fits
             used = top_y + top_height
-            if used + side <= ONE:
-                bin_shelves.append((used, side, side))
-                return Placement(b, ZERO, used)
-        self.shelves.append([(ZERO, side, side)])
+            bin_shelves.append((used, side, side, ONE - side))
+            self.tops[b] = self.tops[b] - side
+            self._update_cap(b)
+            return Placement(b, ZERO, used)
+        top = ONE - side
+        self.shelves.append([(ZERO, side, side, top)])
+        self.tops.append(top)
+        self.caps.append(top)  # the lone shelf's min(height, room) is at most top
         return Placement(len(self.shelves) - 1, ZERO, ZERO)
 
 

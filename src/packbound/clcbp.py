@@ -171,13 +171,12 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         ))
     scenarios.append(sc_h)
 
-    census_checks = census.identity_checks(m)
     closed = closed_form_bounds(tiny_bins, per_count, t, m)
 
     if per_count[t] * 2 * t <= m:
         # too few full bins: the tiny-wave bound already does the work and
         # the later waves are not defined for this census
-        checks.extend(census_checks)
+        checks.extend(census.identity_checks(m))
         return ClassConstrainedRun(
             algorithm_id, t, m, tinies, [], small_tinies, set(), tiny_margin,
             None, census, scenarios, closed, checks, None,

@@ -131,12 +131,20 @@ def squares_disjoint(a: tuple, b: tuple) -> bool:
 
 
 class Packing:
-    """Bins in creation order; every mutation re-checks the affected bin."""
+    """Bins in creation order; every mutation re-checks the affected bin.
+
+    For the 1-D variants each bin caches its free room, ``1 - load``:
+    `add_item` subtracts the item's size once and `pop` adds it back, so
+    `fits` is a single comparison ``size <= room`` that builds no new
+    `Exact`.  A fresh bin's room is ``ONE``, so the same comparison covers
+    it.  Squares bins leave their room at ``ONE``: their rule is the layout,
+    checked square against square.
+    """
 
     def __init__(self, rules: VariantRules):
         self.rules = rules
         self.bins: list[list[tuple[Item, Placement]]] = []
-        self._loads: list[Exact] = []  # 1-D variants: cached content totals
+        self._rooms: list[Exact] = []  # 1-D variants: cached 1 - content total
         self._colors: list[set] = []  # cached color sets (empty unless colored)
         self._ids: set[int] = set()
 
@@ -147,8 +155,13 @@ class Packing:
     def bin_items(self, index: int) -> list[Item]:
         return [item for item, _ in self.bins[index]]
 
+    def bin_room(self, index: int) -> Exact:
+        """The free room ``1 - load`` of 1-D bin `index`."""
+        return self._rooms[index]
+
     def bin_load(self, index: int) -> Exact:
-        return self._loads[index]
+        """The content total of 1-D bin `index`, derived from its room."""
+        return ONE - self._rooms[index]
 
     def bin_colors(self, index: int) -> set:
         """The bin's cached color set; read it, never mutate it."""
@@ -157,15 +170,15 @@ class Packing:
     def copy(self) -> "Packing":
         clone = Packing(self.rules)
         clone.bins = [list(b) for b in self.bins]
-        clone._loads = list(self._loads)
+        clone._rooms = list(self._rooms)
         clone._colors = [set(c) for c in self._colors]
         clone._ids = set(self._ids)
         return clone
 
     # -- the one-dimensional bin rule -----------------------------------
 
-    def _load_after(self, b: int, item: Item) -> Exact:
-        return item.size if b == len(self.bins) else self._loads[b] + item.size
+    def _room(self, b: int) -> Exact:
+        return ONE if b == len(self.bins) else self._rooms[b]
 
     def _breaks_color_cap(self, b: int, item: Item) -> bool:
         if not self.rules.colored or b == len(self.bins):
@@ -176,7 +189,7 @@ class Packing:
     def fits(self, b: int, item: Item) -> bool:
         """Whether 1-D bin `b` (open, or the next fresh one) takes `item`:
         capacity, then the color cap.  `add_item` applies the same rule."""
-        return self._load_after(b, item) <= ONE and not self._breaks_color_cap(b, item)
+        return item.size <= self._room(b) and not self._breaks_color_cap(b, item)
 
     # -- mutation -------------------------------------------------------
 
@@ -213,8 +226,7 @@ class Packing:
                         f"item {item.ident} overlaps item {other.ident}", b
                     )
         else:
-            load = self._load_after(b, item)
-            if load > ONE:
+            if item.size > self._room(b):
                 raise CapacityExceeded(
                     f"item {item.ident} of size {item.size} exceeds bin capacity", b
                 )
@@ -226,11 +238,11 @@ class Packing:
 
         if fresh:
             self.bins.append([])
-            self._loads.append(ZERO)
+            self._rooms.append(ONE)
             self._colors.append(set())
         self.bins[b].append((item, placement))
         if not rules.is_geometric:
-            self._loads[b] = load
+            self._rooms[b] = self._rooms[b] - item.size
         if item.color is not None:
             self._colors[b].add(item.color)
         self._ids.add(item.ident)
@@ -240,10 +252,10 @@ class Packing:
         item, _ = self.bins[b].pop()
         self._ids.discard(item.ident)
         if not self.bins[b] and b == len(self.bins) - 1:
-            del self.bins[b], self._loads[b], self._colors[b]
+            del self.bins[b], self._rooms[b], self._colors[b]
             return item
         if not self.rules.is_geometric:
-            self._loads[b] = self._loads[b] - item.size
+            self._rooms[b] = self._rooms[b] + item.size
         if item.color is not None and all(other.color != item.color for other, _ in self.bins[b]):
             self._colors[b].discard(item.color)
         return item

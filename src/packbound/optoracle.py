@@ -122,7 +122,7 @@ def min_bins(instance: OracleInstance) -> OracleResult:
         for b in range(packing.cost):
             if not packing.fits(b, item):
                 continue
-            signature = (packing.bin_load(b), frozenset(packing.bin_colors(b)))
+            signature = (packing.bin_room(b), frozenset(packing.bin_colors(b)))
             if signature in seen_signatures:
                 continue
             seen_signatures.add(signature)

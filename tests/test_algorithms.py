@@ -12,9 +12,10 @@ from packbound.algorithms import (
     feed,
     fork_replay,
     make_session,
+    register_algorithm,
 )
-from packbound.exact import rat
-from packbound.model import Item, VariantRules, validate_packing
+from packbound.exact import power, rat
+from packbound.model import ONE, ZERO, Item, Placement, VariantRules, validate_packing
 
 ONED = VariantRules("one-d")
 
@@ -191,3 +192,79 @@ class TestFork:
             algo, rules, prefix + on_original).transcript
         assert branch.packing.bins == branch_bins
         assert len(branch.transcript) == len(prefix) + len(on_fork)
+
+
+class _NaiveShelfFirstFit:
+    """Reference shelf-first-fit: rescans every shelf of every bin, adding
+    `cursor + side` and `top_y + top_height` on each probe."""
+
+    def __init__(self):
+        self.shelves = []  # per bin: [(y, height, cursor)]
+
+    def fork(self):
+        clone = _NaiveShelfFirstFit()
+        clone.shelves = [list(bin_shelves) for bin_shelves in self.shelves]
+        return clone
+
+    def __call__(self, packing, item):
+        side = item.size
+        for b, bin_shelves in enumerate(self.shelves):
+            for j, (y, height, cursor) in enumerate(bin_shelves):
+                if side <= height and cursor + side <= ONE:
+                    bin_shelves[j] = (y, height, cursor + side)
+                    return Placement(b, cursor, y)
+            top_y, top_height, _ = bin_shelves[-1]
+            used = top_y + top_height
+            if used + side <= ONE:
+                bin_shelves.append((used, side, side))
+                return Placement(b, ZERO, used)
+        self.shelves.append([(ZERO, side, side)])
+        return Placement(len(self.shelves) - 1, ZERO, ZERO)
+
+
+register_algorithm("naive-shelf-test-algorithms", _NaiveShelfFirstFit())
+
+SQUARES = VariantRules("squares")
+
+# sides in (0, 1]: simple fractions, so that shelves tie and fill exactly,
+# some tilted by +-10^-e so that ties break either way
+side_specs = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([Fraction(1, k) for k in range(1, 9)]
+                            + [Fraction(2, 5), Fraction(3, 5), Fraction(2, 3),
+                               Fraction(3, 4)]),
+            st.fractions(min_value=Fraction(1, 20), max_value=1, max_denominator=20),
+        ),
+        st.sampled_from((-1, 0, 0, 1)),  # tilt sign
+        st.integers(min_value=2, max_value=40),  # tilt exponent
+    ),
+    max_size=30,
+)
+
+
+def _squares(specs, start):
+    items = []
+    for i, (side, tilt, exp) in enumerate(specs):
+        if side == 1:
+            tilt = min(tilt, 0)
+        items.append(Item(start + i, rat(side) + tilt * power(10, exp)))
+    return items
+
+
+class TestShelfFirstFitMatchesNaiveScan:
+    @given(prefix=side_specs, on_fork=side_specs, on_original=side_specs)
+    @settings(max_examples=150, deadline=None)
+    def test_same_placements_with_forks(self, prefix, on_fork, on_original):
+        sessions = [make_session(algo, SQUARES)
+                    for algo in ("shelf-first-fit", "naive-shelf-test-algorithms")]
+        for session in sessions:
+            feed(session, _squares(prefix, 0))
+        forks = [session.fork() for session in sessions]
+        for session in forks:
+            feed(session, _squares(on_fork, 100))
+        for session in sessions:
+            feed(session, _squares(on_original, 200))
+        for fast, naive in (sessions, forks):
+            assert fast.transcript == naive.transcript
+            assert validate_packing(fast.packing) == []

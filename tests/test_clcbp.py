@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from packbound.algorithms import register_algorithm
+from packbound.algorithms import fork_replay, register_algorithm
 from packbound.clcbp import (
     ClassConstrainedConfig,
     _halves_groups,
@@ -13,7 +13,7 @@ from packbound.clcbp import (
     run_full,
 )
 from packbound.exact import rat
-from packbound.model import Item, Placement, validate_packing
+from packbound.model import Item, Placement, VariantRules, validate_packing
 from packbound.optoracle import OracleInstance, min_bins
 from packbound.reports import CrossCheckFailure, checks_pass
 
@@ -130,16 +130,20 @@ class TestWaveTwo:
             assert all(n == 2 for n in colors.values())
 
     def test_no_color_from_full_bins_reused(self, ccff3):
-        full_colors = set()
-        # wave-one full bins are exactly those with t tinies
-        run = ccff3
-        seen = {}
-        for it in run.tinies:
-            seen.setdefault(it.color, 0)
-        # colors used by thirds must come from short bins or be fresh
-        reused = {it.color for it in run.thirds if it.color < len(run.tinies)}
-        # ccff fills every bin to t, so nothing is reusable: all fresh
+        # ccff fills every wave-one bin to t, so nothing is reusable: all fresh
+        reused = {it.color for it in ccff3.thirds if it.color < len(ccff3.tinies)}
         assert not reused
+
+    @pytest.mark.parametrize("t,m", [(2, 12), (3, 24)])
+    def test_reused_colors_come_from_short_bins(self, t, m):
+        run = run_full("past-bin-zero-test-clcbp", t, m)
+        # the wave-one packing, rebuilt by replaying the tinies
+        wave_one = fork_replay(run.algorithm_id, VariantRules("class-constrained", t=t),
+                               run.tinies).packing
+        short = {it.color for b in range(wave_one.cost) if len(wave_one.bins[b]) < t
+                 for it in wave_one.bin_items(b)}
+        reused = {it.color for it in run.thirds if it.color < m}
+        assert reused and reused <= short
 
     def test_t3_stop_disjunction(self, ccff3):
         z1, z2 = ccff3.census.z1, ccff3.census.z2

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from packbound.exact import power, rat
+from packbound.exact import Exact, power, rat
 from packbound.model import (
+    ONE,
+    ZERO,
     BadPlacement,
     CapacityExceeded,
     ColorLimitExceeded,
@@ -171,7 +173,7 @@ class TestFitsAndPop:
 
     @staticmethod
     def state(p):
-        return ([list(b) for b in p.bins], list(p._loads),
+        return ([list(b) for b in p.bins], [p.bin_room(b) for b in range(p.cost)],
                 [set(c) for c in p._colors], set(p._ids), p.cost)
 
     @pytest.mark.parametrize("rules", RULES, ids=lambda r: r.kind)
@@ -199,6 +201,83 @@ class TestFitsAndPop:
         assert validate_packing(p) == []
         for b in range(p.cost):
             assert p.bin_colors(b) == {i.color for i in p.bin_items(b) if i.color is not None}
+
+
+class TestRoomCache:
+    """Each 1-D bin caches its free room, which must stay 1 - its contents."""
+
+    ops = st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("add"),
+                st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20),
+                             max_denominator=40),
+                st.sampled_from((-1, 0, 1)),  # perturbation sign
+                st.integers(min_value=2, max_value=60),  # perturbation exponent
+                st.integers(min_value=0, max_value=6),  # target bin, clipped
+            ),
+            st.tuples(st.just("pop"), st.integers(min_value=0, max_value=6)),
+            st.tuples(st.just("copy")),
+        ),
+        min_size=1,
+        max_size=24,
+    )
+
+    @staticmethod
+    def assert_rooms(p):
+        for b in range(p.cost):
+            expected = ONE - sum((item.size for item in p.bin_items(b)), ZERO)
+            room = p.bin_room(b)
+            assert (room.rational_part, room.terms) == (expected.rational_part, expected.terms)
+            assert room == expected and hash(room) == hash(expected)
+
+    @pytest.mark.parametrize("rules", [ONED, VariantRules("class-constrained", t=2)],
+                             ids=lambda r: r.kind)
+    @given(ops=ops)
+    @settings(max_examples=80, deadline=None)
+    def test_room_is_one_minus_contents(self, rules, ops):
+        p = Packing(rules)
+        packings = [p]
+        for ident, op in enumerate(ops):
+            if op[0] == "add":
+                _, size, tilt, exp, target = op
+                item = Item(ident, rat(size) + tilt * power(10, exp),
+                            color=ident % 3 if rules.colored else None)
+                b = min(target, p.cost)
+                p.add_item(item, Placement(b if p.fits(b, item) else p.cost))
+            elif op[0] == "pop":
+                nonempty = [b for b in range(p.cost) if p.bins[b]]
+                if not nonempty:
+                    continue
+                p.pop(nonempty[op[1] % len(nonempty)])
+            else:
+                p = p.copy()
+                packings.append(p)
+            self.assert_rooms(p)
+        for q in packings:  # a copy shares no room list with its source
+            self.assert_rooms(q)
+
+    def test_fits_builds_no_sum(self, monkeypatch):
+        p = Packing(ONED)
+        for ident, size in enumerate((rat("1/2") - power(10, 30), rat("1/3"),
+                                      rat("2/5") - power(10, 12))):
+            p.add_item(Item(ident, size), Placement(ident))
+        probes = [Item(10, rat("2/5")), Item(11, rat("7/10") - power(10, 40)),
+                  Item(12, rat("5/8") + power(10, 20))]
+
+        def refuse(self, other):
+            raise AssertionError("fits built a new Exact sum")
+
+        # each probe's rational part differs from every room's, so the
+        # comparison is certified without forming a difference
+        monkeypatch.setattr(Exact, "__add__", refuse)
+        monkeypatch.setattr(Exact, "__sub__", refuse)
+        verdicts = [[p.fits(b, item) for b in range(p.cost + 1)] for item in probes]
+        assert verdicts == [
+            [True, True, True, True],
+            [False, False, False, True],
+            [False, True, False, True],
+        ]
 
 
 class TestValidate:
