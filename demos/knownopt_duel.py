@@ -10,11 +10,10 @@ from packbound.exact import decimal_str
 
 run = knownopt.run_full("first-fit", 8)
 
-print("after both waves the algorithm's bins look like:")
-for name, count in run.census.category_counts().items():
-    if count:
-        print(f"  {count} bin(s) of shape {name}")
-print(f"  wave-one bins: {run.census.bins7}, wave-two fresh bins: {run.census.bins3}")
+# census category -> bins of that shape ("s24t1": 2-4 sevenths and one
+# third), plus bins7 and bins3, the bins opened in wave one and in wave two
+print("after both waves the algorithm's census is:")
+print(f"  {run.census}")
 
 print("\nbranches:")
 for sc in run.scenarios:

@@ -4,8 +4,9 @@ Each construction feeds adaptive waves, classifying every item small or
 large from where the algorithm puts it (`present`, `run_wave`), then
 branches into continuations that feed a fork of the live session and come
 with a validated offline packing (`continuation`, `offline_packing`).
-Census tables, stopping rules, groupings and layouts stay in the variant's
-module; `census_category` only looks a bin up in such a table.
+After the waves, `census` sorts the bins into the variant's census
+categories, which its band table declares; stopping rules, groupings and
+layouts stay in the variant's module.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .model import Item, Packing, PackingError, Placement, VariantRules, validat
 from .oracle import AdaptiveOracle
 from .reports import CrossCheckFailure, ScenarioOutcome
 
-__all__ = ["CensusGap", "census_category", "ceil_div", "offline_packing", "continuation",
+__all__ = ["CensusGap", "census", "ceil_div", "offline_packing", "continuation",
            "present", "run_wave"]
 
 
@@ -26,14 +27,23 @@ class CensusGap(RuntimeError):
     """A bin shape or side pattern matched no census category (should be unreachable)."""
 
 
-def census_category(bands: dict, n_wave_one: int, n_thirds: int, wave_one: str) -> str:
-    """Census name of a bin holding `n_wave_one` wave-one items (called
-    `wave_one` in the error) and `n_thirds` thirds; `bands[n_thirds]` lists
-    ((lo, hi), name) ranges of `n_wave_one`."""
-    for (lo, hi), name in bands.get(n_thirds, ()):
-        if lo <= n_wave_one <= hi:
-            return name
-    raise CensusGap(f"bin shape ({n_wave_one} {wave_one}, {n_thirds} thirds)")
+def census(bins, wave_one_ids: set[int], bands: dict, wave_one: str) -> dict[str, int]:
+    """Count `bins` by census name; every name in `bands` appears, 0 when empty.
+
+    A bin holding n wave-one items (those in `wave_one_ids`, called
+    `wave_one` in the error) and k other items ("thirds") is counted under
+    the name of the ((lo, hi), name) range in `bands[k]` that covers n.
+    Raises `CensusGap` for a bin no range covers.
+    """
+    counts = {name: 0 for ranges in bands.values() for _, name in ranges}
+    for contents in bins:
+        n = sum(1 for it, _ in contents if it.ident in wave_one_ids)
+        k = len(contents) - n
+        name = next((name for (lo, hi), name in bands.get(k, ()) if lo <= n <= hi), None)
+        if name is None:
+            raise CensusGap(f"bin shape ({n} {wave_one}, {k} thirds)")
+        counts[name] += 1
+    return counts
 
 
 def ceil_div(a: int, b: int) -> int:

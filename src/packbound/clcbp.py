@@ -38,25 +38,13 @@ from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, CrossCheckFailure, ScenarioOutcome
 
-__all__ = ["ClassConstrainedConfig", "ClassCensus", "run_full", "closed_form_bounds"]
+__all__ = ["ClassCensus", "run_full", "closed_form_bounds"]
 
 F = Fraction
 THIRD = F(1, 3)
 TINY_BASE = 20  # wave-one oracle base
 THIRDS_BASE = 10  # wave-two oracle base
 ORACLE_CHECK_MAX_M = 6  # the exact search confirms the huge branch's optimum up to here
-
-
-@dataclass(frozen=True)
-class ClassConstrainedConfig:
-    t: int
-    m: int
-
-    def __post_init__(self):
-        if self.t not in (2, 3):
-            raise ValueError("t must be 2 or 3")
-        if self.m < 6 or self.m % 6:
-            raise ValueError("M must be a positive integer divisible by 6")
 
 
 @dataclass
@@ -88,9 +76,7 @@ class ClassConstrainedRun:
     tinies: list[Item]
     thirds: list[Item]
     small_tinies: set[int]
-    small_thirds: set[int]
     tiny_margin: Exact  # epsilon for the huge branch
-    thirds_margin: Optional[Exact]  # epsilon for the finals
     census: ClassCensus
     scenarios: list[ScenarioOutcome]
     closed_form: dict
@@ -108,7 +94,10 @@ def closed_form_bounds(tiny_bins: int, per_count: dict, t: int, m: int) -> dict:
 
 
 def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
-    ClassConstrainedConfig(t, m)  # raises ValueError on a bad t or M
+    if t not in (2, 3):
+        raise ValueError("t must be 2 or 3")
+    if m < 6 or m % 6:
+        raise ValueError("M must be a positive integer divisible by 6")
     rules = VariantRules("class-constrained", t=t)
     checks: list[Check] = []
     thirds_budget = 2 * m
@@ -178,8 +167,8 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         # the later waves are not defined for this census
         checks.extend(census.identity_checks(m))
         return ClassConstrainedRun(
-            algorithm_id, t, m, tinies, [], small_tinies, set(), tiny_margin,
-            None, census, scenarios, closed, checks, None,
+            algorithm_id, t, m, tinies, [], small_tinies, tiny_margin,
+            census, scenarios, closed, checks, None,
             {"tinies": oracle_tiny.trace()},
         )
 
@@ -305,8 +294,8 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     scenarios.append(sc_two)
 
     return ClassConstrainedRun(
-        algorithm_id, t, m, tinies, thirds, small_tinies, small_thirds,
-        tiny_margin, thirds_margin, census, scenarios, closed, checks, ledger,
+        algorithm_id, t, m, tinies, thirds, small_tinies,
+        tiny_margin, census, scenarios, closed, checks, ledger,
         {"tinies": oracle_tiny.trace(), "thirds": oracle_thirds.trace()},
     )
 

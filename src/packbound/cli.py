@@ -116,9 +116,8 @@ def cmd_bounds(args) -> int:
 
 
 def _ko_extras(run) -> dict:
-    c = run.census
     return {
-        "census": {**c.category_counts(), "bins7": c.bins7, "bins3": c.bins3},
+        "census": run.census,
         "thresholds": {
             "sevenths": str(run.sevenths_threshold),
             "thirds": str(run.thirds_threshold),
@@ -127,10 +126,10 @@ def _ko_extras(run) -> dict:
 
 
 def _sp_extras(run) -> dict:
-    c = run.census
+    c = dict(run.census)
+    c["smallThirds"], c["largeThirds"] = c.pop("sm3"), c.pop("lg3")
     return {
-        "census": {**c.category_counts(), "bins4": c.bins4, "bins3": c.bins3,
-                   "smallThirds": c.sm3, "largeThirds": c.lg3},
+        "census": c,
         "thresholds": {
             "quarters": str(run.quarters_threshold),
             "thirds": str(run.thirds_threshold),
@@ -207,9 +206,7 @@ def cmd_duel(args) -> int:
     except ValueError as exc:
         return _fail_config(str(exc))
 
-    text = report_to_json(_duel_report(args.variant, run), out_path=args.out)
-    if not args.out:
-        print(text)
+    print(report_to_json(_duel_report(args.variant, run)))
     return EXIT_OK if _run_passes(run) else EXIT_CROSSCHECK
 
 
@@ -387,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, default=2)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_duel)
 
     p = sub.add_parser("verify", help="run the invariant suites")

@@ -452,6 +452,8 @@ class Exact:
             if _pow_exceeds(abs(num) * d, q.denominator * o_rat.denominator * n, e):
                 return 1 if num > 0 else -1
         # tier 2: certify the sign of the difference term by term
+        if not num:
+            return _sign_of_terms(_merge_terms(terms, tuple((b, e, -c) for b, e, c in o_terms)))
         return (self - other).sign()
 
     def __eq__(self, other):

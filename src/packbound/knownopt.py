@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import (CensusGap, census_category, ceil_div, continuation, offline_packing,
-                        run_wave)
+from .adversary import CensusGap, census, ceil_div, continuation, offline_packing, run_wave
 from .algorithms import check_replay, make_session
 from .exact import Exact, rat
 from .model import Item, VariantRules
@@ -27,69 +26,13 @@ from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, ScenarioOutcome
 
-__all__ = ["KnownOptConfig", "KnownOptCensus", "CensusGap", "run_full"]
+__all__ = ["CensusGap", "run_full"]
 
 F = Fraction
 SEVENTH = F(1, 7)
 THIRD = F(1, 3)
 SEPARATION_BASE = 10  # both waves' oracle base
 ORACLE_CHECK_MAX_M = 8  # the exact search confirms the offline optima up to here
-
-
-@dataclass(frozen=True)
-class KnownOptConfig:
-    m: int
-
-    def __post_init__(self):
-        if self.m < 4 or self.m % 4:
-            raise ValueError("M must be a positive integer divisible by 4")
-
-
-@dataclass
-class KnownOptCensus:
-    """Bin counts by shape (sevenths count, thirds count) after both waves."""
-
-    s46: int = 0   # 4-6 sevenths, no thirds
-    s3: int = 0    # 3 sevenths
-    s2: int = 0    # 2 sevenths
-    s1: int = 0    # 1 seventh
-    s24t1: int = 0  # 2-4 sevenths + 1 third
-    s1t1: int = 0  # 1 seventh + 1 third
-    s1t2: int = 0  # 1 seventh + 2 thirds
-    s2t2: int = 0  # 2 sevenths + 2 thirds
-    t1: int = 0    # 1 third alone
-    t2: int = 0    # 2 thirds alone
-    bins7: int = 0  # bins open after wave one
-    bins3: int = 0  # fresh bins opened during wave two
-
-    def category_counts(self) -> dict:
-        return {
-            name: getattr(self, name)
-            for name in ("s46", "s3", "s2", "s1", "s24t1", "s1t1", "s1t2",
-                         "s2t2", "t1", "t2")
-        }
-
-    def identity_checks(self, m: int) -> list[Check]:
-        c = self
-        return [
-            Check.equal(
-                "census-thirds-count",
-                c.s24t1 + c.s1t1 + 2 * c.s1t2 + 2 * c.s2t2 + c.t1 + 2 * c.t2,
-                m,
-            ),
-            Check.at_least(
-                "census-sevenths-capacity",
-                6 * c.s46 + 3 * c.s3 + 2 * c.s2 + c.s1 + 4 * c.s24t1
-                + c.s1t1 + c.s1t2 + 2 * c.s2t2,
-                m,
-            ),
-            Check.equal(
-                "census-wave1-bins",
-                c.s46 + c.s3 + c.s2 + c.s1 + c.s24t1 + c.s1t1 + c.s1t2 + c.s2t2,
-                c.bins7,
-            ),
-            Check.equal("census-wave2-bins", c.t1 + c.t2, c.bins3),
-        ]
 
 
 @dataclass
@@ -102,13 +45,14 @@ class KnownOptRun:
     small_thirds: set[int]
     sevenths_threshold: Exact
     thirds_threshold: Exact
-    census: KnownOptCensus
+    census: dict  # census name, bins7 and bins3 -> bin count
     scenarios: list[ScenarioOutcome]
     checks: list[Check]
     traces: dict
 
 
-# thirds in the bin -> ((lo, hi) sevenths, census name)
+# the census after both waves: thirds in the bin -> ((lo, hi) sevenths,
+# category); "s24t1" is 2-4 sevenths and one third, "t2" two thirds alone
 _SHAPES = {
     0: (((4, 6), "s46"), ((3, 3), "s3"), ((2, 2), "s2"), ((1, 1), "s1")),
     1: (((2, 4), "s24t1"), ((1, 1), "s1t1"), ((0, 0), "t1")),
@@ -116,13 +60,33 @@ _SHAPES = {
 }
 
 
-def _classify_bin(n_sevenths: int, n_thirds: int) -> str:
-    return census_category(_SHAPES, n_sevenths, n_thirds, "sevenths")
+def _identity_checks(c: dict, m: int) -> list[Check]:
+    return [
+        Check.equal(
+            "census-thirds-count",
+            c["s24t1"] + c["s1t1"] + 2 * c["s1t2"] + 2 * c["s2t2"] + c["t1"] + 2 * c["t2"],
+            m,
+        ),
+        Check.at_least(
+            "census-sevenths-capacity",
+            6 * c["s46"] + 3 * c["s3"] + 2 * c["s2"] + c["s1"] + 4 * c["s24t1"]
+            + c["s1t1"] + c["s1t2"] + 2 * c["s2t2"],
+            m,
+        ),
+        Check.equal(
+            "census-wave1-bins",
+            c["s46"] + c["s3"] + c["s2"] + c["s1"] + c["s24t1"] + c["s1t1"] + c["s1t2"]
+            + c["s2t2"],
+            c["bins7"],
+        ),
+        Check.equal("census-wave2-bins", c["t1"] + c["t2"], c["bins3"]),
+    ]
 
 
 def run_full(algorithm_id: str, m: int) -> KnownOptRun:
     """Run all five branches; oracle-verify offline optima when M is small."""
-    KnownOptConfig(m)  # validates M
+    if m < 4 or m % 4:
+        raise ValueError("M must be a positive integer divisible by 4")
     rules = VariantRules("known-opt", advice=m)
     checks: list[Check] = []
 
@@ -157,8 +121,10 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
         all(rat(THIRD) < it.size < rat(F(33344, 100000)) for it in thirds),
     ))
 
-    census = _census(two_wave_session, sevenths, thirds, bins7, bins3)
-    checks.extend(census.identity_checks(m))
+    c = {**census(two_wave_session.packing.bins, {it.ident for it in sevenths}, _SHAPES,
+                  "sevenths"),
+         "bins7": bins7, "bins3": bins3}
+    checks.extend(_identity_checks(c, m))
 
     large_sevenths = [it for it in sevenths if it.ident not in small_sevenths]
     small_seventh_items = [it for it in sevenths if it.ident in small_sevenths]
@@ -204,9 +170,9 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
         rules, [[items4[j], thirds[j], sevenths[j]] for j in range(m)]
     )
     sc4 = continuation("over-half", two_wave_session, items4, opt4, opt_cost=m)
-    c = census
     sc4.checks.append(Check.at_least(
-        "alg-lower-bound", sc4.alg_cost, m + c.s46 + c.s24t1 + c.s2t2 + c.s1t2 + c.t2
+        "alg-lower-bound", sc4.alg_cost,
+        m + c["s46"] + c["s24t1"] + c["s2t2"] + c["s1t2"] + c["t2"]
     ))
     scenarios.append(sc4)
 
@@ -218,7 +184,7 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
         m, bins3, sevenths, large_thirds, small_third_items, items5))
     sc5 = continuation("short-two-thirds", two_wave_session, items5, opt5, opt_cost=m)
     sc5.checks.append(Check.at_least(
-        "alg-lower-bound", sc5.alg_cost, bins7 + bins3 - c.s2 - c.s1 + count5
+        "alg-lower-bound", sc5.alg_cost, bins7 + bins3 - c["s2"] - c["s1"] + count5
     ))
     scenarios.append(sc5)
 
@@ -236,22 +202,9 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
 
     return KnownOptRun(
         algorithm_id, m, sevenths, thirds, small_sevenths, small_thirds,
-        gamma1, gamma2, census, scenarios, checks,
+        gamma1, gamma2, c, scenarios, checks,
         {"sevenths": oracle1.trace(), "thirds": oracle2.trace()},
     )
-
-
-def _census(session, sevenths, thirds, bins7, bins3) -> KnownOptCensus:
-    seventh_ids = {it.ident for it in sevenths}
-    third_ids = {it.ident for it in thirds}
-    census = KnownOptCensus(bins7=bins7, bins3=bins3)
-    for contents in session.packing.bins:
-        ids = [item.ident for item, _ in contents]
-        ns = sum(1 for i in ids if i in seventh_ids)
-        nt = sum(1 for i in ids if i in third_ids)
-        name = _classify_bin(ns, nt)
-        setattr(census, name, getattr(census, name) + 1)
-    return census
 
 
 def _scenario5_groups(m, bins3, sevenths, large_thirds, small_third_items, items5):

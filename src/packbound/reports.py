@@ -78,10 +78,6 @@ class ScenarioOutcome:
         return out
 
 
-def report_to_json(report: dict, out_path=None) -> str:
+def report_to_json(report: dict) -> str:
     """Deterministic, byte-stable JSON rendering of a run report."""
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    return text
+    return json.dumps(report, indent=2, sort_keys=True)

@@ -22,15 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import (CensusGap, census_category, ceil_div, continuation, offline_packing,
-                        present, run_wave)
+from .adversary import (CensusGap, census, ceil_div, continuation, offline_packing, present,
+                        run_wave)
 from .algorithms import check_replay, make_session
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, ScenarioOutcome
 
-__all__ = ["SquaresConfig", "SquaresCensus", "CensusGap", "run_full",
+__all__ = ["CensusGap", "run_full",
            "l_strip_layout", "corner_court_layout", "block_court_layout",
            "grid_layout"]
 
@@ -42,88 +42,9 @@ THIRD_PITCH = rat(F(33344, 100000))  # strictly above every third side
 SEPARATION_BASE = 10  # both waves' oracle base
 
 
-@dataclass(frozen=True)
-class SquaresConfig:
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2 or self.m % 2:
-            raise ValueError("M must be a positive integer divisible by 2")
-
-
-@dataclass
-class SquaresCensus:
-    """Bin counts by (quarters, thirds) shape with forced side patterns."""
-
-    f69: int = 0    # 6-9 quarters
-    f15: int = 0    # 1-5 quarters
-    f58t1: int = 0  # 5-8 quarters + 1 small third
-    f14t1: int = 0  # 1-4 quarters + 1 large third
-    f57t2: int = 0  # 5-7 quarters + 2 small thirds
-    f4t2: int = 0   # 4 quarters + large and small third
-    f13t2: int = 0  # 1-3 quarters + large and small third
-    f56t3: int = 0  # 5-6 quarters + 3 small thirds
-    f34t3: int = 0  # 3-4 quarters + 1 large, 2 small
-    f12t3: int = 0  # 1-2 quarters + 1 large, 2 small
-    f5t4: int = 0   # 5 quarters + 4 small thirds
-    f24t4: int = 0  # 2-4 quarters + 1 large, 3 small
-    f1t4: int = 0   # 1 quarter + 1 large, 3 small
-    t13: int = 0    # no quarters, 1-3 thirds, exactly one large
-    t4: int = 0     # no quarters, 4 thirds, exactly one large
-    bins4: int = 0  # bins open after wave one
-    bins3: int = 0  # fresh bins opened during wave two
-    sm3: int = 0    # small thirds presented
-    lg3: int = 0    # large thirds presented
-
-    def category_counts(self) -> dict:
-        names = ("f69", "f15", "f58t1", "f14t1", "f57t2", "f4t2", "f13t2",
-                 "f56t3", "f34t3", "f12t3", "f5t4", "f24t4", "f1t4", "t13", "t4")
-        return {n: getattr(self, n) for n in names}
-
-    def identity_checks(self, m: int) -> list[Check]:
-        c = self
-        f_carrying = (c.f69 + c.f15 + c.f58t1 + c.f14t1 + c.f57t2 + c.f4t2
-                      + c.f13t2 + c.f56t3 + c.f34t3 + c.f12t3 + c.f5t4
-                      + c.f24t4 + c.f1t4)
-        checks = [
-            Check.equal("census-wave1-bins", f_carrying, c.bins4),
-            Check.equal("census-wave2-bins", c.t13 + c.t4, c.bins3),
-            Check.at_least(
-                "census-thirds-capacity",
-                c.f58t1 + c.f14t1 + 2 * (c.f57t2 + c.f4t2 + c.f13t2)
-                + 3 * (c.f56t3 + c.f34t3 + c.f12t3)
-                + 4 * (c.f5t4 + c.f24t4 + c.f1t4) + 3 * c.t13 + 4 * c.t4,
-                c.sm3 + c.lg3,
-            ),
-            Check.equal(
-                "census-large-thirds",
-                c.f14t1 + c.f4t2 + c.f13t2 + c.f34t3 + c.f12t3 + c.f24t4
-                + c.f1t4 + c.t13 + c.t4,
-                c.lg3,
-            ),
-            Check.at_least(
-                "census-quarters-capacity",
-                9 * c.f69 + 5 * c.f15 + 8 * c.f58t1 + 4 * c.f14t1
-                + 7 * c.f57t2 + 4 * c.f4t2 + 3 * c.f13t2 + 6 * c.f56t3
-                + 4 * c.f34t3 + 2 * c.f12t3 + 5 * c.f5t4 + 4 * c.f24t4
-                + c.f1t4,
-                m,
-            ),
-            Check.truth(
-                "census-stop-sandwich",
-                12 * m <= 8 * c.sm3 + 15 * c.lg3 <= 12 * m + 15,
-                f"8*{c.sm3} + 15*{c.lg3} vs 12*{m}",
-            ),
-            Check.truth(
-                "census-thirds-count-band",
-                4 * m <= 5 * (c.sm3 + c.lg3) and 2 * (c.sm3 + c.lg3) <= 3 * m,
-                f"count {c.sm3 + c.lg3}",
-            ),
-        ]
-        return checks
-
-
-# thirds in the bin -> ((lo, hi) quarters, census name)
+# the census after both waves: thirds in the bin -> ((lo, hi) quarters,
+# category); "f58t1" is 5-8 quarters and one third, "t4" four thirds alone.
+# The side pattern of a bin's thirds is forced too (`_check_large_thirds`).
 _SHAPES = {
     0: (((6, 9), "f69"), ((1, 5), "f15")),
     1: (((5, 8), "f58t1"), ((1, 4), "f14t1"), ((0, 0), "t13")),
@@ -133,8 +54,8 @@ _SHAPES = {
 }
 
 
-def _classify_bin(nf: int, nt: int, n_large: int) -> str:
-    name = census_category(_SHAPES, nf, nt, "quarters")
+def _check_large_thirds(nf: int, nt: int, n_large: int) -> None:
+    """A bin holding thirds has one large third below five quarters, none from five."""
     if nt > 0:
         expected_large = 0 if nf >= 5 else 1
         if n_large != expected_large:
@@ -142,7 +63,48 @@ def _classify_bin(nf: int, nt: int, n_large: int) -> str:
                 f"bin ({nf} quarters, {nt} thirds) has {n_large} large thirds, "
                 f"expected {expected_large}"
             )
-    return name
+
+
+def _identity_checks(c: dict, m: int) -> list[Check]:
+    f_carrying = (c["f69"] + c["f15"] + c["f58t1"] + c["f14t1"] + c["f57t2"] + c["f4t2"]
+                  + c["f13t2"] + c["f56t3"] + c["f34t3"] + c["f12t3"] + c["f5t4"]
+                  + c["f24t4"] + c["f1t4"])
+    sm3, lg3 = c["sm3"], c["lg3"]
+    return [
+        Check.equal("census-wave1-bins", f_carrying, c["bins4"]),
+        Check.equal("census-wave2-bins", c["t13"] + c["t4"], c["bins3"]),
+        Check.at_least(
+            "census-thirds-capacity",
+            c["f58t1"] + c["f14t1"] + 2 * (c["f57t2"] + c["f4t2"] + c["f13t2"])
+            + 3 * (c["f56t3"] + c["f34t3"] + c["f12t3"])
+            + 4 * (c["f5t4"] + c["f24t4"] + c["f1t4"]) + 3 * c["t13"] + 4 * c["t4"],
+            sm3 + lg3,
+        ),
+        Check.equal(
+            "census-large-thirds",
+            c["f14t1"] + c["f4t2"] + c["f13t2"] + c["f34t3"] + c["f12t3"] + c["f24t4"]
+            + c["f1t4"] + c["t13"] + c["t4"],
+            lg3,
+        ),
+        Check.at_least(
+            "census-quarters-capacity",
+            9 * c["f69"] + 5 * c["f15"] + 8 * c["f58t1"] + 4 * c["f14t1"]
+            + 7 * c["f57t2"] + 4 * c["f4t2"] + 3 * c["f13t2"] + 6 * c["f56t3"]
+            + 4 * c["f34t3"] + 2 * c["f12t3"] + 5 * c["f5t4"] + 4 * c["f24t4"]
+            + c["f1t4"],
+            m,
+        ),
+        Check.truth(
+            "census-stop-sandwich",
+            12 * m <= 8 * sm3 + 15 * lg3 <= 12 * m + 15,
+            f"8*{sm3} + 15*{lg3} vs 12*{m}",
+        ),
+        Check.truth(
+            "census-thirds-count-band",
+            4 * m <= 5 * (sm3 + lg3) and 2 * (sm3 + lg3) <= 3 * m,
+            f"count {sm3 + lg3}",
+        ),
+    ]
 
 
 @dataclass
@@ -151,11 +113,9 @@ class SquaresRun:
     m: int
     quarters: list[Item]
     thirds: list[Item]
-    small_quarters: set[int]
-    small_thirds: set[int]
     quarters_threshold: Exact
     thirds_threshold: Exact
-    census: SquaresCensus
+    census: dict  # census name, bins4, bins3, sm3 and lg3 -> count
     scenarios: list[ScenarioOutcome]
     checks: list[Check]
     traces: dict
@@ -249,7 +209,8 @@ def grid_layout(quarters: list[Item]) -> list[tuple[Item, Exact, Exact]]:
 
 
 def run_full(algorithm_id: str, m: int) -> SquaresRun:
-    SquaresConfig(m)  # validates M
+    if m < 2 or m % 2:
+        raise ValueError("M must be a positive integer divisible by 2")
     rules = VariantRules("squares")
     checks: list[Check] = []
 
@@ -326,8 +287,14 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     ))
     checks.append(Check.at_most("wave2-count", len(thirds), 3 * m // 2))
 
-    census = _census(session_t, quarter_ids, small_thirds, bins4, bins3, sm3, lg3)
-    checks.extend(census.identity_checks(m))
+    c = {**census(session_t.packing.bins, quarter_ids, _SHAPES, "quarters"),
+         "bins4": bins4, "bins3": bins3, "sm3": sm3, "lg3": lg3}
+    for contents in session_t.packing.bins:
+        nf = sum(1 for it, _ in contents if it.ident in quarter_ids)
+        n_large = sum(1 for it, _ in contents
+                      if it.ident not in quarter_ids and it.ident not in small_thirds)
+        _check_large_thirds(nf, len(contents) - nf, n_large)
+    checks.extend(_identity_checks(c, m))
 
     large_thirds = [t for t in thirds if t.ident not in small_thirds]
     small_third_items = [t for t in thirds if t.ident in small_thirds]
@@ -351,8 +318,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
         bins_sc2.append(grid_layout(quarter_pool[9 * g : 9 * g + 9]))
     opt2 = offline_packing(rules, bins_sc2)
     sc2 = continuation("six-tenths", session_t, items2, opt2)
-    c = census
-    reusable2 = c.f15 + c.f14t1 + c.f13t2 + c.f12t3 + c.t13
+    reusable2 = c["f15"] + c["f14t1"] + c["f13t2"] + c["f12t3"] + c["t13"]
     sc2.checks.append(Check.at_least(
         "alg-lower-bound", sc2.alg_cost, bins4 + bins3 - reusable2 + count2))
     sc2.checks.append(Check.truth(
@@ -383,7 +349,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     opt3 = offline_packing(rules, bins_sc3)
     sc3 = continuation("short-two-thirds", session_t, items3, opt3)
     sc3.checks.append(Check.at_least(
-        "alg-lower-bound", sc3.alg_cost, bins4 + bins3 - c.f15 + count3))
+        "alg-lower-bound", sc3.alg_cost, bins4 + bins3 - c["f15"] + count3))
     sc3.checks.append(Check.truth(
         "opt-within-formula",
         F(opt3.cost) <= F(sm3, 3) + F(lg3, 4) + 2,
@@ -392,19 +358,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     scenarios.append(sc3)
 
     return SquaresRun(
-        algorithm_id, m, quarters, thirds, small_quarters, small_thirds,
-        gamma1, gamma2, census, scenarios, checks,
+        algorithm_id, m, quarters, thirds,
+        gamma1, gamma2, c, scenarios, checks,
         {"quarters": oracle1.trace(), "thirds": oracle2.trace()},
     )
-
-
-def _census(session, quarter_ids, small_thirds, bins4, bins3, sm3, lg3) -> SquaresCensus:
-    census = SquaresCensus(bins4=bins4, bins3=bins3, sm3=sm3, lg3=lg3)
-    for contents in session.packing.bins:
-        nf = sum(1 for it, _ in contents if it.ident in quarter_ids)
-        thirds_here = [it for it, _ in contents if it.ident not in quarter_ids]
-        nt = len(thirds_here)
-        n_large = sum(1 for it in thirds_here if it.ident not in small_thirds)
-        name = _classify_bin(nf, nt, n_large)
-        setattr(census, name, getattr(census, name) + 1)
-    return census

@@ -162,13 +162,13 @@ def test_criterion_6_forced_cost_equalities():
     for algo, m in itertools.product(ONE_D_BASELINES, (4, 8)):
         run = knownopt.run_full(algo, m)
         by_name = {sc.scenario: sc for sc in run.scenarios}
-        bins7, bins3 = run.census.bins7, run.census.bins3
+        bins7, bins3 = run.census["bins7"], run.census["bins3"]
         assert by_name["big-fill"].alg_cost == bins7 + (m - -(-bins7 // 6))
         assert by_name["units"].alg_cost == bins7 + bins3 + m // 2
     for m in (10, 20):
         run = squares.run_full("shelf-first-fit", m)
         sc1 = run.scenarios[0]
-        bins4 = run.census.bins4
+        bins4 = run.census["bins4"]
         assert sc1.alg_cost == bins4 + -(-(m - bins4) // 5)
     for t, m in itertools.product((2, 3), (6, 12)):
         run = clcbp.run_full("ccff", t, m)
@@ -187,9 +187,10 @@ def test_criterion_7_geometry():
         by_name = {sc.scenario: sc for sc in run.scenarios}
         for sc in run.scenarios:
             assert validate_packing(sc.opt_packing) == [], (m, sc.scenario)
-        assert F(by_name["three-quarter-fill"].opt_upper) <= F(m, 5) - F(4 * c.bins4, 45) + 2
-        assert F(by_name["six-tenths"].opt_upper) <= F(m, 9) + F(7 * c.sm3, 27) + F(7 * c.lg3, 27) + 3
-        assert F(by_name["short-two-thirds"].opt_upper) <= F(c.sm3, 3) + F(c.lg3, 4) + 2
+        assert F(by_name["three-quarter-fill"].opt_upper) <= F(m, 5) - F(4 * c["bins4"], 45) + 2
+        assert (F(by_name["six-tenths"].opt_upper)
+                <= F(m, 9) + F(7 * c["sm3"], 27) + F(7 * c["lg3"], 27) + 3)
+        assert F(by_name["short-two-thirds"].opt_upper) <= F(c["sm3"], 3) + F(c["lg3"], 4) + 2
     report(7, "layout packings validate; costs within the three formulas",
            time.time() - t0, 10.0)
 
@@ -199,20 +200,20 @@ def test_criterion_8_census_identities():
     for algo, m in itertools.product(ONE_D_BASELINES, (4, 8)):
         run = knownopt.run_full(algo, m)
         c = run.census
-        assert (c.s24t1 + c.s1t1 + 2 * c.s1t2 + 2 * c.s2t2 + c.t1 + 2 * c.t2) == m
-        assert (6 * c.s46 + 3 * c.s3 + 2 * c.s2 + c.s1 + 4 * c.s24t1
-                + c.s1t1 + c.s1t2 + 2 * c.s2t2) >= m
-        assert c.bins7 == (c.s46 + c.s3 + c.s2 + c.s1 + c.s24t1 + c.s1t1
-                           + c.s1t2 + c.s2t2)
-        assert c.bins3 == c.t1 + c.t2
+        assert (c["s24t1"] + c["s1t1"] + 2 * c["s1t2"] + 2 * c["s2t2"] + c["t1"]
+                + 2 * c["t2"]) == m
+        assert (6 * c["s46"] + 3 * c["s3"] + 2 * c["s2"] + c["s1"] + 4 * c["s24t1"]
+                + c["s1t1"] + c["s1t2"] + 2 * c["s2t2"]) >= m
+        assert c["bins7"] == (c["s46"] + c["s3"] + c["s2"] + c["s1"] + c["s24t1"]
+                              + c["s1t1"] + c["s1t2"] + c["s2t2"])
+        assert c["bins3"] == c["t1"] + c["t2"]
     for m in (10, 20):
         run = squares.run_full("shelf-first-fit", m)
         c = run.census
-        counts = c.category_counts()
-        f_names = [n for n in counts if n.startswith("f")]
-        assert sum(counts[n] for n in f_names) == c.bins4
-        assert counts["t13"] + counts["t4"] == c.bins3
-        assert 12 * m <= 8 * c.sm3 + 15 * c.lg3 <= 12 * m + 15
+        f_names = [n for n in c if n.startswith("f")]
+        assert sum(c[n] for n in f_names) == c["bins4"]
+        assert c["t13"] + c["t4"] == c["bins3"]
+        assert 12 * m <= 8 * c["sm3"] + 15 * c["lg3"] <= 12 * m + 15
     for m in (6, 12):
         run = clcbp.run_full("ccff", 3, m)
         c = run.census

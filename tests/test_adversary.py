@@ -7,6 +7,7 @@ import pytest
 from packbound import adversary, knownopt, squares
 from packbound.adversary import (
     CensusGap,
+    census,
     ceil_div,
     continuation,
     offline_packing,
@@ -156,6 +157,37 @@ class TestContinuation:
         opt = offline_packing(ONE_D, [[items[0], _item(9, "1/4")]])
         with pytest.raises(CrossCheckFailure, match=r"missing \[\], extra \[9\]"):
             continuation("foreign", session, items, opt)
+
+
+class TestCensus:
+    # thirds in the bin -> ((lo, hi) wave-one items, category); "b" twice
+    BANDS = {0: (((1, 2), "a"),), 1: (((0, 0), "b"), ((1, 1), "c")), 2: (((0, 0), "b"),)}
+
+    @staticmethod
+    def _bins(*shapes):
+        """Bins of (wave-one count, other count); wave-one idents are below 100."""
+        ids = iter(range(100))
+        others = iter(range(100, 200))
+        return [[(Item(next(ids), rat("1/7")), Placement(b)) for _ in range(n)]
+                + [(Item(next(others), rat("1/3")), Placement(b)) for _ in range(k)]
+                for b, (n, k) in enumerate(shapes)]
+
+    @pytest.mark.parametrize("bands", [BANDS, knownopt._SHAPES, squares._SHAPES],
+                             ids=["toy", "knownopt", "squares"])
+    def test_no_bins_gives_every_category_zero(self, bands):
+        counts = census([], set(), bands, "sevenths")
+        names = {name for ranges in bands.values() for _, name in ranges}
+        assert counts == dict.fromkeys(names, 0)
+
+    def test_counts_each_bin_under_its_band(self):
+        bins = self._bins((1, 0), (2, 0), (0, 1), (1, 1), (0, 2))
+        assert census(bins, set(range(100)), self.BANDS, "sevenths") == {"a": 2, "b": 2, "c": 1}
+
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 1), (0, 3), (0, 0)])
+    def test_an_uncovered_shape_raises(self, shape):
+        n, k = shape
+        with pytest.raises(CensusGap, match=rf"^bin shape \({n} sevenths, {k} thirds\)$"):
+            census(self._bins((1, 0), shape), set(range(100)), self.BANDS, "sevenths")
 
 
 def test_one_census_gap_class():

@@ -6,7 +6,6 @@ import pytest
 
 from packbound.algorithms import fork_replay, register_algorithm
 from packbound.clcbp import (
-    ClassConstrainedConfig,
     _halves_groups,
     _two_thirds_groups,
     closed_form_bounds,
@@ -47,10 +46,10 @@ def ccff3():
 
 class TestConfig:
     def test_t_and_m_validation(self):
-        with pytest.raises(ValueError):
-            ClassConstrainedConfig(4, 6)
-        with pytest.raises(ValueError):
-            ClassConstrainedConfig(2, 8)
+        with pytest.raises(ValueError, match="t must be 2 or 3"):
+            run_full("ccff", 4, 6)
+        with pytest.raises(ValueError, match="M must be a positive integer divisible by 6"):
+            run_full("ccff", 2, 8)
 
     def test_closed_form_bounds(self):
         # everything in full bins: ratio bound (t-1)x + 1 with x = X/M

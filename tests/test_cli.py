@@ -86,14 +86,6 @@ class TestDuel:
                              "--algorithm", "best-fit", "--m", "8")
         assert out1 == out2
 
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        code, out, _ = run_cli(capsys, "duel", "--variant", "ko",
-                               "--algorithm", "next-fit", "--m", "4",
-                               "--out", str(target))
-        assert code == 0 and out == ""
-        assert json.loads(target.read_text())["algorithm"] == "next-fit"
-
     def test_invalid_m_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "duel", "--variant", "ko",
                                "--algorithm", "first-fit", "--m", "7")

@@ -281,6 +281,18 @@ class TestComparisonFastPaths:
         assert (a - b).sign() == 0
         assert not a < b and not a > b and a <= b and a >= b
 
+    def test_equal_rationals_compare_without_a_difference(self, monkeypatch):
+        half, under = rat("1/2"), rat("1/2") - power(10, 30)
+
+        def refuse(*args):
+            raise AssertionError("comparison built a new Exact")
+
+        # equal rational parts: the sign comes from the terms alone
+        for name in ("__add__", "__sub__", "__neg__"):
+            monkeypatch.setattr(Exact, name, refuse)
+        assert under < half and under <= half and not under > half and not under >= half
+        assert half > under and half >= under and not half < under and not half <= under
+
 
 class TestMergeAddition:
     @given(small_rationals, fast_terms, small_rationals, fast_terms)

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from packbound.adversary import census
 from packbound.algorithms import ONE_D_BASELINES, register_algorithm
-from packbound.knownopt import CensusGap, KnownOptConfig, _classify_bin, run_full
-from packbound.model import Placement, validate_packing
+from packbound.exact import rat
+from packbound.knownopt import _SHAPES, CensusGap, run_full
+from packbound.model import Item, Placement, validate_packing
 from packbound.optoracle import OracleInstance, min_bins
 from packbound.reports import checks_pass
 
@@ -28,32 +30,39 @@ def ff4():
     return run_full("first-fit", 4)
 
 
+def _census_of(n_sevenths, n_thirds):
+    """Census of one hand-built bin holding the given numbers of items."""
+    contents = ([(Item(i, rat(F(1, 7))), Placement(0)) for i in range(n_sevenths)]
+                + [(Item(100 + i, rat(F(1, 3))), Placement(0)) for i in range(n_thirds)])
+    return census([contents], set(range(100)), _SHAPES, "sevenths")
+
+
 class TestConfig:
     def test_m_must_be_multiple_of_four(self):
-        with pytest.raises(ValueError):
-            KnownOptConfig(6)
-        with pytest.raises(ValueError):
-            KnownOptConfig(0)
+        with pytest.raises(ValueError, match="M must be a positive integer divisible by 4"):
+            run_full("first-fit", 6)
+        with pytest.raises(ValueError, match="M must be a positive integer divisible by 4"):
+            run_full("first-fit", 0)
 
     def test_census_gap_raises_on_impossible_shape(self):
-        with pytest.raises(CensusGap):
-            _classify_bin(5, 1)
-        with pytest.raises(CensusGap):
-            _classify_bin(0, 3)
-        with pytest.raises(CensusGap):
-            _classify_bin(0, 0)
+        with pytest.raises(CensusGap, match=r"^bin shape \(5 sevenths, 1 thirds\)$"):
+            _census_of(5, 1)
+        with pytest.raises(CensusGap, match=r"^bin shape \(0 sevenths, 3 thirds\)$"):
+            _census_of(0, 3)
+        with pytest.raises(CensusGap, match=r"^bin shape \(0 sevenths, 0 thirds\)$"):
+            _census_of(0, 0)
 
 
 class TestWaves:
     def test_next_fit_m4_single_bin_wave_one(self):
         run = run_full("next-fit", 4)
-        assert run.census.bins7 == 1
+        assert run.census["bins7"] == 1
 
     def test_solo_algorithm_every_item_large(self):
         run = run_full("solo-test", 4)
-        assert run.census.bins7 == 4
+        assert run.census["bins7"] == 4
         assert not run.small_sevenths
-        assert run.census.s1 == 4 and run.census.t1 == 4
+        assert run.census["s1"] == 4 and run.census["t1"] == 4
 
     def test_sizes_strictly_inside_bands(self, ff8):
         for it in ff8.sevenths:
@@ -74,12 +83,13 @@ class TestWaves:
 class TestGoldenCensuses:
     def test_first_fit_m4_census(self, ff4):
         c = ff4.census
-        assert (c.s24t1, c.t1, c.t2, c.bins7, c.bins3) == (1, 1, 1, 1, 2)
-        assert c.s46 == c.s3 == c.s2 == c.s1 == c.s1t1 == c.s1t2 == c.s2t2 == 0
+        assert (c["s24t1"], c["t1"], c["t2"], c["bins7"], c["bins3"]) == (1, 1, 1, 1, 2)
+        assert (c["s46"] == c["s3"] == c["s2"] == c["s1"] == c["s1t1"] == c["s1t2"]
+                == c["s2t2"] == 0)
 
     def test_first_fit_m8_census(self, ff8):
         c = ff8.census
-        assert (c.s46, c.s2t2, c.t2, c.bins7, c.bins3) == (1, 1, 3, 2, 3)
+        assert (c["s46"], c["s2t2"], c["t2"], c["bins7"], c["bins3"]) == (1, 1, 3, 2, 3)
 
     @pytest.mark.parametrize("algo", ONE_D_BASELINES)
     @pytest.mark.parametrize("m", [4, 8])
@@ -108,8 +118,8 @@ class TestScenarios:
         by_name = {sc.scenario: sc for sc in run.scenarios}
         c = run.census
         count2 = by_name["big-fill"].items_presented
-        assert by_name["big-fill"].alg_cost == c.bins7 + count2
-        assert by_name["units"].alg_cost == c.bins7 + c.bins3 + m // 2
+        assert by_name["big-fill"].alg_cost == c["bins7"] + count2
+        assert by_name["units"].alg_cost == c["bins7"] + c["bins3"] + m // 2
         for sc in run.scenarios:
             assert checks_pass(sc.checks), (sc.scenario, [
                 (ch.name, ch.detail) for ch in sc.checks if not ch.passed
@@ -137,10 +147,10 @@ class TestScenarios:
         by_name = {sc.scenario: sc for sc in ff8.scenarios}
         c = ff8.census
         assert by_name["four-fifths"].items_presented == 8
-        assert by_name["big-fill"].items_presented == 8 - (-(-c.bins7 // 6))
+        assert by_name["big-fill"].items_presented == 8 - (-(-c["bins7"] // 6))
         assert by_name["units"].items_presented == 4
         assert by_name["over-half"].items_presented == 8
-        expected5 = 8 - max(2, -(-c.bins3 // 2))
+        expected5 = 8 - max(2, -(-c["bins3"] // 2))
         assert by_name["short-two-thirds"].items_presented == expected5
 
 

@@ -175,10 +175,9 @@ class TestEmpiricalCensusAgainstPrograms:
         run = knownopt.run_full(algo, m)
         c = run.census
         by_name = {sc.scenario: sc for sc in run.scenarios}
-        point = {name: F(count, m) for name, count in c.category_counts().items()}
-        point["bins7"] = F(c.bins7, m)
-        point["bins3"] = F(c.bins3, m)
-        case = "ko-case1" if 2 * c.bins3 <= m else "ko-case2"
+        # every census category, bins7 and bins3
+        point = {name: F(count, m) for name, count in c.items()}
+        case = "ko-case1" if 2 * c["bins3"] <= m else "ko-case2"
         program = builtin_program(case)
         ratios = {
             "cost-fourfifths": by_name["four-fifths"].ratio,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import packbound
+from packbound.adversary import census
 from packbound.exact import power, rat
 from packbound.model import (
     Item,
@@ -18,9 +19,9 @@ from packbound.model import (
 )
 from packbound.reports import checks_pass
 from packbound.squares import (
+    _SHAPES,
     CensusGap,
-    SquaresConfig,
-    _classify_bin,
+    _check_large_thirds,
     block_court_layout,
     corner_court_layout,
     grid_layout,
@@ -47,18 +48,28 @@ def build_and_validate(coords):
     return packing
 
 
+def _census_of(n_quarters, n_thirds):
+    """Census of one hand-built bin holding the given numbers of squares."""
+    contents = ([(Item(i, rat(F(1, 4))), Placement(0)) for i in range(n_quarters)]
+                + [(Item(100 + i, rat(F(1, 3))), Placement(0)) for i in range(n_thirds)])
+    return census([contents], set(range(100)), _SHAPES, "quarters")
+
+
 class TestConfig:
     def test_m_must_be_even(self):
-        with pytest.raises(ValueError):
-            SquaresConfig(5)
+        with pytest.raises(ValueError, match="M must be a positive integer divisible by 2"):
+            run_full("shelf-first-fit", 5)
 
     def test_census_gap_on_impossible_shapes(self):
-        with pytest.raises(CensusGap):
-            _classify_bin(9, 1, 0)  # ten squares above 1/4 cannot coexist
-        with pytest.raises(CensusGap):
-            _classify_bin(0, 5, 1)
-        with pytest.raises(CensusGap):
-            _classify_bin(2, 1, 0)  # low-quarter bin must hold a large third
+        # ten squares above 1/4 cannot coexist
+        with pytest.raises(CensusGap, match=r"^bin shape \(9 quarters, 1 thirds\)$"):
+            _census_of(9, 1)
+        with pytest.raises(CensusGap, match=r"^bin shape \(0 quarters, 5 thirds\)$"):
+            _census_of(0, 5)
+        # low-quarter bin must hold a large third
+        with pytest.raises(CensusGap, match=r"^bin \(2 quarters, 1 thirds\) has 0 large "
+                                            r"thirds, expected 1$"):
+            _check_large_thirds(2, 1, 0)
 
 
 class TestLayouts:
@@ -132,8 +143,8 @@ class TestLayouts:
 class TestRun:
     def test_golden_census_m20(self, shelf20):
         c = shelf20.census
-        assert c.f15 == 4 and c.t13 == 8
-        assert (c.bins4, c.bins3, c.sm3, c.lg3) == (4, 8, 15, 8)
+        assert c["f15"] == 4 and c["t13"] == 8
+        assert (c["bins4"], c["bins3"], c["sm3"], c["lg3"]) == (4, 8, 15, 8)
 
     def test_golden_ratios_m20(self, shelf20):
         ratios = {sc.scenario: sc.ratio for sc in shelf20.scenarios}
@@ -157,15 +168,15 @@ class TestRun:
 
     def test_stopping_sandwich(self, shelf10):
         c = shelf10.census
-        assert 12 * 10 <= 8 * c.sm3 + 15 * c.lg3 <= 12 * 10 + 15
-        assert 5 * (c.sm3 + c.lg3) >= 4 * 10
-        assert c.sm3 + c.lg3 <= 15
+        assert 12 * 10 <= 8 * c["sm3"] + 15 * c["lg3"] <= 12 * 10 + 15
+        assert 5 * (c["sm3"] + c["lg3"]) >= 4 * 10
+        assert c["sm3"] + c["lg3"] <= 15
 
     def test_forced_cost_wave_one_branch(self, shelf20):
         sc1 = shelf20.scenarios[0]
         c = shelf20.census
-        count1 = -(-(20 - c.bins4) // 5)
-        assert sc1.alg_cost == c.bins4 + count1
+        count1 = -(-(20 - c["bins4"]) // 5)
+        assert sc1.alg_cost == c["bins4"] + count1
 
     def test_opt_packings_validate_geometrically(self, shelf20):
         for sc in shelf20.scenarios:
@@ -175,9 +186,10 @@ class TestRun:
         c = shelf20.census
         by_name = {sc.scenario: sc for sc in shelf20.scenarios}
         m = 20
-        assert F(by_name["three-quarter-fill"].opt_upper) <= F(m, 5) - F(4 * c.bins4, 45) + 2
-        assert F(by_name["six-tenths"].opt_upper) <= F(m, 9) + F(7 * c.sm3, 27) + F(7 * c.lg3, 27) + 3
-        assert F(by_name["short-two-thirds"].opt_upper) <= F(c.sm3, 3) + F(c.lg3, 4) + 2
+        assert F(by_name["three-quarter-fill"].opt_upper) <= F(m, 5) - F(4 * c["bins4"], 45) + 2
+        assert (F(by_name["six-tenths"].opt_upper)
+                <= F(m, 9) + F(7 * c["sm3"], 27) + F(7 * c["lg3"], 27) + 3)
+        assert F(by_name["short-two-thirds"].opt_upper) <= F(c["sm3"], 3) + F(c["lg3"], 4) + 2
 
     def test_replay_determinism(self):
         a = run_full("shelf-first-fit", 10)
