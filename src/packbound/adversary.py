@@ -5,8 +5,9 @@ large from where the algorithm puts it (`present`, `run_wave`), then
 branches into continuations that feed a fork of the live session and come
 with a validated offline packing (`continuation`, `offline_packing`).
 After the waves, `census` sorts the bins into the variant's census
-categories, which its band table declares; stopping rules, groupings and
-layouts stay in the variant's module.
+categories, which its band table declares, and `census_checks` holds the
+counts to the structural rows that table implies; stopping rules, groupings
+and layouts stay in the variant's module.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from .algorithms import AlgorithmSession, feed
 from .exact import Exact
 from .model import Item, Packing, PackingError, Placement, VariantRules, validate_packing
 from .oracle import AdaptiveOracle
-from .reports import CrossCheckFailure, ScenarioOutcome
+from .reports import Check, CrossCheckFailure, ScenarioOutcome
+from .shapes import ShapeTable, structural_rows
 
-__all__ = ["CensusGap", "census", "ceil_div", "offline_packing", "continuation",
-           "present", "run_wave"]
+__all__ = ["CensusGap", "census", "census_checks", "ceil_div", "offline_packing",
+           "continuation", "present", "run_wave"]
 
 
 class CensusGap(RuntimeError):
@@ -44,6 +46,16 @@ def census(bins, wave_one_ids: set[int], bands: dict, wave_one: str) -> dict[str
             raise CensusGap(f"bin shape ({n} {wave_one}, {k} thirds)")
         counts[name] += 1
     return counts
+
+
+def census_checks(table: ShapeTable, counts: dict, m: int) -> list[Check]:
+    """One check per structural row of `table` on a run's census `counts`."""
+    checks = []
+    for row in structural_rows(table):
+        check = Check.equal if row.relation == "==" else Check.at_least
+        total = sum(counts[v] for v in row.total) if row.total else m
+        checks.append(check(row.check, sum(c * counts[n] for n, c in row.terms.items()), total))
+    return checks
 
 
 def ceil_div(a: int, b: int) -> int:

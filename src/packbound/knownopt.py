@@ -18,13 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import CensusGap, census, ceil_div, continuation, offline_packing, run_wave
+from .adversary import (CensusGap, census, census_checks, ceil_div, continuation,
+                        offline_packing, run_wave)
 from .algorithms import check_replay, make_session
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, ScenarioOutcome
+from .shapes import KO
 
 __all__ = ["CensusGap", "run_full"]
 
@@ -49,38 +51,6 @@ class KnownOptRun:
     scenarios: list[ScenarioOutcome]
     checks: list[Check]
     traces: dict
-
-
-# the census after both waves: thirds in the bin -> ((lo, hi) sevenths,
-# category); "s24t1" is 2-4 sevenths and one third, "t2" two thirds alone
-_SHAPES = {
-    0: (((4, 6), "s46"), ((3, 3), "s3"), ((2, 2), "s2"), ((1, 1), "s1")),
-    1: (((2, 4), "s24t1"), ((1, 1), "s1t1"), ((0, 0), "t1")),
-    2: (((2, 2), "s2t2"), ((1, 1), "s1t2"), ((0, 0), "t2")),
-}
-
-
-def _identity_checks(c: dict, m: int) -> list[Check]:
-    return [
-        Check.equal(
-            "census-thirds-count",
-            c["s24t1"] + c["s1t1"] + 2 * c["s1t2"] + 2 * c["s2t2"] + c["t1"] + 2 * c["t2"],
-            m,
-        ),
-        Check.at_least(
-            "census-sevenths-capacity",
-            6 * c["s46"] + 3 * c["s3"] + 2 * c["s2"] + c["s1"] + 4 * c["s24t1"]
-            + c["s1t1"] + c["s1t2"] + 2 * c["s2t2"],
-            m,
-        ),
-        Check.equal(
-            "census-wave1-bins",
-            c["s46"] + c["s3"] + c["s2"] + c["s1"] + c["s24t1"] + c["s1t1"] + c["s1t2"]
-            + c["s2t2"],
-            c["bins7"],
-        ),
-        Check.equal("census-wave2-bins", c["t1"] + c["t2"], c["bins3"]),
-    ]
 
 
 def run_full(algorithm_id: str, m: int) -> KnownOptRun:
@@ -121,10 +91,10 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
         all(rat(THIRD) < it.size < rat(F(33344, 100000)) for it in thirds),
     ))
 
-    c = {**census(two_wave_session.packing.bins, {it.ident for it in sevenths}, _SHAPES,
-                  "sevenths"),
+    c = {**census(two_wave_session.packing.bins, {it.ident for it in sevenths}, KO.bands,
+                  KO.wave_one),
          "bins7": bins7, "bins3": bins3}
-    checks.extend(_identity_checks(c, m))
+    checks.extend(census_checks(KO, c, m))
 
     large_sevenths = [it for it in sevenths if it.ident not in small_sevenths]
     small_seventh_items = [it for it in sevenths if it.ident in small_sevenths]

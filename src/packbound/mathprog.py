@@ -3,7 +3,9 @@
 Programs minimize a ratio variable R subject to rows whose coefficients are
 affine in R: a row stores one (c, d) pair per variable, meaning (c + d*R) *
 var, and a (c0, d0) constant pair.  `_rows_for_lp` lowers a program to dense
-rows, either with R kept as a column or with R fixed to a value.
+rows, either with R kept as a column or with R fixed to a value.  The ko and
+sp structural rows are derived from the census band tables in `shapes`; the
+cost rows, `stop-mix` and the case rows are the paper's.
 
 The two known-opt programs are linear in R and solved outright by the exact
 two-phase rational simplex (Bland's rule).  The remaining programs carry
@@ -21,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+from .shapes import KO, SP, structural_rows
 
 __all__ = [
     "Row",
@@ -367,32 +371,14 @@ def check_certificate(certificate: Certificate) -> Row:
 
 # -- builtin programs ---------------------------------------------------------
 
-KO_VARIABLES = (
-    "s46", "s3", "s2", "s1", "s24t1", "s1t1", "s1t2", "s2t2", "t1", "t2",
-    "bins7", "bins3", "ratio",
-)
+def _structural(table) -> list[Row]:
+    # the programs count per M, so a total of M is 1
+    return [Row.build(r.label, r.coeffs, r.relation, 0 if r.total else 1)
+            for r in structural_rows(table)]
 
 
 def _ko_rows():
-    return [
-        Row.build(
-            "items-thirds",
-            {"s24t1": 1, "s1t1": 1, "s1t2": 2, "s2t2": 2, "t1": 1, "t2": 2},
-            "==", 1,
-        ),
-        Row.build(
-            "items-sevenths",
-            {"s46": 6, "s3": 3, "s2": 2, "s1": 1, "s24t1": 4, "s1t1": 1,
-             "s1t2": 1, "s2t2": 2},
-            ">=", 1,
-        ),
-        Row.build(
-            "bins7-def",
-            {"bins7": 1, "s46": -1, "s3": -1, "s2": -1, "s1": -1, "s24t1": -1,
-             "s1t1": -1, "s1t2": -1, "s2t2": -1},
-            "==", 0,
-        ),
-        Row.build("bins3-def", {"bins3": 1, "t1": -1, "t2": -1}, "==", 0),
+    return _structural(KO) + [
         Row.build(
             "cost-fourfifths",
             {"ratio": 1, "s46": -1, "s3": -1, "s2": -1, "s24t1": -1, "s2t2": -1},
@@ -417,7 +403,7 @@ def _ko_case1() -> Program:
             ">=", 3,
         ),
     ]
-    return Program("ko-case1", KO_VARIABLES, tuple(rows))
+    return Program("ko-case1", KO.variables, tuple(rows))
 
 
 def _ko_case2() -> Program:
@@ -429,47 +415,11 @@ def _ko_case2() -> Program:
             ">=", 2,
         ),
     ]
-    return Program("ko-case2", KO_VARIABLES, tuple(rows))
-
-
-SP_VARIABLES = (
-    "f69", "f15", "f58t1", "f14t1", "f57t2", "f4t2", "f13t2", "f56t3",
-    "f34t3", "f12t3", "f5t4", "f24t4", "f1t4", "t13", "t4",
-    "bins4", "bins3", "sm3", "lg3", "ratio",
-)
+    return Program("ko-case2", KO.variables, tuple(rows))
 
 
 def _sp() -> Program:
-    rows = [
-        Row.build("stop-mix", {"sm3": 8, "lg3": 15}, "==", 12),
-        Row.build(
-            "bins4-def",
-            {"bins4": 1, "f69": -1, "f15": -1, "f58t1": -1, "f14t1": -1,
-             "f57t2": -1, "f4t2": -1, "f13t2": -1, "f56t3": -1, "f34t3": -1,
-             "f12t3": -1, "f5t4": -1, "f24t4": -1, "f1t4": -1},
-            "==", 0,
-        ),
-        Row.build("bins3-def", {"bins3": 1, "t13": -1, "t4": -1}, "==", 0),
-        Row.build(
-            "items-thirds",
-            {"f58t1": 1, "f14t1": 1, "f57t2": 2, "f4t2": 2, "f13t2": 2,
-             "f56t3": 3, "f34t3": 3, "f12t3": 3, "f24t4": 4,
-             "f5t4": 4, "f1t4": 4, "t13": 3, "t4": 4, "sm3": -1, "lg3": -1},
-            ">=", 0,
-        ),
-        Row.build(
-            "large-thirds",
-            {"f14t1": 1, "f4t2": 1, "f13t2": 1, "f34t3": 1, "f12t3": 1,
-             "f24t4": 1, "f1t4": 1, "t13": 1, "t4": 1, "lg3": -1},
-            "==", 0,
-        ),
-        Row.build(
-            "items-quarters",
-            {"f69": 9, "f15": 5, "f58t1": 8, "f14t1": 4, "f57t2": 7, "f4t2": 4,
-             "f13t2": 3, "f56t3": 6, "f34t3": 4, "f12t3": 2, "f5t4": 5,
-             "f24t4": 4, "f1t4": 1},
-            ">=", 1,
-        ),
+    rows = [Row.build("stop-mix", {"sm3": 8, "lg3": 15}, "==", 12)] + _structural(SP) + [
         Row.build("ratio-bigsquares", {"bins4": (36, 4)}, "<=", (-9, 9)),
         Row.build(
             "ratio-sixtenths",
@@ -485,7 +435,7 @@ def _sp() -> Program:
             "<=", (0, 0),
         ),
     ]
-    return Program("sp", SP_VARIABLES, tuple(rows))
+    return Program("sp", SP.variables, tuple(rows))
 
 
 CLCBP2_VARIABLES = ("e1", "e2", "tb1", "tb2", "ratio")

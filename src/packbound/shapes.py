@@ -1,0 +1,112 @@
+"""The census band tables of the ko and sp adversaries and the rows they imply:
+`mathprog` builds those rows and every duel checks its census against them.
+This module imports nothing from the package, so `bounds` loads no adversary.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+__all__ = ["ShapeTable", "StructuralRow", "KO", "SP", "structural_rows"]
+
+
+@dataclass(frozen=True)
+class ShapeTable:
+    bands: dict  # thirds in the bin -> ((lo, hi) wave-one items, category) ranges
+    wave_one: str  # what the wave-one items are called
+    bins: tuple  # the (wave-one, wave-two) bin-count variables
+    thirds: tuple  # the (small, large) thirds-count variables; () when there are M thirds
+    rows: tuple  # the structural rows' kinds, in program order
+    large_below: int = 0  # a bin of thirds with fewer wave-one items holds one large third
+
+    def categories(self) -> dict:
+        """Category -> (largest band `hi`, largest thirds count), wave-one bins first."""
+        most: dict = {}
+        for k, ranges in self.bands.items():
+            for (_, hi), name in ranges:
+                h, t = most.get(name, (0, 0))
+                most[name] = (max(h, hi), max(t, k))
+        return dict(sorted(most.items(), key=lambda item: item[1][0] == 0))
+
+    @property
+    def variables(self) -> tuple:
+        """The program's variables: the categories, the bin and thirds counts, the ratio."""
+        return tuple(self.categories()) + self.bins + self.thirds + ("ratio",)
+
+
+@dataclass(frozen=True)
+class StructuralRow:
+    """sum(terms) REL total, the total being a sum of variables or, when
+    empty, M; a bin-count row `defines` its total."""
+
+    label: str  # the program row
+    check: str  # the duel's census check
+    terms: dict  # category -> coefficient
+    relation: str
+    total: tuple = ()
+    defines: bool = False
+
+    @property
+    def coeffs(self) -> dict:
+        if self.defines:  # total - sum(terms) == 0
+            return {**dict.fromkeys(self.total, 1), **{n: -c for n, c in self.terms.items()}}
+        return {**self.terms, **dict.fromkeys(self.total, -1)}
+
+
+def structural_rows(table: ShapeTable) -> list[StructuralRow]:
+    """The rows `table` implies, in `table.rows` order.
+
+    A category's wave-one capacity is its band's `hi`, its thirds the
+    largest thirds count whose band carries it, and it is a wave-one bin
+    exactly when `hi > 0`.
+    """
+    most = table.categories()
+    wave_one = {n: hi for n, (hi, _) in most.items() if hi}
+    starts = [(k, lo, name) for k, ranges in table.bands.items() for (lo, _), name in ranges]
+    # a category carried at several thirds counts only bounds its thirds
+    exact = len(starts) == len(most)
+    large = {name for k, lo, name in starts if k and lo < table.large_below}
+    rows = {
+        "thirds": ("items-thirds", f"census-thirds-{'count' if exact else 'capacity'}",
+                   {n: k for n, (_, k) in most.items() if k}, "==" if exact else ">=",
+                   table.thirds),
+        "wave-one": (f"items-{table.wave_one}", f"census-{table.wave_one}-capacity",
+                     wave_one, ">="),
+        "wave-one-bins": (f"{table.bins[0]}-def", "census-wave1-bins",
+                          dict.fromkeys(wave_one, 1), "==", table.bins[:1], True),
+        "wave-two-bins": (f"{table.bins[1]}-def", "census-wave2-bins",
+                          {n: 1 for n in most if n not in wave_one}, "==", table.bins[1:], True),
+        "large-thirds": ("large-thirds", "census-large-thirds",
+                         {n: 1 for n in most if n in large}, "==", table.thirds[1:]),
+    }
+    return [StructuralRow(*rows[kind]) for kind in table.rows]
+
+
+# thirds in the bin -> ((lo, hi) sevenths, category); "s24t1" is 2-4
+# sevenths and one third, "t2" two thirds alone
+KO = ShapeTable(
+    bands={
+        0: (((4, 6), "s46"), ((3, 3), "s3"), ((2, 2), "s2"), ((1, 1), "s1")),
+        1: (((2, 4), "s24t1"), ((1, 1), "s1t1"), ((0, 0), "t1")),
+        2: (((1, 1), "s1t2"), ((2, 2), "s2t2"), ((0, 0), "t2")),
+    },
+    wave_one="sevenths", bins=("bins7", "bins3"), thirds=(),
+    rows=("thirds", "wave-one", "wave-one-bins", "wave-two-bins"),
+)
+
+# thirds in the bin -> ((lo, hi) quarters, category); "f58t1" is 5-8
+# quarters and one third, "t4" four thirds alone.  A third is small when its
+# bin already holds a third or five quarters, so a bin of thirds below five
+# quarters holds exactly one large third.
+SP = ShapeTable(
+    bands={
+        0: (((6, 9), "f69"), ((1, 5), "f15")),
+        1: (((5, 8), "f58t1"), ((1, 4), "f14t1"), ((0, 0), "t13")),
+        2: (((5, 7), "f57t2"), ((4, 4), "f4t2"), ((1, 3), "f13t2"), ((0, 0), "t13")),
+        3: (((5, 6), "f56t3"), ((3, 4), "f34t3"), ((1, 2), "f12t3"), ((0, 0), "t13")),
+        4: (((5, 5), "f5t4"), ((2, 4), "f24t4"), ((1, 1), "f1t4"), ((0, 0), "t4")),
+    },
+    wave_one="quarters", bins=("bins4", "bins3"), thirds=("sm3", "lg3"),
+    rows=("wave-one-bins", "wave-two-bins", "thirds", "large-thirds", "wave-one"),
+    large_below=5,
+)

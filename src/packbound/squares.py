@@ -22,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import (CensusGap, census, ceil_div, continuation, offline_packing, present,
-                        run_wave)
+from .adversary import (CensusGap, census, census_checks, ceil_div, continuation,
+                        offline_packing, present, run_wave)
 from .algorithms import check_replay, make_session
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, ScenarioOutcome
+from .shapes import SP
 
 __all__ = ["CensusGap", "run_full",
            "l_strip_layout", "corner_court_layout", "block_court_layout",
@@ -42,69 +43,15 @@ THIRD_PITCH = rat(F(33344, 100000))  # strictly above every third side
 SEPARATION_BASE = 10  # both waves' oracle base
 
 
-# the census after both waves: thirds in the bin -> ((lo, hi) quarters,
-# category); "f58t1" is 5-8 quarters and one third, "t4" four thirds alone.
-# The side pattern of a bin's thirds is forced too (`_check_large_thirds`).
-_SHAPES = {
-    0: (((6, 9), "f69"), ((1, 5), "f15")),
-    1: (((5, 8), "f58t1"), ((1, 4), "f14t1"), ((0, 0), "t13")),
-    2: (((5, 7), "f57t2"), ((4, 4), "f4t2"), ((1, 3), "f13t2"), ((0, 0), "t13")),
-    3: (((5, 6), "f56t3"), ((3, 4), "f34t3"), ((1, 2), "f12t3"), ((0, 0), "t13")),
-    4: (((5, 5), "f5t4"), ((2, 4), "f24t4"), ((1, 1), "f1t4"), ((0, 0), "t4")),
-}
-
-
 def _check_large_thirds(nf: int, nt: int, n_large: int) -> None:
     """A bin holding thirds has one large third below five quarters, none from five."""
     if nt > 0:
-        expected_large = 0 if nf >= 5 else 1
+        expected_large = 0 if nf >= SP.large_below else 1
         if n_large != expected_large:
             raise CensusGap(
                 f"bin ({nf} quarters, {nt} thirds) has {n_large} large thirds, "
                 f"expected {expected_large}"
             )
-
-
-def _identity_checks(c: dict, m: int) -> list[Check]:
-    f_carrying = (c["f69"] + c["f15"] + c["f58t1"] + c["f14t1"] + c["f57t2"] + c["f4t2"]
-                  + c["f13t2"] + c["f56t3"] + c["f34t3"] + c["f12t3"] + c["f5t4"]
-                  + c["f24t4"] + c["f1t4"])
-    sm3, lg3 = c["sm3"], c["lg3"]
-    return [
-        Check.equal("census-wave1-bins", f_carrying, c["bins4"]),
-        Check.equal("census-wave2-bins", c["t13"] + c["t4"], c["bins3"]),
-        Check.at_least(
-            "census-thirds-capacity",
-            c["f58t1"] + c["f14t1"] + 2 * (c["f57t2"] + c["f4t2"] + c["f13t2"])
-            + 3 * (c["f56t3"] + c["f34t3"] + c["f12t3"])
-            + 4 * (c["f5t4"] + c["f24t4"] + c["f1t4"]) + 3 * c["t13"] + 4 * c["t4"],
-            sm3 + lg3,
-        ),
-        Check.equal(
-            "census-large-thirds",
-            c["f14t1"] + c["f4t2"] + c["f13t2"] + c["f34t3"] + c["f12t3"] + c["f24t4"]
-            + c["f1t4"] + c["t13"] + c["t4"],
-            lg3,
-        ),
-        Check.at_least(
-            "census-quarters-capacity",
-            9 * c["f69"] + 5 * c["f15"] + 8 * c["f58t1"] + 4 * c["f14t1"]
-            + 7 * c["f57t2"] + 4 * c["f4t2"] + 3 * c["f13t2"] + 6 * c["f56t3"]
-            + 4 * c["f34t3"] + 2 * c["f12t3"] + 5 * c["f5t4"] + 4 * c["f24t4"]
-            + c["f1t4"],
-            m,
-        ),
-        Check.truth(
-            "census-stop-sandwich",
-            12 * m <= 8 * sm3 + 15 * lg3 <= 12 * m + 15,
-            f"8*{sm3} + 15*{lg3} vs 12*{m}",
-        ),
-        Check.truth(
-            "census-thirds-count-band",
-            4 * m <= 5 * (sm3 + lg3) and 2 * (sm3 + lg3) <= 3 * m,
-            f"count {sm3 + lg3}",
-        ),
-    ]
 
 
 @dataclass
@@ -225,7 +172,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
                               bins4, m - len(small_quarters)))
     checks.append(Check.truth(
         "wave1-sides-in-band",
-        all(rat(QUARTER) < q.size < rat(F(2501, 10000)) for q in quarters),
+        all(rat(QUARTER) < q.size < QUARTER_PITCH for q in quarters),
     ))
 
     check_replay(base_session)
@@ -266,7 +213,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
 
     def holds_a_third_or_five_quarters(before) -> bool:
         return (any(it.ident >= m for it, _ in before)
-                or sum(1 for it, _ in before if it.ident in quarter_ids) >= 5)
+                or sum(1 for it, _ in before if it.ident in quarter_ids) >= SP.large_below)
 
     while True:
         a = oracle2.next_value()
@@ -283,22 +230,28 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     bins3 = session_t.cost - bins4
     checks.append(Check.truth(
         "wave2-sides-in-band",
-        all(rat(THIRD) < t.size < rat(F(33344, 100000)) for t in thirds),
+        all(rat(THIRD) < t.size < THIRD_PITCH for t in thirds),
     ))
     checks.append(Check.at_most("wave2-count", len(thirds), 3 * m // 2))
 
-    c = {**census(session_t.packing.bins, quarter_ids, _SHAPES, "quarters"),
+    c = {**census(session_t.packing.bins, quarter_ids, SP.bands, SP.wave_one),
          "bins4": bins4, "bins3": bins3, "sm3": sm3, "lg3": lg3}
     for contents in session_t.packing.bins:
         nf = sum(1 for it, _ in contents if it.ident in quarter_ids)
         n_large = sum(1 for it, _ in contents
                       if it.ident not in quarter_ids and it.ident not in small_thirds)
         _check_large_thirds(nf, len(contents) - nf, n_large)
-    checks.extend(_identity_checks(c, m))
+    mprime = sm3 + lg3
+    # the stop rule's finite-M sandwich and the thirds count: no program row states them
+    checks.extend(census_checks(SP, c, m) + [
+        Check.truth("census-stop-sandwich", 12 * m <= 8 * sm3 + 15 * lg3 <= 12 * m + 15,
+                    f"8*{sm3} + 15*{lg3} vs 12*{m}"),
+        Check.truth("census-thirds-count-band", 4 * m <= 5 * mprime and 2 * mprime <= 3 * m,
+                    f"count {mprime}"),
+    ])
 
     large_thirds = [t for t in thirds if t.ident not in small_thirds]
     small_third_items = [t for t in thirds if t.ident in small_thirds]
-    mprime = sm3 + lg3
 
     # scenario 2: squares of side exactly 3/5
     count2 = mprime // 3

@@ -19,6 +19,7 @@ from packbound.exact import rat
 from packbound.model import Item, Placement, VariantRules, Violation
 from packbound.oracle import AdaptiveOracle, OracleConfig
 from packbound.reports import CrossCheckFailure
+from packbound.shapes import KO, SP
 
 ONE_D = VariantRules("one-d")
 SQUARES = VariantRules("squares")
@@ -172,7 +173,7 @@ class TestCensus:
                 + [(Item(next(others), rat("1/3")), Placement(b)) for _ in range(k)]
                 for b, (n, k) in enumerate(shapes)]
 
-    @pytest.mark.parametrize("bands", [BANDS, knownopt._SHAPES, squares._SHAPES],
+    @pytest.mark.parametrize("bands", [BANDS, KO.bands, SP.bands],
                              ids=["toy", "knownopt", "squares"])
     def test_no_bins_gives_every_category_zero(self, bands):
         counts = census([], set(), bands, "sevenths")

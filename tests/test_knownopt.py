@@ -7,10 +7,11 @@ import pytest
 from packbound.adversary import census
 from packbound.algorithms import ONE_D_BASELINES, register_algorithm
 from packbound.exact import rat
-from packbound.knownopt import _SHAPES, CensusGap, run_full
+from packbound.knownopt import CensusGap, run_full
 from packbound.model import Item, Placement, validate_packing
 from packbound.optoracle import OracleInstance, min_bins
 from packbound.reports import checks_pass
+from packbound.shapes import KO
 
 
 def _solo(packing, item):
@@ -34,7 +35,7 @@ def _census_of(n_sevenths, n_thirds):
     """Census of one hand-built bin holding the given numbers of items."""
     contents = ([(Item(i, rat(F(1, 7))), Placement(0)) for i in range(n_sevenths)]
                 + [(Item(100 + i, rat(F(1, 3))), Placement(0)) for i in range(n_thirds)])
-    return census([contents], set(range(100)), _SHAPES, "sevenths")
+    return census([contents], set(range(100)), KO.bands, "sevenths")
 
 
 class TestConfig:

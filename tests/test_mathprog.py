@@ -1,9 +1,14 @@
 """Bound programs: exact optima, certificates, bisection brackets."""
 
+import dataclasses
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import packbound
 from packbound.mathprog import (
     Certificate,
     MismatchedTarget,
@@ -20,6 +25,8 @@ from packbound.mathprog import (
     ko_certificate_suite,
     solve_min_r_exact,
 )
+from packbound.mathprog import _structural
+from packbound.shapes import KO, SP
 
 TOL = F(1, 10**9)
 
@@ -77,6 +84,138 @@ class TestStructure:
                     Row.build("d", {"ratio": (1, 1)}, ">=", 1)):
             with pytest.raises(ValueError, match="linear solve"):
                 solve_min_r_exact(type(trivial)("r-terms", ("ratio",), (row,)))
+
+
+# reference: the structural rows of the ko and sp programs written out
+# coefficient by coefficient; the rows derived from the band tables must
+# equal them
+KO_STRUCTURAL = (
+    Row.build(
+        "items-thirds",
+        {"s24t1": 1, "s1t1": 1, "s1t2": 2, "s2t2": 2, "t1": 1, "t2": 2},
+        "==", 1,
+    ),
+    Row.build(
+        "items-sevenths",
+        {"s46": 6, "s3": 3, "s2": 2, "s1": 1, "s24t1": 4, "s1t1": 1,
+         "s1t2": 1, "s2t2": 2},
+        ">=", 1,
+    ),
+    Row.build(
+        "bins7-def",
+        {"bins7": 1, "s46": -1, "s3": -1, "s2": -1, "s1": -1, "s24t1": -1,
+         "s1t1": -1, "s1t2": -1, "s2t2": -1},
+        "==", 0,
+    ),
+    Row.build("bins3-def", {"bins3": 1, "t1": -1, "t2": -1}, "==", 0),
+)
+SP_STRUCTURAL = (
+    Row.build(
+        "bins4-def",
+        {"bins4": 1, "f69": -1, "f15": -1, "f58t1": -1, "f14t1": -1,
+         "f57t2": -1, "f4t2": -1, "f13t2": -1, "f56t3": -1, "f34t3": -1,
+         "f12t3": -1, "f5t4": -1, "f24t4": -1, "f1t4": -1},
+        "==", 0,
+    ),
+    Row.build("bins3-def", {"bins3": 1, "t13": -1, "t4": -1}, "==", 0),
+    Row.build(
+        "items-thirds",
+        {"f58t1": 1, "f14t1": 1, "f57t2": 2, "f4t2": 2, "f13t2": 2,
+         "f56t3": 3, "f34t3": 3, "f12t3": 3, "f24t4": 4,
+         "f5t4": 4, "f1t4": 4, "t13": 3, "t4": 4, "sm3": -1, "lg3": -1},
+        ">=", 0,
+    ),
+    Row.build(
+        "large-thirds",
+        {"f14t1": 1, "f4t2": 1, "f13t2": 1, "f34t3": 1, "f12t3": 1,
+         "f24t4": 1, "f1t4": 1, "t13": 1, "t4": 1, "lg3": -1},
+        "==", 0,
+    ),
+    Row.build(
+        "items-quarters",
+        {"f69": 9, "f15": 5, "f58t1": 8, "f14t1": 4, "f57t2": 7, "f4t2": 4,
+         "f13t2": 3, "f56t3": 6, "f34t3": 4, "f12t3": 2, "f5t4": 5,
+         "f24t4": 4, "f1t4": 1},
+        ">=", 1,
+    ),
+)
+
+
+def _mismatches(derived, expected, ordered):
+    """Labels of the rows that differ in coefficients, constant or relation
+    (and, when `ordered`, in coefficient order)."""
+    assert [r.label for r in derived] == [r.label for r in expected]
+    return [
+        want.label for got, want in zip(derived, expected)
+        if (got.coeffs if ordered else dict(got.coeffs))
+        != (want.coeffs if ordered else dict(want.coeffs))
+        or got.const != want.const or got.relation != want.relation
+    ]
+
+
+class TestStructuralRowsFromBandTables:
+    def test_variables_keep_their_order(self):
+        assert KO.variables == (
+            "s46", "s3", "s2", "s1", "s24t1", "s1t1", "s1t2", "s2t2", "t1", "t2",
+            "bins7", "bins3", "ratio",
+        )
+        assert SP.variables == (
+            "f69", "f15", "f58t1", "f14t1", "f57t2", "f4t2", "f13t2", "f56t3",
+            "f34t3", "f12t3", "f5t4", "f24t4", "f1t4", "t13", "t4",
+            "bins4", "bins3", "sm3", "lg3", "ratio",
+        )
+
+    @pytest.mark.parametrize("pid", ["ko-case1", "ko-case2"])
+    def test_ko_rows_equal_the_hand_rows_in_order(self, pid):
+        rows = builtin_program(pid).rows[:len(KO_STRUCTURAL)]
+        assert _mismatches(rows, KO_STRUCTURAL, ordered=True) == []
+
+    def test_sp_rows_equal_the_hand_rows(self):
+        # rows 1-5 follow stop-mix; items-thirds lists f5t4 before f24t4,
+        # which the lowering, indexing by variable, does not see
+        rows = builtin_program("sp").rows[1:1 + len(SP_STRUCTURAL)]
+        assert _mismatches(rows, SP_STRUCTURAL, ordered=False) == []
+
+    def test_program_row_order(self):
+        assert [r.label for r in builtin_program("ko-case1").rows] == [
+            "items-thirds", "items-sevenths", "bins7-def", "bins3-def",
+            "cost-fourfifths", "cost-bigfill", "cost-units", "cost-halves",
+            "few-new-thirds", "cost-twothirds",
+        ]
+        assert [r.label for r in builtin_program("sp").rows] == [
+            "stop-mix", "bins4-def", "bins3-def", "items-thirds", "large-thirds",
+            "items-quarters", "ratio-bigsquares", "ratio-sixtenths", "ratio-twothirds",
+        ]
+
+    def test_widening_a_ko_band_changes_its_row(self):
+        bands = dict(KO.bands)
+        bands[0] = tuple(((3, 4) if name == "s3" else band, name) for band, name in bands[0])
+        rows = _structural(dataclasses.replace(KO, bands=bands))
+        assert dict(rows[1].coeffs)["s3"] == (F(4), F(0))
+        assert _mismatches(rows, KO_STRUCTURAL, ordered=True) == ["items-sevenths"]
+
+    def test_raising_an_sp_band_moves_it_out_of_large_thirds(self):
+        bands = dict(SP.bands)
+        bands[1] = tuple(((5 if name == "f14t1" else lo, hi), name)
+                         for (lo, hi), name in bands[1])
+        rows = _structural(dataclasses.replace(SP, bands=bands))
+        large = next(r for r in rows if r.label == "large-thirds")
+        assert "f14t1" not in dict(large.coeffs)
+        assert _mismatches(rows, SP_STRUCTURAL, ordered=False) == ["large-thirds"]
+
+    def test_bounds_does_not_load_the_adversaries(self):
+        script = (
+            "import sys\n"
+            "import packbound.mathprog\n"
+            "loaded = [m for m in ('packbound.knownopt', 'packbound.squares',\n"
+            "                      'packbound.clcbp', 'packbound.adversary')\n"
+            "          if m in sys.modules]\n"
+            "sys.exit(', '.join(loaded) or None)\n"
+        )
+        src = str(Path(packbound.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env={"PYTHONPATH": src}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestFeasibility:
@@ -203,3 +342,24 @@ class TestEmpiricalCensusAgainstPrograms:
                     assert abs(lhs - rhs) <= slack, (case, row.label)
             else:
                 assert lhs == rhs, (case, row.label, lhs, rhs)
+
+    @pytest.mark.parametrize("m", [24, 48, 96])
+    def test_sp_census_satisfies_rows(self, m):
+        from packbound import squares
+
+        run = squares.run_full("shelf-first-fit", m)
+        point = {name: F(count, m) for name, count in run.census.items()}
+        r = max(sc.ratio for sc in run.scenarios)
+        for row in builtin_program("sp").rows:
+            lhs = sum((c + d * r) * point[var] for var, (c, d) in row.coeffs)
+            rhs = row.const[0] + row.const[1] * r
+            if row.label == "stop-mix":
+                # the wave stops at the first third that reaches 12M, so it
+                # may overshoot by one large third (census-stop-sandwich)
+                assert rhs <= lhs <= rhs + F(15, m), (m, lhs)
+            elif row.relation == ">=":
+                assert lhs >= rhs, (m, row.label, lhs, rhs)
+            elif row.relation == "<=":
+                assert lhs <= rhs, (m, row.label, lhs, rhs)
+            else:
+                assert lhs == rhs, (m, row.label, lhs, rhs)

@@ -18,8 +18,8 @@ from packbound.model import (
     validate_packing,
 )
 from packbound.reports import checks_pass
+from packbound.shapes import SP
 from packbound.squares import (
-    _SHAPES,
     CensusGap,
     _check_large_thirds,
     block_court_layout,
@@ -52,7 +52,7 @@ def _census_of(n_quarters, n_thirds):
     """Census of one hand-built bin holding the given numbers of squares."""
     contents = ([(Item(i, rat(F(1, 4))), Placement(0)) for i in range(n_quarters)]
                 + [(Item(100 + i, rat(F(1, 3))), Placement(0)) for i in range(n_thirds)])
-    return census([contents], set(range(100)), _SHAPES, "quarters")
+    return census([contents], set(range(100)), SP.bands, "quarters")
 
 
 class TestConfig:
