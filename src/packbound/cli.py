@@ -60,7 +60,10 @@ def _replayed_certificates():
 
 
 def cmd_bounds(args) -> int:
-    tol = parse_rational(args.tol)
+    try:
+        tol = parse_rational(args.tol)
+    except (ValueError, ZeroDivisionError):
+        return _fail_config(f"--tol {args.tol!r} is not a rational number")
     rows = []
     ok = True
     try:
@@ -73,7 +76,10 @@ def cmd_bounds(args) -> int:
                 passed = value == parse_rational(target)
                 decimal = decimal_str(value)
             else:
-                lo, hi = bisect_min_r(program, tol)
+                try:
+                    lo, hi = bisect_min_r(program, tol)
+                except ValueError as exc:  # a tolerance that is not positive
+                    return _fail_config(f"--tol: {exc}")
                 printed = Fraction(target)
                 if mode == "bracket":
                     passed = lo <= printed <= hi

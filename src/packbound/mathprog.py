@@ -8,11 +8,21 @@ sp structural rows are derived from the census band tables in `shapes`; the
 cost rows, `stop-mix` and the case rows are the paper's.
 
 The two known-opt programs are linear in R and solved outright by the exact
-two-phase rational simplex (Bland's rule).  The remaining programs carry
-genuine R*var products: `feasible_at` fixes R and runs phase 1 alone (its
-verdict is whether the artificial sum reaches zero), and `bisect_min_r`
-brackets min R on [R_LO, R_HI] with it, guarded by a monotonicity sample of
+two-phase simplex (Bland's rule).  The remaining programs carry genuine
+R*var products: `feasible_at` fixes R and runs phase 1 alone (its verdict is
+whether the artificial sum reaches zero), and `bisect_min_r` brackets min R
+on [R_LO, R_HI] with it, guarded by a monotonicity sample of
 MONOTONE_SAMPLES feasibility tests.
+
+The simplex is exact without Fractions: the lowered rows are scaled to
+integers, and every tableau row and the cost row holds some positive multiple
+of the true rational row.  A pivot cross-multiplies (integer-preserving
+elimination in the sense of Bareiss, Math. Comp. 22, 1968) and divides each
+updated row by the gcd of its entries.  Bland's rule reads only the signs of
+the cost row and the ratios rhs/entry within one row, ties broken by basis
+index, and a positive factor on a row changes none of them; so the pivots,
+the verdicts and the optimum are those of the rational tableau.  The final
+phase-1 cost row is a positive multiple of the phase-1 reduced costs.
 
 Hand-written multiplier certificates are replayed symbolically, so the known
 closed-form bounds (87/62, 17/12) are reproduced instead of trusted.
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .shapes import KO, SP, structural_rows
@@ -137,22 +148,50 @@ class Program:
 
 
 # -- exact two-phase simplex ------------------------------------------------
+# (integer rows, each a positive multiple of its rational row: see the module
+# docstring)
+
+
+def _reduced(row):
+    """row divided by the gcd of its entries, a positive factor."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _eliminate(row, pivot_row, c, columns):
+    """A positive multiple of row minus the multiple of pivot_row that zeroes
+    column c; pivot_row[c] > 0 and columns holds every nonzero column of
+    pivot_row."""
+    p, a = pivot_row[c], row[c]
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    out = [p * x for x in row] if p != 1 else row[:]
+    for j in columns:
+        out[j] -= a * pivot_row[j]
+    return _reduced(out)
 
 
 def _pivot(tab, basis, r, c):
+    """Make column c basic in row r; return the pivot row's nonzero columns.
+
+    A negative pivot entry (phase 2 may drive an artificial out on one) is
+    made positive by negating the row, which keeps it a positive multiple of
+    the true pivot row divided by its pivot entry.
+    """
     pr = tab[r]
-    inv = F(1) / pr[c]
-    tab[r] = [x * inv for x in pr]
+    if pr[c] < 0:
+        pr = [-x for x in pr]
+    pr = tab[r] = _reduced(pr)
+    columns = [j for j, x in enumerate(pr) if x]
     for i, row in enumerate(tab):
-        if i != r and row[c] != 0:
-            factor = row[c]
-            tab[i] = [x - factor * y for x, y in zip(row, tab[r])]
+        if i != r and row[c]:
+            tab[i] = _eliminate(row, pr, c, columns)
     basis[r] = c
+    return columns
 
 
 def _bland(tab, basis, cost, allowed) -> str:
     """Minimize cost (list over columns, last entry = current -objective)."""
-    m = len(tab)
     while True:
         enter = next(
             (j for j in allowed if cost[j] < 0),
@@ -160,25 +199,30 @@ def _bland(tab, basis, cost, allowed) -> str:
         )
         if enter is None:
             return "optimal"
-        ratios = []
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratios.append((tab[i][-1] / tab[i][enter], basis[i], i))
-        if not ratios:
+        # min of tab[i][-1] / tab[i][enter] over tab[i][enter] > 0, compared
+        # cross-multiplied, then by basis index
+        leave = None
+        for i, row in enumerate(tab):
+            d = row[enter]
+            if d > 0:
+                n = row[-1]
+                if leave is None:
+                    leave, ln, ld = i, n, d
+                else:
+                    lhs, rhs = n * ld, ln * d
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, ln, ld = i, n, d
+        if leave is None:
             return "unbounded"
-        ratios.sort(key=lambda t: (t[0], t[1]))
-        _, _, leave = ratios[0]
-        _pivot(tab, basis, leave, enter)
-        factor = cost[enter]
-        cost[:] = [x - factor * y for x, y in zip(cost, tab[leave])]
+        columns = _pivot(tab, basis, leave, enter)
+        cost[:] = _eliminate(cost, tab[leave], enter, columns)
 
 
 def _price_out(cost, tab, basis):
     """Zero the cost row on every basic column."""
-    for i, b in enumerate(basis):
+    for row, b in zip(tab, basis):
         if cost[b] != 0:
-            factor = cost[b]
-            cost[:] = [x - factor * y for x, y in zip(cost, tab[i])]
+            cost[:] = _eliminate(cost, row, b, range(len(row)))
 
 
 def _phase1(n, rows):
@@ -186,8 +230,10 @@ def _phase1(n, rows):
 
     Minimizes the sum of the artificial columns.  Returns the final tableau,
     its basis, the number of columns before the artificials (structural then
-    slack) and the cost row, whose last entry is minus that minimum: the rows
-    are feasible exactly when it is zero.
+    slack) and the cost row, all as integer rows.  The cost row is a positive
+    multiple of the phase-1 reduced costs, so its last entry is a positive
+    multiple of minus that minimum: the rows are feasible exactly when it is
+    zero.
     """
     # normalize rhs >= 0
     norm = []
@@ -206,21 +252,23 @@ def _phase1(n, rows):
     s_at = n
     a_at = real
     for coeffs, rhs, rel in norm:
-        row = list(coeffs) + [F(0)] * (slack_cols + art_cols) + [rhs]
+        scale = lcm(*(x.denominator for x in coeffs), rhs.denominator)
+        row = [x.numerator * (scale // x.denominator) for x in (*coeffs, rhs)]
+        row[n:n] = [0] * (slack_cols + art_cols)
         if rel == "<=":
-            row[s_at] = F(1)
+            row[s_at] = scale
             basis.append(s_at)
             s_at += 1
         else:
             if rel == ">=":
-                row[s_at] = F(-1)
+                row[s_at] = -scale
                 s_at += 1
-            row[a_at] = F(1)
+            row[a_at] = scale
             basis.append(a_at)
             a_at += 1
-        tab.append(row)
+        tab.append(_reduced(row))
 
-    cost = [F(0)] * real + [F(1)] * art_cols + [F(0)]
+    cost = [0] * real + [1] * art_cols + [0]
     _price_out(cost, tab, basis)
     if _bland(tab, basis, cost, range(real + art_cols)) != "optimal":
         raise Unbounded("phase 1 of the simplex reported an unbounded ray")
@@ -272,12 +320,14 @@ def solve_min_r_exact(program: Program) -> Fraction:
     keep = [i for i in range(len(tab)) if basis[i] < real]
     tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
-    objective = [F(1) if v == "ratio" else F(0) for v in variables]
-    cost = objective + [F(0)] * (len(cost) - n)
+    objective = [1 if v == "ratio" else 0 for v in variables]
+    cost = objective + [0] * (len(cost) - n)
     _price_out(cost, tab, basis)
     if _bland(tab, basis, cost, range(real)) == "unbounded":
         raise Unbounded(program.program_id)
-    return -cost[-1]
+    # the optimum is the ratio's value in the final basic solution
+    col = variables.index("ratio") if "ratio" in variables else -1
+    return next((F(row[-1], row[col]) for row, b in zip(tab, basis) if b == col), F(0))
 
 
 def feasible_at(program: Program, r0: Fraction) -> bool:
@@ -298,15 +348,18 @@ def bisect_min_r(program: Program, tol: Fraction = F(1, 10**9)) -> tuple[Fractio
 
     Feasibility must be monotone nondecreasing in R; a sample over
     MONOTONE_SAMPLES evenly spaced points aborts with NonMonotoneDetected
-    otherwise.
+    otherwise.  A tolerance that is not positive raises ValueError.
     """
     lo, hi, tol = R_LO, R_HI, F(tol)
+    if tol <= 0:
+        raise ValueError(f"bisection tolerance must be positive, got {tol}")
     if not feasible_at(program, hi):
         raise NoUpperBound(f"{program.program_id} infeasible at R = {hi}")
+    # the last sample is hi itself, feasible as just shown
     pattern = [
         feasible_at(program, lo + (hi - lo) * F(i, MONOTONE_SAMPLES - 1))
-        for i in range(MONOTONE_SAMPLES)
-    ]
+        for i in range(MONOTONE_SAMPLES - 1)
+    ] + [True]
     for a, b in zip(pattern, pattern[1:]):
         if a and not b:
             raise NonMonotoneDetected(program.program_id)

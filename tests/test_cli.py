@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from packbound import clcbp
 from packbound.algorithms import register_algorithm
 from packbound.cli import main
@@ -50,6 +52,17 @@ class TestBounds:
         programs = {row["program"]: row["status"] for row in payload["bounds"]}
         assert programs["ko-case1"] == "OK"
         assert programs["certificate:ko-case2-bound"] == "OK"
+
+    @pytest.mark.parametrize("tol,reason", [
+        ("abc", "not a rational number"),
+        ("1/0", "not a rational number"),
+        ("-1", "must be positive"),
+        ("0", "must be positive"),
+    ])
+    def test_bad_tolerance_is_a_config_error(self, capsys, tol, reason):
+        code, out, err = run_cli(capsys, "bounds", "--tol", tol)
+        assert code == 3 and out == ""
+        assert err.startswith("error: --tol") and reason in err
 
 
 class TestDuel:

@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import packbound
+from packbound import mathprog
 from packbound.mathprog import (
     Certificate,
+    Infeasible,
     MismatchedTarget,
     NoUpperBound,
+    Program,
     Row,
     SignViolation,
     UnknownProgram,
@@ -25,7 +28,7 @@ from packbound.mathprog import (
     ko_certificate_suite,
     solve_min_r_exact,
 )
-from packbound.mathprog import _structural
+from packbound.mathprog import _bland, _phase1, _rows_for_lp, _structural
 from packbound.shapes import KO, SP
 
 TOL = F(1, 10**9)
@@ -84,6 +87,67 @@ class TestStructure:
                     Row.build("d", {"ratio": (1, 1)}, ">=", 1)):
             with pytest.raises(ValueError, match="linear solve"):
                 solve_min_r_exact(type(trivial)("r-terms", ("ratio",), (row,)))
+
+
+class TestSimplexEdgePaths:
+    """Paths of the exact simplex that the built-in programs never take."""
+
+    def test_infeasible_program_raises(self):
+        prog = Program("infeasible", ("x", "ratio"),
+                       (Row.build("negative", {"x": 1, "ratio": 1}, "<=", -1),))
+        with pytest.raises(Infeasible, match="infeasible"):
+            solve_min_r_exact(prog)
+
+    def test_unbounded_ray_is_reported(self):
+        # solve_min_r_exact minimizes a nonnegative variable, so its phase 2
+        # is never unbounded; _bland is driven directly instead.  Minimize
+        # -x over x - y + s = 1: x enters on row 0, then y's reduced cost is
+        # negative and its column has no positive entry.
+        tab = [[1, -1, 1, 1]]
+        basis = [2]
+        cost = [-1, 0, 0, 0]
+        assert _bland(tab, basis, cost, range(3)) == "unbounded"
+        assert basis == [0]
+        assert cost[1] < 0 and cost[-1] > 0
+
+    def test_artificials_left_at_zero_are_driven_out(self):
+        # items-again repeats items, so its artificial stays basic on a row
+        # with no real entry and the row is dropped; pin's artificial stays
+        # basic at zero on the entry -1 under x, and phase 2 pivots on it
+        prog = Program("redundant", ("x", "ratio"), (
+            Row.build("items", {"x": 1, "ratio": 1}, "==", 1),
+            Row.build("items-again", {"x": 2, "ratio": 2}, "==", 2),
+            Row.build("pin", {"x": -1}, "==", 0),
+        ))
+        variables, dense = _rows_for_lp(prog)
+        tab, basis, real, cost = _phase1(len(variables), dense)
+        assert cost[-1] == 0
+        left = {i: tab[i][:real] for i, b in enumerate(basis) if b >= real}
+        assert left[1] == [0, 0] and left[2][0] < 0 and left[2][1] == 0
+        pivots = []
+        inner = mathprog._pivot
+
+        def recording(tab, basis, r, c):
+            pivots.append((r, c, tab[r][c] < 0))
+            return inner(tab, basis, r, c)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mathprog, "_pivot", recording)
+            assert solve_min_r_exact(prog) == 1
+        assert (2, 0, True) in pivots
+
+    def test_feasible_at_with_a_degenerate_phase1(self):
+        # at R = 2 the only point is x = 1, y = 0, and b's artificial ends
+        # phase 1 basic at zero; at R = 3, x >= 2 breaks a
+        prog = Program("degenerate", ("x", "y", "ratio"), (
+            Row.build("a", {"x": 1, "y": 1}, "<=", 1),
+            Row.build("b", {"x": 1}, ">=", (-1, 1)),
+        ))
+        variables, dense = _rows_for_lp(prog, F(2))
+        tab, basis, real, cost = _phase1(len(variables), dense)
+        assert any(b >= real and row[-1] == 0 for row, b in zip(tab, basis))
+        assert feasible_at(prog, F(2))
+        assert not feasible_at(prog, F(3))
 
 
 # reference: the structural rows of the ko and sp programs written out
@@ -258,6 +322,26 @@ class TestBisection:
         for pid, exact in (("ko-case1", F(87, 62)), ("ko-case2", F(17, 12))):
             lo, hi = bisect_min_r(builtin_program(pid), TOL)
             assert lo <= exact <= hi
+
+    @pytest.mark.parametrize("tol", [0, -1, F(-1, 10**9)])
+    def test_tolerance_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="positive"):
+            bisect_min_r(builtin_program("sp"), tol)
+
+    def test_upper_end_is_solved_once(self):
+        visited = []
+        inner = mathprog.feasible_at
+
+        def recording(program, r0):
+            visited.append(r0)
+            return inner(program, r0)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mathprog, "feasible_at", recording)
+            bisect_min_r(builtin_program("clcbp2-case1"), TOL)
+        assert visited.count(mathprog.R_HI) == 1
+        # R_HI, the 31 other grid samples, 31 halvings of [1, 3] down to 1e-9
+        assert len(visited) == 63
 
     def test_no_upper_bound_detected(self):
         prog = type(builtin_program("sp"))(

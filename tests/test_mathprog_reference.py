@@ -1,0 +1,268 @@
+"""The exact simplex against the Fraction tableau it replaced.
+
+`_pivot`, `_bland`, `_price_out` and `_phase1` below are the Fraction
+simplex verbatim, and `reference_min_r` is the phase 2 that `solve_min_r_exact`
+ran on them.  The integer-row simplex in `packbound.mathprog` must take the
+same pivots, reach the same verdicts and optimum, and end on rows that are
+positive multiples of these.
+"""
+
+import sys
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from packbound import mathprog
+from packbound.mathprog import (
+    Infeasible,
+    Program,
+    Row,
+    Unbounded,
+    bisect_min_r,
+    builtin_program,
+    builtin_program_ids,
+    feasible_at,
+    solve_min_r_exact,
+)
+from packbound.mathprog import _rows_for_lp
+
+F = Fraction
+
+
+# -- the Fraction simplex, verbatim -------------------------------------------
+
+
+def _pivot(tab, basis, r, c):
+    pr = tab[r]
+    inv = F(1) / pr[c]
+    tab[r] = [x * inv for x in pr]
+    for i, row in enumerate(tab):
+        if i != r and row[c] != 0:
+            factor = row[c]
+            tab[i] = [x - factor * y for x, y in zip(row, tab[r])]
+    basis[r] = c
+
+
+def _bland(tab, basis, cost, allowed) -> str:
+    """Minimize cost (list over columns, last entry = current -objective)."""
+    m = len(tab)
+    while True:
+        enter = next(
+            (j for j in allowed if cost[j] < 0),
+            None,
+        )
+        if enter is None:
+            return "optimal"
+        ratios = []
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratios.append((tab[i][-1] / tab[i][enter], basis[i], i))
+        if not ratios:
+            return "unbounded"
+        ratios.sort(key=lambda t: (t[0], t[1]))
+        _, _, leave = ratios[0]
+        _pivot(tab, basis, leave, enter)
+        factor = cost[enter]
+        cost[:] = [x - factor * y for x, y in zip(cost, tab[leave])]
+
+
+def _price_out(cost, tab, basis):
+    """Zero the cost row on every basic column."""
+    for i, b in enumerate(basis):
+        if cost[b] != 0:
+            factor = cost[b]
+            cost[:] = [x - factor * y for x, y in zip(cost, tab[i])]
+
+
+def _phase1(n, rows):
+    """Phase 1 of the exact simplex over rows (coeff list, rhs, rel), x >= 0.
+
+    Minimizes the sum of the artificial columns.  Returns the final tableau,
+    its basis, the number of columns before the artificials (structural then
+    slack) and the cost row, whose last entry is minus that minimum: the rows
+    are feasible exactly when it is zero.
+    """
+    # normalize rhs >= 0
+    norm = []
+    for coeffs, rhs, rel in rows:
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
+        norm.append((coeffs, rhs, rel))
+
+    slack_cols = sum(1 for _, _, rel in norm if rel in ("<=", ">="))
+    art_cols = sum(1 for _, _, rel in norm if rel in (">=", "=="))
+    real = n + slack_cols
+    tab = []
+    basis = []
+    s_at = n
+    a_at = real
+    for coeffs, rhs, rel in norm:
+        row = list(coeffs) + [F(0)] * (slack_cols + art_cols) + [rhs]
+        if rel == "<=":
+            row[s_at] = F(1)
+            basis.append(s_at)
+            s_at += 1
+        else:
+            if rel == ">=":
+                row[s_at] = F(-1)
+                s_at += 1
+            row[a_at] = F(1)
+            basis.append(a_at)
+            a_at += 1
+        tab.append(row)
+
+    cost = [F(0)] * real + [F(1)] * art_cols + [F(0)]
+    _price_out(cost, tab, basis)
+    if _bland(tab, basis, cost, range(real + art_cols)) != "optimal":
+        raise Unbounded("phase 1 of the simplex reported an unbounded ray")
+    return tab, basis, real, cost
+
+
+def reference_min_r(program):
+    """solve_min_r_exact as it was on Fraction rows."""
+    if not program.linear_in_r:
+        raise ValueError(f"{program.program_id}: linear solve requires rows with no R terms")
+    variables, dense = _rows_for_lp(program)
+    n = len(variables)
+    tab, basis, real, cost = _phase1(n, dense)
+    if cost[-1] != 0:
+        raise Infeasible(program.program_id)
+    # phase 2: drive leftover artificials out of the basis, drop the rows
+    # they still hold, then minimize the ratio over the real columns
+    for i in range(len(tab)):
+        if basis[i] >= real:
+            pivot_col = next((j for j in range(real) if tab[i][j] != 0), None)
+            if pivot_col is not None:
+                _pivot(tab, basis, i, pivot_col)
+    keep = [i for i in range(len(tab)) if basis[i] < real]
+    tab = [tab[i] for i in keep]
+    basis = [basis[i] for i in keep]
+    objective = [F(1) if v == "ratio" else F(0) for v in variables]
+    cost = objective + [F(0)] * (len(cost) - n)
+    _price_out(cost, tab, basis)
+    if _bland(tab, basis, cost, range(real)) == "unbounded":
+        raise Unbounded(program.program_id)
+    return -cost[-1]
+
+
+# -- comparisons -------------------------------------------------------------
+
+
+@contextmanager
+def pivots_of(module):
+    """Record each (leaving row, entering column) pivot made by module."""
+    log = []
+    inner = module._pivot
+
+    def recording(tab, basis, r, c):
+        log.append((r, c))
+        return inner(tab, basis, r, c)
+
+    with mock.patch.object(module, "_pivot", recording):
+        yield log
+
+
+REFERENCE = sys.modules[__name__]
+
+
+def _scaled_by_positive(ints, fractions):
+    """ints is a positive multiple of the Fraction row."""
+    j = next((j for j, x in enumerate(fractions) if x != 0), None)
+    if j is None:
+        return all(x == 0 for x in ints)
+    k = F(ints[j]) / fractions[j]
+    return k > 0 and all(x == k * y for x, y in zip(ints, fractions))
+
+
+def assert_phase1_agrees(program, r0=None):
+    """Same pivots, basis and verdict; every integer row, the cost row
+    included, a positive multiple of the Fraction one."""
+    variables, dense = _rows_for_lp(program, r0)
+    with pivots_of(REFERENCE) as want:
+        ref_tab, ref_basis, ref_real, ref_cost = _phase1(len(variables), dense)
+    variables, dense = _rows_for_lp(program, r0)
+    with pivots_of(mathprog) as got:
+        tab, basis, real, cost = mathprog._phase1(len(variables), dense)
+    assert got == want
+    assert (basis, real) == (ref_basis, ref_real)
+    assert all(isinstance(x, int) for row in tab + [cost] for x in row)
+    assert all(_scaled_by_positive(row, ref) for row, ref in zip(tab, ref_tab))
+    assert _scaled_by_positive(cost, ref_cost)
+    assert (cost[-1] == 0) == (ref_cost[-1] == 0)
+    return ref_cost[-1] == 0
+
+
+def outcome(solve, program):
+    try:
+        return solve(program)
+    except (Infeasible, Unbounded) as exc:
+        return type(exc)
+
+
+def assert_min_r_agrees(program):
+    with pivots_of(REFERENCE) as want:
+        expected = outcome(reference_min_r, program)
+    with pivots_of(mathprog) as got:
+        assert outcome(solve_min_r_exact, program) == expected
+    assert got == want
+    return expected
+
+
+# -- random programs ---------------------------------------------------------
+
+SMALL = st.one_of(st.just(F(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def programs(draw, linear):
+    names = tuple(f"x{j}" for j in range(draw(st.integers(1, 5)))) + ("ratio",)
+    rows = []
+    for k in range(draw(st.integers(1, 5))):
+        coeffs = {v: (draw(SMALL), F(0) if linear else draw(SMALL)) for v in names}
+        const = (draw(SMALL), F(0) if linear else draw(SMALL))
+        rows.append(Row.build(f"r{k}", coeffs, draw(st.sampled_from(["<=", ">=", "=="])), const))
+    # a floor under the ratio, so that most optima are not simply zero
+    floor = {v: (-abs(draw(SMALL)), F(0)) for v in names[:-1]}
+    rows.append(Row.build("floor", {**floor, "ratio": 1}, ">=",
+                          draw(st.fractions(min_value=F(1, 4), max_value=3, max_denominator=4))))
+    return Program("random", names, tuple(rows))
+
+
+class TestRandomPrograms:
+    @settings(max_examples=200, deadline=None)
+    @given(programs(linear=False), st.fractions(min_value=1, max_value=3, max_denominator=8))
+    def test_phase1_takes_the_same_pivots(self, program, r0):
+        assert feasible_at(program, r0) == assert_phase1_agrees(program, r0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(programs(linear=True))
+    def test_min_r_takes_the_same_pivots(self, program):
+        assert_min_r_agrees(program)
+
+
+class TestBuiltinPrograms:
+    @pytest.mark.parametrize("pid", ["ko-case1", "ko-case2"])
+    def test_linear_optimum(self, pid):
+        expected = assert_min_r_agrees(builtin_program(pid))
+        assert expected == {"ko-case1": F(87, 62), "ko-case2": F(17, 12)}[pid]
+
+    @pytest.mark.parametrize(
+        "pid", [p for p in builtin_program_ids() if not builtin_program(p).linear_in_r])
+    def test_every_bisection_sample(self, pid):
+        program = builtin_program(pid)
+        visited = []
+        inner = mathprog.feasible_at
+
+        def recording(program, r0):
+            visited.append(r0)
+            return inner(program, r0)
+
+        with mock.patch.object(mathprog, "feasible_at", recording):
+            bisect_min_r(program)
+        for r0 in visited:
+            assert_phase1_agrees(program, F(r0))
