@@ -6,8 +6,9 @@ branches into continuations that feed a fork of the live session and come
 with a validated offline packing (`continuation`, `offline_packing`).
 After the waves, `census` sorts the bins into the variant's census
 categories, which its band table declares, and `census_checks` holds the
-counts to the structural rows that table implies; stopping rules, groupings
-and layouts stay in the variant's module.
+counts to the structural rows that table implies; `forced_check` holds a
+continuation's cost to its entry there.  Stopping rules, item counts,
+groupings and layouts stay in the variant's module.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from .exact import Exact
 from .model import Item, Packing, PackingError, Placement, VariantRules, validate_packing
 from .oracle import AdaptiveOracle
 from .reports import Check, CrossCheckFailure, ScenarioOutcome
-from .shapes import ShapeTable, structural_rows
+from .shapes import Cost, ShapeTable, structural_rows
 
-__all__ = ["CensusGap", "census", "census_checks", "ceil_div", "offline_packing",
-           "continuation", "present", "run_wave"]
+__all__ = ["CensusGap", "census", "census_checks", "forced_check", "ceil_div",
+           "offline_packing", "continuation", "present", "run_wave"]
 
 
 class CensusGap(RuntimeError):
@@ -56,6 +57,15 @@ def census_checks(table: ShapeTable, counts: dict, m: int) -> list[Check]:
         total = sum(counts[v] for v in row.total) if row.total else m
         checks.append(check(row.check, sum(c * counts[n] for n, c in row.terms.items()), total))
     return checks
+
+
+def forced_check(cost: Cost, counts: dict, outcome: ScenarioOutcome) -> Check:
+    """The algorithm pays a bin per item `outcome` presented plus `cost.pays`
+    on the census `counts`: exactly when the cost is forced, else at least."""
+    paid = sum(k * counts[var] for var, k in cost.pays.items()) + outcome.items_presented
+    if cost.forced:
+        return Check.equal("alg-forced-cost", outcome.alg_cost, paid)
+    return Check.at_least("alg-lower-bound", outcome.alg_cost, paid)
 
 
 def ceil_div(a: int, b: int) -> int:

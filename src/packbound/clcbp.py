@@ -49,7 +49,6 @@ ORACLE_CHECK_MAX_M = 6  # the exact search confirms the huge branch's optimum up
 
 @dataclass
 class ClassCensus:
-    t: int
     per_count: dict  # j -> bins with exactly j tiny items
     tiny_bins: int  # X = sum of per_count
     z1: int = 0  # bins holding at least one third
@@ -132,7 +131,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     check_replay(base_session)
 
     smalls_in_order = [it for it in tinies if it.ident in small_tinies]
-    census = ClassCensus(t, per_count, tiny_bins)
+    census = ClassCensus(per_count, tiny_bins)
     scenarios = []
 
     # huge branch

@@ -348,9 +348,13 @@ def cmd_oracle(args) -> int:
     try:
         with open(args.instance) as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError(f"an instance is an object, got {payload!r}")
         rules = rules_from_json(payload["rules"])
         items = tuple(item for item, _ in items_from_json(payload["items"]))
-    except (OSError, KeyError, ValueError) as exc:
+        if any((item.color is None) == rules.colored for item in items):
+            raise ValueError("items carry a color exactly when the rules are class-constrained")
+    except (OSError, KeyError, ValueError, ZeroDivisionError) as exc:
         return _fail_config(f"bad instance file: {exc}")
     try:
         instance = OracleInstance(items, rules, node_budget=args.budget)

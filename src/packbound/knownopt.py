@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversary import (CensusGap, census, census_checks, ceil_div, continuation,
-                        offline_packing, run_wave)
+                        forced_check, offline_packing, run_wave)
 from .algorithms import check_replay, make_session
 from .exact import Exact, rat
 from .model import Item, VariantRules
@@ -74,7 +74,6 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
         "wave1-sizes-in-band",
         all(rat(SEVENTH) < it.size < upper for it in sevenths),
     ))
-    s_end_multi = sum(1 for b in range(bins7) if len(base_session.packing.bins[b]) >= 2)
     check_replay(base_session)
 
     # wave two: thirds (continues a fork of the wave-one session)
@@ -106,9 +105,7 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
     # 1: four-fifths items after wave one
     items1 = [Item(2 * m + i, rat(F(4, 5)), label="four-fifths") for i in range(m)]
     opt1 = offline_packing(rules, [[items1[j], sevenths[j]] for j in range(m)])
-    sc1 = continuation("four-fifths", base_session, items1, opt1, opt_cost=m)
-    sc1.checks.append(Check.at_least("alg-lower-bound", sc1.alg_cost, m + s_end_multi))
-    scenarios.append(sc1)
+    scenarios.append(continuation("four-fifths", base_session, items1, opt1, opt_cost=m))
 
     # 2: fillers that only a small seventh can join
     count2 = m - ceil_div(bins7, 6)
@@ -119,9 +116,7 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
     for j, small in enumerate(small_seventh_items):
         fill_bins[j].append(small)
     opt2 = offline_packing(rules, groups + fill_bins)
-    sc2 = continuation("big-fill", base_session, items2, opt2, opt_cost=m)
-    sc2.checks.append(Check.equal("alg-forced-cost", sc2.alg_cost, bins7 + count2))
-    scenarios.append(sc2)
+    scenarios.append(continuation("big-fill", base_session, items2, opt2, opt_cost=m))
 
     # 3: unit items after both waves
     items3 = [Item(2 * m + i, rat(1), label="unit") for i in range(m // 2)]
@@ -130,21 +125,14 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
         for j in range(m // 2)
     ]
     opt3 = offline_packing(rules, mixed + [[u] for u in items3])
-    sc3 = continuation("units", two_wave_session, items3, opt3, opt_cost=m)
-    sc3.checks.append(Check.equal("alg-forced-cost", sc3.alg_cost, bins7 + bins3 + m // 2))
-    scenarios.append(sc3)
+    scenarios.append(continuation("units", two_wave_session, items3, opt3, opt_cost=m))
 
     # 4: items just over one half
     items4 = [Item(2 * m + i, rat(F(13, 25)), label="over-half") for i in range(m)]
     opt4 = offline_packing(
         rules, [[items4[j], thirds[j], sevenths[j]] for j in range(m)]
     )
-    sc4 = continuation("over-half", two_wave_session, items4, opt4, opt_cost=m)
-    sc4.checks.append(Check.at_least(
-        "alg-lower-bound", sc4.alg_cost,
-        m + c["s46"] + c["s24t1"] + c["s2t2"] + c["s1t2"] + c["t2"]
-    ))
-    scenarios.append(sc4)
+    scenarios.append(continuation("over-half", two_wave_session, items4, opt4, opt_cost=m))
 
     # 5: items just under two thirds, count set by the wave-two bin count
     count5 = m - max(m // 4, ceil_div(bins3, 2))
@@ -152,15 +140,12 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
     items5 = [Item(2 * m + i, shy, label="short-two-thirds") for i in range(count5)]
     opt5 = offline_packing(rules, _scenario5_groups(
         m, bins3, sevenths, large_thirds, small_third_items, items5))
-    sc5 = continuation("short-two-thirds", two_wave_session, items5, opt5, opt_cost=m)
-    sc5.checks.append(Check.at_least(
-        "alg-lower-bound", sc5.alg_cost, bins7 + bins3 - c["s2"] - c["s1"] + count5
-    ))
-    scenarios.append(sc5)
+    scenarios.append(continuation("short-two-thirds", two_wave_session, items5, opt5,
+                                  opt_cost=m))
 
     for sc in scenarios:
-        sc.checks.append(Check.equal(
-            f"opt-construction-cost", sc.opt_packing.cost, m))
+        sc.checks += [forced_check(KO.costs[sc.scenario], c, sc),
+                      Check.equal("opt-construction-cost", sc.opt_packing.cost, m)]
         if m <= ORACLE_CHECK_MAX_M:
             packed = [it for b in sc.opt_packing.bins for it, _ in b]
             result = min_bins(OracleInstance(tuple(packed), rules))

@@ -4,8 +4,8 @@ Programs minimize a ratio variable R subject to rows whose coefficients are
 affine in R: a row stores one (c, d) pair per variable, meaning (c + d*R) *
 var, and a (c0, d0) constant pair.  `_rows_for_lp` lowers a program to dense
 rows, either with R kept as a column or with R fixed to a value.  The ko and
-sp structural rows are derived from the census band tables in `shapes`; the
-cost rows, `stop-mix` and the case rows are the paper's.
+sp structural and cost rows are derived from the band tables and continuation
+costs in `shapes`; `stop-mix`, the case rows and the clcbp rows are the paper's.
 
 The two known-opt programs are linear in R and solved outright by the exact
 two-phase simplex (Bland's rule).  The remaining programs carry genuine
@@ -430,65 +430,34 @@ def _structural(table) -> list[Row]:
             for r in structural_rows(table)]
 
 
-def _ko_rows():
-    return _structural(KO) + [
-        Row.build(
-            "cost-fourfifths",
-            {"ratio": 1, "s46": -1, "s3": -1, "s2": -1, "s24t1": -1, "s2t2": -1},
-            ">=", 1,
-        ),
-        Row.build("cost-bigfill", {"ratio": 6, "bins7": -5}, ">=", 6),
-        Row.build("cost-units", {"ratio": 2, "bins7": -2, "bins3": -2}, ">=", 1),
-        Row.build(
-            "cost-halves",
-            {"ratio": 1, "s46": -1, "s24t1": -1, "s2t2": -1, "s1t2": -1, "t2": -1},
-            ">=", 1,
-        ),
-    ]
+def _cost_rows(table, program_id: str) -> list[Row]:
+    """R*opt - pays - items >= 0 per continuation of `table`, scaled by the
+    lcm of its denominators; R times M/M is the ratio variable."""
+    rows = []
+    for cost in table.costs.values():
+        items = cost.items.get(program_id, cost.items)
+        # variable -> [c, d], meaning (c + d*R) * variable
+        terms = {"ratio" if v == "M" else v: [k, 0] if v == "M" else [0, k]
+                 for v, k in cost.opt.items()}
+        for var, k in [*cost.pays.items(), *items.items()]:
+            if var != "M":
+                terms.setdefault(var, [0, 0])[0] -= k
+        rhs = F(items.get("M", 0))
+        scale = lcm(rhs.denominator, *(F(x).denominator for cd in terms.values() for x in cd))
+        coeffs = {v: (scale * c, scale * d) for v, (c, d) in terms.items()}
+        rows.append(Row.build(cost.label, coeffs, ">=", scale * rhs))
+    return rows
 
 
-def _ko_case1() -> Program:
-    rows = _ko_rows() + [
-        Row.build("few-new-thirds", {"bins3": 1}, "<=", F(1, 2)),
-        Row.build(
-            "cost-twothirds",
-            {"ratio": 4, "bins7": -4, "bins3": -4, "s2": 4, "s1": 4},
-            ">=", 3,
-        ),
-    ]
-    return Program("ko-case1", KO.variables, tuple(rows))
-
-
-def _ko_case2() -> Program:
-    rows = _ko_rows() + [
-        Row.build("many-new-thirds", {"bins3": 1}, ">=", F(1, 2)),
-        Row.build(
-            "cost-twothirds",
-            {"ratio": 2, "bins7": -2, "bins3": -1, "s2": 2, "s1": 2},
-            ">=", 2,
-        ),
-    ]
-    return Program("ko-case2", KO.variables, tuple(rows))
+def _ko(program_id: str, case: Row) -> Program:
+    # the case row (few or many new thirds bins) precedes the cost row it splits
+    *costs, twothirds = _cost_rows(KO, program_id)
+    return Program(program_id, KO.variables, tuple(_structural(KO) + costs + [case, twothirds]))
 
 
 def _sp() -> Program:
-    rows = [Row.build("stop-mix", {"sm3": 8, "lg3": 15}, "==", 12)] + _structural(SP) + [
-        Row.build("ratio-bigsquares", {"bins4": (36, 4)}, "<=", (-9, 9)),
-        Row.build(
-            "ratio-sixtenths",
-            {"bins4": 1, "bins3": 1, "f15": -1, "f14t1": -1, "f13t2": -1,
-             "f12t3": -1, "t13": -1,
-             "sm3": (F(1, 3), F(-7, 27)), "lg3": (F(1, 3), F(-7, 27))},
-            "<=", (0, F(1, 9)),
-        ),
-        Row.build(
-            "ratio-twothirds",
-            {"bins4": 1, "bins3": 1, "f15": -1,
-             "sm3": (F(1, 3), F(-1, 3)), "lg3": (0, F(-1, 4))},
-            "<=", (0, 0),
-        ),
-    ]
-    return Program("sp", SP.variables, tuple(rows))
+    stop_mix = Row.build("stop-mix", {"sm3": 8, "lg3": 15}, "==", 12)
+    return Program("sp", SP.variables, tuple([stop_mix] + _structural(SP) + _cost_rows(SP, "sp")))
 
 
 CLCBP2_VARIABLES = ("e1", "e2", "tb1", "tb2", "ratio")
@@ -572,8 +541,8 @@ def _clcbp3_case2() -> Program:
 
 
 _BUILTINS = {
-    "ko-case1": _ko_case1,
-    "ko-case2": _ko_case2,
+    "ko-case1": lambda: _ko("ko-case1", Row.build("few-new-thirds", {"bins3": 1}, "<=", F(1, 2))),
+    "ko-case2": lambda: _ko("ko-case2", Row.build("many-new-thirds", {"bins3": 1}, ">=", F(1, 2))),
     "sp": _sp,
     "clcbp2-case1": _clcbp2_case1,
     "clcbp2-case2": _clcbp2_case2,
@@ -605,45 +574,27 @@ def builtin_program(program_id: str) -> Program:
 
 
 def ko_certificate_suite() -> list[Certificate]:
-    """The three multiplier combinations proving the known-opt bounds."""
-    case1 = builtin_program("ko-case1")
-    case2 = builtin_program("ko-case2")
-    mix_target = Row.build(
+    """The three multiplier combinations proving the known-opt bounds, by row label."""
+    mix = Row.build(
         "mix",
         {"s46": 2, "s24t1": 2, "s1t2": 2, "t2": 2, "s2t2": 2, "s1": -2,
          "s3": -1, "s2": -2, "bins7": 3, "bins3": 2, "ratio": 1},
         ">=", 4,
     )
-    mix_rows = [
-        (case1.row("items-thirds"), F(2)),
-        (case1.row("items-sevenths"), F(1)),
-        (case1.row("bins7-def"), F(3)),
-        (case1.row("bins3-def"), F(2)),
-        (case1.row("cost-fourfifths"), F(1)),
+
+    def certificate(name, program_id, weights, target):
+        program = builtin_program(program_id)
+        return Certificate(name, tuple((mix if label == "mix" else program.row(label), F(w))
+                                       for label, w in weights), target)
+
+    return [
+        certificate("five-row-mix", "ko-case1",
+                    [("items-thirds", 2), ("items-sevenths", 1), ("bins7-def", 3),
+                     ("bins3-def", 2), ("cost-fourfifths", 1)], mix),
+        certificate("ko-case1-bound", "ko-case1",
+                    [("cost-bigfill", 2), ("cost-halves", 20), ("cost-twothirds", 5), ("mix", 10)],
+                    Row.build("case1-final", {"ratio": 62, "s3": -10}, ">=", 87)),
+        certificate("ko-case2-bound", "ko-case2",
+                    [("cost-units", 1), ("cost-halves", 4), ("cost-twothirds", 2), ("mix", 2)],
+                    Row.build("case2-final", {"ratio": 12, "s3": -2}, ">=", 17)),
     ]
-    certificates = [Certificate("five-row-mix", tuple(mix_rows), mix_target)]
-    certificates.append(
-        Certificate(
-            "ko-case1-bound",
-            (
-                (case1.row("cost-bigfill"), F(2)),
-                (case1.row("cost-halves"), F(20)),
-                (case1.row("cost-twothirds"), F(5)),
-                (mix_target, F(10)),
-            ),
-            Row.build("case1-final", {"ratio": 62, "s3": -10}, ">=", 87),
-        )
-    )
-    certificates.append(
-        Certificate(
-            "ko-case2-bound",
-            (
-                (case2.row("cost-units"), F(1)),
-                (case2.row("cost-halves"), F(4)),
-                (case2.row("cost-twothirds"), F(2)),
-                (mix_target, F(2)),
-            ),
-            Row.build("case2-final", {"ratio": 12, "s3": -2}, ">=", 17),
-        )
-    )
-    return certificates

@@ -326,8 +326,19 @@ def rules_to_json(rules: VariantRules) -> dict:
     return out
 
 
+def _field(obj, key: str, kind: type, default=KeyError):
+    """The `kind` at obj[key] in the JSON object obj, or `default` when given and absent."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object, got {obj!r}")
+    value = obj[key] if default is KeyError else obj.get(key, default)
+    if value is not default and type(value) is not kind:
+        raise ValueError(f"{key} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 def rules_from_json(obj: dict) -> VariantRules:
-    return VariantRules(obj["kind"], advice=obj.get("advice"), t=obj.get("t"))
+    return VariantRules(_field(obj, "kind", str), advice=_field(obj, "advice", int, None),
+                        t=_field(obj, "t", int, None))
 
 
 def item_to_json(item: Item, placement: Optional[Placement] = None) -> dict:
@@ -342,19 +353,21 @@ def item_to_json(item: Item, placement: Optional[Placement] = None) -> dict:
 def _exact_from_json(obj) -> Exact:
     if isinstance(obj, str):
         return rat(obj)
-    value = rat(obj["rational"])
-    for term in obj["tiny"]:
-        value = value + Exact.from_terms(
-            0, {(term["base"], term["exp"]): parse_rational(term["coef"])}
-        )
+    value = rat(_field(obj, "rational", str))
+    for term in _field(obj, "tiny", list):
+        base, exp = _field(term, "base", int), _field(term, "exp", int)
+        coef = parse_rational(_field(term, "coef", str))
+        value = value + Exact.from_terms(0, {(base, exp): coef})
     return value
 
 
 def items_from_json(objs: Iterable[dict]) -> list[tuple[Item, Optional[Placement]]]:
+    if not isinstance(objs, list):
+        raise ValueError(f"items must be a list, got {objs!r}")
     out = []
     for i, obj in enumerate(objs):
-        item = Item(i, _exact_from_json(obj["size"]), color=obj.get("color"),
-                    label=obj.get("label", ""))
+        color, label = _field(obj, "color", int, None), _field(obj, "label", str, "")
+        item = Item(i, _exact_from_json(obj["size"]), color=color, label=label)
         if obj.get("x") is not None and obj.get("y") is not None:
             out.append((item, Placement(0, _exact_from_json(obj["x"]),
                                         _exact_from_json(obj["y"]))))

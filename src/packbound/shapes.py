@@ -1,13 +1,30 @@
-"""The census band tables of the ko and sp adversaries and the rows they imply:
-`mathprog` builds those rows and every duel checks its census against them.
-This module imports nothing from the package, so `bounds` loads no adversary.
+"""The census band tables of the ko and sp adversaries, the rows they imply
+and the continuations' costs: `mathprog` builds its rows from them and every
+duel checks its census and continuations against them.  A per-M form maps
+variables to coefficients, "M" being M (1 in the programs, which count per
+M).  This module imports nothing from the package, so `bounds` loads no adversary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction as F
 
-__all__ = ["ShapeTable", "StructuralRow", "KO", "SP", "structural_rows"]
+__all__ = ["Cost", "ShapeTable", "StructuralRow", "KO", "SP", "structural_rows"]
+
+
+@dataclass(frozen=True)
+class Cost:
+    """What a continuation costs: the algorithm pays a bin per presented item
+    plus `pays` (the census bins no item can join), exactly that when `forced`
+    and at least that otherwise, and the offline packing `opt`.  The program
+    row is R*opt - pays - items >= 0."""
+
+    label: str  # the program row
+    pays: dict  # census variable -> coefficient
+    items: dict  # presented items: a per-M form, or program id -> its form there
+    forced: bool
+    opt: dict = field(default_factory=lambda: {"M": 1})  # a per-M form
 
 
 @dataclass(frozen=True)
@@ -17,6 +34,7 @@ class ShapeTable:
     bins: tuple  # the (wave-one, wave-two) bin-count variables
     thirds: tuple  # the (small, large) thirds-count variables; () when there are M thirds
     rows: tuple  # the structural rows' kinds, in program order
+    costs: dict  # the duel's continuation -> its `Cost`, in program order
     large_below: int = 0  # a bin of thirds with fewer wave-one items holds one large third
 
     def categories(self) -> dict:
@@ -92,6 +110,21 @@ KO = ShapeTable(
     },
     wave_one="sevenths", bins=("bins7", "bins3"), thirds=(),
     rows=("thirds", "wave-one", "wave-one-bins", "wave-two-bins"),
+    costs={
+        "four-fifths": Cost(
+            "cost-fourfifths", {"s46": 1, "s3": 1, "s2": 1, "s24t1": 1, "s2t2": 1}, {"M": 1},
+            False),
+        "big-fill": Cost("cost-bigfill", {"bins7": 1}, {"M": 1, "bins7": F(-1, 6)}, True),
+        "units": Cost("cost-units", {"bins7": 1, "bins3": 1}, {"M": F(1, 2)}, True),
+        "over-half": Cost(
+            "cost-halves", {"s46": 1, "s24t1": 1, "s2t2": 1, "s1t2": 1, "t2": 1}, {"M": 1},
+            False),
+        # M - max(M/4, bins3/2) items: 3M/4 with few new thirds bins
+        # (bins3 <= M/2), M - bins3/2 with many
+        "short-two-thirds": Cost(
+            "cost-twothirds", {"bins7": 1, "bins3": 1, "s2": -1, "s1": -1},
+            {"ko-case1": {"M": F(3, 4)}, "ko-case2": {"M": 1, "bins3": F(-1, 2)}}, False),
+    },
 )
 
 # thirds in the bin -> ((lo, hi) quarters, category); "f58t1" is 5-8
@@ -108,5 +141,19 @@ SP = ShapeTable(
     },
     wave_one="quarters", bins=("bins4", "bins3"), thirds=("sm3", "lg3"),
     rows=("wave-one-bins", "wave-two-bins", "thirds", "large-thirds", "wave-one"),
+    # opt: the bins of the closed-form layouts in `squares`
+    costs={
+        "three-quarter-fill": Cost(
+            "ratio-bigsquares", {"bins4": 1}, {"M": F(1, 5), "bins4": F(-1, 5)}, True,
+            opt={"M": F(1, 5), "bins4": F(-4, 45)}),
+        "six-tenths": Cost(
+            "ratio-sixtenths",
+            {"bins4": 1, "bins3": 1, "f15": -1, "f14t1": -1, "f13t2": -1, "f12t3": -1, "t13": -1},
+            {"sm3": F(1, 3), "lg3": F(1, 3)}, False,
+            opt={"M": F(1, 9), "sm3": F(7, 27), "lg3": F(7, 27)}),
+        "short-two-thirds": Cost(
+            "ratio-twothirds", {"bins4": 1, "bins3": 1, "f15": -1}, {"sm3": F(1, 3)}, False,
+            opt={"sm3": F(1, 3), "lg3": F(1, 4)}),
+    },
     large_below=5,
 )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversary import (CensusGap, census, census_checks, ceil_div, continuation,
-                        offline_packing, present, run_wave)
+                        forced_check, offline_packing, present, run_wave)
 from .algorithms import check_replay, make_session
 from .exact import Exact, rat
 from .model import Item, VariantRules
@@ -195,14 +195,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     for g in range(ceil_div(bins4, 9)):
         bins_sc1.append(grid_layout(large_quarters[9 * g : 9 * g + 9]))
     opt1 = offline_packing(rules, bins_sc1)
-    sc1 = continuation("three-quarter-fill", base_session, items1, opt1)
-    sc1.checks.append(Check.equal("alg-forced-cost", sc1.alg_cost, bins4 + count1))
-    sc1.checks.append(Check.truth(
-        "opt-within-formula",
-        F(opt1.cost) <= F(m, 5) - F(4 * bins4, 45) + 2,
-        f"cost {opt1.cost} vs {F(m,5) - F(4*bins4,45) + 2}",
-    ))
-    scenarios.append(sc1)
+    scenarios.append(continuation("three-quarter-fill", base_session, items1, opt1))
 
     # wave two: thirds with the weighted stopping rule
     session_t = base_session.fork()
@@ -270,16 +263,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     for g in range(ceil_div(len(quarter_pool), 9)):
         bins_sc2.append(grid_layout(quarter_pool[9 * g : 9 * g + 9]))
     opt2 = offline_packing(rules, bins_sc2)
-    sc2 = continuation("six-tenths", session_t, items2, opt2)
-    reusable2 = c["f15"] + c["f14t1"] + c["f13t2"] + c["f12t3"] + c["t13"]
-    sc2.checks.append(Check.at_least(
-        "alg-lower-bound", sc2.alg_cost, bins4 + bins3 - reusable2 + count2))
-    sc2.checks.append(Check.truth(
-        "opt-within-formula",
-        F(opt2.cost) <= F(m, 9) + F(7 * sm3, 27) + F(7 * lg3, 27) + 3,
-        f"cost {opt2.cost}",
-    ))
-    scenarios.append(sc2)
+    scenarios.append(continuation("six-tenths", session_t, items2, opt2))
 
     # scenario 3: squares a hair under two thirds
     count3 = sm3 // 3
@@ -300,15 +284,16 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
         five = [quarter_pool.pop(0) for _ in range(min(5, len(quarter_pool)))]
         bins_sc3.append(block_court_layout(four, five))
     opt3 = offline_packing(rules, bins_sc3)
-    sc3 = continuation("short-two-thirds", session_t, items3, opt3)
-    sc3.checks.append(Check.at_least(
-        "alg-lower-bound", sc3.alg_cost, bins4 + bins3 - c["f15"] + count3))
-    sc3.checks.append(Check.truth(
-        "opt-within-formula",
-        F(opt3.cost) <= F(sm3, 3) + F(lg3, 4) + 2,
-        f"cost {opt3.cost}",
-    ))
-    scenarios.append(sc3)
+    scenarios.append(continuation("short-two-thirds", session_t, items3, opt3))
+
+    # opt per M on this run ("M" being m), plus the slack that ceil() in the
+    # layouts' bin counts costs; only the first detail states the bound
+    for i, (sc, slack) in enumerate(zip(scenarios, (2, 3, 2))):
+        cost = SP.costs[sc.scenario]
+        bound = sum(k * (m if v == "M" else c[v]) for v, k in cost.opt.items()) + slack
+        detail = f"cost {sc.opt_upper}" + (f" vs {bound}" if i == 0 else "")
+        sc.checks += [forced_check(cost, c, sc),
+                      Check.truth("opt-within-formula", sc.opt_upper <= bound, detail)]
 
     return SquaresRun(
         algorithm_id, m, quarters, thirds,

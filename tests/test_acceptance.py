@@ -33,6 +33,7 @@ from packbound.oracle import (
     OracleConfig,
 )
 from packbound import clcbp, knownopt, squares
+from packbound.shapes import KO, SP, structural_rows
 
 
 def report(criterion, detail, elapsed, budget):
@@ -197,29 +198,21 @@ def test_criterion_7_geometry():
 
 def test_criterion_8_census_identities():
     t0 = time.time()
-    for algo, m in itertools.product(ONE_D_BASELINES, (4, 8)):
-        run = knownopt.run_full(algo, m)
-        c = run.census
-        assert (c["s24t1"] + c["s1t1"] + 2 * c["s1t2"] + 2 * c["s2t2"] + c["t1"]
-                + 2 * c["t2"]) == m
-        assert (6 * c["s46"] + 3 * c["s3"] + 2 * c["s2"] + c["s1"] + 4 * c["s24t1"]
-                + c["s1t1"] + c["s1t2"] + 2 * c["s2t2"]) >= m
-        assert c["bins7"] == (c["s46"] + c["s3"] + c["s2"] + c["s1"] + c["s24t1"]
-                              + c["s1t1"] + c["s1t2"] + c["s2t2"])
-        assert c["bins3"] == c["t1"] + c["t2"]
-    for m in (10, 20):
-        run = squares.run_full("shelf-first-fit", m)
-        c = run.census
-        f_names = [n for n in c if n.startswith("f")]
-        assert sum(c[n] for n in f_names) == c["bins4"]
-        assert c["t13"] + c["t4"] == c["bins3"]
-        assert 12 * m <= 8 * c["sm3"] + 15 * c["lg3"] <= 12 * m + 15
+    # each run checks its census against the rows its band table implies
+    runs = [(knownopt.run_full(algo, m), KO, ())
+            for algo, m in itertools.product(ONE_D_BASELINES, (4, 8))]
+    runs += [(squares.run_full("shelf-first-fit", m), SP, ("census-stop-sandwich",))
+             for m in (10, 20)]
+    for run, table, extra in runs:
+        passed = {c.name: c.passed for c in run.checks}
+        for name in [row.check for row in structural_rows(table)] + list(extra):
+            assert passed.get(name), (run.algorithm_id, run.m, name)
     for m in (6, 12):
         run = clcbp.run_full("ccff", 3, m)
         c = run.census
         z1, z2, x3 = c.z1, c.z2, c.per_count[3]
         assert (3 * z1 + 4 * z2 <= 2 * m) or (2 * z1 + 3 * z2 <= 6 * x3 <= 2 * m)
-    report(8, "ko identities, sp sandwich, clcbp stop disjunction across matrix",
+    report(8, "ko and sp census checks, clcbp stop disjunction across matrix",
            time.time() - t0, 60.0)
 
 

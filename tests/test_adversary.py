@@ -10,6 +10,7 @@ from packbound.adversary import (
     census,
     ceil_div,
     continuation,
+    forced_check,
     offline_packing,
     present,
     run_wave,
@@ -18,8 +19,8 @@ from packbound.algorithms import make_session
 from packbound.exact import rat
 from packbound.model import Item, Placement, VariantRules, Violation
 from packbound.oracle import AdaptiveOracle, OracleConfig
-from packbound.reports import CrossCheckFailure
-from packbound.shapes import KO, SP
+from packbound.reports import CrossCheckFailure, ScenarioOutcome
+from packbound.shapes import KO, SP, Cost
 
 ONE_D = VariantRules("one-d")
 SQUARES = VariantRules("squares")
@@ -189,6 +190,30 @@ class TestCensus:
         n, k = shape
         with pytest.raises(CensusGap, match=rf"^bin shape \({n} sevenths, {k} thirds\)$"):
             census(self._bins((1, 0), shape), set(range(100)), self.BANDS, "sevenths")
+
+
+class TestContinuationCosts:
+    COUNTS = {"bins7": 5, "bins3": 3, "s2": 2, "s1": 1}
+
+    @pytest.mark.parametrize("forced,name,passed", [
+        (True, "alg-forced-cost", False),
+        (False, "alg-lower-bound", True),
+    ])
+    def test_the_algorithm_pays_the_items_and_its_census_bins(self, forced, name, passed):
+        cost = Cost("row", {"bins7": 1, "bins3": 1, "s2": -1, "s1": -1}, {"M": 1}, forced)
+        check = forced_check(cost, self.COUNTS, ScenarioOutcome("x", 4, alg_cost=10))
+        # 5 + 3 - 2 - 1 census bins and one bin per presented item
+        assert (check.name, check.passed, check.detail) == (
+            name, passed, f"got 10, {'want' if forced else 'bound'} 9")
+
+    @pytest.mark.parametrize("table,programs", [(KO, ("ko-case1", "ko-case2")), (SP, ("sp",))],
+                             ids=["ko", "sp"])
+    def test_costs_read_census_variables(self, table, programs):
+        names = set(table.variables) - {"ratio"}
+        for cost in table.costs.values():
+            forms = [cost.opt, *(cost.items.get(p, cost.items) for p in programs)]
+            assert set(cost.pays) <= names
+            assert {v for form in forms for v in form} <= names | {"M"}
 
 
 def test_one_census_gap_class():

@@ -251,6 +251,31 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--instance", str(instance))
         assert code == 3
 
+    ONE_D = {"kind": "one-d"}
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        None,
+        "x",
+        {"rules": "one-d", "items": []},
+        {"rules": ONE_D, "items": 5},
+        {"rules": ONE_D, "items": [5]},
+        {"rules": ONE_D, "items": [{"size": 3}]},
+        {"rules": ONE_D, "items": [{"size": {"rational": "1/2", "tiny": 5}}]},
+        {"rules": {"kind": "known-opt", "advice": "x"}, "items": [{"size": "1/2"}]},
+        {"rules": {"kind": "class-constrained", "t": 2},
+         "items": [{"size": "1/2", "color": [1]}]},
+        {"rules": ONE_D, "items": [{"size": "1/0"}]},
+        {"rules": ONE_D, "items": [{"size": "1/2", "color": 1}]},
+        {"rules": {"kind": "class-constrained", "t": 2}, "items": [{"size": "1/2"}]},
+    ], ids=repr)
+    def test_malformed_instance_is_a_config_error(self, capsys, tmp_path, payload):
+        instance = tmp_path / "malformed.json"
+        instance.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "oracle", "--instance", str(instance))
+        assert code == 3 and out == ""
+        assert err.startswith("error: bad instance file: ") and "Traceback" not in err
+
     def test_rule_breaking_algorithm_reported_as_algorithm_failure(self, capsys):
         code, _, err = run_cli(capsys, "duel", "--variant", "sp",
                                "--algorithm", "first-fit", "--m", "4")

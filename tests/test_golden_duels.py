@@ -10,6 +10,10 @@ It also holds `packbound oracle` on the instance files in
 tests/fixtures/oracle/: stdout carries the search's node count, so any change
 in pruning or in the greedy seed shows.  `color-bound.json` has a color bound
 above its volume bound, and the `--budget 10` runs exhaust the budget (exit 2).
+
+perfbench/golden.json holds the digests the benchmark checks its runs
+against: `bounds` and every duel at M = 96.  They are compared here too,
+read only, so a report change shows before a benchmark run.
 """
 
 import hashlib
@@ -21,6 +25,7 @@ import pytest
 from packbound.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+BENCHMARK = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
 FIXTURE = json.loads((FIXTURES / "small_duels.json").read_text())
 GOLDEN = FIXTURE["duels"]
 ORACLE = FIXTURE["oracle"]
@@ -53,3 +58,9 @@ def test_oracle_report_matches_recorded_digest(capsys, key):
     command, flag, name, *budget = key.split()
     argv = [command, flag, str(FIXTURES / "oracle" / name), *budget]
     assert _run(capsys, argv) == (ORACLE[key]["exit"], ORACLE[key]["sha256"])
+
+
+@pytest.mark.parametrize("key", sorted(k for k in BENCHMARK["digests"]
+                                       if not k.startswith("oracle")))
+def test_report_matches_the_benchmark_digest(capsys, key):
+    assert _run(capsys, key.split()) == (0, BENCHMARK["digests"][key])

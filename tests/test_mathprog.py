@@ -28,7 +28,7 @@ from packbound.mathprog import (
     ko_certificate_suite,
     solve_min_r_exact,
 )
-from packbound.mathprog import _bland, _phase1, _rows_for_lp, _structural
+from packbound.mathprog import _bland, _cost_rows, _phase1, _rows_for_lp, _structural
 from packbound.shapes import KO, SP
 
 TOL = F(1, 10**9)
@@ -282,6 +282,114 @@ class TestStructuralRowsFromBandTables:
         assert proc.returncode == 0, proc.stderr
 
 
+# reference: the ko cost rows written out coefficient by coefficient, the
+# four both cases share and each case's cost-twothirds; the rows derived from
+# the continuations' cost entries must equal them
+KO_COSTS = (
+    Row.build(
+        "cost-fourfifths",
+        {"ratio": 1, "s46": -1, "s3": -1, "s2": -1, "s24t1": -1, "s2t2": -1},
+        ">=", 1,
+    ),
+    Row.build("cost-bigfill", {"ratio": 6, "bins7": -5}, ">=", 6),
+    Row.build("cost-units", {"ratio": 2, "bins7": -2, "bins3": -2}, ">=", 1),
+    Row.build(
+        "cost-halves",
+        {"ratio": 1, "s46": -1, "s24t1": -1, "s2t2": -1, "s1t2": -1, "t2": -1},
+        ">=", 1,
+    ),
+)
+KO_TWOTHIRDS = {
+    "ko-case1": Row.build(
+        "cost-twothirds", {"ratio": 4, "bins7": -4, "bins3": -4, "s2": 4, "s1": 4}, ">=", 3),
+    "ko-case2": Row.build(
+        "cost-twothirds", {"ratio": 2, "bins7": -2, "bins3": -1, "s2": 2, "s1": 2}, ">=", 2),
+}
+# the sp rows as the paper states them, R on the right of "<="
+SP_COSTS = (
+    Row.build("ratio-bigsquares", {"bins4": (36, 4)}, "<=", (-9, 9)),
+    Row.build(
+        "ratio-sixtenths",
+        {"bins4": 1, "bins3": 1, "f15": -1, "f14t1": -1, "f13t2": -1,
+         "f12t3": -1, "t13": -1,
+         "sm3": (F(1, 3), F(-7, 27)), "lg3": (F(1, 3), F(-7, 27))},
+        "<=", (0, F(1, 9)),
+    ),
+    Row.build(
+        "ratio-twothirds",
+        {"bins4": 1, "bins3": 1, "f15": -1,
+         "sm3": (F(1, 3), F(-1, 3)), "lg3": (0, F(-1, 4))},
+        "<=", (0, 0),
+    ),
+)
+
+
+def _oriented(row):
+    """lhs - rhs of `row` as {(variable, 0 for the constant part or 1 for the
+    R part): coefficient}, negated for "<=", the ratio variable read as R."""
+    sign = -1 if row.relation == "<=" else 1
+    form = {(1, 0): -row.const[0], (1, 1): -row.const[1]}
+    for var, (c, d) in row.coeffs:
+        if var == "ratio":
+            assert d == 0
+            form[(1, 1)] += c
+        else:
+            form[(var, 0)], form[(var, 1)] = c, d
+    return {key: sign * x for key, x in form.items() if x}
+
+
+def _same_constraint(got, want):
+    """Whether two ">=" or "<=" rows are one constraint: their oriented forms
+    are equal up to a positive factor."""
+    a, b = _oriented(got), _oriented(want)
+    if a.keys() != b.keys():
+        return False
+    factor = next(a[key] / b[key] for key in a)
+    return factor > 0 and all(a[key] == factor * b[key] for key in a)
+
+
+class TestCostRowsFromCostEntries:
+    @pytest.mark.parametrize("pid", ["ko-case1", "ko-case2"])
+    def test_ko_rows_equal_the_hand_rows_in_order(self, pid):
+        want = KO_COSTS + (KO_TWOTHIRDS[pid],)
+        rows = [builtin_program(pid).row(r.label) for r in want]
+        assert _mismatches(rows, want, ordered=True) == []
+
+    def test_sp_rows_are_the_paper_constraints(self):
+        sp = builtin_program("sp")
+        for want in SP_COSTS:
+            got = sp.row(want.label)
+            assert got.relation == ">=" and _same_constraint(got, want), got.render()
+
+    def test_same_constraint_tells_rows_apart(self):
+        bigsquares = SP_COSTS[0]
+        assert _same_constraint(Row.build("x", {"bins4": (-72, -8)}, ">=", (18, -18)), bigsquares)
+        assert not _same_constraint(Row.build("x", {"bins4": (72, 8)}, ">=", (-18, 18)),
+                                    bigsquares)
+        assert not _same_constraint(Row.build("x", {"bins4": (-36, -4)}, ">=", (9, -8)),
+                                    bigsquares)
+
+    def test_dropping_a_paid_category_moves_the_row_and_the_duel_bound(self, monkeypatch):
+        from packbound import knownopt
+
+        def over_half_bound(run):
+            sc = next(sc for sc in run.scenarios if sc.scenario == "over-half")
+            check = next(c for c in sc.checks if c.name == "alg-lower-bound")
+            return int(check.detail.rsplit(" ", 1)[1])
+
+        run = knownopt.run_full("first-fit", 8)
+        assert run.census["t2"] == 3
+        halves = KO.costs["over-half"]
+        table = dataclasses.replace(KO, costs={**KO.costs, "over-half": dataclasses.replace(
+            halves, pays={v: k for v, k in halves.pays.items() if v != "t2"})})
+        rows = _cost_rows(table, "ko-case1")
+        assert _mismatches(rows, KO_COSTS + (KO_TWOTHIRDS["ko-case1"],),
+                           ordered=True) == ["cost-halves"]
+        assert "t2" not in dict(rows[3].coeffs)
+        monkeypatch.setattr(knownopt, "KO", table)
+        assert over_half_bound(knownopt.run_full("first-fit", 8)) == over_half_bound(run) - 3
+
+
 class TestFeasibility:
     def test_sp_examples(self):
         sp = builtin_program("sp")
@@ -433,7 +541,7 @@ class TestEmpiricalCensusAgainstPrograms:
 
         run = squares.run_full("shelf-first-fit", m)
         point = {name: F(count, m) for name, count in run.census.items()}
-        r = max(sc.ratio for sc in run.scenarios)
+        r = point["ratio"] = max(sc.ratio for sc in run.scenarios)
         for row in builtin_program("sp").rows:
             lhs = sum((c + d * r) * point[var] for var, (c, d) in row.coeffs)
             rhs = row.const[0] + row.const[1] * r
