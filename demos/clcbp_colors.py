@@ -11,14 +11,15 @@ from packbound.exact import decimal_str
 run = clcbp.run_full("ccff", 3, 12)
 
 c = run.census
-print(f"tiny wave: {c.tiny_bins} bins "
-      f"({', '.join(f'{n} with {j} items' for j, n in c.per_count.items() if n)})")
+per_count = {j: c[f"x{j}"] for j in range(1, run.t + 1)}
+print(f"tiny wave: {sum(per_count.values())} bins "
+      f"({', '.join(f'{n} with {j} items' for j, n in per_count.items() if n)})")
 print(f"closed-form ratio bounds from the tiny wave alone:")
 for name, value in run.closed_form.items():
     print(f"  {name}: {value} ({decimal_str(value)})")
 
 print(f"\nthirds wave: {len(run.thirds)} items, "
-      f"{c.z1} bins with thirds, {c.z2} with a pair")
+      f"{c['z1']} bins with thirds, {c['z2']} with a pair")
 if run.ledger:
     print(f"color ledger: {run.ledger}")
 

@@ -6,9 +6,11 @@ branches into continuations that feed a fork of the live session and come
 with a validated offline packing (`continuation`, `offline_packing`).
 After the waves, `census` sorts the bins into the variant's census
 categories, which its band table declares, and `census_checks` holds the
-counts to the structural rows that table implies; `forced_check` holds a
-continuation's cost to its entry there.  Stopping rules, item counts,
-groupings and layouts stay in the variant's module.
+counts to the structural rows of its declaration in `shapes`;
+`forced_check` holds a continuation's cost to its entry there, and `per_m`
+evaluates a per-M form, such as a continuation's offline cost, on a run.
+Stopping rules, item counts, groupings and layouts stay in the variant's
+module.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from .exact import Exact
 from .model import Item, Packing, PackingError, Placement, VariantRules, validate_packing
 from .oracle import AdaptiveOracle
 from .reports import Check, CrossCheckFailure, ScenarioOutcome
-from .shapes import Cost, ShapeTable, structural_rows
+from .shapes import Cost, StructuralRow
 
-__all__ = ["CensusGap", "census", "census_checks", "forced_check", "ceil_div",
+__all__ = ["CensusGap", "census", "census_checks", "forced_check", "per_m", "ceil_div",
            "offline_packing", "continuation", "present", "run_wave"]
 
 
@@ -49,11 +51,14 @@ def census(bins, wave_one_ids: set[int], bands: dict, wave_one: str) -> dict[str
     return counts
 
 
-def census_checks(table: ShapeTable, counts: dict, m: int) -> list[Check]:
-    """One check per structural row of `table` on a run's census `counts`."""
+_CHECKS = {"==": Check.equal, ">=": Check.at_least, "<=": Check.at_most}
+
+
+def census_checks(rows: list[StructuralRow], counts: dict, m: int) -> list[Check]:
+    """One check per structural row on a run's census `counts`."""
     checks = []
-    for row in structural_rows(table):
-        check = Check.equal if row.relation == "==" else Check.at_least
+    for row in rows:
+        check = _CHECKS[row.relation]
         total = sum(counts[v] for v in row.total) if row.total else m
         checks.append(check(row.check, sum(c * counts[n] for n, c in row.terms.items()), total))
     return checks
@@ -66,6 +71,11 @@ def forced_check(cost: Cost, counts: dict, outcome: ScenarioOutcome) -> Check:
     if cost.forced:
         return Check.equal("alg-forced-cost", outcome.alg_cost, paid)
     return Check.at_least("alg-lower-bound", outcome.alg_cost, paid)
+
+
+def per_m(form: dict, counts: dict, m: int):
+    """A per-M form on a run: "M" is `m`, any other variable its count."""
+    return sum(k * (m if v == "M" else counts[v]) for v, k in form.items())
 
 
 def ceil_div(a: int, b: int) -> int:

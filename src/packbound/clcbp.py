@@ -22,6 +22,11 @@ fill the bins' free color slots in ident order (`_TinyPool`).  Whatever tinies
 are left pack t to a bin.  The color ledger counts the colors the thirds
 reuse and the fresh ones they take (two thirds per color), and the matching
 items of the 3/5 final, one per third.
+
+The census (x_j bins holding j tinies, z1 bins holding a third, z2 bins
+holding two thirds) and each branch's cost are declared once, in
+`shapes.CLCBP[t]`: the run checks its census against that entry's rows and
+each branch's costs against its `Cost`, as the bound programs read them.
 """
 
 from __future__ import annotations
@@ -30,41 +35,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .adversary import ceil_div, continuation, offline_packing, present, run_wave
+from .adversary import (census_checks, ceil_div, continuation, forced_check, offline_packing,
+                        per_m, present, run_wave)
 from .algorithms import check_replay, make_session
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, CrossCheckFailure, ScenarioOutcome
+from .shapes import CLCBP
 
-__all__ = ["ClassCensus", "run_full", "closed_form_bounds"]
+__all__ = ["run_full", "closed_form_bounds"]
 
 F = Fraction
 THIRD = F(1, 3)
 TINY_BASE = 20  # wave-one oracle base
 THIRDS_BASE = 10  # wave-two oracle base
 ORACLE_CHECK_MAX_M = 6  # the exact search confirms the huge branch's optimum up to here
-
-
-@dataclass
-class ClassCensus:
-    per_count: dict  # j -> bins with exactly j tiny items
-    tiny_bins: int  # X = sum of per_count
-    z1: int = 0  # bins holding at least one third
-    z2: int = 0  # bins holding exactly two thirds
-
-    def identity_checks(self, m: int) -> list[Check]:
-        checks = [
-            Check.equal(
-                "census-tiny-items",
-                sum(j * n for j, n in self.per_count.items()),
-                m,
-            ),
-            Check.equal("census-tiny-bins", sum(self.per_count.values()), self.tiny_bins),
-            Check.at_most("census-pairs", self.z2, self.z1),
-        ]
-        return checks
 
 
 @dataclass
@@ -76,7 +63,7 @@ class ClassConstrainedRun:
     thirds: list[Item]
     small_tinies: set[int]
     tiny_margin: Exact  # epsilon for the huge branch
-    census: ClassCensus
+    census: dict  # xj (bins holding j tinies), z1 and z2 -> bin count
     scenarios: list[ScenarioOutcome]
     closed_form: dict
     checks: list[Check]
@@ -118,6 +105,13 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         raise CrossCheckFailure("a bin holds more than t tiny items")
     per_count = {j: per_count.get(j, 0) for j in range(1, t + 1)}
     tiny_bins = base_session.cost
+    table = CLCBP[t]
+    c = {**{f"x{j}": n for j, n in per_count.items()}, "z1": 0, "z2": 0}
+
+    def census_identities() -> list[Check]:
+        items, pairs = census_checks(table.rows, c, m)
+        return [items, Check.equal("census-tiny-bins", sum(per_count.values()), tiny_bins),
+                pairs]
     checks.append(Check.equal("wave1-bins-equal-large-items",
                               tiny_bins, m - len(small_tinies)))
     checks.append(Check.truth(
@@ -131,7 +125,6 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     check_replay(base_session)
 
     smalls_in_order = [it for it in tinies if it.ident in small_tinies]
-    census = ClassCensus(per_count, tiny_bins)
     scenarios = []
 
     # huge branch
@@ -147,14 +140,15 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     groups += _chunks(fillers[count_h * (t - 1):] + larges, t)
     opt_h = offline_packing(rules, groups)
     sc_h = continuation("huge", base_session, huge_items, opt_h)
-    sc_h.checks.append(Check.equal("alg-forced-cost", sc_h.alg_cost, tiny_bins + count_h))
-    sc_h.checks.append(Check.equal("opt-construction-cost", opt_h.cost, m // t))
+    opt_huge = per_m(table.costs["huge"].opt, c, m)  # M/t
+    sc_h.checks += [forced_check(table.costs["huge"], c, sc_h),
+                    Check.equal("opt-construction-cost", opt_h.cost, opt_huge)]
     if m <= ORACLE_CHECK_MAX_M:
         packed = [it for b in opt_h.bins for it, _ in b]
         result = min_bins(OracleInstance(tuple(packed), rules))
         sc_h.checks.append(Check.truth(
             "opt-oracle-confirms",
-            result.proven and result.count == m // t,
+            result.proven and result.count == opt_huge,
             f"oracle found {result.count}",
         ))
     scenarios.append(sc_h)
@@ -164,10 +158,10 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     if per_count[t] * 2 * t <= m:
         # too few full bins: the tiny-wave bound already does the work and
         # the later waves are not defined for this census
-        checks.extend(census.identity_checks(m))
+        checks.extend(census_identities())
         return ClassConstrainedRun(
             algorithm_id, t, m, tinies, [], small_tinies, tiny_margin,
-            census, scenarios, closed, checks, None,
+            c, scenarios, closed, checks, None,
             {"tinies": oracle_tiny.trace()},
         )
 
@@ -224,8 +218,8 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
             f"z1={z1} z2={z2} x3={x3}",
         ))
     checks.append(Check.truth("wave2-even-count", len(thirds) % 2 == 0))
-    census.z1, census.z2 = z1, z2
-    checks.extend(census.identity_checks(m))
+    c["z1"], c["z2"] = z1, z2
+    checks.extend(census_identities())
 
     sep_thirds = oracle_thirds.separator()
     thirds_margin = (sep_thirds.small_sup * 10 + sep_thirds.large_inf) / 2
@@ -262,13 +256,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         for j, it in enumerate(thirds)
     ]
     opt_half = offline_packing(rules, _halves_groups(t, tinies, thirds, halves))
-    sc_half = continuation("six-tenths", session_t, halves, opt_half)
-    sc_half.checks.append(Check.at_least(
-        "alg-lower-bound", sc_half.alg_cost, per_count[t] + z1 + 2 * z2))
-    slack_half = 0 if t == 2 else 1
-    sc_half.checks.append(Check.at_most(
-        "opt-within-formula", opt_half.cost, z1 + z2 + slack_half))
-    scenarios.append(sc_half)
+    scenarios.append(continuation("six-tenths", session_t, halves, opt_half))
 
     # final: matching items a hair under two thirds for every small third
     shy = rat(F(2, 3)) - thirds_margin / 5
@@ -278,23 +266,23 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     ]
     opt_two = offline_packing(rules, _two_thirds_groups(
         t, tinies, small_third_items, large_third_items, two_thirds))
-    sc_two = continuation("short-two-thirds", session_t, two_thirds, opt_two)
-    sc_two.checks.append(Check.at_least(
-        "alg-lower-bound", sc_two.alg_cost, per_count[t] + z1 + z2))
-    if t == 2:
-        x1, x2 = per_count[1], per_count[2]
-        bound = F(z1, 2) + z2 + x2 - F(max(x1, x2), 2) + 1
-    else:
-        bound = F(z1 + 2 * z2, 2) + 2
-    sc_two.checks.append(Check.truth(
-        "opt-within-formula", F(opt_two.cost) <= bound,
-        f"cost {opt_two.cost} vs {bound}",
-    ))
-    scenarios.append(sc_two)
+    scenarios.append(continuation("short-two-thirds", session_t, two_thirds, opt_two))
+
+    # opt per M on this run, plus the slack of the groupings' leftover bins;
+    # at t = 2 short-two-thirds' opt is per case, and the run's case
+    # (x1 <= x2 or x2 <= x1) is the one with the smaller form
+    cases = [f"clcbp{t}-case{k}" for k in (1, 2)]
+    for sc, slack in zip(scenarios[1:], (t - 2, t - 1)):
+        cost = table.costs[sc.scenario]
+        bound = min(per_m(cost.opt.get(pid, cost.opt), c, m) for pid in cases) + slack
+        detail = (f"got {sc.opt_upper}, bound {bound}" if sc.scenario == "six-tenths"
+                  else f"cost {sc.opt_upper} vs {bound}")
+        sc.checks += [forced_check(cost, c, sc),
+                      Check.truth("opt-within-formula", sc.opt_upper <= bound, detail)]
 
     return ClassConstrainedRun(
         algorithm_id, t, m, tinies, thirds, small_tinies,
-        tiny_margin, census, scenarios, closed, checks, ledger,
+        tiny_margin, c, scenarios, closed, checks, ledger,
         {"tinies": oracle_tiny.trace(), "thirds": oracle_thirds.trace()},
     )
 

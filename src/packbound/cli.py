@@ -145,13 +145,14 @@ def _sp_extras(run) -> dict:
 
 def _clcbp_extras(run) -> dict:
     c = run.census
+    tinies = {str(j): c[f"x{j}"] for j in range(1, run.t + 1)}
     return {
         "t": run.t,
         "census": {
-            "tinyBinsByCount": {str(j): n for j, n in c.per_count.items()},
-            "tinyBins": c.tiny_bins,
-            "thirdBins": c.z1,
-            "pairedThirdBins": c.z2,
+            "tinyBinsByCount": tinies,
+            "tinyBins": sum(tinies.values()),
+            "thirdBins": c["z1"],
+            "pairedThirdBins": c["z2"],
         },
         "closedFormBounds": {
             name: {"exact": fraction_str(v), "decimal": decimal_str(v)}
@@ -167,8 +168,8 @@ def _clcbp_extras(run) -> dict:
 DUELS = {
     "ko": (lambda args: knownopt.run_full(args.algorithm, args.m), _ko_extras, False),
     "sp": (lambda args: squares.run_full(args.algorithm, args.m), _sp_extras, True),
-    "clcbp": (lambda args: clcbp.run_full(args.algorithm, args.t, args.m),
-              _clcbp_extras, False),
+    "clcbp": (lambda args: clcbp.run_full(args.algorithm, 2 if args.t is None else args.t,
+                                          args.m), _clcbp_extras, False),
 }
 
 # what a duel raises when a run goes wrong after a valid configuration
@@ -199,6 +200,8 @@ def _run_passes(run) -> bool:
 
 
 def cmd_duel(args) -> int:
+    if args.t is not None and args.variant != "clcbp":
+        return _fail_config(f"--t applies to --variant clcbp only, not {args.variant}")
     play, _, _ = DUELS[args.variant]
     try:
         run = play(args)
@@ -371,6 +374,11 @@ def cmd_oracle(args) -> int:
         "nodes": result.nodes,
         "witness": packing_to_json(result.witness),
     }))
+    advice = rules.advice  # known-opt: the promised optimum
+    if advice is not None and (result.count < advice or result.proven and result.count != advice):
+        print(f"cross-check failure: {'proven' if result.proven else 'found'} "
+              f"{result.count} bins, advice {advice}", file=sys.stderr)
+        return EXIT_CROSSCHECK
     return EXIT_OK if result.proven else EXIT_CROSSCHECK
 
 
@@ -393,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=tuple(DUELS))
     p.add_argument("--algorithm", required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--t", type=int, default=2)
+    p.add_argument("--t", type=int, help="colors per bin, clcbp only (default 2)")
     p.set_defaults(func=cmd_duel)
 
     p = sub.add_parser("verify", help="run the invariant suites")

@@ -26,7 +26,7 @@ from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, ScenarioOutcome
-from .shapes import KO
+from .shapes import KO, structural_rows
 
 __all__ = ["CensusGap", "run_full"]
 
@@ -93,7 +93,7 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
     c = {**census(two_wave_session.packing.bins, {it.ident for it in sevenths}, KO.bands,
                   KO.wave_one),
          "bins7": bins7, "bins3": bins3}
-    checks.extend(census_checks(KO, c, m))
+    checks.extend(census_checks(structural_rows(KO), c, m))
 
     large_sevenths = [it for it in sevenths if it.ident not in small_sevenths]
     small_seventh_items = [it for it in sevenths if it.ident in small_sevenths]

@@ -3,9 +3,11 @@
 Programs minimize a ratio variable R subject to rows whose coefficients are
 affine in R: a row stores one (c, d) pair per variable, meaning (c + d*R) *
 var, and a (c0, d0) constant pair.  `_rows_for_lp` lowers a program to dense
-rows, either with R kept as a column or with R fixed to a value.  The ko and
-sp structural and cost rows are derived from the band tables and continuation
-costs in `shapes`; `stop-mix`, the case rows and the clcbp rows are the paper's.
+rows, either with R kept as a column or with R fixed to a value.  The
+structural and cost rows of every program are derived from the censuses and
+continuation costs in `shapes`; only `stop-mix` and the case rows (ko's
+`few-new-thirds`/`many-new-thirds`, clcbp's `skew`, `balance`, `t-count`,
+`stop-low` and `stop-tie`) are written out here, as the paper states them.
 
 The two known-opt programs are linear in R and solved outright by the exact
 two-phase simplex (Bland's rule).  The remaining programs carry genuine
@@ -35,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional
 
-from .shapes import KO, SP, structural_rows
+from .shapes import CLCBP, KO, SP, structural_rows
 
 __all__ = [
     "Row",
@@ -424,130 +426,75 @@ def check_certificate(certificate: Certificate) -> Row:
 
 # -- builtin programs ---------------------------------------------------------
 
-def _structural(table) -> list[Row]:
+def _structural(rows) -> list[Row]:
     # the programs count per M, so a total of M is 1
-    return [Row.build(r.label, r.coeffs, r.relation, 0 if r.total else 1)
-            for r in structural_rows(table)]
+    return [Row.build(r.label, r.coeffs, r.relation, 0 if r.total else 1) for r in rows]
 
 
 def _cost_rows(table, program_id: str) -> list[Row]:
     """R*opt - pays - items >= 0 per continuation of `table`, scaled by the
-    lcm of its denominators; R times M/M is the ratio variable."""
+    lcm of its denominators; R times M/M is the ratio variable.  A row whose
+    constant is zero is stated negated, as <= 0, so that phase 1 starts it
+    on its slack instead of an artificial."""
     rows = []
     for cost in table.costs.values():
         items = cost.items.get(program_id, cost.items)
         # variable -> [c, d], meaning (c + d*R) * variable
         terms = {"ratio" if v == "M" else v: [k, 0] if v == "M" else [0, k]
-                 for v, k in cost.opt.items()}
+                 for v, k in cost.opt.get(program_id, cost.opt).items()}
         for var, k in [*cost.pays.items(), *items.items()]:
             if var != "M":
                 terms.setdefault(var, [0, 0])[0] -= k
         rhs = F(items.get("M", 0))
         scale = lcm(rhs.denominator, *(F(x).denominator for cd in terms.values() for x in cd))
-        coeffs = {v: (scale * c, scale * d) for v, (c, d) in terms.items()}
-        rows.append(Row.build(cost.label, coeffs, ">=", scale * rhs))
+        sign = 1 if rhs else -1
+        coeffs = {v: (sign * scale * c, sign * scale * d) for v, (c, d) in terms.items()}
+        rows.append(Row.build(cost.label, coeffs, ">=" if rhs else "<=", scale * rhs))
     return rows
 
 
 def _ko(program_id: str, case: Row) -> Program:
     # the case row (few or many new thirds bins) precedes the cost row it splits
     *costs, twothirds = _cost_rows(KO, program_id)
-    return Program(program_id, KO.variables, tuple(_structural(KO) + costs + [case, twothirds]))
+    return Program(program_id, KO.variables,
+                   tuple(_structural(structural_rows(KO)) + costs + [case, twothirds]))
 
 
 def _sp() -> Program:
     stop_mix = Row.build("stop-mix", {"sm3": 8, "lg3": 15}, "==", 12)
-    return Program("sp", SP.variables, tuple([stop_mix] + _structural(SP) + _cost_rows(SP, "sp")))
+    return Program("sp", SP.variables,
+                   tuple([stop_mix] + _structural(structural_rows(SP)) + _cost_rows(SP, "sp")))
 
 
-CLCBP2_VARIABLES = ("e1", "e2", "tb1", "tb2", "ratio")
-CLCBP3_VARIABLES = ("e1", "e2", "e3", "e_all", "tb1", "tb2", "ratio")
+def _clcbp(program_id: str, t: int, case: list[Row]) -> Program:
+    table = CLCBP[t]
+    return Program(program_id, table.variables,
+                   tuple(_structural(table.rows) + case + _cost_rows(table, program_id)))
 
 
-def _clcbp2_rows():
-    return [
-        Row.build("items", {"e1": 1, "e2": 2}, "==", 1),
-        Row.build("skew", {"e1": 1, "e2": -2}, "<=", 0),
-        Row.build("cost-tiny", {"e1": 1, "e2": 1}, "<=", (-1, 1)),
-        Row.build(
-            "cost-sixtenths",
-            {"e2": 1, "tb1": (1, -1), "tb2": (2, -1)},
-            "<=", (0, 0),
-        ),
-        Row.build("third-pairs", {"tb2": 1, "tb1": -1}, "<=", 0),
-    ]
-
-
-def _clcbp2_case1() -> Program:
-    rows = _clcbp2_rows() + [
-        Row.build("balance", {"e1": 1, "e2": -1}, "<=", 0),
-        Row.build("t-count", {"tb1": 1, "tb2": 1, "e2": -2}, "==", 0),
-        Row.build(
-            "cost-twothirds",
-            {"e2": (1, F(-1, 2)), "tb1": (1, F(-1, 2)), "tb2": (1, -1)},
-            "<=", (0, 0),
-        ),
-    ]
-    return Program("clcbp2-case1", CLCBP2_VARIABLES, tuple(rows))
-
-
-def _clcbp2_case2() -> Program:
-    rows = _clcbp2_rows() + [
-        Row.build("balance", {"e2": 1, "e1": -1}, "<=", 0),
-        Row.build("t-count", {"tb1": 1, "tb2": 1, "e1": -2}, "==", 0),
-        Row.build(
-            "cost-twothirds",
-            {"e2": (1, -1), "tb1": (1, F(-1, 2)), "tb2": (1, -1),
-             "e1": (0, F(1, 2))},
-            "<=", (0, 0),
-        ),
-    ]
-    return Program("clcbp2-case2", CLCBP2_VARIABLES, tuple(rows))
-
-
-def _clcbp3_rows():
-    return [
-        Row.build("items", {"e1": 1, "e2": 2, "e3": 3}, "==", 1),
-        Row.build("e-total", {"e_all": 1, "e1": -1, "e2": -1, "e3": -1}, "==", 0),
-        Row.build("cost-tiny", {"e_all": 2}, "<=", (-1, 1)),
-        Row.build("third-pairs", {"tb2": 1, "tb1": -1}, "<=", 0),
-        Row.build(
-            "cost-twothirds",
-            {"e3": 1, "tb1": (1, F(-1, 2)), "tb2": (1, -1)},
-            "<=", (0, 0),
-        ),
-        Row.build(
-            "cost-sixtenths",
-            {"e3": 1, "tb1": (1, -1), "tb2": (2, -1)},
-            "<=", (0, 0),
-        ),
-    ]
-
-
-def _clcbp3_case1() -> Program:
-    rows = _clcbp3_rows() + [
-        Row.build("stop-low", {"tb1": 1, "tb2": 1, "e3": 6}, ">=", 2),
-        Row.build("stop-tie", {"tb1": 2, "tb2": 3, "e3": -6}, "==", 0),
-    ]
-    return Program("clcbp3-case1", CLCBP3_VARIABLES, tuple(rows))
-
-
-def _clcbp3_case2() -> Program:
-    rows = _clcbp3_rows() + [
-        Row.build("stop-low", {"tb1": 1, "tb2": 1, "e3": 6}, "<=", 2),
-        Row.build("stop-tie", {"tb1": 3, "tb2": 4}, "==", 2),
-    ]
-    return Program("clcbp3-case2", CLCBP3_VARIABLES, tuple(rows))
+def _clcbp2(program_id: str, few: str, many: str) -> Program:
+    # the case: x_few <= x_many, so the thirds wave brings 2*x_many items
+    return _clcbp(program_id, 2, [
+        Row.build("skew", {"x1": 1, "x2": -2}, "<=", 0),
+        Row.build("balance", {few: 1, many: -1}, "<=", 0),
+        Row.build("t-count", {"z1": 1, "z2": 1, many: -2}, "==", 0),
+    ])
 
 
 _BUILTINS = {
     "ko-case1": lambda: _ko("ko-case1", Row.build("few-new-thirds", {"bins3": 1}, "<=", F(1, 2))),
     "ko-case2": lambda: _ko("ko-case2", Row.build("many-new-thirds", {"bins3": 1}, ">=", F(1, 2))),
     "sp": _sp,
-    "clcbp2-case1": _clcbp2_case1,
-    "clcbp2-case2": _clcbp2_case2,
-    "clcbp3-case1": _clcbp3_case1,
-    "clcbp3-case2": _clcbp3_case2,
+    "clcbp2-case1": lambda: _clcbp2("clcbp2-case1", "x1", "x2"),
+    "clcbp2-case2": lambda: _clcbp2("clcbp2-case2", "x2", "x1"),
+    "clcbp3-case1": lambda: _clcbp("clcbp3-case1", 3, [
+        Row.build("stop-low", {"z1": 1, "z2": 1, "x3": 6}, ">=", 2),
+        Row.build("stop-tie", {"z1": 2, "z2": 3, "x3": -6}, "==", 0),
+    ]),
+    "clcbp3-case2": lambda: _clcbp("clcbp3-case2", 3, [
+        Row.build("stop-low", {"z1": 1, "z2": 1, "x3": 6}, "<=", 2),
+        Row.build("stop-tie", {"z1": 3, "z2": 4}, "==", 2),
+    ]),
 }
 
 # published reference values the bounds table is checked against

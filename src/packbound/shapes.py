@@ -1,8 +1,9 @@
-"""The census band tables of the ko and sp adversaries, the rows they imply
-and the continuations' costs: `mathprog` builds its rows from them and every
-duel checks its census and continuations against them.  A per-M form maps
-variables to coefficients, "M" being M (1 in the programs, which count per
-M).  This module imports nothing from the package, so `bounds` loads no adversary.
+"""The census of every adversary, the rows it implies and the continuations'
+costs: the ko and sp band tables and the clcbp census of each t.  `mathprog`
+builds its rows from them and every duel checks its census and continuations
+against them.  A per-M form maps variables to coefficients, "M" being M (1 in
+the programs, which count per M).  This module imports nothing from the
+package, so `bounds` loads no adversary.
 """
 
 from __future__ import annotations
@@ -10,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 
-__all__ = ["Cost", "ShapeTable", "StructuralRow", "KO", "SP", "structural_rows"]
+__all__ = ["Cost", "ShapeTable", "ClassTable", "StructuralRow", "KO", "SP", "CLCBP",
+           "structural_rows"]
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,7 @@ class Cost:
     pays: dict  # census variable -> coefficient
     items: dict  # presented items: a per-M form, or program id -> its form there
     forced: bool
-    opt: dict = field(default_factory=lambda: {"M": 1})  # a per-M form
+    opt: dict = field(default_factory=lambda: {"M": 1})  # like `items`
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,15 @@ class StructuralRow:
         if self.defines:  # total - sum(terms) == 0
             return {**dict.fromkeys(self.total, 1), **{n: -c for n, c in self.terms.items()}}
         return {**self.terms, **dict.fromkeys(self.total, -1)}
+
+
+@dataclass(frozen=True)
+class ClassTable:
+    """A census declared row by row: the clcbp census of one t."""
+
+    variables: tuple
+    rows: tuple  # its `StructuralRow`s, in program order
+    costs: dict  # the duel's continuation -> its `Cost`, in program order
 
 
 def structural_rows(table: ShapeTable) -> list[StructuralRow]:
@@ -157,3 +168,34 @@ SP = ShapeTable(
     },
     large_below=5,
 )
+
+
+def _clcbp(t: int) -> ClassTable:
+    """x_j: bins holding j tinies after wave one; z1: bins holding a third,
+    z2: bins holding two thirds; each per M."""
+    tinies = {f"x{j}": j for j in range(1, t + 1)}
+    full = f"x{t}"
+    # the paper's t = 2 cases: x1 <= x2, then x2 <= x1
+    twothirds = ({"clcbp2-case1": {"x2": F(1, 2), "z1": F(1, 2), "z2": 1},
+                  "clcbp2-case2": {"x1": F(-1, 2), "x2": 1, "z1": F(1, 2), "z2": 1}}
+                 if t == 2 else {"z1": F(1, 2), "z2": 1})
+    return ClassTable(
+        variables=(*tinies, "z1", "z2", "ratio"),
+        rows=(StructuralRow("items", "census-tiny-items", tinies, "=="),
+              StructuralRow("third-pairs", "census-pairs", {"z2": 1}, "<=", ("z1",))),
+        costs={
+            # (M - X)/t huge items, X the tiny bins, against M/t offline bins
+            "huge": Cost("cost-tiny", dict.fromkeys(tinies, 1),
+                         {"M": F(1, t), **dict.fromkeys(tinies, F(-1, t))}, True,
+                         opt={"M": F(1, t)}),
+            # a 3/5 item per third
+            "six-tenths": Cost("cost-sixtenths", {full: 1, "z2": 1}, {"z1": 1, "z2": 1}, False,
+                               opt={"z1": 1, "z2": 1}),
+            # a short two-thirds item per small third
+            "short-two-thirds": Cost("cost-twothirds", {full: 1, "z1": 1}, {"z2": 1}, False,
+                                     opt=twothirds),
+        },
+    )
+
+
+CLCBP = {t: _clcbp(t) for t in (2, 3)}

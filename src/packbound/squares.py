@@ -23,13 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .adversary import (CensusGap, census, census_checks, ceil_div, continuation,
-                        forced_check, offline_packing, present, run_wave)
+                        forced_check, offline_packing, per_m, present, run_wave)
 from .algorithms import check_replay, make_session
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, ScenarioOutcome
-from .shapes import SP
+from .shapes import SP, structural_rows
 
 __all__ = ["CensusGap", "run_full",
            "l_strip_layout", "corner_court_layout", "block_court_layout",
@@ -236,7 +236,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
         _check_large_thirds(nf, len(contents) - nf, n_large)
     mprime = sm3 + lg3
     # the stop rule's finite-M sandwich and the thirds count: no program row states them
-    checks.extend(census_checks(SP, c, m) + [
+    checks.extend(census_checks(structural_rows(SP), c, m) + [
         Check.truth("census-stop-sandwich", 12 * m <= 8 * sm3 + 15 * lg3 <= 12 * m + 15,
                     f"8*{sm3} + 15*{lg3} vs 12*{m}"),
         Check.truth("census-thirds-count-band", 4 * m <= 5 * mprime and 2 * mprime <= 3 * m,
@@ -290,7 +290,7 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     # layouts' bin counts costs; only the first detail states the bound
     for i, (sc, slack) in enumerate(zip(scenarios, (2, 3, 2))):
         cost = SP.costs[sc.scenario]
-        bound = sum(k * (m if v == "M" else c[v]) for v, k in cost.opt.items()) + slack
+        bound = per_m(cost.opt, c, m) + slack
         detail = f"cost {sc.opt_upper}" + (f" vs {bound}" if i == 0 else "")
         sc.checks += [forced_check(cost, c, sc),
                       Check.truth("opt-within-formula", sc.opt_upper <= bound, detail)]

@@ -8,10 +8,12 @@ from packbound import adversary, knownopt, squares
 from packbound.adversary import (
     CensusGap,
     census,
+    census_checks,
     ceil_div,
     continuation,
     forced_check,
     offline_packing,
+    per_m,
     present,
     run_wave,
 )
@@ -20,7 +22,7 @@ from packbound.exact import rat
 from packbound.model import Item, Placement, VariantRules, Violation
 from packbound.oracle import AdaptiveOracle, OracleConfig
 from packbound.reports import CrossCheckFailure, ScenarioOutcome
-from packbound.shapes import KO, SP, Cost
+from packbound.shapes import CLCBP, KO, SP, Cost
 
 ONE_D = VariantRules("one-d")
 SQUARES = VariantRules("squares")
@@ -206,14 +208,30 @@ class TestContinuationCosts:
         assert (check.name, check.passed, check.detail) == (
             name, passed, f"got 10, {'want' if forced else 'bound'} 9")
 
-    @pytest.mark.parametrize("table,programs", [(KO, ("ko-case1", "ko-case2")), (SP, ("sp",))],
-                             ids=["ko", "sp"])
+    @pytest.mark.parametrize("table,programs", [
+        (KO, ("ko-case1", "ko-case2")), (SP, ("sp",)),
+        (CLCBP[2], ("clcbp2-case1", "clcbp2-case2")), (CLCBP[3], ("clcbp3-case1", "clcbp3-case2")),
+    ], ids=["ko", "sp", "clcbp2", "clcbp3"])
     def test_costs_read_census_variables(self, table, programs):
         names = set(table.variables) - {"ratio"}
         for cost in table.costs.values():
-            forms = [cost.opt, *(cost.items.get(p, cost.items) for p in programs)]
+            forms = [form.get(p, form) for form in (cost.opt, cost.items) for p in programs]
             assert set(cost.pays) <= names
             assert {v for form in forms for v in form} <= names | {"M"}
+
+
+class TestCensusChecks:
+    def test_each_relation_maps_to_its_check(self):
+        counts = {"x1": 2, "x2": 5, "z1": 3, "z2": 4}
+        checks = census_checks(CLCBP[2].rows, counts, 12)
+        assert [(c.name, c.passed, c.detail) for c in checks] == [
+            ("census-tiny-items", True, "got 12, want 12"),
+            ("census-pairs", False, "got 4, bound 3"),
+        ]
+
+    def test_per_m_reads_m_and_the_counts(self):
+        assert per_m({"M": F(1, 3), "z1": F(1, 2), "z2": 1}, {"z1": 3, "z2": 4}, 6) == F(15, 2)
+        assert per_m({}, {}, 6) == 0
 
 
 def test_one_census_gap_class():

@@ -30,6 +30,11 @@ def _first_fit_past_bin_zero(packing, item):
     return Placement(packing.cost)
 
 
+def _per_count(run):
+    """Bins holding j tinies after wave one, by j."""
+    return {j: run.census[f"x{j}"] for j in range(1, run.t + 1)}
+
+
 register_algorithm("solo-test-clcbp", _solo)
 register_algorithm("past-bin-zero-test-clcbp", _first_fit_past_bin_zero)
 
@@ -65,12 +70,12 @@ class TestConfig:
 
 class TestWaveOne:
     def test_ccff_fills_bins_to_t(self, ccff2, ccff3):
-        assert ccff2.census.per_count == {1: 0, 2: 3}
-        assert ccff3.census.per_count == {1: 0, 2: 0, 3: 2}
+        assert _per_count(ccff2) == {1: 0, 2: 3}
+        assert _per_count(ccff3) == {1: 0, 2: 0, 3: 2}
 
     def test_solo_skips_later_waves(self):
         run = run_full("solo-test-clcbp", 2, 6)
-        assert run.census.per_count == {1: 6, 2: 0}
+        assert _per_count(run) == {1: 6, 2: 0}
         assert [sc.scenario for sc in run.scenarios] == ["huge"]
         assert run.closed_form["tiny-wave"] == F(2)
         assert run.closed_form["spread-tinies"] == F(7, 4)
@@ -86,7 +91,7 @@ class TestWaveOne:
                 assert it.size > eps * 2
 
     def test_every_bin_at_most_t_tinies(self, ccff3):
-        assert all(j <= 3 for j in ccff3.census.per_count)
+        assert all(j <= 3 for j in _per_count(ccff3))
 
 
 class TestHugeBranch:
@@ -94,7 +99,7 @@ class TestHugeBranch:
     def test_forced_cost_and_offline(self, t):
         run = run_full("ccff", t, 6)
         sc = run.scenarios[0]
-        x = run.census.tiny_bins
+        x = sum(_per_count(run).values())
         count = (6 - x) // t
         assert sc.alg_cost == x + count
         assert sc.opt_upper == 6 // t
@@ -117,9 +122,9 @@ class TestHugeBranch:
 
 class TestWaveTwo:
     def test_t2_item_count_rule(self, ccff2):
-        x1, x2 = ccff2.census.per_count[1], ccff2.census.per_count[2]
+        x1, x2 = ccff2.census["x1"], ccff2.census["x2"]
         assert len(ccff2.thirds) == 2 * max(x1, x2)
-        assert (ccff2.census.z1 + ccff2.census.z2) % 2 == 0
+        assert (ccff2.census["z1"] + ccff2.census["z2"]) % 2 == 0
 
     def test_two_thirds_per_color(self, ccff2, ccff3):
         for run in (ccff2, ccff3):
@@ -145,8 +150,8 @@ class TestWaveTwo:
         assert reused and reused <= short
 
     def test_t3_stop_disjunction(self, ccff3):
-        z1, z2 = ccff3.census.z1, ccff3.census.z2
-        x3 = ccff3.census.per_count[3]
+        z1, z2 = ccff3.census["z1"], ccff3.census["z2"]
+        x3 = ccff3.census["x3"]
         assert (3 * z1 + 4 * z2 <= 2 * 6) or (2 * z1 + 3 * z2 <= 6 * x3 <= 2 * 6)
 
     @pytest.mark.parametrize("t,m", [(2, 6), (2, 12), (3, 6), (3, 12)])
@@ -189,9 +194,9 @@ class TestFinals:
     def test_alg_lower_bounds(self, ccff3):
         by_name = {sc.scenario: sc for sc in ccff3.scenarios}
         c = ccff3.census
-        x3 = c.per_count[3]
-        assert by_name["six-tenths"].alg_cost >= x3 + c.z1 + 2 * c.z2
-        assert by_name["short-two-thirds"].alg_cost >= x3 + c.z1 + c.z2
+        x3 = c["x3"]
+        assert by_name["six-tenths"].alg_cost >= x3 + c["z1"] + 2 * c["z2"]
+        assert by_name["short-two-thirds"].alg_cost >= x3 + c["z1"] + c["z2"]
 
 
 class TestColorLedger:

@@ -92,6 +92,22 @@ class TestDuel:
         assert report["closedFormBounds"]["tiny-wave"]["exact"] == "5/3"
         assert len(report["scenarios"]) == 3
 
+    @pytest.mark.parametrize("variant,algorithm", [("ko", "first-fit"),
+                                                   ("sp", "shelf-first-fit")])
+    def test_colors_per_bin_is_a_clcbp_option(self, capsys, variant, algorithm):
+        code, out, err = run_cli(capsys, "duel", "--variant", variant, "--t", "3",
+                                 "--algorithm", algorithm, "--m", "8")
+        assert code == 3 and out == ""
+        assert err == f"error: --t applies to --variant clcbp only, not {variant}\n"
+
+    def test_clcbp_defaults_to_two_colors(self, capsys):
+        argv = ["duel", "--variant", "clcbp", "--algorithm", "ccff", "--m", "6"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["t"] == 2
+        assert run_cli(capsys, *argv[:3], "--t", "2", *argv[3:]) == (0, out, "")
+        assert run_cli(capsys, *argv[:3], "--t", "0", *argv[3:]) == (
+            3, "", "error: t must be 2 or 3\n")
+
     def test_byte_identical_reports(self, capsys):
         _, out1, _ = run_cli(capsys, "duel", "--variant", "ko",
                              "--algorithm", "best-fit", "--m", "8")
@@ -225,6 +241,32 @@ class TestOracle:
         code, out, err = run_cli(capsys, "oracle", "--instance", self.searched_instance(tmp_path))
         assert code == 4 and out == ""
         assert "witness packing invalid" in err
+
+    @pytest.mark.parametrize("advice,code,err", [
+        (1, 2, "cross-check failure: proven 2 bins, advice 1\n"),
+        (2, 0, ""),
+        (3, 2, "cross-check failure: proven 2 bins, advice 3\n"),
+    ])
+    def test_known_opt_advice_is_checked(self, capsys, tmp_path, advice, code, err):
+        instance = tmp_path / "advice.json"
+        instance.write_text(json.dumps({
+            "rules": {"kind": "known-opt", "advice": advice},
+            "items": [{"size": "1/2"}] * 3,
+        }))
+        got = run_cli(capsys, "oracle", "--instance", str(instance))
+        assert got[0] == code and got[2] == err
+        payload = json.loads(got[1])  # the report is printed either way
+        assert payload["minBins"] == 2 and payload["proven"]
+
+    def test_a_count_below_the_advice_fails_unproven(self, capsys, tmp_path):
+        instance = tmp_path / "advice.json"
+        instance.write_text(json.dumps({
+            "rules": {"kind": "known-opt", "advice": 5},
+            "items": [{"size": s} for s in TestOracle.SEARCHED],
+        }))
+        code, out, err = run_cli(capsys, "oracle", "--instance", str(instance), "--budget", "1")
+        assert code == 2 and json.loads(out)["proven"] is False
+        assert err == "cross-check failure: found 4 bins, advice 5\n"
 
     def test_bad_perturbation_base(self, capsys, tmp_path):
         instance = tmp_path / "base.json"

@@ -29,7 +29,7 @@ from packbound.mathprog import (
     solve_min_r_exact,
 )
 from packbound.mathprog import _bland, _cost_rows, _phase1, _rows_for_lp, _structural
-from packbound.shapes import KO, SP
+from packbound.shapes import CLCBP, KO, SP, structural_rows
 
 TOL = F(1, 10**9)
 
@@ -72,8 +72,8 @@ class TestStructure:
     def test_clcbp3_contains_item_row(self):
         p = builtin_program("clcbp3-case1")
         row = p.row("items")
-        assert dict(row.coeffs) == {"e1": (F(1), F(0)), "e2": (F(2), F(0)),
-                                    "e3": (F(3), F(0))}
+        assert dict(row.coeffs) == {"x1": (F(1), F(0)), "x2": (F(2), F(0)),
+                                    "x3": (F(3), F(0))}
         assert row.const == (F(1), F(0)) and row.relation == "=="
 
 
@@ -254,7 +254,7 @@ class TestStructuralRowsFromBandTables:
     def test_widening_a_ko_band_changes_its_row(self):
         bands = dict(KO.bands)
         bands[0] = tuple(((3, 4) if name == "s3" else band, name) for band, name in bands[0])
-        rows = _structural(dataclasses.replace(KO, bands=bands))
+        rows = _structural(structural_rows(dataclasses.replace(KO, bands=bands)))
         assert dict(rows[1].coeffs)["s3"] == (F(4), F(0))
         assert _mismatches(rows, KO_STRUCTURAL, ordered=True) == ["items-sevenths"]
 
@@ -262,7 +262,7 @@ class TestStructuralRowsFromBandTables:
         bands = dict(SP.bands)
         bands[1] = tuple(((5 if name == "f14t1" else lo, hi), name)
                          for (lo, hi), name in bands[1])
-        rows = _structural(dataclasses.replace(SP, bands=bands))
+        rows = _structural(structural_rows(dataclasses.replace(SP, bands=bands)))
         large = next(r for r in rows if r.label == "large-thirds")
         assert "f14t1" not in dict(large.coeffs)
         assert _mismatches(rows, SP_STRUCTURAL, ordered=False) == ["large-thirds"]
@@ -339,13 +339,14 @@ def _oriented(row):
 
 
 def _same_constraint(got, want):
-    """Whether two ">=" or "<=" rows are one constraint: their oriented forms
-    are equal up to a positive factor."""
+    """Whether two rows are one constraint: their oriented forms are equal up
+    to a factor, which is positive unless both rows are "=="."""
     a, b = _oriented(got), _oriented(want)
-    if a.keys() != b.keys():
+    equality = got.relation == "=="
+    if a.keys() != b.keys() or equality != (want.relation == "=="):
         return False
     factor = next(a[key] / b[key] for key in a)
-    return factor > 0 and all(a[key] == factor * b[key] for key in a)
+    return (equality or factor > 0) and all(a[key] == factor * b[key] for key in a)
 
 
 class TestCostRowsFromCostEntries:
@@ -359,7 +360,7 @@ class TestCostRowsFromCostEntries:
         sp = builtin_program("sp")
         for want in SP_COSTS:
             got = sp.row(want.label)
-            assert got.relation == ">=" and _same_constraint(got, want), got.render()
+            assert _same_constraint(got, want), got.render()
 
     def test_same_constraint_tells_rows_apart(self):
         bigsquares = SP_COSTS[0]
@@ -388,6 +389,123 @@ class TestCostRowsFromCostEntries:
         assert "t2" not in dict(rows[3].coeffs)
         monkeypatch.setattr(knownopt, "KO", table)
         assert over_half_bound(knownopt.run_full("first-fit", 8)) == over_half_bound(run) - 3
+
+
+# reference: the clcbp programs' rows as they were written out by hand, in
+# the paper's variables: e_j bins holding j tinies, tb1 bins holding a third,
+# tb2 bins holding two thirds, and at t = 3 e_all = e1 + e2 + e3
+CLCBP2_HAND = (
+    Row.build("items", {"e1": 1, "e2": 2}, "==", 1),
+    Row.build("skew", {"e1": 1, "e2": -2}, "<=", 0),
+    Row.build("cost-tiny", {"e1": 1, "e2": 1}, "<=", (-1, 1)),
+    Row.build("cost-sixtenths", {"e2": 1, "tb1": (1, -1), "tb2": (2, -1)}, "<=", (0, 0)),
+    Row.build("third-pairs", {"tb2": 1, "tb1": -1}, "<=", 0),
+)
+CLCBP3_HAND = (
+    Row.build("items", {"e1": 1, "e2": 2, "e3": 3}, "==", 1),
+    Row.build("e-total", {"e_all": 1, "e1": -1, "e2": -1, "e3": -1}, "==", 0),
+    Row.build("cost-tiny", {"e_all": 2}, "<=", (-1, 1)),
+    Row.build("third-pairs", {"tb2": 1, "tb1": -1}, "<=", 0),
+    Row.build("cost-twothirds", {"e3": 1, "tb1": (1, F(-1, 2)), "tb2": (1, -1)}, "<=", (0, 0)),
+    Row.build("cost-sixtenths", {"e3": 1, "tb1": (1, -1), "tb2": (2, -1)}, "<=", (0, 0)),
+)
+CLCBP_HAND = {
+    "clcbp2-case1": CLCBP2_HAND + (
+        Row.build("balance", {"e1": 1, "e2": -1}, "<=", 0),
+        Row.build("t-count", {"tb1": 1, "tb2": 1, "e2": -2}, "==", 0),
+        Row.build("cost-twothirds", {"e2": (1, F(-1, 2)), "tb1": (1, F(-1, 2)), "tb2": (1, -1)},
+                  "<=", (0, 0)),
+    ),
+    "clcbp2-case2": CLCBP2_HAND + (
+        Row.build("balance", {"e2": 1, "e1": -1}, "<=", 0),
+        Row.build("t-count", {"tb1": 1, "tb2": 1, "e1": -2}, "==", 0),
+        Row.build("cost-twothirds", {"e2": (1, -1), "tb1": (1, F(-1, 2)), "tb2": (1, -1),
+                                     "e1": (0, F(1, 2))}, "<=", (0, 0)),
+    ),
+    "clcbp3-case1": CLCBP3_HAND + (
+        Row.build("stop-low", {"tb1": 1, "tb2": 1, "e3": 6}, ">=", 2),
+        Row.build("stop-tie", {"tb1": 2, "tb2": 3, "e3": -6}, "==", 0),
+    ),
+    "clcbp3-case2": CLCBP3_HAND + (
+        Row.build("stop-low", {"tb1": 1, "tb2": 1, "e3": 6}, "<=", 2),
+        Row.build("stop-tie", {"tb1": 3, "tb2": 4}, "==", 2),
+    ),
+}
+
+
+def _in_census_variables(row):
+    """A hand clcbp row over x_j, z1 and z2, with e_all = e1 + e2 + e3 substituted."""
+    names = {"e1": ("x1",), "e2": ("x2",), "e3": ("x3",), "e_all": ("x1", "x2", "x3"),
+             "tb1": ("z1",), "tb2": ("z2",)}
+    coeffs = {}
+    for var, (c, d) in row.coeffs:
+        for name in names[var]:
+            cc, dd = coeffs.get(name, (0, 0))
+            coeffs[name] = (cc + c, dd + d)
+    return Row.build(row.label, coeffs, row.relation, row.const)
+
+
+class TestClcbpRowsFromDeclaration:
+    @pytest.mark.parametrize("pid", sorted(CLCBP_HAND))
+    def test_rows_are_the_hand_constraints(self, pid):
+        program = builtin_program(pid)
+        want = [_in_census_variables(r) for r in CLCBP_HAND[pid] if r.label != "e-total"]
+        assert sorted(r.label for r in program.rows) == sorted(r.label for r in want)
+        for row in want:
+            got = program.row(row.label)
+            assert _same_constraint(got, row), (got.render(), row.render())
+
+    def test_variables(self):
+        assert builtin_program("clcbp2-case1").variables == ("x1", "x2", "z1", "z2", "ratio")
+        assert builtin_program("clcbp3-case2").variables == (
+            "x1", "x2", "x3", "z1", "z2", "ratio")
+
+    def test_program_row_order(self):
+        assert [r.label for r in builtin_program("clcbp2-case2").rows] == [
+            "items", "third-pairs", "skew", "balance", "t-count",
+            "cost-tiny", "cost-sixtenths", "cost-twothirds",
+        ]
+        assert [r.label for r in builtin_program("clcbp3-case1").rows] == [
+            "items", "third-pairs", "stop-low", "stop-tie",
+            "cost-tiny", "cost-sixtenths", "cost-twothirds",
+        ]
+
+    def test_same_constraint_reads_equalities_up_to_sign(self):
+        items = Row.build("items", {"x1": 1, "x2": 2}, "==", 1)
+        assert _same_constraint(Row.build("i", {"x1": -2, "x2": -4}, "==", -2), items)
+        assert not _same_constraint(Row.build("i", {"x1": 1, "x2": 2}, ">=", 1), items)
+        assert not _same_constraint(Row.build("i", {"x1": 1, "x2": 1}, "==", 1), items)
+
+    def test_changing_a_payment_moves_the_row_and_the_duel_bound(self, monkeypatch):
+        from packbound import clcbp
+
+        def sixtenths_bound(run):
+            sc = next(sc for sc in run.scenarios if sc.scenario == "six-tenths")
+            check = next(c for c in sc.checks if c.name == "alg-lower-bound")
+            return int(check.detail.rsplit(" ", 1)[1])
+
+        run = clcbp.run_full("ccff", 2, 12)
+        assert run.census["z2"] == 6
+        halves = CLCBP[2].costs["six-tenths"]
+        table = dataclasses.replace(CLCBP[2], costs={**CLCBP[2].costs, "six-tenths":
+                                    dataclasses.replace(halves, pays={"x2": 1})})
+        before, after = _cost_rows(CLCBP[2], "clcbp2-case1"), _cost_rows(table, "clcbp2-case1")
+        assert [b.label for a, b in zip(after, before) if a != b] == ["cost-sixtenths"]
+        # R*z1 + R*z2 - x2 - z1 - 2*z2 >= 0 loses one z2, stated as <= 0
+        assert dict(before[1].coeffs)["z2"] == (F(2), F(-1))
+        assert dict(after[1].coeffs)["z2"] == (F(1), F(-1))
+        monkeypatch.setattr(clcbp, "CLCBP", {**CLCBP, 2: table})
+        assert sixtenths_bound(clcbp.run_full("ccff", 2, 12)) == sixtenths_bound(run) - 6
+
+
+def test_no_cost_row_is_a_zero_constant_at_least_row():
+    # phase 1 would start such a row on an artificial; stated as <= 0 it starts on its slack
+    labels = {cost.label for table in (KO, SP, *CLCBP.values()) for cost in table.costs.values()}
+    for pid in builtin_program_ids():
+        costs = [row for row in builtin_program(pid).rows if row.label in labels]
+        assert costs, pid
+        for row in costs:
+            assert row.relation != ">=" or row.const != (0, 0), (pid, row.render())
 
 
 class TestFeasibility:
@@ -534,6 +652,19 @@ class TestEmpiricalCensusAgainstPrograms:
                     assert abs(lhs - rhs) <= slack, (case, row.label)
             else:
                 assert lhs == rhs, (case, row.label, lhs, rhs)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    @pytest.mark.parametrize("m", [12, 48, 96])
+    def test_clcbp_census_satisfies_rows(self, t, m):
+        from packbound import clcbp
+
+        run = clcbp.run_full("ccff", t, m)
+        point = {name: F(count, m) for name, count in run.census.items()}
+        for pid in (f"clcbp{t}-case1", f"clcbp{t}-case2"):
+            program = builtin_program(pid)
+            items, pairs = program.row("items"), program.row("third-pairs")
+            assert sum(c * point[var] for var, (c, _) in items.coeffs) == items.const[0] == 1
+            assert sum(c * point[var] for var, (c, _) in pairs.coeffs) <= pairs.const[0] == 0
 
     @pytest.mark.parametrize("m", [24, 48, 96])
     def test_sp_census_satisfies_rows(self, m):
