@@ -59,11 +59,17 @@ def _replayed_certificates():
             yield cert, str(exc), False
 
 
+# how close a whole bisected bracket must come to its printed reference value
+AGREEMENT = Fraction(1, 10**6)
+
+
 def cmd_bounds(args) -> int:
     try:
         tol = parse_rational(args.tol)
     except (ValueError, ZeroDivisionError):
         return _fail_config(f"--tol {args.tol!r} is not a rational number")
+    if tol <= 0:
+        return _fail_config(f"--tol: bisection tolerance must be positive, got {tol}")
     rows = []
     ok = True
     try:
@@ -76,15 +82,12 @@ def cmd_bounds(args) -> int:
                 passed = value == parse_rational(target)
                 decimal = decimal_str(value)
             else:
-                try:
-                    lo, hi = bisect_min_r(program, tol)
-                except ValueError as exc:  # a tolerance that is not positive
-                    return _fail_config(f"--tol: {exc}")
+                lo, hi = bisect_min_r(program, tol)
                 printed = Fraction(target)
-                if mode == "bracket":
-                    passed = lo <= printed <= hi
-                else:
-                    passed = max(lo - printed, printed - hi, Fraction(0)) <= Fraction(1, 10**6)
+                if mode == "bracket":  # contains it and is at most AGREEMENT wide
+                    passed = lo <= printed <= hi and hi - lo <= AGREEMENT
+                else:  # both ends within AGREEMENT of it
+                    passed = max(abs(lo - printed), abs(hi - printed)) <= AGREEMENT
                 computed = f"[{fraction_str(lo)}, {fraction_str(hi)}]"
                 decimal = f"[{decimal_str(lo)}, {decimal_str(hi)}]"
             ok &= passed

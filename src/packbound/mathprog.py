@@ -2,10 +2,12 @@
 
 Programs minimize a ratio variable R subject to rows whose coefficients are
 affine in R: a row stores one (c, d) pair per variable, meaning (c + d*R) *
-var, and a (c0, d0) constant pair.  `_rows_for_lp` lowers a program to dense
-rows, either with R kept as a column or with R fixed to a value.  The
-structural and cost rows of every program are derived from the censuses and
-continuation costs in `shapes`; only `stop-mix` and the case rows (ko's
+var, and a (c0, d0) constant pair.  Each program is lowered once, on first
+use, to integer rows (`Program.lowered`), and `_integer_rows` reads them
+either with R kept as a column or with R = p/q substituted in integer
+arithmetic.  The structural and cost rows of every program are derived from
+the censuses and continuation costs in `shapes`; only `stop-mix` and the
+case rows (ko's
 `few-new-thirds`/`many-new-thirds`, clcbp's `skew`, `balance`, `t-count`,
 `stop-low` and `stop-tie`) are written out here, as the paper states them.
 
@@ -16,9 +18,9 @@ whether the artificial sum reaches zero), and `bisect_min_r` brackets min R
 on [R_LO, R_HI] with it, guarded by a monotonicity sample of
 MONOTONE_SAMPLES feasibility tests.
 
-The simplex is exact without Fractions: the lowered rows are scaled to
-integers, and every tableau row and the cost row holds some positive multiple
-of the true rational row.  A pivot cross-multiplies (integer-preserving
+The simplex is exact without Fractions: it starts from those integer rows,
+and every tableau row and the cost row holds some positive multiple of the
+true rational row.  A pivot cross-multiplies (integer-preserving
 elimination in the sense of Bareiss, Math. Comp. 22, 1968) and divides each
 updated row by the gcd of its entries.  Bland's rule reads only the signs of
 the cost row and the ratios rhs/entry within one row, ties broken by basis
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Optional
 
@@ -148,6 +151,35 @@ class Program:
                 return row
         raise KeyError(label)
 
+    @cached_property
+    def lowered(self) -> tuple:
+        """The rows over integers, computed once: (columns, ratio_at, rows).
+
+        columns are the variables other than the ratio, ratio_at is the
+        ratio's index in `variables` (None without one), and each row
+        (s, c, d, c0, d0, rc, rd, rel), c and d over columns, means
+        sum_j (c_j + d_j*R) x_j + (rc + rd*R) * R  REL  c0 + d0*R: s times
+        the rational row, s the lcm of its denominators.
+        """
+        columns = tuple(v for v in self.variables if v != "ratio")
+        index = {v: j for j, v in enumerate(columns)}
+        n2 = 2 * len(columns)
+        rows = []
+        for row in self.rows:
+            pairs = [(0, 0)] * len(columns)
+            ratio = (0, 0)
+            for var, pair in row.coeffs:
+                if var == "ratio":
+                    ratio = pair
+                else:
+                    pairs[index[var]] = pair
+            values = [x for pair in (*pairs, row.const, ratio) for x in pair]
+            s = lcm(*(x.denominator for x in values))
+            ints = [x.numerator * (s // x.denominator) for x in values]
+            rows.append((s, ints[0:n2:2], ints[1:n2:2], *ints[n2:], row.relation))
+        ratio_at = self.variables.index("ratio") if "ratio" in self.variables else None
+        return columns, ratio_at, tuple(rows)
+
 
 # -- exact two-phase simplex ------------------------------------------------
 # (integer rows, each a positive multiple of its rational row: see the module
@@ -228,44 +260,43 @@ def _price_out(cost, tab, basis):
 
 
 def _phase1(n, rows):
-    """Phase 1 of the exact simplex over rows (coeff list, rhs, rel), x >= 0.
+    """Phase 1 of the exact simplex over integer rows (coeff list, rhs, rel,
+    factor), x >= 0, each row `factor` > 0 times its rational row.
 
-    Minimizes the sum of the artificial columns.  Returns the final tableau,
-    its basis, the number of columns before the artificials (structural then
-    slack) and the cost row, all as integer rows.  The cost row is a positive
-    multiple of the phase-1 reduced costs, so its last entry is a positive
-    multiple of minus that minimum: the rows are feasible exactly when it is
-    zero.
+    Minimizes the sum of the artificial columns, whose entries, like the
+    slacks', are the row's factor.  Returns the final tableau, its basis, the
+    number of columns before the artificials (structural then slack) and the
+    cost row, all as integer rows.  The cost row is a positive multiple of the
+    phase-1 reduced costs, so its last entry is a positive multiple of minus
+    that minimum: the rows are feasible exactly when it is zero.
     """
     # normalize rhs >= 0
     norm = []
-    for coeffs, rhs, rel in rows:
+    for coeffs, rhs, rel, factor in rows:
         if rhs < 0:
             coeffs = [-c for c in coeffs]
             rhs = -rhs
             rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm.append((coeffs, rhs, rel))
+        norm.append((coeffs, rhs, rel, factor))
 
-    slack_cols = sum(1 for _, _, rel in norm if rel in ("<=", ">="))
-    art_cols = sum(1 for _, _, rel in norm if rel in (">=", "=="))
+    slack_cols = sum(1 for _, _, rel, _ in norm if rel in ("<=", ">="))
+    art_cols = sum(1 for _, _, rel, _ in norm if rel in (">=", "=="))
     real = n + slack_cols
     tab = []
     basis = []
     s_at = n
     a_at = real
-    for coeffs, rhs, rel in norm:
-        scale = lcm(*(x.denominator for x in coeffs), rhs.denominator)
-        row = [x.numerator * (scale // x.denominator) for x in (*coeffs, rhs)]
-        row[n:n] = [0] * (slack_cols + art_cols)
+    for coeffs, rhs, rel, factor in norm:
+        row = [*coeffs, *[0] * (slack_cols + art_cols), rhs]
         if rel == "<=":
-            row[s_at] = scale
+            row[s_at] = factor
             basis.append(s_at)
             s_at += 1
         else:
             if rel == ">=":
-                row[s_at] = -scale
+                row[s_at] = -factor
                 s_at += 1
-            row[a_at] = scale
+            row[a_at] = factor
             basis.append(a_at)
             a_at += 1
         tab.append(_reduced(row))
@@ -280,36 +311,42 @@ def _phase1(n, rows):
 # -- program-level operations ------------------------------------------------
 
 
-def _rows_for_lp(program: Program, r0: Optional[Fraction] = None):
-    """Rows in dense-list form over x >= 0.
+def _integer_rows(program: Program, r0: Optional[Fraction] = None):
+    """The column count and the rows (coeff list, rhs, rel, factor) of
+    `program.lowered` for `_phase1`.
 
-    With r0 given, R = r0 is substituted: each coefficient becomes c + d*r0
-    and the ratio column, now a constant, moves to the right-hand side.
-    Without it the ratio stays a column and only the c parts are read.
+    With r0 = p/q given, R = r0 is substituted: each coefficient becomes
+    c*q + d*p and the ratio column, now a constant, moves to the right-hand
+    side, so the row is s*q times its rational row (s*q^2 when the ratio
+    column carries an R term).  Without it the ratio stays a column and only
+    the c parts are read.
     """
-    r = F(0) if r0 is None else r0
-    variables = [v for v in program.variables if r0 is None or v != "ratio"]
-    index = {v: i for i, v in enumerate(variables)}
-    dense = []
-    for row in program.rows:
-        line = [F(0)] * len(variables)
-        rhs = row.const[0] + row.const[1] * r
-        for var, (c, d) in row.coeffs:
-            if var in index:
-                line[index[var]] = c + d * r
-            else:
-                rhs -= (c + d * r) * r
-        dense.append((line, rhs, row.relation))
-    return variables, dense
+    columns, ratio_at, lowered = program.lowered
+    out = []
+    if r0 is None:
+        for s, c, _, c0, _, rc, _, rel in lowered:
+            if ratio_at is not None:
+                c = [*c[:ratio_at], rc, *c[ratio_at:]]
+            out.append((c, c0, rel, s))
+        return len(program.variables), out
+    p, q = r0.numerator, r0.denominator
+    for s, c, d, c0, d0, rc, rd, rel in lowered:
+        line = [x * q + y * p for x, y in zip(c, d)]
+        rhs = c0 * q + (d0 - rc) * p
+        if rd:
+            line = [x * q for x in line]
+            rhs = rhs * q - rd * p * p
+            s *= q
+        out.append((line, rhs, rel, s * q))
+    return len(columns), out
 
 
 def solve_min_r_exact(program: Program) -> Fraction:
     """Exact optimum of a program that is linear in R."""
     if not program.linear_in_r:
         raise ValueError(f"{program.program_id}: linear solve requires rows with no R terms")
-    variables, dense = _rows_for_lp(program)
-    n = len(variables)
-    tab, basis, real, cost = _phase1(n, dense)
+    n, rows = _integer_rows(program)
+    tab, basis, real, cost = _phase1(n, rows)
     if cost[-1] != 0:
         raise Infeasible(program.program_id)
     # phase 2: drive leftover artificials out of the basis, drop the rows
@@ -322,20 +359,19 @@ def solve_min_r_exact(program: Program) -> Fraction:
     keep = [i for i in range(len(tab)) if basis[i] < real]
     tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
-    objective = [1 if v == "ratio" else 0 for v in variables]
+    objective = [1 if v == "ratio" else 0 for v in program.variables]
     cost = objective + [0] * (len(cost) - n)
     _price_out(cost, tab, basis)
     if _bland(tab, basis, cost, range(real)) == "unbounded":
         raise Unbounded(program.program_id)
     # the optimum is the ratio's value in the final basic solution
-    col = variables.index("ratio") if "ratio" in variables else -1
+    _, col, _ = program.lowered
     return next((F(row[-1], row[col]) for row, b in zip(tab, basis) if b == col), F(0))
 
 
 def feasible_at(program: Program, r0: Fraction) -> bool:
     """Exact feasibility of the row system with R fixed to r0."""
-    variables, dense = _rows_for_lp(program, F(r0))
-    *_, cost = _phase1(len(variables), dense)
+    *_, cost = _phase1(*_integer_rows(program, F(r0)))
     return cost[-1] == 0
 
 

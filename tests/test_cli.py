@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from packbound import clcbp
+from packbound import clcbp, cli
 from packbound.algorithms import register_algorithm
 from packbound.cli import main
 from packbound.model import Placement
@@ -63,6 +63,32 @@ class TestBounds:
         code, out, err = run_cli(capsys, "bounds", "--tol", tol)
         assert code == 3 and out == ""
         assert err.startswith("error: --tol") and reason in err
+
+    def test_tolerance_is_checked_before_any_solve(self, capsys, monkeypatch):
+        def no_solve(program):
+            raise AssertionError(f"solved {program.program_id}")
+
+        monkeypatch.setattr(cli, "solve_min_r_exact", no_solve)
+        code, _, err = run_cli(capsys, "bounds", "--tol", "0")
+        assert code == 3 and "must be positive" in err
+
+    def test_a_solver_value_error_is_not_a_tolerance_error(self, capsys, monkeypatch):
+        def broken(program, tol):
+            raise ValueError("broken solver")
+
+        monkeypatch.setattr(cli, "bisect_min_r", broken)
+        with pytest.raises(ValueError, match="broken solver"):
+            main(["bounds"])
+
+    @pytest.mark.parametrize("tol", ["3", "1/1000"])
+    def test_coarse_tolerance_is_a_mismatch(self, capsys, tol):
+        # the brackets still contain or come near every reference, but are
+        # wider than the 1e-6 agreement the rows claim
+        code, out, _ = run_cli(capsys, "bounds", "--tol", tol, "--json")
+        assert code == 2
+        status = {row["program"]: row["status"] for row in json.loads(out)["bounds"]}
+        bisected = {"sp", "clcbp2-case1", "clcbp2-case2", "clcbp3-case1", "clcbp3-case2"}
+        assert {pid for pid, s in status.items() if s == "MISMATCH"} == bisected
 
 
 class TestDuel:

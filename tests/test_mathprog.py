@@ -14,6 +14,7 @@ from packbound.mathprog import (
     Certificate,
     Infeasible,
     MismatchedTarget,
+    NonMonotoneDetected,
     NoUpperBound,
     Program,
     Row,
@@ -28,7 +29,7 @@ from packbound.mathprog import (
     ko_certificate_suite,
     solve_min_r_exact,
 )
-from packbound.mathprog import _bland, _cost_rows, _phase1, _rows_for_lp, _structural
+from packbound.mathprog import _bland, _cost_rows, _integer_rows, _phase1, _structural
 from packbound.shapes import CLCBP, KO, SP, structural_rows
 
 TOL = F(1, 10**9)
@@ -119,8 +120,7 @@ class TestSimplexEdgePaths:
             Row.build("items-again", {"x": 2, "ratio": 2}, "==", 2),
             Row.build("pin", {"x": -1}, "==", 0),
         ))
-        variables, dense = _rows_for_lp(prog)
-        tab, basis, real, cost = _phase1(len(variables), dense)
+        tab, basis, real, cost = _phase1(*_integer_rows(prog))
         assert cost[-1] == 0
         left = {i: tab[i][:real] for i, b in enumerate(basis) if b >= real}
         assert left[1] == [0, 0] and left[2][0] < 0 and left[2][1] == 0
@@ -143,8 +143,7 @@ class TestSimplexEdgePaths:
             Row.build("a", {"x": 1, "y": 1}, "<=", 1),
             Row.build("b", {"x": 1}, ">=", (-1, 1)),
         ))
-        variables, dense = _rows_for_lp(prog, F(2))
-        tab, basis, real, cost = _phase1(len(variables), dense)
+        tab, basis, real, cost = _phase1(*_integer_rows(prog, F(2)))
         assert any(b >= real and row[-1] == 0 for row, b in zip(tab, basis))
         assert feasible_at(prog, F(2))
         assert not feasible_at(prog, F(3))
@@ -277,7 +276,7 @@ class TestStructuralRowsFromBandTables:
             "sys.exit(', '.join(loaded) or None)\n"
         )
         src = str(Path(packbound.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script],
+        proc = subprocess.run([sys.executable, "-B", "-c", script],
                               env={"PYTHONPATH": src}, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
@@ -568,6 +567,17 @@ class TestBisection:
         assert visited.count(mathprog.R_HI) == 1
         # R_HI, the 31 other grid samples, 31 halvings of [1, 3] down to 1e-9
         assert len(visited) == 63
+
+    def test_non_monotone_feasibility_is_detected(self):
+        # (R - 5/2)*x + (3/2 - R)*y == 1 needs one coefficient positive:
+        # feasible at R = 1 (y) and R = 3 (x), not at R = 2 (both -1/2)
+        prog = Program("two-sided", ("x", "y", "ratio"), (
+            Row.build("split", {"x": (F(-5, 2), 1), "y": (F(3, 2), -1)}, "==", 1),
+        ))
+        assert feasible_at(prog, F(1)) and feasible_at(prog, F(3))
+        assert not feasible_at(prog, F(2))
+        with pytest.raises(NonMonotoneDetected, match="two-sided"):
+            bisect_min_r(prog, TOL)
 
     def test_no_upper_bound_detected(self):
         prog = type(builtin_program("sp"))(

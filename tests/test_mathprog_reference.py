@@ -1,15 +1,22 @@
-"""The exact simplex against the Fraction tableau it replaced.
+"""The exact simplex against the Fraction tableau it replaced, and the one
+lowering against the per-solve lowering it replaced.
 
-`_pivot`, `_bland`, `_price_out` and `_phase1` below are the Fraction
-simplex verbatim, and `reference_min_r` is the phase 2 that `solve_min_r_exact`
-ran on them.  The integer-row simplex in `packbound.mathprog` must take the
-same pivots, reach the same verdicts and optimum, and end on rows that are
-positive multiples of these.
+`_rows_for_lp` below is the Fraction lowering that ran before every solve,
+and `_scaled` the Fraction-to-int scaling that `_phase1` applied to its rows,
+both verbatim.  `_pivot`, `_bland`, `_price_out` and `_phase1` are the
+Fraction simplex verbatim, and `reference_min_r` is the phase 2 that
+`solve_min_r_exact` ran on them.  The integer-row simplex in
+`packbound.mathprog` must take the same pivots, reach the same verdicts and
+optimum, and end on rows that are positive multiples of these; on the rows of
+`Program.lowered` it must end on exactly the tableau it ends on from the
+scaled `_rows_for_lp` rows.
 """
 
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -27,9 +34,46 @@ from packbound.mathprog import (
     feasible_at,
     solve_min_r_exact,
 )
-from packbound.mathprog import _rows_for_lp
+from packbound.mathprog import _integer_rows
 
 F = Fraction
+
+
+# -- the Fraction lowering, verbatim -------------------------------------------
+
+
+def _rows_for_lp(program: Program, r0: Optional[Fraction] = None):
+    """Rows in dense-list form over x >= 0.
+
+    With r0 given, R = r0 is substituted: each coefficient becomes c + d*r0
+    and the ratio column, now a constant, moves to the right-hand side.
+    Without it the ratio stays a column and only the c parts are read.
+    """
+    r = F(0) if r0 is None else r0
+    variables = [v for v in program.variables if r0 is None or v != "ratio"]
+    index = {v: i for i, v in enumerate(variables)}
+    dense = []
+    for row in program.rows:
+        line = [F(0)] * len(variables)
+        rhs = row.const[0] + row.const[1] * r
+        for var, (c, d) in row.coeffs:
+            if var in index:
+                line[index[var]] = c + d * r
+            else:
+                rhs -= (c + d * r) * r
+        dense.append((line, rhs, row.relation))
+    return variables, dense
+
+
+def _scaled(dense):
+    """Each dense row times the lcm of its denominators, as integer rows
+    (coeff list, rhs, rel, factor) for the integer `_phase1`."""
+    out = []
+    for coeffs, rhs, rel in dense:
+        scale = lcm(*(x.denominator for x in coeffs), rhs.denominator)
+        row = [x.numerator * (scale // x.denominator) for x in (*coeffs, rhs)]
+        out.append((row[:-1], row[-1], rel, scale))
+    return out
 
 
 # -- the Fraction simplex, verbatim -------------------------------------------
@@ -185,9 +229,8 @@ def assert_phase1_agrees(program, r0=None):
     variables, dense = _rows_for_lp(program, r0)
     with pivots_of(REFERENCE) as want:
         ref_tab, ref_basis, ref_real, ref_cost = _phase1(len(variables), dense)
-    variables, dense = _rows_for_lp(program, r0)
     with pivots_of(mathprog) as got:
-        tab, basis, real, cost = mathprog._phase1(len(variables), dense)
+        tab, basis, real, cost = mathprog._phase1(*_integer_rows(program, r0))
     assert got == want
     assert (basis, real) == (ref_basis, ref_real)
     assert all(isinstance(x, int) for row in tab + [cost] for x in row)
@@ -195,6 +238,28 @@ def assert_phase1_agrees(program, r0=None):
     assert _scaled_by_positive(cost, ref_cost)
     assert (cost[-1] == 0) == (ref_cost[-1] == 0)
     return ref_cost[-1] == 0
+
+
+def assert_lowering_exact(program, r0=None):
+    """The integer phase 1 ends on the same tableau, basis and cost row from
+    the one lowering as from the scaled per-solve lowering."""
+    variables, dense = _rows_for_lp(program, r0)
+    want = mathprog._phase1(len(variables), _scaled(dense))
+    assert mathprog._phase1(*_integer_rows(program, r0)) == want
+
+
+def bisection_samples(program):
+    """Every R at which bisect_min_r tests the program, in order."""
+    visited = []
+    inner = mathprog.feasible_at
+
+    def recording(program, r0):
+        visited.append(r0)
+        return inner(program, r0)
+
+    with mock.patch.object(mathprog, "feasible_at", recording):
+        bisect_min_r(program)
+    return [F(r0) for r0 in visited]
 
 
 def outcome(solve, program):
@@ -238,31 +303,52 @@ class TestRandomPrograms:
     @given(programs(linear=False), st.fractions(min_value=1, max_value=3, max_denominator=8))
     def test_phase1_takes_the_same_pivots(self, program, r0):
         assert feasible_at(program, r0) == assert_phase1_agrees(program, r0)
+        assert_lowering_exact(program, r0)
 
     @settings(max_examples=300, deadline=None)
     @given(programs(linear=True))
     def test_min_r_takes_the_same_pivots(self, program):
         assert_min_r_agrees(program)
+        assert_lowering_exact(program)
+
+
+class TestOneLowering:
+    def test_ratio_column_with_an_r_term_scales_by_q_squared(self):
+        # x + R^2 <= 9/4: feasible up to R = 3/2; at R = 5/3 the row, times
+        # s*q^2 = 4*9, is 36*x <= 81 - 100
+        program = Program("ratio-squared", ("x", "ratio"), (
+            Row.build("cap", {"x": 1, "ratio": (0, 1)}, "<=", F(9, 4)),
+        ))
+        assert _integer_rows(program, F(5, 3)) == (1, [([36], -19, "<=", 36)])
+        assert feasible_at(program, F(3, 2)) and not feasible_at(program, F(5, 3))
+        for r0 in (F(3, 2), F(5, 3)):
+            assert_lowering_exact(program, r0)
+            assert_phase1_agrees(program, r0)
+
+    def test_is_computed_once(self):
+        program = builtin_program("clcbp2-case1")
+        assert program.lowered is program.lowered
 
 
 class TestBuiltinPrograms:
     @pytest.mark.parametrize("pid", ["ko-case1", "ko-case2"])
     def test_linear_optimum(self, pid):
         expected = assert_min_r_agrees(builtin_program(pid))
+        assert_lowering_exact(builtin_program(pid))
         assert expected == {"ko-case1": F(87, 62), "ko-case2": F(17, 12)}[pid]
 
     @pytest.mark.parametrize(
         "pid", [p for p in builtin_program_ids() if not builtin_program(p).linear_in_r])
     def test_every_bisection_sample(self, pid):
         program = builtin_program(pid)
-        visited = []
-        inner = mathprog.feasible_at
+        for r0 in bisection_samples(program):
+            assert_phase1_agrees(program, r0)
 
-        def recording(program, r0):
-            visited.append(r0)
-            return inner(program, r0)
-
-        with mock.patch.object(mathprog, "feasible_at", recording):
-            bisect_min_r(program)
-        for r0 in visited:
-            assert_phase1_agrees(program, F(r0))
+    @pytest.mark.parametrize(
+        "pid", [p for p in builtin_program_ids() if not builtin_program(p).linear_in_r])
+    def test_one_lowering_is_exact(self, pid):
+        program = builtin_program(pid)
+        samples = bisection_samples(program)
+        assert len(samples) == 63
+        for r0 in samples:
+            assert_lowering_exact(program, r0)

@@ -135,7 +135,7 @@ class TestLayouts:
             "sys.exit(1)\n"
         )
         src = str(Path(packbound.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
+        proc = subprocess.run([sys.executable, "-B", "-O", "-c", script],
                               env={"PYTHONPATH": src}, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
