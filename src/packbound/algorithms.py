@@ -7,8 +7,9 @@ reported as an algorithm failure, never an adversary failure.
 
 Algorithms see only the packing (whose rules carry the known-opt advice)
 and the items themselves; adversary internals are off limits.  No strategy
-tests capacity or the color cap itself: each asks `Packing.fits`, so that
-rule lives in `model.Packing` alone.
+tests capacity or the color cap itself: each asks `Packing.fits` (first-fit
+and best-fit first ask `Packing.fits_no_open_bin`, which rules out every
+open bin with one comparison), so that rule lives in `model.Packing` alone.
 
 Adversaries branch by forking a live session (`AlgorithmSession.fork`): a
 copy of the packing, the transcript and the strategy's state, so every
@@ -138,6 +139,8 @@ def _next_fit(packing: Packing, item: Item) -> Placement:
 
 def first_fit(packing: Packing, item: Item) -> Placement:
     """The earliest bin the item fits in, else a fresh bin."""
+    if packing.fits_no_open_bin(item):
+        return Placement(packing.cost)
     for b in range(packing.cost):
         if packing.fits(b, item):
             return Placement(b)
@@ -146,6 +149,8 @@ def first_fit(packing: Packing, item: Item) -> Placement:
 
 def _best_fit(packing: Packing, item: Item) -> Placement:
     """The fitting bin with the least room left, else a fresh bin."""
+    if packing.fits_no_open_bin(item):
+        return Placement(packing.cost)
     best = None
     best_room = None
     for b in range(packing.cost):

@@ -364,7 +364,7 @@ def cmd_oracle(args) -> int:
         return _fail_config(f"bad instance file: {exc}")
     try:
         instance = OracleInstance(items, rules, node_budget=args.budget)
-    except ValueError as exc:  # a geometric variant
+    except ValueError as exc:  # a geometric variant or a node budget below 1
         return _fail_config(str(exc))
     try:
         result = min_bins(instance)

@@ -16,13 +16,18 @@ factored form and decides comparisons by exact dominance arguments:
 * a leading term (or a materialized cluster of nearby terms) outweighs the
   remaining tail whenever an exact integer inequality certifies it.
 
-Comparisons run in two tiers.  First an integer dominance certificate: when
-the rational parts differ, their cross-multiplied difference is tested
+Comparisons run in three tiers.  First an integer dominance certificate:
+when the rational parts differ, their cross-multiplied difference is tested
 against a bound on both perturbation tails, ``sum|coef| * 10**-e_min``, which
 every value caches for itself; this builds no ``Exact`` and no ``Fraction``.
-Only when that cannot decide (equal rational parts, or a difference too
-small to beat the tails) is the difference formed and its sign certified
-term by term.  Sums merge the two canonical term tuples in one linear pass.
+Second, for equal rational parts, a leading-term certificate: the larger of
+the two leading terms is weighed against the cached bounds on everything
+else (the other operand's whole tail and this operand's terms after its
+lead); against a purely rational operand the cached sign of the other's
+terms decides.  Only when neither can decide (or the rational difference is
+too small to beat the tails) are the terms of the difference merged and its
+sign certified term by term.  Sums merge the two canonical term tuples in
+one linear pass.
 
 Every code path is exact.  When a shortcut test cannot certify an answer the
 term group is expanded into a literal ``Fraction`` (cheap for the moderate
@@ -291,6 +296,31 @@ def _sum_tails(t1: tuple, t2: tuple) -> tuple[int, int, int]:
     return (min(t1[0], t2[0]),) + _add_ratios(t1[1], t1[2], t2[1], t2[2])
 
 
+def _lead_sign(a: "Exact", b: "Exact") -> int:
+    """Sign of a - b for equal rational parts, both with terms, when the
+    larger of the two leads outweighs every other term of both; else 0.
+
+    With lead c * base**-exp and the rest bounded by (n/d) * 10**-e_min
+    (its own operand's terms after it, plus the other operand's tail), the
+    lead decides once n/(d|c|) < 10**(e_min - hi), where base**exp <= 10**hi.
+    """
+    (a_base, a_exp, a_coef), (b_base, b_exp, b_coef) = a._terms[0], b._terms[0]
+    if a_base == b_base and a_exp == b_exp:
+        return 0
+    if _mag_lt(b_base, b_exp, a_base, a_exp):
+        base, exp, coef, lead, other = a_base, a_exp, a_coef, a, b
+    else:
+        base, exp, coef, lead, other = b_base, b_exp, -b_coef, b, a
+    bound = other._tail_bound()
+    if len(lead._terms) > 1:
+        bound = _sum_tails(lead._rest_bound(), bound)
+    e_min, n, d = bound
+    _, hi = _log10_bounds(base, exp)
+    if _ratio_certified(n * coef.denominator, d * abs(coef.numerator), 10, e_min - hi):
+        return 1 if coef > 0 else -1
+    return 0
+
+
 def _merge_terms(xs: tuple, ys: tuple) -> tuple:
     """Canonical sum of two canonical term tuples, in one merge pass."""
     out = []
@@ -317,13 +347,17 @@ def _merge_terms(xs: tuple, ys: tuple) -> tuple:
 class Exact:
     """Immutable exact number ``rational + sum(coef * base**-exp)``."""
 
-    __slots__ = ("_rat", "_terms", "_hash", "_tail")
+    __slots__ = ("_rat", "_terms", "_hash", "_tail", "_rest", "_tsign")
 
     def __init__(self, rational: RationalLike | Fraction = 0, _terms: tuple = (), _tail=None):
         self._rat = _as_fraction(rational)
         self._terms = _terms
         self._hash = None
-        self._tail = _tail  # see _tail_bound; a cache, never part of the value
+        # caches of facts about the terms alone, never part of the value:
+        # _tail_bound, _rest_bound and _terms_sign
+        self._tail = _tail
+        self._rest = None
+        self._tsign = None
 
     # -- construction -------------------------------------------------
 
@@ -353,6 +387,20 @@ class Exact:
             n, d = _abs_coef_sum(self._terms)
             self._tail = (min(e for _, e, _ in self._terms), n, d)
         return self._tail
+
+    def _rest_bound(self) -> tuple[int, int, int]:
+        """Like `_tail_bound`, for the terms after the lead; needs two terms."""
+        if self._rest is None:
+            rest = self._terms[1:]
+            n, d = _abs_coef_sum(rest)
+            self._rest = (min(e for _, e, _ in rest), n, d)
+        return self._rest
+
+    def _terms_sign(self) -> int:
+        """Exact sign of the sum of the terms alone."""
+        if self._tsign is None:
+            self._tsign = _sign_of_terms(self._terms)
+        return self._tsign
 
     # -- arithmetic ----------------------------------------------------
 
@@ -427,7 +475,7 @@ class Exact:
             # no certificate (or the perturbation bound beats q): expand exactly
             total = q + _expand(self._terms)
             return (total > 0) - (total < 0)
-        return _sign_of_terms(self._terms)
+        return self._terms_sign()
 
     def _cmp(self, other) -> int:
         if isinstance(other, Exact):
@@ -451,8 +499,16 @@ class Exact:
                 e, n, d = _sum_tails(self._tail_bound(), other._tail_bound())
             if _pow_exceeds(abs(num) * d, q.denominator * o_rat.denominator * n, e):
                 return 1 if num > 0 else -1
-        # tier 2: certify the sign of the difference term by term
         if not num:
+            # tier 2: one operand's terms alone, or a lead that outweighs the rest
+            if not o_terms:
+                return self._terms_sign()
+            if not terms:
+                return -other._terms_sign()
+            verdict = _lead_sign(self, other)
+            if verdict:
+                return verdict
+            # tier 3: certify the sign of the difference term by term
             return _sign_of_terms(_merge_terms(terms, tuple((b, e, -c) for b, e, c in o_terms)))
         return (self - other).sign()
 

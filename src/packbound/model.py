@@ -139,6 +139,13 @@ class Packing:
     `Exact`.  A fresh bin's room is ``ONE``, so the same comparison covers
     it.  Squares bins leave their room at ``ONE``: their rule is the layout,
     checked square against square.
+
+    The packing also caches its largest room (`largest_room`), so an item
+    that no open bin can take is told so with one comparison
+    (`fits_no_open_bin`).  It is filled on demand and then kept: a fresh
+    bin costs one comparison with it, a placement into any other bin than
+    the one holding it (told apart by identity) costs nothing, and a
+    placement into that bin, or any `pop`, marks it unknown.
     """
 
     def __init__(self, rules: VariantRules):
@@ -147,6 +154,7 @@ class Packing:
         self._rooms: list[Exact] = []  # 1-D variants: cached 1 - content total
         self._colors: list[set] = []  # cached color sets (empty unless colored)
         self._ids: set[int] = set()
+        self._largest: Optional[Exact] = None  # max of _rooms; None: unknown
 
     @property
     def cost(self) -> int:
@@ -173,6 +181,7 @@ class Packing:
         clone._rooms = list(self._rooms)
         clone._colors = [set(c) for c in self._colors]
         clone._ids = set(self._ids)
+        clone._largest = self._largest
         return clone
 
     # -- the one-dimensional bin rule -----------------------------------
@@ -181,15 +190,33 @@ class Packing:
         return ONE if b == len(self.bins) else self._rooms[b]
 
     def _breaks_color_cap(self, b: int, item: Item) -> bool:
-        if not self.rules.colored or b == len(self.bins):
+        if self.rules.t is None or b == len(self.bins):  # t is None unless colored
             return False
         colors = self._colors[b]
         return item.color not in colors and len(colors) >= self.rules.t
 
     def fits(self, b: int, item: Item) -> bool:
         """Whether 1-D bin `b` (open, or the next fresh one) takes `item`:
-        capacity, then the color cap.  `add_item` applies the same rule."""
-        return item.size <= self._room(b) and not self._breaks_color_cap(b, item)
+        the color cap, a set lookup, then capacity, an `Exact` comparison.
+        `add_item` applies the same rule."""
+        return not self._breaks_color_cap(b, item) and item.size <= self._room(b)
+
+    def largest_room(self) -> Exact:
+        """The largest room of any open bin, ``ZERO`` when none is open."""
+        if self._largest is None:
+            self._largest = max(self._rooms, default=ZERO)
+        return self._largest
+
+    def fits_no_open_bin(self, item: Item) -> bool:
+        """True when `item` is larger than every open bin's room, so that
+        only a fresh bin takes it; False means every bin must be asked.
+
+        Colored rules always answer False: their bins refuse mostly on
+        colors, which `fits` checks first by a set lookup, so the largest
+        room rarely rules a scan out, while every placement into the bin
+        holding it would recompute it.
+        """
+        return not self.rules.colored and item.size > self.largest_room()
 
     # -- mutation -------------------------------------------------------
 
@@ -242,7 +269,15 @@ class Packing:
             self._colors.append(set())
         self.bins[b].append((item, placement))
         if not rules.is_geometric:
-            self._rooms[b] = self._rooms[b] - item.size
+            room = self._rooms[b] - item.size
+            if fresh:
+                if self._largest is not None and room > self._largest:
+                    self._largest = room
+            elif self._rooms[b] is self._largest:
+                self._largest = None
+            self._rooms[b] = room
+        elif fresh:
+            self._largest = ONE  # every squares bin keeps room ONE
         if item.color is not None:
             self._colors[b].add(item.color)
         self._ids.add(item.ident)
@@ -251,6 +286,7 @@ class Packing:
         """Undo the last `add_item` on bin `b`; an emptied last bin closes."""
         item, _ = self.bins[b].pop()
         self._ids.discard(item.ident)
+        self._largest = None
         if not self.bins[b] and b == len(self.bins) - 1:
             del self.bins[b], self._rooms[b], self._colors[b]
             return item

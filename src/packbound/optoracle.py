@@ -48,6 +48,8 @@ class OracleInstance:
     def __post_init__(self):
         if self.rules.is_geometric:
             raise ValueError("exact search covers one-dimensional variants only")
+        if self.node_budget < 1:
+            raise ValueError(f"the node budget must be at least 1, got {self.node_budget}")
 
 
 @dataclass

@@ -268,3 +268,106 @@ class TestShelfFirstFitMatchesNaiveScan:
         for fast, naive in (sessions, forks):
             assert fast.transcript == naive.transcript
             assert validate_packing(fast.packing) == []
+
+
+def _naive_first_fit(packing, item):
+    """Reference first fit: asks every open bin in order."""
+    for b in range(packing.cost):
+        if packing.fits(b, item):
+            return Placement(b)
+    return Placement(packing.cost)
+
+
+def _naive_best_fit(packing, item):
+    """Reference best fit: asks every open bin, keeps the least room."""
+    best = None
+    for b in range(packing.cost):
+        if packing.fits(b, item) and (best is None or packing.bin_room(b) < packing.bin_room(best)):
+            best = b
+    return Placement(packing.cost if best is None else best)
+
+
+register_algorithm("naive-first-fit-test-algorithms", _naive_first_fit)
+register_algorithm("naive-best-fit-test-algorithms", _naive_best_fit)
+
+COLORED = VariantRules("class-constrained", t=2)
+
+# (shipped algorithm, its naive reference, rules)
+NAIVE_PAIRS = [
+    ("first-fit", "naive-first-fit-test-algorithms", ONED),
+    ("first-fit", "naive-first-fit-test-algorithms", VariantRules("known-opt", advice=3)),
+    ("best-fit", "naive-best-fit-test-algorithms", ONED),
+    ("ccff", "naive-first-fit-test-algorithms", COLORED),
+]
+
+# adds (shared rational parts, tilted by +-k^-e of either base, so that
+# rooms and sizes often tie on their rational parts), pops, packing copies,
+# session forks, and peeks that fill the largest-room cache in place
+placement_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.sampled_from([Fraction(1, k) for k in range(1, 8)]
+                            + [Fraction(2, 5), Fraction(3, 5), Fraction(2, 3)]),
+            st.sampled_from((-1, 0, 1)),  # tilt sign
+            st.sampled_from((10, 20)),  # tilt base
+            st.integers(min_value=2, max_value=40),  # tilt exponent
+            st.integers(min_value=0, max_value=3),  # color, under colored rules
+        ),
+        st.tuples(st.just("pop"), st.integers(min_value=0, max_value=20)),
+        st.tuples(st.just("copy")),
+        st.tuples(st.just("fork")),
+        st.tuples(st.just("peek")),
+    ),
+    max_size=30,
+)
+
+
+def assert_largest_room(packing):
+    """`largest_room()` is the max of the bins' rooms; asked on a copy, so
+    the check leaves the cache as the steps left it."""
+    expected = max((packing.bin_room(b) for b in range(packing.cost)), default=ZERO)
+    assert packing.copy().largest_room() == expected
+
+
+class TestFreshBinShortcut:
+    @pytest.mark.parametrize("algo,naive,rules", NAIVE_PAIRS,
+                             ids=lambda v: v if isinstance(v, str) else v.kind)
+    @given(ops=placement_ops)
+    @settings(max_examples=120, deadline=None)
+    def test_same_placements_as_a_naive_scan(self, algo, naive, rules, ops):
+        sessions = [make_session(algo, rules), make_session(naive, rules)]
+        left_behind = []
+        for ident, op in enumerate(ops):
+            if op[0] == "add":
+                _, size, tilt, base, exp, color = op
+                if size == 1:
+                    tilt = min(tilt, 0)
+                item = Item(ident, rat(size) + tilt * power(base, exp),
+                            color=color if rules.colored else None)
+                for session in sessions:
+                    session.place(item)
+            elif op[0] == "pop":
+                nonempty = [b for b in range(sessions[0].cost) if sessions[0].packing.bins[b]]
+                if not nonempty:
+                    continue
+                for session in sessions:
+                    session.packing.pop(nonempty[op[1] % len(nonempty)])
+            elif op[0] == "copy":
+                for session in sessions:
+                    session.packing = session.packing.copy()
+            elif op[0] == "fork":
+                left_behind.extend(sessions)
+                sessions = [session.fork() for session in sessions]
+            else:
+                for session in sessions:
+                    session.packing.largest_room()
+            fast, reference = sessions
+            assert fast.transcript == reference.transcript
+            assert fast.packing.bins == reference.packing.bins
+            for session in sessions:
+                assert_largest_room(session.packing)
+        for session in left_behind:  # a fork shares no cache with its source
+            assert_largest_room(session.packing)
+            assert validate_packing(session.packing) == []
+

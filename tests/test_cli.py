@@ -258,6 +258,13 @@ class TestOracle:
         payload = json.loads(out)
         assert payload["proven"] is True and payload["minBins"] == 3
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_below_one_is_a_config_error(self, capsys, tmp_path, budget):
+        code, out, err = run_cli(capsys, "oracle", "--instance",
+                                 self.searched_instance(tmp_path), "--budget", budget)
+        assert code == 3 and out == ""
+        assert err == f"error: the node budget must be at least 1, got {budget}\n"
+
     def test_invalid_witness_exits_solver_failure(self, capsys, tmp_path, monkeypatch):
         from packbound import optoracle
         from packbound.model import Violation

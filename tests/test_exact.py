@@ -3,14 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from packbound import exact
 from packbound.exact import (
     Exact,
     PrecisionError,
     decimal_str,
     fraction_str,
     parse_rational,
+    _log10_bounds,
+    _mag_lt,
     power,
     rat,
 )
@@ -292,6 +295,89 @@ class TestComparisonFastPaths:
             monkeypatch.setattr(Exact, name, refuse)
         assert under < half and under <= half and not under > half and not under >= half
         assert half > under and half >= under and not half < under and not half <= under
+
+
+coefs = st.sampled_from([Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(1, 3),
+                         Fraction(1), Fraction(2)])
+
+
+def band_terms(anchor):
+    """Terms of both bases, small enough to expand.  Base-10 exponents often
+    lie where 10**-e and 20**-anchor have overlapping log10 bounds, the band
+    in which the two bases are ordered only by settling literally."""
+    lo, hi = _log10_bounds(20, anchor)
+    keys = st.lists(st.one_of(
+        st.tuples(st.just(20), st.integers(min_value=1, max_value=80)),
+        st.tuples(st.just(10), st.integers(min_value=1, max_value=100)),
+        st.tuples(st.just(20), st.just(anchor)),
+        st.tuples(st.just(10), st.integers(min_value=max(1, lo - 1), max_value=hi + 1)),
+    ), max_size=4, unique=True)
+    return keys.flatmap(lambda ks: st.fixed_dictionaries({k: coefs for k in ks}))
+
+
+@st.composite
+def equal_rational_pairs(draw):
+    """(a, b) with equal rational parts: free terms, one side purely
+    rational, or the same lead with a different coefficient."""
+    q = draw(small_rationals)
+    anchor = draw(st.integers(min_value=1, max_value=80))
+    t1 = draw(band_terms(anchor))
+    kind = draw(st.sampled_from(["free", "rational", "same-lead"]))
+    if kind == "rational":
+        t2 = {}
+    elif kind == "same-lead" and t1:
+        base, exp, c = Exact.from_terms(0, t1).terms[0]
+        t2 = {key: c2 for key, c2 in draw(band_terms(anchor)).items()
+              if _mag_lt(*key, base, exp)}  # smaller than the shared lead
+        t2[base, exp] = draw(coefs.filter(lambda c2: c2 != c))
+    else:
+        t2 = draw(band_terms(anchor))
+    a, b = Exact.from_terms(q, t1), Exact.from_terms(q, t2)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def literal_sign(f):
+    return (f > 0) - (f < 0)
+
+
+Q = rat("1/7")
+
+
+class TestEqualRationalParts:
+    @given(equal_rational_pairs())
+    @settings(max_examples=500)
+    # 20**-10 is about 9.77 * 10**-14: the lead's magnitude bound must be
+    # its upper one, 10**-14
+    @example((Q + power(20, 10), Q + power(10, 14, Fraction(49, 5))))
+    @example((Q + power(20, 10), Q + power(10, 14, Fraction(39, 4))))
+    # the lead's own later terms outweigh it: 10**-5 - 2 * 20**-4 < 0
+    @example((Q + power(10, 5) - power(20, 4, 2), Q + power(10, 7)))
+    def test_order_and_sign_agree_with_literal(self, pair):
+        a, b = pair
+        fa, fb = a.as_fraction(), b.as_fraction()
+        s = literal_sign(fa - fb)
+        assert_order_matches(a, b, s)
+        assert_order_matches(b, a, -s)
+        assert a.sign() == literal_sign(fa) and b.sign() == literal_sign(fb)
+        assert (a - b).sign() == s
+        assert_order_matches(a, b, s)  # again, with every cache filled
+
+    def test_a_leading_term_decides_without_merging(self, monkeypatch):
+        a_exp, b_exp = 639 * 10**27, 634 * 10**27
+        a = Q + power(10, a_exp)
+        b = Q - power(10, b_exp) - power(10, b_exp + 10**27)
+
+        def refuse(*args):
+            raise AssertionError("comparison fell back to the term path")
+
+        monkeypatch.setattr(exact, "_merge_terms", refuse)
+        monkeypatch.setattr(exact, "_sign_of_terms", refuse)
+        assert a > b and a >= b and not a < b and not a <= b
+        assert b < a and b <= a and not b > a and not b >= a
+        # other lead coefficients, the lead on either side, a base-20 lead
+        assert Q - power(10, b_exp, 2) < Q + power(20, a_exp, 5)
+        assert Q + power(20, a_exp) < Q + power(10, b_exp, Fraction(1, 9))
+        assert Q + power(20, b_exp, 3) > Q - power(10, 2 * b_exp)
 
 
 class TestMergeAddition:

@@ -257,6 +257,12 @@ class TestRoomCache:
         for q in packings:  # a copy shares no room list with its source
             self.assert_rooms(q)
 
+    def test_squares_bins_keep_the_largest_room_at_one(self):
+        p = Packing(SQ)
+        assert p.largest_room() == ZERO  # no open bin
+        p.add_item(Item(0, rat("1/2")), Placement(0, ZERO, ZERO))
+        assert p.bin_room(0) == ONE and p.largest_room() == ONE
+
     def test_fits_builds_no_sum(self, monkeypatch):
         p = Packing(ONED)
         for ident, size in enumerate((rat("1/2") - power(10, 30), rat("1/3"),
@@ -264,6 +270,8 @@ class TestRoomCache:
             p.add_item(Item(ident, size), Placement(ident))
         probes = [Item(10, rat("2/5")), Item(11, rat("7/10") - power(10, 40)),
                   Item(12, rat("5/8") + power(10, 20))]
+        # these two tie with the largest room, 2/3, on the rational part
+        ties = [Item(13, rat("2/3") + power(20, 9)), Item(14, rat("2/3") - power(10, 9))]
 
         def refuse(self, other):
             raise AssertionError("fits built a new Exact sum")
@@ -278,6 +286,10 @@ class TestRoomCache:
             [False, False, False, True],
             [False, True, False, True],
         ]
+        # the fresh-bin shortcut weighs each probe against the largest room
+        assert p.largest_room() == rat("2/3")
+        shortcut = [p.fits_no_open_bin(item) for item in probes + ties]
+        assert shortcut == [False, True, False, True, False]
 
 
 class TestValidate:

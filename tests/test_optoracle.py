@@ -139,6 +139,11 @@ class TestSafetyChecks:
         with pytest.raises(InvalidWitness, match="overfull"):
             min_bins(OracleInstance(items_of(SEARCHED), ONED))
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="node budget must be at least 1"):
+            OracleInstance(items_of(SEARCHED), ONED, node_budget=budget)
+
     def test_explicit_budget(self):
         assert not min_bins(OracleInstance(items_of(SEARCHED), ONED, node_budget=1)).proven
         result = min_bins(OracleInstance(items_of(SEARCHED), ONED, node_budget=10_000))
