@@ -21,15 +21,11 @@ from .algorithms import AlgorithmSession, feed
 from .exact import Exact
 from .model import Item, Packing, PackingError, Placement, VariantRules, validate_packing
 from .oracle import AdaptiveOracle
-from .reports import Check, CrossCheckFailure, ScenarioOutcome
+from .reports import CensusGap, Check, CrossCheckFailure, ScenarioOutcome
 from .shapes import Cost, StructuralRow
 
 __all__ = ["CensusGap", "census", "census_checks", "forced_check", "per_m", "ceil_div",
            "offline_packing", "continuation", "present", "run_wave"]
-
-
-class CensusGap(RuntimeError):
-    """A bin shape or side pattern matched no census category (should be unreachable)."""
 
 
 def census(bins, wave_one_ids: set[int], bands: dict, wave_one: str) -> dict[str, int]:

@@ -4,36 +4,44 @@ Exit codes: 0 success, 2 cross-check failure, 3 invalid configuration,
 4 solver failure.  Reports are deterministic byte for byte for a given
 (variant, algorithm, M): the adversary is adaptive-deterministic against
 deterministic opponents, so there is no seed anywhere.
+
+Each command runs only the modules it needs: `oracle` the eager core
+(`exact`, `model`, `algorithms`, `optoracle`, `reports`), `bounds` also
+`mathprog` and `shapes`, a duel also its own adversary.  `_lazy` registers
+`mathprog` and the adversaries in `sys.modules`, and a body runs when a
+handler first reads one of its attributes: the benchmark's tracer looks
+modules up there, and its CPU-speed probe, one per 5 ms of CPU time, needs
+the import of `packbound.cli` to last that long.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from fractions import Fraction
 
-from . import clcbp, knownopt, squares
-from .adversary import CensusGap
 from .algorithms import IllegalPlacement, UnknownAlgorithm, algorithm_ids, feed, fork_replay
 from .exact import decimal_str, fraction_str, parse_rational
-from .mathprog import (
-    REFERENCE_TARGETS,
-    Infeasible,
-    MismatchedTarget,
-    NoUpperBound,
-    NonMonotoneDetected,
-    Unbounded,
-    bisect_min_r,
-    builtin_program,
-    builtin_program_ids,
-    check_certificate,
-    ko_certificate_suite,
-    solve_min_r_exact,
-)
 from .model import rules_from_json, items_from_json, packing_to_json
 from .optoracle import DEFAULT_NODE_BUDGET, OracleInstance, min_bins
-from .reports import Check, CrossCheckFailure, checks_pass, report_to_json
+from .reports import CensusGap, Check, CrossCheckFailure, checks_pass, report_to_json
+
+
+def _lazy(name: str):
+    """Submodule `name`; unless already imported, its body runs at its first attribute read."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+mathprog, knownopt, squares, clcbp = map(_lazy, ("mathprog", "knownopt", "squares", "clcbp"))
 
 EXIT_OK = 0
 EXIT_CROSSCHECK = 2
@@ -52,10 +60,10 @@ def _fail_config(message: str) -> int:
 def _replayed_certificates():
     """Yield (certificate, the derived row rendered or the mismatch, whether
     it matched) for each hand multiplier certificate."""
-    for cert in ko_certificate_suite():
+    for cert in mathprog.ko_certificate_suite():
         try:
-            yield cert, check_certificate(cert).render(), True
-        except MismatchedTarget as exc:
+            yield cert, mathprog.check_certificate(cert).render(), True
+        except mathprog.MismatchedTarget as exc:
             yield cert, str(exc), False
 
 
@@ -73,16 +81,16 @@ def cmd_bounds(args) -> int:
     rows = []
     ok = True
     try:
-        for pid in builtin_program_ids():
-            program = builtin_program(pid)
-            target, mode = REFERENCE_TARGETS[pid]
+        for pid in mathprog.builtin_program_ids():
+            program = mathprog.builtin_program(pid)
+            target, mode = mathprog.REFERENCE_TARGETS[pid]
             if mode == "exact":
-                value = solve_min_r_exact(program)
+                value = mathprog.solve_min_r_exact(program)
                 computed = fraction_str(value)
                 passed = value == parse_rational(target)
                 decimal = decimal_str(value)
             else:
-                lo, hi = bisect_min_r(program, tol)
+                lo, hi = mathprog.bisect_min_r(program, tol)
                 printed = Fraction(target)
                 if mode == "bracket":  # contains it and is at most AGREEMENT wide
                     passed = lo <= printed <= hi and hi - lo <= AGREEMENT
@@ -107,7 +115,8 @@ def cmd_bounds(args) -> int:
                 "decimal": "",
                 "status": "OK" if passed else "MISMATCH",
             })
-    except (Infeasible, Unbounded, NonMonotoneDetected, NoUpperBound) as exc:
+    except (mathprog.Infeasible, mathprog.Unbounded, mathprog.NonMonotoneDetected,
+            mathprog.NoUpperBound) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
@@ -274,8 +283,8 @@ def _verify_certificates_suite() -> list[dict]:
            for cert, _, passed in _replayed_certificates()]
     out.append({
         "name": "ko-optima",
-        "pass": solve_min_r_exact(builtin_program("ko-case1")) == Fraction(87, 62)
-        and solve_min_r_exact(builtin_program("ko-case2")) == Fraction(17, 12),
+        "pass": mathprog.solve_min_r_exact(mathprog.builtin_program("ko-case1")) == Fraction(87, 62)
+        and mathprog.solve_min_r_exact(mathprog.builtin_program("ko-case2")) == Fraction(17, 12),
     })
     return out
 

@@ -10,11 +10,16 @@ from typing import Optional
 from .exact import decimal_str, fraction_str
 from .model import Packing, packing_to_json
 
-__all__ = ["Check", "ScenarioOutcome", "CrossCheckFailure", "checks_pass", "report_to_json"]
+__all__ = ["Check", "ScenarioOutcome", "CensusGap", "CrossCheckFailure", "checks_pass",
+           "report_to_json"]
 
 
 class CrossCheckFailure(AssertionError):
     """A structural guarantee of a construction failed at runtime."""
+
+
+class CensusGap(RuntimeError):
+    """A bin shape or side pattern matched no census category (should be unreachable)."""
 
 
 @dataclass

@@ -68,7 +68,7 @@ class TestBounds:
         def no_solve(program):
             raise AssertionError(f"solved {program.program_id}")
 
-        monkeypatch.setattr(cli, "solve_min_r_exact", no_solve)
+        monkeypatch.setattr(cli.mathprog, "solve_min_r_exact", no_solve)
         code, _, err = run_cli(capsys, "bounds", "--tol", "0")
         assert code == 3 and "must be positive" in err
 
@@ -76,7 +76,7 @@ class TestBounds:
         def broken(program, tol):
             raise ValueError("broken solver")
 
-        monkeypatch.setattr(cli, "bisect_min_r", broken)
+        monkeypatch.setattr(cli.mathprog, "bisect_min_r", broken)
         with pytest.raises(ValueError, match="broken solver"):
             main(["bounds"])
 

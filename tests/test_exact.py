@@ -65,8 +65,10 @@ class TestAgainstLiteralFractions:
     @settings(max_examples=200)
     def test_add_sub_match_fraction(self, q1, t1, q2, t2):
         a, b = build(q1, t1), build(q2, t2)
-        assert (a + b).as_fraction() == literal(q1, t1) + literal(q2, t2)
-        assert (a - b).as_fraction() == literal(q1, t1) - literal(q2, t2)
+        fa, fb = literal(q1, t1), literal(q2, t2)
+        assert (a + b).as_fraction() == fa + fb
+        assert (a - b).as_fraction() == fa - fb
+        assert (a - b).sign() == (fa > fb) - (fa < fb)
 
     @given(small_rationals, terms_strategy, small_rationals)
     @settings(max_examples=200)

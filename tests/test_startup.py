@@ -1,0 +1,100 @@
+"""Start-up: each command runs only the module bodies it needs.
+
+Every `packbound` process compiles the modules it imports, so a command
+that never touches a module should not run its body.  These tests run
+commands in a fresh interpreter (no bytecode written, a cleared
+environment) under an audit hook that records the file of every code
+object executed with `exec`, which is how the import system runs a module
+body.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import packbound
+
+PACKAGE = Path(packbound.__file__).resolve().parent
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+ADVERSARIES = {"adversary", "knownopt", "squares", "clcbp"}
+
+# what `import packbound.cli` runs.  The benchmark's tracer reads
+# `sys.modules` right after that import, and its set-up spawns need the
+# import to take long enough for a CPU-speed probe (every 5 ms of CPU
+# time) to fire; the other modules are registered lazily.
+CORE = {"__init__", "cli", "exact", "model", "algorithms", "optoracle", "reports"}
+
+
+def bodies_run(statement: str) -> set[str]:
+    """The packbound modules whose bodies run in a fresh interpreter that
+    executes `statement`, with its stdout discarded."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "ran = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec':\n"
+        "        ran.append(args[0].co_filename)\n"
+        "sys.addaudithook(hook)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement}\n"
+        "print(json.dumps(ran))\n"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", script],
+                          env={"PYTHONPATH": str(PACKAGE.parent)},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    files = [Path(f) for f in json.loads(proc.stdout.splitlines()[-1])]
+    return {f.stem for f in files if f.parent == PACKAGE}
+
+
+def command_bodies(*argv: str) -> set[str]:
+    """The module bodies one successful `packbound` command runs."""
+    return bodies_run(f"from packbound.cli import main; assert main({list(argv)!r}) == 0")
+
+
+class TestCommandModules:
+    def test_import_runs_the_eager_core(self):
+        assert bodies_run("import packbound.cli") == CORE
+
+    def test_oracle_runs_no_program_and_no_adversary(self):
+        ran = command_bodies("oracle", "--instance", str(FIXTURES / "oracle" / "plain.json"))
+        assert not ran & ({"mathprog", "shapes", "oracle"} | ADVERSARIES)
+
+    def test_a_ko_duel_runs_its_adversary_only(self):
+        ran = command_bodies("duel", "--variant", "ko", "--algorithm", "first-fit", "--m", "8")
+        assert {"knownopt", "adversary", "oracle", "shapes"} <= ran
+        assert not ran & {"mathprog", "squares", "clcbp"}
+
+    def test_bounds_runs_no_adversary(self):
+        ran = command_bodies("bounds")
+        assert {"mathprog", "shapes"} <= ran
+        assert not ran & (ADVERSARIES | {"oracle"})
+
+
+class TestLazyExports:
+    def test_import_runs_no_submodule(self):
+        assert bodies_run("import packbound") == {"__init__"}
+
+    @pytest.mark.parametrize("name", [n for n in packbound.__all__ if n != "__version__"])
+    def test_each_name_is_its_modules_attribute(self, name):
+        value = getattr(packbound, name)
+        assert value.__module__.startswith("packbound.")
+        assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            packbound.no_such_name
+        assert not hasattr(packbound, "cli_main")
+
+    def test_dir_lists_every_name(self):
+        assert set(packbound.__all__) <= set(dir(packbound))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from packbound import *", namespace)
+        assert set(packbound.__all__) <= set(namespace)
+        assert namespace["min_bins"] is packbound.optoracle.min_bins
