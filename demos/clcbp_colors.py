@@ -18,7 +18,7 @@ print(f"closed-form ratio bounds from the tiny wave alone:")
 for name, value in run.closed_form.items():
     print(f"  {name}: {value} ({decimal_str(value)})")
 
-print(f"\nthirds wave: {len(run.thirds)} items, "
+print(f"\nthirds wave: {len(run.waves['thirds'].items)} items, "
       f"{c['z1']} bins with thirds, {c['z2']} with a pair")
 if run.ledger:
     print(f"color ledger: {run.ledger}")

@@ -1,31 +1,35 @@
 """The skeleton the three adversaries (knownopt, squares, clcbp) share.
 
-Each construction feeds adaptive waves, classifying every item small or
-large from where the algorithm puts it (`present`, `run_wave`), then
-branches into continuations that feed a fork of the live session and come
-with a validated offline packing (`continuation`, `offline_packing`).
-After the waves, `census` sorts the bins into the variant's census
-categories, which its band table declares, and `census_checks` holds the
-counts to the structural rows of its declaration in `shapes`;
-`forced_check` holds a continuation's cost to its entry there, and `per_m`
-evaluates a per-M form, such as a continuation's offline cost, on a run.
-Stopping rules, item counts, groupings and layouts stay in the variant's
-module.
+Each construction feeds adaptive waves, then branches into continuations.
+A `Wave` presents items steered by its oracle while the variant's stop
+rule holds, classifying every item small or large from where the
+algorithm puts it (`present`); `wave_one` opens every run with M such
+items and its two shared checks. Each continuation feeds a fork of the
+live session and comes with a validated offline packing (`continuation`,
+`offline_packing`). After the waves, `census` sorts the bins into the
+variant's census categories, which its band table declares, and
+`census_checks` holds the counts to the structural rows of its
+declaration in `shapes`; `forced_check` holds a continuation's cost to its
+entry there, and `per_m` evaluates a per-M form, such as a continuation's
+offline cost, on a run. A `Run` records the outcome, its waves keyed by
+report name. Item sizes, stop rules, steering, continuations, groupings
+and layouts stay in the variant's module.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .algorithms import AlgorithmSession, feed
+from .algorithms import AlgorithmSession, check_replay, feed, make_session
 from .exact import Exact
 from .model import Item, Packing, PackingError, Placement, VariantRules, validate_packing
-from .oracle import AdaptiveOracle
+from .oracle import AdaptiveOracle, OracleConfig
 from .reports import CensusGap, Check, CrossCheckFailure, ScenarioOutcome
 from .shapes import Cost, StructuralRow
 
 __all__ = ["CensusGap", "census", "census_checks", "forced_check", "per_m", "ceil_div",
-           "offline_packing", "continuation", "present", "run_wave"]
+           "offline_packing", "continuation", "present", "Wave", "wave_one", "Run"]
 
 
 def census(bins, wave_one_ids: set[int], bands: dict, wave_one: str) -> dict[str, int]:
@@ -140,15 +144,58 @@ def present(session: AlgorithmSession, oracle: AdaptiveOracle, item: Item,
     return small
 
 
-def run_wave(session: AlgorithmSession, oracle: AdaptiveOracle, count: int,
-             make_item: Callable[[int, Exact], Item]) -> tuple[list[Item], set[int]]:
-    """Present `count` items, item i being `make_item(i, a)` for the oracle's
-    next value a; returns the items and the idents of the small ones."""
-    items: list[Item] = []
-    smalls: set[int] = set()
-    for i in range(count):
-        item = make_item(i, oracle.next_value())
-        if present(session, oracle, item):
-            smalls.add(item.ident)
-        items.append(item)
-    return items, smalls
+class Wave:
+    """One adaptive wave: its oracle, its items in order and the idents of
+    the small ones (`small_ids`)."""
+
+    def __init__(self, oracle: AdaptiveOracle):
+        self.oracle = oracle
+        self.items: list[Item] = []
+        self.small_ids: set[int] = set()
+
+    def smalls(self) -> list[Item]:
+        return [it for it in self.items if it.ident in self.small_ids]
+
+    def larges(self) -> list[Item]:
+        return [it for it in self.items if it.ident not in self.small_ids]
+
+    def run(self, session: AlgorithmSession, make_item: Callable[[int, Exact], Item],
+            more: Callable[["Wave"], bool],
+            small_when: Optional[Callable[[list], bool]] = None) -> "Wave":
+        """While `more(self)` holds, present `make_item(len(self.items), a)`
+        for the oracle's next value a (`present` takes `small_when`).
+
+        A later call continues the same wave: its items and smalls grow.
+        """
+        while more(self):
+            item = make_item(len(self.items), self.oracle.next_value())
+            if present(session, self.oracle, item, small_when):
+                self.small_ids.add(item.ident)
+            self.items.append(item)
+        return self
+
+
+def wave_one(algorithm_id: str, rules: VariantRules, config: OracleConfig,
+             make_item: Callable[[int, Exact], Item]) -> tuple[AlgorithmSession, Wave, list[Check]]:
+    """Open a run: a fresh session fed one wave of `config.n` (that is, M)
+    items, its replay checked (`check_replay`, which raises). Returns the
+    session, the wave and a check that each large item opened one bin."""
+    session = make_session(algorithm_id, rules)
+    wave = Wave(AdaptiveOracle(config)).run(session, make_item,
+                                            lambda w: len(w.items) < config.n)
+    checks = [Check.equal("wave1-bins-equal-large-items",
+                          session.cost, config.n - len(wave.small_ids))]
+    check_replay(session)
+    return session, wave, checks
+
+
+@dataclass
+class Run:
+    """A finished duel: its waves keyed by report name, in the order they ran."""
+
+    algorithm_id: str
+    m: int
+    waves: dict[str, Wave]
+    census: dict
+    scenarios: list[ScenarioOutcome]
+    checks: list[Check]

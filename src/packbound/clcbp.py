@@ -35,14 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .adversary import (census_checks, ceil_div, continuation, forced_check, offline_packing,
-                        per_m, present, run_wave)
-from .algorithms import check_replay, make_session
+from .adversary import (Run, Wave, census_checks, ceil_div, continuation, forced_check,
+                        offline_packing, per_m, wave_one)
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
-from .reports import Check, CrossCheckFailure, ScenarioOutcome
+from .reports import Check, CrossCheckFailure
 from .shapes import CLCBP
 
 __all__ = ["run_full", "closed_form_bounds"]
@@ -55,20 +54,13 @@ ORACLE_CHECK_MAX_M = 6  # the exact search confirms the huge branch's optimum up
 
 
 @dataclass
-class ClassConstrainedRun:
-    algorithm_id: str
+class ClassConstrainedRun(Run):
+    """A clcbp duel; its census maps xj (bins holding j tinies), z1 and z2 to bin counts."""
+
     t: int
-    m: int
-    tinies: list[Item]
-    thirds: list[Item]
-    small_tinies: set[int]
     tiny_margin: Exact  # epsilon for the huge branch
-    census: dict  # xj (bins holding j tinies), z1 and z2 -> bin count
-    scenarios: list[ScenarioOutcome]
     closed_form: dict
-    checks: list[Check]
     ledger: Optional[dict]  # reusedColors, freshColors, matchedItems
-    traces: dict
 
 
 def closed_form_bounds(tiny_bins: int, per_count: dict, t: int, m: int) -> dict:
@@ -91,11 +83,11 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     tiny_offset = 2 * OracleConfig(THIRDS_BASE, thirds_budget).window_hi + 16
 
     # wave one: tiny items, one fresh color each
-    base_session = make_session(algorithm_id, rules)
-    oracle_tiny = AdaptiveOracle(OracleConfig(TINY_BASE, m, offset=tiny_offset))
-    tinies, small_tinies = run_wave(
-        base_session, oracle_tiny, m, lambda i, a: Item(i, a, color=i, label="tiny"))
-    sep_tiny = oracle_tiny.separator()
+    base_session, wave_tiny, checks = wave_one(
+        algorithm_id, rules, OracleConfig(TINY_BASE, m, offset=tiny_offset),
+        lambda i, a: Item(i, a, color=i, label="tiny"))
+    tinies, small_tinies = wave_tiny.items, wave_tiny.small_ids
+    sep_tiny = wave_tiny.oracle.separator()
     tiny_margin = sep_tiny.gamma * 10  # epsilon of the huge branch
 
     per_count: dict = {}
@@ -112,8 +104,6 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         items, pairs = census_checks(table.rows, c, m)
         return [items, Check.equal("census-tiny-bins", sum(per_count.values()), tiny_bins),
                 pairs]
-    checks.append(Check.equal("wave1-bins-equal-large-items",
-                              tiny_bins, m - len(small_tinies)))
     checks.append(Check.truth(
         "tiny-margins",
         all(tinies[i].size < sep_tiny.gamma for i in small_tinies)
@@ -122,9 +112,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         "small < eps/10 and large > 2*eps",
     ))
 
-    check_replay(base_session)
-
-    smalls_in_order = [it for it in tinies if it.ident in small_tinies]
+    smalls_in_order = wave_tiny.smalls()
     scenarios = []
 
     # huge branch
@@ -136,8 +124,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     # huge j shares its bin with small tiny j (its color) and t - 1 fillers
     groups = [[huge, mate] + fillers[j * (t - 1):(j + 1) * (t - 1)]
               for j, (huge, mate) in enumerate(zip(huge_items, mates))]
-    larges = [it for it in tinies if it.ident not in small_tinies]
-    groups += _chunks(fillers[count_h * (t - 1):] + larges, t)
+    groups += _chunks(fillers[count_h * (t - 1):] + wave_tiny.larges(), t)
     opt_h = offline_packing(rules, groups)
     sc_h = continuation("huge", base_session, huge_items, opt_h)
     opt_huge = per_m(table.costs["huge"].opt, c, m)  # M/t
@@ -159,57 +146,44 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         # too few full bins: the tiny-wave bound already does the work and
         # the later waves are not defined for this census
         checks.extend(census_identities())
-        return ClassConstrainedRun(
-            algorithm_id, t, m, tinies, [], small_tinies, tiny_margin,
-            c, scenarios, closed, checks, None,
-            {"tinies": oracle_tiny.trace()},
-        )
+        return ClassConstrainedRun(algorithm_id, m, {"tinies": wave_tiny}, c, scenarios,
+                                   checks, t, tiny_margin, closed, None)
 
     # wave two: thirds with color reuse
     in_short_bins = {it.ident for contents in base_session.packing.bins
                      if len(contents) < t for it, _ in contents}
     reusable = [it.color for it in tinies if it.ident in in_short_bins]
     session_t = base_session.fork()
-    oracle_thirds = AdaptiveOracle(OracleConfig(THIRDS_BASE, thirds_budget))
-    thirds: list[Item] = []
-    small_thirds: set[int] = set()
-    z1 = z2 = 0
+    wave3 = Wave(AdaptiveOracle(OracleConfig(THIRDS_BASE, thirds_budget)))
 
-    def third_color(index: int) -> int:
+    def third(index: int, a: Exact) -> Item:
         pair = index // 2
-        return reusable[pair] if pair < len(reusable) else m + pair - len(reusable)
+        color = reusable[pair] if pair < len(reusable) else m + pair - len(reusable)
+        return Item(m + index, rat(THIRD) + a, color=color, label="third")
 
     def holds_a_third(before) -> bool:
         return any(it.label == "third" for it, _ in before)
 
-    def present_one():
-        nonlocal z1, z2
-        a = oracle_thirds.next_value()
-        item = Item(m + len(thirds), rat(THIRD) + a,
-                    color=third_color(len(thirds)), label="third")
-        if present(session_t, oracle_thirds, item, small_when=holds_a_third):
-            small_thirds.add(item.ident)
-            z2 += 1
-        else:
-            z1 += 1
-        thirds.append(item)
+    # z2 counts the small thirds (each the second third of its bin), z1 the
+    # rest; with n thirds presented, 3 z1 + 4 z2 = 3n + z2
+    def weight(w: Wave) -> int:
+        return 3 * len(w.items) + len(w.small_ids)
 
     if t == 2:
         target = 2 * max(per_count[1], per_count[2])
-        for _ in range(target):
-            present_one()
-        oracle_thirds.halt()
-        checks.append(Check.equal("wave2-count", len(thirds), target))
+        wave3.run(session_t, third, lambda w: len(w.items) < target, holds_a_third)
+        checks.append(Check.equal("wave2-count", len(wave3.items), target))
     else:
         x3 = per_count[3]
-        while z1 + z2 + 6 * x3 < 2 * m - 1 and 3 * z1 + 4 * z2 < 2 * m - 7:
-            present_one()
-        if 3 * z1 + 4 * z2 < 2 * m - 7:
-            while 2 * z1 + 3 * z2 < 6 * x3 - 5:
-                present_one()
-        if len(thirds) % 2:
-            present_one()
-        oracle_thirds.halt()
+        wave3.run(session_t, third,
+                  lambda w: len(w.items) + 6 * x3 < 2 * m - 1 and weight(w) < 2 * m - 7,
+                  holds_a_third)
+        if weight(wave3) < 2 * m - 7:
+            wave3.run(session_t, third,
+                      lambda w: 2 * len(w.items) + len(w.small_ids) < 6 * x3 - 5, holds_a_third)
+        wave3.run(session_t, third, lambda w: len(w.items) % 2, holds_a_third)
+        z2 = len(wave3.small_ids)
+        z1 = len(wave3.items) - z2
         stop_disjunction = (3 * z1 + 4 * z2 <= 2 * m) or (
             2 * z1 + 3 * z2 <= 6 * x3 <= 2 * m
         )
@@ -217,11 +191,13 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
             "wave2-stop-disjunction", stop_disjunction,
             f"z1={z1} z2={z2} x3={x3}",
         ))
+    thirds, small_thirds = wave3.items, wave3.small_ids
     checks.append(Check.truth("wave2-even-count", len(thirds) % 2 == 0))
-    c["z1"], c["z2"] = z1, z2
+    c["z2"] = len(small_thirds)
+    c["z1"] = len(thirds) - c["z2"]
     checks.extend(census_identities())
 
-    sep_thirds = oracle_thirds.separator()
+    sep_thirds = wave3.oracle.separator()
     thirds_margin = (sep_thirds.small_sup * 10 + sep_thirds.large_inf) / 2
     checks.append(Check.truth(
         "thirds-margins",
@@ -246,8 +222,8 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         "matchedItems": len(thirds),
     }
 
-    large_third_items = [it for it in thirds if it.ident not in small_thirds]
-    small_third_items = [it for it in thirds if it.ident in small_thirds]
+    large_third_items = wave3.larges()
+    small_third_items = wave3.smalls()
 
     # final: matching items of size 3/5 for every third
     items_suffix = 20 * m
@@ -280,11 +256,8 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         sc.checks += [forced_check(cost, c, sc),
                       Check.truth("opt-within-formula", sc.opt_upper <= bound, detail)]
 
-    return ClassConstrainedRun(
-        algorithm_id, t, m, tinies, thirds, small_tinies,
-        tiny_margin, c, scenarios, closed, checks, ledger,
-        {"tinies": oracle_tiny.trace(), "thirds": oracle_thirds.trace()},
-    )
+    return ClassConstrainedRun(algorithm_id, m, {"tinies": wave_tiny, "thirds": wave3}, c,
+                               scenarios, checks, t, tiny_margin, closed, ledger)
 
 
 def _chunks(items: list, size: int) -> list[list]:

@@ -23,7 +23,7 @@ import sys
 from fractions import Fraction
 
 from .algorithms import IllegalPlacement, UnknownAlgorithm, algorithm_ids, feed, fork_replay
-from .exact import decimal_str, fraction_str, parse_rational
+from .exact import PrecisionError, decimal_str, fraction_str, parse_rational
 from .model import rules_from_json, items_from_json, packing_to_json
 from .optoracle import DEFAULT_NODE_BUDGET, OracleInstance, min_bins
 from .reports import CensusGap, Check, CrossCheckFailure, checks_pass, report_to_json
@@ -133,26 +133,18 @@ def cmd_bounds(args) -> int:
 # -- duel ---------------------------------------------------------------------
 
 
+def _thresholds(run) -> dict:
+    return {name: str(wave.oracle.separator().gamma) for name, wave in run.waves.items()}
+
+
 def _ko_extras(run) -> dict:
-    return {
-        "census": run.census,
-        "thresholds": {
-            "sevenths": str(run.sevenths_threshold),
-            "thirds": str(run.thirds_threshold),
-        },
-    }
+    return {"census": run.census, "thresholds": _thresholds(run)}
 
 
 def _sp_extras(run) -> dict:
     c = dict(run.census)
     c["smallThirds"], c["largeThirds"] = c.pop("sm3"), c.pop("lg3")
-    return {
-        "census": c,
-        "thresholds": {
-            "quarters": str(run.quarters_threshold),
-            "thirds": str(run.thirds_threshold),
-        },
-    }
+    return {"census": c, "thresholds": _thresholds(run)}
 
 
 def _clcbp_extras(run) -> dict:
@@ -203,7 +195,7 @@ def _duel_report(variant: str, run) -> dict:
         **extras(run),
         "scenarios": [sc.to_json(include_packings=packings) for sc in run.scenarios],
         "crossChecks": [c.to_json() for c in run.checks],
-        "oracleTraces": run.traces,
+        "oracleTraces": {name: wave.oracle.trace() for name, wave in run.waves.items()},
     }
 
 
@@ -289,12 +281,13 @@ def _verify_certificates_suite() -> list[dict]:
     return out
 
 
-def _fork_matches_replay(run, scenario: str, prefix: list) -> bool:
-    """Feed a scenario's items to a prefix session, then to its fork made
-    before them, and to a fresh replay of prefix + items: all three must place
-    every item alike, at the cost the run reported."""
+def _fork_matches_replay(run, scenario: str) -> bool:
+    """Feed a scenario's items to a session fed every wave (the prefix), then
+    to its fork made before them, and to a fresh replay of prefix + items: all
+    three must place every item alike, at the cost the run reported."""
     outcome = next(sc for sc in run.scenarios if sc.scenario == scenario)
     rules = outcome.opt_packing.rules
+    prefix = [it for wave in run.waves.values() for it in wave.items]
     prefix_ids = {it.ident for it in prefix}
     items = sorted((it for contents in outcome.opt_packing.bins for it, _ in contents
                     if it.ident not in prefix_ids), key=lambda it: it.ident)
@@ -321,9 +314,9 @@ def _verify_determinism_suite() -> list[dict]:
         == report_to_json(_duel_report("ko", run_b)),
     }, {
         "name": "fork-matches-replay",
-        "pass": _fork_matches_replay(run_a, "units", run_a.sevenths + run_a.thirds)
-        and _fork_matches_replay(sp, "six-tenths", sp.quarters + sp.thirds)
-        and _fork_matches_replay(cl, "six-tenths", cl.tinies + cl.thirds),
+        "pass": _fork_matches_replay(run_a, "units")
+        and _fork_matches_replay(sp, "six-tenths")
+        and _fork_matches_replay(cl, "six-tenths"),
     }]
 
 
@@ -337,7 +330,7 @@ VERIFY_SUITES = {
 
 
 def cmd_verify(args) -> int:
-    names = [args.only] if args.only else list(VERIFY_SUITES)
+    names = [args.only] if args.only is not None else list(VERIFY_SUITES)
     if any(n not in VERIFY_SUITES for n in names):
         return _fail_config(
             f"unknown suite; choose from {', '.join(VERIFY_SUITES)}"
@@ -369,7 +362,7 @@ def cmd_oracle(args) -> int:
         items = tuple(item for item, _ in items_from_json(payload["items"]))
         if any((item.color is None) == rules.colored for item in items):
             raise ValueError("items carry a color exactly when the rules are class-constrained")
-    except (OSError, KeyError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, KeyError, ValueError, ZeroDivisionError, PrecisionError) as exc:
         return _fail_config(f"bad instance file: {exc}")
     try:
         instance = OracleInstance(items, rules, node_budget=args.budget)

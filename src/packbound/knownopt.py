@@ -15,17 +15,15 @@ threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import (CensusGap, census, census_checks, ceil_div, continuation,
-                        forced_check, offline_packing, run_wave)
-from .algorithms import check_replay, make_session
-from .exact import Exact, rat
+from .adversary import (CensusGap, Run, Wave, census, census_checks, ceil_div, continuation,
+                        forced_check, offline_packing, wave_one)
+from .exact import rat
 from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
-from .reports import Check, ScenarioOutcome
+from .reports import Check
 from .shapes import KO, structural_rows
 
 __all__ = ["CensusGap", "run_full"]
@@ -37,54 +35,35 @@ SEPARATION_BASE = 10  # both waves' oracle base
 ORACLE_CHECK_MAX_M = 8  # the exact search confirms the offline optima up to here
 
 
-@dataclass
-class KnownOptRun:
-    algorithm_id: str
-    m: int
-    sevenths: list[Item]
-    thirds: list[Item]
-    small_sevenths: set[int]
-    small_thirds: set[int]
-    sevenths_threshold: Exact
-    thirds_threshold: Exact
-    census: dict  # census name, bins7 and bins3 -> bin count
-    scenarios: list[ScenarioOutcome]
-    checks: list[Check]
-    traces: dict
-
-
-def run_full(algorithm_id: str, m: int) -> KnownOptRun:
+def run_full(algorithm_id: str, m: int) -> Run:
     """Run all five branches; oracle-verify offline optima when M is small."""
     if m < 4 or m % 4:
         raise ValueError("M must be a positive integer divisible by 4")
     rules = VariantRules("known-opt", advice=m)
-    checks: list[Check] = []
 
     # wave one: sevenths
-    base_session = make_session(algorithm_id, rules)
-    oracle1 = AdaptiveOracle(OracleConfig(SEPARATION_BASE, m))
-    sevenths, small_sevenths = run_wave(
-        base_session, oracle1, m, lambda i, a: Item(i, rat(SEVENTH) + a, label="seventh"))
-    gamma1 = oracle1.separator().gamma
+    base_session, wave7, checks = wave_one(
+        algorithm_id, rules, OracleConfig(SEPARATION_BASE, m),
+        lambda i, a: Item(i, rat(SEVENTH) + a, label="seventh"))
+    sevenths = wave7.items
+    gamma1 = wave7.oracle.separator().gamma
     bins7 = base_session.cost
-    checks.append(Check.equal("wave1-bins-equal-large-items",
-                              bins7, m - len(small_sevenths)))
     upper = rat(F(143, 1000))
     checks.append(Check.truth(
         "wave1-sizes-in-band",
         all(rat(SEVENTH) < it.size < upper for it in sevenths),
     ))
-    check_replay(base_session)
 
     # wave two: thirds (continues a fork of the wave-one session)
     two_wave_session = base_session.fork()
-    oracle2 = AdaptiveOracle(OracleConfig(SEPARATION_BASE, m))
-    thirds, small_thirds = run_wave(
-        two_wave_session, oracle2, m, lambda i, a: Item(m + i, rat(THIRD) + a, label="third"))
-    gamma2 = oracle2.separator().gamma
+    wave3 = Wave(AdaptiveOracle(OracleConfig(SEPARATION_BASE, m))).run(
+        two_wave_session, lambda i, a: Item(m + i, rat(THIRD) + a, label="third"),
+        lambda w: len(w.items) < m)
+    thirds = wave3.items
+    gamma2 = wave3.oracle.separator().gamma
     bins3 = two_wave_session.cost - bins7
     checks.append(Check.equal("wave2-new-bins-equal-large-items",
-                              bins3, m - len(small_thirds)))
+                              bins3, m - len(wave3.small_ids)))
     checks.append(Check.truth(
         "wave2-sizes-in-band",
         all(rat(THIRD) < it.size < rat(F(33344, 100000)) for it in thirds),
@@ -94,11 +73,6 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
                   KO.wave_one),
          "bins7": bins7, "bins3": bins3}
     checks.extend(census_checks(structural_rows(KO), c, m))
-
-    large_sevenths = [it for it in sevenths if it.ident not in small_sevenths]
-    small_seventh_items = [it for it in sevenths if it.ident in small_sevenths]
-    large_thirds = [it for it in thirds if it.ident not in small_thirds]
-    small_third_items = [it for it in thirds if it.ident in small_thirds]
 
     scenarios = []
 
@@ -111,9 +85,10 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
     count2 = m - ceil_div(bins7, 6)
     filler = rat(F(6, 7)) - gamma1
     items2 = [Item(2 * m + i, filler, label="big-fill") for i in range(count2)]
+    large_sevenths = wave7.larges()
     groups = [large_sevenths[i::ceil_div(bins7, 6)] for i in range(ceil_div(bins7, 6))]
     fill_bins = [[it] for it in items2]
-    for j, small in enumerate(small_seventh_items):
+    for j, small in enumerate(wave7.smalls()):
         fill_bins[j].append(small)
     opt2 = offline_packing(rules, groups + fill_bins)
     scenarios.append(continuation("big-fill", base_session, items2, opt2, opt_cost=m))
@@ -139,7 +114,7 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
     shy = rat(F(2, 3)) - gamma2
     items5 = [Item(2 * m + i, shy, label="short-two-thirds") for i in range(count5)]
     opt5 = offline_packing(rules, _scenario5_groups(
-        m, bins3, sevenths, large_thirds, small_third_items, items5))
+        m, sevenths, wave3.larges(), wave3.smalls(), items5))
     scenarios.append(continuation("short-two-thirds", two_wave_session, items5, opt5,
                                   opt_cost=m))
 
@@ -155,40 +130,25 @@ def run_full(algorithm_id: str, m: int) -> KnownOptRun:
                 f"oracle found {result.count} (proven={result.proven})",
             ))
 
-    return KnownOptRun(
-        algorithm_id, m, sevenths, thirds, small_sevenths, small_thirds,
-        gamma1, gamma2, c, scenarios, checks,
-        {"sevenths": oracle1.trace(), "thirds": oracle2.trace()},
-    )
+    return Run(algorithm_id, m, {"sevenths": wave7, "thirds": wave3}, c, scenarios, checks)
 
 
-def _scenario5_groups(m, bins3, sevenths, large_thirds, small_third_items, items5):
-    """Offline grouping for the short-two-thirds continuation, cost exactly M."""
-    groups: list[list[Item]] = []
+def _scenario5_groups(m, sevenths, large_thirds, small_thirds, items5):
+    """Offline grouping for the short-two-thirds continuation, cost exactly M.
+
+    The M - len(items5) bins the short items leave ("pairs", that is
+    max(M/4, ceil(bins3/2))) each hold two thirds, larges first, and two
+    sevenths, so no large third meets a short item. Each short item gets a
+    bin of its own, with two sevenths in the first M/2 - pairs of them and
+    one left-over third in each of the rest.
+    """
+    pairs = m - len(items5)
     s = list(sevenths)
-    larges = list(large_thirds)
-    smalls = list(small_third_items)
-    if bins3 <= m // 2:
-        # m/4 bins of two thirds + two sevenths, larges first
-        pool = larges + smalls
-        for j in range(m // 4):
-            groups.append([pool.pop(0), pool.pop(0), s.pop(), s.pop()])
-        remaining_smalls = pool  # all larges are gone: m/2 >= bins3
-        fill = [[it] for it in items5]
-        for j in range(m // 4):
-            fill[j].extend([s.pop(), s.pop()])
-        for j in range(m // 2):
-            fill[m // 4 + j].append(remaining_smalls.pop(0))
-        groups.extend(fill)
-    else:
-        half_bins = ceil_div(bins3, 2)
-        for j in range(half_bins):
-            pair = larges[2 * j : 2 * j + 2]
-            groups.append(pair + [s.pop(), s.pop()])
-        fill = [[it] for it in items5]
-        for j in range(m // 2 - half_bins):
-            fill[j].extend([s.pop(), s.pop()])
-        for j, small in enumerate(smalls):
-            fill[m // 2 - half_bins + j].append(small)
-        groups.extend(fill)
-    return [g for g in groups if g]
+    thirds = large_thirds + small_thirds
+    groups = [[thirds[2 * j], thirds[2 * j + 1], s.pop(), s.pop()] for j in range(pairs)]
+    fill = [[it] for it in items5]
+    for j in range(m // 2 - pairs):
+        fill[j] += [s.pop(), s.pop()]
+    for contents, third in zip(fill[m // 2 - pairs:], thirds[2 * pairs:]):
+        contents.append(third)
+    return groups + fill

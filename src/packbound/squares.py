@@ -19,16 +19,14 @@ bounds on the true ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .adversary import (CensusGap, census, census_checks, ceil_div, continuation,
-                        forced_check, offline_packing, per_m, present, run_wave)
-from .algorithms import check_replay, make_session
+from .adversary import (CensusGap, Run, Wave, census, census_checks, ceil_div, continuation,
+                        forced_check, offline_packing, per_m, wave_one)
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .oracle import AdaptiveOracle, OracleConfig
-from .reports import Check, ScenarioOutcome
+from .reports import Check
 from .shapes import SP, structural_rows
 
 __all__ = ["CensusGap", "run_full",
@@ -52,20 +50,6 @@ def _check_large_thirds(nf: int, nt: int, n_large: int) -> None:
                 f"bin ({nf} quarters, {nt} thirds) has {n_large} large thirds, "
                 f"expected {expected_large}"
             )
-
-
-@dataclass
-class SquaresRun:
-    algorithm_id: str
-    m: int
-    quarters: list[Item]
-    thirds: list[Item]
-    quarters_threshold: Exact
-    thirds_threshold: Exact
-    census: dict  # census name, bins4, bins3, sm3 and lg3 -> count
-    scenarios: list[ScenarioOutcome]
-    checks: list[Check]
-    traces: dict
 
 
 # -- closed-form layouts ----------------------------------------------------
@@ -155,31 +139,26 @@ def grid_layout(quarters: list[Item]) -> list[tuple[Item, Exact, Exact]]:
 # -- the run -----------------------------------------------------------------
 
 
-def run_full(algorithm_id: str, m: int) -> SquaresRun:
+def run_full(algorithm_id: str, m: int) -> Run:
     if m < 2 or m % 2:
         raise ValueError("M must be a positive integer divisible by 2")
     rules = VariantRules("squares")
-    checks: list[Check] = []
 
     # wave one: quarters
-    base_session = make_session(algorithm_id, rules)
-    oracle1 = AdaptiveOracle(OracleConfig(SEPARATION_BASE, m))
-    quarters, small_quarters = run_wave(
-        base_session, oracle1, m, lambda i, a: Item(i, rat(QUARTER) + a, label="quarter"))
-    gamma1 = oracle1.separator().gamma
+    base_session, wave4, checks = wave_one(
+        algorithm_id, rules, OracleConfig(SEPARATION_BASE, m),
+        lambda i, a: Item(i, rat(QUARTER) + a, label="quarter"))
+    quarters = wave4.items
+    gamma1 = wave4.oracle.separator().gamma
     bins4 = base_session.cost
-    checks.append(Check.equal("wave1-bins-equal-large-items",
-                              bins4, m - len(small_quarters)))
     checks.append(Check.truth(
         "wave1-sides-in-band",
         all(rat(QUARTER) < q.size < QUARTER_PITCH for q in quarters),
     ))
 
-    check_replay(base_session)
-
     quarter_ids = {q.ident for q in quarters}
-    large_quarters = [q for q in quarters if q.ident not in small_quarters]
-    small_quarter_items = [q for q in quarters if q.ident in small_quarters]
+    large_quarters = wave4.larges()
+    small_quarter_items = wave4.smalls()
 
     scenarios = []
 
@@ -197,29 +176,25 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
     opt1 = offline_packing(rules, bins_sc1)
     scenarios.append(continuation("three-quarter-fill", base_session, items1, opt1))
 
-    # wave two: thirds with the weighted stopping rule
+    # wave two: thirds until the weighted stopping rule fires
     session_t = base_session.fork()
-    oracle2 = AdaptiveOracle(OracleConfig(SEPARATION_BASE, 3 * m // 2))
-    thirds: list[Item] = []
-    small_thirds: set[int] = set()
-    sm3 = lg3 = 0
 
     def holds_a_third_or_five_quarters(before) -> bool:
         return (any(it.ident >= m for it, _ in before)
                 or sum(1 for it, _ in before if it.ident in quarter_ids) >= SP.large_below)
 
-    while True:
-        a = oracle2.next_value()
-        item = Item(m + len(thirds), rat(THIRD) + a, label="third")
-        if present(session_t, oracle2, item, small_when=holds_a_third_or_five_quarters):
-            small_thirds.add(item.ident)
-            sm3 += 1
-        else:
-            lg3 += 1
-        thirds.append(item)
-        if oracle2.stop_check(lambda: 8 * sm3 + 15 * lg3 >= 12 * m):
-            break
-    gamma2 = oracle2.separator().gamma
+    def below_the_stop_weight(w: Wave) -> bool:
+        sm, lg = len(w.small_ids), len(w.items) - len(w.small_ids)
+        return not w.oracle.stop_check(lambda: 8 * sm + 15 * lg >= 12 * m)
+
+    wave3 = Wave(AdaptiveOracle(OracleConfig(SEPARATION_BASE, 3 * m // 2))).run(
+        session_t, lambda i, a: Item(m + i, rat(THIRD) + a, label="third"),
+        below_the_stop_weight, small_when=holds_a_third_or_five_quarters)
+    thirds = wave3.items
+    small_thirds = wave3.small_ids
+    sm3 = len(small_thirds)
+    lg3 = len(thirds) - sm3
+    gamma2 = wave3.oracle.separator().gamma
     bins3 = session_t.cost - bins4
     checks.append(Check.truth(
         "wave2-sides-in-band",
@@ -243,8 +218,8 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
                     f"count {mprime}"),
     ])
 
-    large_thirds = [t for t in thirds if t.ident not in small_thirds]
-    small_third_items = [t for t in thirds if t.ident in small_thirds]
+    large_thirds = wave3.larges()
+    small_third_items = wave3.smalls()
 
     # scenario 2: squares of side exactly 3/5
     count2 = mprime // 3
@@ -295,8 +270,4 @@ def run_full(algorithm_id: str, m: int) -> SquaresRun:
         sc.checks += [forced_check(cost, c, sc),
                       Check.truth("opt-within-formula", sc.opt_upper <= bound, detail)]
 
-    return SquaresRun(
-        algorithm_id, m, quarters, thirds,
-        gamma1, gamma2, c, scenarios, checks,
-        {"quarters": oracle1.trace(), "thirds": oracle2.trace()},
-    )
+    return Run(algorithm_id, m, {"quarters": wave4, "thirds": wave3}, c, scenarios, checks)

@@ -15,7 +15,8 @@ from packbound.adversary import (
     offline_packing,
     per_m,
     present,
-    run_wave,
+    Wave,
+    wave_one,
 )
 from packbound.algorithms import make_session
 from packbound.exact import rat
@@ -86,23 +87,68 @@ class TestPresent:
         assert oracle.observed == [False, True]
 
 
-class TestRunWave:
+def _quarter(i, a):
+    return Item(i, rat(F(1, 4)) + a)
+
+
+def _upto(n):
+    return lambda wave: len(wave.items) < n
+
+
+class TestWave:
     def test_one_observation_per_item(self):
         session = make_session("next-fit", ONE_D)
         oracle = CountingOracle(9)
-        items, smalls = run_wave(session, oracle, 9,
-                                 lambda i, a: Item(i, rat(F(1, 4)) + a))
-        assert [it.ident for it in items] == list(range(9))
+        wave = Wave(oracle).run(session, _quarter, _upto(9))
+        assert [it.ident for it in wave.items] == list(range(9))
         assert len(oracle.observed) == 9 == len(oracle.emitted)
-        assert smalls == {e.index for e in oracle.emitted if e.small}
+        assert wave.small_ids == {e.index for e in oracle.emitted if e.small}
         # next-fit packs three quarters-plus per bin: the first of each is large
-        assert smalls == {1, 2, 4, 5, 7, 8} and session.cost == 3
+        assert wave.small_ids == {1, 2, 4, 5, 7, 8} and session.cost == 3
+        assert [it.ident for it in wave.smalls()] == [1, 2, 4, 5, 7, 8]
+        assert [it.ident for it in wave.larges()] == [0, 3, 6]
 
     def test_item_sizes_carry_the_oracle_values(self):
         session = make_session("first-fit", ONE_D)
         oracle = AdaptiveOracle(OracleConfig(10, 3))
-        items, _ = run_wave(session, oracle, 3, lambda i, a: Item(i, rat(F(1, 3)) + a))
-        assert [it.size for it in items] == [rat(F(1, 3)) + e.value for e in oracle.emitted]
+        wave = Wave(oracle).run(session, lambda i, a: Item(i, rat(F(1, 3)) + a), _upto(3))
+        assert [it.size for it in wave.items] == [rat(F(1, 3)) + e.value for e in oracle.emitted]
+
+    def test_a_second_run_continues_the_same_wave(self):
+        session = make_session("next-fit", ONE_D)
+        wave = Wave(CountingOracle(9)).run(session, _quarter, _upto(4))
+        assert wave.run(session, _quarter, _upto(7)) is wave
+        # the second call numbers its items on from the first and keeps its smalls
+        assert [it.ident for it in wave.items] == list(range(7))
+        assert wave.small_ids == {1, 2, 4, 5} and len(wave.oracle.emitted) == 7
+
+    def test_more_is_asked_before_each_item(self):
+        session = make_session("next-fit", ONE_D)
+        asked = []
+
+        def more(wave):
+            asked.append((len(wave.items), len(wave.small_ids)))
+            return len(wave.small_ids) < 2
+
+        wave = Wave(CountingOracle(9)).run(session, _quarter, more)
+        assert asked == [(0, 0), (1, 0), (2, 1), (3, 2)]
+        assert len(wave.items) == 3
+        assert Wave(CountingOracle(1)).run(session, _quarter, lambda w: False).items == []
+
+    def test_small_when_steers_the_wave(self):
+        session = make_session("first-fit", ONE_D)
+        wave = Wave(CountingOracle(4)).run(session, _quarter, _upto(4),
+                                           small_when=lambda before: len(before) >= 2)
+        # the second joins one item, the third two; the fourth no longer fits
+        assert wave.small_ids == {2} and session.cost == 2
+
+
+class TestWaveOne:
+    def test_opens_a_session_with_m_items_and_its_check(self):
+        session, wave, checks = wave_one("next-fit", ONE_D, OracleConfig(10, 6), _quarter)
+        assert [it.ident for it in wave.items] == list(range(6))
+        assert session.cost == 2 == 6 - len(wave.small_ids)
+        assert [(c.name, c.passed) for c in checks] == [("wave1-bins-equal-large-items", True)]
 
 
 class TestOfflinePacking:

@@ -84,8 +84,8 @@ class TestWaveOne:
         failed = [c for c in ccff2.checks if not c.passed]
         assert not failed, [(c.name, c.detail) for c in failed]
         eps = ccff2.tiny_margin
-        for it in ccff2.tinies:
-            if it.ident in ccff2.small_tinies:
+        for it in ccff2.waves["tinies"].items:
+            if it.ident in ccff2.waves["tinies"].small_ids:
                 assert it.size * 10 < eps
             else:
                 assert it.size > eps * 2
@@ -109,7 +109,8 @@ class TestHugeBranch:
         sc = ccff2.scenarios[0]
         huges = [it for b in sc.opt_packing.bins for it, _ in b
                  if it.label == "huge"]
-        small_colors = {ccff2.tinies[i].color for i in ccff2.small_tinies}
+        small_colors = {ccff2.waves["tinies"].items[i].color
+                        for i in ccff2.waves["tinies"].small_ids}
         assert all(h.color in small_colors for h in huges)
         assert len({h.color for h in huges}) == len(huges)
 
@@ -123,19 +124,20 @@ class TestHugeBranch:
 class TestWaveTwo:
     def test_t2_item_count_rule(self, ccff2):
         x1, x2 = ccff2.census["x1"], ccff2.census["x2"]
-        assert len(ccff2.thirds) == 2 * max(x1, x2)
+        assert len(ccff2.waves["thirds"].items) == 2 * max(x1, x2)
         assert (ccff2.census["z1"] + ccff2.census["z2"]) % 2 == 0
 
     def test_two_thirds_per_color(self, ccff2, ccff3):
         for run in (ccff2, ccff3):
             colors = {}
-            for it in run.thirds:
+            for it in run.waves["thirds"].items:
                 colors[it.color] = colors.get(it.color, 0) + 1
             assert all(n == 2 for n in colors.values())
 
     def test_no_color_from_full_bins_reused(self, ccff3):
         # ccff fills every wave-one bin to t, so nothing is reusable: all fresh
-        reused = {it.color for it in ccff3.thirds if it.color < len(ccff3.tinies)}
+        reused = {it.color for it in ccff3.waves["thirds"].items
+                  if it.color < len(ccff3.waves["tinies"].items)}
         assert not reused
 
     @pytest.mark.parametrize("t,m", [(2, 12), (3, 24)])
@@ -143,10 +145,10 @@ class TestWaveTwo:
         run = run_full("past-bin-zero-test-clcbp", t, m)
         # the wave-one packing, rebuilt by replaying the tinies
         wave_one = fork_replay(run.algorithm_id, VariantRules("class-constrained", t=t),
-                               run.tinies).packing
+                               run.waves["tinies"].items).packing
         short = {it.color for b in range(wave_one.cost) if len(wave_one.bins[b]) < t
                  for it in wave_one.bin_items(b)}
-        reused = {it.color for it in run.thirds if it.color < m}
+        reused = {it.color for it in run.waves["thirds"].items if it.color < m}
         assert reused and reused <= short
 
     def test_t3_stop_disjunction(self, ccff3):
@@ -206,11 +208,11 @@ class TestColorLedger:
     ])
     def test_counts_the_colors_the_thirds_carry(self, algorithm, t, m):
         run = run_full(algorithm, t, m)
-        colors = {it.color for it in run.thirds}
+        colors = {it.color for it in run.waves["thirds"].items}
         assert run.ledger == {
             "reusedColors": len({c for c in colors if c < m}),
             "freshColors": len({c for c in colors if c >= m}),
-            "matchedItems": len(run.thirds),
+            "matchedItems": len(run.waves["thirds"].items),
         }
 
     def test_reused_colors_ride_in_valid_packings(self):

@@ -183,6 +183,11 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--only", "nonsense")
         assert code == 3
 
+    def test_an_empty_suite_name_is_unknown(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--only", "")
+        assert code == 3 and out == ""
+        assert err.startswith("error: unknown suite; choose from oracle, ")
+
     def test_failing_suite_is_reported_not_raised(self, capsys, monkeypatch):
         from packbound import squares
         from packbound.algorithms import IllegalPlacement
@@ -350,6 +355,18 @@ class TestOracle:
         code, out, err = run_cli(capsys, "oracle", "--instance", str(instance))
         assert code == 3 and out == ""
         assert err.startswith("error: bad instance file: ") and "Traceback" not in err
+
+    def test_unorderable_sizes_are_a_config_error(self, capsys, tmp_path):
+        # 20^-1000000 and 10^-1301025 agree too deeply to be ordered exactly
+        tiny = [{"base": 20, "exp": 1000000, "coef": "1"},
+                {"base": 10, "exp": 1301025, "coef": "1"}]
+        instance = tmp_path / "unorderable.json"
+        instance.write_text(json.dumps(
+            {"rules": self.ONE_D, "items": [{"size": {"rational": "1/3", "tiny": tiny}}]}))
+        code, out, err = run_cli(capsys, "oracle", "--instance", str(instance))
+        assert (code, out) == (3, "")
+        assert err == ("error: bad instance file: cannot order 20^-1000000 "
+                       "against 10^-1301025\n")
 
     def test_rule_breaking_algorithm_reported_as_algorithm_failure(self, capsys):
         code, _, err = run_cli(capsys, "duel", "--variant", "sp",

@@ -4,11 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from packbound.adversary import census
+from packbound.adversary import census, offline_packing
 from packbound.algorithms import ONE_D_BASELINES, register_algorithm
 from packbound.exact import rat
-from packbound.knownopt import CensusGap, run_full
-from packbound.model import Item, Placement, validate_packing
+from packbound.knownopt import CensusGap, _scenario5_groups, run_full
+from packbound.model import Item, Placement, VariantRules, validate_packing
 from packbound.optoracle import OracleInstance, min_bins
 from packbound.reports import checks_pass
 from packbound.shapes import KO
@@ -62,23 +62,23 @@ class TestWaves:
     def test_solo_algorithm_every_item_large(self):
         run = run_full("solo-test", 4)
         assert run.census["bins7"] == 4
-        assert not run.small_sevenths
+        assert not run.waves["sevenths"].small_ids
         assert run.census["s1"] == 4 and run.census["t1"] == 4
 
     def test_sizes_strictly_inside_bands(self, ff8):
-        for it in ff8.sevenths:
+        for it in ff8.waves["sevenths"].items:
             assert F(1, 7) < it.size.rational_part or it.size > F(1, 7)
             assert it.size > F(1, 7) and it.size < F(143, 1000)
-        for it in ff8.thirds:
+        for it in ff8.waves["thirds"].items:
             assert it.size > F(1, 3) and it.size < F(33344, 100000)
 
     def test_thresholds_separate_classes(self, ff8):
-        for it in ff8.sevenths:
-            small = it.ident in ff8.small_sevenths
-            assert (it.size < F(1, 7) + ff8.sevenths_threshold) == small
-        for it in ff8.thirds:
-            small = it.ident in ff8.small_thirds
-            assert (it.size < F(1, 3) + ff8.thirds_threshold) == small
+        for it in ff8.waves["sevenths"].items:
+            small = it.ident in ff8.waves["sevenths"].small_ids
+            assert (it.size < F(1, 7) + ff8.waves["sevenths"].oracle.separator().gamma) == small
+        for it in ff8.waves["thirds"].items:
+            small = it.ident in ff8.waves["thirds"].small_ids
+            assert (it.size < F(1, 3) + ff8.waves["thirds"].oracle.separator().gamma) == small
 
 
 class TestGoldenCensuses:
@@ -153,6 +153,24 @@ class TestScenarios:
         assert by_name["over-half"].items_presented == 8
         expected5 = 8 - max(2, -(-c["bins3"] // 2))
         assert by_name["short-two-thirds"].items_presented == expected5
+
+
+class TestShortTwoThirdsGrouping:
+    @pytest.mark.parametrize("m", [4, 8, 12])
+    def test_every_wave_two_bin_count_packs_into_m_bins(self, m):
+        # sizes inside the bands the waves keep: a large third with a short
+        # item overfills its bin, a small one does not
+        sevenths = [Item(i, rat(F(1, 7) + F(1, 10**4))) for i in range(m)]
+        for bins3 in range(1, m + 1):
+            thirds = [Item(m + i, rat(F(1, 3) + (F(1, 10**4) if i < bins3 else F(1, 10**5))))
+                      for i in range(m)]
+            count5 = m - max(m // 4, -(-bins3 // 2))
+            shorts = [Item(2 * m + i, rat(F(2, 3) - F(1, 20000))) for i in range(count5)]
+            groups = _scenario5_groups(m, sevenths, thirds[:bins3], thirds[bins3:], shorts)
+            packing = offline_packing(VariantRules("known-opt", advice=m), groups)
+            assert packing.cost == m, bins3
+            assert sorted(it.ident for b in packing.bins for it, _ in b) == list(
+                range(2 * m + count5)), bins3
 
 
 class TestTrend:
