@@ -6,7 +6,8 @@ rule holds, classifying every item small or large from where the
 algorithm puts it (`present`); `wave_one` opens every run with M such
 items and its two shared checks. Each continuation feeds a fork of the
 live session and comes with a validated offline packing (`continuation`,
-`offline_packing`). After the waves, `census` sorts the bins into the
+`offline_packing`), its bins drawn in order from a `Pool` or in `chunks`.
+After the waves, `census` sorts the bins into the
 variant's census categories, which its band table declares, and
 `census_checks` holds the counts to the structural rows of its
 declaration in `shapes`; `forced_check` holds a continuation's cost to its
@@ -19,6 +20,7 @@ and layouts stay in the variant's module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Optional
 
 from .algorithms import AlgorithmSession, check_replay, feed, make_session
@@ -29,7 +31,8 @@ from .reports import CensusGap, Check, CrossCheckFailure, ScenarioOutcome
 from .shapes import Cost, StructuralRow
 
 __all__ = ["CensusGap", "census", "census_checks", "forced_check", "per_m", "ceil_div",
-           "offline_packing", "continuation", "present", "Wave", "wave_one", "Run"]
+           "chunks", "Pool", "offline_packing", "continuation", "present", "Wave", "wave_one",
+           "Run"]
 
 
 def census(bins, wave_one_ids: set[int], bands: dict, wave_one: str) -> dict[str, int]:
@@ -80,6 +83,26 @@ def per_m(form: dict, counts: dict, m: int):
 
 def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
+
+
+def chunks(items: list, size: int) -> list[list]:
+    """`items` in consecutive runs of `size`, the last one possibly shorter."""
+    return [items[j:j + size] for j in range(0, len(items), size)]
+
+
+class Pool:
+    """Items handed out once each, in order."""
+
+    def __init__(self, items):
+        self._left = iter(items)
+
+    def take(self, n: int) -> list:
+        """The next n items (fewer when they run out)."""
+        return list(islice(self._left, n))
+
+    def rest(self, size: int) -> list[list]:
+        """The items left, in `chunks` of `size`."""
+        return chunks(list(self._left), size)
 
 
 def offline_packing(rules: VariantRules, bins) -> Packing:

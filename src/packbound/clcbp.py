@@ -18,15 +18,16 @@ Offline packings: huge j shares a bin with small tiny j, whose color it
 carries, and t - 1 further small tinies.  In the finals each third, or
 same-color pair or chunk of two large thirds, gets a bin; a tiny whose color
 a third reuses rides with the first bin of that color, and the other tinies
-fill the bins' free color slots in ident order (`_TinyPool`).  Whatever tinies
-are left pack t to a bin.  The color ledger counts the colors the thirds
-reuse and the fresh ones they take (two thirds per color), and the matching
-items of the 3/5 final, one per third.
+fill the bins' free color slots in ident order (`_TinyPool`, an
+`adversary.Pool`).  Whatever tinies are left pack t to a bin.  The color
+ledger counts the colors the thirds reuse and the fresh ones they take (two
+thirds per color), and the matching items of the 3/5 final, one per third.
 
 The census (x_j bins holding j tinies, z1 bins holding a third, z2 bins
 holding two thirds) and each branch's cost are declared once, in
-`shapes.CLCBP[t]`: the run checks its census against that entry's rows and
-each branch's costs against its `Cost`, as the bound programs read them.
+`shapes.CLCBP[t]`: `adversary.census` counts the x_j by that entry's bands,
+and the run checks its census against the entry's rows and each branch's
+costs against its `Cost`, as the bound programs read them.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .adversary import (Run, Wave, census_checks, ceil_div, continuation, forced_check,
-                        offline_packing, per_m, wave_one)
+from .adversary import (Pool, Run, Wave, census, census_checks, ceil_div, chunks, continuation,
+                        forced_check, offline_packing, per_m, wave_one)
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
@@ -64,7 +65,8 @@ class ClassConstrainedRun(Run):
 
 
 def closed_form_bounds(tiny_bins: int, per_count: dict, t: int, m: int) -> dict:
-    """Ratio lower bounds that follow from the wave-one census alone."""
+    """Ratio lower bounds that follow from the wave-one census alone; of
+    `per_count` (j -> bins holding j tinies) only the full bins, j = t, count."""
     bounds = {"tiny-wave": F((t - 1) * tiny_bins + m, m)}
     if per_count.get(t, 0) * 2 * t <= m:
         bounds["spread-tinies"] = F(4 * t - 1, 2 * t)
@@ -90,20 +92,15 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     sep_tiny = wave_tiny.oracle.separator()
     tiny_margin = sep_tiny.gamma * 10  # epsilon of the huge branch
 
-    per_count: dict = {}
-    for contents in base_session.packing.bins:
-        per_count[len(contents)] = per_count.get(len(contents), 0) + 1
-    if any(j > t for j in per_count):
-        raise CrossCheckFailure("a bin holds more than t tiny items")
-    per_count = {j: per_count.get(j, 0) for j in range(1, t + 1)}
     tiny_bins = base_session.cost
     table = CLCBP[t]
-    c = {**{f"x{j}": n for j, n in per_count.items()}, "z1": 0, "z2": 0}
+    c = census(base_session.packing.bins, {it.ident for it in tinies}, table.bands, "tinies")
+    c.update(z1=0, z2=0)
 
     def census_identities() -> list[Check]:
         items, pairs = census_checks(table.rows, c, m)
-        return [items, Check.equal("census-tiny-bins", sum(per_count.values()), tiny_bins),
-                pairs]
+        counted = sum(c[x] for _, x in table.bands[0])
+        return [items, Check.equal("census-tiny-bins", counted, tiny_bins), pairs]
     checks.append(Check.truth(
         "tiny-margins",
         all(tinies[i].size < sep_tiny.gamma for i in small_tinies)
@@ -112,20 +109,18 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         "small < eps/10 and large > 2*eps",
     ))
 
-    smalls_in_order = wave_tiny.smalls()
     scenarios = []
 
-    # huge branch
+    # huge branch: huge j shares its bin with small tiny j (its color) and
+    # t - 1 fillers, the spare small tinies first, then the large ones
     count_h = (m - tiny_bins) // t
     huge_size = rat(1) - tiny_margin
-    mates, fillers = smalls_in_order[:count_h], smalls_in_order[count_h:]
+    pool = Pool(wave_tiny.smalls() + wave_tiny.larges())
+    mates = pool.take(count_h)
     huge_items = [Item(10 * m + j, huge_size, color=mate.color, label="huge")
                   for j, mate in enumerate(mates)]
-    # huge j shares its bin with small tiny j (its color) and t - 1 fillers
-    groups = [[huge, mate] + fillers[j * (t - 1):(j + 1) * (t - 1)]
-              for j, (huge, mate) in enumerate(zip(huge_items, mates))]
-    groups += _chunks(fillers[count_h * (t - 1):] + wave_tiny.larges(), t)
-    opt_h = offline_packing(rules, groups)
+    groups = [[huge, mate] + pool.take(t - 1) for huge, mate in zip(huge_items, mates)]
+    opt_h = offline_packing(rules, groups + pool.rest(t))
     sc_h = continuation("huge", base_session, huge_items, opt_h)
     opt_huge = per_m(table.costs["huge"].opt, c, m)  # M/t
     sc_h.checks += [forced_check(table.costs["huge"], c, sc_h),
@@ -140,11 +135,12 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         ))
     scenarios.append(sc_h)
 
-    closed = closed_form_bounds(tiny_bins, per_count, t, m)
+    closed = closed_form_bounds(tiny_bins, {t: c[f"x{t}"]}, t, m)
 
-    if per_count[t] * 2 * t <= m:
-        # too few full bins: the tiny-wave bound already does the work and
-        # the later waves are not defined for this census
+    if "spread-tinies" in closed:
+        # too few full bins, the rule the spread bound holds under: the
+        # tiny-wave bound already does the work and the later waves are not
+        # defined for this census
         checks.extend(census_identities())
         return ClassConstrainedRun(algorithm_id, m, {"tinies": wave_tiny}, c, scenarios,
                                    checks, t, tiny_margin, closed, None)
@@ -170,11 +166,11 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         return 3 * len(w.items) + len(w.small_ids)
 
     if t == 2:
-        target = 2 * max(per_count[1], per_count[2])
+        target = 2 * max(c["x1"], c["x2"])
         wave3.run(session_t, third, lambda w: len(w.items) < target, holds_a_third)
         checks.append(Check.equal("wave2-count", len(wave3.items), target))
     else:
-        x3 = per_count[3]
+        x3 = c["x3"]
         wave3.run(session_t, third,
                   lambda w: len(w.items) + 6 * x3 < 2 * m - 1 and weight(w) < 2 * m - 7,
                   holds_a_third)
@@ -260,37 +256,24 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
                                scenarios, checks, t, tiny_margin, closed, ledger)
 
 
-def _chunks(items: list, size: int) -> list[list]:
-    return [items[j:j + size] for j in range(0, len(items), size)]
-
-
-class _TinyPool:
+class _TinyPool(Pool):
     """The wave-one tinies as the offline bins draw them.
 
     A tiny whose color some third reuses rides with the first bin that asks
-    for that color; the others, each the only item of its color, fill free
-    color slots in ident order, and whatever is left packs t to a bin.
+    for that color; the others, each the only item of its color, are the
+    pool: they fill free color slots in ident order (`take`), and whatever
+    is left packs t to a bin (`rest`).
     """
 
     def __init__(self, tinies: list[Item], thirds: list[Item]):
         used = {it.color for it in thirds}
         self._riders = {it.color: it for it in tinies if it.color in used}
-        self._unique = [it for it in tinies if it.color not in used]
-        self._taken = 0
+        super().__init__([it for it in tinies if it.color not in used])
 
     def rider(self, color) -> list[Item]:
         """The tiny of a reused color, handed out once."""
         tiny = self._riders.pop(color, None)
         return [] if tiny is None else [tiny]
-
-    def take(self, n: int) -> list[Item]:
-        """The next n unique-color tinies (fewer when they run out)."""
-        out = self._unique[self._taken:self._taken + n]
-        self._taken += len(out)
-        return out
-
-    def rest(self, t: int) -> list[list[Item]]:
-        return _chunks(self._unique[self._taken:], t)
 
 
 def _halves_groups(t, tinies, thirds, halves):
@@ -321,7 +304,7 @@ def _two_thirds_groups(t, tinies, small_thirds, large_thirds, matches):
                for pair in same_pairs[:k_same]]
     loose = [it for pair in by_color.values() if len(pair) == 1 for it in pair]
     loose += [it for pair in same_pairs[k_same:] for it in pair]
-    for chunk in _chunks(loose, 2):
+    for chunk in chunks(loose, 2):
         bin_items = chunk + [r for it in chunk for r in pool.rider(it.color)]
         groups.append(bin_items + pool.take(t - len({it.color for it in bin_items})))
     return groups + pool.rest(t)

@@ -37,7 +37,6 @@ exponents where that can happen); if even that would be astronomically large,
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -135,30 +134,21 @@ def decimal_str(q: Fraction) -> str:
     return f"{sign}{mantissa}e{exp:+d}"
 
 
-def _pow_exceeds(num: int, den: int, base_exp: int) -> bool | None:
-    """Certify num/den > 10**-base_exp (True), < (False), or unknown (None).
-
-    Uses 2**(3e) < 10**e < 2**(4e); exact, never expands the power.
-    """
+def _exceeds(num: int, den: int, base: int, e: int) -> bool | None:
+    """Certify num/den > base**-e, that is num * base**e > den, for den > 0:
+    True, False, or None when unknown.  With b the bit length of base,
+    2**((b - 1) e) <= base**e < 2**(b e); the power is expanded only for e <= 64."""
     if num <= 0:
         return False
-    # num/den > 10**-e  <=>  num * 10**e > den
-    if num.bit_length() + 3 * base_exp >= den.bit_length() + 1:
-        return True
-    if num.bit_length() + 4 * base_exp <= den.bit_length() - 1:
-        return False
-    return None
-
-
-def _ratio_certified(s_num: int, s_den: int, base: int, gap: int) -> bool | None:
-    """Certify s_num/s_den < base**gap (True/False/None), without expanding."""
-    if gap <= 0:
+    if e <= 0:
         return None
-    # base >= 2 so base**gap >= 2**gap
-    if s_num.bit_length() - s_den.bit_length() + 1 <= gap:
+    b = base.bit_length()
+    if num.bit_length() + (b - 1) * e >= den.bit_length() + 1:
         return True
-    if gap <= 64:  # tiny power: settle literally
-        return s_num < s_den * base**gap
+    if num.bit_length() + b * e <= den.bit_length() - 1:
+        return False
+    if e <= 64:  # tiny power: settle literally
+        return num * base**e > den
     return None
 
 
@@ -196,22 +186,6 @@ def _mag_lt(a_base: int, a_exp: int, b_base: int, b_exp: int) -> bool:
     raise PrecisionError(
         f"cannot order {a_base}^-{a_exp} against {b_base}^-{b_exp}"
     )
-
-
-def _canonical(terms: dict[tuple[int, int], Fraction]) -> tuple:
-    kept = [(b, e, c) for (b, e), c in terms.items() if c != 0]
-    for b, e, _ in kept:
-        check_base(b)
-        if e < 1:
-            raise ValueError("perturbation exponents must be >= 1")
-
-    def descending(t1, t2):
-        if (t1[0], t1[1]) == (t2[0], t2[1]):
-            return 0
-        return -1 if _mag_lt(t2[0], t2[1], t1[0], t1[1]) else 1
-
-    kept.sort(key=functools.cmp_to_key(descending))
-    return tuple(kept)
 
 
 def _expand(terms: Iterable[tuple[int, int, Fraction]]) -> Fraction:
@@ -265,20 +239,20 @@ def _sign_of_terms(terms: tuple) -> int:
         if not tail:
             return 1 if value > 0 else -1
         # the tail is at most sum|c| times its leading magnitude; certify
-        # |value| / sum|c| * (lead/tail magnitude ratio) > 1, with
-        # s_num/s_den = sum|c| / |value| in lowest terms
+        # v_num/v_den > (tail/lead magnitude ratio), with
+        # v_num/v_den = |value| / sum|c| in lowest terms
         t_base, t_exp, _ = tail[0]
         n, d = _abs_coef_sum(tail)
-        s_num, s_den = value.denominator * n, abs(value.numerator) * d
-        g = math.gcd(s_num, s_den)
-        s_num, s_den = s_num // g, s_den // g
+        v_num, v_den = abs(value.numerator) * d, value.denominator * n
+        g = math.gcd(v_num, v_den)
+        v_num, v_den = v_num // g, v_den // g
         if t_base == lead_base:
-            ok = _ratio_certified(s_num, s_den, lead_base, t_exp - lead_exp)
+            ok = _exceeds(v_num, v_den, lead_base, t_exp - lead_exp)
         else:
             # tail magnitude <= 10**-tail_lo; cluster >= |value| * 10**-lead_hi
             tail_lo, _ = _log10_bounds(t_base, t_exp)
             _, lead_hi = _log10_bounds(lead_base, lead_exp)
-            ok = _ratio_certified(s_num, s_den, 10, tail_lo - lead_hi)
+            ok = _exceeds(v_num, v_den, 10, tail_lo - lead_hi)
         if ok:
             return 1 if value > 0 else -1
         # could not certify: expand everything (small exponents) or give up
@@ -302,7 +276,7 @@ def _lead_sign(a: "Exact", b: "Exact") -> int:
 
     With lead c * base**-exp and the rest bounded by (n/d) * 10**-e_min
     (its own operand's terms after it, plus the other operand's tail), the
-    lead decides once n/(d|c|) < 10**(e_min - hi), where base**exp <= 10**hi.
+    lead decides once d|c|/n > 10**-(e_min - hi), where base**exp <= 10**hi.
     """
     (a_base, a_exp, a_coef), (b_base, b_exp, b_coef) = a._terms[0], b._terms[0]
     if a_base == b_base and a_exp == b_exp:
@@ -316,7 +290,7 @@ def _lead_sign(a: "Exact", b: "Exact") -> int:
         bound = _sum_tails(lead._rest_bound(), bound)
     e_min, n, d = bound
     _, hi = _log10_bounds(base, exp)
-    if _ratio_certified(n * coef.denominator, d * abs(coef.numerator), 10, e_min - hi):
+    if _exceeds(d * abs(coef.numerator), n * coef.denominator, 10, e_min - hi):
         return 1 if coef > 0 else -1
     return 0
 
@@ -363,7 +337,8 @@ class Exact:
 
     @staticmethod
     def from_terms(rational, terms: dict[tuple[int, int], Fraction]) -> "Exact":
-        return Exact(_as_fraction(rational), _canonical(terms))
+        """rational + sum(c * base**-exp) over `terms`, keyed (base, exp)."""
+        return sum((power(b, e, c) for (b, e), c in terms.items()), Exact(rational))
 
     @property
     def rational_part(self) -> Fraction:
@@ -467,7 +442,7 @@ class Exact:
             e_min, n, d = self._tail_bound()
             r_num, r_den = abs(q.numerator) * d, q.denominator * n
             g = math.gcd(r_num, r_den)
-            verdict = _pow_exceeds(r_num // g, r_den // g, e_min)
+            verdict = _exceeds(r_num // g, r_den // g, 10, e_min)
             if verdict:
                 return 1 if q > 0 else -1
             if verdict is None and e_min > _EXPAND_CAP:
@@ -497,7 +472,7 @@ class Exact:
                 e, n, d = self._tail_bound()
             else:
                 e, n, d = _sum_tails(self._tail_bound(), other._tail_bound())
-            if _pow_exceeds(abs(num) * d, q.denominator * o_rat.denominator * n, e):
+            if _exceeds(abs(num) * d, q.denominator * o_rat.denominator * n, 10, e):
                 return 1 if num > 0 else -1
         if not num:
             # tier 2: one operand's terms alone, or a lead that outweighs the rest
@@ -592,4 +567,8 @@ def rat(v) -> Exact:
 
 def power(base: int, exp: int, coef=1) -> Exact:
     """The exact value coef * base**-exp kept in factored form."""
-    return Exact.from_terms(0, {(base, exp): _as_fraction(coef)})
+    check_base(base)
+    if exp < 1:
+        raise ValueError("perturbation exponents must be >= 1")
+    coef = _as_fraction(coef)
+    return Exact(0, ((base, exp, coef),)) if coef else Exact(0)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .adversary import (CensusGap, Run, Wave, census, census_checks, ceil_div, continuation,
-                        forced_check, offline_packing, wave_one)
+from .adversary import (CensusGap, Pool, Run, Wave, census, census_checks, ceil_div, chunks,
+                        continuation, forced_check, offline_packing, wave_one)
 from .exact import rat
 from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
@@ -85,12 +85,9 @@ def run_full(algorithm_id: str, m: int) -> Run:
     count2 = m - ceil_div(bins7, 6)
     filler = rat(F(6, 7)) - gamma1
     items2 = [Item(2 * m + i, filler, label="big-fill") for i in range(count2)]
-    large_sevenths = wave7.larges()
-    groups = [large_sevenths[i::ceil_div(bins7, 6)] for i in range(ceil_div(bins7, 6))]
-    fill_bins = [[it] for it in items2]
-    for j, small in enumerate(wave7.smalls()):
-        fill_bins[j].append(small)
-    opt2 = offline_packing(rules, groups + fill_bins)
+    smalls = Pool(wave7.smalls())
+    opt2 = offline_packing(rules, chunks(wave7.larges(), 6)
+                           + [[it] + smalls.take(1) for it in items2])
     scenarios.append(continuation("big-fill", base_session, items2, opt2, opt_cost=m))
 
     # 3: unit items after both waves
@@ -143,12 +140,7 @@ def _scenario5_groups(m, sevenths, large_thirds, small_thirds, items5):
     one left-over third in each of the rest.
     """
     pairs = m - len(items5)
-    s = list(sevenths)
-    thirds = large_thirds + small_thirds
-    groups = [[thirds[2 * j], thirds[2 * j + 1], s.pop(), s.pop()] for j in range(pairs)]
-    fill = [[it] for it in items5]
-    for j in range(m // 2 - pairs):
-        fill[j] += [s.pop(), s.pop()]
-    for contents, third in zip(fill[m // 2 - pairs:], thirds[2 * pairs:]):
-        contents.append(third)
-    return groups + fill
+    sevenths, thirds = Pool(sevenths), Pool(large_thirds + small_thirds)
+    groups = [thirds.take(2) + sevenths.take(2) for _ in range(pairs)]
+    return groups + [[it] + (sevenths.take(2) if j < m // 2 - pairs else thirds.take(1))
+                     for j, it in enumerate(items5)]

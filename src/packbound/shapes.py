@@ -78,6 +78,7 @@ class ClassTable:
     """A census declared row by row: the clcbp census of one t."""
 
     variables: tuple
+    bands: dict  # the wave-one census, as in `ShapeTable`: no thirds yet
     rows: tuple  # its `StructuralRow`s, in program order
     costs: dict  # the duel's continuation -> its `Cost`, in program order
 
@@ -181,6 +182,7 @@ def _clcbp(t: int) -> ClassTable:
                  if t == 2 else {"z1": F(1, 2), "z2": 1})
     return ClassTable(
         variables=(*tinies, "z1", "z2", "ratio"),
+        bands={0: tuple(((j, j), x) for x, j in tinies.items())},
         rows=(StructuralRow("items", "census-tiny-items", tinies, "=="),
               StructuralRow("third-pairs", "census-pairs", {"z2": 1}, "<=", ("z1",))),
         costs={

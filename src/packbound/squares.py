@@ -20,9 +20,10 @@ bounds on the true ones.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
-from .adversary import (CensusGap, Run, Wave, census, census_checks, ceil_div, continuation,
-                        forced_check, offline_packing, per_m, wave_one)
+from .adversary import (CensusGap, Pool, Run, Wave, census, census_checks, ceil_div, chunks,
+                        continuation, forced_check, offline_packing, per_m, wave_one)
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .oracle import AdaptiveOracle, OracleConfig
@@ -70,20 +71,17 @@ def l_strip_layout(extent: Exact, smalls: list[Item]) -> list[tuple[Item, Exact,
     _check_count("l_strip_layout", smalls, 5)
     coords = []
     one = rat(1)
-    placed_col = []
-    placed_row = []
+    up = along = rat(0)  # how far the right column and the top row reach
     for idx, item in enumerate(smalls):
         s = item.size
         if idx == 0:  # far corner
             coords.append((item, one - s, one - s))
         elif idx in (1, 2):  # right column, stacked from the bottom
-            y = rat(0) if not placed_col else placed_col[-1]
-            coords.append((item, one - s, y))
-            placed_col.append(y + s)
+            coords.append((item, one - s, up))
+            up += s
         else:  # top row, packed from the left wall
-            x = rat(0) if not placed_row else placed_row[-1]
-            coords.append((item, x, one - s))
-            placed_row.append(x + s)
+            coords.append((item, along, one - s))
+            along += s
     return coords
 
 
@@ -94,23 +92,23 @@ def corner_court_layout(big: Item, thirds: list[Item], quarters: list[Item]):
     _check_count("corner_court_layout", quarters, 2)
     one = rat(1)
     coords = [(big, rat(0), rat(0))]
-    arm_anchor = {}
+    up = along = rat(0)  # how far the right arm and the top arm reach
     for idx, t in enumerate(thirds):
         s = t.size
-        if idx == 0:
-            coords.append((t, one - s, rat(0)))
-            arm_anchor["right"] = s
-        elif idx == 1:
-            coords.append((t, rat(0), one - s))
-            arm_anchor["top"] = s
+        if idx == 0:  # bottom-right corner, first on the right arm
+            coords.append((t, one - s, up))
+            up += s
+        elif idx == 1:  # top-left corner, first on the top arm
+            coords.append((t, along, one - s))
+            along += s
         else:
             coords.append((t, one - s, one - s))
     for idx, q in enumerate(quarters):
         s = q.size
         if idx == 0:  # right arm, above the bottom-right third
-            coords.append((q, one - s, arm_anchor.get("right", rat(0))))
+            coords.append((q, one - s, up))
         else:  # top arm, right of the top-left third
-            coords.append((q, arm_anchor.get("top", rat(0)), one - s))
+            coords.append((q, along, one - s))
     return coords
 
 
@@ -129,11 +127,7 @@ def grid_layout(quarters: list[Item]) -> list[tuple[Item, Exact, Exact]]:
     """Up to nine quarters on a 3x3 grid of pitch just above every side."""
     _check_count("grid_layout", quarters, 9)
     p = QUARTER_PITCH
-    coords = []
-    for idx, q in enumerate(quarters):
-        row, col = divmod(idx, 3)
-        coords.append((q, p * col, p * row))
-    return coords
+    return [(q, p * (idx % 3), p * (idx // 3)) for idx, q in enumerate(quarters)]
 
 
 # -- the run -----------------------------------------------------------------
@@ -157,8 +151,6 @@ def run_full(algorithm_id: str, m: int) -> Run:
     ))
 
     quarter_ids = {q.ident for q in quarters}
-    large_quarters = wave4.larges()
-    small_quarter_items = wave4.smalls()
 
     scenarios = []
 
@@ -167,12 +159,9 @@ def run_full(algorithm_id: str, m: int) -> Run:
     big_side = rat(F(3, 4)) - gamma1
     items1 = [Item(10 * m + i, big_side, label="three-quarter-fill")
               for i in range(count1)]
-    bins_sc1 = []
-    for j, big in enumerate(items1):
-        group = small_quarter_items[5 * j : 5 * j + 5]
-        bins_sc1.append([(big, rat(0), rat(0))] + l_strip_layout(big.size, group))
-    for g in range(ceil_div(bins4, 9)):
-        bins_sc1.append(grid_layout(large_quarters[9 * g : 9 * g + 9]))
+    bins_sc1 = [[(big, rat(0), rat(0))] + l_strip_layout(big.size, five)
+                for big, five in zip(items1, chunks(wave4.smalls(), 5))]
+    bins_sc1 += [grid_layout(nine) for nine in chunks(wave4.larges(), 9)]
     opt1 = offline_packing(rules, bins_sc1)
     scenarios.append(continuation("three-quarter-fill", base_session, items1, opt1))
 
@@ -225,18 +214,14 @@ def run_full(algorithm_id: str, m: int) -> Run:
     count2 = mprime // 3
     items2 = [Item(10 * m + i, rat(F(3, 5)), label="six-tenths")
               for i in range(count2)]
-    bins_sc2 = []
-    quarter_pool = list(quarters)
-    for j, big in enumerate(items2):
-        three = thirds[3 * j : 3 * j + 3]
-        two = [quarter_pool.pop(0) for _ in range(min(2, len(quarter_pool)))]
-        bins_sc2.append(corner_court_layout(big, three, two))
-    leftover_thirds = thirds[3 * count2 :]
-    if leftover_thirds:
-        bins_sc2.append([(t, THIRD_PITCH * j, rat(0))
-                         for j, t in enumerate(leftover_thirds)])
-    for g in range(ceil_div(len(quarter_pool), 9)):
-        bins_sc2.append(grid_layout(quarter_pool[9 * g : 9 * g + 9]))
+    quarter_pool = Pool(quarters)
+    threes = chunks(thirds, 3)
+    bins_sc2 = [corner_court_layout(big, three, quarter_pool.take(2))
+                for big, three in zip(items2, threes)]
+    # the thirds left over, fewer than three, share a bin in a row
+    bins_sc2 += [[(t, THIRD_PITCH * j, rat(0)) for j, t in enumerate(row)]
+                 for row in threes[count2:]]
+    bins_sc2 += [grid_layout(nine) for nine in quarter_pool.rest(9)]
     opt2 = offline_packing(rules, bins_sc2)
     scenarios.append(continuation("six-tenths", session_t, items2, opt2))
 
@@ -245,19 +230,13 @@ def run_full(algorithm_id: str, m: int) -> Run:
     shy = rat(F(2, 3)) - gamma2
     items3 = [Item(10 * m + i, shy, label="short-two-thirds")
               for i in range(count3)]
-    bins_sc3 = []
-    quarter_pool = list(quarters)
-    small_pool = list(small_third_items)
-    for big in items3:
-        three = [small_pool.pop(0) for _ in range(3)]
-        two = [quarter_pool.pop(0) for _ in range(min(2, len(quarter_pool)))]
-        bins_sc3.append(corner_court_layout(big, three, two))
-    block_thirds = large_thirds + small_pool
-    n_blocks = max(ceil_div(len(block_thirds), 4), ceil_div(len(quarter_pool), 5))
-    for g in range(n_blocks):
-        four = block_thirds[4 * g : 4 * g + 4]
-        five = [quarter_pool.pop(0) for _ in range(min(5, len(quarter_pool)))]
-        bins_sc3.append(block_court_layout(four, five))
+    quarter_pool = Pool(quarters)
+    bins_sc3 = [corner_court_layout(big, three, quarter_pool.take(2))
+                for big, three in zip(items3, chunks(small_third_items, 3))]
+    # one block per four thirds and per five quarters left, whichever needs more
+    blocks = zip_longest(chunks(large_thirds + small_third_items[3 * count3:], 4),
+                         quarter_pool.rest(5), fillvalue=[])
+    bins_sc3 += [block_court_layout(four, five) for four, five in blocks]
     opt3 = offline_packing(rules, bins_sc3)
     scenarios.append(continuation("short-two-thirds", session_t, items3, opt3))
 

@@ -7,9 +7,11 @@ import pytest
 from packbound import adversary, knownopt, squares
 from packbound.adversary import (
     CensusGap,
+    Pool,
     census,
     census_checks,
     ceil_div,
+    chunks,
     continuation,
     forced_check,
     offline_packing,
@@ -238,6 +240,48 @@ class TestCensus:
         n, k = shape
         with pytest.raises(CensusGap, match=rf"^bin shape \({n} sevenths, {k} thirds\)$"):
             census(self._bins((1, 0), shape), set(range(100)), self.BANDS, "sevenths")
+
+
+class TestClassConstrainedCensus:
+    """clcbp's wave-one census: a bin holding j tinies counts as x_j."""
+
+    @staticmethod
+    def _bins(*sizes):
+        ident = iter(range(100))
+        return [[(Item(next(ident), rat(F(1, 1000))), Placement(b)) for _ in range(n)]
+                for b, n in enumerate(sizes)]
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_counts_bins_by_tinies_held(self, t):
+        bins = self._bins(*range(1, t + 1), t, 1)
+        counts = census(bins, set(range(100)), CLCBP[t].bands, "tinies")
+        assert counts == {f"x{j}": 2 if j in (1, t) else 1 for j in range(1, t + 1)}
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_a_bin_of_t_plus_one_tinies_raises(self, t):
+        with pytest.raises(CensusGap, match=rf"^bin shape \({t + 1} tinies, 0 thirds\)$"):
+            census(self._bins(1, t + 1), set(range(100)), CLCBP[t].bands, "tinies")
+
+
+class TestPool:
+    def test_chunks_cut_consecutive_runs(self):
+        assert chunks(list(range(7)), 3) == [[0, 1, 2], [3, 4, 5], [6]]
+        assert chunks([], 3) == []
+
+    def test_each_item_is_handed_out_once_in_order(self):
+        pool = Pool(range(10))
+        drawn = [pool.take(2), pool.take(0), pool.take(3)]
+        rest = pool.rest(2)
+        assert drawn == [[0, 1], [], [2, 3, 4]]
+        assert rest == [[5, 6], [7, 8], [9]]
+        assert [x for part in drawn + rest for x in part] == list(range(10))
+        assert pool.take(1) == [] and pool.rest(2) == []
+
+    def test_take_past_the_end_returns_fewer(self):
+        pool = Pool("abc")
+        assert pool.take(2) == ["a", "b"]
+        assert pool.take(5) == ["c"]
+        assert pool.take(5) == []
 
 
 class TestContinuationCosts:

@@ -356,6 +356,17 @@ class TestOracle:
         assert code == 3 and out == ""
         assert err.startswith("error: bad instance file: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("term,reason", [
+        ({"base": 7, "exp": 5, "coef": "0"}, "perturbation base must be 10 or 20, got 7"),
+        ({"base": 10, "exp": 0, "coef": "0"}, "perturbation exponents must be >= 1"),
+    ])
+    def test_a_zero_term_is_still_checked(self, capsys, tmp_path, term, reason):
+        instance = tmp_path / "zero-term.json"
+        size = {"rational": "1/2", "tiny": [term]}
+        instance.write_text(json.dumps({"rules": self.ONE_D, "items": [{"size": size}]}))
+        code, out, err = run_cli(capsys, "oracle", "--instance", str(instance))
+        assert (code, out, err) == (3, "", f"error: bad instance file: {reason}\n")
+
     def test_unorderable_sizes_are_a_config_error(self, capsys, tmp_path):
         # 20^-1000000 and 10^-1301025 agree too deeply to be ordered exactly
         tiny = [{"base": 20, "exp": 1000000, "coef": "1"},

@@ -12,6 +12,7 @@ from packbound.exact import (
     decimal_str,
     fraction_str,
     parse_rational,
+    _exceeds,
     _log10_bounds,
     _mag_lt,
     power,
@@ -401,6 +402,52 @@ class TestMergeAddition:
         a = power(10, 7) + power(20, 3, 2) + power(10, 9)
         assert (a - power(20, 3, 2)).terms == (power(10, 7) + power(10, 9)).terms
         assert (a - a).terms == ()
+
+
+class TestOneTermOrder:
+    @given(small_rationals, fast_terms)
+    @settings(max_examples=200)
+    def test_from_terms_orders_terms_by_magnitude(self, q, terms):
+        built = Exact.from_terms(q, terms).terms
+        assert sorted((b, e, c) for b, e, c in built) == sorted(
+            (b, e, c) for (b, e), c in terms.items() if c)
+        assert all(_mag_lt(b2, e2, b1, e1) for (b1, e1, _), (b2, e2, _) in zip(built, built[1:]))
+
+    def test_power_checks_then_drops_a_zero_coefficient(self):
+        assert power(10, 3, 0) == rat(0) and power(10, 3, 0).terms == ()
+        assert power(20, 5, Fraction(1, 2)).terms == ((20, 5, Fraction(1, 2)),)
+        with pytest.raises(ValueError, match="exponents must be >= 1"):
+            power(10, 0)
+        with pytest.raises(ValueError):
+            power(7, 3, 0)
+
+
+class TestExceeds:
+    """`_exceeds(num, den, base, e)` certifies num/den > base**-e."""
+
+    @given(st.integers(min_value=0, max_value=2**300), st.integers(min_value=1, max_value=2**300),
+           st.sampled_from([10, 20]), st.integers(min_value=-3, max_value=80))
+    @settings(max_examples=1000)
+    @example(1, 10**80, 10, 80)
+    @example(10**80 + 1, 10**160, 10, 80)
+    @example(1, 20**64, 20, 64)
+    @example(2, 20**64, 20, 64)
+    def test_never_wrong_and_decided_up_to_64(self, num, den, base, e):
+        verdict = _exceeds(num, den, base, e)
+        if verdict is not None:
+            truth = num * base**e > den if e >= 0 else num > den * base**-e
+            assert verdict == truth
+        if 1 <= e <= 64:
+            assert verdict is not None
+        if e <= 0 and num > 0:
+            assert verdict is None
+
+    @pytest.mark.parametrize("base", [10, 20])
+    def test_bit_lengths_decide_beyond_64(self, base):
+        e = 1000
+        assert _exceeds(1, base**(2 * e), base, e) is False
+        assert _exceeds(base**e, base**e // 7, base, e) is True
+        assert _exceeds(7, 7 * base**e, base, e) is None  # exactly base**-e: undecided
 
 
 class TestCachedTailIsInvisible:
