@@ -24,7 +24,7 @@ g = power(10, 60)
 big = Item(0, rat(Fraction(3, 4)) - g)
 smalls = [Item(1 + i, rat(Fraction(1, 4)) + power(10, 64 + 2 * i)) for i in range(5)]
 show("corner square 3/4-g with five quarters in the L-strip:",
-     [(big, rat(0), rat(0))] + l_strip_layout(big.size, smalls))
+     [(big, rat(0), rat(0))] + l_strip_layout(smalls))
 
 court = Item(10, rat(Fraction(3, 5)))
 thirds = [Item(11 + i, rat(Fraction(1, 3)) + power(10, 80 + 2 * i)) for i in range(3)]

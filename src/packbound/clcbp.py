@@ -64,11 +64,11 @@ class ClassConstrainedRun(Run):
     ledger: Optional[dict]  # reusedColors, freshColors, matchedItems
 
 
-def closed_form_bounds(tiny_bins: int, per_count: dict, t: int, m: int) -> dict:
-    """Ratio lower bounds that follow from the wave-one census alone; of
-    `per_count` (j -> bins holding j tinies) only the full bins, j = t, count."""
+def closed_form_bounds(tiny_bins: int, full_bins: int, t: int, m: int) -> dict:
+    """Ratio lower bounds that follow from the wave-one census alone, from
+    the bin count and the count of full bins (t tinies each)."""
     bounds = {"tiny-wave": F((t - 1) * tiny_bins + m, m)}
-    if per_count.get(t, 0) * 2 * t <= m:
+    if full_bins * 2 * t <= m:
         bounds["spread-tinies"] = F(4 * t - 1, 2 * t)
     return bounds
 
@@ -135,7 +135,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         ))
     scenarios.append(sc_h)
 
-    closed = closed_form_bounds(tiny_bins, {t: c[f"x{t}"]}, t, m)
+    closed = closed_form_bounds(tiny_bins, c[f"x{t}"], t, m)
 
     if "spread-tinies" in closed:
         # too few full bins, the rule the spread bound holds under: the

@@ -6,17 +6,17 @@ var, and a (c0, d0) constant pair.  Each program is lowered once, on first
 use, to integer rows (`Program.lowered`), and `_integer_rows` reads them
 either with R kept as a column or with R = p/q substituted in integer
 arithmetic.  The structural and cost rows of every program are derived from
-the censuses and continuation costs in `shapes`; only `stop-mix` and the
-case rows (ko's
-`few-new-thirds`/`many-new-thirds`, clcbp's `skew`, `balance`, `t-count`,
-`stop-low` and `stop-tie`) are written out here, as the paper states them.
+the censuses and continuation costs in `shapes`; only `stop-mix` and the case
+rows (ko's `few-new-thirds`/`many-new-thirds`, clcbp's `skew`, `balance`,
+`t-count`, `stop-low` and `stop-tie`) are written out here, as the paper
+states them.
 
 The two known-opt programs are linear in R and solved outright by the exact
 two-phase simplex (Bland's rule).  The remaining programs carry genuine
 R*var products: `feasible_at` fixes R and runs phase 1 alone (its verdict is
 whether the artificial sum reaches zero), and `bisect_min_r` brackets min R
-on [R_LO, R_HI] with it, guarded by a monotonicity sample of
-MONOTONE_SAMPLES feasibility tests.
+on [R_LO, R_HI] with it.  A bracket (lo, hi] is certified by the exact verdict
+at each end and by `_check_monotone`'s proof that feasibility grows with R.
 
 The simplex is exact without Fractions: it starts from those integer rows,
 and every tableau row and the cost row holds some positive multiple of the
@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from typing import Optional
 
@@ -80,7 +81,7 @@ class Unbounded(RuntimeError):
 
 
 class NonMonotoneDetected(RuntimeError):
-    pass
+    """bisect_min_r could not prove that feasibility only grows with R."""
 
 
 class NoUpperBound(RuntimeError):
@@ -182,8 +183,7 @@ class Program:
 
 
 # -- exact two-phase simplex ------------------------------------------------
-# (integer rows, each a positive multiple of its rational row: see the module
-# docstring)
+# (integer rows, each a positive multiple of its rational row: module docstring)
 
 
 def _reduced(row):
@@ -194,8 +194,7 @@ def _reduced(row):
 
 def _eliminate(row, pivot_row, c, columns):
     """A positive multiple of row minus the multiple of pivot_row that zeroes
-    column c; pivot_row[c] > 0 and columns holds every nonzero column of
-    pivot_row."""
+    column c; pivot_row[c] > 0, and columns holds its nonzero columns."""
     p, a = pivot_row[c], row[c]
     g = gcd(p, a)
     p, a = p // g, a // g
@@ -207,11 +206,9 @@ def _eliminate(row, pivot_row, c, columns):
 
 def _pivot(tab, basis, r, c):
     """Make column c basic in row r; return the pivot row's nonzero columns.
-
     A negative pivot entry (phase 2 may drive an artificial out on one) is
     made positive by negating the row, which keeps it a positive multiple of
-    the true pivot row divided by its pivot entry.
-    """
+    the true pivot row divided by its pivot entry."""
     pr = tab[r]
     if pr[c] < 0:
         pr = [-x for x in pr]
@@ -227,10 +224,7 @@ def _pivot(tab, basis, r, c):
 def _bland(tab, basis, cost, allowed) -> str:
     """Minimize cost (list over columns, last entry = current -objective)."""
     while True:
-        enter = next(
-            (j for j in allowed if cost[j] < 0),
-            None,
-        )
+        enter = next((j for j in allowed if cost[j] < 0), None)
         if enter is None:
             return "optimal"
         # min of tab[i][-1] / tab[i][enter] over tab[i][enter] > 0, compared
@@ -266,9 +260,8 @@ def _phase1(n, rows):
     Minimizes the sum of the artificial columns, whose entries, like the
     slacks', are the row's factor.  Returns the final tableau, its basis, the
     number of columns before the artificials (structural then slack) and the
-    cost row, all as integer rows.  The cost row is a positive multiple of the
-    phase-1 reduced costs, so its last entry is a positive multiple of minus
-    that minimum: the rows are feasible exactly when it is zero.
+    cost row, all integer rows; the cost row's last entry is a positive
+    multiple of minus that minimum: the rows are feasible exactly when it is 0.
     """
     # normalize rhs >= 0
     norm = []
@@ -341,16 +334,14 @@ def _integer_rows(program: Program, r0: Optional[Fraction] = None):
     return len(columns), out
 
 
-def solve_min_r_exact(program: Program) -> Fraction:
-    """Exact optimum of a program that is linear in R."""
-    if not program.linear_in_r:
-        raise ValueError(f"{program.program_id}: linear solve requires rows with no R terms")
-    n, rows = _integer_rows(program)
+def _minimize(program: Program, n: int, rows, objective):
+    """After `_phase1`, drive leftover artificials out, drop the rows they
+    still hold and minimize objective (n coefficients, then minus its
+    constant); return the final tableau, basis and cost row, whose last
+    entry is a positive multiple of minus the minimum."""
     tab, basis, real, cost = _phase1(n, rows)
     if cost[-1] != 0:
         raise Infeasible(program.program_id)
-    # phase 2: drive leftover artificials out of the basis, drop the rows
-    # they still hold, then minimize the ratio over the real columns
     for i in range(len(tab)):
         if basis[i] >= real:
             pivot_col = next((j for j in range(real) if tab[i][j] != 0), None)
@@ -359,13 +350,21 @@ def solve_min_r_exact(program: Program) -> Fraction:
     keep = [i for i in range(len(tab)) if basis[i] < real]
     tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
-    objective = [1 if v == "ratio" else 0 for v in program.variables]
-    cost = objective + [0] * (len(cost) - n)
+    cost = [*objective[:-1], *[0] * (len(cost) - n - 1), objective[-1]]
     _price_out(cost, tab, basis)
     if _bland(tab, basis, cost, range(real)) == "unbounded":
         raise Unbounded(program.program_id)
-    # the optimum is the ratio's value in the final basic solution
+    return tab, basis, cost
+
+
+def solve_min_r_exact(program: Program) -> Fraction:
+    """Exact optimum of a program that is linear in R."""
+    if not program.linear_in_r:
+        raise ValueError(f"{program.program_id}: linear solve requires rows with no R terms")
     _, col, _ = program.lowered
+    objective = [int(j == col) for j in range(len(program.variables))] + [0]
+    tab, basis, _ = _minimize(program, *_integer_rows(program), objective)
+    # the optimum is the ratio's value in the final basic solution
     return next((F(row[-1], row[col]) for row, b in zip(tab, basis) if b == col), F(0))
 
 
@@ -375,34 +374,50 @@ def feasible_at(program: Program, r0: Fraction) -> bool:
     return cost[-1] == 0
 
 
+def _check_monotone(program: Program) -> None:
+    """Prove that a point meeting the rows at some R0 > 0 meets them at every
+    R >= R0, or raise NonMonotoneDetected naming the first row that fails.
+
+    A row carries R when its d, d0, rc or rd is nonzero.  It must read
+    sign*(f(x) + R*g(x)) >= 0, sign = +1 for >= and -1 for <=, f = c.x - c0,
+    with sign*f <= 0 wherever x >= 0 meets the rows that do not carry R (an
+    LP, vacuous if none does): then R0*sign*g >= -sign*f >= 0 at the point,
+    so the row holds at every R >= R0."""
+    columns, _, lowered = program.lowered
+    carries = [any(d) or d0 or rc or rd for _, _, d, _, d0, rc, rd, _ in lowered]
+    fixed = [(c, c0, rel, s) for (s, c, _, c0, *_, rel), k in zip(lowered, carries) if not k]
+    for row, (_, c, _, c0, *_, rd, rel) in compress(zip(program.rows, lowered), carries):
+        if rel != "==" and not rd:
+            sign = 1 if rel == ">=" else -1
+            try:
+                *_, cost = _minimize(program, len(columns), fixed,
+                                     [-sign * x for x in c] + [-sign * c0])
+            except Infeasible:
+                return
+            except Unbounded:
+                cost = [1]
+            if cost[-1] <= 0:
+                continue
+        raise NonMonotoneDetected(
+            f"{program.program_id}: could not prove row {row.label} monotone in R")
+
+
 # bisect_min_r searches min R inside [R_LO, R_HI]
 R_LO = F(1)
 R_HI = F(3)
-MONOTONE_SAMPLES = 32
 
 
 def bisect_min_r(program: Program, tol: Fraction = F(1, 10**9)) -> tuple[Fraction, Fraction]:
-    """Bracket (lo, hi) with hi - lo <= tol, infeasible at lo, feasible at hi.
-
-    Feasibility must be monotone nondecreasing in R; a sample over
-    MONOTONE_SAMPLES evenly spaced points aborts with NonMonotoneDetected
-    otherwise.  A tolerance that is not positive raises ValueError.
-    """
+    """Bracket (lo, hi) with hi - lo <= tol, infeasible at lo and feasible at
+    hi (or (R_LO, R_LO)); as `_check_monotone` proves that feasibility grows
+    with R, min R lies in (lo, hi].  tol must be positive (ValueError)."""
     lo, hi, tol = R_LO, R_HI, F(tol)
     if tol <= 0:
         raise ValueError(f"bisection tolerance must be positive, got {tol}")
     if not feasible_at(program, hi):
         raise NoUpperBound(f"{program.program_id} infeasible at R = {hi}")
-    # the last sample is hi itself, feasible as just shown
-    pattern = [
-        feasible_at(program, lo + (hi - lo) * F(i, MONOTONE_SAMPLES - 1))
-        for i in range(MONOTONE_SAMPLES - 1)
-    ] + [True]
-    for a, b in zip(pattern, pattern[1:]):
-        if a and not b:
-            raise NonMonotoneDetected(program.program_id)
-    if pattern[0]:
-        # already feasible at the left end: the bracket degenerates there
+    _check_monotone(program)
+    if feasible_at(program, lo):
         return lo, lo
     while hi - lo > tol:
         mid = (lo + hi) / 2

@@ -61,13 +61,10 @@ def _check_count(layout: str, items: list, most: int) -> None:
         raise ValueError(f"{layout} places at most {most} squares of a kind, got {len(items)}")
 
 
-def l_strip_layout(extent: Exact, smalls: list[Item]) -> list[tuple[Item, Exact, Exact]]:
-    """Up to five squares around a block [0, extent]^2: opposite corner plus
-    two along each arm of the leftover L-strip.
-
-    Requires every side < 1 - extent and 2 * side <= extent-side clearance,
-    which holds for quarters against any extent <= 3/4 used here.
-    """
+def l_strip_layout(smalls: list[Item]) -> list[tuple[Item, Exact, Exact]]:
+    """Up to five squares in the L-strip around a block at the origin: the
+    opposite corner plus two along each arm.  `offline_packing` validates
+    the result, so a block too large for them shows as an overlap."""
     _check_count("l_strip_layout", smalls, 5)
     coords = []
     one = rat(1)
@@ -119,7 +116,7 @@ def block_court_layout(thirds: list[Item], quarters: list[Item]):
     p = THIRD_PITCH
     spots = [(rat(0), rat(0)), (p, rat(0)), (rat(0), p), (p, p)]
     coords = [(t, x, y) for t, (x, y) in zip(thirds, spots)]
-    coords.extend(l_strip_layout(p + p, quarters))
+    coords.extend(l_strip_layout(quarters))
     return coords
 
 
@@ -159,7 +156,7 @@ def run_full(algorithm_id: str, m: int) -> Run:
     big_side = rat(F(3, 4)) - gamma1
     items1 = [Item(10 * m + i, big_side, label="three-quarter-fill")
               for i in range(count1)]
-    bins_sc1 = [[(big, rat(0), rat(0))] + l_strip_layout(big.size, five)
+    bins_sc1 = [[(big, rat(0), rat(0))] + l_strip_layout(five)
                 for big, five in zip(items1, chunks(wave4.smalls(), 5))]
     bins_sc1 += [grid_layout(nine) for nine in chunks(wave4.larges(), 9)]
     opt1 = offline_packing(rules, bins_sc1)

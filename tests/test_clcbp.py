@@ -58,13 +58,13 @@ class TestConfig:
 
     def test_closed_form_bounds(self):
         # everything in full bins: ratio bound (t-1)x + 1 with x = X/M
-        assert closed_form_bounds(6, {1: 6, 2: 0}, 2, 6)["tiny-wave"] == F(2)
-        assert closed_form_bounds(1, {1: 0, 2: 0, 3: 1}, 3, 6) == {
+        assert closed_form_bounds(6, 0, 2, 6)["tiny-wave"] == F(2)
+        assert closed_form_bounds(1, 1, 3, 6) == {
             "tiny-wave": F(2 * 1 + 6, 6),
             "spread-tinies": F(11, 6),
         }
         # spread bonus appears exactly when full bins are scarce
-        bounds = closed_form_bounds(3, {1: 0, 2: 3}, 2, 12)
+        bounds = closed_form_bounds(3, 3, 2, 12)
         assert bounds["spread-tinies"] == F(7, 4)
 
 
@@ -91,7 +91,12 @@ class TestWaveOne:
                 assert it.size > eps * 2
 
     def test_every_bin_at_most_t_tinies(self, ccff3):
-        assert all(j <= 3 for j in _per_count(ccff3))
+        # the wave-one packing, rebuilt by replaying the tinies through ccff
+        packing = fork_replay("ccff", VariantRules("class-constrained", t=3),
+                              ccff3.waves["tinies"].items).packing
+        counts = [len(packing.bins[b]) for b in range(packing.cost)]
+        assert all(1 <= n <= 3 for n in counts)
+        assert {j: counts.count(j) for j in (1, 2, 3)} == _per_count(ccff3)
 
 
 class TestHugeBranch:

@@ -29,7 +29,9 @@ from packbound.mathprog import (
     ko_certificate_suite,
     solve_min_r_exact,
 )
-from packbound.mathprog import _bland, _cost_rows, _integer_rows, _phase1, _structural
+from packbound.mathprog import (
+    _bland, _check_monotone, _cost_rows, _integer_rows, _phase1, _structural,
+)
 from packbound.shapes import CLCBP, KO, SP, structural_rows
 
 TOL = F(1, 10**9)
@@ -565,8 +567,8 @@ class TestBisection:
             mp.setattr(mathprog, "feasible_at", recording)
             bisect_min_r(builtin_program("clcbp2-case1"), TOL)
         assert visited.count(mathprog.R_HI) == 1
-        # R_HI, the 31 other grid samples, 31 halvings of [1, 3] down to 1e-9
-        assert len(visited) == 63
+        # R_HI, R_LO, 31 halvings of [1, 3] down to 1e-9
+        assert len(visited) == 33
 
     def test_non_monotone_feasibility_is_detected(self):
         # (R - 5/2)*x + (3/2 - R)*y == 1 needs one coefficient positive:
@@ -586,6 +588,82 @@ class TestBisection:
         )
         with pytest.raises(NoUpperBound):
             bisect_min_r(prog, TOL)
+
+    def test_feasible_at_the_left_end_gives_a_point_bracket(self):
+        prog = Program("floor", ("x", "ratio"), (
+            Row.build("floor", {"ratio": 1}, ">=", F(1, 2)),
+        ))
+        assert bisect_min_r(prog, TOL) == (mathprog.R_LO, mathprog.R_LO)
+
+
+class TestMonotoneProof:
+    def test_every_builtin_program_is_proven(self):
+        for pid in builtin_program_ids():
+            assert _check_monotone(builtin_program(pid)) is None, pid
+
+    def test_narrow_band_is_refused(self):
+        # feasible in a band just above R = 3/2 and again from R = 5/2 up,
+        # though no grid point of [1, 3] falls inside the band
+        prog = Program("narrow-band", ("x", "y", "ratio"), (
+            Row.build("wide", {"x": (F(-3, 2), 1), "y": (F(-5, 2), 1)}, ">=", 1),
+            Row.build("narrow", {"x": (F(151, 100), -1), "y": (F(-5, 2), 1)}, ">=", 1),
+        ))
+        assert feasible_at(prog, F(301, 200)) and feasible_at(prog, mathprog.R_HI)
+        assert not feasible_at(prog, F(3, 2)) and not feasible_at(prog, F(2))
+        with pytest.raises(NonMonotoneDetected, match="narrow-band: .*row narrow "):
+            bisect_min_r(prog, TOL)
+
+    @pytest.mark.parametrize("label", ["ratio-bigsquares", "ratio-sixtenths"])
+    def test_positive_r_free_part_is_refused(self, label):
+        # shift the constant so that the row's R-free part,
+        # sign*(c.x - c0), is positive somewhere the other rows hold
+        sp = builtin_program("sp")
+        row = sp.row(label)
+        shift = -1000 if row.relation == ">=" else 1000
+        bent = dataclasses.replace(row, const=(row.const[0] + shift, row.const[1]))
+        prog = dataclasses.replace(sp, program_id="bent-sp",
+                                   rows=tuple(bent if r is row else r for r in sp.rows))
+        with pytest.raises(NonMonotoneDetected, match=f"bent-sp: .*row {label} "):
+            _check_monotone(prog)
+
+    def test_r_squared_term_is_refused(self):
+        # R*x - R^2 >= 0 with x <= 2: feasible up to R = 2 only, though the
+        # row's R-free part is 0
+        prog = Program("ratio-squared", ("x", "ratio"), (
+            Row.build("cap", {"x": 1}, "<=", 2),
+            Row.build("square", {"x": (0, 1), "ratio": (0, -1)}, ">=", 0),
+        ))
+        assert feasible_at(prog, F(2)) and not feasible_at(prog, F(3))
+        with pytest.raises(NonMonotoneDetected, match="row square "):
+            _check_monotone(prog)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_equality_carrying_r_is_refused(self, sign):
+        # x = R*y with x = 1 and y >= 1/2: feasible up to R = 2 only, though
+        # the row read as <= (sign 1) or as >= (sign -1) would pass the LP
+        prog = Program("equality-band", ("x", "y", "ratio"), (
+            Row.build("one", {"x": 1}, "==", 1),
+            Row.build("half", {"y": 1}, ">=", F(1, 2)),
+            Row.build("tie", {"x": sign, "y": (0, -sign)}, "==", 0),
+        ))
+        assert feasible_at(prog, F(2)) and not feasible_at(prog, F(3))
+        with pytest.raises(NonMonotoneDetected, match="row tie "):
+            _check_monotone(prog)
+
+    def test_r_free_part_reaching_zero_is_proven(self):
+        # R*x - y >= 0 with x + y = 1: its R-free part, -y, peaks at 0
+        prog = Program("touching", ("x", "y", "ratio"), (
+            Row.build("sum", {"x": 1, "y": 1}, "==", 1),
+            Row.build("lean", {"x": (0, 1), "y": -1}, ">=", 0),
+        ))
+        assert _check_monotone(prog) is None
+
+    def test_holds_vacuously_without_a_point_off_the_r_rows(self):
+        prog = Program("empty", ("x", "y", "ratio"), (
+            Row.build("none", {"x": 1}, "<=", -1),
+            Row.build("narrow", {"x": (F(151, 100), -1), "y": (F(-5, 2), 1)}, ">=", 1),
+        ))
+        assert _check_monotone(prog) is None
 
 
 class TestCertificates:

@@ -82,7 +82,7 @@ class TestLayouts:
         g = power(10, 60)
         big = Item(99, rat(F(3, 4)) - g)
         smalls = [Item(i, rat(F(1, 4)) + power(10, 64 + 2 * i)) for i in range(5)]
-        coords = [(big, rat(0), rat(0))] + l_strip_layout(big.size, smalls)
+        coords = [(big, rat(0), rat(0))] + l_strip_layout(smalls)
         packing = build_and_validate(coords)
         assert len(packing.bins[0]) == 6
 
@@ -110,7 +110,7 @@ class TestLayouts:
 
     @pytest.mark.parametrize("layout, args", [
         (grid_layout, lambda q: (q[:10],)),
-        (l_strip_layout, lambda q: (rat(F(3, 4)), q[:6])),
+        (l_strip_layout, lambda q: (q[:6],)),
         (corner_court_layout, lambda q: (q[0], q[1:4], q[4:7])),
         (block_court_layout, lambda q: (q[:4], q[4:10])),
     ])
