@@ -137,14 +137,10 @@ def _thresholds(run) -> dict:
     return {name: str(wave.oracle.separator().gamma) for name, wave in run.waves.items()}
 
 
-def _ko_extras(run) -> dict:
-    return {"census": run.census, "thresholds": _thresholds(run)}
-
-
-def _sp_extras(run) -> dict:
-    c = dict(run.census)
-    c["smallThirds"], c["largeThirds"] = c.pop("sm3"), c.pop("lg3")
-    return {"census": c, "thresholds": _thresholds(run)}
+def _census_extras(renames: dict):
+    """The census, its variables renamed by `renames`, and the thresholds."""
+    return lambda run: {"census": {renames.get(k, k): v for k, v in run.census.items()},
+                        "thresholds": _thresholds(run)}
 
 
 def _clcbp_extras(run) -> dict:
@@ -170,8 +166,9 @@ def _clcbp_extras(run) -> dict:
 # report keys, whether the report carries the offline packings).  The lambdas
 # look run_full up on its module at call time.
 DUELS = {
-    "ko": (lambda args: knownopt.run_full(args.algorithm, args.m), _ko_extras, False),
-    "sp": (lambda args: squares.run_full(args.algorithm, args.m), _sp_extras, True),
+    "ko": (lambda args: knownopt.run_full(args.algorithm, args.m), _census_extras({}), False),
+    "sp": (lambda args: squares.run_full(args.algorithm, args.m),
+           _census_extras({"sm3": "smallThirds", "lg3": "largeThirds"}), True),
     "clcbp": (lambda args: clcbp.run_full(args.algorithm, 2 if args.t is None else args.t,
                                           args.m), _clcbp_extras, False),
 }

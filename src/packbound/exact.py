@@ -38,6 +38,7 @@ exponents where that can happen); if even that would be astronomically large,
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -62,8 +63,10 @@ _EXPAND_CAP = 200_000
 # literally before dominance is applied (guards against cancellation).
 _CLUSTER_GAP = 512
 
-# Significant digits of every decimal rendering in the reports.
+# Significant digits of every decimal rendering in the reports, which
+# `decimal` rounds half-even in one correctly rounded division.
 DECIMAL_DIGITS = 12
+_DECIMALS = Context(prec=DECIMAL_DIGITS, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 class PrecisionError(ArithmeticError):
@@ -95,43 +98,13 @@ def parse_rational(text: str) -> Fraction:
 
 def fraction_str(q: Fraction) -> str:
     """Serialize a Fraction as 'num/den' ('num' when integral)."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(q)
 
 
 def decimal_str(q: Fraction) -> str:
     """Display-only decimal rendering, DECIMAL_DIGITS significant digits, half-even."""
-    if q == 0:
-        return "0"
-    sign = "-" if q < 0 else ""
-    p, d = abs(q.numerator), q.denominator
-    # exponent of the leading digit
-    exp = len(str(p)) - len(str(d))
-    if p * 10 ** max(0, -exp) < d * 10 ** max(0, exp):
-        exp -= 1
-    shift = DECIMAL_DIGITS - 1 - exp
-    scaled = p * 10**shift if shift >= 0 else p
-    divisor = d if shift >= 0 else d * 10**-shift
-    digits, rem = divmod(scaled, divisor)
-    # round half to even
-    twice = 2 * rem
-    if twice > divisor or (twice == divisor and digits % 2 == 1):
-        digits += 1
-    text = str(digits)
-    if len(text) > DECIMAL_DIGITS:  # rounding overflowed into one more digit
-        text = text[:DECIMAL_DIGITS]
-        exp += 1
-    if 0 <= exp < DECIMAL_DIGITS:
-        intpart = text[: exp + 1]
-        frac = text[exp + 1 :].rstrip("0")
-        return sign + intpart + ("." + frac if frac else "")
-    if -6 < exp < 0:
-        frac = ("0" * (-exp - 1) + text).rstrip("0")
-        return sign + "0." + frac
-    frac = text[1:].rstrip("0")
-    mantissa = text[0] + ("." + frac if frac else "")
-    return f"{sign}{mantissa}e{exp:+d}"
+    d = _DECIMALS.divide(Decimal(q.numerator), q.denominator).normalize(_DECIMALS)
+    return format(d, "f" if -6 < d.adjusted() < DECIMAL_DIGITS else "e")
 
 
 def _exceeds(num: int, den: int, base: int, e: int) -> bool | None:

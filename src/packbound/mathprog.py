@@ -3,13 +3,13 @@
 Programs minimize a ratio variable R subject to rows whose coefficients are
 affine in R: a row stores one (c, d) pair per variable, meaning (c + d*R) *
 var, and a (c0, d0) constant pair.  Each program is lowered once, on first
-use, to integer rows (`Program.lowered`), and `_integer_rows` reads them
-either with R kept as a column or with R = p/q substituted in integer
-arithmetic.  The structural and cost rows of every program are derived from
-the censuses and continuation costs in `shapes`; only `stop-mix` and the case
-rows (ko's `few-new-thirds`/`many-new-thirds`, clcbp's `skew`, `balance`,
-`t-count`, `stop-low` and `stop-tie`) are written out here, as the paper
-states them.
+use, to integer rows a + R*b (+ k*R^2) with the ratio folded in as R
+(`Program.lowered`), and `_integer_rows` reads them either with R as the
+last column or with R = p/q substituted in integer arithmetic.  The
+structural and cost rows of every program are derived from the censuses and
+continuation costs in `shapes`; only `stop-mix` and the case rows (ko's
+`few-new-thirds`/`many-new-thirds`, clcbp's `skew`, `balance`, `t-count`,
+`stop-low` and `stop-tie`) are written out here, as the paper states them.
 
 The two known-opt programs are linear in R and solved outright by the exact
 two-phase simplex (Bland's rule).  The remaining programs carry genuine
@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from math import gcd, lcm
 from typing import Optional
 
@@ -154,32 +153,27 @@ class Program:
 
     @cached_property
     def lowered(self) -> tuple:
-        """The rows over integers, computed once: (columns, ratio_at, rows).
+        """The rows over integers, computed once: (columns, rows).
 
-        columns are the variables other than the ratio, ratio_at is the
-        ratio's index in `variables` (None without one), and each row
-        (s, c, d, c0, d0, rc, rd, rel), c and d over columns, means
-        sum_j (c_j + d_j*R) x_j + (rc + rd*R) * R  REL  c0 + d0*R: s times
-        the rational row, s the lcm of its denominators.
+        columns are the variables other than the ratio, which is folded in as
+        R.  Each row (s, a, b, k, rel), a and b over the columns and then the
+        constant, means a.(x, 1) + R*b.(x, 1) + k*R^2  REL  0: s times the
+        rational row, s the lcm of its denominators.
         """
         columns = tuple(v for v in self.variables if v != "ratio")
-        index = {v: j for j, v in enumerate(columns)}
-        n2 = 2 * len(columns)
         rows = []
         for row in self.rows:
-            pairs = [(0, 0)] * len(columns)
-            ratio = (0, 0)
-            for var, pair in row.coeffs:
-                if var == "ratio":
-                    ratio = pair
-                else:
-                    pairs[index[var]] = pair
-            values = [x for pair in (*pairs, row.const, ratio) for x in pair]
+            coeffs = dict(row.coeffs)
+            rc, k = coeffs.pop("ratio", (0, 0))  # (rc + k*R)*R
+            c0, d0 = row.const
+            pairs = [coeffs.pop(v, (0, 0)) for v in columns] + [(-c0, rc - d0)]
+            if coeffs:
+                raise KeyError(f"row {row.label}: unknown variables {sorted(coeffs)}")
+            values = [x for pair in pairs for x in pair] + [k]
             s = lcm(*(x.denominator for x in values))
             ints = [x.numerator * (s // x.denominator) for x in values]
-            rows.append((s, ints[0:n2:2], ints[1:n2:2], *ints[n2:], row.relation))
-        ratio_at = self.variables.index("ratio") if "ratio" in self.variables else None
-        return columns, ratio_at, tuple(rows)
+            rows.append((s, ints[0:-1:2], ints[1:-1:2], ints[-1], row.relation))
+        return columns, tuple(rows)
 
 
 # -- exact two-phase simplex ------------------------------------------------
@@ -308,29 +302,26 @@ def _integer_rows(program: Program, r0: Optional[Fraction] = None):
     """The column count and the rows (coeff list, rhs, rel, factor) of
     `program.lowered` for `_phase1`.
 
-    With r0 = p/q given, R = r0 is substituted: each coefficient becomes
-    c*q + d*p and the ratio column, now a constant, moves to the right-hand
-    side, so the row is s*q times its rational row (s*q^2 when the ratio
-    column carries an R term).  Without it the ratio stays a column and only
-    the c parts are read.
+    With r0 = p/q given, R = r0 is substituted: a row becomes a*q + b*p, s*q
+    times its rational row; when k is nonzero it is multiplied by q once more
+    and k*p^2 joins its constant.  Without r0, R is the last column, read
+    from b's constant, and only a and that constant are read.
     """
-    columns, ratio_at, lowered = program.lowered
+    columns, lowered = program.lowered
     out = []
     if r0 is None:
-        for s, c, _, c0, _, rc, _, rel in lowered:
-            if ratio_at is not None:
-                c = [*c[:ratio_at], rc, *c[ratio_at:]]
-            out.append((c, c0, rel, s))
-        return len(program.variables), out
+        for s, a, b, _, rel in lowered:
+            out.append(([*a[:-1], b[-1]], -a[-1], rel, s))
+        return len(columns) + 1, out
     p, q = r0.numerator, r0.denominator
-    for s, c, d, c0, d0, rc, rd, rel in lowered:
-        line = [x * q + y * p for x, y in zip(c, d)]
-        rhs = c0 * q + (d0 - rc) * p
-        if rd:
+    for s, a, b, k, rel in lowered:
+        line = [x * q + y * p for x, y in zip(a, b)]
+        s *= q
+        if k:
             line = [x * q for x in line]
-            rhs = rhs * q - rd * p * p
+            line[-1] += k * p * p
             s *= q
-        out.append((line, rhs, rel, s * q))
+        out.append((line[:-1], -line[-1], rel, s))
     return len(columns), out
 
 
@@ -361,11 +352,10 @@ def solve_min_r_exact(program: Program) -> Fraction:
     """Exact optimum of a program that is linear in R."""
     if not program.linear_in_r:
         raise ValueError(f"{program.program_id}: linear solve requires rows with no R terms")
-    _, col, _ = program.lowered
-    objective = [int(j == col) for j in range(len(program.variables))] + [0]
-    tab, basis, _ = _minimize(program, *_integer_rows(program), objective)
-    # the optimum is the ratio's value in the final basic solution
-    return next((F(row[-1], row[col]) for row, b in zip(tab, basis) if b == col), F(0))
+    n, rows = _integer_rows(program)
+    tab, basis, _ = _minimize(program, n, rows, [0] * (n - 1) + [1, 0])
+    # the optimum is R's value in the final basic solution
+    return next((F(row[-1], row[n - 1]) for row, b in zip(tab, basis) if b == n - 1), F(0))
 
 
 def feasible_at(program: Program, r0: Fraction) -> bool:
@@ -378,20 +368,22 @@ def _check_monotone(program: Program) -> None:
     """Prove that a point meeting the rows at some R0 > 0 meets them at every
     R >= R0, or raise NonMonotoneDetected naming the first row that fails.
 
-    A row carries R when its d, d0, rc or rd is nonzero.  It must read
-    sign*(f(x) + R*g(x)) >= 0, sign = +1 for >= and -1 for <=, f = c.x - c0,
+    A row carries R when its b or k is nonzero.  It must read
+    sign*(f(x) + R*g(x)) >= 0, sign = +1 for >= and -1 for <=, f = a.(x, 1),
     with sign*f <= 0 wherever x >= 0 meets the rows that do not carry R (an
     LP, vacuous if none does): then R0*sign*g >= -sign*f >= 0 at the point,
     so the row holds at every R >= R0."""
-    columns, _, lowered = program.lowered
-    carries = [any(d) or d0 or rc or rd for _, _, d, _, d0, rc, rd, _ in lowered]
-    fixed = [(c, c0, rel, s) for (s, c, _, c0, *_, rel), k in zip(lowered, carries) if not k]
-    for row, (_, c, _, c0, *_, rd, rel) in compress(zip(program.rows, lowered), carries):
-        if rel != "==" and not rd:
+    columns, lowered = program.lowered
+    carries = [any(b) or k for _, _, b, k, _ in lowered]
+    fixed = [(a[:-1], -a[-1], rel, s) for (s, a, _, _, rel), c in zip(lowered, carries) if not c]
+    for row, (_, a, _, k, rel), c in zip(program.rows, lowered, carries):
+        if not c:
+            continue
+        if rel != "==" and not k:
             sign = 1 if rel == ">=" else -1
             try:
                 *_, cost = _minimize(program, len(columns), fixed,
-                                     [-sign * x for x in c] + [-sign * c0])
+                                     [-sign * x for x in a[:-1]] + [sign * a[-1]])
             except Infeasible:
                 return
             except Unbounded:

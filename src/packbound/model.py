@@ -353,15 +353,6 @@ def validate_packing(packing: Packing) -> list[Violation]:
 # -- instance serialization (JSON) ---------------------------------------
 
 
-def rules_to_json(rules: VariantRules) -> dict:
-    out = {"kind": rules.kind}
-    if rules.advice is not None:
-        out["advice"] = rules.advice
-    if rules.t is not None:
-        out["t"] = rules.t
-    return out
-
-
 def _field(obj, key: str, kind: type, default=KeyError):
     """The `kind` at obj[key] in the JSON object obj, or `default` when given and absent."""
     if not isinstance(obj, dict):
@@ -375,15 +366,6 @@ def _field(obj, key: str, kind: type, default=KeyError):
 def rules_from_json(obj: dict) -> VariantRules:
     return VariantRules(_field(obj, "kind", str), advice=_field(obj, "advice", int, None),
                         t=_field(obj, "t", int, None))
-
-
-def item_to_json(item: Item, placement: Optional[Placement] = None) -> dict:
-    out = {"size": item.size.to_json(), "color": item.color}
-    out["x"] = placement.x.to_json() if placement is not None and placement.x is not None else None
-    out["y"] = placement.y.to_json() if placement is not None and placement.y is not None else None
-    if item.label:
-        out["label"] = item.label
-    return out
 
 
 def _exact_from_json(obj) -> Exact:

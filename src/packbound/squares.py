@@ -61,25 +61,30 @@ def _check_count(layout: str, items: list, most: int) -> None:
         raise ValueError(f"{layout} places at most {most} squares of a kind, got {len(items)}")
 
 
+def _arms(items: list[Item], arms: str) -> list[tuple[Item, Exact, Exact]]:
+    """Place items[i] by the letter arms[i]: 'c' in the far corner
+    (1 - s, 1 - s), 'r' on the right arm, stacked up from the floor, 't' on
+    the top arm, packed right from the wall."""
+    one = rat(1)
+    last = {}  # arm -> (where its latest square starts, that square's side)
+    coords = []
+    for item, arm in zip(items, arms):
+        s = item.size
+        if arm == "c":
+            coords.append((item, one - s, one - s))
+            continue
+        at = last[arm][0] + last[arm][1] if arm in last else rat(0)
+        last[arm] = (at, s)
+        coords.append((item, one - s, at) if arm == "r" else (item, at, one - s))
+    return coords
+
+
 def l_strip_layout(smalls: list[Item]) -> list[tuple[Item, Exact, Exact]]:
     """Up to five squares in the L-strip around a block at the origin: the
     opposite corner plus two along each arm.  `offline_packing` validates
     the result, so a block too large for them shows as an overlap."""
     _check_count("l_strip_layout", smalls, 5)
-    coords = []
-    one = rat(1)
-    up = along = rat(0)  # how far the right column and the top row reach
-    for idx, item in enumerate(smalls):
-        s = item.size
-        if idx == 0:  # far corner
-            coords.append((item, one - s, one - s))
-        elif idx in (1, 2):  # right column, stacked from the bottom
-            coords.append((item, one - s, up))
-            up += s
-        else:  # top row, packed from the left wall
-            coords.append((item, along, one - s))
-            along += s
-    return coords
+    return _arms(smalls, "crrtt")
 
 
 def corner_court_layout(big: Item, thirds: list[Item], quarters: list[Item]):
@@ -87,26 +92,7 @@ def corner_court_layout(big: Item, thirds: list[Item], quarters: list[Item]):
     quarter against each arm between the corner squares."""
     _check_count("corner_court_layout", thirds, 3)
     _check_count("corner_court_layout", quarters, 2)
-    one = rat(1)
-    coords = [(big, rat(0), rat(0))]
-    up = along = rat(0)  # how far the right arm and the top arm reach
-    for idx, t in enumerate(thirds):
-        s = t.size
-        if idx == 0:  # bottom-right corner, first on the right arm
-            coords.append((t, one - s, up))
-            up += s
-        elif idx == 1:  # top-left corner, first on the top arm
-            coords.append((t, along, one - s))
-            along += s
-        else:
-            coords.append((t, one - s, one - s))
-    for idx, q in enumerate(quarters):
-        s = q.size
-        if idx == 0:  # right arm, above the bottom-right third
-            coords.append((q, one - s, up))
-        else:  # top arm, right of the top-left third
-            coords.append((q, along, one - s))
-    return coords
+    return [(big, rat(0), rat(0))] + _arms([*thirds, *quarters], "rtc"[:len(thirds)] + "rt")
 
 
 def block_court_layout(thirds: list[Item], quarters: list[Item]):

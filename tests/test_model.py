@@ -19,10 +19,8 @@ from packbound.model import (
     PackingError,
     Placement,
     VariantRules,
-    item_to_json,
     items_from_json,
     rules_from_json,
-    rules_to_json,
     squares_disjoint,
     validate_packing,
 )
@@ -340,18 +338,18 @@ class TestRulesAndJson:
             VariantRules("mystery")
 
     def test_rules_roundtrip(self):
-        for rules in (ONED, SQ, VariantRules("known-opt", advice=8),
-                      VariantRules("class-constrained", t=3)):
-            assert rules_from_json(rules_to_json(rules)) == rules
+        for obj, rules in (({"kind": "one-d"}, ONED), ({"kind": "squares"}, SQ),
+                           ({"kind": "known-opt", "advice": 8}, VariantRules("known-opt", advice=8)),
+                           ({"kind": "class-constrained", "t": 3},
+                            VariantRules("class-constrained", t=3))):
+            assert rules_from_json(obj) == rules
 
     def test_item_roundtrip_with_perturbation(self):
-        item = Item(0, rat("1/7") + power(10, 99), label="seventh")
-        place = Placement(0, rat("1/4"), rat(0))
-        sq_item = Item(1, rat("1/4"))
-        obj = item_to_json(item)
-        assert obj["color"] is None and obj["x"] is None
-        parsed = items_from_json([obj])[0][0]
-        assert parsed.size == item.size
-        obj2 = item_to_json(sq_item, place)
-        parsed2, pl2 = items_from_json([obj2])[0]
-        assert pl2.x == place.x and pl2.y == place.y
+        seventh = {"size": {"rational": "1/7", "tiny": [{"base": 10, "exp": 99, "coef": "1"}]},
+                   "color": None, "x": None, "y": None, "label": "seventh"}
+        quarter = {"size": "1/4", "color": None, "x": "1/4", "y": "0"}
+        (parsed, pl), (parsed2, pl2) = items_from_json([seventh, quarter])
+        assert parsed.size == rat("1/7") + power(10, 99) and parsed.label == "seventh"
+        assert pl is None
+        assert parsed2.size == rat("1/4")
+        assert pl2.x == rat("1/4") and pl2.y == rat(0)

@@ -108,6 +108,58 @@ class TestLayouts:
         packing = build_and_validate(block_court_layout(thirds, quarters))
         assert len(packing.bins[0]) == 9
 
+    # (ident, x, y) of every square for each arm length, as the layouts
+    # placed them before they shared one arm rule; the duels' goldens pin
+    # only the arm lengths their runs produce.  The L-strip: the far corner,
+    # two on the right arm, two on the top arm
+    L_STRIP = [
+        (0, "3/4 - 10^-64", "3/4 - 10^-64"),
+        (1, "3/4 - 10^-66", "0"),
+        (2, "3/4 - 10^-68", "1/4 + 10^-66"),
+        (3, "0", "3/4 - 10^-70"),
+        (4, "1/4 + 10^-70", "3/4 - 10^-72"),
+    ]
+    # after the big square: thirds on the right arm, the top arm and in the
+    # far corner, then one quarter on each arm
+    COURT = {
+        (0, 0): [],
+        (0, 1): [(20, "3/4 - 10^-90", "0")],
+        (0, 2): [(20, "3/4 - 10^-90", "0"), (21, "0", "3/4 - 10^-91")],
+        (1, 0): [(10, "2/3 - 10^-80", "0")],
+        (1, 1): [(10, "2/3 - 10^-80", "0"), (20, "3/4 - 10^-90", "1/3 + 10^-80")],
+        (1, 2): [(10, "2/3 - 10^-80", "0"), (20, "3/4 - 10^-90", "1/3 + 10^-80"),
+                 (21, "0", "3/4 - 10^-91")],
+        (2, 0): [(10, "2/3 - 10^-80", "0"), (11, "0", "2/3 - 10^-82")],
+        (2, 1): [(10, "2/3 - 10^-80", "0"), (11, "0", "2/3 - 10^-82"),
+                 (20, "3/4 - 10^-90", "1/3 + 10^-80")],
+        (2, 2): [(10, "2/3 - 10^-80", "0"), (11, "0", "2/3 - 10^-82"),
+                 (20, "3/4 - 10^-90", "1/3 + 10^-80"), (21, "1/3 + 10^-82", "3/4 - 10^-91")],
+        (3, 0): [(10, "2/3 - 10^-80", "0"), (11, "0", "2/3 - 10^-82"),
+                 (12, "2/3 - 10^-84", "2/3 - 10^-84")],
+        (3, 1): [(10, "2/3 - 10^-80", "0"), (11, "0", "2/3 - 10^-82"),
+                 (12, "2/3 - 10^-84", "2/3 - 10^-84"), (20, "3/4 - 10^-90", "1/3 + 10^-80")],
+        (3, 2): [(10, "2/3 - 10^-80", "0"), (11, "0", "2/3 - 10^-82"),
+                 (12, "2/3 - 10^-84", "2/3 - 10^-84"), (20, "3/4 - 10^-90", "1/3 + 10^-80"),
+                 (21, "1/3 + 10^-82", "3/4 - 10^-91")],
+    }
+
+    @staticmethod
+    def _placed(coords):
+        return [(item.ident, str(x), str(y)) for item, x, y in coords]
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_l_strip_short_arms(self, n):
+        smalls = [Item(i, rat(F(1, 4)) + power(10, 64 + 2 * i)) for i in range(5)]
+        assert self._placed(l_strip_layout(smalls[:n])) == self.L_STRIP[:n]
+
+    @pytest.mark.parametrize("n_thirds, n_quarters", [(a, b) for a in range(4) for b in range(3)])
+    def test_corner_court_short_arms(self, n_thirds, n_quarters):
+        big = Item(99, rat(F(3, 5)))
+        thirds = [Item(10 + i, rat(F(1, 3)) + power(10, 80 + 2 * i)) for i in range(3)]
+        quarters = [Item(20 + i, rat(F(1, 4)) + power(10, 90 + i)) for i in range(2)]
+        coords = corner_court_layout(big, thirds[:n_thirds], quarters[:n_quarters])
+        assert self._placed(coords) == [(99, "0", "0")] + self.COURT[n_thirds, n_quarters]
+
     @pytest.mark.parametrize("layout, args", [
         (grid_layout, lambda q: (q[:10],)),
         (l_strip_layout, lambda q: (q[:6],)),
