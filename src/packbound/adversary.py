@@ -19,7 +19,6 @@ and layouts stay in the variant's module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Optional
 
@@ -212,13 +211,14 @@ def wave_one(algorithm_id: str, rules: VariantRules, config: OracleConfig,
     return session, wave, checks
 
 
-@dataclass
 class Run:
     """A finished duel: its waves keyed by report name, in the order they ran."""
 
-    algorithm_id: str
-    m: int
-    waves: dict[str, Wave]
-    census: dict
-    scenarios: list[ScenarioOutcome]
-    checks: list[Check]
+    def __init__(self, algorithm_id: str, m: int, waves: dict[str, Wave], census: dict,
+                 scenarios: list[ScenarioOutcome], checks: list[Check]):
+        self.algorithm_id = algorithm_id
+        self.m = m
+        self.waves = waves
+        self.census = census
+        self.scenarios = scenarios
+        self.checks = checks

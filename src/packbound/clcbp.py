@@ -32,7 +32,6 @@ costs against its `Cost`, as the bound programs read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -54,14 +53,16 @@ THIRDS_BASE = 10  # wave-two oracle base
 ORACLE_CHECK_MAX_M = 6  # the exact search confirms the huge branch's optimum up to here
 
 
-@dataclass
 class ClassConstrainedRun(Run):
     """A clcbp duel; its census maps xj (bins holding j tinies), z1 and z2 to bin counts."""
 
-    t: int
-    tiny_margin: Exact  # epsilon for the huge branch
-    closed_form: dict
-    ledger: Optional[dict]  # reusedColors, freshColors, matchedItems
+    def __init__(self, algorithm_id, m, waves, census, scenarios, checks, t: int,
+                 tiny_margin: Exact, closed_form: dict, ledger: Optional[dict]):
+        super().__init__(algorithm_id, m, waves, census, scenarios, checks)
+        self.t = t
+        self.tiny_margin = tiny_margin  # epsilon for the huge branch
+        self.closed_form = closed_form
+        self.ledger = ledger  # reusedColors, freshColors, matchedItems
 
 
 def closed_form_bounds(tiny_bins: int, full_bins: int, t: int, m: int) -> dict:

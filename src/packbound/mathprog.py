@@ -34,11 +34,10 @@ closed-form bounds (87/62, 17/12) are reproduced instead of trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .shapes import CLCBP, KO, SP, structural_rows
 
@@ -101,8 +100,7 @@ def _pair(value) -> tuple[Fraction, Fraction]:
     return (F(value), F(0))
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """sum_j (c_j + d_j*R) * var_j  REL  c0 + d0*R."""
 
     label: str
@@ -133,11 +131,11 @@ class Row:
         return f"[{self.label}] " + " + ".join(parts) + f" {self.relation} {rhs}"
 
 
-@dataclass(frozen=True)
 class Program:
-    program_id: str
-    variables: tuple  # every variable is nonnegative; minimize 'ratio'
-    rows: tuple
+    def __init__(self, program_id: str, variables: tuple, rows: tuple):
+        self.program_id = program_id
+        self.variables = variables  # every variable is nonnegative; minimize 'ratio'
+        self.rows = rows
 
     @property
     def linear_in_r(self) -> bool:
@@ -423,8 +421,7 @@ def bisect_min_r(program: Program, tol: Fraction = F(1, 10**9)) -> tuple[Fractio
 # -- certificates -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Nonnegative multipliers over >= rows (any sign on ==) with a target."""
 
     name: str

@@ -8,8 +8,7 @@ immutable after construction and all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .exact import Exact, parse_rational, rat
 
@@ -45,17 +44,20 @@ class BadPlacement(PackingError):
     """Placement malformed for the variant (bin index, missing coordinates)."""
 
 
-@dataclass(frozen=True)
-class VariantRules:
-    """Feasibility rules: kind in {'one-d', 'known-opt', 'squares', 'class-constrained'}."""
-
+class _VariantRules(NamedTuple):
     kind: str
     advice: Optional[int] = None  # known-opt only: the promised optimal cost
     t: Optional[int] = None  # class-constrained only: color classes per bin
 
+
+class VariantRules(_VariantRules):
+    """Feasibility rules: kind in {'one-d', 'known-opt', 'squares', 'class-constrained'}."""
+
+    __slots__ = ()
     KINDS = ("one-d", "known-opt", "squares", "class-constrained")
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown variant kind {self.kind!r}")
         if self.kind == "known-opt":
@@ -68,6 +70,7 @@ class VariantRules:
                 raise ValueError("class-constrained requires t >= 1")
         elif self.t is not None:
             raise ValueError("t is only meaningful for class-constrained")
+        return self
 
     @property
     def is_geometric(self) -> bool:
@@ -78,22 +81,26 @@ class VariantRules:
         return self.kind == "class-constrained"
 
 
-@dataclass(frozen=True)
-class Item:
-    """One input item; `size` is the side length for the squares variant."""
-
+class _Item(NamedTuple):
     ident: int
     size: Exact
     color: Optional[int] = None
     label: str = ""
 
-    def __post_init__(self):
+
+class Item(_Item):
+    """One input item; `size` is the side length for the squares variant."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (ZERO < self.size <= ONE):
             raise ValueError(f"item {self.ident}: size must lie in (0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """Target bin plus, for squares, the lower-left corner coordinates."""
 
     bin_index: int
@@ -105,8 +112,7 @@ class Placement:
         return self.x is not None and self.y is not None
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     bin_index: int
     rule: str
     items: tuple

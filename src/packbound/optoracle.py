@@ -20,7 +20,7 @@ every online strategy, and a better leaf is kept as a `copy()` of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algorithms import first_fit
 from .exact import rat
@@ -39,21 +39,25 @@ class InvalidWitness(RuntimeError):
     """The search's witness packing breaks a rule or disagrees with its count."""
 
 
-@dataclass(frozen=True)
-class OracleInstance:
+class _OracleInstance(NamedTuple):
     items: tuple[Item, ...]
     rules: VariantRules
     node_budget: int = DEFAULT_NODE_BUDGET
 
-    def __post_init__(self):
+
+class OracleInstance(_OracleInstance):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.rules.is_geometric:
             raise ValueError("exact search covers one-dimensional variants only")
         if self.node_budget < 1:
             raise ValueError(f"the node budget must be at least 1, got {self.node_budget}")
+        return self
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     count: int
     witness: Packing
     nodes: int

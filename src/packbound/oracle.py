@@ -16,8 +16,7 @@ large N, possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .exact import Exact, check_base, power
 
@@ -44,18 +43,23 @@ class NothingToObserve(RuntimeError):
     """observe() called with no emission outstanding."""
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class _OracleConfig(NamedTuple):
     k: int  # separation base: a perturbation base, 10 or 20 (exact.check_base)
     n: int  # maximum number of values
     offset: int = 0  # extra exponent depth, for stacking scales across phases
 
-    def __post_init__(self):
+
+class OracleConfig(_OracleConfig):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_base(self.k)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.offset < 0:
             raise ValueError("offset must be nonnegative")
+        return self
 
     @property
     def window_lo(self) -> int:
@@ -66,16 +70,14 @@ class OracleConfig:
         return self.offset + 2 ** (self.n + 2) + 2 ** (self.n + 3)
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     index: int
     exponent: int
     value: Exact
     small: Optional[bool] = None  # None until observed
 
 
-@dataclass(frozen=True)
-class Separator:
+class Separator(NamedTuple):
     """Threshold strictly between the small and the large class."""
 
     k: int

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import decimal_str, fraction_str
 from .model import Packing, packing_to_json
@@ -22,8 +21,7 @@ class CensusGap(RuntimeError):
     """A bin shape or side pattern matched no census category (should be unreachable)."""
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -52,15 +50,17 @@ def checks_pass(checks) -> bool:
     return all(c.passed for c in checks)
 
 
-@dataclass
 class ScenarioOutcome:
-    scenario: str
-    items_presented: int
-    alg_cost: int
-    opt_cost: Optional[int] = None  # exact optimum (known-opt runs)
-    opt_upper: Optional[int] = None  # constructive upper bound (squares)
-    checks: list = field(default_factory=list)
-    opt_packing: Optional[Packing] = None
+    def __init__(self, scenario: str, items_presented: int, alg_cost: int,
+                 opt_cost: Optional[int] = None, opt_upper: Optional[int] = None,
+                 opt_packing: Optional[Packing] = None):
+        self.scenario = scenario
+        self.items_presented = items_presented
+        self.alg_cost = alg_cost
+        self.opt_cost = opt_cost  # exact optimum (known-opt runs)
+        self.opt_upper = opt_upper  # constructive upper bound (squares)
+        self.checks: list = []
+        self.opt_packing = opt_packing
 
     @property
     def ratio(self) -> Fraction:

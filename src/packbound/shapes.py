@@ -8,15 +8,14 @@ package, so `bounds` loads no adversary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as F
+from typing import NamedTuple
 
 __all__ = ["Cost", "ShapeTable", "ClassTable", "StructuralRow", "KO", "SP", "CLCBP",
            "structural_rows"]
 
 
-@dataclass(frozen=True)
-class Cost:
+class Cost(NamedTuple):
     """What a continuation costs: the algorithm pays a bin per presented item
     plus `pays` (the census bins no item can join), exactly that when `forced`
     and at least that otherwise, and the offline packing `opt`.  The program
@@ -26,11 +25,10 @@ class Cost:
     pays: dict  # census variable -> coefficient
     items: dict  # presented items: a per-M form, or program id -> its form there
     forced: bool
-    opt: dict = field(default_factory=lambda: {"M": 1})  # like `items`
+    opt: dict = {"M": 1}  # like `items`; one dict shared by every default
 
 
-@dataclass(frozen=True)
-class ShapeTable:
+class ShapeTable(NamedTuple):
     bands: dict  # thirds in the bin -> ((lo, hi) wave-one items, category) ranges
     wave_one: str  # what the wave-one items are called
     bins: tuple  # the (wave-one, wave-two) bin-count variables
@@ -54,8 +52,7 @@ class ShapeTable:
         return tuple(self.categories()) + self.bins + self.thirds + ("ratio",)
 
 
-@dataclass(frozen=True)
-class StructuralRow:
+class StructuralRow(NamedTuple):
     """sum(terms) REL total, the total being a sum of variables or, when
     empty, M; a bin-count row `defines` its total."""
 
@@ -73,8 +70,7 @@ class StructuralRow:
         return {**self.terms, **dict.fromkeys(self.total, -1)}
 
 
-@dataclass(frozen=True)
-class ClassTable:
+class ClassTable(NamedTuple):
     """A census declared row by row: the clcbp census of one t."""
 
     variables: tuple

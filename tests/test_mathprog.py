@@ -1,6 +1,5 @@
 """Bound programs: exact optima, certificates, bisection brackets."""
 
-import dataclasses
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -255,7 +254,7 @@ class TestStructuralRowsFromBandTables:
     def test_widening_a_ko_band_changes_its_row(self):
         bands = dict(KO.bands)
         bands[0] = tuple(((3, 4) if name == "s3" else band, name) for band, name in bands[0])
-        rows = _structural(structural_rows(dataclasses.replace(KO, bands=bands)))
+        rows = _structural(structural_rows(KO._replace(bands=bands)))
         assert dict(rows[1].coeffs)["s3"] == (F(4), F(0))
         assert _mismatches(rows, KO_STRUCTURAL, ordered=True) == ["items-sevenths"]
 
@@ -263,7 +262,7 @@ class TestStructuralRowsFromBandTables:
         bands = dict(SP.bands)
         bands[1] = tuple(((5 if name == "f14t1" else lo, hi), name)
                          for (lo, hi), name in bands[1])
-        rows = _structural(structural_rows(dataclasses.replace(SP, bands=bands)))
+        rows = _structural(structural_rows(SP._replace(bands=bands)))
         large = next(r for r in rows if r.label == "large-thirds")
         assert "f14t1" not in dict(large.coeffs)
         assert _mismatches(rows, SP_STRUCTURAL, ordered=False) == ["large-thirds"]
@@ -382,8 +381,8 @@ class TestCostRowsFromCostEntries:
         run = knownopt.run_full("first-fit", 8)
         assert run.census["t2"] == 3
         halves = KO.costs["over-half"]
-        table = dataclasses.replace(KO, costs={**KO.costs, "over-half": dataclasses.replace(
-            halves, pays={v: k for v, k in halves.pays.items() if v != "t2"})})
+        table = KO._replace(costs={**KO.costs, "over-half": halves._replace(
+            pays={v: k for v, k in halves.pays.items() if v != "t2"})})
         rows = _cost_rows(table, "ko-case1")
         assert _mismatches(rows, KO_COSTS + (KO_TWOTHIRDS["ko-case1"],),
                            ordered=True) == ["cost-halves"]
@@ -488,8 +487,8 @@ class TestClcbpRowsFromDeclaration:
         run = clcbp.run_full("ccff", 2, 12)
         assert run.census["z2"] == 6
         halves = CLCBP[2].costs["six-tenths"]
-        table = dataclasses.replace(CLCBP[2], costs={**CLCBP[2].costs, "six-tenths":
-                                    dataclasses.replace(halves, pays={"x2": 1})})
+        table = CLCBP[2]._replace(costs={**CLCBP[2].costs, "six-tenths":
+                                         halves._replace(pays={"x2": 1})})
         before, after = _cost_rows(CLCBP[2], "clcbp2-case1"), _cost_rows(table, "clcbp2-case1")
         assert [b.label for a, b in zip(after, before) if a != b] == ["cost-sixtenths"]
         # R*z1 + R*z2 - x2 - z1 - 2*z2 >= 0 loses one z2, stated as <= 0
@@ -620,9 +619,9 @@ class TestMonotoneProof:
         sp = builtin_program("sp")
         row = sp.row(label)
         shift = -1000 if row.relation == ">=" else 1000
-        bent = dataclasses.replace(row, const=(row.const[0] + shift, row.const[1]))
-        prog = dataclasses.replace(sp, program_id="bent-sp",
-                                   rows=tuple(bent if r is row else r for r in sp.rows))
+        bent = row._replace(const=(row.const[0] + shift, row.const[1]))
+        prog = Program("bent-sp", sp.variables,
+                       tuple(bent if r is row else r for r in sp.rows))
         with pytest.raises(NonMonotoneDetected, match=f"bent-sp: .*row {label} "):
             _check_monotone(prog)
 

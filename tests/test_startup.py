@@ -23,37 +23,49 @@ FIXTURES = Path(__file__).resolve().parent / "fixtures"
 ADVERSARIES = {"adversary", "knownopt", "squares", "clcbp"}
 
 # what `import packbound.cli` runs.  The benchmark's tracer reads
-# `sys.modules` right after that import, and its set-up spawns need the
-# import to take long enough for a CPU-speed probe (every 5 ms of CPU
-# time) to fire; the other modules are registered lazily.
+# `sys.modules` right after that import, and each of its set-up spawns must
+# record at least one CPU-speed probe (one per 5 ms of CPU time): compiled
+# from source, the import and the parser record 4-8, down from 7-13 while
+# the records were dataclasses; the other modules are registered lazily.
 CORE = {"__init__", "cli", "exact", "model", "algorithms", "optoracle", "reports"}
 
 
-def bodies_run(statement: str) -> set[str]:
-    """The packbound modules whose bodies run in a fresh interpreter that
-    executes `statement`, with its stdout discarded."""
+def run_fresh(statement: str, result: str, setup: str = ""):
+    """The JSON value of the expression `result` in a fresh interpreter that
+    runs `setup` and then `statement`, with the statement's stdout discarded."""
     script = (
-        "import contextlib, io, json, sys\n"
-        "ran = []\n"
-        "def hook(event, args):\n"
-        "    if event == 'exec':\n"
-        "        ran.append(args[0].co_filename)\n"
-        "sys.addaudithook(hook)\n"
+        f"import contextlib, io, json, sys\n{setup}"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {statement}\n"
-        "print(json.dumps(ran))\n"
+        f"print(json.dumps({result}))\n"
     )
     proc = subprocess.run([sys.executable, "-B", "-c", script],
                           env={"PYTHONPATH": str(PACKAGE.parent)},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    files = [Path(f) for f in json.loads(proc.stdout.splitlines()[-1])]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def bodies_run(statement: str) -> set[str]:
+    """The packbound modules whose bodies run in a fresh interpreter that
+    executes `statement`."""
+    hook = ("ran = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'exec':\n"
+            "        ran.append(args[0].co_filename)\n"
+            "sys.addaudithook(hook)\n")
+    files = [Path(f) for f in run_fresh(statement, "ran", hook)]
     return {f.stem for f in files if f.parent == PACKAGE}
+
+
+def command(*argv: str) -> str:
+    """A statement that runs one successful `packbound` command."""
+    return f"from packbound.cli import main; assert main({list(argv)!r}) == 0"
 
 
 def command_bodies(*argv: str) -> set[str]:
     """The module bodies one successful `packbound` command runs."""
-    return bodies_run(f"from packbound.cli import main; assert main({list(argv)!r}) == 0")
+    return bodies_run(command(*argv))
 
 
 class TestCommandModules:
@@ -73,6 +85,24 @@ class TestCommandModules:
         ran = command_bodies("bounds")
         assert {"mathprog", "shapes"} <= ran
         assert not ran & (ADVERSARIES | {"oracle"})
+
+
+class TestNoDataclasses:
+    """No command imports `dataclasses`: it pulls in `inspect`, `dis`, `ast`
+    and `tokenize`, and each `@dataclass` builds its methods with `exec`.
+    The records are NamedTuples or plain classes."""
+
+    @pytest.mark.parametrize("statement", [
+        "import packbound.cli",
+        command("oracle", "--instance", str(FIXTURES / "oracle" / "plain.json")),
+        command("duel", "--variant", "ko", "--algorithm", "first-fit", "--m", "8"),
+        command("duel", "--variant", "sp", "--algorithm", "shelf-first-fit", "--m", "8"),
+        command("duel", "--variant", "clcbp", "--t", "2", "--algorithm", "ccff", "--m", "6"),
+        command("bounds"),
+        command("verify"),
+    ], ids=["import", "oracle", "duel-ko", "duel-sp", "duel-clcbp", "bounds", "verify"])
+    def test_command_loads_no_dataclasses(self, statement):
+        assert "dataclasses" not in run_fresh(statement, "sorted(sys.modules)")
 
 
 class TestLazyExports:
