@@ -165,17 +165,18 @@ def _best_fit(packing: Packing, item: Item) -> Placement:
 
 
 class _Harmonic:
-    """Interval classes (1/(i+1), 1/i] for i < classes, then (0, 1/classes]."""
+    """Interval classes (1/(i+1), 1/i] for i < classes, then (0, 1/classes].
+
+    A class-i bin holds class-i items alone, so for i < classes `fits` takes
+    i of them, each above 1/(i+1), and refuses the next."""
 
     def __init__(self, classes: int):
         self.classes = classes
         self.open_bin: dict[int, Optional[int]] = {i: None for i in range(1, classes + 1)}
-        self.count_in_open: dict[int, int] = {i: 0 for i in range(1, classes + 1)}
 
     def fork(self) -> "_Harmonic":
         clone = _Harmonic(self.classes)
         clone.open_bin.update(self.open_bin)
-        clone.count_in_open.update(self.count_in_open)
         return clone
 
     def classify(self, size: Exact) -> int:
@@ -187,19 +188,10 @@ class _Harmonic:
     def __call__(self, packing: Packing, item: Item) -> Placement:
         cls = self.classify(item.size)
         b = self.open_bin[cls]
-        if b is not None:
-            if cls < self.classes:  # the count alone keeps capacity
-                ok = self.count_in_open[cls] < cls and (
-                    not packing.rules.colored or packing.fits(b, item))
-            else:
-                ok = packing.fits(b, item)
-            if ok:
-                self.count_in_open[cls] += 1
-                return Placement(b)
-        fresh = packing.cost
-        self.open_bin[cls] = fresh
-        self.count_in_open[cls] = 1
-        return Placement(fresh)
+        if b is not None and packing.fits(b, item):
+            return Placement(b)
+        self.open_bin[cls] = packing.cost
+        return Placement(packing.cost)
 
 
 class _ShelfFirstFit:

@@ -57,10 +57,9 @@ class ClassConstrainedRun(Run):
     """A clcbp duel; its census maps xj (bins holding j tinies), z1 and z2 to bin counts."""
 
     def __init__(self, algorithm_id, m, waves, census, scenarios, checks, t: int,
-                 tiny_margin: Exact, closed_form: dict, ledger: Optional[dict]):
+                 closed_form: dict, ledger: Optional[dict]):
         super().__init__(algorithm_id, m, waves, census, scenarios, checks)
         self.t = t
-        self.tiny_margin = tiny_margin  # epsilon for the huge branch
         self.closed_form = closed_form
         self.ledger = ledger  # reusedColors, freshColors, matchedItems
 
@@ -91,11 +90,11 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         lambda i, a: Item(i, a, color=i, label="tiny"))
     tinies, small_tinies = wave_tiny.items, wave_tiny.small_ids
     sep_tiny = wave_tiny.oracle.separator()
-    tiny_margin = sep_tiny.gamma * 10  # epsilon of the huge branch
+    eps = sep_tiny.gamma * 10  # epsilon of the huge branch
 
     tiny_bins = base_session.cost
     table = CLCBP[t]
-    c = census(base_session.packing.bins, {it.ident for it in tinies}, table.bands, "tinies")
+    c = census(base_session.packing.bins, {it.ident for it in tinies}, table.bands, table.wave_one)
     c.update(z1=0, z2=0)
 
     def census_identities() -> list[Check]:
@@ -105,7 +104,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     checks.append(Check.truth(
         "tiny-margins",
         all(tinies[i].size < sep_tiny.gamma for i in small_tinies)
-        and all(tinies[i].size > tiny_margin * 2 for i in range(m)
+        and all(tinies[i].size > eps * 2 for i in range(m)
                 if i not in small_tinies),
         "small < eps/10 and large > 2*eps",
     ))
@@ -115,7 +114,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     # huge branch: huge j shares its bin with small tiny j (its color) and
     # t - 1 fillers, the spare small tinies first, then the large ones
     count_h = (m - tiny_bins) // t
-    huge_size = rat(1) - tiny_margin
+    huge_size = rat(1) - eps
     pool = Pool(wave_tiny.smalls() + wave_tiny.larges())
     mates = pool.take(count_h)
     huge_items = [Item(10 * m + j, huge_size, color=mate.color, label="huge")
@@ -144,7 +143,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         # defined for this census
         checks.extend(census_identities())
         return ClassConstrainedRun(algorithm_id, m, {"tinies": wave_tiny}, c, scenarios,
-                                   checks, t, tiny_margin, closed, None)
+                                   checks, t, closed, None)
 
     # wave two: thirds with color reuse
     in_short_bins = {it.ident for contents in base_session.packing.bins
@@ -254,7 +253,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
                       Check.truth("opt-within-formula", sc.opt_upper <= bound, detail)]
 
     return ClassConstrainedRun(algorithm_id, m, {"tinies": wave_tiny, "thirds": wave3}, c,
-                               scenarios, checks, t, tiny_margin, closed, ledger)
+                               scenarios, checks, t, closed, ledger)
 
 
 class _TinyPool(Pool):

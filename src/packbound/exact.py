@@ -23,8 +23,8 @@ every value caches for itself; this builds no ``Exact`` and no ``Fraction``.
 Second, for equal rational parts, a leading-term certificate: the larger of
 the two leading terms is weighed against the cached bounds on everything
 else (the other operand's whole tail and this operand's terms after its
-lead); against a purely rational operand the cached sign of the other's
-terms decides.  Only when neither can decide (or the rational difference is
+lead); against a purely rational operand the sign of the other's terms
+decides.  Only when neither can decide (or the rational difference is
 too small to beat the tails) are the terms of the difference merged and its
 sign certified term by term.  Sums merge the two canonical term tuples in
 one linear pass.
@@ -294,17 +294,16 @@ def _merge_terms(xs: tuple, ys: tuple) -> tuple:
 class Exact:
     """Immutable exact number ``rational + sum(coef * base**-exp)``."""
 
-    __slots__ = ("_rat", "_terms", "_hash", "_tail", "_rest", "_tsign")
+    __slots__ = ("_rat", "_terms", "_hash", "_tail", "_rest")
 
     def __init__(self, rational: RationalLike | Fraction = 0, _terms: tuple = (), _tail=None):
         self._rat = _as_fraction(rational)
         self._terms = _terms
         self._hash = None
         # caches of facts about the terms alone, never part of the value:
-        # _tail_bound, _rest_bound and _terms_sign
+        # _tail_bound and _rest_bound
         self._tail = _tail
         self._rest = None
-        self._tsign = None
 
     # -- construction -------------------------------------------------
 
@@ -343,12 +342,6 @@ class Exact:
             n, d = _abs_coef_sum(rest)
             self._rest = (min(e for _, e, _ in rest), n, d)
         return self._rest
-
-    def _terms_sign(self) -> int:
-        """Exact sign of the sum of the terms alone."""
-        if self._tsign is None:
-            self._tsign = _sign_of_terms(self._terms)
-        return self._tsign
 
     # -- arithmetic ----------------------------------------------------
 
@@ -423,7 +416,7 @@ class Exact:
             # no certificate (or the perturbation bound beats q): expand exactly
             total = q + _expand(self._terms)
             return (total > 0) - (total < 0)
-        return self._terms_sign()
+        return _sign_of_terms(self._terms)
 
     def _cmp(self, other) -> int:
         if isinstance(other, Exact):
@@ -450,9 +443,9 @@ class Exact:
         if not num:
             # tier 2: one operand's terms alone, or a lead that outweighs the rest
             if not o_terms:
-                return self._terms_sign()
+                return _sign_of_terms(terms)
             if not terms:
-                return -other._terms_sign()
+                return -_sign_of_terms(o_terms)
             verdict = _lead_sign(self, other)
             if verdict:
                 return verdict

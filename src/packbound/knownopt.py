@@ -24,7 +24,7 @@ from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check
-from .shapes import KO, structural_rows
+from .shapes import KO
 
 __all__ = ["CensusGap", "run_full"]
 
@@ -72,7 +72,7 @@ def run_full(algorithm_id: str, m: int) -> Run:
     c = {**census(two_wave_session.packing.bins, {it.ident for it in sevenths}, KO.bands,
                   KO.wave_one),
          "bins7": bins7, "bins3": bins3}
-    checks.extend(census_checks(structural_rows(KO), c, m))
+    checks.extend(census_checks(KO.rows, c, m))
 
     scenarios = []
 

@@ -39,7 +39,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from .shapes import CLCBP, KO, SP, structural_rows
+from .shapes import CLCBP, KO, SP
 
 __all__ = [
     "Row",
@@ -139,9 +139,9 @@ class Program:
 
     @property
     def linear_in_r(self) -> bool:
-        return all(
-            d == 0 for row in self.rows for _, (_, d) in row.coeffs
-        ) and all(row.const[1] == 0 for row in self.rows)
+        """Whether R is a column of its own: no lowered row has an R term
+        but its constant, nor an R^2 term."""
+        return not any(any(b[:-1]) or k for _, _, b, k, _ in self.lowered[1])
 
     def row(self, label: str) -> Row:
         for row in self.rows:
@@ -497,13 +497,13 @@ def _ko(program_id: str, case: Row) -> Program:
     # the case row (few or many new thirds bins) precedes the cost row it splits
     *costs, twothirds = _cost_rows(KO, program_id)
     return Program(program_id, KO.variables,
-                   tuple(_structural(structural_rows(KO)) + costs + [case, twothirds]))
+                   tuple(_structural(KO.rows) + costs + [case, twothirds]))
 
 
 def _sp() -> Program:
     stop_mix = Row.build("stop-mix", {"sm3": 8, "lg3": 15}, "==", 12)
     return Program("sp", SP.variables,
-                   tuple([stop_mix] + _structural(structural_rows(SP)) + _cost_rows(SP, "sp")))
+                   tuple([stop_mix] + _structural(SP.rows) + _cost_rows(SP, "sp")))
 
 
 def _clcbp(program_id: str, t: int, case: list[Row]) -> Program:

@@ -11,8 +11,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 from typing import NamedTuple
 
-__all__ = ["Cost", "ShapeTable", "ClassTable", "StructuralRow", "KO", "SP", "CLCBP",
-           "structural_rows"]
+__all__ = ["Cost", "Census", "StructuralRow", "KO", "SP", "CLCBP", "banded"]
 
 
 class Cost(NamedTuple):
@@ -26,30 +25,6 @@ class Cost(NamedTuple):
     items: dict  # presented items: a per-M form, or program id -> its form there
     forced: bool
     opt: dict = {"M": 1}  # like `items`; one dict shared by every default
-
-
-class ShapeTable(NamedTuple):
-    bands: dict  # thirds in the bin -> ((lo, hi) wave-one items, category) ranges
-    wave_one: str  # what the wave-one items are called
-    bins: tuple  # the (wave-one, wave-two) bin-count variables
-    thirds: tuple  # the (small, large) thirds-count variables; () when there are M thirds
-    rows: tuple  # the structural rows' kinds, in program order
-    costs: dict  # the duel's continuation -> its `Cost`, in program order
-    large_below: int = 0  # a bin of thirds with fewer wave-one items holds one large third
-
-    def categories(self) -> dict:
-        """Category -> (largest band `hi`, largest thirds count), wave-one bins first."""
-        most: dict = {}
-        for k, ranges in self.bands.items():
-            for (_, hi), name in ranges:
-                h, t = most.get(name, (0, 0))
-                most[name] = (max(h, hi), max(t, k))
-        return dict(sorted(most.items(), key=lambda item: item[1][0] == 0))
-
-    @property
-    def variables(self) -> tuple:
-        """The program's variables: the categories, the bin and thirds counts, the ratio."""
-        return tuple(self.categories()) + self.bins + self.thirds + ("ratio",)
 
 
 class StructuralRow(NamedTuple):
@@ -70,54 +45,66 @@ class StructuralRow(NamedTuple):
         return {**self.terms, **dict.fromkeys(self.total, -1)}
 
 
-class ClassTable(NamedTuple):
-    """A census declared row by row: the clcbp census of one t."""
+class Census(NamedTuple):
+    """One adversary's census: the program's variables (the ratio last), the
+    wave-one bands by which `adversary.census` counts bins, what the wave-one
+    items are called, the structural rows and the continuations' costs."""
 
     variables: tuple
-    bands: dict  # the wave-one census, as in `ShapeTable`: no thirds yet
+    bands: dict  # thirds in the bin -> ((lo, hi) wave-one items, category) ranges
+    wave_one: str
     rows: tuple  # its `StructuralRow`s, in program order
     costs: dict  # the duel's continuation -> its `Cost`, in program order
+    large_below: int = 0  # a bin of thirds with fewer wave-one items holds one large third
 
 
-def structural_rows(table: ShapeTable) -> list[StructuralRow]:
-    """The rows `table` implies, in `table.rows` order.
+def banded(bands: dict, wave_one: str, bins: tuple, thirds: tuple, kinds: tuple,
+           costs: dict, large_below: int = 0) -> Census:
+    """The census a band table implies: its variables are the categories
+    (wave-one bins first), the (wave-one, wave-two) bin counts `bins`, the
+    (small, large) thirds counts `thirds` (() when there are M thirds) and
+    the ratio; its rows those of `kinds`, in that order.
 
     A category's wave-one capacity is its band's `hi`, its thirds the
     largest thirds count whose band carries it, and it is a wave-one bin
     exactly when `hi > 0`.
     """
-    most = table.categories()
-    wave_one = {n: hi for n, (hi, _) in most.items() if hi}
-    starts = [(k, lo, name) for k, ranges in table.bands.items() for (lo, _), name in ranges]
+    most: dict = {}  # category -> (largest hi, largest thirds count)
+    for k, ranges in bands.items():
+        for (_, hi), name in ranges:
+            h, t = most.get(name, (0, 0))
+            most[name] = (max(h, hi), max(t, k))
+    most = dict(sorted(most.items(), key=lambda item: item[1][0] == 0))
+    first = {n: hi for n, (hi, _) in most.items() if hi}
+    starts = [(k, lo, name) for k, ranges in bands.items() for (lo, _), name in ranges]
     # a category carried at several thirds counts only bounds its thirds
     exact = len(starts) == len(most)
-    large = {name for k, lo, name in starts if k and lo < table.large_below}
+    large = {name for k, lo, name in starts if k and lo < large_below}
     rows = {
         "thirds": ("items-thirds", f"census-thirds-{'count' if exact else 'capacity'}",
-                   {n: k for n, (_, k) in most.items() if k}, "==" if exact else ">=",
-                   table.thirds),
-        "wave-one": (f"items-{table.wave_one}", f"census-{table.wave_one}-capacity",
-                     wave_one, ">="),
-        "wave-one-bins": (f"{table.bins[0]}-def", "census-wave1-bins",
-                          dict.fromkeys(wave_one, 1), "==", table.bins[:1], True),
-        "wave-two-bins": (f"{table.bins[1]}-def", "census-wave2-bins",
-                          {n: 1 for n in most if n not in wave_one}, "==", table.bins[1:], True),
+                   {n: k for n, (_, k) in most.items() if k}, "==" if exact else ">=", thirds),
+        "wave-one": (f"items-{wave_one}", f"census-{wave_one}-capacity", first, ">="),
+        "wave-one-bins": (f"{bins[0]}-def", "census-wave1-bins",
+                          dict.fromkeys(first, 1), "==", bins[:1], True),
+        "wave-two-bins": (f"{bins[1]}-def", "census-wave2-bins",
+                          {n: 1 for n in most if n not in first}, "==", bins[1:], True),
         "large-thirds": ("large-thirds", "census-large-thirds",
-                         {n: 1 for n in most if n in large}, "==", table.thirds[1:]),
+                         {n: 1 for n in most if n in large}, "==", thirds[1:]),
     }
-    return [StructuralRow(*rows[kind]) for kind in table.rows]
+    return Census((*most, *bins, *thirds, "ratio"), bands, wave_one,
+                  tuple(StructuralRow(*rows[kind]) for kind in kinds), costs, large_below)
 
 
 # thirds in the bin -> ((lo, hi) sevenths, category); "s24t1" is 2-4
 # sevenths and one third, "t2" two thirds alone
-KO = ShapeTable(
+KO = banded(
     bands={
         0: (((4, 6), "s46"), ((3, 3), "s3"), ((2, 2), "s2"), ((1, 1), "s1")),
         1: (((2, 4), "s24t1"), ((1, 1), "s1t1"), ((0, 0), "t1")),
         2: (((1, 1), "s1t2"), ((2, 2), "s2t2"), ((0, 0), "t2")),
     },
     wave_one="sevenths", bins=("bins7", "bins3"), thirds=(),
-    rows=("thirds", "wave-one", "wave-one-bins", "wave-two-bins"),
+    kinds=("thirds", "wave-one", "wave-one-bins", "wave-two-bins"),
     costs={
         "four-fifths": Cost(
             "cost-fourfifths", {"s46": 1, "s3": 1, "s2": 1, "s24t1": 1, "s2t2": 1}, {"M": 1},
@@ -139,7 +126,7 @@ KO = ShapeTable(
 # quarters and one third, "t4" four thirds alone.  A third is small when its
 # bin already holds a third or five quarters, so a bin of thirds below five
 # quarters holds exactly one large third.
-SP = ShapeTable(
+SP = banded(
     bands={
         0: (((6, 9), "f69"), ((1, 5), "f15")),
         1: (((5, 8), "f58t1"), ((1, 4), "f14t1"), ((0, 0), "t13")),
@@ -148,7 +135,7 @@ SP = ShapeTable(
         4: (((5, 5), "f5t4"), ((2, 4), "f24t4"), ((1, 1), "f1t4"), ((0, 0), "t4")),
     },
     wave_one="quarters", bins=("bins4", "bins3"), thirds=("sm3", "lg3"),
-    rows=("wave-one-bins", "wave-two-bins", "thirds", "large-thirds", "wave-one"),
+    kinds=("wave-one-bins", "wave-two-bins", "thirds", "large-thirds", "wave-one"),
     # opt: the bins of the closed-form layouts in `squares`
     costs={
         "three-quarter-fill": Cost(
@@ -167,7 +154,7 @@ SP = ShapeTable(
 )
 
 
-def _clcbp(t: int) -> ClassTable:
+def _clcbp(t: int) -> Census:
     """x_j: bins holding j tinies after wave one; z1: bins holding a third,
     z2: bins holding two thirds; each per M."""
     tinies = {f"x{j}": j for j in range(1, t + 1)}
@@ -176,9 +163,9 @@ def _clcbp(t: int) -> ClassTable:
     twothirds = ({"clcbp2-case1": {"x2": F(1, 2), "z1": F(1, 2), "z2": 1},
                   "clcbp2-case2": {"x1": F(-1, 2), "x2": 1, "z1": F(1, 2), "z2": 1}}
                  if t == 2 else {"z1": F(1, 2), "z2": 1})
-    return ClassTable(
+    return Census(
         variables=(*tinies, "z1", "z2", "ratio"),
-        bands={0: tuple(((j, j), x) for x, j in tinies.items())},
+        bands={0: tuple(((j, j), x) for x, j in tinies.items())}, wave_one="tinies",
         rows=(StructuralRow("items", "census-tiny-items", tinies, "=="),
               StructuralRow("third-pairs", "census-pairs", {"z2": 1}, "<=", ("z1",))),
         costs={

@@ -28,7 +28,7 @@ from .exact import Exact, rat
 from .model import Item, VariantRules
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check
-from .shapes import SP, structural_rows
+from .shapes import SP
 
 __all__ = ["CensusGap", "run_full",
            "l_strip_layout", "corner_court_layout", "block_court_layout",
@@ -183,7 +183,7 @@ def run_full(algorithm_id: str, m: int) -> Run:
         _check_large_thirds(nf, len(contents) - nf, n_large)
     mprime = sm3 + lg3
     # the stop rule's finite-M sandwich and the thirds count: no program row states them
-    checks.extend(census_checks(structural_rows(SP), c, m) + [
+    checks.extend(census_checks(SP.rows, c, m) + [
         Check.truth("census-stop-sandwich", 12 * m <= 8 * sm3 + 15 * lg3 <= 12 * m + 15,
                     f"8*{sm3} + 15*{lg3} vs 12*{m}"),
         Check.truth("census-thirds-count-band", 4 * m <= 5 * mprime and 2 * mprime <= 3 * m,

@@ -33,7 +33,7 @@ from packbound.oracle import (
     OracleConfig,
 )
 from packbound import clcbp, knownopt, squares
-from packbound.shapes import KO, SP, structural_rows
+from packbound.shapes import KO, SP
 
 
 def report(criterion, detail, elapsed, budget):
@@ -205,7 +205,7 @@ def test_criterion_8_census_identities():
              for m in (10, 20)]
     for run, table, extra in runs:
         passed = {c.name: c.passed for c in run.checks}
-        for name in [row.check for row in structural_rows(table)] + list(extra):
+        for name in [row.check for row in table.rows] + list(extra):
             assert passed.get(name), (run.algorithm_id, run.m, name)
     for m in (6, 12):
         run = clcbp.run_full("ccff", 3, m)

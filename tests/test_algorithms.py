@@ -371,3 +371,80 @@ class TestFreshBinShortcut:
             assert_largest_room(session.packing)
             assert validate_packing(session.packing) == []
 
+
+
+class _NaiveHarmonic:
+    """Reference harmonic-5: counts the items in each class's open bin, and
+    below the last class asks `Packing.fits` only for the color cap."""
+
+    def __init__(self):
+        self.open_bin, self.count = {}, {}
+
+    def fork(self):
+        clone = _NaiveHarmonic()
+        clone.open_bin, clone.count = dict(self.open_bin), dict(self.count)
+        return clone
+
+    def __call__(self, packing, item):
+        cls = next((i for i in range(1, 5) if item.size > rat(Fraction(1, i + 1))), 5)
+        b = self.open_bin.get(cls)
+        if b is not None:
+            if cls < 5:
+                ok = self.count[cls] < cls and (not packing.rules.colored or packing.fits(b, item))
+            else:
+                ok = packing.fits(b, item)
+            if ok:
+                self.count[cls] += 1
+                return Placement(b)
+        self.open_bin[cls], self.count[cls] = packing.cost, 1
+        return Placement(packing.cost)
+
+
+register_algorithm("naive-harmonic-test-algorithms", _NaiveHarmonic())
+
+# sizes at and near the class boundaries 1/k, tilted by +-c*k^-e of either
+# base, and colors under colored rules
+harmonic_specs = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([Fraction(1, k) for k in range(1, 9)]
+                            + [Fraction(2, 5), Fraction(3, 5), Fraction(2, 3)]),
+            st.fractions(min_value=Fraction(1, 40), max_value=1, max_denominator=40),
+        ),
+        st.sampled_from((-1, 0, 0, 1)),  # tilt sign
+        st.integers(min_value=1, max_value=9),  # tilt coefficient
+        st.sampled_from((10, 20)),  # tilt base
+        st.integers(min_value=3, max_value=40),  # tilt exponent: below 1/100 of a size
+        st.integers(min_value=0, max_value=3),  # color, under colored rules
+    ),
+    max_size=40,
+)
+
+
+def _harmonic_items(specs, start, rules):
+    items = []
+    for i, (size, tilt, coef, base, exp, color) in enumerate(specs):
+        if size == 1:
+            tilt = min(tilt, 0)
+        items.append(Item(start + i, rat(size) + power(base, exp, tilt * coef),
+                          color=color if rules.colored else None))
+    return items
+
+
+class TestHarmonicMatchesCount:
+    @pytest.mark.parametrize("rules", [ONED, VariantRules("class-constrained", t=2)],
+                             ids=lambda rules: rules.kind)
+    @given(prefix=harmonic_specs, on_fork=harmonic_specs, on_original=harmonic_specs)
+    @settings(max_examples=120, deadline=None)
+    def test_same_placements_as_a_count(self, rules, prefix, on_fork, on_original):
+        sessions = [make_session(algo, rules)
+                    for algo in ("harmonic-5", "naive-harmonic-test-algorithms")]
+        for session in sessions:
+            feed(session, _harmonic_items(prefix, 0, rules))
+        forks = [session.fork() for session in sessions]
+        for session in forks:
+            feed(session, _harmonic_items(on_fork, 100, rules))
+        for session in sessions:
+            feed(session, _harmonic_items(on_original, 200, rules))
+        for fast, naive in (sessions, forks):
+            assert fast.transcript == naive.transcript

@@ -83,7 +83,7 @@ class TestWaveOne:
     def test_margins_and_scale_gap(self, ccff2):
         failed = [c for c in ccff2.checks if not c.passed]
         assert not failed, [(c.name, c.detail) for c in failed]
-        eps = ccff2.tiny_margin
+        eps = ccff2.waves["tinies"].oracle.separator().gamma * 10
         for it in ccff2.waves["tinies"].items:
             if it.ident in ccff2.waves["tinies"].small_ids:
                 assert it.size * 10 < eps

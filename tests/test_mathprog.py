@@ -31,7 +31,7 @@ from packbound.mathprog import (
 from packbound.mathprog import (
     _bland, _check_monotone, _cost_rows, _integer_rows, _phase1, _structural,
 )
-from packbound.shapes import CLCBP, KO, SP, structural_rows
+from packbound.shapes import CLCBP, KO, SP, banded
 
 TOL = F(1, 10**9)
 
@@ -49,6 +49,22 @@ class TestExactOptima:
             "trivial", ("ratio",), (Row.build("floor", {"ratio": 1}, ">=", 1),)
         )
         assert solve_min_r_exact(prog) == 1
+
+    def test_r_on_the_right_hand_side_is_linear(self):
+        # minimize R subject to x >= 1 and 2x <= R, R written on either side
+        floor = Row.build("floor", {"x": 1}, ">=", 1)
+        for cap in (Row.build("cap", {"x": 2}, "<=", (0, 1)),
+                    Row.build("cap", {"x": 2, "ratio": -1}, "<=", 0)):
+            program = Program("cap", ("x", "ratio"), (floor, cap))
+            assert program.linear_in_r
+            assert solve_min_r_exact(program) == 2
+
+    def test_exact_targets_are_the_linear_programs(self):
+        # `bounds` solves a target exactly, not by bisection, by its mode
+        modes = {pid: mode for pid, (_, mode) in mathprog.REFERENCE_TARGETS.items()}
+        assert set(modes) == set(builtin_program_ids())
+        for pid, mode in modes.items():
+            assert (mode == "exact") == builtin_program(pid).linear_in_r, pid
 
 
 class TestStructure:
@@ -84,11 +100,11 @@ class TestStructure:
             Row.build("bad", {"x": 1}, "<", 1)
 
     def test_linear_solve_rejects_r_terms(self):
-        trivial = builtin_program("ko-case1")
-        for row in (Row.build("c", {"ratio": 1}, ">=", (1, 1)),
+        # an R*x term and an R^2 term; R alone on the right-hand side is linear
+        for row in (Row.build("c", {"x": (1, 1)}, ">=", 1),
                     Row.build("d", {"ratio": (1, 1)}, ">=", 1)):
             with pytest.raises(ValueError, match="linear solve"):
-                solve_min_r_exact(type(trivial)("r-terms", ("ratio",), (row,)))
+                solve_min_r_exact(Program("r-terms", ("x", "ratio"), (row,)))
 
 
 class TestSimplexEdgePaths:
@@ -254,7 +270,9 @@ class TestStructuralRowsFromBandTables:
     def test_widening_a_ko_band_changes_its_row(self):
         bands = dict(KO.bands)
         bands[0] = tuple(((3, 4) if name == "s3" else band, name) for band, name in bands[0])
-        rows = _structural(structural_rows(KO._replace(bands=bands)))
+        table = banded(bands, "sevenths", ("bins7", "bins3"), (),
+                       ("thirds", "wave-one", "wave-one-bins", "wave-two-bins"), KO.costs)
+        rows = _structural(table.rows)
         assert dict(rows[1].coeffs)["s3"] == (F(4), F(0))
         assert _mismatches(rows, KO_STRUCTURAL, ordered=True) == ["items-sevenths"]
 
@@ -262,7 +280,10 @@ class TestStructuralRowsFromBandTables:
         bands = dict(SP.bands)
         bands[1] = tuple(((5 if name == "f14t1" else lo, hi), name)
                          for (lo, hi), name in bands[1])
-        rows = _structural(structural_rows(SP._replace(bands=bands)))
+        table = banded(bands, "quarters", ("bins4", "bins3"), ("sm3", "lg3"),
+                       ("wave-one-bins", "wave-two-bins", "thirds", "large-thirds", "wave-one"),
+                       SP.costs, large_below=5)
+        rows = _structural(table.rows)
         large = next(r for r in rows if r.label == "large-thirds")
         assert "f14t1" not in dict(large.coeffs)
         assert _mismatches(rows, SP_STRUCTURAL, ordered=False) == ["large-thirds"]

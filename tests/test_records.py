@@ -21,7 +21,7 @@ from packbound.model import Item, Placement, VariantRules, Violation
 from packbound.optoracle import OracleInstance, OracleResult, min_bins
 from packbound.oracle import Emission, OracleConfig, Separator
 from packbound.reports import Check
-from packbound.shapes import ClassTable, Cost, ShapeTable, StructuralRow
+from packbound.shapes import Census, Cost, StructuralRow
 
 ONE_D = VariantRules("one-d")
 THIRD = Item(3, rat("1/3"), color=1, label="third")
@@ -110,14 +110,12 @@ IMMUTABLE = [
     (lambda: Check("d", False), "Check(name='d', passed=False, detail='')"),
     (lambda: Cost("units", {"b7": 1}, {"M": 1}, True),
      "Cost(label='units', pays={'b7': 1}, items={'M': 1}, forced=True, opt={'M': 1})"),
-    (lambda: ShapeTable({1: (((0, 2), "a"),)}, "sevenths", ("b", "c"), (), ("thirds",), {}),
-     "ShapeTable(bands={1: (((0, 2), 'a'),)}, wave_one='sevenths', bins=('b', 'c'), thirds=(), "
-     "rows=('thirds',), costs={}, large_below=0)"),
+    (lambda: Census(("x1",), {0: (((1, 2), "x1"),)}, "tinies", (), {}),
+     "Census(variables=('x1',), bands={0: (((1, 2), 'x1'),)}, wave_one='tinies', rows=(), "
+     "costs={}, large_below=0)"),
     (lambda: StructuralRow("r", "census-r", {"a": 1}, ">="),
      "StructuralRow(label='r', check='census-r', terms={'a': 1}, relation='>=', total=(), "
      "defines=False)"),
-    (lambda: ClassTable(("x1",), {0: (((1, 2), "x1"),)}, (), {}),
-     "ClassTable(variables=('x1',), bands={0: (((1, 2), 'x1'),)}, rows=(), costs={})"),
     (lambda: Row.build("lbl", {"x": 1}, ">=", 1),
      "Row(label='lbl', coeffs=(('x', (Fraction(1, 1), Fraction(0, 1))),), "
      "const=(Fraction(1, 1), Fraction(0, 1)), relation='>=')"),
