@@ -7,14 +7,14 @@ algorithm puts it (`present`); `wave_one` opens every run with M such
 items and its two shared checks. Each continuation feeds a fork of the
 live session and comes with a validated offline packing (`continuation`,
 `offline_packing`), its bins drawn in order from a `Pool` or in `chunks`.
-After the waves, `census` sorts the bins into the
-variant's census categories, which its band table declares, and
-`census_checks` holds the counts to the structural rows of its
-declaration in `shapes`; `forced_check` holds a continuation's cost to its
-entry there, and `per_m` evaluates a per-M form, such as a continuation's
-offline cost, on a run. A `Run` records the outcome, its waves keyed by
-report name. Item sizes, stop rules, steering, continuations, groupings
-and layouts stay in the variant's module.
+After the waves, `census` sorts the bins into the variant's census
+categories, which its band table declares, and `census_checks` holds the
+counts to the structural rows of its declaration in `shapes`. Each
+continuation presents its entry's item count there (`presented`), and
+`forced_check` holds its cost to that entry; `per_m` evaluates a per-M form,
+such as the offline cost, on a run. A `Run` records the outcome, its waves
+keyed by report name. Item sizes, stop rules, steering, groupings and
+layouts stay in the variant's module.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .oracle import AdaptiveOracle, OracleConfig
 from .reports import CensusGap, Check, CrossCheckFailure, ScenarioOutcome
 from .shapes import Cost, StructuralRow
 
-__all__ = ["CensusGap", "census", "census_checks", "forced_check", "per_m", "ceil_div",
+__all__ = ["CensusGap", "census", "census_checks", "forced_check", "per_m", "presented",
            "chunks", "Pool", "offline_packing", "continuation", "present", "Wave", "wave_one",
            "Run"]
 
@@ -76,12 +76,17 @@ def forced_check(cost: Cost, counts: dict, outcome: ScenarioOutcome) -> Check:
 
 
 def per_m(form: dict, counts: dict, m: int):
-    """A per-M form on a run: "M" is `m`, any other variable its count."""
+    """A per-M form on a run: "M" is `m`, any other variable its count; a per-case
+    form (program id -> form) is read at its smallest case, the run's own."""
+    if any(isinstance(case, dict) for case in form.values()):
+        return min(per_m(case, counts, m) for case in form.values())
     return sum(k * (m if v == "M" else counts[v]) for v, k in form.items())
 
 
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
+def presented(cost: Cost, counts: dict, m: int) -> int:
+    """A continuation's item count on a run: `items` there, ceiled if it `rounds_up`."""
+    n = per_m(cost.items, counts, m)
+    return -(-n // 1) if cost.rounds_up else n // 1
 
 
 def chunks(items: list, size: int) -> list[list]:

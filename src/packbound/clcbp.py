@@ -35,8 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .adversary import (Pool, Run, Wave, census, census_checks, ceil_div, chunks, continuation,
-                        forced_check, offline_packing, per_m, wave_one)
+from .adversary import (Pool, Run, Wave, census, census_checks, chunks, continuation,
+                        forced_check, offline_packing, per_m, presented, wave_one)
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
@@ -113,7 +113,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
 
     # huge branch: huge j shares its bin with small tiny j (its color) and
     # t - 1 fillers, the spare small tinies first, then the large ones
-    count_h = (m - tiny_bins) // t
+    count_h = presented(table.costs["huge"], c, m)
     huge_size = rat(1) - eps
     pool = Pool(wave_tiny.smalls() + wave_tiny.larges())
     mates = pool.take(count_h)
@@ -211,7 +211,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         "smallest third perturbation exceeds 6x the largest tiny",
     ))
 
-    pairs = ceil_div(len(thirds), 2)
+    pairs = (len(thirds) + 1) // 2
     ledger = {
         "reusedColors": min(pairs, len(reusable)),
         "freshColors": max(0, pairs - len(reusable)),
@@ -240,13 +240,12 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         t, tinies, small_third_items, large_third_items, two_thirds))
     scenarios.append(continuation("short-two-thirds", session_t, two_thirds, opt_two))
 
-    # opt per M on this run, plus the slack of the groupings' leftover bins;
-    # at t = 2 short-two-thirds' opt is per case, and the run's case
-    # (x1 <= x2 or x2 <= x1) is the one with the smaller form
-    cases = [f"clcbp{t}-case{k}" for k in (1, 2)]
-    for sc, slack in zip(scenarios[1:], (t - 2, t - 1)):
+    # opt per M on this run (at t = 2 short-two-thirds' is per case, and
+    # x1 <= x2 exactly when case 1 is the smaller form), plus the bins its
+    # groupings' partly filled bins may add (`Cost.slack`)
+    for sc in scenarios[1:]:
         cost = table.costs[sc.scenario]
-        bound = min(per_m(cost.opt.get(pid, cost.opt), c, m) for pid in cases) + slack
+        bound = per_m(cost.opt, c, m) + cost.slack
         detail = (f"got {sc.opt_upper}, bound {bound}" if sc.scenario == "six-tenths"
                   else f"cost {sc.opt_upper} vs {bound}")
         sc.checks += [forced_check(cost, c, sc),

@@ -268,14 +268,14 @@ def _lead_sign(a: "Exact", b: "Exact") -> int:
     return 0
 
 
-def _merge_terms(xs: tuple, ys: tuple) -> tuple:
-    """Canonical sum of two canonical term tuples, in one merge pass."""
+def _merge_terms(xs: tuple, ys: tuple, sign: int = 1) -> tuple:
+    """Canonical xs + sign * ys, sign 1 or -1, of canonical term tuples in one pass."""
     out = []
     i = j = 0
     while i < len(xs) and j < len(ys):
         x, y = xs[i], ys[j]
         if x[0] == y[0] and x[1] == y[1]:
-            c = x[2] + y[2]
+            c = x[2] + y[2] if sign > 0 else x[2] - y[2]
             if c:
                 out.append((x[0], x[1], c))
             i += 1
@@ -284,10 +284,10 @@ def _merge_terms(xs: tuple, ys: tuple) -> tuple:
             out.append(x)
             i += 1
         else:
-            out.append(y)
+            out.append(y if sign > 0 else (y[0], y[1], -y[2]))
             j += 1
     out.extend(xs[i:])
-    out.extend(ys[j:])
+    out.extend(ys[j:] if sign > 0 else ((b, e, -c) for b, e, c in ys[j:]))
     return tuple(out)
 
 
@@ -345,21 +345,24 @@ class Exact:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other) -> "Exact":
+    def __add__(self, other, sign: int = 1) -> "Exact":
+        """self + sign * other; `__sub__` passes -1, which the merge applies term by term."""
         if isinstance(other, Exact):
             if not other._terms:
                 terms, tail = self._terms, self._tail
             elif not self._terms:
-                terms, tail = other._terms, other._tail
+                terms, tail = (other if sign > 0 else -other)._terms, other._tail
             else:
-                terms, tail = _merge_terms(self._terms, other._terms), None
+                terms, tail = _merge_terms(self._terms, other._terms, sign), None
                 if len(terms) == len(self._terms) + len(other._terms):
                     # no shared (base, exp): the coefficient sums just add
                     tail = _sum_tails(self._tail_bound(), other._tail_bound())
-            return Exact(self._rat + other._rat, terms, tail)
-        if isinstance(other, (int, Fraction)):
-            return Exact(self._rat + other, self._terms, self._tail)
-        return NotImplemented
+            other = other._rat
+        elif isinstance(other, (int, Fraction)):
+            terms, tail = self._terms, self._tail
+        else:
+            return NotImplemented
+        return Exact(self._rat + other if sign > 0 else self._rat - other, terms, tail)
 
     __radd__ = __add__
 
@@ -367,11 +370,7 @@ class Exact:
         return Exact(-self._rat, tuple((b, e, -c) for b, e, c in self._terms), self._tail)
 
     def __sub__(self, other) -> "Exact":
-        if isinstance(other, (int, Fraction)):
-            return Exact(self._rat - other, self._terms, self._tail)
-        if isinstance(other, Exact):
-            return self + (-other)
-        return NotImplemented
+        return self.__add__(other, -1)
 
     def __rsub__(self, other) -> "Exact":
         return (-self) + other
@@ -450,7 +449,7 @@ class Exact:
             if verdict:
                 return verdict
             # tier 3: certify the sign of the difference term by term
-            return _sign_of_terms(_merge_terms(terms, tuple((b, e, -c) for b, e, c in o_terms)))
+            return _sign_of_terms(_merge_terms(terms, o_terms, -1))
         return (self - other).sign()
 
     def __eq__(self, other):

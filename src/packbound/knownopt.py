@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .adversary import (CensusGap, Pool, Run, Wave, census, census_checks, ceil_div, chunks,
-                        continuation, forced_check, offline_packing, wave_one)
+from .adversary import (CensusGap, Pool, Run, Wave, census, census_checks, chunks, continuation,
+                        forced_check, offline_packing, presented, wave_one)
 from .exact import rat
 from .model import Item, VariantRules
 from .optoracle import OracleInstance, min_bins
@@ -76,40 +76,35 @@ def run_full(algorithm_id: str, m: int) -> Run:
 
     scenarios = []
 
+    def presented_items(name: str, size, label: str = "") -> list[Item]:
+        return [Item(2 * m + i, size, label=label or name)
+                for i in range(presented(KO.costs[name], c, m))]
+
     # 1: four-fifths items after wave one
-    items1 = [Item(2 * m + i, rat(F(4, 5)), label="four-fifths") for i in range(m)]
-    opt1 = offline_packing(rules, [[items1[j], sevenths[j]] for j in range(m)])
+    items1 = presented_items("four-fifths", rat(F(4, 5)))
+    opt1 = offline_packing(rules, [list(pair) for pair in zip(items1, sevenths)])
     scenarios.append(continuation("four-fifths", base_session, items1, opt1, opt_cost=m))
 
     # 2: fillers that only a small seventh can join
-    count2 = m - ceil_div(bins7, 6)
-    filler = rat(F(6, 7)) - gamma1
-    items2 = [Item(2 * m + i, filler, label="big-fill") for i in range(count2)]
+    items2 = presented_items("big-fill", rat(F(6, 7)) - gamma1)
     smalls = Pool(wave7.smalls())
     opt2 = offline_packing(rules, chunks(wave7.larges(), 6)
                            + [[it] + smalls.take(1) for it in items2])
     scenarios.append(continuation("big-fill", base_session, items2, opt2, opt_cost=m))
 
     # 3: unit items after both waves
-    items3 = [Item(2 * m + i, rat(1), label="unit") for i in range(m // 2)]
-    mixed = [
-        [sevenths[2 * j], sevenths[2 * j + 1], thirds[2 * j], thirds[2 * j + 1]]
-        for j in range(m // 2)
-    ]
+    items3 = presented_items("units", rat(1), "unit")
+    mixed = [two7 + two3 for two7, two3 in zip(chunks(sevenths, 2), chunks(thirds, 2))]
     opt3 = offline_packing(rules, mixed + [[u] for u in items3])
     scenarios.append(continuation("units", two_wave_session, items3, opt3, opt_cost=m))
 
     # 4: items just over one half
-    items4 = [Item(2 * m + i, rat(F(13, 25)), label="over-half") for i in range(m)]
-    opt4 = offline_packing(
-        rules, [[items4[j], thirds[j], sevenths[j]] for j in range(m)]
-    )
+    items4 = presented_items("over-half", rat(F(13, 25)))
+    opt4 = offline_packing(rules, [list(trio) for trio in zip(items4, thirds, sevenths)])
     scenarios.append(continuation("over-half", two_wave_session, items4, opt4, opt_cost=m))
 
     # 5: items just under two thirds, count set by the wave-two bin count
-    count5 = m - max(m // 4, ceil_div(bins3, 2))
-    shy = rat(F(2, 3)) - gamma2
-    items5 = [Item(2 * m + i, shy, label="short-two-thirds") for i in range(count5)]
+    items5 = presented_items("short-two-thirds", rat(F(2, 3)) - gamma2)
     opt5 = offline_packing(rules, _scenario5_groups(
         m, sevenths, wave3.larges(), wave3.smalls(), items5))
     scenarios.append(continuation("short-two-thirds", two_wave_session, items5, opt5,
@@ -133,11 +128,11 @@ def run_full(algorithm_id: str, m: int) -> Run:
 def _scenario5_groups(m, sevenths, large_thirds, small_thirds, items5):
     """Offline grouping for the short-two-thirds continuation, cost exactly M.
 
-    The M - len(items5) bins the short items leave ("pairs", that is
-    max(M/4, ceil(bins3/2))) each hold two thirds, larges first, and two
-    sevenths, so no large third meets a short item. Each short item gets a
-    bin of its own, with two sevenths in the first M/2 - pairs of them and
-    one left-over third in each of the rest.
+    The M - len(items5) bins the short items leave ("pairs": M/4 when
+    2*bins3 <= M, the run's case ko-case1, else ceil(bins3/2)) each hold
+    two thirds, larges first, and two sevenths, so no large third meets a
+    short item. Each short item gets a bin of its own, with two sevenths in
+    the first M/2 - pairs of them and one left-over third in each of the rest.
     """
     pairs = m - len(items5)
     sevenths, thirds = Pool(sevenths), Pool(large_thirds + small_thirds)

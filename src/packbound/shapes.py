@@ -25,6 +25,8 @@ class Cost(NamedTuple):
     items: dict  # presented items: a per-M form, or program id -> its form there
     forced: bool
     opt: dict = {"M": 1}  # like `items`; one dict shared by every default
+    slack: int = 0  # the bins the layout's partly filled bins may add over `opt`
+    rounds_up: bool = False  # a duel ceils `items` on its census instead of flooring
 
 
 class StructuralRow(NamedTuple):
@@ -138,17 +140,20 @@ SP = banded(
     kinds=("wave-one-bins", "wave-two-bins", "thirds", "large-thirds", "wave-one"),
     # opt: the bins of the closed-form layouts in `squares`
     costs={
+        # slack: the last big square's L-strip and the last 3x3 grid
         "three-quarter-fill": Cost(
             "ratio-bigsquares", {"bins4": 1}, {"M": F(1, 5), "bins4": F(-1, 5)}, True,
-            opt={"M": F(1, 5), "bins4": F(-4, 45)}),
+            opt={"M": F(1, 5), "bins4": F(-4, 45)}, slack=2, rounds_up=True),
+        # slack: the leftover thirds' row, the last grid, the quarters the floor leaves
         "six-tenths": Cost(
             "ratio-sixtenths",
             {"bins4": 1, "bins3": 1, "f15": -1, "f14t1": -1, "f13t2": -1, "f12t3": -1, "t13": -1},
             {"sm3": F(1, 3), "lg3": F(1, 3)}, False,
-            opt={"M": F(1, 9), "sm3": F(7, 27), "lg3": F(7, 27)}),
+            opt={"M": F(1, 9), "sm3": F(7, 27), "lg3": F(7, 27)}, slack=3),
+        # slack: the last 2x2 block, the small thirds the floored corner count leaves
         "short-two-thirds": Cost(
             "ratio-twothirds", {"bins4": 1, "bins3": 1, "f15": -1}, {"sm3": F(1, 3)}, False,
-            opt={"sm3": F(1, 3), "lg3": F(1, 4)}),
+            opt={"sm3": F(1, 3), "lg3": F(1, 4)}, slack=2),
     },
     large_below=5,
 )
@@ -173,12 +178,13 @@ def _clcbp(t: int) -> Census:
             "huge": Cost("cost-tiny", dict.fromkeys(tinies, 1),
                          {"M": F(1, t), **dict.fromkeys(tinies, F(-1, t))}, True,
                          opt={"M": F(1, t)}),
-            # a 3/5 item per third
+            # a 3/5 item per third; slack: the tinies the thirds' bins leave (none at t = 2)
             "six-tenths": Cost("cost-sixtenths", {full: 1, "z2": 1}, {"z1": 1, "z2": 1}, False,
-                               opt={"z1": 1, "z2": 1}),
-            # a short two-thirds item per small third
+                               opt={"z1": 1, "z2": 1}, slack=t - 2),
+            # a short two-thirds item per small third; slack: the bin of a
+            # large third left without a pair and, from t = 3, the tinies' bin
             "short-two-thirds": Cost("cost-twothirds", {full: 1, "z1": 1}, {"z2": 1}, False,
-                                     opt=twothirds),
+                                     opt=twothirds, slack=t - 1),
         },
     )
 

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-from .adversary import (CensusGap, Pool, Run, Wave, census, census_checks, ceil_div, chunks,
-                        continuation, forced_check, offline_packing, per_m, wave_one)
+from .adversary import (CensusGap, Pool, Run, Wave, census, census_checks, chunks, continuation,
+                        forced_check, offline_packing, per_m, presented, wave_one)
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .oracle import AdaptiveOracle, OracleConfig
@@ -137,11 +137,12 @@ def run_full(algorithm_id: str, m: int) -> Run:
 
     scenarios = []
 
-    # scenario 1: big squares right after wave one
-    count1 = ceil_div(m - bins4, 5)
-    big_side = rat(F(3, 4)) - gamma1
-    items1 = [Item(10 * m + i, big_side, label="three-quarter-fill")
-              for i in range(count1)]
+    def presented_items(name: str, size: Exact, counts: dict) -> list[Item]:
+        return [Item(10 * m + i, size, label=name)
+                for i in range(presented(SP.costs[name], counts, m))]
+
+    # scenario 1: big squares right after wave one, counted before the census
+    items1 = presented_items("three-quarter-fill", rat(F(3, 4)) - gamma1, {"bins4": bins4})
     bins_sc1 = [[(big, rat(0), rat(0))] + l_strip_layout(five)
                 for big, five in zip(items1, chunks(wave4.smalls(), 5))]
     bins_sc1 += [grid_layout(nine) for nine in chunks(wave4.larges(), 9)]
@@ -190,44 +191,38 @@ def run_full(algorithm_id: str, m: int) -> Run:
                     f"count {mprime}"),
     ])
 
-    large_thirds = wave3.larges()
     small_third_items = wave3.smalls()
 
     # scenario 2: squares of side exactly 3/5
-    count2 = mprime // 3
-    items2 = [Item(10 * m + i, rat(F(3, 5)), label="six-tenths")
-              for i in range(count2)]
+    items2 = presented_items("six-tenths", rat(F(3, 5)), c)
     quarter_pool = Pool(quarters)
     threes = chunks(thirds, 3)
     bins_sc2 = [corner_court_layout(big, three, quarter_pool.take(2))
                 for big, three in zip(items2, threes)]
     # the thirds left over, fewer than three, share a bin in a row
     bins_sc2 += [[(t, THIRD_PITCH * j, rat(0)) for j, t in enumerate(row)]
-                 for row in threes[count2:]]
+                 for row in threes[len(items2):]]
     bins_sc2 += [grid_layout(nine) for nine in quarter_pool.rest(9)]
     opt2 = offline_packing(rules, bins_sc2)
     scenarios.append(continuation("six-tenths", session_t, items2, opt2))
 
     # scenario 3: squares a hair under two thirds
-    count3 = sm3 // 3
-    shy = rat(F(2, 3)) - gamma2
-    items3 = [Item(10 * m + i, shy, label="short-two-thirds")
-              for i in range(count3)]
+    items3 = presented_items("short-two-thirds", rat(F(2, 3)) - gamma2, c)
     quarter_pool = Pool(quarters)
     bins_sc3 = [corner_court_layout(big, three, quarter_pool.take(2))
                 for big, three in zip(items3, chunks(small_third_items, 3))]
     # one block per four thirds and per five quarters left, whichever needs more
-    blocks = zip_longest(chunks(large_thirds + small_third_items[3 * count3:], 4),
+    blocks = zip_longest(chunks(wave3.larges() + small_third_items[3 * len(items3):], 4),
                          quarter_pool.rest(5), fillvalue=[])
     bins_sc3 += [block_court_layout(four, five) for four, five in blocks]
     opt3 = offline_packing(rules, bins_sc3)
     scenarios.append(continuation("short-two-thirds", session_t, items3, opt3))
 
-    # opt per M on this run ("M" being m), plus the slack that ceil() in the
-    # layouts' bin counts costs; only the first detail states the bound
-    for i, (sc, slack) in enumerate(zip(scenarios, (2, 3, 2))):
+    # opt per M on this run ("M" being m), plus the bins its layout's partly
+    # filled bins may add (`Cost.slack`); only the first detail states the bound
+    for i, sc in enumerate(scenarios):
         cost = SP.costs[sc.scenario]
-        bound = per_m(cost.opt, c, m) + slack
+        bound = per_m(cost.opt, c, m) + cost.slack
         detail = f"cost {sc.opt_upper}" + (f" vs {bound}" if i == 0 else "")
         sc.checks += [forced_check(cost, c, sc),
                       Check.truth("opt-within-formula", sc.opt_upper <= bound, detail)]

@@ -4,24 +4,25 @@ from fractions import Fraction as F
 
 import pytest
 
-from packbound import adversary, knownopt, squares
+from packbound import adversary, clcbp, knownopt, squares
 from packbound.adversary import (
     CensusGap,
     Pool,
     census,
     census_checks,
-    ceil_div,
     chunks,
     continuation,
     forced_check,
     offline_packing,
     per_m,
     present,
+    presented,
     Wave,
     wave_one,
 )
 from packbound.algorithms import make_session
 from packbound.exact import rat
+from packbound.mathprog import builtin_program
 from packbound.model import Item, Placement, VariantRules, Violation
 from packbound.oracle import AdaptiveOracle, OracleConfig
 from packbound.reports import CrossCheckFailure, ScenarioOutcome
@@ -322,11 +323,40 @@ class TestCensusChecks:
     def test_per_m_reads_m_and_the_counts(self):
         assert per_m({"M": F(1, 3), "z1": F(1, 2), "z2": 1}, {"z1": 3, "z2": 4}, 6) == F(15, 2)
         assert per_m({}, {}, 6) == 0
+        # a per-case form is read at its smallest case
+        cases = {"case1": {"M": F(3, 4)}, "case2": {"M": 1, "b": F(-1, 2)}}
+        assert per_m(cases, {"b": 2}, 8) == 6
+        assert per_m(cases, {"b": 6}, 8) == 5
+
+
+class TestContinuationCounts:
+    def test_presented_floors_unless_the_cost_rounds_up(self):
+        cost = Cost("row", {}, {"M": F(1, 5), "b": F(-1, 5)}, True)
+        assert presented(cost, {"b": 3}, 10) == 1
+        assert presented(cost._replace(rounds_up=True), {"b": 3}, 10) == 2
+        assert presented(cost._replace(rounds_up=True), {"b": 0}, 10) == 2
+
+    def test_one_form_moves_the_duel_and_the_program_together(self, monkeypatch):
+        before = builtin_program("ko-case1").row("cost-units")
+        units = KO.costs["units"]._replace(items={"M": F(1, 4)})
+        monkeypatch.setitem(KO.costs, "units", units)
+        run = knownopt.run_full("first-fit", 8)
+        outcome = next(sc for sc in run.scenarios if sc.scenario == "units")
+        assert outcome.to_json()["itemsPresented"] == presented(units, run.census, 8) == 2
+        assert builtin_program("ko-case1").row("cost-units") != before
+
+    @pytest.mark.parametrize("run_it,table", [
+        (lambda: knownopt.run_full("first-fit", 8), KO),
+        (lambda: squares.run_full("shelf-first-fit", 10), SP),
+        (lambda: clcbp.run_full("first-fit", 2, 12), CLCBP[2]),
+        (lambda: clcbp.run_full("best-fit", 3, 12), CLCBP[3]),
+    ], ids=["ko", "sp", "clcbp2", "clcbp3"])
+    def test_each_duel_reports_its_tables_continuations_in_order(self, run_it, table):
+        run = run_it()
+        assert [sc.scenario for sc in run.scenarios] == list(table.costs)
+        for sc in run.scenarios:
+            assert sc.items_presented == presented(table.costs[sc.scenario], run.census, run.m)
 
 
 def test_one_census_gap_class():
     assert knownopt.CensusGap is squares.CensusGap is CensusGap
-
-
-def test_ceil_div():
-    assert [ceil_div(a, 9) for a in (0, 1, 9, 10, 18)] == [0, 1, 1, 2, 2]

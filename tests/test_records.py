@@ -109,7 +109,8 @@ IMMUTABLE = [
      "rules=VariantRules(kind='one-d', advice=None, t=None), node_budget=5)"),
     (lambda: Check("d", False), "Check(name='d', passed=False, detail='')"),
     (lambda: Cost("units", {"b7": 1}, {"M": 1}, True),
-     "Cost(label='units', pays={'b7': 1}, items={'M': 1}, forced=True, opt={'M': 1})"),
+     "Cost(label='units', pays={'b7': 1}, items={'M': 1}, forced=True, opt={'M': 1}, "
+     "slack=0, rounds_up=False)"),
     (lambda: Census(("x1",), {0: (((1, 2), "x1"),)}, "tinies", (), {}),
      "Census(variables=('x1',), bands={0: (((1, 2), 'x1'),)}, wave_one='tinies', rows=(), "
      "costs={}, large_below=0)"),
