@@ -5,11 +5,9 @@ affine in R: a row stores one (c, d) pair per variable, meaning (c + d*R) *
 var, and a (c0, d0) constant pair.  Each program is lowered once, on first
 use, to integer rows a + R*b (+ k*R^2) with the ratio folded in as R
 (`Program.lowered`), and `_integer_rows` reads them either with R as the
-last column or with R = p/q substituted in integer arithmetic.  The
-structural and cost rows of every program are derived from the censuses and
-continuation costs in `shapes`; only `stop-mix` and the case rows (ko's
-`few-new-thirds`/`many-new-thirds`, clcbp's `skew`, `balance`, `t-count`,
-`stop-low` and `stop-tie`) are written out here, as the paper states them.
+last column or with R = p/q substituted in integer arithmetic.  Every
+program is built alike from its census in `shapes`: the structural rows, the
+program's own rows and the continuations' cost rows.
 
 The two known-opt programs are linear in R and solved outright by the exact
 two-phase simplex (Bland's rule).  The remaining programs carry genuine
@@ -493,49 +491,23 @@ def _cost_rows(table, program_id: str) -> list[Row]:
     return rows
 
 
-def _ko(program_id: str, case: Row) -> Program:
-    # the case row (few or many new thirds bins) precedes the cost row it splits
-    *costs, twothirds = _cost_rows(KO, program_id)
-    return Program(program_id, KO.variables,
-                   tuple(_structural(KO.rows) + costs + [case, twothirds]))
+# every census with bound programs, in the order `bounds` prints them
+_CENSUSES = (KO, SP, CLCBP[2], CLCBP[3])
 
 
-def _sp() -> Program:
-    stop_mix = Row.build("stop-mix", {"sm3": 8, "lg3": 15}, "==", 12)
-    return Program("sp", SP.variables,
-                   tuple([stop_mix] + _structural(SP.rows) + _cost_rows(SP, "sp")))
+def builtin_program_ids() -> list[str]:
+    return [pid for census in _CENSUSES for pid in census.programs]
 
 
-def _clcbp(program_id: str, t: int, case: list[Row]) -> Program:
-    table = CLCBP[t]
-    return Program(program_id, table.variables,
-                   tuple(_structural(table.rows) + case + _cost_rows(table, program_id)))
+def builtin_program(program_id: str) -> Program:
+    """The census's structural rows, the program's own rows and the cost rows."""
+    census = next((c for c in _CENSUSES if program_id in c.programs), None)
+    if census is None:
+        raise UnknownProgram(program_id)
+    own = [Row.build(*row) for row in census.programs[program_id]]
+    return Program(program_id, census.variables,
+                   tuple(_structural(census.rows) + own + _cost_rows(census, program_id)))
 
-
-def _clcbp2(program_id: str, few: str, many: str) -> Program:
-    # the case: x_few <= x_many, so the thirds wave brings 2*x_many items
-    return _clcbp(program_id, 2, [
-        Row.build("skew", {"x1": 1, "x2": -2}, "<=", 0),
-        Row.build("balance", {few: 1, many: -1}, "<=", 0),
-        Row.build("t-count", {"z1": 1, "z2": 1, many: -2}, "==", 0),
-    ])
-
-
-_BUILTINS = {
-    "ko-case1": lambda: _ko("ko-case1", Row.build("few-new-thirds", {"bins3": 1}, "<=", F(1, 2))),
-    "ko-case2": lambda: _ko("ko-case2", Row.build("many-new-thirds", {"bins3": 1}, ">=", F(1, 2))),
-    "sp": _sp,
-    "clcbp2-case1": lambda: _clcbp2("clcbp2-case1", "x1", "x2"),
-    "clcbp2-case2": lambda: _clcbp2("clcbp2-case2", "x2", "x1"),
-    "clcbp3-case1": lambda: _clcbp("clcbp3-case1", 3, [
-        Row.build("stop-low", {"z1": 1, "z2": 1, "x3": 6}, ">=", 2),
-        Row.build("stop-tie", {"z1": 2, "z2": 3, "x3": -6}, "==", 0),
-    ]),
-    "clcbp3-case2": lambda: _clcbp("clcbp3-case2", 3, [
-        Row.build("stop-low", {"z1": 1, "z2": 1, "x3": 6}, "<=", 2),
-        Row.build("stop-tie", {"z1": 3, "z2": 4}, "==", 2),
-    ]),
-}
 
 # published reference values the bounds table is checked against
 REFERENCE_TARGETS = {
@@ -547,17 +519,6 @@ REFERENCE_TARGETS = {
     "clcbp3-case1": ("1.902018", "approx"),
     "clcbp3-case2": ("1.80814287", "approx"),
 }
-
-
-def builtin_program_ids() -> list[str]:
-    return list(_BUILTINS)
-
-
-def builtin_program(program_id: str) -> Program:
-    try:
-        return _BUILTINS[program_id]()
-    except KeyError:
-        raise UnknownProgram(program_id) from None
 
 
 def ko_certificate_suite() -> list[Certificate]:

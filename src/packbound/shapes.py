@@ -1,9 +1,10 @@
-"""The census of every adversary, the rows it implies and the continuations'
-costs: the ko and sp band tables and the clcbp census of each t.  `mathprog`
-builds its rows from them and every duel checks its census and continuations
-against them.  A per-M form maps variables to coefficients, "M" being M (1 in
-the programs, which count per M).  This module imports nothing from the
-package, so `bounds` loads no adversary.
+"""The census of every adversary, the rows it implies, the continuations'
+costs and the bound programs' own rows: the ko and sp band tables and the
+clcbp census of each t.  `mathprog` builds every program from them and every
+duel checks its census and continuations against them; the sp duel also stops
+its thirds by sp's `stop-mix` row.  A per-M form maps variables to
+coefficients, "M" being M (1 in the programs, which count per M).  This module
+imports nothing from the package, so `bounds` loads no adversary.
 """
 
 from __future__ import annotations
@@ -50,18 +51,21 @@ class StructuralRow(NamedTuple):
 class Census(NamedTuple):
     """One adversary's census: the program's variables (the ratio last), the
     wave-one bands by which `adversary.census` counts bins, what the wave-one
-    items are called, the structural rows and the continuations' costs."""
+    items are called, the structural rows, the continuations' costs and its
+    bound programs, each with the rows of its own (a case or a stop rule).
+    A program is the structural rows, its own rows and the cost rows."""
 
     variables: tuple
     bands: dict  # thirds in the bin -> ((lo, hi) wave-one items, category) ranges
     wave_one: str
     rows: tuple  # its `StructuralRow`s, in program order
     costs: dict  # the duel's continuation -> its `Cost`, in program order
+    programs: dict  # program id -> its own (label, terms, relation, per-M constant) rows
     large_below: int = 0  # a bin of thirds with fewer wave-one items holds one large third
 
 
 def banded(bands: dict, wave_one: str, bins: tuple, thirds: tuple, kinds: tuple,
-           costs: dict, large_below: int = 0) -> Census:
+           costs: dict, programs: dict, large_below: int = 0) -> Census:
     """The census a band table implies: its variables are the categories
     (wave-one bins first), the (wave-one, wave-two) bin counts `bins`, the
     (small, large) thirds counts `thirds` (() when there are M thirds) and
@@ -94,7 +98,8 @@ def banded(bands: dict, wave_one: str, bins: tuple, thirds: tuple, kinds: tuple,
                          {n: 1 for n in most if n in large}, "==", thirds[1:]),
     }
     return Census((*most, *bins, *thirds, "ratio"), bands, wave_one,
-                  tuple(StructuralRow(*rows[kind]) for kind in kinds), costs, large_below)
+                  tuple(StructuralRow(*rows[kind]) for kind in kinds), costs, programs,
+                  large_below)
 
 
 # thirds in the bin -> ((lo, hi) sevenths, category); "s24t1" is 2-4
@@ -121,6 +126,11 @@ KO = banded(
         "short-two-thirds": Cost(
             "cost-twothirds", {"bins7": 1, "bins3": 1, "s2": -1, "s1": -1},
             {"ko-case1": {"M": F(3, 4)}, "ko-case2": {"M": 1, "bins3": F(-1, 2)}}, False),
+    },
+    # the cases: few or many new thirds bins
+    programs={
+        "ko-case1": (("few-new-thirds", {"bins3": 1}, "<=", F(1, 2)),),
+        "ko-case2": (("many-new-thirds", {"bins3": 1}, ">=", F(1, 2)),),
     },
 )
 
@@ -155,6 +165,8 @@ SP = banded(
             "ratio-twothirds", {"bins4": 1, "bins3": 1, "f15": -1}, {"sm3": F(1, 3)}, False,
             opt={"sm3": F(1, 3), "lg3": F(1, 4)}, slack=2),
     },
+    # wave two stops when its weighted thirds reach the total per M
+    programs={"sp": (("stop-mix", {"sm3": 8, "lg3": 15}, "==", 12),)},
     large_below=5,
 )
 
@@ -164,10 +176,23 @@ def _clcbp(t: int) -> Census:
     z2: bins holding two thirds; each per M."""
     tinies = {f"x{j}": j for j in range(1, t + 1)}
     full = f"x{t}"
-    # the paper's t = 2 cases: x1 <= x2, then x2 <= x1
-    twothirds = ({"clcbp2-case1": {"x2": F(1, 2), "z1": F(1, 2), "z2": 1},
-                  "clcbp2-case2": {"x1": F(-1, 2), "x2": 1, "z1": F(1, 2), "z2": 1}}
-                 if t == 2 else {"z1": F(1, 2), "z2": 1})
+    if t == 2:
+        # the paper's cases: x1 <= x2, then x2 <= x1; in each, x_few <= x_many,
+        # so the thirds wave brings 2*x_many items
+        twothirds = {"clcbp2-case1": {"x2": F(1, 2), "z1": F(1, 2), "z2": 1},
+                     "clcbp2-case2": {"x1": F(-1, 2), "x2": 1, "z1": F(1, 2), "z2": 1}}
+        programs = {f"clcbp2-case{i}": (("skew", {"x1": 1, "x2": -2}, "<=", 0),
+                                        ("balance", {few: 1, many: -1}, "<=", 0),
+                                        ("t-count", {"z1": 1, "z2": 1, many: -2}, "==", 0))
+                    for i, (few, many) in enumerate((("x1", "x2"), ("x2", "x1")), 1)}
+    else:
+        twothirds = {"z1": F(1, 2), "z2": 1}
+        programs = {
+            "clcbp3-case1": (("stop-low", {"z1": 1, "z2": 1, "x3": 6}, ">=", 2),
+                             ("stop-tie", {"z1": 2, "z2": 3, "x3": -6}, "==", 0)),
+            "clcbp3-case2": (("stop-low", {"z1": 1, "z2": 1, "x3": 6}, "<=", 2),
+                             ("stop-tie", {"z1": 3, "z2": 4}, "==", 2)),
+        }
     return Census(
         variables=(*tinies, "z1", "z2", "ratio"),
         bands={0: tuple(((j, j), x) for x, j in tinies.items())}, wave_one="tinies",
@@ -186,6 +211,7 @@ def _clcbp(t: int) -> Census:
             "short-two-thirds": Cost("cost-twothirds", {full: 1, "z1": 1}, {"z2": 1}, False,
                                      opt=twothirds, slack=t - 1),
         },
+        programs=programs,
     )
 
 

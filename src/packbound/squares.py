@@ -4,7 +4,8 @@ Wave one: M squares of side 1/4 + a ("quarters"); an item opening a fresh bin
 is large.  Wave two: squares of side 1/3 + a ("thirds"); an item is small
 when its target bin already holds a third or at least five quarters (both
 read off the bin's contents before the placement), large otherwise; items
-keep coming until 8 * smalls + 15 * larges reaches 12M.  Continuations: big
+keep coming until their weights reach a total per M, as sp's `stop-mix` row
+in `shapes.SP` states (8 * smalls + 15 * larges = 12M).  Continuations: big
 squares of side 3/4 - threshold after wave one, or squares of side 3/5 or
 2/3 - threshold after wave two.
 
@@ -156,9 +157,12 @@ def run_full(algorithm_id: str, m: int) -> Run:
         return (any(it.ident >= m for it, _ in before)
                 or sum(1 for it, _ in before if it.ident in quarter_ids) >= SP.large_below)
 
+    (_, weights, _, total), = SP.programs["sp"]  # the stop rule, per M
+
     def below_the_stop_weight(w: Wave) -> bool:
-        sm, lg = len(w.small_ids), len(w.items) - len(w.small_ids)
-        return not w.oracle.stop_check(lambda: 8 * sm + 15 * lg >= 12 * m)
+        sm = len(w.small_ids)
+        counts = {"sm3": sm, "lg3": len(w.items) - sm}
+        return not w.oracle.stop_check(lambda: per_m(weights, counts, m) >= total * m)
 
     wave3 = Wave(AdaptiveOracle(OracleConfig(SEPARATION_BASE, 3 * m // 2))).run(
         session_t, lambda i, a: Item(m + i, rat(THIRD) + a, label="third"),
@@ -183,10 +187,12 @@ def run_full(algorithm_id: str, m: int) -> Run:
                       if it.ident not in quarter_ids and it.ident not in small_thirds)
         _check_large_thirds(nf, len(contents) - nf, n_large)
     mprime = sm3 + lg3
-    # the stop rule's finite-M sandwich and the thirds count: no program row states them
+    # the stop rule's finite-M sandwich, which the last third overshoots by
+    # at most the largest weight, and the thirds count: no program row states them
     checks.extend(census_checks(SP.rows, c, m) + [
-        Check.truth("census-stop-sandwich", 12 * m <= 8 * sm3 + 15 * lg3 <= 12 * m + 15,
-                    f"8*{sm3} + 15*{lg3} vs 12*{m}"),
+        Check.truth("census-stop-sandwich",
+                    total * m <= per_m(weights, c, m) <= total * m + max(weights.values()),
+                    " + ".join(f"{k}*{c[v]}" for v, k in weights.items()) + f" vs {total}*{m}"),
         Check.truth("census-thirds-count-band", 4 * m <= 5 * mprime and 2 * mprime <= 3 * m,
                     f"count {mprime}"),
     ])

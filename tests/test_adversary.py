@@ -345,6 +345,16 @@ class TestContinuationCounts:
         assert outcome.to_json()["itemsPresented"] == presented(units, run.census, 8) == 2
         assert builtin_program("ko-case1").row("cost-units") != before
 
+    def test_one_stop_rule_moves_the_duel_and_the_program_together(self, monkeypatch):
+        before = len(squares.run_full("shelf-first-fit", 48).waves["thirds"].items)
+        (label, weights, relation, _), = SP.programs["sp"]
+        monkeypatch.setitem(SP.programs, "sp", ((label, weights, relation, 11),))
+        run = squares.run_full("shelf-first-fit", 48)
+        assert len(run.waves["thirds"].items) < before
+        sandwich = next(ch for ch in run.checks if ch.name == "census-stop-sandwich")
+        assert sandwich.detail.endswith(" vs 11*48")
+        assert builtin_program("sp").row("stop-mix").const == (11, 0)
+
     @pytest.mark.parametrize("run_it,table", [
         (lambda: knownopt.run_full("first-fit", 8), KO),
         (lambda: squares.run_full("shelf-first-fit", 10), SP),

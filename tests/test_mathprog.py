@@ -69,12 +69,27 @@ class TestExactOptima:
 
 class TestStructure:
     def test_program_ids(self):
-        assert set(builtin_program_ids()) == {
-            "ko-case1", "ko-case2", "sp",
-            "clcbp2-case1", "clcbp2-case2", "clcbp3-case1", "clcbp3-case2",
-        }
+        # declared once, by the censuses, in the order `bounds` prints them
+        order = ["ko-case1", "ko-case2", "sp",
+                 "clcbp2-case1", "clcbp2-case2", "clcbp3-case1", "clcbp3-case2"]
+        assert builtin_program_ids() == order
+        assert [pid for table in (KO, SP, CLCBP[2], CLCBP[3]) for pid in table.programs] == order
+        assert list(mathprog.REFERENCE_TARGETS) == order
         with pytest.raises(UnknownProgram):
             builtin_program("nope")
+
+    def test_per_case_forms_are_keyed_by_their_censuss_programs(self):
+        # `per_m` reads the smallest case as the run's own and `_cost_rows`
+        # looks each program up by id, so a per-case form names every case
+        found = []
+        for table in (KO, SP, CLCBP[2], CLCBP[3]):
+            for name, cost in table.costs.items():
+                for form in (cost.items, cost.opt):
+                    if any(isinstance(case, dict) for case in form.values()):
+                        assert all(isinstance(case, dict) for case in form.values()), name
+                        assert set(form) == set(table.programs), name
+                        found.append(name)
+        assert found == ["short-two-thirds", "short-two-thirds"]
 
     def test_ko_shape(self):
         p = builtin_program("ko-case1")
@@ -251,27 +266,27 @@ class TestStructuralRowsFromBandTables:
         assert _mismatches(rows, KO_STRUCTURAL, ordered=True) == []
 
     def test_sp_rows_equal_the_hand_rows(self):
-        # rows 1-5 follow stop-mix; items-thirds lists f5t4 before f24t4,
-        # which the lowering, indexing by variable, does not see
-        rows = builtin_program("sp").rows[1:1 + len(SP_STRUCTURAL)]
+        # items-thirds lists f5t4 before f24t4, which the lowering, indexing
+        # by variable, does not see
+        rows = builtin_program("sp").rows[:len(SP_STRUCTURAL)]
         assert _mismatches(rows, SP_STRUCTURAL, ordered=False) == []
 
     def test_program_row_order(self):
         assert [r.label for r in builtin_program("ko-case1").rows] == [
-            "items-thirds", "items-sevenths", "bins7-def", "bins3-def",
-            "cost-fourfifths", "cost-bigfill", "cost-units", "cost-halves",
-            "few-new-thirds", "cost-twothirds",
+            "items-thirds", "items-sevenths", "bins7-def", "bins3-def", "few-new-thirds",
+            "cost-fourfifths", "cost-bigfill", "cost-units", "cost-halves", "cost-twothirds",
         ]
         assert [r.label for r in builtin_program("sp").rows] == [
-            "stop-mix", "bins4-def", "bins3-def", "items-thirds", "large-thirds",
-            "items-quarters", "ratio-bigsquares", "ratio-sixtenths", "ratio-twothirds",
+            "bins4-def", "bins3-def", "items-thirds", "large-thirds", "items-quarters",
+            "stop-mix", "ratio-bigsquares", "ratio-sixtenths", "ratio-twothirds",
         ]
 
     def test_widening_a_ko_band_changes_its_row(self):
         bands = dict(KO.bands)
         bands[0] = tuple(((3, 4) if name == "s3" else band, name) for band, name in bands[0])
         table = banded(bands, "sevenths", ("bins7", "bins3"), (),
-                       ("thirds", "wave-one", "wave-one-bins", "wave-two-bins"), KO.costs)
+                       ("thirds", "wave-one", "wave-one-bins", "wave-two-bins"), KO.costs,
+                       KO.programs)
         rows = _structural(table.rows)
         assert dict(rows[1].coeffs)["s3"] == (F(4), F(0))
         assert _mismatches(rows, KO_STRUCTURAL, ordered=True) == ["items-sevenths"]
@@ -282,7 +297,7 @@ class TestStructuralRowsFromBandTables:
                          for (lo, hi), name in bands[1])
         table = banded(bands, "quarters", ("bins4", "bins3"), ("sm3", "lg3"),
                        ("wave-one-bins", "wave-two-bins", "thirds", "large-thirds", "wave-one"),
-                       SP.costs, large_below=5)
+                       SP.costs, SP.programs, large_below=5)
         rows = _structural(table.rows)
         large = next(r for r in rows if r.label == "large-thirds")
         assert "f14t1" not in dict(large.coeffs)

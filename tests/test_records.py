@@ -111,9 +111,9 @@ IMMUTABLE = [
     (lambda: Cost("units", {"b7": 1}, {"M": 1}, True),
      "Cost(label='units', pays={'b7': 1}, items={'M': 1}, forced=True, opt={'M': 1}, "
      "slack=0, rounds_up=False)"),
-    (lambda: Census(("x1",), {0: (((1, 2), "x1"),)}, "tinies", (), {}),
+    (lambda: Census(("x1",), {0: (((1, 2), "x1"),)}, "tinies", (), {}, {}),
      "Census(variables=('x1',), bands={0: (((1, 2), 'x1'),)}, wave_one='tinies', rows=(), "
-     "costs={}, large_below=0)"),
+     "costs={}, programs={}, large_below=0)"),
     (lambda: StructuralRow("r", "census-r", {"a": 1}, ">="),
      "StructuralRow(label='r', check='census-r', terms={'a': 1}, relation='>=', total=(), "
      "defines=False)"),
