@@ -186,6 +186,10 @@ class Wave:
     def larges(self) -> list[Item]:
         return [it for it in self.items if it.ident not in self.small_ids]
 
+    def counts(self, small: str, large: str) -> dict:
+        """Its small and large item counts, named `small` and `large`."""
+        return {small: len(self.small_ids), large: len(self.items) - len(self.small_ids)}
+
     def run(self, session: AlgorithmSession, make_item: Callable[[int, Exact], Item],
             more: Callable[["Wave"], bool],
             small_when: Optional[Callable[[list], bool]] = None) -> "Wave":

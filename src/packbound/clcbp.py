@@ -6,9 +6,9 @@ tiny item is negligible against every later size gap.  Wave two: items of
 size 1/3 + a ("thirds") whose colors reuse the tiny colors found in bins the
 algorithm left short of t items, two thirds per color, with fresh colors
 once those run out; an item is small exactly when it lands as the second
-third of its bin.  For t = 3 the wave length is adaptive.  Finals: per-third
-matching items of size 3/5, or per-small-third matching items a hair under
-2/3, matching meaning same color.
+third of its bin.  The wave's length adapts to the census (below).  Finals:
+per-third matching items of size 3/5, or per-small-third matching items a
+hair under 2/3, matching meaning same color.
 
 The other branch skips wave two entirely: near-unit "huge" items colored by
 small tiny items, one per floor((M - X)/t), forcing cost X + count against
@@ -24,10 +24,13 @@ ledger counts the colors the thirds reuse and the fresh ones they take (two
 thirds per color), and the matching items of the 3/5 final, one per third.
 
 The census (x_j bins holding j tinies, z1 bins holding a third, z2 bins
-holding two thirds) and each branch's cost are declared once, in
-`shapes.CLCBP[t]`: `adversary.census` counts the x_j by that entry's bands,
-and the run checks its census against the entry's rows and each branch's
-costs against its `Cost`, as the bound programs read them.
+holding two thirds), each branch's cost and the bound programs' own rows are
+declared once, in `shapes.CLCBP[t]`: `adversary.census` counts the x_j by
+that entry's bands, and the run checks its census against the entry's rows
+and each branch's costs against its `Cost`, as the bound programs read them.
+Wave two takes the programs' cases in a fixed order (`WAVE_TWO_CASES`),
+presenting thirds while the case's own rows leave room for two more; the
+first case whose ties run out stops it, and the last pair is completed.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ THIRD = F(1, 3)
 TINY_BASE = 20  # wave-one oracle base
 THIRDS_BASE = 10  # wave-two oracle base
 ORACLE_CHECK_MAX_M = 6  # the exact search confirms the huge branch's optimum up to here
+# the order in which wave two takes the cases.  At t = 2 case 1 comes first:
+# with x1 = 0 (ccff's census) case 2's tie n = 2*x1 is already reached, so
+# case 2 first would stop the wave at once.  At t = 3 case 2 comes first: its
+# rows bound the opening stretch of the wave.
+WAVE_TWO_CASES = {2: ("clcbp2-case1", "clcbp2-case2"), 3: ("clcbp3-case2", "clcbp3-case1")}
 
 
 class ClassConstrainedRun(Run):
@@ -64,11 +72,14 @@ class ClassConstrainedRun(Run):
         self.ledger = ledger  # reusedColors, freshColors, matchedItems
 
 
-def closed_form_bounds(tiny_bins: int, full_bins: int, t: int, m: int) -> dict:
-    """Ratio lower bounds that follow from the wave-one census alone, from
-    the bin count and the count of full bins (t tinies each)."""
-    bounds = {"tiny-wave": F((t - 1) * tiny_bins + m, m)}
-    if full_bins * 2 * t <= m:
+def closed_form_bounds(counts: dict, t: int, m: int) -> dict:
+    """Ratio lower bounds that follow from the wave-one census `counts` alone:
+    the huge branch's (pays + items) / opt, unrounded, and the spread bound
+    when few bins are full (t tinies each)."""
+    huge = CLCBP[t].costs["huge"]
+    paid = per_m(huge.pays, counts, m) + per_m(huge.items, counts, m)
+    bounds = {"tiny-wave": paid / per_m(huge.opt, counts, m)}
+    if counts[f"x{t}"] * 2 * t <= m:
         bounds["spread-tinies"] = F(4 * t - 1, 2 * t)
     return bounds
 
@@ -135,7 +146,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         ))
     scenarios.append(sc_h)
 
-    closed = closed_form_bounds(tiny_bins, c[f"x{t}"], t, m)
+    closed = closed_form_bounds(c, t, m)
 
     if "spread-tinies" in closed:
         # too few full bins, the rule the spread bound holds under: the
@@ -160,54 +171,47 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
     def holds_a_third(before) -> bool:
         return any(it.label == "third" for it, _ in before)
 
-    # z2 counts the small thirds (each the second third of its bin), z1 the
-    # rest; with n thirds presented, 3 z1 + 4 z2 = 3n + z2
-    def weight(w: Wave) -> int:
-        return 3 * len(w.items) + len(w.small_ids)
+    def within(rows, w: Wave, more: int = 0) -> bool:
+        """Whether every <= or == row among `rows` holds on the census with the
+        wave's thirds (z1 large, z2 small) and `more` further thirds of the
+        kind the row weighs most; >= rows are skipped."""
+        counts = {**c, **w.counts("z2", "z1")}
+        return all(per_m(terms, counts, m) + more * max(terms.get("z1", 0), terms.get("z2", 0))
+                   <= total * m for _, terms, relation, total in rows if relation != ">=")
 
-    if t == 2:
-        target = 2 * max(c["x1"], c["x2"])
-        wave3.run(session_t, third, lambda w: len(w.items) < target, holds_a_third)
-        checks.append(Check.equal("wave2-count", len(wave3.items), target))
+    ties = {case: [row for row in rows if row[2] == "=="] for case, rows in table.programs.items()}
+    # two more: the next third and the one that may complete its pair
+    for case in WAVE_TWO_CASES[t]:
+        wave3.run(session_t, third, lambda w: within(table.programs[case], w, 2), holds_a_third)
+        if not within(ties[case], wave3, 2):
+            break
+    wave3.run(session_t, third, lambda w: len(w.items) % 2, holds_a_third)
+    c.update(wave3.counts("z2", "z1"))
+    thirds = wave3.items
+    if t == 2:  # n = 2*x_many: the stopping case's t-count tie
+        (_, terms, _, total), = ties[case]
+        n = len(thirds)
+        checks.append(Check.equal("wave2-count", n, n - per_m(terms, c, m) + total * m))
     else:
-        x3 = c["x3"]
-        wave3.run(session_t, third,
-                  lambda w: len(w.items) + 6 * x3 < 2 * m - 1 and weight(w) < 2 * m - 7,
-                  holds_a_third)
-        if weight(wave3) < 2 * m - 7:
-            wave3.run(session_t, third,
-                      lambda w: 2 * len(w.items) + len(w.small_ids) < 6 * x3 - 5, holds_a_third)
-        wave3.run(session_t, third, lambda w: len(w.items) % 2, holds_a_third)
-        z2 = len(wave3.small_ids)
-        z1 = len(wave3.items) - z2
-        stop_disjunction = (3 * z1 + 4 * z2 <= 2 * m) or (
-            2 * z1 + 3 * z2 <= 6 * x3 <= 2 * m
-        )
         checks.append(Check.truth(
-            "wave2-stop-disjunction", stop_disjunction,
-            f"z1={z1} z2={z2} x3={x3}",
-        ))
-    thirds, small_thirds = wave3.items, wave3.small_ids
+            "wave2-stop-disjunction", any(within(ties[k], wave3) for k in WAVE_TWO_CASES[t]),
+            f"z1={c['z1']} z2={c['z2']} x3={c['x3']}"))
     checks.append(Check.truth("wave2-even-count", len(thirds) % 2 == 0))
-    c["z2"] = len(small_thirds)
-    c["z1"] = len(thirds) - c["z2"]
     checks.extend(census_identities())
 
     sep_thirds = wave3.oracle.separator()
     thirds_margin = (sep_thirds.small_sup * 10 + sep_thirds.large_inf) / 2
+    small_third_items = wave3.smalls()
     checks.append(Check.truth(
         "thirds-margins",
-        all(thirds[i - m].size < rat(THIRD) + thirds_margin / 10
-            for i in small_thirds)
-        and all(it.size > rat(THIRD) + thirds_margin for it in thirds
-                if it.ident not in small_thirds),
+        all(it.size < rat(THIRD) + thirds_margin / 10 for it in small_third_items)
+        and all(it.size > rat(THIRD) + thirds_margin for it in wave3.larges()),
         "small < 1/3 + eps/10 and large > 1/3 + eps",
     ))
     checks.append(Check.truth(
         "wave-scale-gap",
-        min(
-            (it.size for it in thirds), default=rat(1)
-        ) - rat(THIRD) > max(it.size for it in tinies) * 6,
+        min((it.size for it in thirds), default=rat(1)) - rat(THIRD)
+        > max(it.size for it in tinies) * 6,
         "smallest third perturbation exceeds 6x the largest tiny",
     ))
 
@@ -217,9 +221,6 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         "freshColors": max(0, pairs - len(reusable)),
         "matchedItems": len(thirds),
     }
-
-    large_third_items = wave3.larges()
-    small_third_items = wave3.smalls()
 
     # final: matching items of size 3/5 for every third
     items_suffix = 20 * m
@@ -237,7 +238,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         for j, it in enumerate(small_third_items)
     ]
     opt_two = offline_packing(rules, _two_thirds_groups(
-        t, tinies, small_third_items, large_third_items, two_thirds))
+        t, tinies, small_third_items, wave3.larges(), two_thirds))
     scenarios.append(continuation("short-two-thirds", session_t, two_thirds, opt_two))
 
     # opt per M on this run (at t = 2 short-two-thirds' is per case, and

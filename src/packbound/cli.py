@@ -23,7 +23,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .algorithms import IllegalPlacement, UnknownAlgorithm, algorithm_ids, feed, fork_replay
+from .algorithms import (ONE_D_BASELINES, IllegalPlacement, UnknownAlgorithm, algorithm_ids, feed,
+                         fork_replay)
 from .exact import PrecisionError, decimal_str, fraction_str, parse_rational
 from .model import rules_from_json, items_from_json, packing_to_json
 from .optoracle import DEFAULT_NODE_BUDGET, OracleInstance, min_bins
@@ -257,7 +258,7 @@ def _verify_geometry_suite() -> list[dict]:
 
 def _verify_variant_suite() -> list[dict]:
     out = []
-    for algo in ("next-fit", "first-fit", "best-fit", "harmonic-5"):
+    for algo in ONE_D_BASELINES:
         for m in (4, 8):
             run = knownopt.run_full(algo, m)
             out.append({"name": f"ko-{algo}-m{m}", "pass": _run_passes(run)})

@@ -2,12 +2,12 @@
 
 Programs minimize a ratio variable R subject to rows whose coefficients are
 affine in R: a row stores one (c, d) pair per variable, meaning (c + d*R) *
-var, and a (c0, d0) constant pair.  Each program is lowered once, on first
-use, to integer rows a + R*b (+ k*R^2) with the ratio folded in as R
-(`Program.lowered`), and `_integer_rows` reads them either with R as the
-last column or with R = p/q substituted in integer arithmetic.  Every
-program is built alike from its census in `shapes`: the structural rows, the
-program's own rows and the continuations' cost rows.
+var, and a (c0, d0) constant pair; the ratio's d is 0, or a row would hold
+R^2.  Each program is lowered once, on first use, to integer rows a + R*b
+with the ratio folded in as R (`Program.lowered`), and `_integer_rows` reads
+them either with R as the last column or with R = p/q substituted in integer
+arithmetic.  Every program is built alike from its census in `shapes`: the
+structural rows, the program's own rows and the continuations' cost rows.
 
 The two known-opt programs are linear in R and solved outright by the exact
 two-phase simplex (Bland's rule).  The remaining programs carry genuine
@@ -137,9 +137,8 @@ class Program:
 
     @property
     def linear_in_r(self) -> bool:
-        """Whether R is a column of its own: no lowered row has an R term
-        but its constant, nor an R^2 term."""
-        return not any(any(b[:-1]) or k for _, _, b, k, _ in self.lowered[1])
+        """Whether R is a column of its own: no lowered row has an R term but its constant."""
+        return not any(any(b[:-1]) for _, _, b, _ in self.lowered[1])
 
     def row(self, label: str) -> Row:
         for row in self.rows:
@@ -152,23 +151,26 @@ class Program:
         """The rows over integers, computed once: (columns, rows).
 
         columns are the variables other than the ratio, which is folded in as
-        R.  Each row (s, a, b, k, rel), a and b over the columns and then the
-        constant, means a.(x, 1) + R*b.(x, 1) + k*R^2  REL  0: s times the
-        rational row, s the lcm of its denominators.
+        R.  Each row (s, a, b, rel), a and b over the columns and then the
+        constant, means a.(x, 1) + R*b.(x, 1)  REL  0: s times the rational
+        row, s the lcm of its denominators.  Raises ValueError for a row
+        whose ratio coefficient carries R, which would make it quadratic in R.
         """
         columns = tuple(v for v in self.variables if v != "ratio")
         rows = []
         for row in self.rows:
             coeffs = dict(row.coeffs)
-            rc, k = coeffs.pop("ratio", (0, 0))  # (rc + k*R)*R
+            rc, d = coeffs.pop("ratio", (0, 0))
+            if d:
+                raise ValueError(f"row {row.label}: the ratio's coefficient carries R")
             c0, d0 = row.const
             pairs = [coeffs.pop(v, (0, 0)) for v in columns] + [(-c0, rc - d0)]
             if coeffs:
                 raise KeyError(f"row {row.label}: unknown variables {sorted(coeffs)}")
-            values = [x for pair in pairs for x in pair] + [k]
+            values = [x for pair in pairs for x in pair]
             s = lcm(*(x.denominator for x in values))
             ints = [x.numerator * (s // x.denominator) for x in values]
-            rows.append((s, ints[0:-1:2], ints[1:-1:2], ints[-1], row.relation))
+            rows.append((s, ints[0::2], ints[1::2], row.relation))
         return columns, tuple(rows)
 
 
@@ -299,25 +301,17 @@ def _integer_rows(program: Program, r0: Optional[Fraction] = None):
     `program.lowered` for `_phase1`.
 
     With r0 = p/q given, R = r0 is substituted: a row becomes a*q + b*p, s*q
-    times its rational row; when k is nonzero it is multiplied by q once more
-    and k*p^2 joins its constant.  Without r0, R is the last column, read
-    from b's constant, and only a and that constant are read.
+    times its rational row.  Without r0, R is the last column, read from b's
+    constant, and only a and that constant are read.
     """
     columns, lowered = program.lowered
-    out = []
     if r0 is None:
-        for s, a, b, _, rel in lowered:
-            out.append(([*a[:-1], b[-1]], -a[-1], rel, s))
-        return len(columns) + 1, out
+        return len(columns) + 1, [([*a[:-1], b[-1]], -a[-1], rel, s) for s, a, b, rel in lowered]
     p, q = r0.numerator, r0.denominator
-    for s, a, b, k, rel in lowered:
+    out = []
+    for s, a, b, rel in lowered:
         line = [x * q + y * p for x, y in zip(a, b)]
-        s *= q
-        if k:
-            line = [x * q for x in line]
-            line[-1] += k * p * p
-            s *= q
-        out.append((line[:-1], -line[-1], rel, s))
+        out.append((line[:-1], -line[-1], rel, s * q))
     return len(columns), out
 
 
@@ -364,18 +358,18 @@ def _check_monotone(program: Program) -> None:
     """Prove that a point meeting the rows at some R0 > 0 meets them at every
     R >= R0, or raise NonMonotoneDetected naming the first row that fails.
 
-    A row carries R when its b or k is nonzero.  It must read
+    A row carries R when its b is nonzero.  It must read
     sign*(f(x) + R*g(x)) >= 0, sign = +1 for >= and -1 for <=, f = a.(x, 1),
     with sign*f <= 0 wherever x >= 0 meets the rows that do not carry R (an
     LP, vacuous if none does): then R0*sign*g >= -sign*f >= 0 at the point,
     so the row holds at every R >= R0."""
     columns, lowered = program.lowered
-    carries = [any(b) or k for _, _, b, k, _ in lowered]
-    fixed = [(a[:-1], -a[-1], rel, s) for (s, a, _, _, rel), c in zip(lowered, carries) if not c]
-    for row, (_, a, _, k, rel), c in zip(program.rows, lowered, carries):
+    carries = [any(b) for _, _, b, _ in lowered]
+    fixed = [(a[:-1], -a[-1], rel, s) for (s, a, _, rel), c in zip(lowered, carries) if not c]
+    for row, (_, a, _, rel), c in zip(program.rows, lowered, carries):
         if not c:
             continue
-        if rel != "==" and not k:
+        if rel != "==":
             sign = 1 if rel == ">=" else -1
             try:
                 *_, cost = _minimize(program, len(columns), fixed,

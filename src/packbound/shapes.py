@@ -1,10 +1,10 @@
 """The census of every adversary, the rows it implies, the continuations'
 costs and the bound programs' own rows: the ko and sp band tables and the
 clcbp census of each t.  `mathprog` builds every program from them and every
-duel checks its census and continuations against them; the sp duel also stops
-its thirds by sp's `stop-mix` row.  A per-M form maps variables to
-coefficients, "M" being M (1 in the programs, which count per M).  This module
-imports nothing from the package, so `bounds` loads no adversary.
+duel checks its census and continuations against them; the sp and clcbp duels
+also stop their thirds by their programs' own rows.  A per-M form maps
+variables to coefficients, "M" being M (1 in the programs, which count per M).
+This module imports nothing from the package, so `bounds` loads no adversary.
 """
 
 from __future__ import annotations

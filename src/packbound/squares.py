@@ -4,8 +4,8 @@ Wave one: M squares of side 1/4 + a ("quarters"); an item opening a fresh bin
 is large.  Wave two: squares of side 1/3 + a ("thirds"); an item is small
 when its target bin already holds a third or at least five quarters (both
 read off the bin's contents before the placement), large otherwise; items
-keep coming until their weights reach a total per M, as sp's `stop-mix` row
-in `shapes.SP` states (8 * smalls + 15 * larges = 12M).  Continuations: big
+keep coming until their weights reach the total per M that sp's `stop-mix`
+row in `shapes.SP` states, which also caps their count.  Continuations: big
 squares of side 3/4 - threshold after wave one, or squares of side 3/5 or
 2/3 - threshold after wave two.
 
@@ -158,43 +158,41 @@ def run_full(algorithm_id: str, m: int) -> Run:
                 or sum(1 for it, _ in before if it.ident in quarter_ids) >= SP.large_below)
 
     (_, weights, _, total), = SP.programs["sp"]  # the stop rule, per M
+    lightest, heaviest = min(weights.values()), max(weights.values())
+    most = -(-total * m // lightest)  # the thirds that reach the total, however they weigh
 
     def below_the_stop_weight(w: Wave) -> bool:
-        sm = len(w.small_ids)
-        counts = {"sm3": sm, "lg3": len(w.items) - sm}
+        counts = w.counts("sm3", "lg3")
         return not w.oracle.stop_check(lambda: per_m(weights, counts, m) >= total * m)
 
-    wave3 = Wave(AdaptiveOracle(OracleConfig(SEPARATION_BASE, 3 * m // 2))).run(
+    wave3 = Wave(AdaptiveOracle(OracleConfig(SEPARATION_BASE, most))).run(
         session_t, lambda i, a: Item(m + i, rat(THIRD) + a, label="third"),
         below_the_stop_weight, small_when=holds_a_third_or_five_quarters)
     thirds = wave3.items
-    small_thirds = wave3.small_ids
-    sm3 = len(small_thirds)
-    lg3 = len(thirds) - sm3
     gamma2 = wave3.oracle.separator().gamma
     bins3 = session_t.cost - bins4
     checks.append(Check.truth(
         "wave2-sides-in-band",
         all(rat(THIRD) < t.size < THIRD_PITCH for t in thirds),
     ))
-    checks.append(Check.at_most("wave2-count", len(thirds), 3 * m // 2))
+    checks.append(Check.at_most("wave2-count", len(thirds), most))
 
     c = {**census(session_t.packing.bins, quarter_ids, SP.bands, SP.wave_one),
-         "bins4": bins4, "bins3": bins3, "sm3": sm3, "lg3": lg3}
+         "bins4": bins4, "bins3": bins3, **wave3.counts("sm3", "lg3")}
     for contents in session_t.packing.bins:
         nf = sum(1 for it, _ in contents if it.ident in quarter_ids)
         n_large = sum(1 for it, _ in contents
-                      if it.ident not in quarter_ids and it.ident not in small_thirds)
+                      if it.ident not in quarter_ids and it.ident not in wave3.small_ids)
         _check_large_thirds(nf, len(contents) - nf, n_large)
-    mprime = sm3 + lg3
-    # the stop rule's finite-M sandwich, which the last third overshoots by
-    # at most the largest weight, and the thirds count: no program row states them
+    n = len(thirds)
+    # the stop rule's finite-M sandwich (the last third overshoots by at most the
+    # heaviest weight) and the thirds count it implies: no program row states them
     checks.extend(census_checks(SP.rows, c, m) + [
         Check.truth("census-stop-sandwich",
-                    total * m <= per_m(weights, c, m) <= total * m + max(weights.values()),
+                    total * m <= per_m(weights, c, m) <= total * m + heaviest,
                     " + ".join(f"{k}*{c[v]}" for v, k in weights.items()) + f" vs {total}*{m}"),
-        Check.truth("census-thirds-count-band", 4 * m <= 5 * mprime and 2 * mprime <= 3 * m,
-                    f"count {mprime}"),
+        Check.truth("census-thirds-count-band",
+                    heaviest * n >= total * m > lightest * (n - 1), f"count {n}"),
     ])
 
     small_third_items = wave3.smalls()

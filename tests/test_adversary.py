@@ -25,7 +25,7 @@ from packbound.exact import rat
 from packbound.mathprog import builtin_program
 from packbound.model import Item, Placement, VariantRules, Violation
 from packbound.oracle import AdaptiveOracle, OracleConfig
-from packbound.reports import CrossCheckFailure, ScenarioOutcome
+from packbound.reports import CrossCheckFailure, ScenarioOutcome, checks_pass
 from packbound.shapes import CLCBP, KO, SP, Cost
 
 ONE_D = VariantRules("one-d")
@@ -110,6 +110,7 @@ class TestWave:
         assert wave.small_ids == {1, 2, 4, 5, 7, 8} and session.cost == 3
         assert [it.ident for it in wave.smalls()] == [1, 2, 4, 5, 7, 8]
         assert [it.ident for it in wave.larges()] == [0, 3, 6]
+        assert wave.counts("small", "large") == {"small": 6, "large": 3}
 
     def test_item_sizes_carry_the_oracle_values(self):
         session = make_session("first-fit", ONE_D)
@@ -354,6 +355,12 @@ class TestContinuationCounts:
         sandwich = next(ch for ch in run.checks if ch.name == "census-stop-sandwich")
         assert sandwich.detail.endswith(" vs 11*48")
         assert builtin_program("sp").row("stop-mix").const == (11, 0)
+        # the wave's cap, ceil(11M/8), and the count band follow the total
+        for m, most in ((48, 66), (50, 69)):
+            run = squares.run_full("shelf-first-fit", m)
+            assert run.waves["thirds"].oracle.config.n == most
+            assert checks_pass(run.checks)
+            assert all(checks_pass(sc.checks) for sc in run.scenarios)
 
     @pytest.mark.parametrize("run_it,table", [
         (lambda: knownopt.run_full("first-fit", 8), KO),

@@ -57,15 +57,16 @@ class TestConfig:
             run_full("ccff", 2, 8)
 
     def test_closed_form_bounds(self):
-        # everything in full bins: ratio bound (t-1)x + 1 with x = X/M
-        assert closed_form_bounds(6, 0, 2, 6)["tiny-wave"] == F(2)
-        assert closed_form_bounds(1, 1, 3, 6) == {
+        # the tiny-wave bound is (t-1)x + 1 with x = X/M, X the tiny bins
+        assert closed_form_bounds({"x1": 6, "x2": 0}, 2, 6)["tiny-wave"] == F(2)
+        assert closed_form_bounds({"x1": 0, "x2": 0, "x3": 1}, 3, 6) == {
             "tiny-wave": F(2 * 1 + 6, 6),
             "spread-tinies": F(11, 6),
         }
         # spread bonus appears exactly when full bins are scarce
-        bounds = closed_form_bounds(3, 3, 2, 12)
-        assert bounds["spread-tinies"] == F(7, 4)
+        bounds = closed_form_bounds({"x1": 0, "x2": 3}, 2, 12)
+        assert bounds == {"tiny-wave": F(1 * 3 + 12, 12), "spread-tinies": F(7, 4)}
+        assert "spread-tinies" not in closed_form_bounds({"x1": 0, "x2": 4}, 2, 12)
 
 
 class TestWaveOne:

@@ -115,11 +115,21 @@ class TestStructure:
             Row.build("bad", {"x": 1}, "<", 1)
 
     def test_linear_solve_rejects_r_terms(self):
-        # an R*x term and an R^2 term; R alone on the right-hand side is linear
-        for row in (Row.build("c", {"x": (1, 1)}, ">=", 1),
-                    Row.build("d", {"ratio": (1, 1)}, ">=", 1)):
-            with pytest.raises(ValueError, match="linear solve"):
-                solve_min_r_exact(Program("r-terms", ("x", "ratio"), (row,)))
+        # an R*x term; R alone on the right-hand side is linear
+        row = Row.build("c", {"x": (1, 1)}, ">=", 1)
+        with pytest.raises(ValueError, match="linear solve"):
+            solve_min_r_exact(Program("r-terms", ("x", "ratio"), (row,)))
+
+    def test_ratio_coefficient_carrying_r_is_refused(self):
+        # (1 + R)*R >= 1 would be quadratic in R: no solver takes the row
+        prog = Program("ratio-squared", ("x", "ratio"), (
+            Row.build("cap", {"x": 1}, "<=", 2),
+            Row.build("square", {"x": 1, "ratio": (1, 1)}, ">=", 1),
+        ))
+        for solve in (lambda p: p.lowered, solve_min_r_exact,
+                      lambda p: feasible_at(p, F(2)), bisect_min_r):
+            with pytest.raises(ValueError, match="row square: the ratio's coefficient carries R"):
+                solve(prog)
 
 
 class TestSimplexEdgePaths:
@@ -659,17 +669,6 @@ class TestMonotoneProof:
         prog = Program("bent-sp", sp.variables,
                        tuple(bent if r is row else r for r in sp.rows))
         with pytest.raises(NonMonotoneDetected, match=f"bent-sp: .*row {label} "):
-            _check_monotone(prog)
-
-    def test_r_squared_term_is_refused(self):
-        # R*x - R^2 >= 0 with x <= 2: feasible up to R = 2 only, though the
-        # row's R-free part is 0
-        prog = Program("ratio-squared", ("x", "ratio"), (
-            Row.build("cap", {"x": 1}, "<=", 2),
-            Row.build("square", {"x": (0, 1), "ratio": (0, -1)}, ">=", 0),
-        ))
-        assert feasible_at(prog, F(2)) and not feasible_at(prog, F(3))
-        with pytest.raises(NonMonotoneDetected, match="row square "):
             _check_monotone(prog)
 
     @pytest.mark.parametrize("sign", [1, -1])
