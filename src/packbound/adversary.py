@@ -4,17 +4,19 @@ Each construction feeds adaptive waves, then branches into continuations.
 A `Wave` presents items steered by its oracle while the variant's stop
 rule holds, classifying every item small or large from where the
 algorithm puts it (`present`); `wave_one` opens every run with M such
-items and its two shared checks. Each continuation feeds a fork of the
-live session and comes with a validated offline packing (`continuation`,
-`offline_packing`), its bins drawn in order from a `Pool` or in `chunks`.
-After the waves, `census` sorts the bins into the variant's census
-categories, which its band table declares, and `census_checks` holds the
-counts to the structural rows of its declaration in `shapes`. Each
-continuation presents its entry's item count there (`presented`), and
-`forced_check` holds its cost to that entry; `per_m` evaluates a per-M form,
-such as the offline cost, on a run. A `Run` records the outcome, its waves
-keyed by report name. Item sizes, stop rules, steering, groupings and
-layouts stay in the variant's module.
+items and its two shared checks. After the waves, `census` sorts the bins
+into the variant's census categories, which its band table declares, and
+`census_checks` holds the counts to the structural rows of its declaration
+in `shapes`. Each continuation presents its entry's item count there
+(`presented`) and is settled in one call (`continuation`): its offline
+bins, drawn in order from a `Pool` or in `chunks`, are built and validated
+(`offline_packing`), a fork of the live session is fed its items, and
+`forced_check` holds the cost to its entry. Where the offline optimum is
+known, `optimum_checks` holds the packing to it, confirmed by the exact
+search at small M. `per_m` evaluates a per-M form, such as the offline
+cost, on a run. A `Run` records the outcome, its waves keyed by report
+name. Item sizes, stop rules, steering, groupings and layouts stay in the
+variant's module.
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ from typing import Callable, Optional
 from .algorithms import AlgorithmSession, check_replay, feed, make_session
 from .exact import Exact
 from .model import Item, Packing, PackingError, Placement, VariantRules, validate_packing
+from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import CensusGap, Check, CrossCheckFailure, ScenarioOutcome
 from .shapes import Cost, StructuralRow
 
 __all__ = ["CensusGap", "census", "census_checks", "forced_check", "per_m", "presented",
-           "chunks", "Pool", "offline_packing", "continuation", "present", "Wave", "wave_one",
-           "Run"]
+           "chunks", "Pool", "offline_packing", "continuation", "optimum_checks", "present",
+           "Wave", "wave_one", "Run"]
+
+ORACLE_CHECK_MAX_M = 8  # the exact search confirms a known offline optimum up to here
 
 
 def census(bins, wave_one_ids: set[int], bands: dict, wave_one: str) -> dict[str, int]:
@@ -133,15 +138,19 @@ def offline_packing(rules: VariantRules, bins) -> Packing:
     return packing
 
 
-def continuation(name: str, session: AlgorithmSession, items: list[Item],
-                 opt_packing: Packing, opt_cost: Optional[int] = None) -> ScenarioOutcome:
-    """Feed `items` to a fork of `session` and pair its cost with `opt_packing`.
+def continuation(name: str, cost: Cost, counts: dict, session: AlgorithmSession,
+                 items: list[Item], bins, opt_cost: Optional[int] = None) -> ScenarioOutcome:
+    """Settle one continuation: build and validate its offline packing from
+    `bins` under the session's rules (`offline_packing`), feed `items` to a
+    fork of `session`, and hold the cost to `cost` on the census `counts`
+    (`forced_check`, the outcome's first check).
 
     `opt_cost` is the optimum when it is known in advance; without it the
     packing's cost is reported as an upper bound on the optimum.  Raises
-    `CrossCheckFailure` unless `opt_packing` holds exactly the session's
-    items and `items`.
+    `CrossCheckFailure` unless the packing holds exactly the session's items
+    and `items`.
     """
+    opt_packing = offline_packing(session.rules, bins)
     packed = {it.ident for contents in opt_packing.bins for it, _ in contents}
     branch = {it.ident for it, _ in session.transcript} | {it.ident for it in items}
     if packed != branch:
@@ -150,8 +159,24 @@ def continuation(name: str, session: AlgorithmSession, items: list[Item],
             f"(missing {sorted(branch - packed)[:3]}, extra {sorted(packed - branch)[:3]})")
     alg_cost = feed(session.fork(), items)
     opt_upper = opt_packing.cost if opt_cost is None else None
-    return ScenarioOutcome(name, len(items), alg_cost, opt_cost=opt_cost,
-                           opt_upper=opt_upper, opt_packing=opt_packing)
+    outcome = ScenarioOutcome(name, len(items), alg_cost, opt_cost=opt_cost,
+                              opt_upper=opt_upper, opt_packing=opt_packing)
+    outcome.checks.append(forced_check(cost, counts, outcome))
+    return outcome
+
+
+def optimum_checks(outcome: ScenarioOutcome, opt, m: int) -> list[Check]:
+    """Hold `outcome`'s offline packing to the optimum `opt`: it costs exactly
+    `opt`, and up to M = `ORACLE_CHECK_MAX_M` the exact search over its items,
+    under its rules, proves that no packing takes fewer bins."""
+    packing = outcome.opt_packing
+    checks = [Check.equal("opt-construction-cost", packing.cost, opt)]
+    if m <= ORACLE_CHECK_MAX_M:
+        items = tuple(it for contents in packing.bins for it, _ in contents)
+        result = min_bins(OracleInstance(items, packing.rules))
+        checks.append(Check.truth("opt-oracle-confirms", result.proven and result.count == opt,
+                                  f"oracle found {result.count} (proven={result.proven})"))
+    return checks
 
 
 def present(session: AlgorithmSession, oracle: AdaptiveOracle, item: Item,

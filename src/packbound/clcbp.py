@@ -39,10 +39,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .adversary import (Pool, Run, Wave, census, census_checks, chunks, continuation,
-                        forced_check, offline_packing, per_m, presented, wave_one)
+                        optimum_checks, per_m, presented, wave_one)
 from .exact import Exact, rat
 from .model import Item, VariantRules
-from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check, CrossCheckFailure
 from .shapes import CLCBP
@@ -53,7 +52,6 @@ F = Fraction
 THIRD = F(1, 3)
 TINY_BASE = 20  # wave-one oracle base
 THIRDS_BASE = 10  # wave-two oracle base
-ORACLE_CHECK_MAX_M = 6  # the exact search confirms the huge branch's optimum up to here
 # the order in which wave two takes the cases.  At t = 2 case 1 comes first:
 # with x1 = 0 (ccff's census) case 2's tie n = 2*x1 is already reached, so
 # case 2 first would stop the wave at once.  At t = 3 case 2 comes first: its
@@ -89,15 +87,14 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         raise ValueError("t must be 2 or 3")
     if m < 6 or m % 6:
         raise ValueError("M must be a positive integer divisible by 6")
-    rules = VariantRules("class-constrained", t=t)
-    checks: list[Check] = []
     thirds_budget = 2 * m
     # every tiny exponent must sit far beyond every wave-two exponent
     tiny_offset = 2 * OracleConfig(THIRDS_BASE, thirds_budget).window_hi + 16
 
     # wave one: tiny items, one fresh color each
     base_session, wave_tiny, checks = wave_one(
-        algorithm_id, rules, OracleConfig(TINY_BASE, m, offset=tiny_offset),
+        algorithm_id, VariantRules("class-constrained", t=t),
+        OracleConfig(TINY_BASE, m, offset=tiny_offset),
         lambda i, a: Item(i, a, color=i, label="tiny"))
     tinies, small_tinies = wave_tiny.items, wave_tiny.small_ids
     sep_tiny = wave_tiny.oracle.separator()
@@ -124,26 +121,15 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
 
     # huge branch: huge j shares its bin with small tiny j (its color) and
     # t - 1 fillers, the spare small tinies first, then the large ones
-    count_h = presented(table.costs["huge"], c, m)
+    huge = table.costs["huge"]
     huge_size = rat(1) - eps
     pool = Pool(wave_tiny.smalls() + wave_tiny.larges())
-    mates = pool.take(count_h)
+    mates = pool.take(presented(huge, c, m))
     huge_items = [Item(10 * m + j, huge_size, color=mate.color, label="huge")
                   for j, mate in enumerate(mates)]
-    groups = [[huge, mate] + pool.take(t - 1) for huge, mate in zip(huge_items, mates)]
-    opt_h = offline_packing(rules, groups + pool.rest(t))
-    sc_h = continuation("huge", base_session, huge_items, opt_h)
-    opt_huge = per_m(table.costs["huge"].opt, c, m)  # M/t
-    sc_h.checks += [forced_check(table.costs["huge"], c, sc_h),
-                    Check.equal("opt-construction-cost", opt_h.cost, opt_huge)]
-    if m <= ORACLE_CHECK_MAX_M:
-        packed = [it for b in opt_h.bins for it, _ in b]
-        result = min_bins(OracleInstance(tuple(packed), rules))
-        sc_h.checks.append(Check.truth(
-            "opt-oracle-confirms",
-            result.proven and result.count == opt_huge,
-            f"oracle found {result.count}",
-        ))
+    groups = [[item, mate] + pool.take(t - 1) for item, mate in zip(huge_items, mates)]
+    sc_h = continuation("huge", huge, c, base_session, huge_items, groups + pool.rest(t))
+    sc_h.checks += optimum_checks(sc_h, per_m(huge.opt, c, m), m)  # M/t
     scenarios.append(sc_h)
 
     closed = closed_form_bounds(c, t, m)
@@ -228,8 +214,8 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         Item(items_suffix + j, rat(F(3, 5)), color=it.color, label="matching")
         for j, it in enumerate(thirds)
     ]
-    opt_half = offline_packing(rules, _halves_groups(t, tinies, thirds, halves))
-    scenarios.append(continuation("six-tenths", session_t, halves, opt_half))
+    scenarios.append(continuation("six-tenths", table.costs["six-tenths"], c, session_t, halves,
+                                  _halves_groups(t, tinies, thirds, halves)))
 
     # final: matching items a hair under two thirds for every small third
     shy = rat(F(2, 3)) - thirds_margin / 5
@@ -237,9 +223,9 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         Item(items_suffix + len(halves) + j, shy, color=it.color, label="matching")
         for j, it in enumerate(small_third_items)
     ]
-    opt_two = offline_packing(rules, _two_thirds_groups(
-        t, tinies, small_third_items, wave3.larges(), two_thirds))
-    scenarios.append(continuation("short-two-thirds", session_t, two_thirds, opt_two))
+    scenarios.append(continuation(
+        "short-two-thirds", table.costs["short-two-thirds"], c, session_t, two_thirds,
+        _two_thirds_groups(t, tinies, small_third_items, wave3.larges(), two_thirds)))
 
     # opt per M on this run (at t = 2 short-two-thirds' is per case, and
     # x1 <= x2 exactly when case 1 is the smaller form), plus the bins its
@@ -249,8 +235,7 @@ def run_full(algorithm_id: str, t: int, m: int) -> ClassConstrainedRun:
         bound = per_m(cost.opt, c, m) + cost.slack
         detail = (f"got {sc.opt_upper}, bound {bound}" if sc.scenario == "six-tenths"
                   else f"cost {sc.opt_upper} vs {bound}")
-        sc.checks += [forced_check(cost, c, sc),
-                      Check.truth("opt-within-formula", sc.opt_upper <= bound, detail)]
+        sc.checks.append(Check.truth("opt-within-formula", sc.opt_upper <= bound, detail))
 
     return ClassConstrainedRun(algorithm_id, m, {"tinies": wave_tiny, "thirds": wave3}, c,
                                scenarios, checks, t, closed, ledger)

@@ -18,10 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .adversary import (CensusGap, Pool, Run, Wave, census, census_checks, chunks, continuation,
-                        forced_check, offline_packing, presented, wave_one)
+                        optimum_checks, per_m, presented, wave_one)
 from .exact import rat
 from .model import Item, VariantRules
-from .optoracle import OracleInstance, min_bins
 from .oracle import AdaptiveOracle, OracleConfig
 from .reports import Check
 from .shapes import KO
@@ -32,18 +31,17 @@ F = Fraction
 SEVENTH = F(1, 7)
 THIRD = F(1, 3)
 SEPARATION_BASE = 10  # both waves' oracle base
-ORACLE_CHECK_MAX_M = 8  # the exact search confirms the offline optima up to here
 
 
 def run_full(algorithm_id: str, m: int) -> Run:
-    """Run all five branches; oracle-verify offline optima when M is small."""
+    """Run all five branches, each held to its offline optimum M
+    (`adversary.optimum_checks`, which confirms it by exact search at small M)."""
     if m < 4 or m % 4:
         raise ValueError("M must be a positive integer divisible by 4")
-    rules = VariantRules("known-opt", advice=m)
 
     # wave one: sevenths
     base_session, wave7, checks = wave_one(
-        algorithm_id, rules, OracleConfig(SEPARATION_BASE, m),
+        algorithm_id, VariantRules("known-opt", advice=m), OracleConfig(SEPARATION_BASE, m),
         lambda i, a: Item(i, rat(SEVENTH) + a, label="seventh"))
     sevenths = wave7.items
     gamma1 = wave7.oracle.separator().gamma
@@ -80,47 +78,37 @@ def run_full(algorithm_id: str, m: int) -> Run:
         return [Item(2 * m + i, size, label=label or name)
                 for i in range(presented(KO.costs[name], c, m))]
 
+    def settle(name: str, session, items: list[Item], bins) -> None:
+        cost = KO.costs[name]
+        opt = per_m(cost.opt, c, m)  # M
+        sc = continuation(name, cost, c, session, items, bins, opt_cost=opt)
+        sc.checks += optimum_checks(sc, opt, m)
+        scenarios.append(sc)
+
     # 1: four-fifths items after wave one
     items1 = presented_items("four-fifths", rat(F(4, 5)))
-    opt1 = offline_packing(rules, [list(pair) for pair in zip(items1, sevenths)])
-    scenarios.append(continuation("four-fifths", base_session, items1, opt1, opt_cost=m))
+    settle("four-fifths", base_session, items1, [list(pair) for pair in zip(items1, sevenths)])
 
     # 2: fillers that only a small seventh can join
     items2 = presented_items("big-fill", rat(F(6, 7)) - gamma1)
     smalls = Pool(wave7.smalls())
-    opt2 = offline_packing(rules, chunks(wave7.larges(), 6)
-                           + [[it] + smalls.take(1) for it in items2])
-    scenarios.append(continuation("big-fill", base_session, items2, opt2, opt_cost=m))
+    settle("big-fill", base_session, items2,
+           chunks(wave7.larges(), 6) + [[it] + smalls.take(1) for it in items2])
 
     # 3: unit items after both waves
     items3 = presented_items("units", rat(1), "unit")
     mixed = [two7 + two3 for two7, two3 in zip(chunks(sevenths, 2), chunks(thirds, 2))]
-    opt3 = offline_packing(rules, mixed + [[u] for u in items3])
-    scenarios.append(continuation("units", two_wave_session, items3, opt3, opt_cost=m))
+    settle("units", two_wave_session, items3, mixed + [[u] for u in items3])
 
     # 4: items just over one half
     items4 = presented_items("over-half", rat(F(13, 25)))
-    opt4 = offline_packing(rules, [list(trio) for trio in zip(items4, thirds, sevenths)])
-    scenarios.append(continuation("over-half", two_wave_session, items4, opt4, opt_cost=m))
+    settle("over-half", two_wave_session, items4,
+           [list(trio) for trio in zip(items4, thirds, sevenths)])
 
     # 5: items just under two thirds, count set by the wave-two bin count
     items5 = presented_items("short-two-thirds", rat(F(2, 3)) - gamma2)
-    opt5 = offline_packing(rules, _scenario5_groups(
-        m, sevenths, wave3.larges(), wave3.smalls(), items5))
-    scenarios.append(continuation("short-two-thirds", two_wave_session, items5, opt5,
-                                  opt_cost=m))
-
-    for sc in scenarios:
-        sc.checks += [forced_check(KO.costs[sc.scenario], c, sc),
-                      Check.equal("opt-construction-cost", sc.opt_packing.cost, m)]
-        if m <= ORACLE_CHECK_MAX_M:
-            packed = [it for b in sc.opt_packing.bins for it, _ in b]
-            result = min_bins(OracleInstance(tuple(packed), rules))
-            sc.checks.append(Check.truth(
-                "opt-oracle-confirms-advice",
-                result.proven and result.count == m,
-                f"oracle found {result.count} (proven={result.proven})",
-            ))
+    settle("short-two-thirds", two_wave_session, items5,
+           _scenario5_groups(m, sevenths, wave3.larges(), wave3.smalls(), items5))
 
     return Run(algorithm_id, m, {"sevenths": wave7, "thirds": wave3}, c, scenarios, checks)
 

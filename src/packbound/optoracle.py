@@ -90,8 +90,6 @@ def _lower_bound(rules: VariantRules, items) -> int:
 def min_bins(instance: OracleInstance) -> OracleResult:
     """Provably minimum bin count with a witness packing."""
     rules = instance.rules
-    if rules.kind == "known-opt":  # packing rules are plain 1-D
-        rules = VariantRules("one-d")
     ordered = _sorted_items(instance.items)
     if not ordered:
         return OracleResult(0, Packing(rules), 0, True)

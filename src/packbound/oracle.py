@@ -101,10 +101,6 @@ class AdaptiveOracle:
 
     # -- emission/observation protocol ----------------------------------
 
-    @property
-    def emission_count(self) -> int:
-        return len(self.emitted)
-
     def next_value(self) -> Exact:
         """Emit the next perturbation value; classification comes later."""
         if self.awaiting:

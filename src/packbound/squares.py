@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .adversary import (CensusGap, Pool, Run, Wave, census, census_checks, chunks, continuation,
-                        forced_check, offline_packing, per_m, presented, wave_one)
+                        per_m, presented, wave_one)
 from .exact import Exact, rat
 from .model import Item, VariantRules
 from .oracle import AdaptiveOracle, OracleConfig
@@ -120,11 +120,10 @@ def grid_layout(quarters: list[Item]) -> list[tuple[Item, Exact, Exact]]:
 def run_full(algorithm_id: str, m: int) -> Run:
     if m < 2 or m % 2:
         raise ValueError("M must be a positive integer divisible by 2")
-    rules = VariantRules("squares")
 
     # wave one: quarters
     base_session, wave4, checks = wave_one(
-        algorithm_id, rules, OracleConfig(SEPARATION_BASE, m),
+        algorithm_id, VariantRules("squares"), OracleConfig(SEPARATION_BASE, m),
         lambda i, a: Item(i, rat(QUARTER) + a, label="quarter"))
     quarters = wave4.items
     gamma1 = wave4.oracle.separator().gamma
@@ -143,12 +142,14 @@ def run_full(algorithm_id: str, m: int) -> Run:
                 for i in range(presented(SP.costs[name], counts, m))]
 
     # scenario 1: big squares right after wave one, counted before the census
-    items1 = presented_items("three-quarter-fill", rat(F(3, 4)) - gamma1, {"bins4": bins4})
+    # on the one count its cost reads
+    before = {"bins4": bins4}
+    items1 = presented_items("three-quarter-fill", rat(F(3, 4)) - gamma1, before)
     bins_sc1 = [[(big, rat(0), rat(0))] + l_strip_layout(five)
                 for big, five in zip(items1, chunks(wave4.smalls(), 5))]
     bins_sc1 += [grid_layout(nine) for nine in chunks(wave4.larges(), 9)]
-    opt1 = offline_packing(rules, bins_sc1)
-    scenarios.append(continuation("three-quarter-fill", base_session, items1, opt1))
+    scenarios.append(continuation("three-quarter-fill", SP.costs["three-quarter-fill"], before,
+                                  base_session, items1, bins_sc1))
 
     # wave two: thirds until the weighted stopping rule fires
     session_t = base_session.fork()
@@ -207,8 +208,8 @@ def run_full(algorithm_id: str, m: int) -> Run:
     bins_sc2 += [[(t, THIRD_PITCH * j, rat(0)) for j, t in enumerate(row)]
                  for row in threes[len(items2):]]
     bins_sc2 += [grid_layout(nine) for nine in quarter_pool.rest(9)]
-    opt2 = offline_packing(rules, bins_sc2)
-    scenarios.append(continuation("six-tenths", session_t, items2, opt2))
+    scenarios.append(continuation("six-tenths", SP.costs["six-tenths"], c, session_t, items2,
+                                  bins_sc2))
 
     # scenario 3: squares a hair under two thirds
     items3 = presented_items("short-two-thirds", rat(F(2, 3)) - gamma2, c)
@@ -219,8 +220,8 @@ def run_full(algorithm_id: str, m: int) -> Run:
     blocks = zip_longest(chunks(wave3.larges() + small_third_items[3 * len(items3):], 4),
                          quarter_pool.rest(5), fillvalue=[])
     bins_sc3 += [block_court_layout(four, five) for four, five in blocks]
-    opt3 = offline_packing(rules, bins_sc3)
-    scenarios.append(continuation("short-two-thirds", session_t, items3, opt3))
+    scenarios.append(continuation("short-two-thirds", SP.costs["short-two-thirds"], c, session_t,
+                                  items3, bins_sc3))
 
     # opt per M on this run ("M" being m), plus the bins its layout's partly
     # filled bins may add (`Cost.slack`); only the first detail states the bound
@@ -228,7 +229,6 @@ def run_full(algorithm_id: str, m: int) -> Run:
         cost = SP.costs[sc.scenario]
         bound = per_m(cost.opt, c, m) + cost.slack
         detail = f"cost {sc.opt_upper}" + (f" vs {bound}" if i == 0 else "")
-        sc.checks += [forced_check(cost, c, sc),
-                      Check.truth("opt-within-formula", sc.opt_upper <= bound, detail)]
+        sc.checks.append(Check.truth("opt-within-formula", sc.opt_upper <= bound, detail))
 
     return Run(algorithm_id, m, {"quarters": wave4, "thirds": wave3}, c, scenarios, checks)

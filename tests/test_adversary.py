@@ -14,6 +14,7 @@ from packbound.adversary import (
     continuation,
     forced_check,
     offline_packing,
+    optimum_checks,
     per_m,
     present,
     presented,
@@ -185,13 +186,15 @@ class TestOfflinePacking:
 
 
 class TestContinuation:
+    PER_ITEM = Cost("row", {}, {"M": 1}, True)  # the algorithm pays one bin per item
+
     def test_feeds_a_fork_and_reports_the_bound_kind(self):
         session = make_session("first-fit", ONE_D)
         session.place(_item(0, "1/2"))
         items = [_item(1, "2/3"), _item(2, "1/3")]
-        opt = offline_packing(ONE_D, [[_item(0, "1/2"), items[1]], [items[0]]])
-        upper = continuation("upper", session, items, opt)
-        exact = continuation("exact", session, items, opt, opt_cost=2)
+        bins = [[_item(0, "1/2"), items[1]], [items[0]]]
+        upper = continuation("upper", self.PER_ITEM, {}, session, items, bins)
+        exact = continuation("exact", self.PER_ITEM, {}, session, items, bins, opt_cost=2)
         assert session.cost == 1  # the live session is untouched
         assert (upper.alg_cost, upper.items_presented) == (2, 2)
         assert (upper.opt_cost, upper.opt_upper) == (None, 2)
@@ -201,16 +204,66 @@ class TestContinuation:
         session = make_session("first-fit", ONE_D)
         session.place(_item(0, "1/2"))
         items = [_item(1, "2/3"), _item(2, "1/3")]
-        opt = offline_packing(ONE_D, [[_item(0, "1/2")], [items[0]]])
         with pytest.raises(CrossCheckFailure, match=r"dropped: .*missing \[2\], extra \[\]"):
-            continuation("dropped", session, items, opt)
+            continuation("dropped", self.PER_ITEM, {}, session, items,
+                         [[_item(0, "1/2")], [items[0]]])
 
     def test_a_packing_with_a_foreign_item_raises(self):
         session = make_session("first-fit", ONE_D)
         items = [_item(1, "2/3")]
-        opt = offline_packing(ONE_D, [[items[0], _item(9, "1/4")]])
         with pytest.raises(CrossCheckFailure, match=r"missing \[\], extra \[9\]"):
-            continuation("foreign", session, items, opt)
+            continuation("foreign", self.PER_ITEM, {}, session, items, [[items[0], _item(9, "1/4")]])
+
+    def test_an_overfull_bin_raises(self):
+        session = make_session("first-fit", ONE_D)
+        items = [_item(1, "3/5"), _item(2, "3/5")]
+        with pytest.raises(CrossCheckFailure, match="offline construction invalid"):
+            continuation("overfull", self.PER_ITEM, {}, session, items, [items])
+
+    def test_the_bins_obey_the_sessions_rules(self):
+        # two colors in one bin: fine in one dimension, not at one color per bin
+        items = [Item(1, rat(F(1, 4)), color=0), Item(2, rat(F(1, 4)), color=1)]
+        session = make_session("first-fit", VariantRules("class-constrained", t=1))
+        with pytest.raises(CrossCheckFailure, match="offline construction invalid"):
+            continuation("colors", self.PER_ITEM, {}, session, items, [items])
+
+    @pytest.mark.parametrize("paid,passed", [(0, True), (1, False)])
+    def test_its_first_check_is_the_forced_cost(self, paid, passed):
+        cost = Cost("row", {"b": 1}, {"M": 1}, True)
+        session = make_session("first-fit", ONE_D)
+        items = [_item(1, "2/3"), _item(2, "2/3")]
+        outcome = continuation("forced", cost, {"b": paid}, session, items, [[it] for it in items])
+        assert outcome.checks == [forced_check(cost, {"b": paid}, outcome)]
+        assert (outcome.checks[0].name, outcome.checks[0].passed) == ("alg-forced-cost", passed)
+
+
+class TestOptimumChecks:
+    @staticmethod
+    def _outcome(bins):
+        return ScenarioOutcome("x", 0, 2, opt_cost=2,
+                               opt_packing=offline_packing(ONE_D, bins))
+
+    def test_the_search_confirms_an_optimal_packing(self):
+        outcome = self._outcome([[_item(0, "1/2"), _item(1, "1/2")]])
+        checks = optimum_checks(outcome, 1, adversary.ORACLE_CHECK_MAX_M)
+        assert [(c.name, c.passed, c.detail) for c in checks] == [
+            ("opt-construction-cost", True, "got 1, want 1"),
+            ("opt-oracle-confirms", True, "oracle found 1 (proven=True)")]
+
+    def test_the_search_refutes_a_packing_one_bin_over(self):
+        outcome = self._outcome([[_item(0, "1/2")], [_item(1, "1/2")]])
+        checks = optimum_checks(outcome, 2, 8)
+        assert [(c.name, c.passed, c.detail) for c in checks] == [
+            ("opt-construction-cost", True, "got 2, want 2"),
+            ("opt-oracle-confirms", False, "oracle found 1 (proven=True)")]
+
+    def test_no_search_above_the_threshold(self, monkeypatch):
+        def no_search(instance):
+            raise AssertionError("the exact search ran")
+        monkeypatch.setattr(adversary, "min_bins", no_search)
+        outcome = self._outcome([[_item(0, "1/2")], [_item(1, "1/2")]])
+        checks = optimum_checks(outcome, 2, 12)
+        assert [(c.name, c.passed) for c in checks] == [("opt-construction-cost", True)]
 
 
 class TestCensus:

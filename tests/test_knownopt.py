@@ -135,7 +135,7 @@ class TestScenarios:
             assert sc.opt_packing.cost == m
             assert validate_packing(sc.opt_packing) == []
             oracle_checks = [c for c in sc.checks
-                             if c.name == "opt-oracle-confirms-advice"]
+                             if c.name == "opt-oracle-confirms"]
             assert oracle_checks and all(c.passed for c in oracle_checks)
 
     def test_oracle_never_beats_constructions(self, ff4):

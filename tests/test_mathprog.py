@@ -590,6 +590,34 @@ class TestBisection:
             distance = max(lo - printed, printed - hi, F(0))
             assert distance <= F(1, 10**6)
 
+    # each bisected program's threshold polynomial, highest power first, read
+    # off the final phase-1 basis at tolerance 1e-12; its root is min R
+    POLYNOMIALS = {
+        "sp": (256, 9264, 78669, -167589),
+        "clcbp2-case1": (1, 0, -3),
+        "clcbp2-case2": (4, -9, -1, 8),
+        "clcbp3-case1": (6, -3, -16),
+        "clcbp3-case2": (3, -1, -8),
+    }
+
+    @pytest.mark.parametrize("pid", sorted(POLYNOMIALS))
+    def test_threshold_polynomial_changes_sign_across_the_bracket(self, pid):
+        lo, hi = bisect_min_r(builtin_program(pid), F(1, 10**12))
+
+        def value(r: F) -> F:
+            total = F(0)
+            for c in self.POLYNOMIALS[pid]:
+                total = total * r + c
+            return total
+
+        assert value(lo) < 0 < value(hi)
+
+    def test_sp_reference_lies_above_the_exact_threshold(self):
+        # the printed digits sit about 1.6e-10 above the encoded program's min R,
+        # which is why a bracket tighter than 1e-10 misses them
+        _, hi = bisect_min_r(builtin_program("sp"), F(1, 10**12))
+        assert F(15, 10**11) < F("1.751544578513") - hi < F(17, 10**11)
+
     def test_bisection_cross_validates_simplex(self):
         for pid, exact in (("ko-case1", F(87, 62)), ("ko-case2", F(17, 12))):
             lo, hi = bisect_min_r(builtin_program(pid), TOL)
