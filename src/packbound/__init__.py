@@ -21,8 +21,8 @@ _MODULES = {
     "oracle": "AdaptiveOracle OracleConfig Separator",
     "algorithms": "algorithm_ids fork_replay make_session register_algorithm",
     "optoracle": "OracleInstance min_bins",
-    "mathprog": "bisect_min_r builtin_program builtin_program_ids check_certificate feasible_at "
-                "ko_certificate_suite solve_min_r_exact",
+    "mathprog": "bisect_min_r builtin_program builtin_program_ids check_certificate exact_threshold "
+                "feasible_at ko_certificate_suite solve_min_r_exact",
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names.split()}
 

@@ -69,6 +69,23 @@ def _replayed_certificates():
             yield cert, str(exc), False
 
 
+def _threshold_json(threshold, printed: Fraction) -> dict:
+    """The exact min R of a bisected program and, once proven, the printed
+    reference minus it, to the digits `decimal_str` shows: the isolating
+    interval is narrowed until both its ends give the same digits."""
+    a, b = threshold.interval
+    out = {"polynomial": list(threshold.polynomial),
+           "interval": [fraction_str(a), fraction_str(b)], "proven": threshold.proven}
+    if threshold.proven:
+        for _ in range(200):
+            a, b = threshold.interval
+            if decimal_str(printed - a) == decimal_str(printed - b):
+                break
+            threshold = threshold.narrowed()
+        out["reference_offset"] = decimal_str(printed - a)
+    return out
+
+
 # how close a whole bisected bracket must come to its printed reference value
 AGREEMENT = Fraction(1, 10**6)
 
@@ -108,6 +125,9 @@ def cmd_bounds(args) -> int:
                 "decimal": decimal,
                 "status": "OK" if passed else "MISMATCH",
             })
+            if args.json and mode != "exact":
+                rows[-1]["threshold"] = _threshold_json(
+                    mathprog.exact_threshold(program, lo, hi), printed)
         for cert, computed, passed in _replayed_certificates():
             ok &= passed
             rows.append({

@@ -16,6 +16,15 @@ whether the artificial sum reaches zero), and `bisect_min_r` brackets min R
 on [R_LO, R_HI] with it.  A bracket (lo, hi] is certified by the exact verdict
 at each end and by `_check_monotone`'s proof that feasibility grows with R.
 
+The final basis of each solve is kept as a `Piece`: its basic values, or its
+phase-1 dual, as ratios of integer polynomials in R.  Its sign conditions
+certify the same verdict at every R where they hold, so the bisection solves
+only the points that no earlier piece certifies (28 of the 165 points of the
+five bisected programs at the default tolerance), and every verdict is still
+the exact one.  `exact_threshold` reads min R off the infeasible piece below
+a bracket and the feasible piece above it: a root of a polynomial of each,
+isolated by a Sturm sequence (`algebra`) and proven to be min R.
+
 The simplex is exact without Fractions: it starts from those integer rows,
 and every tableau row and the cost row holds some positive multiple of the
 true rational row.  A pivot cross-multiplies (integer-preserving
@@ -33,10 +42,11 @@ closed-form bounds (87/62, 17/12) are reproduced instead of trusted.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
+from .algebra import check_threshold, count_roots, poly_gcd, primitive, sign_at, squarefree, sturm
 from .shapes import CLCBP, KO, SP
 
 __all__ = [
@@ -50,11 +60,14 @@ __all__ = [
     "NoUpperBound",
     "SignViolation",
     "MismatchedTarget",
+    "Piece",
+    "Threshold",
     "builtin_program",
     "builtin_program_ids",
     "solve_min_r_exact",
     "feasible_at",
     "bisect_min_r",
+    "exact_threshold",
     "check_certificate",
     "combine_rows",
     "ko_certificate_suite",
@@ -315,11 +328,10 @@ def _integer_rows(program: Program, r0: Optional[Fraction] = None):
     return len(columns), out
 
 
-def _minimize(program: Program, n: int, rows, objective):
-    """After `_phase1`, drive leftover artificials out, drop the rows they
-    still hold and minimize objective (n coefficients, then minus its
-    constant); return the final tableau, basis and cost row, whose last
-    entry is a positive multiple of minus the minimum."""
+def _feasible_basis(program: Program, n: int, rows):
+    """`_phase1`, then its leftover artificials driven out and the rows they
+    still hold dropped: the tableau, basis, real column count and cost row
+    length that phase 2 starts from.  Raises Infeasible."""
     tab, basis, real, cost = _phase1(n, rows)
     if cost[-1] != 0:
         raise Infeasible(program.program_id)
@@ -329,9 +341,18 @@ def _minimize(program: Program, n: int, rows, objective):
             if pivot_col is not None:
                 _pivot(tab, basis, i, pivot_col)
     keep = [i for i in range(len(tab)) if basis[i] < real]
-    tab = [tab[i] for i in keep]
-    basis = [basis[i] for i in keep]
-    cost = [*objective[:-1], *[0] * (len(cost) - n - 1), objective[-1]]
+    return [tab[i] for i in keep], [basis[i] for i in keep], real, len(cost)
+
+
+def _phase2(program: Program, start, objective):
+    """Minimize objective (n coefficients, then minus its constant) from
+    `_feasible_basis`'s start, which is left as it was; return the final
+    tableau, basis and cost row, whose last entry is a positive multiple of
+    minus the minimum."""
+    tab, basis, real, width = start
+    tab, basis = [row[:] for row in tab], basis[:]
+    n = len(objective) - 1
+    cost = [*objective[:-1], *[0] * (width - n - 1), objective[-1]]
     _price_out(cost, tab, basis)
     if _bland(tab, basis, cost, range(real)) == "unbounded":
         raise Unbounded(program.program_id)
@@ -343,15 +364,22 @@ def solve_min_r_exact(program: Program) -> Fraction:
     if not program.linear_in_r:
         raise ValueError(f"{program.program_id}: linear solve requires rows with no R terms")
     n, rows = _integer_rows(program)
-    tab, basis, _ = _minimize(program, n, rows, [0] * (n - 1) + [1, 0])
+    tab, basis, _ = _phase2(program, _feasible_basis(program, n, rows), [0] * (n - 1) + [1, 0])
     # the optimum is R's value in the final basic solution
     return next((F(row[-1], row[n - 1]) for row, b in zip(tab, basis) if b == n - 1), F(0))
 
 
-def feasible_at(program: Program, r0: Fraction) -> bool:
-    """Exact feasibility of the row system with R fixed to r0."""
-    *_, cost = _phase1(*_integer_rows(program, F(r0)))
-    return cost[-1] == 0
+def feasible_at(program: Program, r0: Fraction, pieces: Optional[list] = None) -> bool:
+    """Exact feasibility of the row system with R fixed to r0.  When pieces
+    is a list, the solve's final basis is appended to it as a `Piece`."""
+    r0 = F(r0)
+    n, rows = _integer_rows(program, r0)
+    _, basis, _, cost = _phase1(n, rows)
+    feasible = cost[-1] == 0
+    if pieces is not None:
+        negated = tuple(rhs < 0 for _, rhs, _, _ in rows)
+        pieces.append(Piece(program, r0, negated, tuple(basis), feasible))
+    return feasible
 
 
 def _check_monotone(program: Program) -> None:
@@ -362,20 +390,24 @@ def _check_monotone(program: Program) -> None:
     sign*(f(x) + R*g(x)) >= 0, sign = +1 for >= and -1 for <=, f = a.(x, 1),
     with sign*f <= 0 wherever x >= 0 meets the rows that do not carry R (an
     LP, vacuous if none does): then R0*sign*g >= -sign*f >= 0 at the point,
-    so the row holds at every R >= R0."""
+    so the row holds at every R >= R0.  Phase 1 of those rows runs once; each
+    row maximizes its sign*f from a copy of its result."""
     columns, lowered = program.lowered
     carries = [any(b) for _, _, b, _ in lowered]
     fixed = [(a[:-1], -a[-1], rel, s) for (s, a, _, rel), c in zip(lowered, carries) if not c]
+    start = None
     for row, (_, a, _, rel), c in zip(program.rows, lowered, carries):
         if not c:
             continue
         if rel != "==":
             sign = 1 if rel == ">=" else -1
+            if start is None:
+                try:
+                    start = _feasible_basis(program, len(columns), fixed)
+                except Infeasible:
+                    return
             try:
-                *_, cost = _minimize(program, len(columns), fixed,
-                                     [-sign * x for x in a[:-1]] + [sign * a[-1]])
-            except Infeasible:
-                return
+                *_, cost = _phase2(program, start, [-sign * x for x in a[:-1]] + [sign * a[-1]])
             except Unbounded:
                 cost = [1]
             if cost[-1] <= 0:
@@ -389,25 +421,366 @@ R_LO = F(1)
 R_HI = F(3)
 
 
+def _certifying(program: Program, r0: Fraction, pieces: list) -> "Piece":
+    """The newest piece that certifies r0, else the piece of a new solve at r0."""
+    for piece in reversed(pieces):
+        if piece.certifies(r0):
+            return piece
+    feasible_at(program, r0, pieces)
+    return pieces[-1]
+
+
 def bisect_min_r(program: Program, tol: Fraction = F(1, 10**9)) -> tuple[Fraction, Fraction]:
     """Bracket (lo, hi) with hi - lo <= tol, infeasible at lo and feasible at
     hi (or (R_LO, R_LO)); as `_check_monotone` proves that feasibility grows
-    with R, min R lies in (lo, hi].  tol must be positive (ValueError)."""
+    with R, min R lies in (lo, hi].  tol must be positive (ValueError).
+
+    Each point is decided by the pieces of the solves so far when one of
+    them certifies it, and by a `feasible_at` solve, whose piece is kept,
+    when none does; either way the verdict is the exact one."""
     lo, hi, tol = R_LO, R_HI, F(tol)
     if tol <= 0:
         raise ValueError(f"bisection tolerance must be positive, got {tol}")
-    if not feasible_at(program, hi):
+    pieces = []
+    if not feasible_at(program, hi, pieces):
         raise NoUpperBound(f"{program.program_id} infeasible at R = {hi}")
     _check_monotone(program)
-    if feasible_at(program, lo):
+    if _certifying(program, lo, pieces).feasible:
         return lo, lo
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if feasible_at(program, mid):
+        if _certifying(program, mid, pieces).feasible:
             hi = mid
         else:
             lo = mid
     return lo, hi
+
+
+# -- pieces: one phase-1 basis as a function of R ----------------------------
+
+
+def _phase1_columns(program: Program, negated: tuple):
+    """The columns of the system `_phase1` builds, with R left free, for the
+    row orientation `negated`: structural, slack and artificial columns and
+    then the right-hand side, each a list over the rows of (c, d) pairs
+    meaning c + d*R, in `_phase1`'s order; and each column's phase-1 cost.
+
+    Row i is `_integer_rows`'s row at R = p/q divided by q: entries a + b*R,
+    right-hand side -(a + b*R) of the constant, slack and artificial entries
+    its factor s; negated rows have their entries and relation flipped."""
+    columns, lowered = program.lowered
+    m, n = len(lowered), len(columns)
+    flip = {"<=": ">=", ">=": "<=", "==": "=="}
+    rels = [flip[rel] if neg else rel for (*_, rel), neg in zip(lowered, negated)]
+    slack_rows = [i for i, rel in enumerate(rels) if rel != "=="]
+    art_rows = [i for i, rel in enumerate(rels) if rel != "<="]
+    cols = [[(0, 0)] * m for _ in range(n + len(slack_rows) + len(art_rows) + 1)]
+    for i, ((s, a, b, _), neg) in enumerate(zip(lowered, negated)):
+        g = -1 if neg else 1
+        for j in range(n):
+            cols[j][i] = (g * a[j], g * b[j])
+        cols[-1][i] = (-g * a[-1], -g * b[-1])
+    for k, i in enumerate(slack_rows):
+        cols[n + k][i] = (lowered[i][0] if rels[i] == "<=" else -lowered[i][0], 0)
+    for k, i in enumerate(art_rows):
+        cols[n + len(slack_rows) + k][i] = (lowered[i][0], 0)
+    costs = [0] * (n + len(slack_rows)) + [1] * len(art_rows)
+    return cols, costs
+
+
+def _cramer(rows, m: int):
+    """(det A, det(A) * A^-1 C) for rows = [A | C], A m x m over the integers,
+    by fraction-free Gauss-Jordan elimination (Bareiss), or (0, None) when A
+    is singular.  Every entry stays a minor of [A | C], so each division is
+    exact; a row swap flips the sign, which the end undoes."""
+    rows = [list(r) for r in rows]
+    prev, flips = 1, 1
+    for k in range(m):
+        p = next((i for i in range(k, m) if rows[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            flips = -flips
+        pk, tail = rows[k][k], rows[k][k + 1:]
+        # columns up to k are read no more: only the tails are updated
+        for i, row in enumerate(rows):
+            f = row[k]
+            if i == k or not f and pk == prev:
+                continue
+            if f:
+                row[k + 1:] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+            else:
+                row[k + 1:] = [pk * x // prev for x in row[k + 1:]]
+        prev = pk
+    return flips * prev, [[flips * x for x in row[m:]] for row in rows]
+
+
+@lru_cache(maxsize=8)
+def _interpolator(points: tuple):
+    """(L, W) with L > 0: the coefficients, highest power first, of the
+    polynomial of degree < len(points) taking values v at points are
+    W.v / L, exactly."""
+    basis = []
+    for j, xj in enumerate(points):
+        poly, den = [F(1)], F(1)
+        for k, xk in enumerate(points):
+            if k != j:
+                poly = [x - xk * y for x, y in zip([*poly, 0], [0, *poly])]
+                den *= xj - xk
+        basis.append([c / den for c in poly])
+    scale = lcm(*(c.denominator for poly in basis for c in poly))
+    return scale, tuple(tuple(int(poly[k] * scale) for poly in basis)
+                        for k in range(len(points)))
+
+
+def _content_free(poly: tuple) -> tuple:
+    """poly without leading zeros, divided by the gcd of its coefficients (a
+    positive factor, so no sign changes); () for zero."""
+    k = next((i for i, c in enumerate(poly) if c), len(poly))
+    poly = poly[k:]
+    g = gcd(*poly) if poly else 1
+    return tuple(c // g for c in poly) if g > 1 else tuple(poly)
+
+
+class Piece:
+    """The final basis of one `_phase1` solve at R = r0, with that solve's row
+    orientation, read as a function of R.
+
+    B(R), the basic columns of `_phase1_columns`, has entries affine in R; let
+    D = det B.  A feasible piece holds D and, by Cramer's rule, each basic
+    value N_i/D.  Where D != 0, every N_i*D >= 0 and every basic artificial's
+    N_i = 0, the basic solution is a point with all artificials zero, so it
+    meets every row.  An infeasible piece holds D, the reduced costs
+    c_j - y.M_j and the bound y.rhs on the artificial sum, y = c_B B^-1, each
+    times D.  Where D != 0, every reduced cost >= 0 and y.rhs > 0, y is a
+    feasible point of phase 1's dual, so (weak duality) the artificial sum
+    is at least y.rhs > 0 and no point meets the rows.
+
+    Degree: B, rhs and each column M_j are rows of the phase-1 system, and
+    row i depends on R (affinely) only if the program's row i carries R.
+    D, each N_i = det(B with column i replaced by rhs), each reduced cost
+    times D, c_j*D - sum_k c_Bk det(B with column k replaced by M_j), and
+    y.rhs times D, sum_k c_Bk N_k, are determinants of such matrices or
+    sums of them with constant weights.  A determinant is linear in each
+    row, so each is a polynomial of degree at most t, the number of rows
+    that carry R, and t + 1 points where D != 0 interpolate it exactly.
+
+    The polynomials are built on the first `certifies` call.  A piece
+    certifies its own solve point by construction (the final phase-1 basis
+    is primal feasible, and optimal for the phase-1 costs), which the build
+    checks.
+    """
+
+    def __init__(self, program: Program, r0: Fraction, negated: tuple, basis: tuple,
+                 feasible: bool):
+        self.program, self.r0, self.negated, self.basis = program, r0, negated, basis
+        self.feasible = feasible
+        self.det = None  # D
+        self.nonnegative = ()  # polynomials P with P*D >= 0 required
+        self.vanishing = ()  # feasible: the basic artificials' N_i, required 0
+        self.bound = ()  # infeasible: y.rhs times D, required to have D's sign
+
+    def _build(self) -> None:
+        cols, costs = _phase1_columns(self.program, self.negated)
+        m, basis = len(cols[0]), self.basis
+        degree = sum(1 for _, _, b, _ in self.program.lowered[1] if any(b))
+        points, samples, v = [], [], 0
+        while len(points) <= degree:
+            at = [[c + d * v for c, d in col] for col in cols]
+            if self.feasible:  # B x = rhs
+                det, solved = _cramer([[at[j][i] for j in basis] + [at[-1][i]]
+                                       for i in range(m)], m)
+                if det:
+                    samples.append([det, *(row[0] for row in solved)])
+            else:  # B^T y = c_B, then D c_j - D y.M_j and D y.rhs
+                det, solved = _cramer([[*at[j], costs[j]] for j in basis], m)
+                if det:
+                    dy = [row[0] for row in solved]
+                    samples.append([det, sum(u * w for u, w in zip(dy, at[-1])),
+                                    *(c * det - sum(u * w for u, w in zip(dy, col))
+                                      for c, col in zip(costs, at))])
+            if det:
+                points.append(v)
+            v += 1
+        scale, weights = _interpolator(tuple(points))
+        polys = []
+        for values in zip(*samples):
+            coeffs = []
+            for w in weights:
+                c, rest = divmod(sum(x * y for x, y in zip(w, values)), scale)
+                if rest:
+                    raise ArithmeticError(f"{self.program.program_id}: a piece's polynomial "
+                                          "exceeds its degree bound")
+                coeffs.append(c)
+            polys.append(_content_free(tuple(coeffs)))
+        self.det = polys[0]
+        if self.feasible:
+            real = len(costs) - sum(costs)
+            self.vanishing = tuple({p for j, p in zip(basis, polys[1:]) if j >= real and p})
+            self.nonnegative = tuple({p for j, p in zip(basis, polys[1:]) if j < real and p})
+        else:
+            self.bound = polys[1]
+            self.nonnegative = tuple({p for j, p in enumerate(polys[2:])
+                                      if j not in basis and p})
+        if not self.certifies(self.r0):
+            raise ArithmeticError(f"{self.program.program_id}: a piece does not certify "
+                                  f"its own solve at R = {self.r0}")
+
+    def holds(self, sign_of) -> bool:
+        """Whether the certificate holds where each polynomial P has the sign
+        sign_of(P)."""
+        d = sign_of(self.det)
+        if not d:
+            return False
+        if self.feasible:
+            if any(sign_of(p) for p in self.vanishing):
+                return False
+        elif sign_of(self.bound) != d:
+            return False
+        return all(sign_of(p) != -d for p in self.nonnegative)
+
+    def polynomials(self) -> tuple:
+        """Every polynomial of the certificate: y.rhs first, D last."""
+        if self.det is None:
+            self._build()
+        if self.feasible:
+            return (*self.nonnegative, *self.vanishing, self.det)
+        return (self.bound, *self.nonnegative, self.det)
+
+    def certifies(self, r: Fraction) -> bool:
+        """Whether this piece proves the verdict `feasible` at R = r."""
+        if self.det is None:
+            self._build()
+        return self.holds(lambda poly: sign_at(poly, r))
+
+
+# -- exact thresholds -----------------------------------------------------------
+
+
+class Threshold(NamedTuple):
+    """min R as an algebraic number: the one root of `polynomial` (integers,
+    highest power first, gcd 1, leading coefficient positive) strictly inside
+    `interval`.  `proven` when two pieces showed that the rows hold at that
+    root and fail just below it, so that (feasibility growing with R) it is
+    min R, and `check_threshold` replayed the isolation."""
+
+    polynomial: tuple
+    interval: tuple  # (a, b), Fractions
+    proven: bool
+
+    def narrowed(self) -> "Threshold":
+        """The same root in the half of the interval that holds it."""
+        p, (a, b) = self.polynomial, self.interval
+        mid = (a + b) / 2
+        s = sign_at(p, mid)
+        if not s:  # the root is mid itself
+            interval = (a + mid) / 2, (mid + b) / 2
+        else:
+            interval = (mid, b) if s == sign_at(p, a) else (a, mid)
+        return Threshold(p, interval, self.proven)
+
+
+# a bracket is halved at most this often for its pieces to meet
+_HALVINGS = 64
+# an isolating interval is halved at most this often for a proof
+_REFINEMENTS = 200
+
+
+def exact_threshold(program: Program, lo: Fraction, hi: Fraction) -> Threshold:
+    """The exact min R of a program whose rows fail at lo and hold at hi, as
+    from `bisect_min_r`; ValueError when they do not.
+
+    The pieces of solves at lo and hi, an infeasible one below and a
+    feasible one above, meet at min R = r when r is a root of a polynomial
+    of each: some condition of each fails at r.  The candidate is the
+    square-free gcd of such a pair; `_prove` shows that it is min R.  While
+    the pieces do not meet, the bracket is halved, each half decided by the
+    pieces so far or by a solve, as in `bisect_min_r`."""
+    lo, hi = F(lo), F(hi)
+    _check_monotone(program)
+    pieces = []
+    if feasible_at(program, lo, pieces) or not feasible_at(program, hi, pieces):
+        raise ValueError(f"{program.program_id}: R = {lo} must fail and R = {hi} hold")
+    below, above = pieces
+    for _ in range(_HALVINGS):
+        for p in _candidates(below, above, lo, hi):
+            interval = _prove(below, above, p, lo, hi)
+            if interval:
+                return Threshold(p, interval, check_threshold(p, interval))
+        mid = (lo + hi) / 2
+        piece = _certifying(program, mid, pieces)
+        if piece.feasible:
+            hi, above = mid, piece
+        else:
+            lo, below = mid, piece
+    return Threshold((), (lo, hi), False)
+
+
+def _candidates(below: Piece, above: Piece, lo: Fraction, hi: Fraction):
+    """Square-free polynomials with exactly one root r in (lo, hi], each the
+    gcd of a polynomial of `below` and one of `above` (below's bound y.rhs
+    first); a rational r = hi is given as its linear polynomial."""
+
+    def crosses(poly) -> bool:
+        return (len(poly) > 1 and (sign_at(poly, lo) * sign_at(poly, hi) <= 0
+                                   or count_roots(sturm(poly), lo, hi) > 0))
+
+    ins = [p for p in below.polynomials() if crosses(p)]
+    outs = [p for p in above.polynomials() if crosses(p)]
+    seen = set()
+    for u in ins:
+        for w in outs:
+            p = squarefree(poly_gcd(u, w))
+            if len(p) < 2 or p in seen or not sign_at(p, lo):
+                continue
+            seen.add(p)
+            if not sign_at(p, hi):
+                yield primitive((hi.denominator, -hi.numerator))
+            elif count_roots(sturm(p), lo, hi) == 1:
+                yield p
+
+
+def _prove(below: Piece, above: Piece, p: tuple, lo: Fraction, hi: Fraction):
+    """An interval (a, b) isolating p's root r from lo on, on which `below`
+    certifies infeasibility on [a, r) and `above` feasibility at r, or None.
+
+    (a, b) is halved until every polynomial of both pieces is nonzero at a
+    and at b and has no root in (a, b) but, possibly, r, which it then shares
+    with p (their gcd changes sign across (a, b)).  Each polynomial then has
+    its sign at a on [a, r), and at r that sign or, when shared, 0."""
+    a, b = lo, hi if sign_at(p, hi) else 2 * hi - lo
+    seq_p = sturm(p)
+    if sign_at(p, a) * sign_at(p, b) >= 0 or count_roots(seq_p, a, b) != 1:
+        return None
+    polys = set(below.polynomials()) | set(above.polynomials())
+    seqs = {poly: sturm(poly) for poly in polys if len(poly) > 1}
+    gcds = {}
+    for _ in range(_REFINEMENTS):
+        at_root = {}
+        for poly, seq in seqs.items():
+            if not sign_at(poly, a) or not sign_at(poly, b):
+                break
+            n = count_roots(seq, a, b)
+            if n:
+                if poly not in gcds:
+                    gcds[poly] = poly_gcd(poly, p)
+                g = gcds[poly]
+                if n > 1 or len(g) < 2 or sign_at(g, a) * sign_at(g, b) >= 0:
+                    break
+                at_root[poly] = 0
+        else:
+            def left(poly):
+                return sign_at(poly, a)
+
+            def root(poly):
+                return at_root.get(poly, sign_at(poly, a))
+
+            if below.holds(left) and above.holds(root):
+                return a, b
+            return None
+        a, b = Threshold(p, (a, b), False).narrowed().interval
+    return None
 
 
 # -- certificates -------------------------------------------------------------

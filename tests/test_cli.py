@@ -1,10 +1,12 @@
 """Command-line harness: subcommands, exit codes, deterministic reports."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from packbound import clcbp, cli
+from packbound.algebra import check_threshold
 from packbound.algorithms import register_algorithm
 from packbound.cli import main
 from packbound.model import Placement
@@ -52,6 +54,25 @@ class TestBounds:
         programs = {row["program"]: row["status"] for row in payload["bounds"]}
         assert programs["ko-case1"] == "OK"
         assert programs["certificate:ko-case2-bound"] == "OK"
+
+    def test_json_gives_each_bisected_program_its_exact_threshold(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--json")
+        assert code == 0
+        rows = {row["program"]: row for row in json.loads(out)["bounds"]}
+        bisected = {"sp", "clcbp2-case1", "clcbp2-case2", "clcbp3-case1", "clcbp3-case2"}
+        assert {pid for pid, row in rows.items() if "threshold" in row} == bisected
+        for pid in bisected:
+            threshold = rows[pid]["threshold"]
+            assert threshold["proven"]
+            assert check_threshold(threshold["polynomial"], threshold["interval"])
+            lo, hi = (Fraction(x) for x in rows[pid]["computed"].strip("[]").split(", "))
+            a, b = (Fraction(x) for x in threshold["interval"])
+            assert lo <= a < b <= hi
+        sp = rows["sp"]["threshold"]
+        assert sp["polynomial"] == [256, 9264, 78669, -167589]
+        # the printed digits lie above the encoded program's min R
+        assert Fraction(15, 10**11) < Fraction(sp["reference_offset"]) < Fraction(17, 10**11)
+        assert Fraction(rows["clcbp2-case1"]["threshold"]["reference_offset"]) < 0
 
     @pytest.mark.parametrize("tol,reason", [
         ("abc", "not a rational number"),

@@ -24,10 +24,12 @@ from packbound.mathprog import (
     builtin_program_ids,
     check_certificate,
     combine_rows,
+    exact_threshold,
     feasible_at,
     ko_certificate_suite,
     solve_min_r_exact,
 )
+from packbound.algebra import check_threshold
 from packbound.mathprog import (
     _bland, _check_monotone, _cost_rows, _integer_rows, _phase1, _structural,
 )
@@ -603,6 +605,11 @@ class TestBisection:
     @pytest.mark.parametrize("pid", sorted(POLYNOMIALS))
     def test_threshold_polynomial_changes_sign_across_the_bracket(self, pid):
         lo, hi = bisect_min_r(builtin_program(pid), F(1, 10**12))
+        threshold = exact_threshold(builtin_program(pid), lo, hi)
+        assert threshold.proven
+        assert threshold.polynomial == self.POLYNOMIALS[pid]
+        a, b = threshold.interval
+        assert lo <= a < b <= hi
 
         def value(r: F) -> F:
             total = F(0)
@@ -615,8 +622,12 @@ class TestBisection:
     def test_sp_reference_lies_above_the_exact_threshold(self):
         # the printed digits sit about 1.6e-10 above the encoded program's min R,
         # which is why a bracket tighter than 1e-10 misses them
-        _, hi = bisect_min_r(builtin_program("sp"), F(1, 10**12))
-        assert F(15, 10**11) < F("1.751544578513") - hi < F(17, 10**11)
+        program = builtin_program("sp")
+        threshold = exact_threshold(program, *bisect_min_r(program, F(1, 10**12)))
+        a, b = threshold.interval
+        reference = F("1.751544578513")
+        assert threshold.proven
+        assert F(15, 10**11) < reference - b < reference - a < F(17, 10**11)
 
     def test_bisection_cross_validates_simplex(self):
         for pid, exact in (("ko-case1", F(87, 62)), ("ko-case2", F(17, 12))):
@@ -628,20 +639,36 @@ class TestBisection:
         with pytest.raises(ValueError, match="positive"):
             bisect_min_r(builtin_program("sp"), tol)
 
-    def test_upper_end_is_solved_once(self):
+    # LP solves per bisection at 1e-9, R_HI and R_LO included: every other
+    # point is certified by the piece of an earlier solve (one solve per
+    # point took 33)
+    SOLVES = {"sp": 8, "clcbp2-case1": 4, "clcbp2-case2": 8, "clcbp3-case1": 4,
+              "clcbp3-case2": 4}
+
+    @staticmethod
+    def solved_points(pid):
         visited = []
         inner = mathprog.feasible_at
 
-        def recording(program, r0):
+        def recording(program, r0, pieces=None):
             visited.append(r0)
-            return inner(program, r0)
+            return inner(program, r0, pieces)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mathprog, "feasible_at", recording)
-            bisect_min_r(builtin_program("clcbp2-case1"), TOL)
+            bisect_min_r(builtin_program(pid), TOL)
+        return visited
+
+    def test_upper_end_is_solved_once(self):
+        visited = self.solved_points("clcbp2-case1")
         assert visited.count(mathprog.R_HI) == 1
-        # R_HI, R_LO, 31 halvings of [1, 3] down to 1e-9
-        assert len(visited) == 33
+        assert len(visited) == self.SOLVES["clcbp2-case1"]
+
+    @pytest.mark.parametrize("pid", sorted(SOLVES))
+    def test_solves_per_program(self, pid):
+        visited = self.solved_points(pid)
+        assert visited[0] == mathprog.R_HI and visited.count(mathprog.R_HI) == 1
+        assert len(visited) == self.SOLVES[pid]
 
     def test_non_monotone_feasibility_is_detected(self):
         # (R - 5/2)*x + (3/2 - R)*y == 1 needs one coefficient positive:
@@ -673,6 +700,22 @@ class TestMonotoneProof:
     def test_every_builtin_program_is_proven(self):
         for pid in builtin_program_ids():
             assert _check_monotone(builtin_program(pid)) is None, pid
+
+    @pytest.mark.parametrize("pid", builtin_program_ids())
+    def test_phase1_runs_once_per_program(self, pid):
+        # each row that carries R prices its objective out on a copy of one
+        # phase-1 result
+        calls = []
+        inner = mathprog._phase1
+
+        def counting(n, rows):
+            calls.append(n)
+            return inner(n, rows)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mathprog, "_phase1", counting)
+            _check_monotone(builtin_program(pid))
+        assert len(calls) == 1
 
     def test_narrow_band_is_refused(self):
         # feasible in a band just above R = 3/2 and again from R = 5/2 up,
@@ -726,6 +769,53 @@ class TestMonotoneProof:
             Row.build("narrow", {"x": (F(151, 100), -1), "y": (F(-5, 2), 1)}, ">=", 1),
         ))
         assert _check_monotone(prog) is None
+
+
+class TestExactThreshold:
+    POLYNOMIALS = TestBisection.POLYNOMIALS
+
+    @pytest.mark.parametrize("tol", [F(3), F(1, 1000), TOL], ids=str)
+    @pytest.mark.parametrize("pid", sorted(POLYNOMIALS))
+    def test_every_bisected_program_is_proven(self, pid, tol):
+        # a coarse bracket is halved until the pieces below and above meet
+        program = builtin_program(pid)
+        lo, hi = bisect_min_r(program, tol)
+        threshold = exact_threshold(program, lo, hi)
+        assert threshold.proven and threshold.polynomial == self.POLYNOMIALS[pid]
+        assert check_threshold(threshold.polynomial, threshold.interval)
+        a, b = threshold.interval
+        assert lo <= a < b <= hi
+
+    @pytest.mark.parametrize("pid,optimum", [("ko-case1", F(87, 62)), ("ko-case2", F(17, 12))])
+    def test_linear_programs_give_their_exact_optimum(self, pid, optimum):
+        program = builtin_program(pid)
+        threshold = exact_threshold(program, *bisect_min_r(program, TOL))
+        assert threshold.proven
+        assert threshold.polynomial == (optimum.denominator, -optimum.numerator)
+
+    @pytest.mark.parametrize("pid", sorted(POLYNOMIALS))
+    def test_replay_rejects_a_changed_coefficient(self, pid):
+        program = builtin_program(pid)
+        polynomial, interval, _ = exact_threshold(program, *bisect_min_r(program, TOL))
+        for k in range(len(polynomial)):
+            for delta in (-1, 1):
+                changed = list(polynomial)
+                changed[k] += delta
+                assert not check_threshold(changed, interval), (k, delta)
+
+    def test_narrowing_keeps_the_root(self):
+        program = builtin_program("clcbp2-case1")
+        threshold = exact_threshold(program, *bisect_min_r(program, TOL))
+        for _ in range(40):
+            threshold = threshold.narrowed()
+            a, b = threshold.interval
+            assert a * a < 3 < b * b
+        assert b - a < F(1, 10**20)
+
+    @pytest.mark.parametrize("lo,hi", [(F(2), F(3)), (F(1), F(3, 2))])
+    def test_a_bracket_must_fail_below_and_hold_above(self, lo, hi):
+        with pytest.raises(ValueError, match="sp: R = .* must fail and R = .* hold"):
+            exact_threshold(builtin_program("sp"), lo, hi)
 
 
 class TestCertificates:

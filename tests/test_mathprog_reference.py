@@ -10,11 +10,18 @@ Fraction simplex verbatim, and `reference_min_r` is the phase 2 that
 optimum, and end on rows that are positive multiples of these; on the rows of
 `Program.lowered` it must end on exactly the tableau it ends on from the
 scaled `_rows_for_lp` rows.
+
+`reference_bisect_min_r` is the bisection that ran one `feasible_at` solve
+per point, verbatim.  `bisect_min_r`, which lets the pieces of earlier solves
+decide the points they certify, must give the same brackets and raise the
+same errors; and wherever a piece certifies a point, it must agree with a
+fresh solve there.
 """
 
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Optional
 from unittest import mock
@@ -25,16 +32,21 @@ from hypothesis import given, settings, strategies as st
 from packbound import mathprog
 from packbound.mathprog import (
     Infeasible,
+    NonMonotoneDetected,
+    NoUpperBound,
     Program,
+    R_HI,
+    R_LO,
     Row,
     Unbounded,
     bisect_min_r,
     builtin_program,
     builtin_program_ids,
+    exact_threshold,
     feasible_at,
     solve_min_r_exact,
 )
-from packbound.mathprog import _integer_rows
+from packbound.mathprog import _check_monotone, _integer_rows
 
 F = Fraction
 
@@ -167,6 +179,27 @@ def _phase1(n, rows):
     return tab, basis, real, cost
 
 
+def reference_bisect_min_r(program: Program, tol: Fraction = F(1, 10**9)) -> tuple[Fraction, Fraction]:
+    """Bracket (lo, hi) with hi - lo <= tol, infeasible at lo and feasible at
+    hi (or (R_LO, R_LO)); as `_check_monotone` proves that feasibility grows
+    with R, min R lies in (lo, hi].  tol must be positive (ValueError)."""
+    lo, hi, tol = R_LO, R_HI, F(tol)
+    if tol <= 0:
+        raise ValueError(f"bisection tolerance must be positive, got {tol}")
+    if not feasible_at(program, hi):
+        raise NoUpperBound(f"{program.program_id} infeasible at R = {hi}")
+    _check_monotone(program)
+    if feasible_at(program, lo):
+        return lo, lo
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if feasible_at(program, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def reference_min_r(program):
     """solve_min_r_exact as it was on Fraction rows."""
     if not program.linear_in_r:
@@ -248,17 +281,18 @@ def assert_lowering_exact(program, r0=None):
     assert mathprog._phase1(*_integer_rows(program, r0)) == want
 
 
-def bisection_samples(program):
-    """Every R at which bisect_min_r tests the program, in order."""
+def bisection_samples(program, bisect=reference_bisect_min_r, module=REFERENCE, tol=F(1, 10**9)):
+    """Every R at which `bisect` solves the program, in order: by default
+    every point the bisection tests."""
     visited = []
     inner = mathprog.feasible_at
 
-    def recording(program, r0):
+    def recording(program, r0, *pieces):
         visited.append(r0)
-        return inner(program, r0)
+        return inner(program, r0, *pieces)
 
-    with mock.patch.object(mathprog, "feasible_at", recording):
-        bisect_min_r(program)
+    with mock.patch.object(module, "feasible_at", recording):
+        bisect(program, tol)
     return [F(r0) for r0 in visited]
 
 
@@ -343,3 +377,104 @@ class TestBuiltinPrograms:
         assert len(samples) == 33
         for r0 in samples:
             assert_lowering_exact(program, r0)
+
+
+# -- the bisection by pieces against the bisection by solves -------------------
+
+BISECTED = [p for p in builtin_program_ids() if not builtin_program(p).linear_in_r]
+TOLERANCES = [F(1, 10**6), F(1, 10**9), F(1, 10**10), F(1, 10**12), F(1, 10**13)]
+
+# the synthetic programs of tests/test_mathprog.py that reach each error
+SYNTHETIC = {
+    "floor": Program("floor", ("x", "ratio"), (
+        Row.build("floor", {"ratio": 1}, ">=", F(1, 2)),
+    )),
+    "two-sided": Program("two-sided", ("x", "y", "ratio"), (
+        Row.build("split", {"x": (F(-5, 2), 1), "y": (F(3, 2), -1)}, "==", 1),
+    )),
+    "impossible": Program("impossible", ("x", "ratio"), (
+        Row.build("bad", {"x": 1}, "<=", -1),
+    )),
+    "narrow-band": Program("narrow-band", ("x", "y", "ratio"), (
+        Row.build("wide", {"x": (F(-3, 2), 1), "y": (F(-5, 2), 1)}, ">=", 1),
+        Row.build("narrow", {"x": (F(151, 100), -1), "y": (F(-5, 2), 1)}, ">=", 1),
+    )),
+    "degenerate": Program("degenerate", ("x", "y", "ratio"), (
+        Row.build("a", {"x": 1, "y": 1}, "<=", 1),
+        Row.build("b", {"x": 1}, ">=", (-1, 1)),
+    )),
+}
+
+
+def bisection_outcome(bisect, program, tol=F(1, 10**9)):
+    """The bracket, or the type and message of the error raised."""
+    try:
+        return bisect(program, tol)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBisectionByPieces:
+    @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
+    @pytest.mark.parametrize("pid", builtin_program_ids())
+    def test_same_bracket_as_one_solve_per_point(self, pid, tol):
+        program = builtin_program(pid)
+        assert bisect_min_r(program, tol) == reference_bisect_min_r(program, tol)
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC))
+    def test_same_outcome_on_the_synthetic_programs(self, name):
+        want = bisection_outcome(reference_bisect_min_r, SYNTHETIC[name])
+        assert bisection_outcome(bisect_min_r, SYNTHETIC[name]) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs(linear=False))
+    def test_same_outcome_on_random_programs(self, program):
+        tol = F(1, 1000)
+        want = bisection_outcome(reference_bisect_min_r, program, tol)
+        assert bisection_outcome(bisect_min_r, program, tol) == want
+
+    @pytest.mark.parametrize("pid", BISECTED)
+    def test_solves_only_points_that_one_solve_per_point_tests(self, pid):
+        program = builtin_program(pid)
+        solved = bisection_samples(program, bisect_min_r, mathprog)
+        assert solved[0] == R_HI and set(solved) <= set(bisection_samples(program))
+        for r0 in solved:
+            assert_phase1_agrees(program, r0)
+
+
+@lru_cache(maxsize=None)
+def sample_pieces(pid):
+    """The pieces of a solve at every point the bisection tests, and the
+    program's exact threshold, a rational inside its isolating interval."""
+    program = builtin_program(pid)
+    pieces = []
+    for r0 in bisection_samples(program):
+        feasible_at(program, r0, pieces)
+    if program.linear_in_r:
+        return pieces, solve_min_r_exact(program)
+    a, b = exact_threshold(program, *bisect_min_r(program, F(1, 10**12))).interval
+    return pieces, (a + b) / 2
+
+
+class TestPiecesAgreeWithTheLP:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(builtin_program_ids()),
+           st.one_of(st.fractions(min_value=1, max_value=3, max_denominator=10**6),
+                     st.integers(-1000, 1000).map(lambda k: F(k, 10**15))))
+    def test_every_certifying_piece_agrees_with_a_fresh_solve(self, pid, r):
+        pieces, threshold = sample_pieces(pid)
+        if r < 1:  # within 1e-12 of the threshold
+            r = threshold + r
+        verdicts = {piece.feasible for piece in pieces if piece.certifies(r)}
+        assert verdicts <= {feasible_at(builtin_program(pid), r)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(programs(linear=False), st.fractions(min_value=1, max_value=3, max_denominator=8),
+           st.fractions(min_value=0, max_value=4, max_denominator=16))
+    def test_a_random_programs_piece_agrees_with_a_fresh_solve(self, program, r0, r1):
+        pieces = []
+        feasible = feasible_at(program, r0, pieces)
+        (piece,) = pieces
+        assert piece.certifies(r0) and piece.feasible == feasible
+        if piece.certifies(r1):
+            assert feasible_at(program, r1) == feasible

@@ -74,17 +74,27 @@ class TestCommandModules:
 
     def test_oracle_runs_no_program_and_no_adversary(self):
         ran = command_bodies("oracle", "--instance", str(FIXTURES / "oracle" / "plain.json"))
-        assert not ran & ({"mathprog", "shapes", "oracle"} | ADVERSARIES)
+        assert not ran & ({"mathprog", "algebra", "shapes", "oracle"} | ADVERSARIES)
 
     def test_a_ko_duel_runs_its_adversary_only(self):
         ran = command_bodies("duel", "--variant", "ko", "--algorithm", "first-fit", "--m", "8")
         assert {"knownopt", "adversary", "oracle", "shapes"} <= ran
-        assert not ran & {"mathprog", "squares", "clcbp"}
+        assert not ran & {"mathprog", "algebra", "squares", "clcbp"}
+
+    @pytest.mark.parametrize("variant", [["sp", "--algorithm", "shelf-first-fit"],
+                                         ["clcbp", "--t", "2", "--algorithm", "ccff"]])
+    def test_the_other_duels_run_no_program(self, variant):
+        ran = command_bodies("duel", "--variant", *variant, "--m", "12")
+        assert not ran & {"mathprog", "algebra"}
 
     def test_bounds_runs_no_adversary(self):
         ran = command_bodies("bounds")
-        assert {"mathprog", "shapes"} <= ran
+        assert {"mathprog", "algebra", "shapes"} <= ran
         assert not ran & (ADVERSARIES | {"oracle"})
+
+    def test_the_polynomial_algebra_runs_no_other_module(self):
+        # it imports only the standard library, and no packbound.exact
+        assert bodies_run("import packbound.algebra") == {"__init__", "algebra"}
 
 
 class TestNoDataclasses:
