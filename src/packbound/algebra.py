@@ -61,26 +61,16 @@ def primitive(poly) -> tuple:
     return tuple(-c for c in out) if out and out[0] < 0 else out
 
 
-def _rem(a, b) -> list:
-    """The remainder of a divided by b (b nonzero), over Fraction."""
+def _divmod(a, b) -> tuple[list, list]:
+    """The quotient and the remainder of a divided by b (b nonzero), over Fraction."""
     a = [Fraction(c) for c in _trim(a)]
     b = _trim(b)
+    quotient = []
     while len(a) >= len(b):
         k = a[0] / b[0]
-        a = _trim([x - k * y for x, y in zip(a, [*b, *[0] * (len(a) - len(b))])])
-    return a
-
-
-def _quotient(a, b) -> list:
-    """a divided by b over Fraction, when b divides a."""
-    a = [Fraction(c) for c in _trim(a)]
-    b = _trim(b)
-    out = []
-    while len(a) >= len(b):
-        k = a[0] / b[0]
-        out.append(k)
+        quotient.append(k)
         a = [x - k * y for x, y in zip(a, [*b, *[0] * (len(a) - len(b))])][1:]
-    return out
+    return quotient, _trim(a)
 
 
 def _derivative(poly) -> list:
@@ -92,7 +82,7 @@ def poly_gcd(a, b) -> tuple:
     """The greatest common divisor of a and b, `primitive`; () when both are zero."""
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _rem(a, b)
+        a, b = b, _divmod(a, b)[1]
     return primitive(a)
 
 
@@ -101,7 +91,7 @@ def squarefree(poly) -> tuple:
     poly = _trim(poly)
     if len(poly) <= 1:
         return primitive(poly)
-    return primitive(_quotient(poly, poly_gcd(poly, _derivative(poly))))
+    return primitive(_divmod(poly, poly_gcd(poly, _derivative(poly)))[0])
 
 
 def sturm(poly) -> tuple:
@@ -109,7 +99,7 @@ def sturm(poly) -> tuple:
     remainder, each element a positive multiple kept in integers."""
     seq = [integral(poly), integral(_derivative(_trim(poly)))]
     while seq[-1]:
-        seq.append(integral([-c for c in _rem(seq[-2], seq[-1])]))
+        seq.append(integral([-c for c in _divmod(seq[-2], seq[-1])[1]]))
     return tuple(seq[:-1])
 
 

@@ -14,16 +14,20 @@ two-phase simplex (Bland's rule).  The remaining programs carry genuine
 R*var products: `feasible_at` fixes R and runs phase 1 alone (its verdict is
 whether the artificial sum reaches zero), and `bisect_min_r` brackets min R
 on [R_LO, R_HI] with it.  A bracket (lo, hi] is certified by the exact verdict
-at each end and by `_check_monotone`'s proof that feasibility grows with R.
+at each end and by `_check_monotone`'s proof that feasibility grows with R,
+which runs once per program.
 
-The final basis of each solve is kept as a `Piece`: its basic values, or its
-phase-1 dual, as ratios of integer polynomials in R.  Its sign conditions
-certify the same verdict at every R where they hold, so the bisection solves
-only the points that no earlier piece certifies (28 of the 165 points of the
-five bisected programs at the default tolerance), and every verdict is still
-the exact one.  `exact_threshold` reads min R off the infeasible piece below
-a bracket and the feasible piece above it: a root of a polynomial of each,
-isolated by a Sturm sequence (`algebra`) and proven to be min R.
+The final basis of each solve is kept in its program's `pieces` as a
+`Piece`: its basic values, or its phase-1 dual, as ratios of integer
+polynomials in R, read from the same phase-1 system (`_tableau`) that the
+solve started from.  Its sign conditions certify the same verdict at every R
+where they hold, so the bisection solves only the points that no piece of
+the program certifies (28 of the 165 points of the five bisected programs at
+the default tolerance), and every verdict is still the exact one.
+`exact_threshold` reads min R off the program's infeasible piece below a
+bracket and its feasible piece above it, which after `bisect_min_r` are the
+ones that decided the bracket: a root of a polynomial of each, isolated by a
+Sturm sequence (`algebra`) and proven to be min R.
 
 The simplex is exact without Fractions: it starts from those integer rows,
 and every tableau row and the cost row holds some positive multiple of the
@@ -147,6 +151,7 @@ class Program:
         self.program_id = program_id
         self.variables = variables  # every variable is nonnegative; minimize 'ratio'
         self.rows = rows
+        self.pieces = []  # the `Piece` of every `feasible_at` solve, oldest first
 
     @property
     def linear_in_r(self) -> bool:
@@ -185,6 +190,12 @@ class Program:
             ints = [x.numerator * (s // x.denominator) for x in values]
             rows.append((s, ints[0::2], ints[1::2], row.relation))
         return columns, tuple(rows)
+
+    @cached_property
+    def unproven_row(self) -> Optional[str]:
+        """The label of the first row `_check_monotone` cannot prove monotone
+        in R, or None; the proof runs once."""
+        return _unproven_row(self)
 
 
 # -- exact two-phase simplex ------------------------------------------------
@@ -258,33 +269,26 @@ def _price_out(cost, tab, basis):
             cost[:] = _eliminate(cost, row, b, range(len(row)))
 
 
-def _phase1(n, rows):
-    """Phase 1 of the exact simplex over integer rows (coeff list, rhs, rel,
-    factor), x >= 0, each row `factor` > 0 times its rational row.
+def _tableau(n, rows, negated):
+    """The phase-1 system of integer rows (coeff list, rhs, rel, factor) over
+    n columns, x >= 0, each row `factor` > 0 times its rational row, with row
+    i negated (entries, rhs and relation) where negated[i].
 
-    Minimizes the sum of the artificial columns, whose entries, like the
-    slacks', are the row's factor.  Returns the final tableau, its basis, the
-    number of columns before the artificials (structural then slack) and the
-    cost row, all integer rows; the cost row's last entry is a positive
-    multiple of minus that minimum: the rows are feasible exactly when it is 0.
-    """
-    # normalize rhs >= 0
-    norm = []
-    for coeffs, rhs, rel, factor in rows:
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "==": "=="}[rel]
-        norm.append((coeffs, rhs, rel, factor))
-
-    slack_cols = sum(1 for _, _, rel, _ in norm if rel in ("<=", ">="))
-    art_cols = sum(1 for _, _, rel, _ in norm if rel in (">=", "=="))
+    Returns the rows [structural, slack, artificial, rhs], not reduced, their
+    basis (each row's slack if <=, else its artificial), the number of real
+    (structural then slack) columns and the number of artificial ones.  The
+    slack and artificial entries are the row's factor, minus it for a >=
+    row's slack."""
+    flip = {"<=": ">=", ">=": "<=", "==": "=="}
+    rels = [flip[rel] if neg else rel for (_, _, rel, _), neg in zip(rows, negated)]
+    slack_cols = sum(1 for rel in rels if rel != "==")
+    art_cols = sum(1 for rel in rels if rel != "<=")
     real = n + slack_cols
-    tab = []
-    basis = []
-    s_at = n
-    a_at = real
-    for coeffs, rhs, rel, factor in norm:
+    tab, basis = [], []
+    s_at, a_at = n, real
+    for (coeffs, rhs, _, factor), rel, neg in zip(rows, rels, negated):
+        if neg:
+            coeffs, rhs = [-c for c in coeffs], -rhs
         row = [*coeffs, *[0] * (slack_cols + art_cols), rhs]
         if rel == "<=":
             row[s_at] = factor
@@ -297,8 +301,22 @@ def _phase1(n, rows):
             row[a_at] = factor
             basis.append(a_at)
             a_at += 1
-        tab.append(_reduced(row))
+        tab.append(row)
+    return tab, basis, real, art_cols
 
+
+def _phase1(n, rows):
+    """Phase 1 of the exact simplex over `_tableau`'s system, each row with
+    a negative rhs negated and then reduced.
+
+    Minimizes the sum of the artificial columns.  Returns the final tableau,
+    its basis, the number of columns before the artificials (structural then
+    slack) and the cost row, all integer rows; the cost row's last entry is a
+    positive multiple of minus that minimum: the rows are feasible exactly
+    when it is 0.
+    """
+    tab, basis, real, art_cols = _tableau(n, rows, [rhs < 0 for _, rhs, _, _ in rows])
+    tab = [_reduced(row) for row in tab]
     cost = [0] * real + [1] * art_cols + [0]
     _price_out(cost, tab, basis)
     if _bland(tab, basis, cost, range(real + art_cols)) != "optimal":
@@ -369,22 +387,30 @@ def solve_min_r_exact(program: Program) -> Fraction:
     return next((F(row[-1], row[n - 1]) for row, b in zip(tab, basis) if b == n - 1), F(0))
 
 
-def feasible_at(program: Program, r0: Fraction, pieces: Optional[list] = None) -> bool:
-    """Exact feasibility of the row system with R fixed to r0.  When pieces
-    is a list, the solve's final basis is appended to it as a `Piece`."""
+def feasible_at(program: Program, r0: Fraction) -> bool:
+    """Exact feasibility of the row system with R fixed to r0.  The solve's
+    final basis is appended to `program.pieces` as a `Piece`."""
     r0 = F(r0)
     n, rows = _integer_rows(program, r0)
     _, basis, _, cost = _phase1(n, rows)
     feasible = cost[-1] == 0
-    if pieces is not None:
-        negated = tuple(rhs < 0 for _, rhs, _, _ in rows)
-        pieces.append(Piece(program, r0, negated, tuple(basis), feasible))
+    negated = tuple(rhs < 0 for _, rhs, _, _ in rows)
+    program.pieces.append(Piece(program, r0, negated, tuple(basis), feasible))
     return feasible
 
 
 def _check_monotone(program: Program) -> None:
     """Prove that a point meeting the rows at some R0 > 0 meets them at every
     R >= R0, or raise NonMonotoneDetected naming the first row that fails.
+    The proof runs once per program (`Program.unproven_row`)."""
+    label = program.unproven_row
+    if label is not None:
+        raise NonMonotoneDetected(
+            f"{program.program_id}: could not prove row {label} monotone in R")
+
+
+def _unproven_row(program: Program) -> Optional[str]:
+    """`_check_monotone`'s proof: the label of the first row it fails on, or None.
 
     A row carries R when its b is nonzero.  It must read
     sign*(f(x) + R*g(x)) >= 0, sign = +1 for >= and -1 for <=, f = a.(x, 1),
@@ -405,15 +431,15 @@ def _check_monotone(program: Program) -> None:
                 try:
                     start = _feasible_basis(program, len(columns), fixed)
                 except Infeasible:
-                    return
+                    return None
             try:
                 *_, cost = _phase2(program, start, [-sign * x for x in a[:-1]] + [sign * a[-1]])
             except Unbounded:
                 cost = [1]
             if cost[-1] <= 0:
                 continue
-        raise NonMonotoneDetected(
-            f"{program.program_id}: could not prove row {row.label} monotone in R")
+        return row.label
+    return None
 
 
 # bisect_min_r searches min R inside [R_LO, R_HI]
@@ -421,13 +447,20 @@ R_LO = F(1)
 R_HI = F(3)
 
 
-def _certifying(program: Program, r0: Fraction, pieces: list) -> "Piece":
-    """The newest piece that certifies r0, else the piece of a new solve at r0."""
-    for piece in reversed(pieces):
+def _certifying(program: Program, r0: Fraction) -> "Piece":
+    """The program's newest piece that certifies r0, else the piece of a new
+    solve at r0."""
+    for piece in reversed(program.pieces):
         if piece.certifies(r0):
             return piece
-    feasible_at(program, r0, pieces)
-    return pieces[-1]
+    feasible_at(program, r0)
+    return program.pieces[-1]
+
+
+def _halved(program: Program, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """The half of (lo, hi] that holds min R, decided at its midpoint."""
+    mid = (lo + hi) / 2
+    return (lo, mid) if _certifying(program, mid).feasible else (mid, hi)
 
 
 def bisect_min_r(program: Program, tol: Fraction = F(1, 10**9)) -> tuple[Fraction, Fraction]:
@@ -435,57 +468,23 @@ def bisect_min_r(program: Program, tol: Fraction = F(1, 10**9)) -> tuple[Fractio
     hi (or (R_LO, R_LO)); as `_check_monotone` proves that feasibility grows
     with R, min R lies in (lo, hi].  tol must be positive (ValueError).
 
-    Each point is decided by the pieces of the solves so far when one of
-    them certifies it, and by a `feasible_at` solve, whose piece is kept,
-    when none does; either way the verdict is the exact one."""
+    Each point is decided by the program's pieces when one of them
+    certifies it, and by a `feasible_at` solve, which adds its piece, when
+    none does; either way the verdict is the exact one."""
     lo, hi, tol = R_LO, R_HI, F(tol)
     if tol <= 0:
         raise ValueError(f"bisection tolerance must be positive, got {tol}")
-    pieces = []
-    if not feasible_at(program, hi, pieces):
+    if not _certifying(program, hi).feasible:
         raise NoUpperBound(f"{program.program_id} infeasible at R = {hi}")
     _check_monotone(program)
-    if _certifying(program, lo, pieces).feasible:
+    if _certifying(program, lo).feasible:
         return lo, lo
     while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _certifying(program, mid, pieces).feasible:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = _halved(program, lo, hi)
     return lo, hi
 
 
 # -- pieces: one phase-1 basis as a function of R ----------------------------
-
-
-def _phase1_columns(program: Program, negated: tuple):
-    """The columns of the system `_phase1` builds, with R left free, for the
-    row orientation `negated`: structural, slack and artificial columns and
-    then the right-hand side, each a list over the rows of (c, d) pairs
-    meaning c + d*R, in `_phase1`'s order; and each column's phase-1 cost.
-
-    Row i is `_integer_rows`'s row at R = p/q divided by q: entries a + b*R,
-    right-hand side -(a + b*R) of the constant, slack and artificial entries
-    its factor s; negated rows have their entries and relation flipped."""
-    columns, lowered = program.lowered
-    m, n = len(lowered), len(columns)
-    flip = {"<=": ">=", ">=": "<=", "==": "=="}
-    rels = [flip[rel] if neg else rel for (*_, rel), neg in zip(lowered, negated)]
-    slack_rows = [i for i, rel in enumerate(rels) if rel != "=="]
-    art_rows = [i for i, rel in enumerate(rels) if rel != "<="]
-    cols = [[(0, 0)] * m for _ in range(n + len(slack_rows) + len(art_rows) + 1)]
-    for i, ((s, a, b, _), neg) in enumerate(zip(lowered, negated)):
-        g = -1 if neg else 1
-        for j in range(n):
-            cols[j][i] = (g * a[j], g * b[j])
-        cols[-1][i] = (-g * a[-1], -g * b[-1])
-    for k, i in enumerate(slack_rows):
-        cols[n + k][i] = (lowered[i][0] if rels[i] == "<=" else -lowered[i][0], 0)
-    for k, i in enumerate(art_rows):
-        cols[n + len(slack_rows) + k][i] = (lowered[i][0], 0)
-    costs = [0] * (n + len(slack_rows)) + [1] * len(art_rows)
-    return cols, costs
 
 
 def _cramer(rows, m: int):
@@ -547,7 +546,11 @@ class Piece:
     """The final basis of one `_phase1` solve at R = r0, with that solve's row
     orientation, read as a function of R.
 
-    B(R), the basic columns of `_phase1_columns`, has entries affine in R; let
+    The build samples the system that solve started from, `_tableau` with
+    the solve's `negated` bits, at integer points R = v, where its rows are
+    a + b*v with the factor s on the slacks and artificials (`_integer_rows`
+    with q = 1): one builder, so the piece reads the system the simplex
+    solved.  B(R), its basic columns, has entries affine in R; let
     D = det B.  A feasible piece holds D and, by Cramer's rule, each basic
     value N_i/D.  Where D != 0, every N_i*D >= 0 and every basic artificial's
     N_i = 0, the basic solution is a point with all artificials zero, so it
@@ -582,18 +585,19 @@ class Piece:
         self.bound = ()  # infeasible: y.rhs times D, required to have D's sign
 
     def _build(self) -> None:
-        cols, costs = _phase1_columns(self.program, self.negated)
-        m, basis = len(cols[0]), self.basis
+        m, basis = len(self.basis), self.basis
         degree = sum(1 for _, _, b, _ in self.program.lowered[1] if any(b))
         points, samples, v = [], [], 0
         while len(points) <= degree:
-            at = [[c + d * v for c, d in col] for col in cols]
+            # the solve's system at R = v
+            tab, _, real, art_cols = _tableau(*_integer_rows(self.program, F(v)), self.negated)
             if self.feasible:  # B x = rhs
-                det, solved = _cramer([[at[j][i] for j in basis] + [at[-1][i]]
-                                       for i in range(m)], m)
+                det, solved = _cramer([[row[j] for j in basis] + [row[-1]] for row in tab], m)
                 if det:
                     samples.append([det, *(row[0] for row in solved)])
             else:  # B^T y = c_B, then D c_j - D y.M_j and D y.rhs
+                at = list(zip(*tab))  # its columns, rhs last
+                costs = [0] * real + [1] * art_cols
                 det, solved = _cramer([[*at[j], costs[j]] for j in basis], m)
                 if det:
                     dy = [row[0] for row in solved]
@@ -616,7 +620,6 @@ class Piece:
             polys.append(_content_free(tuple(coeffs)))
         self.det = polys[0]
         if self.feasible:
-            real = len(costs) - sum(costs)
             self.vanishing = tuple({p for j, p in zip(basis, polys[1:]) if j >= real and p})
             self.nonnegative = tuple({p for j, p in zip(basis, polys[1:]) if j < real and p})
         else:
@@ -691,29 +694,24 @@ def exact_threshold(program: Program, lo: Fraction, hi: Fraction) -> Threshold:
     """The exact min R of a program whose rows fail at lo and hold at hi, as
     from `bisect_min_r`; ValueError when they do not.
 
-    The pieces of solves at lo and hi, an infeasible one below and a
-    feasible one above, meet at min R = r when r is a root of a polynomial
-    of each: some condition of each fails at r.  The candidate is the
-    square-free gcd of such a pair; `_prove` shows that it is min R.  While
-    the pieces do not meet, the bracket is halved, each half decided by the
-    pieces so far or by a solve, as in `bisect_min_r`."""
+    The program's pieces that certify lo and hi, an infeasible one below
+    and a feasible one above, meet at min R = r when r is a root of a
+    polynomial of each: some condition of each fails at r.  The candidate is
+    the square-free gcd of such a pair; `_prove` shows that it is min R.
+    While the pieces do not meet, the bracket is halved as in
+    `bisect_min_r`.  After `bisect_min_r`, the pieces that decided lo and
+    hi are already the program's, so neither end is solved again."""
     lo, hi = F(lo), F(hi)
     _check_monotone(program)
-    pieces = []
-    if feasible_at(program, lo, pieces) or not feasible_at(program, hi, pieces):
-        raise ValueError(f"{program.program_id}: R = {lo} must fail and R = {hi} hold")
-    below, above = pieces
     for _ in range(_HALVINGS):
+        below, above = _certifying(program, lo), _certifying(program, hi)
+        if below.feasible or not above.feasible:
+            raise ValueError(f"{program.program_id}: R = {lo} must fail and R = {hi} hold")
         for p in _candidates(below, above, lo, hi):
             interval = _prove(below, above, p, lo, hi)
             if interval:
                 return Threshold(p, interval, check_threshold(p, interval))
-        mid = (lo + hi) / 2
-        piece = _certifying(program, mid, pieces)
-        if piece.feasible:
-            hi, above = mid, piece
-        else:
-            lo, below = mid, piece
+        lo, hi = _halved(program, lo, hi)
     return Threshold((), (lo, hi), False)
 
 

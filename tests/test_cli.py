@@ -74,6 +74,27 @@ class TestBounds:
         assert Fraction(15, 10**11) < Fraction(sp["reference_offset"]) < Fraction(17, 10**11)
         assert Fraction(rows["clcbp2-case1"]["threshold"]["reference_offset"]) < 0
 
+    @pytest.mark.parametrize("json_mode", [False, True], ids=["plain", "json"])
+    def test_json_reuses_the_bisections_solves_and_proofs(self, capsys, monkeypatch, json_mode):
+        # exact_threshold reads the pieces that bisect_min_r left on each
+        # program and its cached monotonicity proof: --json adds no LP solve
+        # to plain bounds' 28 and no second proof to the five bisected programs
+        counts = {"feasible_at": 0, "_unproven_row": 0}
+
+        def counted(name):
+            inner = getattr(cli.mathprog, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(cli.mathprog, name, wrapper)
+
+        counted("feasible_at")
+        counted("_unproven_row")
+        code, _, _ = run_cli(capsys, "bounds", *(["--json"] if json_mode else []))
+        assert code == 0
+        assert counts == {"feasible_at": 28, "_unproven_row": 5}
+
     @pytest.mark.parametrize("tol,reason", [
         ("abc", "not a rational number"),
         ("1/0", "not a rational number"),

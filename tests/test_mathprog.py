@@ -650,9 +650,9 @@ class TestBisection:
         visited = []
         inner = mathprog.feasible_at
 
-        def recording(program, r0, pieces=None):
+        def recording(program, r0):
             visited.append(r0)
-            return inner(program, r0, pieces)
+            return inner(program, r0)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mathprog, "feasible_at", recording)

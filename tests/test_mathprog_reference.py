@@ -287,9 +287,9 @@ def bisection_samples(program, bisect=reference_bisect_min_r, module=REFERENCE, 
     visited = []
     inner = mathprog.feasible_at
 
-    def recording(program, r0, *pieces):
+    def recording(program, r0):
         visited.append(r0)
-        return inner(program, r0, *pieces)
+        return inner(program, r0)
 
     with mock.patch.object(module, "feasible_at", recording):
         bisect(program, tol)
@@ -423,15 +423,16 @@ class TestBisectionByPieces:
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC))
     def test_same_outcome_on_the_synthetic_programs(self, name):
-        want = bisection_outcome(reference_bisect_min_r, SYNTHETIC[name])
-        assert bisection_outcome(bisect_min_r, SYNTHETIC[name]) == want
+        # bisect_min_r first, while the program holds no piece of the reference's solves
+        got = bisection_outcome(bisect_min_r, SYNTHETIC[name])
+        assert got == bisection_outcome(reference_bisect_min_r, SYNTHETIC[name])
 
     @settings(max_examples=60, deadline=None)
     @given(programs(linear=False))
     def test_same_outcome_on_random_programs(self, program):
         tol = F(1, 1000)
-        want = bisection_outcome(reference_bisect_min_r, program, tol)
-        assert bisection_outcome(bisect_min_r, program, tol) == want
+        got = bisection_outcome(bisect_min_r, program, tol)
+        assert got == bisection_outcome(reference_bisect_min_r, program, tol)
 
     @pytest.mark.parametrize("pid", BISECTED)
     def test_solves_only_points_that_one_solve_per_point_tests(self, pid):
@@ -447,13 +448,13 @@ def sample_pieces(pid):
     """The pieces of a solve at every point the bisection tests, and the
     program's exact threshold, a rational inside its isolating interval."""
     program = builtin_program(pid)
-    pieces = []
-    for r0 in bisection_samples(program):
-        feasible_at(program, r0, pieces)
+    for r0 in bisection_samples(builtin_program(pid)):
+        feasible_at(program, r0)
     if program.linear_in_r:
-        return pieces, solve_min_r_exact(program)
-    a, b = exact_threshold(program, *bisect_min_r(program, F(1, 10**12))).interval
-    return pieces, (a + b) / 2
+        return program.pieces, solve_min_r_exact(program)
+    solved = builtin_program(pid)
+    a, b = exact_threshold(solved, *bisect_min_r(solved, F(1, 10**12))).interval
+    return program.pieces, (a + b) / 2
 
 
 class TestPiecesAgreeWithTheLP:
@@ -472,9 +473,8 @@ class TestPiecesAgreeWithTheLP:
     @given(programs(linear=False), st.fractions(min_value=1, max_value=3, max_denominator=8),
            st.fractions(min_value=0, max_value=4, max_denominator=16))
     def test_a_random_programs_piece_agrees_with_a_fresh_solve(self, program, r0, r1):
-        pieces = []
-        feasible = feasible_at(program, r0, pieces)
-        (piece,) = pieces
+        feasible = feasible_at(program, r0)
+        (piece,) = program.pieces
         assert piece.certifies(r0) and piece.feasible == feasible
         if piece.certifies(r1):
             assert feasible_at(program, r1) == feasible
