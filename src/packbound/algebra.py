@@ -1,18 +1,19 @@
 """Univariate polynomials with integer coefficients, highest power first:
-exact evaluation at a rational point, gcd and square-free part over the
-rationals, Sturm sequences and the replay of an isolated root.
+exact evaluation at a rational point, gcd and square-free part, Sturm
+sequences and the replay of an isolated root, all in integers.
 
 `value` evaluates the homogenized polynomial, q^deg * P(p/q), by Horner's
-rule in integers; for q > 0 it has the sign of P(p/q).  A Sturm sequence is
-built over `Fraction` and kept as integer polynomials, each a positive
-multiple of its rational one, which changes no sign.  This module imports
-only `fractions` and `math`, and nothing from the package.
+rule; for q > 0 it has the sign of P(p/q).  Division is integer pseudo-
+division (Knuth, TAOCP vol. 2, 4.6.1), whose quotient and remainder are
+positive multiples of the rational ones, which changes no sign.  `Fraction`
+holds only evaluation points and intervals.  This module imports only
+`fractions` and `math`, and nothing from the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 __all__ = ["value", "sign", "integral", "primitive", "poly_gcd", "squarefree", "sturm",
            "sign_at", "count_roots", "check_threshold"]
@@ -43,33 +44,29 @@ def _trim(poly) -> list:
 
 
 def integral(poly) -> tuple:
-    """The positive multiple of poly (rational coefficients) whose integer
-    coefficients have gcd 1; () for zero."""
+    """poly (integers) without leading zeros, divided by the gcd of its
+    coefficients, a positive factor; () for zero."""
     poly = _trim(poly)
-    if not poly:
-        return ()
-    poly = [Fraction(c) for c in poly]
-    scale = lcm(*(c.denominator for c in poly))
-    ints = [c.numerator * (scale // c.denominator) for c in poly]
-    g = gcd(*ints)
-    return tuple(c // g for c in ints)
+    g = gcd(*poly)
+    return tuple(c // g for c in poly) if g > 1 else tuple(poly)
 
 
 def primitive(poly) -> tuple:
-    """poly scaled to integer coefficients with gcd 1 and a positive leading one."""
+    """`integral` with a positive leading coefficient."""
     out = integral(poly)
     return tuple(-c for c in out) if out and out[0] < 0 else out
 
 
 def _divmod(a, b) -> tuple[list, list]:
-    """The quotient and the remainder of a divided by b (b nonzero), over Fraction."""
-    a = [Fraction(c) for c in _trim(a)]
-    b = _trim(b)
+    """The quotient and the remainder of a divided by b (b nonzero), each
+    scaled by |b[0]| at every step: positive multiples of the rational ones."""
+    a, b = _trim(a), _trim(b)
+    lead, s = abs(b[0]), sign(b[0])
     quotient = []
     while len(a) >= len(b):
-        k = a[0] / b[0]
-        quotient.append(k)
-        a = [x - k * y for x, y in zip(a, [*b, *[0] * (len(a) - len(b))])][1:]
+        k = s * a[0]
+        quotient = [lead * c for c in quotient] + [k]
+        a = [lead * x - k * y for x, y in zip(a, [*b, *[0] * (len(a) - len(b))])][1:]
     return quotient, _trim(a)
 
 
@@ -82,7 +79,7 @@ def poly_gcd(a, b) -> tuple:
     """The greatest common divisor of a and b, `primitive`; () when both are zero."""
     a, b = _trim(a), _trim(b)
     while b:
-        a, b = b, _divmod(a, b)[1]
+        a, b = b, integral(_divmod(a, b)[1])
     return primitive(a)
 
 
@@ -117,9 +114,11 @@ def count_roots(seq, a: Fraction, b: Fraction) -> int:
 def check_threshold(polynomial, interval) -> bool:
     """Replay an isolated root without trusting any solver: polynomial
     (integers, highest power first) has opposite signs at the interval's
-    ends (a < b) and, by its Sturm sequence, exactly one root between them."""
+    ends (a < b) and, by its Sturm sequence, exactly one root between them.
+    A coefficient that is not an int (256.0, "256") fails the replay."""
     a, b = (Fraction(x) for x in interval)
     poly = _trim(polynomial)
-    if len(poly) < 2 or not a < b or sign_at(poly, a) * sign_at(poly, b) >= 0:
+    if (not all(isinstance(c, int) for c in poly) or len(poly) < 2 or not a < b
+            or sign_at(poly, a) * sign_at(poly, b) >= 0):
         return False
     return count_roots(sturm(poly), a, b) == 1

@@ -38,6 +38,7 @@ exponents where that can happen); if even that would be astronomically large,
 from __future__ import annotations
 
 import math
+import sys
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Iterable, Union
@@ -67,6 +68,9 @@ _CLUSTER_GAP = 512
 # `decimal` rounds half-even in one correctly rounded division.
 DECIMAL_DIGITS = 12
 _DECIMALS = Context(prec=DECIMAL_DIGITS, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+_P = sys.hash_info.modulus  # an `Exact` hashes to its value modulo _P
+_INVERSE = {10: pow(10, -1, _P), 20: pow(20, -1, _P)}  # the bases' inverses modulo _P
 
 
 class PrecisionError(ArithmeticError):
@@ -453,11 +457,15 @@ class Exact:
         return (self - other).sign()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Exact(other)
-        if not isinstance(other, Exact):
-            return NotImplemented
-        return self._rat == other._rat and self._terms == other._terms
+        """Value equality, 10**-2 == 1/100; different hashes prove it false unordered."""
+        if isinstance(other, Exact):
+            if self._terms == other._terms:
+                return self._rat == other._rat
+            h, g = hash(self), hash(other)
+            if h != g and sys.hash_info.inf not in (h, g):
+                return False
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else c == 0
 
     def __lt__(self, other):
         c = self._cmp(other)
@@ -476,8 +484,16 @@ class Exact:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __hash__(self):
+        """The value modulo P = sys.hash_info.modulus; one constant if P divides a denominator."""
         if self._hash is None:
-            self._hash = hash((self._rat, self._terms))
+            q = self._rat
+            try:
+                h = q.numerator * pow(q.denominator, -1, _P)
+                for b, e, c in self._terms:
+                    h += c.numerator * pow(c.denominator, -1, _P) * pow(_INVERSE[b], e, _P)
+                self._hash = h % _P
+            except ValueError:
+                self._hash = sys.hash_info.inf
         return self._hash
 
     def __bool__(self):

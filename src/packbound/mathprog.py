@@ -50,7 +50,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
-from .algebra import check_threshold, count_roots, poly_gcd, primitive, sign_at, squarefree, sturm
+from .algebra import check_threshold, count_roots, integral, poly_gcd, sign_at, squarefree, sturm
 from .shapes import CLCBP, KO, SP
 
 __all__ = [
@@ -533,15 +533,6 @@ def _interpolator(points: tuple):
                         for k in range(len(points)))
 
 
-def _content_free(poly: tuple) -> tuple:
-    """poly without leading zeros, divided by the gcd of its coefficients (a
-    positive factor, so no sign changes); () for zero."""
-    k = next((i for i, c in enumerate(poly) if c), len(poly))
-    poly = poly[k:]
-    g = gcd(*poly) if poly else 1
-    return tuple(c // g for c in poly) if g > 1 else tuple(poly)
-
-
 class Piece:
     """The final basis of one `_phase1` solve at R = r0, with that solve's row
     orientation, read as a function of R.
@@ -558,7 +549,10 @@ class Piece:
     c_j - y.M_j and the bound y.rhs on the artificial sum, y = c_B B^-1, each
     times D.  Where D != 0, every reduced cost >= 0 and y.rhs > 0, y is a
     feasible point of phase 1's dual, so (weak duality) the artificial sum
-    is at least y.rhs > 0 and no point meets the rows.
+    is at least y.rhs > 0 and no point meets the rows.  Each requirement
+    but D != 0 is one entry of `conditions`: a polynomial P and the signs of
+    P*D it allows, (0,) for a basic artificial's N_i, (1,) for y.rhs times
+    D, and (0, 1) for every other N_i or reduced cost times D.
 
     Degree: B, rhs and each column M_j are rows of the phase-1 system, and
     row i depends on R (affinely) only if the program's row i carries R.
@@ -580,9 +574,7 @@ class Piece:
         self.program, self.r0, self.negated, self.basis = program, r0, negated, basis
         self.feasible = feasible
         self.det = None  # D
-        self.nonnegative = ()  # polynomials P with P*D >= 0 required
-        self.vanishing = ()  # feasible: the basic artificials' N_i, required 0
-        self.bound = ()  # infeasible: y.rhs times D, required to have D's sign
+        self.conditions = ()  # (P, the signs of P*D allowed); y.rhs times D first
 
     def _build(self) -> None:
         m, basis = len(self.basis), self.basis
@@ -617,39 +609,30 @@ class Piece:
                     raise ArithmeticError(f"{self.program.program_id}: a piece's polynomial "
                                           "exceeds its degree bound")
                 coeffs.append(c)
-            polys.append(_content_free(tuple(coeffs)))
+            polys.append(integral(coeffs))
         self.det = polys[0]
         if self.feasible:
-            self.vanishing = tuple({p for j, p in zip(basis, polys[1:]) if j >= real and p})
-            self.nonnegative = tuple({p for j, p in zip(basis, polys[1:]) if j < real and p})
+            basic = list(zip(basis, polys[1:]))
+            self.conditions = (*((p, (0, 1)) for p in {p for j, p in basic if j < real and p}),
+                               *((p, (0,)) for p in {p for j, p in basic if j >= real and p}))
         else:
-            self.bound = polys[1]
-            self.nonnegative = tuple({p for j, p in enumerate(polys[2:])
-                                      if j not in basis and p})
+            self.conditions = ((polys[1], (1,)), *((p, (0, 1)) for p in {
+                p for j, p in enumerate(polys[2:]) if j not in basis and p}))
         if not self.certifies(self.r0):
             raise ArithmeticError(f"{self.program.program_id}: a piece does not certify "
                                   f"its own solve at R = {self.r0}")
 
     def holds(self, sign_of) -> bool:
         """Whether the certificate holds where each polynomial P has the sign
-        sign_of(P)."""
+        sign_of(P): D is nonzero and every condition allows sign(P*D)."""
         d = sign_of(self.det)
-        if not d:
-            return False
-        if self.feasible:
-            if any(sign_of(p) for p in self.vanishing):
-                return False
-        elif sign_of(self.bound) != d:
-            return False
-        return all(sign_of(p) != -d for p in self.nonnegative)
+        return bool(d) and all(sign_of(p) * d in allowed for p, allowed in self.conditions)
 
     def polynomials(self) -> tuple:
-        """Every polynomial of the certificate: y.rhs first, D last."""
+        """The conditions' polynomials, then D: y.rhs times D first."""
         if self.det is None:
             self._build()
-        if self.feasible:
-            return (*self.nonnegative, *self.vanishing, self.det)
-        return (self.bound, *self.nonnegative, self.det)
+        return (*(p for p, _ in self.conditions), self.det)
 
     def certifies(self, r: Fraction) -> bool:
         """Whether this piece proves the verdict `feasible` at R = r."""
@@ -734,7 +717,7 @@ def _candidates(below: Piece, above: Piece, lo: Fraction, hi: Fraction):
                 continue
             seen.add(p)
             if not sign_at(p, hi):
-                yield primitive((hi.denominator, -hi.numerator))
+                yield (hi.denominator, -hi.numerator)
             elif count_roots(sturm(p), lo, hi) == 1:
                 yield p
 

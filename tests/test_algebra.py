@@ -1,13 +1,20 @@
 """Integer polynomials: evaluation, gcd, square-free parts, Sturm counts and
-the replay of an isolated root, against polynomials with known roots."""
+the replay of an isolated root, against polynomials with known roots.
+
+`reference_sturm`, `reference_poly_gcd` and `reference_squarefree` below are
+the division over `Fraction` that the integer pseudo-division replaced,
+verbatim: every remainder a rational polynomial, scaled back to integers by
+`reference_integral`.  The integer versions must return the same tuples.
+"""
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from packbound.algebra import (check_threshold, count_roots, integral, poly_gcd, primitive,
-                               sign_at, squarefree, sturm, value)
+from packbound.algebra import (_derivative, _trim, check_threshold, count_roots, integral,
+                               poly_gcd, primitive, sign_at, squarefree, sturm, value)
 
 
 def product(*factors) -> tuple:
@@ -30,6 +37,95 @@ def linear(root: F) -> tuple:
 ROOTS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
+# -- the division over Fraction, verbatim ----------------------------------------
+
+
+def reference_integral(poly) -> tuple:
+    """The positive multiple of poly (rational coefficients) whose integer
+    coefficients have gcd 1; () for zero."""
+    poly = _trim(poly)
+    if not poly:
+        return ()
+    poly = [F(c) for c in poly]
+    scale = lcm(*(c.denominator for c in poly))
+    ints = [c.numerator * (scale // c.denominator) for c in poly]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
+
+
+def reference_primitive(poly) -> tuple:
+    """poly scaled to integer coefficients with gcd 1 and a positive leading one."""
+    out = reference_integral(poly)
+    return tuple(-c for c in out) if out and out[0] < 0 else out
+
+
+def reference_divmod(a, b) -> tuple[list, list]:
+    """The quotient and the remainder of a divided by b (b nonzero), over Fraction."""
+    a = [F(c) for c in _trim(a)]
+    b = _trim(b)
+    quotient = []
+    while len(a) >= len(b):
+        k = a[0] / b[0]
+        quotient.append(k)
+        a = [x - k * y for x, y in zip(a, [*b, *[0] * (len(a) - len(b))])][1:]
+    return quotient, _trim(a)
+
+
+def reference_poly_gcd(a, b) -> tuple:
+    """The greatest common divisor of a and b, `primitive`; () when both are zero."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, reference_divmod(a, b)[1]
+    return reference_primitive(a)
+
+
+def reference_squarefree(poly) -> tuple:
+    """The product of poly's distinct irreducible factors, `primitive`."""
+    poly = _trim(poly)
+    if len(poly) <= 1:
+        return reference_primitive(poly)
+    return reference_primitive(reference_divmod(poly, reference_poly_gcd(poly, _derivative(poly)))[0])
+
+
+def reference_sturm(poly) -> tuple:
+    """The Sturm sequence of poly (nonzero): poly, poly', then minus each
+    remainder, each element a positive multiple kept in integers."""
+    seq = [reference_integral(poly), reference_integral(_derivative(_trim(poly)))]
+    while seq[-1]:
+        seq.append(reference_integral([-c for c in reference_divmod(seq[-2], seq[-1])[1]]))
+    return tuple(seq[:-1])
+
+
+# factors with small rational roots, repeated roots and complex roots
+FACTORS = st.one_of(ROOTS.map(linear), st.sampled_from([(1, 0, 1), (2, -2, 5), (-3, 1, 1)]))
+
+
+def at_most_sixth(factors) -> list:
+    """The longest prefix of factors whose product has degree <= 6."""
+    out, degree = [], 0
+    for f in factors:
+        degree += len(f) - 1
+        if degree > 6:
+            break
+        out.append(f)
+    return out
+
+
+@st.composite
+def integer_polys(draw, shared=()) -> tuple:
+    """A nonzero integer polynomial of degree <= 6 with a leading coefficient
+    of either sign: random coefficients, sparse ones (whose remainders skip
+    degrees, so a division takes an odd number of steps), or shared times
+    other factors, some of them repeated."""
+    scale = (draw(st.integers(-6, 6).filter(bool)),)
+    if not shared and draw(st.booleans()):
+        coeffs = draw(st.sampled_from([st.integers(-50, 50), st.sampled_from([-1, 0, 0, 1, 2])]))
+        return (draw(st.integers(-50, 50).filter(bool)), *draw(st.lists(coeffs, max_size=6)))
+    factors = [*shared, *draw(st.lists(FACTORS, max_size=3))]
+    factors += draw(st.lists(st.sampled_from(factors), max_size=2)) if factors else []
+    return product(*at_most_sixth(factors), scale)
+
+
 class TestEvaluation:
     def test_homogenized_value(self):
         # 256R^3 + 9264R^2 + 78669R - 167589 at 7/4, times 4^3
@@ -42,9 +138,24 @@ class TestEvaluation:
         assert sign_at((1, 0, -4), F(-3, 2)) == -1
 
     def test_integral_keeps_the_sign_and_primitive_makes_it_positive(self):
-        assert integral((F(-2, 3), F(4, 3))) == (-1, 2)
-        assert primitive((F(-2, 3), F(4, 3))) == (1, -2)
+        assert integral((0, -2, 4)) == (-1, 2)
+        assert primitive((0, -2, 4)) == (1, -2)
         assert integral((0, 0)) == ()
+
+
+class TestAgainstTheFractionDivision:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_polys())
+    @example((1, 0, 0, 1, 0))  # the remainder -3x/4 skips a degree and leads negative
+    def test_same_sturm_sequence_and_squarefree_part(self, poly):
+        assert sturm(poly) == reference_sturm(poly)
+        assert squarefree(poly) == reference_squarefree(poly)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.lists(FACTORS, max_size=2))
+    def test_same_gcd(self, data, shared):
+        u, w = data.draw(integer_polys(shared)), data.draw(integer_polys(shared))
+        assert poly_gcd(u, w) == reference_poly_gcd(u, w)
 
 
 class TestGcd:
@@ -103,6 +214,9 @@ class TestReplay:
         ((5,), (F(0), F(1))),  # no root at all
         # a sign change across three roots: the Sturm count is 3
         (product((1, -1), (1, -2), (1, -3)), (F(1, 2), F(7, 2))),
+        # the sp polynomial read back with a coefficient that is not an int
+        ((256.0, 9264, 78669, -167589), ("175/100", "176/100")),
+        (("256", 9264, 78669, -167589), ("175/100", "176/100")),
     ])
     def test_rejects(self, polynomial, interval):
         assert not check_threshold(polynomial, interval)

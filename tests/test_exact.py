@@ -239,6 +239,24 @@ def compare_pairs(draw):
     return from_parts(q1, t1), from_parts(q1, t2)
 
 
+@st.composite
+def rewritten_pairs(draw):
+    """(a, b) of one value in two forms: some of a's terms moved into the
+    rational part, and 20**-e written as 2**-e * 10**-e; b sometimes nudged
+    by 10**-50."""
+    q, terms = draw(small_rationals), draw(fast_terms)
+    moved, kept = Fraction(0), {}
+    for (base, e), c in terms.items():
+        if draw(st.booleans()):
+            moved += c / Fraction(base) ** e
+        elif base == 20:
+            kept[10, e] = kept.get((10, e), 0) + c / 2**e
+        else:
+            kept[base, e] = kept.get((base, e), 0) + c
+    b = from_parts(q + moved, {k: c for k, c in kept.items() if c})
+    return from_parts(q, terms), b + power(10, 50, draw(st.sampled_from([0, 1, -1])))
+
+
 def assert_order_matches(a, b, s):
     assert (a < b) == (s < 0)
     assert (a <= b) == (s <= 0)
@@ -278,6 +296,27 @@ class TestComparisonFastPaths:
         assert_order_matches(a, b, s)
         if q1 != q2 and shift >= 60:  # tails below 10**-60: the rationals decide
             assert s == (q1 > q2) - (q1 < q2)
+
+    @given(st.one_of(compare_pairs(), rewritten_pairs()))
+    @settings(max_examples=400)
+    def test_equal_exactly_when_neither_is_smaller_and_equal_values_hash_alike(self, pair):
+        a, b = pair
+        assert (a == b) == (not a < b and not a > b)
+        assert (a != b) == (a < b or a > b)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_equal_values_of_different_forms(self):
+        assert power(10, 2) == rat("1/100") and hash(power(10, 2)) == hash(rat("1/100"))
+        assert power(20, 1) == power(10, 2, 5) and len({power(20, 1), power(10, 2, 5)}) == 1
+        assert power(10, 2) == Fraction(1, 100) and power(10, 2) != Fraction(1, 99)
+
+    def test_unequal_values_too_deep_to_order(self):
+        # 20**-10**6 lies within a factor 10 of 10**-1301030: no certificate orders them
+        a, b = power(20, 10**6), power(10, 1301030)
+        with pytest.raises(PrecisionError):
+            a < b
+        assert a != b and not a == b
 
     def test_dominance_needs_both_tails(self):
         # each tail alone is beaten by the rational gap; together they tie it

@@ -29,9 +29,9 @@ from packbound.mathprog import (
     ko_certificate_suite,
     solve_min_r_exact,
 )
-from packbound.algebra import check_threshold
+from packbound.algebra import check_threshold, sign_at
 from packbound.mathprog import (
-    _bland, _check_monotone, _cost_rows, _integer_rows, _phase1, _structural,
+    _bland, _check_monotone, _cost_rows, _integer_rows, _phase1, _structural, _tableau,
 )
 from packbound.shapes import CLCBP, KO, SP, banded
 
@@ -816,6 +816,58 @@ class TestExactThreshold:
     def test_a_bracket_must_fail_below_and_hold_above(self, lo, hi):
         with pytest.raises(ValueError, match="sp: R = .* must fail and R = .* hold"):
             exact_threshold(builtin_program("sp"), lo, hi)
+
+
+def _at(poly, r: F) -> F:
+    return sum(c * r ** (len(poly) - 1 - i) for i, c in enumerate(poly))
+
+
+def _basic_artificial_sum(program, piece, r: F):
+    """The artificial sum of the piece's basic solution at R = r, by Fraction
+    elimination of its solve's system; None where the basis is singular."""
+    tab, _, real, _ = _tableau(*_integer_rows(program, r), piece.negated)
+    rows = [[F(row[j]) for j in piece.basis] + [F(row[-1])] for row in tab]
+    for k in range(len(rows)):
+        p = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        for i, row in enumerate(rows):
+            if i != k and row[k]:
+                f = row[k] / rows[k][k]
+                rows[i] = [x - f * y for x, y in zip(row, rows[k])]
+    return sum(row[-1] / row[k] for k, (row, j) in enumerate(zip(rows, piece.basis)) if j >= real)
+
+
+class TestPieceConditions:
+    @pytest.mark.parametrize("pid", builtin_program_ids())
+    def test_every_condition_allows_its_sign_at_the_solve_point(self, pid):
+        program = builtin_program(pid)
+        bisect_min_r(program, TOL)
+        for piece in program.pieces:
+            d = sign_at(piece.det, piece.r0)
+            assert piece.polynomials() == (*(p for p, _ in piece.conditions), piece.det)
+            assert [a for _, a in piece.conditions].count((1,)) == (not piece.feasible)
+            for p, allowed in piece.conditions:
+                assert sign_at(p, piece.r0) * d in allowed
+
+    @pytest.mark.parametrize("pid", builtin_program_ids())
+    def test_an_infeasible_piece_starts_with_its_dual_bound(self, pid):
+        # y.rhs = c_B B^-1 rhs is the artificial sum of the basic solution, so
+        # the first polynomial over D is a positive multiple of it at every R
+        program = builtin_program(pid)
+        bisect_min_r(program, TOL)
+        for piece in program.pieces:
+            if piece.feasible:
+                continue
+            first = piece.polynomials()[0]
+            assert piece.conditions[0] == (first, (1,))
+            ratios = set()
+            for r in (piece.r0, piece.r0 + 1, piece.r0 + F(5, 2)):
+                total = _basic_artificial_sum(program, piece, r)
+                if total:
+                    ratios.add(_at(first, r) / (_at(piece.det, r) * total))
+            assert len(ratios) == 1 and ratios.pop() > 0
 
 
 class TestCertificates:
