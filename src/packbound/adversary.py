@@ -15,7 +15,8 @@ bins, drawn in order from a `Pool` or in `chunks`, are built and validated
 known, `optimum_checks` holds the packing to it, confirmed by the exact
 search at small M. `per_m` evaluates a per-M form, such as the offline
 cost, on a run. A `Run` records the outcome, its waves keyed by report
-name. Item sizes, stop rules, steering, groupings and layouts stay in the
+name; `Wave.in_band` checks that a wave's sizes lie strictly inside their
+band. Item sizes, stop rules, steering, groupings and layouts stay in the
 variant's module.
 """
 
@@ -214,6 +215,10 @@ class Wave:
     def counts(self, small: str, large: str) -> dict:
         """Its small and large item counts, named `small` and `large`."""
         return {small: len(self.small_ids), large: len(self.items) - len(self.small_ids)}
+
+    def in_band(self, name: str, lo: Exact, hi: Exact) -> Check:
+        """The check `name` that every item's size lies strictly between `lo` and `hi`."""
+        return Check.truth(name, all(lo < it.size < hi for it in self.items))
 
     def run(self, session: AlgorithmSession, make_item: Callable[[int, Exact], Item],
             more: Callable[["Wave"], bool],

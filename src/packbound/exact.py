@@ -184,16 +184,18 @@ def _add_ratios(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _abs_coef_sum(terms: tuple) -> tuple[int, int]:
-    """sum(|coef|) over `terms` as (numerator, denominator) in lowest terms."""
+def _bound(terms: tuple) -> tuple[int, int, int]:
+    """(e_min, n, d) with |sum(c * b**-e)| <= (n/d) * 10**-e_min over `terms`,
+    at least one.  Every base is >= 10, so each term is at most
+    |c| * 10**-e_min; n/d is exactly sum(|c|), in lowest terms."""
     n, d = 0, 1
     for _, _, c in terms:
         n, d = _add_ratios(n, d, abs(c.numerator), c.denominator)
-    return n, d
+    return min(e for _, e, _ in terms), n, d
 
 
 def _sign_of_terms(terms: tuple) -> int:
-    """Exact sign of sum(c * b**-e) over canonical terms."""
+    """Exact sign of sum(c * b**-e) over canonical terms, exponents >= 0."""
     while terms:
         lead_base, lead_exp, _ = terms[0]
         # cluster: same-base terms within _CLUSTER_GAP of the previous one
@@ -219,7 +221,7 @@ def _sign_of_terms(terms: tuple) -> int:
         # v_num/v_den > (tail/lead magnitude ratio), with
         # v_num/v_den = |value| / sum|c| in lowest terms
         t_base, t_exp, _ = tail[0]
-        n, d = _abs_coef_sum(tail)
+        _, n, d = _bound(tail)
         v_num, v_den = abs(value.numerator) * d, value.denominator * n
         g = math.gcd(v_num, v_den)
         v_num, v_den = v_num // g, v_den // g
@@ -236,9 +238,7 @@ def _sign_of_terms(terms: tuple) -> int:
         if lead_exp > _EXPAND_CAP:
             raise PrecisionError("uncertifiable tail under an unexpandable lead term")
         total = value / Fraction(lead_base) ** lead_exp + _expand(tail)
-        if total > 0:
-            return 1
-        return -1 if total < 0 else 0
+        return (total > 0) - (total < 0)
     return 0
 
 
@@ -270,6 +270,24 @@ def _lead_sign(a: "Exact", b: "Exact") -> int:
     if _exceeds(d * abs(coef.numerator), n * coef.denominator, 10, e_min - hi):
         return 1 if coef > 0 else -1
     return 0
+
+
+def _hash_over_p(q: Fraction, terms: tuple) -> int:
+    """The hash of q + sum(c * b**-e) when P divides a denominator.  With P**k
+    the largest power of P dividing one, the value times P**k is s modulo
+    P**(k + 1); the value is s / P**k modulo P, as any form of it hashes,
+    when P**k divides s, else P divides its denominator and the hash is
+    `sys.hash_info.inf`, as for a `Fraction`."""
+    parts = ((10, 0, q), *terms)
+    k = 1
+    while any(c.denominator % _P ** (k + 1) == 0 for _, _, c in parts):
+        k += 1
+    pk, mod = _P**k, _P ** (k + 1)
+    s = 0
+    for b, e, c in parts:
+        x = c * pk  # its denominator is prime to P
+        s += x.numerator * pow(x.denominator, -1, mod) * pow(b, -e, mod)
+    return s % mod // pk if s % pk == 0 else sys.hash_info.inf
 
 
 def _merge_terms(xs: tuple, ys: tuple, sign: int = 1) -> tuple:
@@ -329,22 +347,15 @@ class Exact:
         return not self._terms
 
     def _tail_bound(self) -> tuple[int, int, int]:
-        """(e_min, n, d) with |sum of terms| <= (n/d) * 10**-e_min; needs terms.
-
-        Every base is >= 10, so each term is at most |coef| * 10**-e_min;
-        n/d is exactly sum(|coef|), in lowest terms.
-        """
+        """`_bound` of the terms; needs terms."""
         if self._tail is None:
-            n, d = _abs_coef_sum(self._terms)
-            self._tail = (min(e for _, e, _ in self._terms), n, d)
+            self._tail = _bound(self._terms)
         return self._tail
 
     def _rest_bound(self) -> tuple[int, int, int]:
         """Like `_tail_bound`, for the terms after the lead; needs two terms."""
         if self._rest is None:
-            rest = self._terms[1:]
-            n, d = _abs_coef_sum(rest)
-            self._rest = (min(e for _, e, _ in rest), n, d)
+            self._rest = _bound(self._terms[1:])
         return self._rest
 
     # -- arithmetic ----------------------------------------------------
@@ -403,23 +414,12 @@ class Exact:
     # -- comparison ----------------------------------------------------
 
     def sign(self) -> int:
+        """-1, 0 or 1; the rational part weighs in as a leading term 10**0,
+        which outweighs every term, since exponents are >= 1."""
         q = self._rat
         if not self._terms:
             return (q > 0) - (q < 0)
-        if q != 0:
-            # |q| > (n/d) * 10**-e_min certifies that q decides the sign
-            e_min, n, d = self._tail_bound()
-            r_num, r_den = abs(q.numerator) * d, q.denominator * n
-            g = math.gcd(r_num, r_den)
-            verdict = _exceeds(r_num // g, r_den // g, 10, e_min)
-            if verdict:
-                return 1 if q > 0 else -1
-            if verdict is None and e_min > _EXPAND_CAP:
-                raise PrecisionError("rational-vs-perturbation tie too deep to expand")
-            # no certificate (or the perturbation bound beats q): expand exactly
-            total = q + _expand(self._terms)
-            return (total > 0) - (total < 0)
-        return _sign_of_terms(self._terms)
+        return _sign_of_terms(((10, 0, q), *self._terms) if q else self._terms)
 
     def _cmp(self, other) -> int:
         if isinstance(other, Exact):
@@ -461,8 +461,7 @@ class Exact:
         if isinstance(other, Exact):
             if self._terms == other._terms:
                 return self._rat == other._rat
-            h, g = hash(self), hash(other)
-            if h != g and sys.hash_info.inf not in (h, g):
+            if hash(self) != hash(other):
                 return False
         c = self._cmp(other)
         return NotImplemented if c is NotImplemented else c == 0
@@ -484,7 +483,7 @@ class Exact:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __hash__(self):
-        """The value modulo P = sys.hash_info.modulus; one constant if P divides a denominator."""
+        """The value modulo P = sys.hash_info.modulus; see `_hash_over_p`."""
         if self._hash is None:
             q = self._rat
             try:
@@ -493,7 +492,7 @@ class Exact:
                     h += c.numerator * pow(c.denominator, -1, _P) * pow(_INVERSE[b], e, _P)
                 self._hash = h % _P
             except ValueError:
-                self._hash = sys.hash_info.inf
+                self._hash = _hash_over_p(q, self._terms)
         return self._hash
 
     def __bool__(self):

@@ -46,11 +46,7 @@ def run_full(algorithm_id: str, m: int) -> Run:
     sevenths = wave7.items
     gamma1 = wave7.oracle.separator().gamma
     bins7 = base_session.cost
-    upper = rat(F(143, 1000))
-    checks.append(Check.truth(
-        "wave1-sizes-in-band",
-        all(rat(SEVENTH) < it.size < upper for it in sevenths),
-    ))
+    checks.append(wave7.in_band("wave1-sizes-in-band", rat(SEVENTH), rat(F(143, 1000))))
 
     # wave two: thirds (continues a fork of the wave-one session)
     two_wave_session = base_session.fork()
@@ -62,10 +58,7 @@ def run_full(algorithm_id: str, m: int) -> Run:
     bins3 = two_wave_session.cost - bins7
     checks.append(Check.equal("wave2-new-bins-equal-large-items",
                               bins3, m - len(wave3.small_ids)))
-    checks.append(Check.truth(
-        "wave2-sizes-in-band",
-        all(rat(THIRD) < it.size < rat(F(33344, 100000)) for it in thirds),
-    ))
+    checks.append(wave3.in_band("wave2-sizes-in-band", rat(THIRD), rat(F(33344, 100000))))
 
     c = {**census(two_wave_session.packing.bins, {it.ident for it in sevenths}, KO.bands,
                   KO.wave_one),

@@ -46,7 +46,7 @@ closed-form bounds (87/62, 17/12) are reproduced instead of trusted.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from typing import NamedTuple, Optional
 
@@ -515,24 +515,6 @@ def _cramer(rows, m: int):
     return flips * prev, [[flips * x for x in row[m:]] for row in rows]
 
 
-@lru_cache(maxsize=8)
-def _interpolator(points: tuple):
-    """(L, W) with L > 0: the coefficients, highest power first, of the
-    polynomial of degree < len(points) taking values v at points are
-    W.v / L, exactly."""
-    basis = []
-    for j, xj in enumerate(points):
-        poly, den = [F(1)], F(1)
-        for k, xk in enumerate(points):
-            if k != j:
-                poly = [x - xk * y for x, y in zip([*poly, 0], [0, *poly])]
-                den *= xj - xk
-        basis.append([c / den for c in poly])
-    scale = lcm(*(c.denominator for poly in basis for c in poly))
-    return scale, tuple(tuple(int(poly[k] * scale) for poly in basis)
-                        for k in range(len(points)))
-
-
 class Piece:
     """The final basis of one `_phase1` solve at R = r0, with that solve's row
     orientation, read as a function of R.
@@ -561,7 +543,8 @@ class Piece:
     y.rhs times D, sum_k c_Bk N_k, are determinants of such matrices or
     sums of them with constant weights.  A determinant is linear in each
     row, so each is a polynomial of degree at most t, the number of rows
-    that carry R, and t + 1 points where D != 0 interpolate it exactly.
+    that carry R, and t + 1 points where D != 0 interpolate it exactly:
+    `_cramer` solves their Vandermonde system for every polynomial at once.
 
     The polynomials are built on the first `certifies` call.  A piece
     certifies its own solve point by construction (the final phase-1 basis
@@ -579,37 +562,32 @@ class Piece:
     def _build(self) -> None:
         m, basis = len(self.basis), self.basis
         degree = sum(1 for _, _, b, _ in self.program.lowered[1] if any(b))
-        points, samples, v = [], [], 0
-        while len(points) <= degree:
+        samples, v = [], 0  # (v, the polynomials' values at R = v)
+        while len(samples) <= degree:
             # the solve's system at R = v
             tab, _, real, art_cols = _tableau(*_integer_rows(self.program, F(v)), self.negated)
             if self.feasible:  # B x = rhs
                 det, solved = _cramer([[row[j] for j in basis] + [row[-1]] for row in tab], m)
                 if det:
-                    samples.append([det, *(row[0] for row in solved)])
+                    samples.append((v, [det, *(row[0] for row in solved)]))
             else:  # B^T y = c_B, then D c_j - D y.M_j and D y.rhs
                 at = list(zip(*tab))  # its columns, rhs last
                 costs = [0] * real + [1] * art_cols
                 det, solved = _cramer([[*at[j], costs[j]] for j in basis], m)
                 if det:
                     dy = [row[0] for row in solved]
-                    samples.append([det, sum(u * w for u, w in zip(dy, at[-1])),
-                                    *(c * det - sum(u * w for u, w in zip(dy, col))
-                                      for c, col in zip(costs, at))])
-            if det:
-                points.append(v)
+                    samples.append((v, [det, sum(u * w for u, w in zip(dy, at[-1])),
+                                        *(c * det - sum(u * w for u, w in zip(dy, col))
+                                          for c, col in zip(costs, at))]))
             v += 1
-        scale, weights = _interpolator(tuple(points))
-        polys = []
-        for values in zip(*samples):
-            coeffs = []
-            for w in weights:
-                c, rest = divmod(sum(x * y for x, y in zip(w, values)), scale)
-                if rest:
-                    raise ArithmeticError(f"{self.program.program_id}: a piece's polynomial "
-                                          "exceeds its degree bound")
-                coeffs.append(c)
-            polys.append(integral(coeffs))
+        # the Vandermonde system [v^t ... v 1 | the samples at v]: its solution,
+        # times its determinant, is each polynomial's coefficients
+        det, solved = _cramer([[v**k for k in range(degree, -1, -1)] + s
+                               for v, s in samples], degree + 1)
+        if any(x % det for row in solved for x in row):
+            raise ArithmeticError(f"{self.program.program_id}: a piece's polynomial "
+                                  "exceeds its degree bound")
+        polys = [integral([x // det for x in column]) for column in zip(*solved)]
         self.det = polys[0]
         if self.feasible:
             basic = list(zip(basis, polys[1:]))
@@ -878,19 +856,20 @@ def ko_certificate_suite() -> list[Certificate]:
         ">=", 4,
     )
 
-    def certificate(name, program_id, weights, target):
-        program = builtin_program(program_id)
+    case1, case2 = builtin_program("ko-case1"), builtin_program("ko-case2")
+
+    def certificate(name, program, weights, target):
         return Certificate(name, tuple((mix if label == "mix" else program.row(label), F(w))
                                        for label, w in weights), target)
 
     return [
-        certificate("five-row-mix", "ko-case1",
+        certificate("five-row-mix", case1,
                     [("items-thirds", 2), ("items-sevenths", 1), ("bins7-def", 3),
                      ("bins3-def", 2), ("cost-fourfifths", 1)], mix),
-        certificate("ko-case1-bound", "ko-case1",
+        certificate("ko-case1-bound", case1,
                     [("cost-bigfill", 2), ("cost-halves", 20), ("cost-twothirds", 5), ("mix", 10)],
                     Row.build("case1-final", {"ratio": 62, "s3": -10}, ">=", 87)),
-        certificate("ko-case2-bound", "ko-case2",
+        certificate("ko-case2-bound", case2,
                     [("cost-units", 1), ("cost-halves", 4), ("cost-twothirds", 2), ("mix", 2)],
                     Row.build("case2-final", {"ratio": 12, "s3": -2}, ">=", 17)),
     ]

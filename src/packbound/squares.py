@@ -128,10 +128,7 @@ def run_full(algorithm_id: str, m: int) -> Run:
     quarters = wave4.items
     gamma1 = wave4.oracle.separator().gamma
     bins4 = base_session.cost
-    checks.append(Check.truth(
-        "wave1-sides-in-band",
-        all(rat(QUARTER) < q.size < QUARTER_PITCH for q in quarters),
-    ))
+    checks.append(wave4.in_band("wave1-sides-in-band", rat(QUARTER), QUARTER_PITCH))
 
     quarter_ids = {q.ident for q in quarters}
 
@@ -172,10 +169,7 @@ def run_full(algorithm_id: str, m: int) -> Run:
     thirds = wave3.items
     gamma2 = wave3.oracle.separator().gamma
     bins3 = session_t.cost - bins4
-    checks.append(Check.truth(
-        "wave2-sides-in-band",
-        all(rat(THIRD) < t.size < THIRD_PITCH for t in thirds),
-    ))
+    checks.append(wave3.in_band("wave2-sides-in-band", rat(THIRD), THIRD_PITCH))
     checks.append(Check.at_most("wave2-count", len(thirds), most))
 
     c = {**census(session_t.packing.bins, quarter_ids, SP.bands, SP.wave_one),

@@ -147,6 +147,15 @@ class TestWave:
         # the second joins one item, the third two; the fourth no longer fits
         assert wave.small_ids == {2} and session.cost == 2
 
+    def test_in_band_is_strict_at_both_ends(self):
+        wave = Wave(CountingOracle(1))
+        wave.items = [_item(0, "1/4"), _item(1, "1/3")]
+        assert wave.in_band("inside", rat(F(1, 5)), rat(F(1, 2))) == ("inside", True, "")
+        assert wave.in_band("at-lo", rat(F(1, 4)), rat(F(1, 2))) == ("at-lo", False, "")
+        assert wave.in_band("at-hi", rat(F(1, 5)), rat(F(1, 3))) == ("at-hi", False, "")
+        assert wave.in_band("empty-band", rat(1), rat(0)) == ("empty-band", False, "")
+        assert Wave(CountingOracle(1)).in_band("no-items", rat(1), rat(0)).passed
+
 
 class TestWaveOne:
     def test_opens_a_session_with_m_items_and_its_check(self):

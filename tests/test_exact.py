@@ -1,5 +1,7 @@
 """Exact-number core: cross-validated against literal Fraction arithmetic."""
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,13 @@ from packbound.exact import (
     decimal_str,
     fraction_str,
     parse_rational,
+    _CLUSTER_GAP,
+    _EXPAND_CAP,
     _exceeds,
+    _expand,
     _log10_bounds,
     _mag_lt,
+    _sign_of_terms,
     power,
     rat,
 )
@@ -500,3 +506,89 @@ class TestCachedTailIsInvisible:
         assert str(used) == str(fresh) and repr(used) == repr(fresh)
         assert used.to_json() == fresh.to_json()
         assert len({used, fresh}) == 1
+
+
+# -- Exact.sign with its own rational-part certificate, verbatim ---------------
+
+
+def reference_sign(self) -> int:
+    q = self._rat
+    if not self._terms:
+        return (q > 0) - (q < 0)
+    if q != 0:
+        # |q| > (n/d) * 10**-e_min certifies that q decides the sign
+        e_min, n, d = self._tail_bound()
+        r_num, r_den = abs(q.numerator) * d, q.denominator * n
+        g = math.gcd(r_num, r_den)
+        verdict = _exceeds(r_num // g, r_den // g, 10, e_min)
+        if verdict:
+            return 1 if q > 0 else -1
+        if verdict is None and e_min > _EXPAND_CAP:
+            raise PrecisionError("rational-vs-perturbation tie too deep to expand")
+        # no certificate (or the perturbation bound beats q): expand exactly
+        total = q + _expand(self._terms)
+        return (total > 0) - (total < 0)
+    return _sign_of_terms(self._terms)
+
+
+@st.composite
+def rational_and_terms(draw):
+    """A value with a nonzero rational part and terms with exponents up to
+    `_EXPAND_CAP`: leads of either base, terms within `_CLUSTER_GAP` of each
+    other, and rational parts that cancel some of the terms exactly."""
+    anchor = draw(st.integers(min_value=1, max_value=_EXPAND_CAP - _CLUSTER_GAP))
+    exps = st.one_of(st.integers(min_value=1, max_value=60),
+                     st.integers(min_value=anchor, max_value=anchor + _CLUSTER_GAP),
+                     st.integers(min_value=1, max_value=_EXPAND_CAP))
+    terms = draw(st.dictionaries(st.tuples(st.sampled_from([10, 20]), exps), coefs,
+                                 min_size=1, max_size=4))
+    value = Exact.from_terms(0, terms)
+    cancelled = value.terms[:draw(st.integers(min_value=0, max_value=len(value.terms)))]
+    q = -sum((c / Fraction(b) ** e for b, e, c in cancelled), Fraction(0))
+    q += draw(st.one_of(st.just(Fraction(0)), small_rationals,
+                        st.integers(1, 60).map(lambda e: Fraction(1, 10**e))))
+    return value + (q or Fraction(1, 3))
+
+
+class TestSignWeighsTheRationalPartAsATerm:
+    @given(rational_and_terms())
+    @settings(max_examples=150, deadline=None)
+    @example(rat(Fraction(1, 10**5)) + power(10, 5, -1))  # an exact cancellation
+    @example(rat(Fraction(1, 10**5)) + power(10, 5, -1) + power(20, _EXPAND_CAP))
+    @example(rat(Fraction(-1, 20)) + power(20, 1) + power(10, 600, 3))
+    def test_same_sign_as_its_own_certificate(self, value):
+        assert value.rational_part != 0 and value.terms
+        assert value.sign() == reference_sign(value)
+
+
+P = sys.hash_info.modulus
+
+
+class TestHashWhenPDividesADenominator:
+    def test_a_form_dividing_by_p_hashes_as_its_value(self):
+        a = rat(Fraction(1, P)) + power(10, 2, Fraction(-100, P))
+        assert a == rat(0) and hash(a) == hash(rat(0)) == 0
+
+    def test_a_value_dividing_by_p_hashes_inf_in_every_form(self):
+        a, b = rat(Fraction(1, P)), rat(Fraction(1, P) - Fraction(1, 100)) + power(10, 2)
+        assert a == b and hash(a) == hash(b) == sys.hash_info.inf
+        assert hash(a) == hash(Fraction(1, P))
+
+    @given(small_rationals, fast_terms, st.sampled_from([0, 1]), st.integers(1, 3),
+           st.integers(-3, 3).filter(bool), st.data())
+    @settings(max_examples=200)
+    def test_equal_values_hash_alike(self, q, terms, over_p, j, k, data):
+        """b is a with k / P**j moved from one of its parts (the rational
+        part as (10, 0)) to another; over_p puts 1 / P into the value."""
+        q += Fraction(over_p, P)
+        parts = [(10, 0), *terms, (10, 7), (20, 3)]
+        src, dst = data.draw(st.lists(st.sampled_from(parts), min_size=2, max_size=2,
+                                      unique=True))
+        moved, shifted = Fraction(k, P**j), dict(terms)
+        shifted[src] = shifted.get(src, 0) - moved * src[0] ** src[1]
+        shifted[dst] = shifted.get(dst, 0) + moved * dst[0] ** dst[1]
+        a = from_parts(q, terms)
+        rational = q + shifted.pop((10, 0), 0)
+        b = from_parts(rational, {key: c for key, c in shifted.items() if c})
+        assert a == b and hash(a) == hash(b)
+        assert (hash(a) == sys.hash_info.inf) == bool(over_p)

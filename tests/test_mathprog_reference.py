@@ -16,6 +16,11 @@ per point, verbatim.  `bisect_min_r`, which lets the pieces of earlier solves
 decide the points they certify, must give the same brackets and raise the
 same errors; and wherever a piece certifies a point, it must agree with a
 fresh solve there.
+
+`_interpolator` is the Lagrange interpolator that built a piece's
+polynomials from its t + 1 samples, and `reference_build` the `Piece._build`
+that used it, both verbatim.  Solving the samples' Vandermonde system with
+`_cramer` must give every piece the same D and the same conditions.
 """
 
 import sys
@@ -30,6 +35,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from packbound import mathprog
+from packbound.algebra import integral
 from packbound.mathprog import (
     Infeasible,
     NonMonotoneDetected,
@@ -46,7 +52,7 @@ from packbound.mathprog import (
     feasible_at,
     solve_min_r_exact,
 )
-from packbound.mathprog import _check_monotone, _integer_rows
+from packbound.mathprog import Piece, _check_monotone, _cramer, _integer_rows, _tableau
 
 F = Fraction
 
@@ -478,3 +484,96 @@ class TestPiecesAgreeWithTheLP:
         assert piece.certifies(r0) and piece.feasible == feasible
         if piece.certifies(r1):
             assert feasible_at(program, r1) == feasible
+
+
+# -- the Lagrange interpolation of the pieces, verbatim -------------------------
+
+
+@lru_cache(maxsize=8)
+def _interpolator(points: tuple):
+    """(L, W) with L > 0: the coefficients, highest power first, of the
+    polynomial of degree < len(points) taking values v at points are
+    W.v / L, exactly."""
+    basis = []
+    for j, xj in enumerate(points):
+        poly, den = [F(1)], F(1)
+        for k, xk in enumerate(points):
+            if k != j:
+                poly = [x - xk * y for x, y in zip([*poly, 0], [0, *poly])]
+                den *= xj - xk
+        basis.append([c / den for c in poly])
+    scale = lcm(*(c.denominator for poly in basis for c in poly))
+    return scale, tuple(tuple(int(poly[k] * scale) for poly in basis)
+                        for k in range(len(points)))
+
+
+def reference_build(self) -> None:
+    """`Piece._build` as it interpolated with `_interpolator`."""
+    m, basis = len(self.basis), self.basis
+    degree = sum(1 for _, _, b, _ in self.program.lowered[1] if any(b))
+    points, samples, v = [], [], 0
+    while len(points) <= degree:
+        # the solve's system at R = v
+        tab, _, real, art_cols = _tableau(*_integer_rows(self.program, F(v)), self.negated)
+        if self.feasible:  # B x = rhs
+            det, solved = _cramer([[row[j] for j in basis] + [row[-1]] for row in tab], m)
+            if det:
+                samples.append([det, *(row[0] for row in solved)])
+        else:  # B^T y = c_B, then D c_j - D y.M_j and D y.rhs
+            at = list(zip(*tab))  # its columns, rhs last
+            costs = [0] * real + [1] * art_cols
+            det, solved = _cramer([[*at[j], costs[j]] for j in basis], m)
+            if det:
+                dy = [row[0] for row in solved]
+                samples.append([det, sum(u * w for u, w in zip(dy, at[-1])),
+                                *(c * det - sum(u * w for u, w in zip(dy, col))
+                                  for c, col in zip(costs, at))])
+        if det:
+            points.append(v)
+        v += 1
+    scale, weights = _interpolator(tuple(points))
+    polys = []
+    for values in zip(*samples):
+        coeffs = []
+        for w in weights:
+            c, rest = divmod(sum(x * y for x, y in zip(w, values)), scale)
+            if rest:
+                raise ArithmeticError(f"{self.program.program_id}: a piece's polynomial "
+                                      "exceeds its degree bound")
+            coeffs.append(c)
+        polys.append(integral(coeffs))
+    self.det = polys[0]
+    if self.feasible:
+        basic = list(zip(basis, polys[1:]))
+        self.conditions = (*((p, (0, 1)) for p in {p for j, p in basic if j < real and p}),
+                           *((p, (0,)) for p in {p for j, p in basic if j >= real and p}))
+    else:
+        self.conditions = ((polys[1], (1,)), *((p, (0, 1)) for p in {
+            p for j, p in enumerate(polys[2:]) if j not in basis and p}))
+    if not self.certifies(self.r0):
+        raise ArithmeticError(f"{self.program.program_id}: a piece does not certify "
+                              f"its own solve at R = {self.r0}")
+
+
+def assert_interpolations_agree(piece):
+    """The piece's polynomials, solved by `_cramer`, are the Lagrange ones."""
+    piece.polynomials()
+    again = Piece(piece.program, piece.r0, piece.negated, piece.basis, piece.feasible)
+    reference_build(again)
+    assert (piece.det, piece.conditions) == (again.det, again.conditions)
+
+
+class TestVandermondeSolveAgainstLagrange:
+    @pytest.mark.parametrize("pid", builtin_program_ids())
+    def test_every_piece_of_every_builtin_program(self, pid):
+        pieces, _ = sample_pieces(pid)
+        assert pieces
+        for piece in pieces:
+            assert_interpolations_agree(piece)
+
+    @settings(max_examples=150, deadline=None)
+    @given(programs(linear=False), st.fractions(min_value=1, max_value=3, max_denominator=8))
+    def test_a_random_programs_piece(self, program, r0):
+        feasible_at(program, r0)
+        (piece,) = program.pieces
+        assert_interpolations_agree(piece)
