@@ -70,7 +70,6 @@ DECIMAL_DIGITS = 12
 _DECIMALS = Context(prec=DECIMAL_DIGITS, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 _P = sys.hash_info.modulus  # an `Exact` hashes to its value modulo _P
-_INVERSE = {10: pow(10, -1, _P), 20: pow(20, -1, _P)}  # the bases' inverses modulo _P
 
 
 class PrecisionError(ArithmeticError):
@@ -272,21 +271,23 @@ def _lead_sign(a: "Exact", b: "Exact") -> int:
     return 0
 
 
-def _hash_over_p(q: Fraction, terms: tuple) -> int:
-    """The hash of q + sum(c * b**-e) when P divides a denominator.  With P**k
-    the largest power of P dividing one, the value times P**k is s modulo
-    P**(k + 1); the value is s / P**k modulo P, as any form of it hashes,
-    when P**k divides s, else P divides its denominator and the hash is
-    `sys.hash_info.inf`, as for a `Fraction`."""
+def _hash_of(q: Fraction, terms: tuple) -> int:
+    """The value q + sum(c * b**-e) modulo P = sys.hash_info.modulus, which
+    every form of the value hashes to.  With P**k the largest power of P
+    dividing a denominator (k = 0 unless P divides one), the value times P**k
+    is s modulo P**(k + 1); the hash is s / P**k modulo P when P**k divides s,
+    else P divides the value's own denominator and it is `sys.hash_info.inf`."""
     parts = ((10, 0, q), *terms)
-    k = 1
-    while any(c.denominator % _P ** (k + 1) == 0 for _, _, c in parts):
-        k += 1
-    pk, mod = _P**k, _P ** (k + 1)
+    pk = 1
+    for _, _, c in parts:
+        while c.denominator % (pk * _P) == 0:
+            pk *= _P
+    mod = pk * _P
     s = 0
     for b, e, c in parts:
-        x = c * pk  # its denominator is prime to P
-        s += x.numerator * pow(x.denominator, -1, mod) * pow(b, -e, mod)
+        n, d = c.numerator * pk, c.denominator
+        g = math.gcd(n, d)  # d // g is prime to P
+        s += n // g * pow(d // g, -1, mod) * pow(b, -e, mod)
     return s % mod // pk if s % pk == 0 else sys.hash_info.inf
 
 
@@ -483,16 +484,9 @@ class Exact:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __hash__(self):
-        """The value modulo P = sys.hash_info.modulus; see `_hash_over_p`."""
+        """The value modulo P = sys.hash_info.modulus; see `_hash_of`."""
         if self._hash is None:
-            q = self._rat
-            try:
-                h = q.numerator * pow(q.denominator, -1, _P)
-                for b, e, c in self._terms:
-                    h += c.numerator * pow(c.denominator, -1, _P) * pow(_INVERSE[b], e, _P)
-                self._hash = h % _P
-            except ValueError:
-                self._hash = _hash_over_p(q, self._terms)
+            self._hash = _hash_of(self._rat, self._terms)
         return self._hash
 
     def __bool__(self):

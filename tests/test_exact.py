@@ -565,6 +565,12 @@ P = sys.hash_info.modulus
 
 
 class TestHashWhenPDividesADenominator:
+    @given(small_rationals, fast_terms)
+    def test_a_form_without_p_hashes_to_its_literal_value_modulo_p(self, q, terms):
+        value = q + sum(c * Fraction(1, b**e) for (b, e), c in terms.items())
+        expected = value.numerator * pow(value.denominator, -1, P) % P
+        assert hash(from_parts(q, terms)) == expected
+
     def test_a_form_dividing_by_p_hashes_as_its_value(self):
         a = rat(Fraction(1, P)) + power(10, 2, Fraction(-100, P))
         assert a == rat(0) and hash(a) == hash(rat(0)) == 0
