@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # each submodule and the names it exports
 _MODULES = {
     "exact": "Exact PrecisionError decimal_str fraction_str power rat",
-    "model": "Item Packing Placement VariantRules squares_disjoint validate_packing",
+    "model": "Item Packing Placement VariantRules square_box squares_disjoint validate_packing",
     "oracle": "AdaptiveOracle OracleConfig Separator",
     "algorithms": "algorithm_ids fork_replay make_session register_algorithm",
     "optoracle": "OracleInstance min_bins",

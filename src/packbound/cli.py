@@ -28,7 +28,8 @@ from .algorithms import (ONE_D_BASELINES, IllegalPlacement, UnknownAlgorithm, al
 from .exact import PrecisionError, decimal_str, fraction_str, parse_rational
 from .model import rules_from_json, items_from_json, packing_to_json
 from .optoracle import DEFAULT_NODE_BUDGET, OracleInstance, min_bins
-from .reports import CensusGap, Check, CrossCheckFailure, checks_pass, report_to_json
+from .reports import (CensusGap, Check, CrossCheckFailure, SequenceExhausted, checks_pass,
+                      report_to_json)
 
 
 def _lazy(name: str):
@@ -196,7 +197,7 @@ DUELS = {
 }
 
 # what a duel raises when a run goes wrong after a valid configuration
-DUEL_FAILURES = (IllegalPlacement, CrossCheckFailure, CensusGap)
+DUEL_FAILURES = (IllegalPlacement, CrossCheckFailure, CensusGap, SequenceExhausted)
 
 
 def _failure_text(exc: Exception) -> str:

@@ -122,18 +122,21 @@ class Violation(NamedTuple):
         return f"bin {self.bin_index}: {self.rule}: {self.detail}"
 
 
-def squares_disjoint(a: tuple, b: tuple) -> bool:
-    """Whether two placed squares ((x, y, side)) have disjoint interiors.
-
-    Shared boundary points are allowed; comparisons are exact.
-    """
-    ax, ay, asz = a
-    bx, by, bsz = b
-    if asz <= ZERO or bsz <= ZERO:
+def square_box(x: Exact, y: Exact, side: Exact) -> tuple:
+    """The box (x0, y0, x1, y1) of a square: the one place its far edges are summed."""
+    if side <= ZERO:
         raise ValueError("squares must have positive side")
-    separated_x = ax + asz <= bx or bx + bsz <= ax
-    separated_y = ay + asz <= by or by + bsz <= ay
-    return separated_x or separated_y
+    return x, y, x + side, y + side
+
+
+def squares_disjoint(a: tuple, b: tuple) -> bool:
+    """Whether two boxes from `square_box` have disjoint interiors.
+
+    Shared boundary points are allowed; comparisons are exact and nothing is added.
+    """
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    return ax1 <= bx0 or bx1 <= ax0 or ay1 <= by0 or by1 <= ay0
 
 
 class Packing:
@@ -144,7 +147,8 @@ class Packing:
     `fits` is a single comparison ``size <= room`` that builds no new
     `Exact`.  A fresh bin's room is ``ONE``, so the same comparison covers
     it.  Squares bins leave their room at ``ONE``: their rule is the layout,
-    checked square against square.
+    checked square against square.  Each squares bin keeps the boxes of its
+    squares (`square_box`), so a placement sums only its own far edges.
 
     The packing also caches its largest room (`largest_room`), so an item
     that no open bin can take is told so with one comparison
@@ -159,6 +163,7 @@ class Packing:
         self.bins: list[list[tuple[Item, Placement]]] = []
         self._rooms: list[Exact] = []  # 1-D variants: cached 1 - content total
         self._colors: list[set] = []  # cached color sets (empty unless colored)
+        self._boxes: list[list[tuple]] = []  # squares only: each bin's boxes
         self._ids: set[int] = set()
         self._largest: Optional[Exact] = None  # max of _rooms; None: unknown
 
@@ -186,6 +191,7 @@ class Packing:
         clone.bins = [list(b) for b in self.bins]
         clone._rooms = list(self._rooms)
         clone._colors = [set(c) for c in self._colors]
+        clone._boxes = [list(boxes) for boxes in self._boxes]
         clone._ids = set(self._ids)
         clone._largest = self._largest
         return clone
@@ -240,41 +246,44 @@ class Packing:
             raise BadPlacement(
                 f"bin index {b} is neither existing nor the next fresh bin", b
             )
+        fresh = b == len(self.bins)
         if rules.is_geometric:
             if not placement.has_position:
                 raise BadPlacement(f"squares require coordinates (item {item.ident})", b)
             if placement.x < ZERO or placement.y < ZERO:
                 raise OutOfBinBounds(f"item {item.ident}: negative corner", b)
-            if placement.x + item.size > ONE or placement.y + item.size > ONE:
+            box = square_box(placement.x, placement.y, item.size)
+            if box[2] > ONE or box[3] > ONE:
                 raise OutOfBinBounds(f"item {item.ident}: square leaves the unit bin", b)
+            for i, other in enumerate([] if fresh else self._boxes[b]):
+                if not squares_disjoint(box, other):
+                    raise GeometricOverlap(
+                        f"item {item.ident} overlaps item {self.bins[b][i][0].ident}", b
+                    )
         elif placement.has_position:
             raise BadPlacement("coordinates are only meaningful for squares", b)
-
-        fresh = b == len(self.bins)
-        if rules.is_geometric:
-            square = (placement.x, placement.y, item.size)
-            for other, oplace in ([] if fresh else self.bins[b]):
-                if not squares_disjoint(square, (oplace.x, oplace.y, other.size)):
-                    raise GeometricOverlap(
-                        f"item {item.ident} overlaps item {other.ident}", b
-                    )
-        else:
-            if item.size > self._room(b):
-                raise CapacityExceeded(
-                    f"item {item.ident} of size {item.size} exceeds bin capacity", b
-                )
-            if self._breaks_color_cap(b, item):
-                raise ColorLimitExceeded(
-                    f"item {item.ident} would be color {len(self._colors[b]) + 1} of a bin capped at {rules.t}",
-                    b,
-                )
+        elif item.size > self._room(b):
+            raise CapacityExceeded(
+                f"item {item.ident} of size {item.size} exceeds bin capacity", b
+            )
+        elif self._breaks_color_cap(b, item):
+            raise ColorLimitExceeded(
+                f"item {item.ident} would be color {len(self._colors[b]) + 1} of a bin capped at {rules.t}",
+                b,
+            )
 
         if fresh:
             self.bins.append([])
             self._rooms.append(ONE)
             self._colors.append(set())
         self.bins[b].append((item, placement))
-        if not rules.is_geometric:
+        if rules.is_geometric:
+            if fresh:
+                self._largest = ONE  # every squares bin keeps room ONE
+                self._boxes[b:] = [[box]]  # replaces any list a closing `pop` left
+            else:
+                self._boxes[b].append(box)
+        else:
             room = self._rooms[b] - item.size
             if fresh:
                 if self._largest is not None and room > self._largest:
@@ -282,8 +291,6 @@ class Packing:
             elif self._rooms[b] is self._largest:
                 self._largest = None
             self._rooms[b] = room
-        elif fresh:
-            self._largest = ONE  # every squares bin keeps room ONE
         if item.color is not None:
             self._colors[b].add(item.color)
         self._ids.add(item.ident)
@@ -294,9 +301,12 @@ class Packing:
         self._ids.discard(item.ident)
         self._largest = None
         if not self.bins[b] and b == len(self.bins) - 1:
+            # a closed squares bin's boxes stay until `add_item` reopens it
             del self.bins[b], self._rooms[b], self._colors[b]
             return item
-        if not self.rules.is_geometric:
+        if self.rules.is_geometric:
+            self._boxes[b].pop()
+        else:
             self._rooms[b] = self._rooms[b] + item.size
         if item.color is not None and all(other.color != item.color for other, _ in self.bins[b]):
             self._colors[b].discard(item.color)
@@ -317,24 +327,23 @@ def validate_packing(packing: Packing) -> list[Violation]:
                 )
             seen[item.ident] = index
         if rules.is_geometric:
+            placed = []  # (item, box), rebuilt here: the packing's stored boxes are not read
             for item, place in contents:
                 if not place.has_position:
                     violations.append(
                         Violation(index, "missing-position", (item.ident,), "no coordinates")
                     )
                     continue
-                if (place.x < ZERO or place.y < ZERO
-                        or place.x + item.size > ONE or place.y + item.size > ONE):
+                box = square_box(place.x, place.y, item.size)
+                if place.x < ZERO or place.y < ZERO or box[2] > ONE or box[3] > ONE:
                     violations.append(
                         Violation(index, "out-of-bounds", (item.ident,),
                                   f"item {item.ident} leaves the unit square")
                     )
-            placed = [(i, p) for i, p in contents if p.has_position]
-            for a in range(len(placed)):
-                for b in range(a + 1, len(placed)):
-                    ia, pa = placed[a]
-                    ib, pb = placed[b]
-                    if not squares_disjoint((pa.x, pa.y, ia.size), (pb.x, pb.y, ib.size)):
+                placed.append((item, box))
+            for a, (ia, box_a) in enumerate(placed):
+                for ib, box_b in placed[a + 1:]:
+                    if not squares_disjoint(box_a, box_b):
                         violations.append(
                             Violation(index, "overlap", (ia.ident, ib.ident),
                                       f"items {ia.ident} and {ib.ident} overlap")

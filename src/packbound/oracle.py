@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional
 
 from .exact import Exact, check_base, power
+from .reports import SequenceExhausted
 
 __all__ = [
     "OracleConfig",
@@ -29,10 +30,6 @@ __all__ = [
     "ObservationPending",
     "NothingToObserve",
 ]
-
-
-class SequenceExhausted(RuntimeError):
-    """All N values were emitted (or emission was stopped permanently)."""
 
 
 class ObservationPending(RuntimeError):

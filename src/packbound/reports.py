@@ -9,8 +9,8 @@ from typing import NamedTuple, Optional
 from .exact import decimal_str, fraction_str
 from .model import Packing, packing_to_json
 
-__all__ = ["Check", "ScenarioOutcome", "CensusGap", "CrossCheckFailure", "checks_pass",
-           "report_to_json"]
+__all__ = ["Check", "ScenarioOutcome", "CensusGap", "CrossCheckFailure", "SequenceExhausted",
+           "checks_pass", "report_to_json"]
 
 
 class CrossCheckFailure(AssertionError):
@@ -19,6 +19,10 @@ class CrossCheckFailure(AssertionError):
 
 class CensusGap(RuntimeError):
     """A bin shape or side pattern matched no census category (should be unreachable)."""
+
+
+class SequenceExhausted(RuntimeError):
+    """An adversary's oracle has emitted all N values (or emission was stopped permanently)."""
 
 
 class Check(NamedTuple):

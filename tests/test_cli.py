@@ -212,6 +212,16 @@ class TestDuel:
         assert "cross-check failure: short-two-thirds: offline packing" in err
         assert "Traceback" not in err
 
+    def test_an_exhausted_value_sequence_fails_the_duel(self, capsys, monkeypatch):
+        from packbound.oracle import AdaptiveOracle
+
+        # no stop rule fires, so wave two asks its oracle for more values than it holds
+        monkeypatch.setattr(AdaptiveOracle, "stop_check", lambda self, predicate: False)
+        code, out, err = run_cli(capsys, "duel", "--variant", "sp",
+                                 "--algorithm", "shelf-first-fit", "--m", "12")
+        assert code == 2 and out == ""
+        assert err == "cross-check failure: no more values in this sequence\n"
+
 
 class TestVerify:
     def test_only_oracle(self, capsys):
@@ -245,6 +255,16 @@ class TestVerify:
         [check] = payload["suites"][0]["checks"]
         assert check["pass"] is False
         assert check["detail"] == "algorithm failure: shelf-first-fit broke the rules on item 3"
+
+    def test_an_exhausted_value_sequence_fails_its_suite(self, capsys, monkeypatch):
+        from packbound.oracle import AdaptiveOracle
+
+        monkeypatch.setattr(AdaptiveOracle, "stop_check", lambda self, predicate: False)
+        code, out, err = run_cli(capsys, "verify", "--only", "geometry")
+        assert code == 2 and "Traceback" not in err
+        [check] = json.loads(out)["suites"][0]["checks"]
+        assert check == {"name": "geometry-completes", "pass": False,
+                         "detail": "cross-check failure: no more values in this sequence"}
 
     def test_other_suites_run_after_a_failing_one(self, capsys, monkeypatch):
         from packbound import knownopt

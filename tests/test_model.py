@@ -21,6 +21,7 @@ from packbound.model import (
     VariantRules,
     items_from_json,
     rules_from_json,
+    square_box,
     squares_disjoint,
     validate_packing,
 )
@@ -30,7 +31,7 @@ SQ = VariantRules("squares")
 
 
 def half(x="0", y="0"):
-    return (rat(x), rat(y), rat(Fraction(1, 2)))
+    return square_box(rat(x), rat(y), rat(Fraction(1, 2)))
 
 
 class TestAddItem:
@@ -95,25 +96,30 @@ class TestSquares:
     def test_perturbed_corner_squares(self):
         # big square 3/4 - g at origin; a small square to its right fits
         g = power(10, 30)
-        big = (rat(0), rat(0), rat(Fraction(3, 4)) - g)
+        big = square_box(rat(0), rat(0), rat(Fraction(3, 4)) - g)
         delta = power(10, 33)
         side = rat(Fraction(1, 4)) + power(10, 35)
-        small = (rat(Fraction(3, 4)) - g + delta, rat(0), side)
+        small = square_box(rat(Fraction(3, 4)) - g + delta, rat(0), side)
         assert squares_disjoint(big, small)
         # sanity against literal fractions
-        bx, by, bs = (v.as_fraction() for v in big)
-        sx, sy, ss = (v.as_fraction() for v in small)
-        assert bx + bs <= sx and sx + ss <= 1
+        _, _, bx1, _ = (v.as_fraction() for v in big)
+        sx0, _, sx1, _ = (v.as_fraction() for v in small)
+        assert bx1 <= sx0 and sx1 <= 1
 
     def test_overlap_without_delta(self):
         g = power(10, 30)
-        big = (rat(0), rat(0), rat(Fraction(3, 4)) - g)
-        small = (rat(Fraction(3, 4)) - g - power(10, 33), rat(0), rat("1/4"))
+        big = square_box(rat(0), rat(0), rat(Fraction(3, 4)) - g)
+        small = square_box(rat(Fraction(3, 4)) - g - power(10, 33), rat(0), rat("1/4"))
         assert not squares_disjoint(big, small)
 
     def test_zero_side_rejected(self):
-        with pytest.raises(ValueError):
-            squares_disjoint((rat(0), rat(0), rat(0)), half())
+        for side in (rat(0), rat("-1/4"), -power(10, 30)):
+            with pytest.raises(ValueError, match="positive side"):
+                square_box(rat(0), rat(0), side)
+
+    def test_box_holds_the_far_edges(self):
+        g = power(10, 30)
+        assert square_box(rat("1/4"), g, rat("1/2")) == (rat("1/4"), g, rat("3/4"), rat("1/2") + g)
 
     @given(
         st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=64),
@@ -125,12 +131,37 @@ class TestSquares:
     )
     @settings(max_examples=150)
     def test_disjoint_symmetric_and_matches_interval_check(self, ax, ay, asz, bx, by, bsz):
-        a = (rat(ax), rat(ay), rat(asz))
-        b = (rat(bx), rat(by), rat(bsz))
+        a = square_box(rat(ax), rat(ay), rat(asz))
+        b = square_box(rat(bx), rat(by), rat(bsz))
         assert squares_disjoint(a, b) == squares_disjoint(b, a)
         overlap_x = max(ax, bx) < min(ax + asz, bx + bsz)
         overlap_y = max(ay, by) < min(ay + asz, by + bsz)
         assert squares_disjoint(a, b) == (not (overlap_x and overlap_y))
+
+    # a grid value plus a signed power(10, e): small denominators make the
+    # rational parts tie often, so the terms decide
+    perturbed = st.tuples(
+        st.fractions(min_value=0, max_value=Fraction(3, 4), max_denominator=4),
+        st.sampled_from((-1, 0, 1)),
+        st.integers(min_value=2, max_value=40),
+    )
+
+    @given(st.lists(perturbed, min_size=6, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_perturbed_boxes_match_the_interval_rule(self, values):
+        # sides get at least 1/4 of rational part, so a term never flips their sign
+        (ax, ay, asz, bx, by, bsz) = [
+            rat(q + (Fraction(1, 4) if i in (2, 5) else 0)) + tilt * power(10, e)
+            for i, (q, tilt, e) in enumerate(values)]
+        a, b = square_box(ax, ay, asz), square_box(bx, by, bsz)
+        fa, fb = [[v.as_fraction() for v in s] for s in ((ax, ay, asz), (bx, by, bsz))]
+
+        def overlap(i):  # the open intervals along axis i meet
+            return max(fa[i], fb[i]) < min(fa[i] + fa[2], fb[i] + fb[2])
+
+        disjoint = not (overlap(0) and overlap(1))
+        assert squares_disjoint(a, b) == disjoint
+        assert squares_disjoint(b, a) == disjoint
 
     def test_square_placement_needs_coordinates(self):
         p = Packing(SQ)
@@ -149,6 +180,87 @@ class TestSquares:
             p.add_item(Item(1, rat("1/2")), Placement(0, rat("1/4"), rat("1/4")))
         p.add_item(Item(2, rat("1/2")), Placement(0, rat("1/2"), rat(0)))
         assert p.cost == 1 and validate_packing(p) == []
+
+
+class TestStoredBoxes:
+    """A squares packing keeps each bin's boxes in step with its squares."""
+
+    @staticmethod
+    def square(p, ident, side, b, x, y):
+        p.add_item(Item(ident, rat(side)), Placement(b, rat(x), rat(y)))
+
+    def test_pop_then_a_different_square_still_refuses_overlaps(self):
+        p = Packing(SQ)
+        self.square(p, 0, "1/2", 0, "0", "0")
+        self.square(p, 1, "1/2", 0, "1/2", "0")
+        assert p.pop(0).ident == 1
+        self.square(p, 2, "1/4", 0, "1/2", "1/2")
+        with pytest.raises(GeometricOverlap, match="overlaps item 0$"):
+            self.square(p, 3, "1/2", 0, "1/4", "1/4")
+        with pytest.raises(GeometricOverlap, match="overlaps item 2$"):
+            self.square(p, 3, "1/4", 0, "5/8", "5/8")
+        self.square(p, 4, "1/2", 0, "1/2", "0")  # where the popped square stood
+        assert validate_packing(p) == []
+
+    def test_a_reopened_bin_forgets_the_square_that_closed_it(self):
+        p = Packing(SQ)
+        self.square(p, 0, "1", 0, "0", "0")
+        self.square(p, 1, "1/2", 1, "0", "0")
+        p.pop(1)  # bin 1 closes
+        self.square(p, 2, "1/4", 1, "3/4", "3/4")
+        self.square(p, 3, "1/2", 1, "0", "0")
+        with pytest.raises(GeometricOverlap, match="overlaps item 2$"):
+            self.square(p, 4, "1/2", 1, "1/2", "1/2")
+        assert p.cost == 2 and validate_packing(p) == []
+
+    def test_copies_and_forks_share_no_boxes(self):
+        from packbound.algorithms import make_session
+
+        p = Packing(SQ)
+        self.square(p, 0, "1/2", 0, "0", "0")
+        q = p.copy()
+        self.square(q, 1, "1/2", 0, "1/2", "0")
+        self.square(p, 2, "1/2", 0, "1/2", "0")  # q's square is not p's
+        with pytest.raises(GeometricOverlap):
+            self.square(q, 2, "1/2", 0, "1/2", "1/4")
+        session = make_session("shelf-first-fit", SQ)
+        session.place(Item(0, rat("1/2")))
+        branch = session.fork()
+        branch.packing.add_item(Item(1, rat("1/2")), Placement(0, rat("1/2"), rat("1/2")))
+        session.packing.add_item(Item(2, rat("1/4")), Placement(0, rat("1/2"), rat("1/2")))
+        assert [i.ident for i in branch.packing.bin_items(0)] == [0, 1]
+        assert [i.ident for i in session.packing.bin_items(0)] == [0, 2]
+
+    def test_validate_rebuilds_boxes_from_the_bins(self):
+        p = Packing(SQ)
+        self.square(p, 0, "1/2", 0, "0", "0")
+        # bypass add_item: the stored boxes never see item 1
+        p.bins[0].append((Item(1, rat("1/2")), Placement(0, rat("1/4"), rat("1/4"))))
+        [found] = validate_packing(p)
+        assert (found.rule, found.items) == ("overlap", (0, 1))
+
+    @pytest.mark.parametrize("per_row", [2, 4])
+    def test_each_square_is_summed_at_most_twice_per_pass(self, monkeypatch, per_row):
+        n, pitch = per_row * per_row, Fraction(1, per_row)
+        side = rat(pitch) - power(10, 20)
+        p = Packing(SQ)
+        add = Exact.__add__
+        counts = []
+
+        def counting(self, other, sign=1):
+            counts[-1] += 1
+            return add(self, other, sign)
+
+        monkeypatch.setattr(Exact, "__add__", counting)
+        counts.append(0)
+        for ident in range(n):
+            row, col = divmod(ident, per_row)
+            p.add_item(Item(ident, side), Placement(0, rat(col * pitch), rat(row * pitch)))
+        counts.append(0)
+        assert validate_packing(p) == []
+        # add_item, then validate_packing: two far edges per square, where a
+        # sum per pair of squares would make n * (n - 1) / 2 or more
+        assert all(0 < c <= 2 * n for c in counts), counts
 
 
 class TestFitsAndPop:
