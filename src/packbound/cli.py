@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 cross-check failure, 3 invalid configuration,
 4 solver failure.  Reports are deterministic byte for byte for a given
 (variant, algorithm, M): the adversary is adaptive-deterministic against
-deterministic opponents, so there is no seed anywhere.
+deterministic opponents, so there is no seed anywhere.  `duel` and the
+`verify` duel suites start a duel alike, by its `DUELS` play.
 
 Each command runs only the modules it needs: `oracle` the eager core
 (`exact`, `model`, `algorithms`, `optoracle`, `reports`), `bounds` also
@@ -185,15 +186,15 @@ def _clcbp_extras(run) -> dict:
     }
 
 
-# variant -> (play the duel for the parsed arguments, the variant's own
-# report keys, whether the report carries the offline packings).  The lambdas
-# look run_full up on its module at call time.
+# variant -> (play the duel of (algorithm, m, t), the variant's own report
+# keys, whether the report carries the offline packings).  The lambdas look
+# run_full up on its module at call time.
 DUELS = {
-    "ko": (lambda args: knownopt.run_full(args.algorithm, args.m), _census_extras({}), False),
-    "sp": (lambda args: squares.run_full(args.algorithm, args.m),
+    "ko": (lambda algorithm, m, t: knownopt.run_full(algorithm, m), _census_extras({}), False),
+    "sp": (lambda algorithm, m, t: squares.run_full(algorithm, m),
            _census_extras({"sm3": "smallThirds", "lg3": "largeThirds"}), True),
-    "clcbp": (lambda args: clcbp.run_full(args.algorithm, 2 if args.t is None else args.t,
-                                          args.m), _clcbp_extras, False),
+    "clcbp": (lambda algorithm, m, t: clcbp.run_full(algorithm, 2 if t is None else t, m),
+              _clcbp_extras, False),
 }
 
 # what a duel raises when a run goes wrong after a valid configuration
@@ -228,7 +229,7 @@ def cmd_duel(args) -> int:
         return _fail_config(f"--t applies to --variant clcbp only, not {args.variant}")
     play, _, _ = DUELS[args.variant]
     try:
-        run = play(args)
+        run = play(args.algorithm, args.m, args.t)
     except UnknownAlgorithm:
         return _fail_config(
             f"unknown algorithm {args.algorithm!r}; known: {', '.join(algorithm_ids())}"
@@ -269,25 +270,12 @@ def _verify_oracle_suite() -> list[dict]:
     return checks
 
 
-def _verify_geometry_suite() -> list[dict]:
-    out = []
-    for m in (4, 10, 20):
-        run = squares.run_full("shelf-first-fit", m)
-        out.append({"name": f"sp-shelf-first-fit-m{m}", "pass": _run_passes(run)})
-    return out
-
-
-def _verify_variant_suite() -> list[dict]:
-    out = []
-    for algo in ONE_D_BASELINES:
-        for m in (4, 8):
-            run = knownopt.run_full(algo, m)
-            out.append({"name": f"ko-{algo}-m{m}", "pass": _run_passes(run)})
-    for t in (2, 3):
-        for m in (6, 12):
-            run = clcbp.run_full("ccff", t, m)
-            out.append({"name": f"clcbp{t}-ccff-m{m}", "pass": _run_passes(run)})
-    return out
+def _duel_suite(*duels):
+    """The suite playing each (variant, t, algorithm, Ms) duel at every M in
+    turn, each check named variant[t]-algorithm-mM."""
+    return lambda: [{"name": f"{variant}{t or ''}-{algorithm}-m{m}",
+                     "pass": _run_passes(DUELS[variant][0](algorithm, m, t))}
+                    for variant, t, algorithm, ms in duels for m in ms]
 
 
 def _verify_certificates_suite() -> list[dict]:
@@ -340,8 +328,9 @@ def _verify_determinism_suite() -> list[dict]:
 
 VERIFY_SUITES = {
     "oracle": _verify_oracle_suite,
-    "geometry": _verify_geometry_suite,
-    "census": _verify_variant_suite,
+    "geometry": _duel_suite(("sp", None, "shelf-first-fit", (4, 10, 20))),
+    "census": _duel_suite(*[("ko", None, algorithm, (4, 8)) for algorithm in ONE_D_BASELINES],
+                          ("clcbp", 2, "ccff", (6, 12)), ("clcbp", 3, "ccff", (6, 12))),
     "certificates": _verify_certificates_suite,
     "determinism": _verify_determinism_suite,
 }

@@ -25,9 +25,10 @@ the two leading terms is weighed against the cached bounds on everything
 else (the other operand's whole tail and this operand's terms after its
 lead); against a purely rational operand the sign of the other's terms
 decides.  Only when neither can decide (or the rational difference is
-too small to beat the tails) are the terms of the difference merged and its
-sign certified term by term.  Sums merge the two canonical term tuples in
-one linear pass.
+too small to beat the tails, which then weighs in as a leading term 10**0)
+are the terms of the difference merged and its sign certified term by term.
+`sign()` is the comparison with 0.  Sums merge the two canonical term tuples
+in one linear pass.  The hash is `Fraction`'s for every sign (`_hash_of`).
 
 Every code path is exact.  When a shortcut test cannot certify an answer the
 term group is expanded into a literal ``Fraction`` (cheap for the moderate
@@ -69,7 +70,7 @@ _CLUSTER_GAP = 512
 DECIMAL_DIGITS = 12
 _DECIMALS = Context(prec=DECIMAL_DIGITS, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
-_P = sys.hash_info.modulus  # an `Exact` hashes to its value modulo _P
+_P = sys.hash_info.modulus  # the modulus of `Fraction`'s hash, which `Exact` hashes by
 
 
 class PrecisionError(ArithmeticError):
@@ -271,12 +272,13 @@ def _lead_sign(a: "Exact", b: "Exact") -> int:
     return 0
 
 
-def _hash_of(q: Fraction, terms: tuple) -> int:
-    """The value q + sum(c * b**-e) modulo P = sys.hash_info.modulus, which
-    every form of the value hashes to.  With P**k the largest power of P
-    dividing a denominator (k = 0 unless P divides one), the value times P**k
-    is s modulo P**(k + 1); the hash is s / P**k modulo P when P**k divides s,
-    else P divides the value's own denominator and it is `sys.hash_info.inf`."""
+def _hash_of(q: Fraction, terms: tuple, sign: int) -> int:
+    """`Fraction`'s hash of the value v = q + sum(c * b**-e) of sign `sign`,
+    which every form of v hashes to: sign times the hash of |v|, -1 read as
+    -2.  With P = sys.hash_info.modulus and P**k the largest power of P
+    dividing a denominator (k = 0 unless P divides one), |v| times P**k is s
+    modulo P**(k + 1); |v| hashes to s / P**k modulo P when P**k divides s,
+    else P divides v's own denominator and |v| hashes to `sys.hash_info.inf`."""
     parts = ((10, 0, q), *terms)
     pk = 1
     for _, _, c in parts:
@@ -288,7 +290,9 @@ def _hash_of(q: Fraction, terms: tuple) -> int:
         n, d = c.numerator * pk, c.denominator
         g = math.gcd(n, d)  # d // g is prime to P
         s += n // g * pow(d // g, -1, mod) * pow(b, -e, mod)
-    return s % mod // pk if s % pk == 0 else sys.hash_info.inf
+    s = sign * s % mod
+    h = sign * (s // pk if s % pk == 0 else sys.hash_info.inf)
+    return -2 if h == -1 else h
 
 
 def _merge_terms(xs: tuple, ys: tuple, sign: int = 1) -> tuple:
@@ -415,12 +419,8 @@ class Exact:
     # -- comparison ----------------------------------------------------
 
     def sign(self) -> int:
-        """-1, 0 or 1; the rational part weighs in as a leading term 10**0,
-        which outweighs every term, since exponents are >= 1."""
-        q = self._rat
-        if not self._terms:
-            return (q > 0) - (q < 0)
-        return _sign_of_terms(((10, 0, q), *self._terms) if q else self._terms)
+        """-1, 0 or 1: the comparison with 0."""
+        return self._cmp(0)
 
     def _cmp(self, other) -> int:
         if isinstance(other, Exact):
@@ -444,7 +444,7 @@ class Exact:
                 e, n, d = _sum_tails(self._tail_bound(), other._tail_bound())
             if _exceeds(abs(num) * d, q.denominator * o_rat.denominator * n, 10, e):
                 return 1 if num > 0 else -1
-        if not num:
+        else:
             # tier 2: one operand's terms alone, or a lead that outweighs the rest
             if not o_terms:
                 return _sign_of_terms(terms)
@@ -453,9 +453,11 @@ class Exact:
             verdict = _lead_sign(self, other)
             if verdict:
                 return verdict
-            # tier 3: certify the sign of the difference term by term
-            return _sign_of_terms(_merge_terms(terms, o_terms, -1))
-        return (self - other).sign()
+        # tier 3: certify the sign of the difference term by term; a rational
+        # difference weighs in as a leading term 10**0, which outweighs every
+        # term, since exponents are >= 1
+        lead = ((10, 0, Fraction(num, q.denominator * o_rat.denominator)),) if num else ()
+        return _sign_of_terms(lead + _merge_terms(terms, o_terms, -1))
 
     def __eq__(self, other):
         """Value equality, 10**-2 == 1/100; different hashes prove it false unordered."""
@@ -484,9 +486,9 @@ class Exact:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __hash__(self):
-        """The value modulo P = sys.hash_info.modulus; see `_hash_of`."""
+        """The hash of the value as a `Fraction` or an int; see `_hash_of`."""
         if self._hash is None:
-            self._hash = _hash_of(self._rat, self._terms)
+            self._hash = _hash_of(self._rat, self._terms, self.sign())
         return self._hash
 
     def __bool__(self):

@@ -709,8 +709,7 @@ def _prove(below: Piece, above: Piece, p: tuple, lo: Fraction, hi: Fraction):
     with p (their gcd changes sign across (a, b)).  Each polynomial then has
     its sign at a on [a, r), and at r that sign or, when shared, 0."""
     a, b = lo, hi if sign_at(p, hi) else 2 * hi - lo
-    seq_p = sturm(p)
-    if sign_at(p, a) * sign_at(p, b) >= 0 or count_roots(seq_p, a, b) != 1:
+    if not check_threshold(p, (a, b)):
         return None
     polys = set(below.polynomials()) | set(above.polynomials())
     seqs = {poly: sturm(poly) for poly in polys if len(poly) > 1}

@@ -280,7 +280,7 @@ class Packing:
         if rules.is_geometric:
             if fresh:
                 self._largest = ONE  # every squares bin keeps room ONE
-                self._boxes[b:] = [[box]]  # replaces any list a closing `pop` left
+                self._boxes.append([box])
             else:
                 self._boxes[b].append(box)
         else:
@@ -301,8 +301,7 @@ class Packing:
         self._ids.discard(item.ident)
         self._largest = None
         if not self.bins[b] and b == len(self.bins) - 1:
-            # a closed squares bin's boxes stay until `add_item` reopens it
-            del self.bins[b], self._rooms[b], self._colors[b]
+            del self.bins[b], self._rooms[b], self._colors[b], self._boxes[b:]  # 1-D: no boxes
             return item
         if self.rules.is_geometric:
             self._boxes[b].pop()

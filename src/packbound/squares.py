@@ -3,16 +3,18 @@
 Wave one: M squares of side 1/4 + a ("quarters"); an item opening a fresh bin
 is large.  Wave two: squares of side 1/3 + a ("thirds"); an item is small
 when its target bin already holds a third or at least five quarters (both
-read off the bin's contents before the placement), large otherwise; items
-keep coming until their weights reach the total per M that sp's `stop-mix`
-row in `shapes.SP` states, which also caps their count.  Continuations: big
-squares of side 3/4 - threshold after wave one, or squares of side 3/5 or
-2/3 - threshold after wave two.
+read off the bin's contents before the placement), large otherwise, so a
+bin of thirds holds one large third below five quarters and none from five
+(the `census-large-thirds` row); items keep coming until their weights
+reach the total per M that sp's `stop-mix` row in `shapes.SP` states, which
+also caps their count.  Continuations: big squares of side 3/4 - threshold
+after wave one, or squares of side 3/5 or 2/3 - threshold after wave two.
 
 Offline packings are built from closed-form corner coordinates: one big
 square at the origin with up to five quarters in the leftover L-strip, a
 corner square with three thirds and two quarters around it, a 2x2 block of
-thirds with five quarters, and 3x3 grids of quarters.  Every construction is
+thirds with five quarters, 3x3 grids of quarters and rows of leftover
+thirds; one rule (`_grid`) places every grid and row.  Every construction is
 re-validated by the exact geometric checker; its cost is reported as an
 upper bound on the offline optimum, so the reported ratios are valid lower
 bounds on the true ones.
@@ -41,17 +43,6 @@ THIRD = F(1, 3)
 QUARTER_PITCH = rat(F(2501, 10000))  # strictly above every quarter side
 THIRD_PITCH = rat(F(33344, 100000))  # strictly above every third side
 SEPARATION_BASE = 10  # both waves' oracle base
-
-
-def _check_large_thirds(nf: int, nt: int, n_large: int) -> None:
-    """A bin holding thirds has one large third below five quarters, none from five."""
-    if nt > 0:
-        expected_large = 0 if nf >= SP.large_below else 1
-        if n_large != expected_large:
-            raise CensusGap(
-                f"bin ({nf} quarters, {nt} thirds) has {n_large} large thirds, "
-                f"expected {expected_large}"
-            )
 
 
 # -- closed-form layouts ----------------------------------------------------
@@ -96,22 +87,22 @@ def corner_court_layout(big: Item, thirds: list[Item], quarters: list[Item]):
     return [(big, rat(0), rat(0))] + _arms([*thirds, *quarters], "rtc"[:len(thirds)] + "rt")
 
 
+def _grid(items: list[Item], pitch: Exact, columns: int) -> list[tuple[Item, Exact, Exact]]:
+    """items[i] in row i // columns and column i % columns of a grid from the origin."""
+    return [(it, pitch * (i % columns), pitch * (i // columns)) for i, it in enumerate(items)]
+
+
 def block_court_layout(thirds: list[Item], quarters: list[Item]):
     """2x2 block of thirds in the corner, up to five quarters in the L-strip."""
     _check_count("block_court_layout", thirds, 4)
     _check_count("block_court_layout", quarters, 5)
-    p = THIRD_PITCH
-    spots = [(rat(0), rat(0)), (p, rat(0)), (rat(0), p), (p, p)]
-    coords = [(t, x, y) for t, (x, y) in zip(thirds, spots)]
-    coords.extend(l_strip_layout(quarters))
-    return coords
+    return _grid(thirds, THIRD_PITCH, 2) + l_strip_layout(quarters)
 
 
 def grid_layout(quarters: list[Item]) -> list[tuple[Item, Exact, Exact]]:
     """Up to nine quarters on a 3x3 grid of pitch just above every side."""
     _check_count("grid_layout", quarters, 9)
-    p = QUARTER_PITCH
-    return [(q, p * (idx % 3), p * (idx // 3)) for idx, q in enumerate(quarters)]
+    return _grid(quarters, QUARTER_PITCH, 3)
 
 
 # -- the run -----------------------------------------------------------------
@@ -174,11 +165,6 @@ def run_full(algorithm_id: str, m: int) -> Run:
 
     c = {**census(session_t.packing.bins, quarter_ids, SP.bands, SP.wave_one),
          "bins4": bins4, "bins3": bins3, **wave3.counts("sm3", "lg3")}
-    for contents in session_t.packing.bins:
-        nf = sum(1 for it, _ in contents if it.ident in quarter_ids)
-        n_large = sum(1 for it, _ in contents
-                      if it.ident not in quarter_ids and it.ident not in wave3.small_ids)
-        _check_large_thirds(nf, len(contents) - nf, n_large)
     n = len(thirds)
     # the stop rule's finite-M sandwich (the last third overshoots by at most the
     # heaviest weight) and the thirds count it implies: no program row states them
@@ -199,8 +185,7 @@ def run_full(algorithm_id: str, m: int) -> Run:
     bins_sc2 = [corner_court_layout(big, three, quarter_pool.take(2))
                 for big, three in zip(items2, threes)]
     # the thirds left over, fewer than three, share a bin in a row
-    bins_sc2 += [[(t, THIRD_PITCH * j, rat(0)) for j, t in enumerate(row)]
-                 for row in threes[len(items2):]]
+    bins_sc2 += [_grid(row, THIRD_PITCH, 3) for row in threes[len(items2):]]
     bins_sc2 += [grid_layout(nine) for nine in quarter_pool.rest(9)]
     scenarios.append(continuation("six-tenths", SP.costs["six-tenths"], c, session_t, items2,
                                   bins_sc2))

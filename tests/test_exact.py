@@ -566,10 +566,9 @@ P = sys.hash_info.modulus
 
 class TestHashWhenPDividesADenominator:
     @given(small_rationals, fast_terms)
-    def test_a_form_without_p_hashes_to_its_literal_value_modulo_p(self, q, terms):
+    def test_a_form_without_p_hashes_as_its_literal_value(self, q, terms):
         value = q + sum(c * Fraction(1, b**e) for (b, e), c in terms.items())
-        expected = value.numerator * pow(value.denominator, -1, P) % P
-        assert hash(from_parts(q, terms)) == expected
+        assert hash(from_parts(q, terms)) == hash(value)
 
     def test_a_form_dividing_by_p_hashes_as_its_value(self):
         a = rat(Fraction(1, P)) + power(10, 2, Fraction(-100, P))
@@ -597,4 +596,19 @@ class TestHashWhenPDividesADenominator:
         rational = q + shifted.pop((10, 0), 0)
         b = from_parts(rational, {key: c for key, c in shifted.items() if c})
         assert a == b and hash(a) == hash(b)
-        assert (hash(a) == sys.hash_info.inf) == bool(over_p)
+        assert (abs(hash(a)) == sys.hash_info.inf) == bool(over_p)
+
+
+class TestHashAsFractionAndInt:
+    @given(st.one_of(st.integers(-2 * P, 2 * P), small_rationals,
+                     st.builds(lambda n, d: Fraction(n, d * P), st.integers(-9, 9),
+                               st.integers(1, 9))),
+           st.sampled_from([10, 20]), st.integers(1, 40), coefs)
+    @example(-1, 10, 1, Fraction(1))  # hash(-1) is -2
+    @example(Fraction(-1, P), 20, 3, Fraction(-3))  # -inf
+    @example(-P, 10, 2, Fraction(2))  # 0
+    def test_rat_and_a_termed_form_hash_as_the_value(self, x, base, exp, coef):
+        """`Exact` equals Fractions and ints of either sign, so it hashes alike."""
+        termed = rat(x - coef / Fraction(base) ** exp) + power(base, exp, coef)
+        assert termed.terms and rat(x) == x == termed
+        assert hash(rat(x)) == hash(termed) == hash(x) == hash(Fraction(x))

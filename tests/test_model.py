@@ -213,6 +213,20 @@ class TestStoredBoxes:
             self.square(p, 4, "1/2", 1, "1/2", "1/2")
         assert p.cost == 2 and validate_packing(p) == []
 
+    def test_a_closed_bin_takes_its_boxes_along(self):
+        p = Packing(SQ)
+        self.square(p, 0, "1/2", 0, "0", "0")
+        self.square(p, 1, "1/2", 1, "0", "0")
+        p.pop(1)  # bin 1 closes
+        assert len(p._boxes) == p.cost == 1
+        self.square(p, 2, "1/4", 1, "3/4", "3/4")
+        q = p.copy()
+        assert len(q._boxes) == q.cost == 2
+        self.square(q, 3, "1/2", 1, "0", "0")  # where the closing square stood
+        with pytest.raises(GeometricOverlap, match="overlaps item 2$"):
+            self.square(q, 4, "1/2", 1, "1/2", "1/2")
+        assert validate_packing(q) == [] and len(q._boxes) == q.cost
+
     def test_copies_and_forks_share_no_boxes(self):
         from packbound.algorithms import make_session
 

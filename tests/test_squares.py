@@ -9,6 +9,7 @@ import pytest
 
 import packbound
 from packbound.adversary import census
+from packbound.algorithms import fork_replay, register_algorithm
 from packbound.exact import power, rat
 from packbound.model import (
     Item,
@@ -21,7 +22,6 @@ from packbound.reports import checks_pass
 from packbound.shapes import SP
 from packbound.squares import (
     CensusGap,
-    _check_large_thirds,
     block_court_layout,
     corner_court_layout,
     grid_layout,
@@ -55,6 +55,63 @@ def _census_of(n_quarters, n_thirds):
     return census([contents], set(range(100)), SP.bands, "quarters")
 
 
+THIRD, HALF = rat(F(1, 3)), rat(F(1, 2))
+QUARTER_CELLS = [(rat(x), rat(y)) for y in (0, F(3, 10)) for x in (0, F(3, 10), F(3, 5))]
+THIRD_CELLS = [(rat(0), rat(F(3, 5))), (HALF, rat(F(3, 5)))]
+
+
+def _thirds_above_quarters(packing, item):
+    """Five quarters in two rows of the first bin, every later quarter alone
+    in the corner of a fresh bin, then up to two thirds in the top row of
+    each bin of quarters in turn: bins of five quarters and of one take two
+    thirds each.  Every larger square opens a fresh bin."""
+    if item.size < THIRD and packing.cost == 1 and len(packing.bins[0]) < 5:
+        return Placement(0, *QUARTER_CELLS[len(packing.bins[0])])
+    if THIRD < item.size < HALF:
+        for b, contents in enumerate(packing.bins):
+            n_thirds = sum(1 for it, _ in contents if it.size > THIRD)
+            if contents[0][0].size < THIRD and n_thirds < 2:
+                return Placement(b, *THIRD_CELLS[n_thirds])
+    return Placement(packing.cost, rat(0), rat(0))
+
+
+register_algorithm("thirds-above-quarters-test-squares", _thirds_above_quarters)
+
+
+def bin_shapes(algorithm, m):
+    """(quarters, thirds, large thirds) of each bin holding thirds after
+    the waves of an sp duel, its packing replayed from the waves' items."""
+    run = run_full(algorithm, m)
+    quarters, thirds = run.waves["quarters"], run.waves["thirds"]
+    session = fork_replay(algorithm, VariantRules("squares"), quarters.items + thirds.items)
+    quarter_ids = {q.ident for q in quarters.items}
+    shapes = []
+    for contents in session.packing.bins:
+        ids = [it.ident for it, _ in contents]
+        nf = sum(1 for i in ids if i in quarter_ids)
+        large = sum(1 for i in ids if i not in quarter_ids and i not in thirds.small_ids)
+        if len(ids) > nf:
+            shapes.append((nf, len(ids) - nf, large))
+    return shapes
+
+
+class TestLargeThirds:
+    """sp's steering rule, bin by bin: a bin holding thirds holds exactly one
+    large third below `SP.large_below` quarters and none from there on."""
+
+    @pytest.mark.parametrize("algorithm, m", [
+        *(("shelf-first-fit", m) for m in (4, 10, 20, 48, 96)),
+        ("thirds-above-quarters-test-squares", 12),
+    ])
+    def test_one_large_third_per_bin_below_five_quarters(self, algorithm, m):
+        shapes = bin_shapes(algorithm, m)
+        assert shapes and all(large == (nf < SP.large_below) for nf, _, large in shapes), shapes
+
+    def test_the_test_strategy_reaches_both_sides_of_the_rule(self):
+        shapes = set(bin_shapes("thirds-above-quarters-test-squares", 12))
+        assert {(SP.large_below, 2, 0), (1, 2, 1)} <= shapes
+
+
 class TestConfig:
     def test_m_must_be_even(self):
         with pytest.raises(ValueError, match="M must be a positive integer divisible by 2"):
@@ -66,10 +123,6 @@ class TestConfig:
             _census_of(9, 1)
         with pytest.raises(CensusGap, match=r"^bin shape \(0 quarters, 5 thirds\)$"):
             _census_of(0, 5)
-        # low-quarter bin must hold a large third
-        with pytest.raises(CensusGap, match=r"^bin \(2 quarters, 1 thirds\) has 0 large "
-                                            r"thirds, expected 1$"):
-            _check_large_thirds(2, 1, 0)
 
 
 class TestLayouts:

@@ -125,6 +125,14 @@ class TestLazyExports:
         assert value.__module__.startswith("packbound.")
         assert getattr(sys.modules[value.__module__], name) is value
 
+    # the package's own __all__ is checked name by name above
+    @pytest.mark.parametrize("module", sorted(f.stem for f in PACKAGE.glob("*.py")
+                                              if f.stem != "__init__"))
+    def test_each_submodule_binds_its_all(self, module):
+        namespace = {}
+        exec(f"from packbound.{module} import *", namespace)  # each name in __all__ must resolve
+        assert set(getattr(sys.modules[f"packbound.{module}"], "__all__", ())) <= set(namespace)
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             packbound.no_such_name
