@@ -369,7 +369,8 @@ def cmd_oracle(args) -> int:
         items = tuple(item for item, _ in items_from_json(payload["items"]))
         if any((item.color is None) == rules.colored for item in items):
             raise ValueError("items carry a color exactly when the rules are class-constrained")
-    except (OSError, KeyError, ValueError, ZeroDivisionError, PrecisionError) as exc:
+    except (OSError, KeyError, ValueError, ZeroDivisionError, PrecisionError,
+            RecursionError) as exc:  # RecursionError: JSON nested too deeply to parse
         return _fail_config(f"bad instance file: {exc}")
     try:
         instance = OracleInstance(items, rules, node_budget=args.budget)

@@ -16,19 +16,24 @@ factored form and decides comparisons by exact dominance arguments:
 * a leading term (or a materialized cluster of nearby terms) outweighs the
   remaining tail whenever an exact integer inequality certifies it.
 
-Comparisons run in three tiers.  First an integer dominance certificate:
-when the rational parts differ, their cross-multiplied difference is tested
-against a bound on both perturbation tails, ``sum|coef| * 10**-e_min``, which
-every value caches for itself; this builds no ``Exact`` and no ``Fraction``.
-Second, for equal rational parts, a leading-term certificate: the larger of
-the two leading terms is weighed against the cached bounds on everything
-else (the other operand's whole tail and this operand's terms after its
-lead); against a purely rational operand the sign of the other's terms
-decides.  Only when neither can decide (or the rational difference is
-too small to beat the tails, which then weighs in as a leading term 10**0)
-are the terms of the difference merged and its sign certified term by term.
-`sign()` is the comparison with 0.  Sums merge the two canonical term tuples
-in one linear pass.  The hash is `Fraction`'s for every sign (`_hash_of`).
+The rational part is two ints in lowest terms, ``_n / _d`` with ``_d > 0``;
+sums cross-multiply them and take one gcd, and a ``Fraction`` is built only
+at the edges (``rational_part``, ``as_fraction``, text, JSON, ``*``, ``/``).
+
+Comparisons run in three tiers.  First, when the rational parts differ, an
+integer dominance certificate tests their cross-multiplied difference against
+a bound on both perturbation tails, ``sum|coef| * 10**-e_min``, which every
+value caches for itself (two bounds over one denominator add without a gcd);
+this builds no ``Exact`` and no ``Fraction``.  Second, for equal rational
+parts, a leading-term certificate weighs the larger of the two leading terms
+against the cached bounds on everything else (the other operand's whole tail
+and this operand's terms after its lead); against a purely rational operand
+the sign of the other's terms decides.  Only when neither can decide (or the
+rational difference is too small to beat the tails, which then weighs in as a
+leading term 10**0) are the terms of the difference merged and its sign
+certified term by term.  `sign()` is the comparison with 0.  Sums merge the
+two canonical term tuples in one linear pass.  The hash is `Fraction`'s for
+every sign (`_hash_of`).
 
 Every code path is exact.  When a shortcut test cannot certify an answer the
 term group is expanded into a literal ``Fraction`` (cheap for the moderate
@@ -175,7 +180,7 @@ def _expand(terms: Iterable[tuple[int, int, Fraction]]) -> Fraction:
 
 
 def _add_ratios(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
-    """n1/d1 + n2/d2 for nonnegative ratios in lowest terms, in lowest terms."""
+    """n1/d1 + n2/d2 for nonnegative ratios, in lowest terms."""
     if d1 == d2:
         n, d = n1 + n2, d1
     else:
@@ -243,8 +248,9 @@ def _sign_of_terms(terms: tuple) -> int:
 
 
 def _sum_tails(t1: tuple, t2: tuple) -> tuple[int, int, int]:
-    """Tail bound (see Exact._tail_bound) of two tails taken together."""
-    return (min(t1[0], t2[0]),) + _add_ratios(t1[1], t1[2], t2[1], t2[2])
+    """Tail bound (see Exact._tail_bound) of two tails, unreduced over one denominator."""
+    (e1, n1, d1), (e2, n2, d2) = t1, t2
+    return (min(e1, e2),) + ((n1 + n2, d1) if d1 == d2 else _add_ratios(n1, d1, n2, d2))
 
 
 def _lead_sign(a: "Exact", b: "Exact") -> int:
@@ -258,36 +264,36 @@ def _lead_sign(a: "Exact", b: "Exact") -> int:
     (a_base, a_exp, a_coef), (b_base, b_exp, b_coef) = a._terms[0], b._terms[0]
     if a_base == b_base and a_exp == b_exp:
         return 0
-    if _mag_lt(b_base, b_exp, a_base, a_exp):
-        base, exp, coef, lead, other = a_base, a_exp, a_coef, a, b
+    if (a_exp < b_exp) if a_base == b_base else _mag_lt(b_base, b_exp, a_base, a_exp):
+        base, exp, coef, sign, lead, other = a_base, a_exp, a_coef, 1, a, b
     else:
-        base, exp, coef, lead, other = b_base, b_exp, -b_coef, b, a
+        base, exp, coef, sign, lead, other = b_base, b_exp, b_coef, -1, b, a
     bound = other._tail_bound()
     if len(lead._terms) > 1:
         bound = _sum_tails(lead._rest_bound(), bound)
     e_min, n, d = bound
     _, hi = _log10_bounds(base, exp)
     if _exceeds(d * abs(coef.numerator), n * coef.denominator, 10, e_min - hi):
-        return 1 if coef > 0 else -1
+        return sign if coef.numerator > 0 else -sign
     return 0
 
 
-def _hash_of(q: Fraction, terms: tuple, sign: int) -> int:
-    """`Fraction`'s hash of the value v = q + sum(c * b**-e) of sign `sign`,
+def _hash_of(num: int, den: int, terms: tuple, sign: int) -> int:
+    """`Fraction`'s hash of the value v = num/den + sum(c * b**-e) of sign `sign`,
     which every form of v hashes to: sign times the hash of |v|, -1 read as
     -2.  With P = sys.hash_info.modulus and P**k the largest power of P
     dividing a denominator (k = 0 unless P divides one), |v| times P**k is s
     modulo P**(k + 1); |v| hashes to s / P**k modulo P when P**k divides s,
     else P divides v's own denominator and |v| hashes to `sys.hash_info.inf`."""
-    parts = ((10, 0, q), *terms)
+    parts = ((num, den, 10, 0), *((c.numerator, c.denominator, b, e) for b, e, c in terms))
     pk = 1
-    for _, _, c in parts:
-        while c.denominator % (pk * _P) == 0:
+    for _, d, _, _ in parts:
+        while d % (pk * _P) == 0:
             pk *= _P
     mod = pk * _P
     s = 0
-    for b, e, c in parts:
-        n, d = c.numerator * pk, c.denominator
+    for n, d, b, e in parts:
+        n *= pk
         g = math.gcd(n, d)  # d // g is prime to P
         s += n // g * pow(d // g, -1, mod) * pow(b, -e, mod)
     s = sign * s % mod
@@ -318,19 +324,22 @@ def _merge_terms(xs: tuple, ys: tuple, sign: int = 1) -> tuple:
     return tuple(out)
 
 
+def _exact(n: int, d: int, terms: tuple = (), tail=None) -> "Exact":
+    """The Exact n/d + terms, for n/d in lowest terms with d > 0."""
+    x = object.__new__(Exact)
+    # _tail and _rest cache facts about the terms alone, never part of the value
+    x._n, x._d, x._terms, x._hash, x._tail, x._rest = n, d, terms, None, tail, None
+    return x
+
+
 class Exact:
     """Immutable exact number ``rational + sum(coef * base**-exp)``."""
 
-    __slots__ = ("_rat", "_terms", "_hash", "_tail", "_rest")
+    __slots__ = ("_n", "_d", "_terms", "_hash", "_tail", "_rest")
 
-    def __init__(self, rational: RationalLike | Fraction = 0, _terms: tuple = (), _tail=None):
-        self._rat = _as_fraction(rational)
-        self._terms = _terms
-        self._hash = None
-        # caches of facts about the terms alone, never part of the value:
-        # _tail_bound and _rest_bound
-        self._tail = _tail
-        self._rest = None
+    def __new__(cls, rational: RationalLike = 0, _terms: tuple = ()):
+        q = _as_fraction(rational)
+        return _exact(q.numerator, q.denominator, _terms)
 
     # -- construction -------------------------------------------------
 
@@ -341,7 +350,7 @@ class Exact:
 
     @property
     def rational_part(self) -> Fraction:
-        return self._rat
+        return Fraction(self._n, self._d)
 
     @property
     def terms(self) -> tuple:
@@ -377,17 +386,19 @@ class Exact:
                 if len(terms) == len(self._terms) + len(other._terms):
                     # no shared (base, exp): the coefficient sums just add
                     tail = _sum_tails(self._tail_bound(), other._tail_bound())
-            other = other._rat
+            on, od = sign * other._n, other._d
         elif isinstance(other, (int, Fraction)):
-            terms, tail = self._terms, self._tail
+            terms, tail, on, od = self._terms, self._tail, sign * other.numerator, other.denominator
         else:
             return NotImplemented
-        return Exact(self._rat + other if sign > 0 else self._rat - other, terms, tail)
+        n, d = (self._n + on, od) if self._d == od else (self._n * od + on * self._d, self._d * od)
+        g = math.gcd(n, d)
+        return _exact(n // g, d // g, terms, tail)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Exact":
-        return Exact(-self._rat, tuple((b, e, -c) for b, e, c in self._terms), self._tail)
+        return _exact(-self._n, self._d, tuple((b, e, -c) for b, e, c in self._terms), self._tail)
 
     def __sub__(self, other) -> "Exact":
         return self.__add__(other, -1)
@@ -397,14 +408,14 @@ class Exact:
 
     def __mul__(self, other) -> "Exact":
         if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if q == 0:
+            if not other:
                 return Exact(0)
-            return Exact(self._rat * q, tuple((b, e, c * q) for b, e, c in self._terms))
+            return Exact(self.rational_part * other,
+                         tuple((b, e, c * other) for b, e, c in self._terms))
         if isinstance(other, Exact) and other.is_rational:
-            return self * other._rat
+            return self * other.rational_part
         if isinstance(other, Exact) and self.is_rational:
-            return other * self._rat
+            return other * self.rational_part
         return NotImplemented
 
     __rmul__ = __mul__
@@ -413,7 +424,7 @@ class Exact:
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / _as_fraction(other))
         if isinstance(other, Exact) and other.is_rational:
-            return self * (Fraction(1) / other._rat)
+            return self * (Fraction(1) / other.rational_part)
         return NotImplemented
 
     # -- comparison ----------------------------------------------------
@@ -424,25 +435,25 @@ class Exact:
 
     def _cmp(self, other) -> int:
         if isinstance(other, Exact):
-            o_rat, o_terms = other._rat, other._terms
+            on, od, o_terms = other._n, other._d, other._terms
         elif isinstance(other, (int, Fraction)):
-            o_rat, o_terms = other, ()
+            on, od, o_terms = other.numerator, other.denominator, ()
         else:
             return NotImplemented
-        q, terms = self._rat, self._terms
-        # numerator of q - o_rat over the denominator q.den * o_rat.den
-        num = q.numerator * o_rat.denominator - o_rat.numerator * q.denominator
+        d, terms = self._d, self._terms
+        # numerator of the rational parts' difference over the denominator d * od
+        num = self._n * od - on * d
         if terms is o_terms or terms == o_terms:
             return (num > 0) - (num < 0)
         if num:
             # tier 1: the rational difference beats both tails together
             if not terms:
-                e, n, d = other._tail_bound()
+                e, tn, td = other._tail_bound()
             elif not o_terms:
-                e, n, d = self._tail_bound()
+                e, tn, td = self._tail_bound()
             else:
-                e, n, d = _sum_tails(self._tail_bound(), other._tail_bound())
-            if _exceeds(abs(num) * d, q.denominator * o_rat.denominator * n, 10, e):
+                e, tn, td = _sum_tails(self._tail_bound(), other._tail_bound())
+            if _exceeds(abs(num) * td, d * od * tn, 10, e):
                 return 1 if num > 0 else -1
         else:
             # tier 2: one operand's terms alone, or a lead that outweighs the rest
@@ -456,14 +467,14 @@ class Exact:
         # tier 3: certify the sign of the difference term by term; a rational
         # difference weighs in as a leading term 10**0, which outweighs every
         # term, since exponents are >= 1
-        lead = ((10, 0, Fraction(num, q.denominator * o_rat.denominator)),) if num else ()
+        lead = ((10, 0, Fraction(num, d * od)),) if num else ()
         return _sign_of_terms(lead + _merge_terms(terms, o_terms, -1))
 
     def __eq__(self, other):
         """Value equality, 10**-2 == 1/100; different hashes prove it false unordered."""
         if isinstance(other, Exact):
             if self._terms == other._terms:
-                return self._rat == other._rat
+                return self._n == other._n and self._d == other._d
             if hash(self) != hash(other):
                 return False
         c = self._cmp(other)
@@ -488,7 +499,7 @@ class Exact:
     def __hash__(self):
         """The hash of the value as a `Fraction` or an int; see `_hash_of`."""
         if self._hash is None:
-            self._hash = _hash_of(self._rat, self._terms, self.sign())
+            self._hash = _hash_of(self._n, self._d, self._terms, self.sign())
         return self._hash
 
     def __bool__(self):
@@ -498,12 +509,11 @@ class Exact:
 
     def as_fraction(self) -> Fraction:
         """Expand into a literal Fraction; PrecisionError if astronomically big."""
-        if not self._terms:
-            return self._rat
-        return self._rat + _expand(self._terms)
+        q = self.rational_part
+        return q + _expand(self._terms) if self._terms else q
 
     def __str__(self):
-        parts = [fraction_str(self._rat)] if (self._rat != 0 or not self._terms) else []
+        parts = [fraction_str(self.rational_part)] if (self._n or not self._terms) else []
         for b, e, c in self._terms:
             if c == 1:
                 parts.append(f"+ {b}^-{e}")
@@ -522,9 +532,9 @@ class Exact:
     def to_json(self):
         """JSON-friendly exact form: plain string for rationals, object otherwise."""
         if not self._terms:
-            return fraction_str(self._rat)
+            return fraction_str(self.rational_part)
         return {
-            "rational": fraction_str(self._rat),
+            "rational": fraction_str(self.rational_part),
             "tiny": [
                 {"base": b, "exp": e, "coef": fraction_str(c)}
                 for b, e, c in self._terms
@@ -547,4 +557,4 @@ def power(base: int, exp: int, coef=1) -> Exact:
     if exp < 1:
         raise ValueError("perturbation exponents must be >= 1")
     coef = _as_fraction(coef)
-    return Exact(0, ((base, exp, coef),)) if coef else Exact(0)
+    return _exact(0, 1, ((base, exp, coef),)) if coef else _exact(0, 1)

@@ -143,12 +143,13 @@ class Packing:
     """Bins in creation order; every mutation re-checks the affected bin.
 
     For the 1-D variants each bin caches its free room, ``1 - load``:
-    `add_item` subtracts the item's size once and `pop` adds it back, so
-    `fits` is a single comparison ``size <= room`` that builds no new
-    `Exact`.  A fresh bin's room is ``ONE``, so the same comparison covers
-    it.  Squares bins leave their room at ``ONE``: their rule is the layout,
-    checked square against square.  Each squares bin keeps the boxes of its
-    squares (`square_box`), so a placement sums only its own far edges.
+    `add_item` subtracts the item's size once and keeps the room the bin
+    had before, which `pop` puts back, so `fits` is a single comparison
+    ``size <= room`` and backtracking builds no new `Exact`.  A fresh
+    bin's room is ``ONE``, so the same comparison covers it.  Squares bins
+    leave their room at ``ONE``: their rule is the layout, checked square
+    against square.  Each squares bin keeps the boxes of its squares
+    (`square_box`), so a placement sums only its own far edges.
 
     The packing also caches its largest room (`largest_room`), so an item
     that no open bin can take is told so with one comparison
@@ -162,6 +163,7 @@ class Packing:
         self.rules = rules
         self.bins: list[list[tuple[Item, Placement]]] = []
         self._rooms: list[Exact] = []  # 1-D variants: cached 1 - content total
+        self._before: list[list[Exact]] = []  # 1-D only: each bin's room before each item
         self._colors: list[set] = []  # cached color sets (empty unless colored)
         self._boxes: list[list[tuple]] = []  # squares only: each bin's boxes
         self._ids: set[int] = set()
@@ -192,6 +194,7 @@ class Packing:
         clone._rooms = list(self._rooms)
         clone._colors = [set(c) for c in self._colors]
         clone._boxes = [list(boxes) for boxes in self._boxes]
+        clone._before = [list(rooms) for rooms in self._before]
         clone._ids = set(self._ids)
         clone._largest = self._largest
         return clone
@@ -284,12 +287,15 @@ class Packing:
             else:
                 self._boxes[b].append(box)
         else:
-            room = self._rooms[b] - item.size
+            before = self._rooms[b]
+            room = before - item.size
             if fresh:
+                self._before.append([])
                 if self._largest is not None and room > self._largest:
                     self._largest = room
-            elif self._rooms[b] is self._largest:
+            elif before is self._largest:
                 self._largest = None
+            self._before[b].append(before)
             self._rooms[b] = room
         if item.color is not None:
             self._colors[b].add(item.color)
@@ -301,12 +307,12 @@ class Packing:
         self._ids.discard(item.ident)
         self._largest = None
         if not self.bins[b] and b == len(self.bins) - 1:
-            del self.bins[b], self._rooms[b], self._colors[b], self._boxes[b:]  # 1-D: no boxes
+            del self.bins[b], self._rooms[b], self._colors[b], self._boxes[b:], self._before[b:]
             return item
         if self.rules.is_geometric:
             self._boxes[b].pop()
         else:
-            self._rooms[b] = self._rooms[b] + item.size
+            self._rooms[b] = self._before[b].pop()
         if item.color is not None and all(other.color != item.color for other, _ in self.bins[b]):
             self._colors[b].discard(item.color)
         return item

@@ -15,7 +15,10 @@ because adversarial instances differ by amounts no float can see.
 
 The search runs on one `model.Packing`: it probes a bin with `fits`, places
 with `add_item` and backtracks with `pop`, so it obeys the same bin rule as
-every online strategy, and a better leaf is kept as a `copy()` of it.
+every online strategy, and a better leaf is kept as a `copy()` of it.  A
+placement makes one `Exact` subtraction; `pop` puts back the room object the
+bin had before, so a backtrack does no arithmetic and the restored room keeps
+the hash it cached for the signature lookups.
 """
 
 from __future__ import annotations

@@ -418,6 +418,13 @@ class TestOracle:
         assert code == 3 and out == ""
         assert err.startswith("error: bad instance file: ") and "Traceback" not in err
 
+    def test_a_deeply_nested_instance_is_a_config_error(self, capsys, tmp_path):
+        instance = tmp_path / "nested.json"
+        instance.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "oracle", "--instance", str(instance))
+        assert code == 3 and out == ""
+        assert err.startswith("error: bad instance file: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("term,reason", [
         ({"base": 7, "exp": 5, "coef": "0"}, "perturbation base must be 10 or 20, got 7"),
         ({"base": 10, "exp": 0, "coef": "0"}, "perturbation exponents must be >= 1"),

@@ -512,7 +512,7 @@ class TestCachedTailIsInvisible:
 
 
 def reference_sign(self) -> int:
-    q = self._rat
+    q = self.rational_part
     if not self._terms:
         return (q > 0) - (q < 0)
     if q != 0:
@@ -612,3 +612,52 @@ class TestHashAsFractionAndInt:
         termed = rat(x - coef / Fraction(base) ** exp) + power(base, exp, coef)
         assert termed.terms and rat(x) == x == termed
         assert hash(rat(x)) == hash(termed) == hash(x) == hash(Fraction(x))
+
+
+# rational values, and termed values whose exponents (at most 64) keep
+# `as_fraction` cheap, so Fraction arithmetic on the literal values is the oracle
+pair_values = st.builds(
+    from_parts,
+    st.fractions(min_value=Fraction(-6), max_value=Fraction(6), max_denominator=10**4),
+    st.one_of(st.just({}), st.dictionaries(
+        st.tuples(st.sampled_from([10, 20]), st.integers(min_value=1, max_value=64)),
+        coefs, max_size=3)),
+)
+
+
+def assert_lowest_terms(value):
+    q = value.rational_part
+    assert q.denominator > 0 and (value._n, value._d) == (q.numerator, q.denominator)
+
+
+class TestRationalPartAsTwoInts:
+    @given(pair_values, pair_values, st.one_of(small_rationals, st.integers(-5, 5)))
+    @settings(max_examples=300, deadline=None)
+    @example(rat(Fraction(1, 2)), rat(Fraction(1, 2)), 0)  # 2/2 must reduce
+    @example(rat(Fraction(1, 6)), rat(Fraction(1, 3)), Fraction(1, 2))
+    def test_arithmetic_order_and_hash_agree_with_fraction(self, a, b, x):
+        fa, fb = a.as_fraction(), b.as_fraction()
+        for got, want in ((a + b, fa + fb), (a - b, fa - fb), (-a, -fa), (a + x, fa + x),
+                          (a - x, fa - x), (x - a, x - fa), (x + a, x + fa)):
+            assert_lowest_terms(got)
+            assert got.as_fraction() == want and got == want and got == rat(want)
+            assert hash(got) == hash(want) == hash(rat(want))
+        for other, literal in ((b, fb), (x, x)):
+            s = (fa > literal) - (fa < literal)
+            assert_order_matches(a, other, s)
+            assert (a == other) == (s == 0) and (a != other) == (s != 0)
+        assert hash(rat(fa)) == hash(fa)
+
+    def test_rational_arithmetic_builds_no_fraction(self, monkeypatch):
+        a, b = rat(Fraction(5, 12)), rat(Fraction(-1, 3))
+        made = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        results = [a + b, a - b, a <= b, b <= a, a == b, a == a + 0, a + 1, 1 - a, a <= 1]
+        assert made == []
+        assert results[2:6] == [False, True, False, True]

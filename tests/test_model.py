@@ -381,6 +381,29 @@ class TestRoomCache:
         for q in packings:  # a copy shares no room list with its source
             self.assert_rooms(q)
 
+    def test_pop_restores_the_room_object(self):
+        p = Packing(ONED)
+        p.add_item(Item(0, rat("1/3") + power(10, 40)), Placement(0))
+        room = p.bin_room(0)
+        p.add_item(Item(1, rat("1/4")), Placement(0))
+        assert p.pop(0).ident == 1 and p.bin_room(0) is room
+
+    def test_a_copy_pops_apart_from_its_source(self):
+        p = Packing(ONED)
+        p.add_item(Item(0, rat("1/3")), Placement(0))
+        room = p.bin_room(0)
+        p.add_item(Item(1, rat("1/4")), Placement(0))
+        clone = p.copy()
+        clone.pop(0)
+        clone.add_item(Item(2, rat("1/2")), Placement(0))  # the source must not see this
+        p.pop(0)
+        assert p.bin_room(0) is room and clone.bin_room(0) == rat("1/6")
+        clone.pop(0)
+        assert clone.bin_room(0) is room
+        p.pop(0)
+        clone.add_item(Item(3, rat("1/5")), Placement(0))
+        assert p.cost == 0 and clone.pop(0).ident == 3 and clone.bin_room(0) is room
+
     def test_squares_bins_keep_the_largest_room_at_one(self):
         p = Packing(SQ)
         assert p.largest_room() == ZERO  # no open bin

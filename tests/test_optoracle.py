@@ -1,14 +1,18 @@
 """Exact minimum-bin search, cross-checked against brute-force enumeration."""
 
+import json
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from packbound import optoracle
 
-from packbound.exact import power, rat
-from packbound.model import Item, VariantRules, Violation, validate_packing
+from packbound.exact import Exact, power, rat
+from packbound.model import (Item, Packing, VariantRules, Violation, items_from_json,
+                             rules_from_json, validate_packing)
 from packbound.optoracle import InvalidWitness, OracleInstance, min_bins
 
 ONED = VariantRules("one-d")
@@ -148,3 +152,39 @@ class TestSafetyChecks:
         assert not min_bins(OracleInstance(items_of(SEARCHED), ONED, node_budget=1)).proven
         result = min_bins(OracleInstance(items_of(SEARCHED), ONED, node_budget=10_000))
         assert result.proven and result.count == 3
+
+
+class TestBacktrackingAddsNothing:
+    FIXTURES = sorted((Path(__file__).parent / "fixtures" / "oracle").glob("*.json"))
+
+    def test_one_subtraction_per_placement_and_none_per_pop(self, monkeypatch):
+        """A placement subtracts its size from the bin's room once; `pop`
+        puts back the room the bin had before, with no `Exact` arithmetic."""
+        counts = Counter()  # (innermost counted caller or None, name) -> calls
+        frames = []
+
+        def count(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[frames[-1] if frames else None, name] += 1
+                frames.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    frames.pop()
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
+            count(Exact, name)
+        count(Packing, "add_item")
+        count(Packing, "pop")
+        for path in self.FIXTURES:
+            payload = json.loads(path.read_text())
+            items = tuple(item for item, _ in items_from_json(payload["items"]))
+            min_bins(OracleInstance(items, rules_from_json(payload["rules"])))
+        placements = counts[None, "add_item"]
+        assert counts[None, "pop"] > 0 and placements > counts[None, "pop"]
+        assert {key[1]: c for key, c in counts.items() if key[0] == "add_item"} == {
+            "__sub__": placements}
+        assert [key for key in counts if key[0] == "pop"] == []
