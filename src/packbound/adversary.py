@@ -132,7 +132,7 @@ def offline_packing(rules: VariantRules, bins) -> Packing:
                     item, x, y = entry
                     packing.add_item(item, Placement(b, x, y))
     except PackingError as exc:
-        raise CrossCheckFailure(f"offline construction invalid: {exc}") from exc
+        raise CrossCheckFailure(f"offline construction invalid: bin {b}: {exc}") from exc
     violations = validate_packing(packing)
     if violations:
         raise CrossCheckFailure(f"offline construction invalid: {violations[:3]}")

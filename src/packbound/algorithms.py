@@ -71,7 +71,8 @@ class AlgorithmSession:
             self.packing.add_item(item, placement)
         except PackingError as exc:
             raise IllegalPlacement(
-                f"{self.algorithm_id} broke the rules on item {item.ident}: {exc}"
+                f"{self.algorithm_id} broke the rules on item {item.ident}"
+                f" in bin {placement.bin_index}: {exc}"
             ) from exc
         self.transcript.append((item, placement))
         return placement

@@ -100,7 +100,12 @@ def cmd_bounds(args) -> int:
     if tol <= 0:
         return _fail_config(f"--tol: bisection tolerance must be positive, got {tol}")
     rows = []
-    ok = True
+
+    def row(program, reference, computed, decimal, passed) -> dict:
+        rows.append({"program": program, "reference": reference, "computed": computed,
+                     "decimal": decimal, "status": "OK" if passed else "MISMATCH"})
+        return rows[-1]
+
     try:
         for pid in mathprog.builtin_program_ids():
             program = mathprog.builtin_program(pid)
@@ -119,26 +124,12 @@ def cmd_bounds(args) -> int:
                     passed = max(abs(lo - printed), abs(hi - printed)) <= AGREEMENT
                 computed = f"[{fraction_str(lo)}, {fraction_str(hi)}]"
                 decimal = f"[{decimal_str(lo)}, {decimal_str(hi)}]"
-            ok &= passed
-            rows.append({
-                "program": pid,
-                "reference": target,
-                "computed": computed,
-                "decimal": decimal,
-                "status": "OK" if passed else "MISMATCH",
-            })
+            program_row = row(pid, target, computed, decimal, passed)
             if args.json and mode != "exact":
-                rows[-1]["threshold"] = _threshold_json(
+                program_row["threshold"] = _threshold_json(
                     mathprog.exact_threshold(program, lo, hi), printed)
         for cert, computed, passed in _replayed_certificates():
-            ok &= passed
-            rows.append({
-                "program": f"certificate:{cert.name}",
-                "reference": cert.target.render(),
-                "computed": computed,
-                "decimal": "",
-                "status": "OK" if passed else "MISMATCH",
-            })
+            row(f"certificate:{cert.name}", cert.target.render(), computed, "", passed)
     except (mathprog.Infeasible, mathprog.Unbounded, mathprog.NonMonotoneDetected,
             mathprog.NoUpperBound) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
@@ -151,7 +142,7 @@ def cmd_bounds(args) -> int:
         for r in rows:
             print(f"{r['program']:{width}s}  {r['reference']:<22s}  "
                   f"{r['decimal'] or r['computed']:<32s}  {r['status']}")
-    return EXIT_OK if ok else EXIT_CROSSCHECK
+    return EXIT_OK if all(r["status"] == "OK" for r in rows) else EXIT_CROSSCHECK
 
 
 # -- duel ---------------------------------------------------------------------

@@ -356,10 +356,6 @@ class Exact:
     def terms(self) -> tuple:
         return self._terms
 
-    @property
-    def is_rational(self) -> bool:
-        return not self._terms
-
     def _tail_bound(self) -> tuple[int, int, int]:
         """`_bound` of the terms; needs terms."""
         if self._tail is None:
@@ -412,10 +408,6 @@ class Exact:
                 return Exact(0)
             return Exact(self.rational_part * other,
                          tuple((b, e, c * other) for b, e, c in self._terms))
-        if isinstance(other, Exact) and other.is_rational:
-            return self * other.rational_part
-        if isinstance(other, Exact) and self.is_rational:
-            return other * self.rational_part
         return NotImplemented
 
     __rmul__ = __mul__
@@ -423,8 +415,6 @@ class Exact:
     def __truediv__(self, other) -> "Exact":
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / _as_fraction(other))
-        if isinstance(other, Exact) and other.is_rational:
-            return self * (Fraction(1) / other.rational_part)
         return NotImplemented
 
     # -- comparison ----------------------------------------------------

@@ -19,10 +19,6 @@ ZERO = rat(0)
 class PackingError(Exception):
     """Base class for rule violations raised by add_item."""
 
-    def __init__(self, message, bin_index=None):
-        super().__init__(message)
-        self.bin_index = bin_index
-
 
 class CapacityExceeded(PackingError):
     pass
@@ -246,34 +242,27 @@ class Packing:
             )
         b = placement.bin_index
         if b < 0 or b > len(self.bins):
-            raise BadPlacement(
-                f"bin index {b} is neither existing nor the next fresh bin", b
-            )
+            raise BadPlacement(f"bin index {b} is neither existing nor the next fresh bin")
         fresh = b == len(self.bins)
         if rules.is_geometric:
             if not placement.has_position:
-                raise BadPlacement(f"squares require coordinates (item {item.ident})", b)
+                raise BadPlacement(f"squares require coordinates (item {item.ident})")
             if placement.x < ZERO or placement.y < ZERO:
-                raise OutOfBinBounds(f"item {item.ident}: negative corner", b)
+                raise OutOfBinBounds(f"item {item.ident}: negative corner")
             box = square_box(placement.x, placement.y, item.size)
             if box[2] > ONE or box[3] > ONE:
-                raise OutOfBinBounds(f"item {item.ident}: square leaves the unit bin", b)
+                raise OutOfBinBounds(f"item {item.ident}: square leaves the unit bin")
             for i, other in enumerate([] if fresh else self._boxes[b]):
                 if not squares_disjoint(box, other):
                     raise GeometricOverlap(
-                        f"item {item.ident} overlaps item {self.bins[b][i][0].ident}", b
-                    )
+                        f"item {item.ident} overlaps item {self.bins[b][i][0].ident}")
         elif placement.has_position:
-            raise BadPlacement("coordinates are only meaningful for squares", b)
+            raise BadPlacement("coordinates are only meaningful for squares")
         elif item.size > self._room(b):
-            raise CapacityExceeded(
-                f"item {item.ident} of size {item.size} exceeds bin capacity", b
-            )
+            raise CapacityExceeded(f"item {item.ident} of size {item.size} exceeds bin capacity")
         elif self._breaks_color_cap(b, item):
-            raise ColorLimitExceeded(
-                f"item {item.ident} would be color {len(self._colors[b]) + 1} of a bin capped at {rules.t}",
-                b,
-            )
+            raise ColorLimitExceeded(f"item {item.ident} would be color {len(self._colors[b]) + 1}"
+                                     f" of a bin capped at {rules.t}")
 
         if fresh:
             self.bins.append([])

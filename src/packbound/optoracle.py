@@ -71,20 +71,15 @@ def _sorted_items(items) -> list[Item]:
     return sorted(items, key=lambda it: (it.size, -it.ident), reverse=True)
 
 
-def _volume_bound(items) -> int:
-    total = sum((it.size for it in items), ZERO)
-    # ceil of an Exact total: tiny perturbations cannot cross an integer on
-    # their own, so ceil(rational part) + adjustment via exact comparison
-    bound = 0
-    while rat(bound) < total:
-        bound += 1
-    return bound
-
-
 def _lower_bound(rules: VariantRules, items) -> int:
     """Bins every packing needs: the volume bound, and for colored rules
     at least ceil(colors / t)."""
-    volume = _volume_bound(items)
+    total = sum((it.size for it in items), ZERO)
+    # ceil of an Exact total by exact comparison: a total a perturbation
+    # above an integer needs one bin more
+    volume = 0
+    while rat(volume) < total:
+        volume += 1
     if not rules.colored:
         return volume
     return max(volume, -(-len({it.color for it in items}) // rules.t))

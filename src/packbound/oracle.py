@@ -124,16 +124,12 @@ class AdaptiveOracle:
         self.emitted[-1] = Emission(last.index, last.exponent, last.value, bool(satisfied))
         self.awaiting = False
 
-    def halt(self) -> None:
-        """Stop emission permanently (the run's stopping condition fired)."""
-        self.halted = True
-
     def stop_check(self, predicate: Callable[[], bool]) -> bool:
-        """Evaluate a stopping condition; a true result halts emission."""
+        """Evaluate a stopping condition; a true result halts emission for good."""
         if self.awaiting:
             raise ObservationPending("stopping is only checked between items")
         if predicate():
-            self.halt()
+            self.halted = True
             return True
         return False
 

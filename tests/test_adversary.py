@@ -172,8 +172,9 @@ class TestOfflinePacking:
         assert packing.cost == 2 and packing.bin_items(0) == [a, b]
 
     def test_overfull_bin_raises(self):
-        with pytest.raises(CrossCheckFailure, match="offline construction invalid"):
+        with pytest.raises(CrossCheckFailure, match="offline construction invalid") as failure:
             offline_packing(ONE_D, [[_item(0, "3/5"), _item(1, "3/5")]])
+        assert str(failure.value).startswith("offline construction invalid: bin 0: ")
 
     def test_overlapping_squares_raise(self):
         half = rat(F(1, 2))

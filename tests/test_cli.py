@@ -122,6 +122,24 @@ class TestBounds:
         with pytest.raises(ValueError, match="broken solver"):
             main(["bounds"])
 
+    def test_a_certificate_off_its_target_is_a_mismatch(self, capsys, monkeypatch):
+        # one weight of ko-case1-bound raised by one: its derived row misses
+        # the target, that row alone reads MISMATCH and bounds exits 2
+        suite = cli.mathprog.ko_certificate_suite
+
+        def one_weight_off():
+            certs = suite()
+            (row, weight), *rest = certs[1].ingredients
+            certs[1] = certs[1]._replace(ingredients=((row, weight + 1), *rest))
+            return certs
+
+        monkeypatch.setattr(cli.mathprog, "ko_certificate_suite", one_weight_off)
+        code, out, _ = run_cli(capsys, "bounds", "--json")
+        assert code == 2
+        status = {row["program"]: row["status"] for row in json.loads(out)["bounds"]}
+        assert status.pop("certificate:ko-case1-bound") == "MISMATCH"
+        assert len(status) == 9 and set(status.values()) == {"OK"}
+
     @pytest.mark.parametrize("tol", ["3", "1/1000"])
     def test_coarse_tolerance_is_a_mismatch(self, capsys, tol):
         # the brackets still contain or come near every reference, but are
@@ -192,6 +210,13 @@ class TestDuel:
         code, _, err = run_cli(capsys, "duel", "--variant", "ko",
                                "--algorithm", "quantum-fit", "--m", "8")
         assert code == 3 and "unknown algorithm" in err
+
+    def test_an_algorithm_failure_names_its_item_and_bin(self, capsys):
+        # first-fit places without coordinates, which squares bins refuse
+        code, out, err = run_cli(capsys, "duel", "--variant", "sp",
+                                 "--algorithm", "first-fit", "--m", "4")
+        assert code == 2 and out == ""
+        assert "on item 0 in bin 0: squares require coordinates" in err
 
     def test_offline_packing_missing_an_item_fails_the_duel(self, capsys, monkeypatch):
         groups = clcbp._two_thirds_groups

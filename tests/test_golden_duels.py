@@ -3,9 +3,11 @@
 tests/fixtures/small_duels.json holds the stdout sha256 and exit code of
 `packbound duel` for every shipped adversary x algorithm pairing at
 M in {8, 12, 24, 48}, of the full `packbound verify`, and of
-`packbound bounds` as a table and as JSON.  At M = 8 the ko
-adversary also runs the exact minimum-bin check; clcbp needs M divisible by
-6, so its M = 8 entries pin the configuration error (exit 3, empty stdout).
+`packbound bounds` as a table and as JSON, at the default tolerance and at
+six others from 3 to 1/10**13 (each of those exits 2 on some MISMATCH row).
+At M = 8 the ko adversary also runs the exact minimum-bin check; clcbp needs
+M divisible by 6, so its M = 8 entries pin the configuration error (exit 3,
+empty stdout).
 It also holds `packbound oracle` on the instance files in
 tests/fixtures/oracle/: stdout carries the search's node count, so any change
 in pruning or in the greedy seed shows.  `color-bound.json` has a color bound

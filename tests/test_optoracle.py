@@ -154,6 +154,24 @@ class TestSafetyChecks:
         assert result.proven and result.count == 3
 
 
+class TestLowerBound:
+    @pytest.mark.parametrize("tail,bound", [(Exact(0), 2), (power(10, 40), 3),
+                                            (-power(10, 40), 2)],
+                             ids=["exactly-2", "a-hair-above", "a-hair-below"])
+    def test_volume_bound_is_the_exact_ceiling(self, tail, bound):
+        # four halves, one of them moved by 10**-40: the total is 2 + tail
+        items = items_of(["1/2"] * 3) + (Item(3, rat("1/2") + tail),)
+        assert optoracle._lower_bound(ONED, items) == bound
+
+    @pytest.mark.parametrize("sizes,colors,bound", [
+        (["1/100"] * 5, [0, 1, 2, 3, 4], 3),  # ceil(5 colors / 2) above volume 1
+        (["3/4"] * 4, [0, 0, 1, 1], 3),  # volume 3 above ceil(2 colors / 2)
+    ])
+    def test_colored_bound_takes_the_larger(self, sizes, colors, bound):
+        rules = VariantRules("class-constrained", t=2)
+        assert optoracle._lower_bound(rules, items_of(sizes, colors)) == bound
+
+
 class TestBacktrackingAddsNothing:
     FIXTURES = sorted((Path(__file__).parent / "fixtures" / "oracle").glob("*.json"))
 

@@ -141,6 +141,9 @@ class TestProtocol:
         assert oracle.stop_check(lambda: True) is True
         with pytest.raises(SequenceExhausted):
             oracle.next_value()
+        assert oracle.stop_check(lambda: False) is False
+        with pytest.raises(SequenceExhausted):
+            oracle.next_value()
 
     def test_stop_check_never_mid_emission(self):
         oracle = AdaptiveOracle(OracleConfig(10, 10))
