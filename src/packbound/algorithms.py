@@ -7,9 +7,10 @@ reported as an algorithm failure, never an adversary failure.
 
 Algorithms see only the packing (whose rules carry the known-opt advice)
 and the items themselves; adversary internals are off limits.  No strategy
-tests capacity or the color cap itself: each asks `Packing.fits` (first-fit
-and best-fit first ask `Packing.fits_no_open_bin`, which rules out every
-open bin with one comparison), so that rule lives in `model.Packing` alone.
+tests capacity or the color cap itself: first-fit asks `Packing.first_fit`,
+which scans the bins with `fits`' rule, and the others ask `Packing.fits`
+(best-fit first asks `Packing.fits_no_open_bin`, which rules out every open
+bin with one comparison), so that rule lives in `model.Packing` alone.
 
 Adversaries branch by forking a live session (`AlgorithmSession.fork`): a
 copy of the packing, the transcript and the strategy's state, so every
@@ -140,12 +141,7 @@ def _next_fit(packing: Packing, item: Item) -> Placement:
 
 def first_fit(packing: Packing, item: Item) -> Placement:
     """The earliest bin the item fits in, else a fresh bin."""
-    if packing.fits_no_open_bin(item):
-        return Placement(packing.cost)
-    for b in range(packing.cost):
-        if packing.fits(b, item):
-            return Placement(b)
-    return Placement(packing.cost)
+    return Placement(packing.first_fit(item))
 
 
 def _best_fit(packing: Packing, item: Item) -> Placement:
@@ -258,7 +254,7 @@ _REGISTRY: dict[str, Callable] = {
     "first-fit": first_fit,
     "best-fit": _best_fit,
     "harmonic-5": _Harmonic(5),  # prototype: every session owns a fork
-    "ccff": first_fit,  # honours the color cap through Packing.fits
+    "ccff": first_fit,  # honours the color cap through Packing.first_fit
     "shelf-first-fit": _ShelfFirstFit(),
 }
 

@@ -16,15 +16,21 @@ factored form and decides comparisons by exact dominance arguments:
 * a leading term (or a materialized cluster of nearby terms) outweighs the
   remaining tail whenever an exact integer inequality certifies it.
 
-The rational part is two ints in lowest terms, ``_n / _d`` with ``_d > 0``;
-sums cross-multiply them and take one gcd, and a ``Fraction`` is built only
-at the edges (``rational_part``, ``as_fraction``, text, JSON, ``*``, ``/``).
+The rational part is two ints in lowest terms, ``_n / _d`` with ``_d > 0``,
+and so is every term's coefficient: a term is ``(base, exp, cn, cd)`` with
+``cn != 0`` and ``cd > 0``.  Sums cross-multiply them and take one gcd, and a
+``Fraction`` is built only at the edges (``rational_part``, ``terms``,
+``as_fraction``, ``*``, ``/``, the inputs of ``power``) and where tier 3
+sums a cluster of terms or expands them literally.
 
-Comparisons run in three tiers.  First, when the rational parts differ, an
-integer dominance certificate tests their cross-multiplied difference against
-a bound on both perturbation tails, ``sum|coef| * 10**-e_min``, which every
-value caches for itself (two bounds over one denominator add without a gcd);
-this builds no ``Exact`` and no ``Fraction``.  Second, for equal rational
+Comparisons run in three tiers.  First, when the rational parts differ, the
+sign of their cross-multiplied difference decides once its bit length beats
+the perturbation tails.  Every value caches a bound on its tail,
+``sum|coef| * 10**-e_min``, and a bit exponent ``k`` with ``|tail| < 2**-k``
+(``_bits``), so one subtraction of bit lengths settles almost every case;
+when it cannot, an integer dominance certificate tests the difference against
+both tail bounds (two bounds over one denominator add without a gcd).  This
+builds no ``Exact`` and no ``Fraction``.  Second, for equal rational
 parts, a leading-term certificate weighs the larger of the two leading terms
 against the cached bounds on everything else (the other operand's whole tail
 and this operand's terms after its lead); against a purely rational operand
@@ -170,12 +176,12 @@ def _mag_lt(a_base: int, a_exp: int, b_base: int, b_exp: int) -> bool:
     )
 
 
-def _expand(terms: Iterable[tuple[int, int, Fraction]]) -> Fraction:
+def _expand(terms: Iterable[tuple[int, int, int, int]]) -> Fraction:
     total = Fraction(0)
-    for base, exp, coef in terms:
+    for base, exp, cn, cd in terms:
         if exp > _EXPAND_CAP:
             raise PrecisionError(f"refusing to expand {base}^-{exp}")
-        total += coef / Fraction(base) ** exp
+        total += Fraction(cn, cd * base**exp)
     return total
 
 
@@ -194,15 +200,15 @@ def _bound(terms: tuple) -> tuple[int, int, int]:
     at least one.  Every base is >= 10, so each term is at most
     |c| * 10**-e_min; n/d is exactly sum(|c|), in lowest terms."""
     n, d = 0, 1
-    for _, _, c in terms:
-        n, d = _add_ratios(n, d, abs(c.numerator), c.denominator)
-    return min(e for _, e, _ in terms), n, d
+    for _, _, cn, cd in terms:
+        n, d = _add_ratios(n, d, abs(cn), cd)
+    return min(term[1] for term in terms), n, d
 
 
 def _sign_of_terms(terms: tuple) -> int:
     """Exact sign of sum(c * b**-e) over canonical terms, exponents >= 0."""
     while terms:
-        lead_base, lead_exp, _ = terms[0]
+        lead_base, lead_exp, _, _ = terms[0]
         # cluster: same-base terms within _CLUSTER_GAP of the previous one
         cut = 1
         prev_exp = lead_exp
@@ -214,9 +220,9 @@ def _sign_of_terms(terms: tuple) -> int:
             prev_exp = terms[cut][1]
             cut += 1
         cluster, tail = terms[:cut], terms[cut:]
-        value = cluster[0][2]  # cluster scaled by lead_base**lead_exp
-        for _, e, c in cluster[1:]:
-            value += c / Fraction(lead_base) ** (e - lead_exp)
+        value = Fraction(cluster[0][2], cluster[0][3])  # cluster scaled by lead_base**lead_exp
+        for _, e, cn, cd in cluster[1:]:
+            value += Fraction(cn, cd * lead_base ** (e - lead_exp))
         if value == 0:
             terms = tail
             continue
@@ -225,7 +231,7 @@ def _sign_of_terms(terms: tuple) -> int:
         # the tail is at most sum|c| times its leading magnitude; certify
         # v_num/v_den > (tail/lead magnitude ratio), with
         # v_num/v_den = |value| / sum|c| in lowest terms
-        t_base, t_exp, _ = tail[0]
+        t_base, t_exp, _, _ = tail[0]
         _, n, d = _bound(tail)
         v_num, v_den = abs(value.numerator) * d, value.denominator * n
         g = math.gcd(v_num, v_den)
@@ -261,20 +267,21 @@ def _lead_sign(a: "Exact", b: "Exact") -> int:
     (its own operand's terms after it, plus the other operand's tail), the
     lead decides once d|c|/n > 10**-(e_min - hi), where base**exp <= 10**hi.
     """
-    (a_base, a_exp, a_coef), (b_base, b_exp, b_coef) = a._terms[0], b._terms[0]
+    (a_base, a_exp, _, _), (b_base, b_exp, _, _) = a._terms[0], b._terms[0]
     if a_base == b_base and a_exp == b_exp:
         return 0
     if (a_exp < b_exp) if a_base == b_base else _mag_lt(b_base, b_exp, a_base, a_exp):
-        base, exp, coef, sign, lead, other = a_base, a_exp, a_coef, 1, a, b
+        sign, lead, other = 1, a, b
     else:
-        base, exp, coef, sign, lead, other = b_base, b_exp, b_coef, -1, b, a
+        sign, lead, other = -1, b, a
+    base, exp, cn, cd = lead._terms[0]
     bound = other._tail_bound()
     if len(lead._terms) > 1:
         bound = _sum_tails(lead._rest_bound(), bound)
     e_min, n, d = bound
     _, hi = _log10_bounds(base, exp)
-    if _exceeds(d * abs(coef.numerator), n * coef.denominator, 10, e_min - hi):
-        return sign if coef.numerator > 0 else -sign
+    if _exceeds(d * abs(cn), n * cd, 10, e_min - hi):
+        return sign if cn > 0 else -sign
     return 0
 
 
@@ -285,7 +292,7 @@ def _hash_of(num: int, den: int, terms: tuple, sign: int) -> int:
     dividing a denominator (k = 0 unless P divides one), |v| times P**k is s
     modulo P**(k + 1); |v| hashes to s / P**k modulo P when P**k divides s,
     else P divides v's own denominator and |v| hashes to `sys.hash_info.inf`."""
-    parts = ((num, den, 10, 0), *((c.numerator, c.denominator, b, e) for b, e, c in terms))
+    parts = ((num, den, 10, 0), *((cn, cd, b, e) for b, e, cn, cd in terms))
     pk = 1
     for _, d, _, _ in parts:
         while d % (pk * _P) == 0:
@@ -302,44 +309,60 @@ def _hash_of(num: int, den: int, terms: tuple, sign: int) -> int:
 
 
 def _merge_terms(xs: tuple, ys: tuple, sign: int = 1) -> tuple:
-    """Canonical xs + sign * ys, sign 1 or -1, of canonical term tuples in one pass."""
+    """Canonical xs + sign * ys, sign 1 or -1, of canonical term tuples in one pass.
+    Equal (base, exp) pairs cross-multiply their coefficients and take one gcd;
+    same-base terms are ordered by exponent alone."""
     out = []
     i = j = 0
     while i < len(xs) and j < len(ys):
         x, y = xs[i], ys[j]
-        if x[0] == y[0] and x[1] == y[1]:
-            c = x[2] + y[2] if sign > 0 else x[2] - y[2]
-            if c:
-                out.append((x[0], x[1], c))
+        xb, xe, xn, xd = x
+        yb, ye, yn, yd = y
+        if xb == yb and xe == ye:
+            yn *= sign
+            n, d = (xn + yn, xd) if xd == yd else (xn * yd + yn * xd, xd * yd)
+            if n:
+                g = math.gcd(n, d)
+                out.append((xb, xe, n // g, d // g))
             i += 1
             j += 1
-        elif _mag_lt(y[0], y[1], x[0], x[1]):
+        elif (ye > xe) if xb == yb else _mag_lt(yb, ye, xb, xe):
             out.append(x)
             i += 1
         else:
-            out.append(y if sign > 0 else (y[0], y[1], -y[2]))
+            out.append(y if sign > 0 else (yb, ye, -yn, yd))
             j += 1
     out.extend(xs[i:])
-    out.extend(ys[j:] if sign > 0 else ((b, e, -c) for b, e, c in ys[j:]))
+    out.extend(ys[j:] if sign > 0 else ((b, e, -n, d) for b, e, n, d in ys[j:]))
     return tuple(out)
 
 
 def _exact(n: int, d: int, terms: tuple = (), tail=None) -> "Exact":
     """The Exact n/d + terms, for n/d in lowest terms with d > 0."""
     x = object.__new__(Exact)
-    # _tail and _rest cache facts about the terms alone, never part of the value
-    x._n, x._d, x._terms, x._hash, x._tail, x._rest = n, d, terms, None, tail, None
+    # _tail, _rest and _k cache facts about the terms alone, never part of the value
+    x._n, x._d, x._terms, x._hash, x._tail, x._rest, x._k = n, d, terms, None, tail, None, None
     return x
+
+
+def _term(base: int, exp: int, coef: Fraction) -> tuple[int, int, int, int]:
+    """The stored term coef * base**-exp, coef nonzero."""
+    return base, exp, coef.numerator, coef.denominator
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """`fraction_str` of n/d in lowest terms, d > 0."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class Exact:
     """Immutable exact number ``rational + sum(coef * base**-exp)``."""
 
-    __slots__ = ("_n", "_d", "_terms", "_hash", "_tail", "_rest")
+    __slots__ = ("_n", "_d", "_terms", "_hash", "_tail", "_rest", "_k")
 
-    def __new__(cls, rational: RationalLike = 0, _terms: tuple = ()):
+    def __new__(cls, rational: RationalLike = 0):
         q = _as_fraction(rational)
-        return _exact(q.numerator, q.denominator, _terms)
+        return _exact(q.numerator, q.denominator)
 
     # -- construction -------------------------------------------------
 
@@ -354,13 +377,23 @@ class Exact:
 
     @property
     def terms(self) -> tuple:
-        return self._terms
+        """The terms as (base, exp, coef) triples, coef a `Fraction`."""
+        return tuple((b, e, Fraction(n, d)) for b, e, n, d in self._terms)
 
     def _tail_bound(self) -> tuple[int, int, int]:
         """`_bound` of the terms; needs terms."""
         if self._tail is None:
             self._tail = _bound(self._terms)
         return self._tail
+
+    def _bits(self) -> int:
+        """k = 3 e_min - bitlen(n) + bitlen(d) - 1 from `_tail_bound` (e_min, n, d),
+        so |terms| < 2**-k: 10**-e_min <= 2**(-3 e_min), and n/d < 2**(bitlen(n) -
+        bitlen(d) + 1).  Needs terms."""
+        if self._k is None:
+            e, n, d = self._tail_bound()
+            self._k = 3 * e - n.bit_length() + d.bit_length() - 1
+        return self._k
 
     def _rest_bound(self) -> tuple[int, int, int]:
         """Like `_tail_bound`, for the terms after the lead; needs two terms."""
@@ -394,7 +427,8 @@ class Exact:
     __radd__ = __add__
 
     def __neg__(self) -> "Exact":
-        return _exact(-self._n, self._d, tuple((b, e, -c) for b, e, c in self._terms), self._tail)
+        return _exact(-self._n, self._d, tuple((b, e, -n, d) for b, e, n, d in self._terms),
+                      self._tail)
 
     def __sub__(self, other) -> "Exact":
         return self.__add__(other, -1)
@@ -406,8 +440,9 @@ class Exact:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Exact(0)
-            return Exact(self.rational_part * other,
-                         tuple((b, e, c * other) for b, e, c in self._terms))
+            q = self.rational_part * other
+            return _exact(q.numerator, q.denominator,
+                          tuple(_term(b, e, Fraction(n, d) * other) for b, e, n, d in self._terms))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -436,14 +471,27 @@ class Exact:
         if terms is o_terms or terms == o_terms:
             return (num > 0) - (num < 0)
         if num:
-            # tier 1: the rational difference beats both tails together
+            # tier 1: the rational difference beats both tails together.  It is
+            # at least 2**(bitlen(num) - bitlen(d od) - 1) and the tails are
+            # below 2 * 2**-min(k1, k2) (`_bits`), so bit lengths decide first
+            dod = d * od
+            if not terms:
+                k = other._k if other._k is not None else other._bits()
+            else:
+                k = self._k if self._k is not None else self._bits()
+                if o_terms:
+                    k2 = other._k if other._k is not None else other._bits()
+                    if k2 < k:
+                        k = k2
+            if num.bit_length() - dod.bit_length() + k >= 2:
+                return 1 if num > 0 else -1
             if not terms:
                 e, tn, td = other._tail_bound()
             elif not o_terms:
                 e, tn, td = self._tail_bound()
             else:
                 e, tn, td = _sum_tails(self._tail_bound(), other._tail_bound())
-            if _exceeds(abs(num) * td, d * od * tn, 10, e):
+            if _exceeds(abs(num) * td, dod * tn, 10, e):
                 return 1 if num > 0 else -1
         else:
             # tier 2: one operand's terms alone, or a lead that outweighs the rest
@@ -457,7 +505,11 @@ class Exact:
         # tier 3: certify the sign of the difference term by term; a rational
         # difference weighs in as a leading term 10**0, which outweighs every
         # term, since exponents are >= 1
-        lead = ((10, 0, Fraction(num, d * od)),) if num else ()
+        if num:
+            g = math.gcd(num, dod)
+            lead = ((10, 0, num // g, dod // g),)
+        else:
+            lead = ()
         return _sign_of_terms(lead + _merge_terms(terms, o_terms, -1))
 
     def __eq__(self, other):
@@ -503,16 +555,12 @@ class Exact:
         return q + _expand(self._terms) if self._terms else q
 
     def __str__(self):
-        parts = [fraction_str(self.rational_part)] if (self._n or not self._terms) else []
-        for b, e, c in self._terms:
-            if c == 1:
-                parts.append(f"+ {b}^-{e}")
-            elif c == -1:
-                parts.append(f"- {b}^-{e}")
-            elif c > 0:
-                parts.append(f"+ ({fraction_str(c)})*{b}^-{e}")
+        parts = [_ratio_str(self._n, self._d)] if (self._n or not self._terms) else []
+        for b, e, n, d in self._terms:
+            if d == 1 and abs(n) == 1:
+                parts.append(f"{'+' if n > 0 else '-'} {b}^-{e}")
             else:
-                parts.append(f"- ({fraction_str(-c)})*{b}^-{e}")
+                parts.append(f"{'+' if n > 0 else '-'} ({_ratio_str(abs(n), d)})*{b}^-{e}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else text
 
@@ -522,12 +570,12 @@ class Exact:
     def to_json(self):
         """JSON-friendly exact form: plain string for rationals, object otherwise."""
         if not self._terms:
-            return fraction_str(self.rational_part)
+            return _ratio_str(self._n, self._d)
         return {
-            "rational": fraction_str(self.rational_part),
+            "rational": _ratio_str(self._n, self._d),
             "tiny": [
-                {"base": b, "exp": e, "coef": fraction_str(c)}
-                for b, e, c in self._terms
+                {"base": b, "exp": e, "coef": _ratio_str(n, d)}
+                for b, e, n, d in self._terms
             ],
         }
 
@@ -547,4 +595,4 @@ def power(base: int, exp: int, coef=1) -> Exact:
     if exp < 1:
         raise ValueError("perturbation exponents must be >= 1")
     coef = _as_fraction(coef)
-    return _exact(0, 1, ((base, exp, coef),)) if coef else _exact(0, 1)
+    return _exact(0, 1, (_term(base, exp, coef),)) if coef else _exact(0, 1)

@@ -5,7 +5,9 @@ item goes into each distinguishable open bin and then one fresh bin.  Bins
 with identical remaining room and color set are interchangeable for every
 future decision, so only the first of each signature is branched.  The
 first-fit baseline (`algorithms.first_fit`) fed the items in decreasing size
-seeds the incumbent; the search proves optimality or improves on it.  A node
+seeds the incumbent; the search proves optimality or improves on it, and
+is skipped when the seed meets the root bound.  Every witness, the seed
+included, is validated before it is returned (`InvalidWitness`).  A node
 is pruned when max(open bins, lower) >= best, where lower is the root bound
 ceil(total size), raised for colored rules to ceil(colors / t): open bins
 stay open, and every packing needs the root bound.  The search stops after
@@ -89,18 +91,12 @@ def min_bins(instance: OracleInstance) -> OracleResult:
     """Provably minimum bin count with a witness packing."""
     rules = instance.rules
     ordered = _sorted_items(instance.items)
-    if not ordered:
-        return OracleResult(0, Packing(rules), 0, True)
-
     budget = instance.node_budget
     lower = _lower_bound(rules, ordered)
     best_packing = Packing(rules)
     for item in ordered:
         best_packing.add_item(item, first_fit(best_packing, item))
     best = best_packing.cost
-    if best == lower:
-        return OracleResult(best, best_packing, 0, True)
-
     nodes = 0
     packing = Packing(rules)  # the search's one live packing
 
@@ -138,10 +134,11 @@ def min_bins(instance: OracleInstance) -> OracleResult:
             packing.pop(fresh)
 
     proven = True
-    try:
-        search(0)
-    except BudgetExceeded:
-        proven = False  # best is an upper bound only
+    if best > lower:  # a seed that meets the bound is optimal: no node is searched
+        try:
+            search(0)
+        except BudgetExceeded:
+            proven = False  # best is an upper bound only
     violations = validate_packing(best_packing)
     if violations:
         raise InvalidWitness(f"witness packing invalid: {'; '.join(map(str, violations[:3]))}")

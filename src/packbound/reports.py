@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from typing import NamedTuple, Optional
 
 from .exact import decimal_str, fraction_str
@@ -88,5 +88,53 @@ class ScenarioOutcome:
 
 
 def report_to_json(report: dict) -> str:
-    """Deterministic, byte-stable JSON rendering of a run report."""
-    return json.dumps(report, indent=2, sort_keys=True)
+    """Deterministic, byte-stable JSON rendering of a run report: byte for byte
+    ``json.dumps(report, indent=2, sort_keys=True)``, written directly rather
+    than through `json`'s pure-Python indenting encoder.  Reports hold dicts
+    with `str` keys, lists, `str`, `int`, `bool` and None; anything else
+    (a float, a tuple, a non-`str` key) raises TypeError."""
+    out: list[str] = []
+    _write(report, out, "\n")
+    return "".join(out)
+
+
+def _write(value, out: list, newline: str) -> None:
+    """Append the JSON text of `value` to `out`; `newline` starts its own lines."""
+    if isinstance(value, str):
+        out.append(_string(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got {type(key).__name__}")
+            out.append(opener)
+            out.append(_string(key))
+            out.append(": ")
+            _write(value[key], out, inner)
+            opener = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for element in value:
+            out.append(opener)
+            _write(element, out, inner)
+            opener = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -628,6 +628,9 @@ pair_values = st.builds(
 def assert_lowest_terms(value):
     q = value.rational_part
     assert q.denominator > 0 and (value._n, value._d) == (q.numerator, q.denominator)
+    for b, e, n, d in value._terms:  # each coefficient too, and never zero
+        assert n != 0 and d > 0 and math.gcd(n, d) == 1
+    assert value.terms == tuple((b, e, Fraction(n, d)) for b, e, n, d in value._terms)
 
 
 class TestRationalPartAsTwoInts:
@@ -661,3 +664,82 @@ class TestRationalPartAsTwoInts:
         results = [a + b, a - b, a <= b, b <= a, a == b, a == a + 0, a + 1, 1 - a, a <= 1]
         assert made == []
         assert results[2:6] == [False, True, False, True]
+
+    def test_termed_arithmetic_and_comparison_build_no_fraction(self, monkeypatch):
+        # built first: `power` takes its coefficient as a Fraction
+        a = rat(Fraction(5, 12)) + power(10, 30, Fraction(-3, 4)) + power(20, 9, 2)
+        b = rat(Fraction(-1, 3)) + power(10, 30, Fraction(1, 6)) - power(10, 80, Fraction(7, 9))
+        c = rat(Fraction(5, 12)) - power(10, 5)  # a's rational part, a larger lead
+        q, low = Fraction(5, 12), Fraction(-7, 12)
+        made = []
+        original = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        sums = [a + b, a - b, b - a, -a, -b, a + 1, 1 - b, a - q]
+        order = [a <= b, b < a, a > c, c < a, a >= a + 0, a == b, a == -(-a), b.sign(),
+                 (a - a).sign(), a > low]
+        assert made == []
+        assert order == [False, True, True, True, True, False, True, -1, 0, True]
+        assert (a + b)._terms == ((20, 9, 2, 1), (10, 30, -7, 12), (10, 80, -7, 9))
+        assert (-b)._terms == ((10, 30, -1, 6), (10, 80, 7, 9)) and sums[3] == -a
+
+
+def bit_verdict(a, b):
+    """The sign of a - b that tier 1's bit-length test certifies, or None."""
+    num = a._n * b._d - b._n * a._d
+    ks = [v._bits() for v in (a, b) if v._terms]
+    if num and ks and num.bit_length() - (a._d * b._d).bit_length() + min(ks) >= 2:
+        return 1 if num > 0 else -1
+    return None
+
+
+# exponents down to 1 and coefficient sums up to thousands: tails that
+# often outweigh a small rational gap, so the bit test gives up and the
+# certificate or the term-by-term sign decides.  Coefficients 2**m - 1 and
+# gaps 2**i / (2**j - 1) sit just below a power of two, where the bit test's
+# margin is thinnest.
+heavy_terms = st.dictionaries(
+    st.tuples(st.sampled_from([10, 20]), st.integers(min_value=1, max_value=12)),
+    st.one_of(st.fractions(min_value=-5000, max_value=5000, max_denominator=30).filter(bool),
+              st.builds(lambda m, s: s * (2**m - 1), st.integers(1, 12), st.sampled_from([1, -1]))),
+    max_size=4)
+near_rationals = st.one_of(
+    st.builds(lambda q, n: q + Fraction(n, 10**6), small_rationals, st.integers(-3, 3)),
+    st.builds(lambda i, j, s: s * Fraction(2**i, 2**j - 1), st.integers(0, 9),
+              st.integers(1, 9), st.sampled_from([1, -1])))
+
+
+class TestTierOneBitTest:
+    @given(near_rationals, heavy_terms, near_rationals, heavy_terms)
+    @settings(max_examples=400)
+    @example(Fraction(1, 10), {(10, 1): Fraction(2)}, Fraction(0), {})  # 1/10 + 2/10 > 0
+    @example(Fraction(1, 10), {(10, 1): Fraction(-1)}, Fraction(0), {})  # exactly 0
+    @example(Fraction(1, 3), {(10, 3): Fraction(-300)}, Fraction(0), {(20, 2): Fraction(1)})
+    # a gap of 32/31 against a tail of -3/2, and of 64/31 against two tails
+    # summing to -3: the bit test must leave both to the fallback
+    @example(Fraction(32, 31), {(10, 1): Fraction(-15)}, Fraction(0), {})
+    @example(Fraction(64, 31), {(10, 1): Fraction(-15)}, Fraction(0), {(10, 1): Fraction(15)})
+    def test_agrees_with_the_literal_sign(self, q1, t1, q2, t2):
+        a, b = from_parts(q1, t1), from_parts(q2, t2)
+        fa, fb = a.as_fraction(), b.as_fraction()
+        s = literal_sign(fa - fb)
+        assert_order_matches(a, b, s)
+        assert_order_matches(b, a, -s)
+        verdict = bit_verdict(a, b)
+        assert verdict is None or verdict == s
+        for v in (a, b):  # the cached exponent bounds the tail: |terms| < 2**-k
+            if v._terms:
+                assert abs(_expand(v._terms)) < Fraction(2) ** -v._bits()
+
+    def test_an_undecided_bit_test_falls_back_to_the_certificate_and_the_terms(self):
+        # 1/10**5 against 10**-6: the bit lengths leave too little room, the
+        # integer certificate decides
+        a, b = rat(Fraction(1, 10**5)) + power(10, 6), rat(0) + power(10, 7)
+        assert bit_verdict(a, b) is None and a > b and b < a
+        # a gap of 1/10 against a tail of -1/10: only the terms can tell (a tie)
+        a, b = rat(Fraction(1, 10)) + power(10, 1, -1), rat(0)
+        assert bit_verdict(a, b) is None and a == b and a <= b and not a < b

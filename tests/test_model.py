@@ -326,6 +326,20 @@ class TestFitsAndPop:
         for b in range(p.cost):
             assert p.bin_colors(b) == {i.color for i in p.bin_items(b) if i.color is not None}
 
+    @pytest.mark.parametrize("rules", RULES + [VariantRules("class-constrained", t=1)],
+                             ids=lambda r: f"{r.kind}-t{r.t}" if r.t else r.kind)
+    @given(specs=item_specs)
+    @settings(max_examples=80, deadline=None)
+    def test_first_fit_is_the_first_bin_fits_takes(self, rules, specs):
+        p = Packing(rules)
+        for ident, (size, tilt, color, target) in enumerate(specs):
+            item = Item(ident, rat(size) + tilt * power(10, 30),
+                        color=color if rules.colored else None)
+            first = next((b for b in range(p.cost) if p.fits(b, item)), p.cost)
+            assert p.first_fit(item) == first
+            b = min(target, p.cost)  # fill the bins unevenly, not first-fit
+            p.add_item(item, Placement(b if p.fits(b, item) else p.cost))
+
 
 class TestRoomCache:
     """Each 1-D bin caches its free room, which must stay 1 - its contents."""

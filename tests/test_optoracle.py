@@ -143,6 +143,15 @@ class TestSafetyChecks:
         with pytest.raises(InvalidWitness, match="overfull"):
             min_bins(OracleInstance(items_of(SEARCHED), ONED))
 
+    def test_a_greedy_witness_at_the_bound_is_validated_too(self, monkeypatch):
+        # first-fit-decreasing meets the volume bound here, so no node is searched
+        instance = OracleInstance(items_of(["1/2", "1/3", "1/6", "2/3"]), ONED)
+        assert min_bins(instance)[::2] == (2, 0)
+        bad = Violation(1, "overfull", (3,), "load exceeds 1")
+        monkeypatch.setattr(optoracle, "validate_packing", lambda packing: [bad])
+        with pytest.raises(InvalidWitness, match="overfull"):
+            min_bins(instance)
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_is_rejected(self, budget):
         with pytest.raises(ValueError, match="node budget must be at least 1"):
