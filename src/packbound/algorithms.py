@@ -169,16 +169,18 @@ class _Harmonic:
 
     def __init__(self, classes: int):
         self.classes = classes
+        # class i < classes holds the sizes above bounds[i - 1] = 1/(i+1)
+        self.bounds = tuple(rat(Fraction(1, i + 1)) for i in range(1, classes))
         self.open_bin: dict[int, Optional[int]] = {i: None for i in range(1, classes + 1)}
 
     def fork(self) -> "_Harmonic":
-        clone = _Harmonic(self.classes)
-        clone.open_bin.update(self.open_bin)
+        clone = object.__new__(_Harmonic)
+        clone.classes, clone.bounds, clone.open_bin = self.classes, self.bounds, dict(self.open_bin)
         return clone
 
     def classify(self, size: Exact) -> int:
-        for i in range(1, self.classes):
-            if size > rat(Fraction(1, i + 1)):
+        for i, bound in enumerate(self.bounds, 1):
+            if size > bound:
                 return i
         return self.classes
 

@@ -220,20 +220,26 @@ def _sign_of_terms(terms: tuple) -> int:
             prev_exp = terms[cut][1]
             cut += 1
         cluster, tail = terms[:cut], terms[cut:]
-        value = Fraction(cluster[0][2], cluster[0][3])  # cluster scaled by lead_base**lead_exp
-        for _, e, cn, cd in cluster[1:]:
-            value += Fraction(cn, cd * lead_base ** (e - lead_exp))
-        if value == 0:
-            terms = tail
-            continue
+        # vn/vd: the cluster scaled by lead_base**lead_exp, in lowest terms;
+        # a one-term cluster is its stored coefficient
+        vn, vd = cluster[0][2], cluster[0][3]
+        if cut > 1:
+            value = Fraction(vn, vd)
+            for _, e, cn, cd in cluster[1:]:
+                value += Fraction(cn, cd * lead_base ** (e - lead_exp))
+            if value == 0:
+                terms = tail
+                continue
+            vn, vd = value.numerator, value.denominator
+        sign = 1 if vn > 0 else -1
         if not tail:
-            return 1 if value > 0 else -1
+            return sign
         # the tail is at most sum|c| times its leading magnitude; certify
         # v_num/v_den > (tail/lead magnitude ratio), with
         # v_num/v_den = |value| / sum|c| in lowest terms
         t_base, t_exp, _, _ = tail[0]
         _, n, d = _bound(tail)
-        v_num, v_den = abs(value.numerator) * d, value.denominator * n
+        v_num, v_den = abs(vn) * d, vd * n
         g = math.gcd(v_num, v_den)
         v_num, v_den = v_num // g, v_den // g
         if t_base == lead_base:
@@ -244,11 +250,11 @@ def _sign_of_terms(terms: tuple) -> int:
             _, lead_hi = _log10_bounds(lead_base, lead_exp)
             ok = _exceeds(v_num, v_den, 10, tail_lo - lead_hi)
         if ok:
-            return 1 if value > 0 else -1
+            return sign
         # could not certify: expand everything (small exponents) or give up
         if lead_exp > _EXPAND_CAP:
             raise PrecisionError("uncertifiable tail under an unexpandable lead term")
-        total = value / Fraction(lead_base) ** lead_exp + _expand(tail)
+        total = Fraction(vn, vd * lead_base**lead_exp) + _expand(tail)
         return (total > 0) - (total < 0)
     return 0
 

@@ -301,7 +301,7 @@ NAIVE_PAIRS = [
 ]
 
 # adds (shared rational parts, tilted by +-k^-e of either base, so that
-# rooms and sizes often tie on their rational parts), pops, packing copies,
+# rooms and sizes often tie on their rational parts), packing copies,
 # session forks, and peeks that fill the largest-room cache in place
 placement_ops = st.lists(
     st.one_of(
@@ -314,7 +314,6 @@ placement_ops = st.lists(
             st.integers(min_value=2, max_value=40),  # tilt exponent
             st.integers(min_value=0, max_value=3),  # color, under colored rules
         ),
-        st.tuples(st.just("pop"), st.integers(min_value=0, max_value=20)),
         st.tuples(st.just("copy")),
         st.tuples(st.just("fork")),
         st.tuples(st.just("peek")),
@@ -347,12 +346,6 @@ class TestFreshBinShortcut:
                             color=color if rules.colored else None)
                 for session in sessions:
                     session.place(item)
-            elif op[0] == "pop":
-                nonempty = [b for b in range(sessions[0].cost) if sessions[0].packing.bins[b]]
-                if not nonempty:
-                    continue
-                for session in sessions:
-                    session.packing.pop(nonempty[op[1] % len(nonempty)])
             elif op[0] == "copy":
                 for session in sessions:
                     session.packing = session.packing.copy()

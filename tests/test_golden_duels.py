@@ -17,12 +17,18 @@ seeded random-fit strategies of tests/test_wave_reference.py whose wave two
 stops in case 2: no shipped pairing reaches that case, so these pin it.
 
 perfbench/golden.json holds the digests the benchmark checks its runs
-against: `bounds` and every duel at M = 96.  They are compared here too,
-read only, so a report change shows before a benchmark run.
+against: `bounds`, every duel at M = 96, and `oracle` on the 60 instances
+the benchmark draws for seed 0.  They are compared here too, read only, so a
+report change shows before a benchmark run.  The instances are drawn by the
+benchmark's own `perfbench/workloads.py`, loaded from its file (with the
+`planted` module it imports) and written to a temporary directory; the
+oracle reports carry node counts, so a change in the search shows.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,7 +38,8 @@ from packbound.clcbp import run_full
 from packbound.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
-BENCHMARK = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+BENCHMARK = json.loads((PERFBENCH / "golden.json").read_text())
 FIXTURE = json.loads((FIXTURES / "small_duels.json").read_text())
 GOLDEN = FIXTURE["duels"]
 ORACLE = FIXTURE["oracle"]
@@ -81,3 +88,29 @@ def test_clcbp_case_two_report_matches_recorded_digest(capsys, key):
                                        if not k.startswith("oracle")))
 def test_report_matches_the_benchmark_digest(capsys, key):
     assert _run(capsys, key.split()) == (0, BENCHMARK["digests"][key])
+
+
+def _load_perfbench(patch, name: str):
+    """perfbench/<name>.py as the module `name`, registered while `patch` lasts
+    (its dataclasses and its imports look it up there)."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    patch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def benchmark_oracle_argv(tmp_path_factory):
+    """The argv of each seed-0 `oracle` operation of the benchmark, by key."""
+    with pytest.MonkeyPatch.context() as patch:
+        _load_perfbench(patch, "planted")
+        workloads = _load_perfbench(patch, "workloads")
+        ops = workloads.operations("oracle-search", workloads.DEFAULT_SEED,
+                                   tmp_path_factory.mktemp("oracle-search"))
+    return {op.key: list(op.argv) for op in ops}
+
+
+@pytest.mark.parametrize("key", sorted(k for k in BENCHMARK["digests"] if k.startswith("oracle")))
+def test_oracle_report_matches_the_benchmark_digest(capsys, benchmark_oracle_argv, key):
+    assert _run(capsys, benchmark_oracle_argv[key]) == (0, BENCHMARK["digests"][key])

@@ -189,44 +189,6 @@ class TestStoredBoxes:
     def square(p, ident, side, b, x, y):
         p.add_item(Item(ident, rat(side)), Placement(b, rat(x), rat(y)))
 
-    def test_pop_then_a_different_square_still_refuses_overlaps(self):
-        p = Packing(SQ)
-        self.square(p, 0, "1/2", 0, "0", "0")
-        self.square(p, 1, "1/2", 0, "1/2", "0")
-        assert p.pop(0).ident == 1
-        self.square(p, 2, "1/4", 0, "1/2", "1/2")
-        with pytest.raises(GeometricOverlap, match="overlaps item 0$"):
-            self.square(p, 3, "1/2", 0, "1/4", "1/4")
-        with pytest.raises(GeometricOverlap, match="overlaps item 2$"):
-            self.square(p, 3, "1/4", 0, "5/8", "5/8")
-        self.square(p, 4, "1/2", 0, "1/2", "0")  # where the popped square stood
-        assert validate_packing(p) == []
-
-    def test_a_reopened_bin_forgets_the_square_that_closed_it(self):
-        p = Packing(SQ)
-        self.square(p, 0, "1", 0, "0", "0")
-        self.square(p, 1, "1/2", 1, "0", "0")
-        p.pop(1)  # bin 1 closes
-        self.square(p, 2, "1/4", 1, "3/4", "3/4")
-        self.square(p, 3, "1/2", 1, "0", "0")
-        with pytest.raises(GeometricOverlap, match="overlaps item 2$"):
-            self.square(p, 4, "1/2", 1, "1/2", "1/2")
-        assert p.cost == 2 and validate_packing(p) == []
-
-    def test_a_closed_bin_takes_its_boxes_along(self):
-        p = Packing(SQ)
-        self.square(p, 0, "1/2", 0, "0", "0")
-        self.square(p, 1, "1/2", 1, "0", "0")
-        p.pop(1)  # bin 1 closes
-        assert len(p._boxes) == p.cost == 1
-        self.square(p, 2, "1/4", 1, "3/4", "3/4")
-        q = p.copy()
-        assert len(q._boxes) == q.cost == 2
-        self.square(q, 3, "1/2", 1, "0", "0")  # where the closing square stood
-        with pytest.raises(GeometricOverlap, match="overlaps item 2$"):
-            self.square(q, 4, "1/2", 1, "1/2", "1/2")
-        assert validate_packing(q) == [] and len(q._boxes) == q.cost
-
     def test_copies_and_forks_share_no_boxes(self):
         from packbound.algorithms import make_session
 
@@ -277,8 +239,8 @@ class TestStoredBoxes:
         assert all(0 < c <= 2 * n for c in counts), counts
 
 
-class TestFitsAndPop:
-    """`fits` is the 1-D rule `add_item` enforces; `pop` undoes `add_item`."""
+class TestFits:
+    """`fits` is the 1-D rule `add_item` enforces."""
 
     RULES = [ONED, VariantRules("known-opt", advice=3),
              VariantRules("class-constrained", t=2)]
@@ -303,22 +265,21 @@ class TestFitsAndPop:
     @pytest.mark.parametrize("rules", RULES, ids=lambda r: r.kind)
     @given(specs=item_specs)
     @settings(max_examples=80, deadline=None)
-    def test_fits_matches_add_item_and_pop_restores(self, rules, specs):
+    def test_fits_matches_add_item(self, rules, specs):
         p = Packing(rules)
         for ident, (size, tilt, color, target) in enumerate(specs):
             item = Item(ident, rat(size) + tilt * power(10, 30),
                         color=color if rules.colored else None)
             for b in range(p.cost + 1):
-                before = p.copy()
-                fits = p.fits(b, item)
+                trial = p.copy()
+                fits = trial.fits(b, item)
                 try:
-                    p.add_item(item, Placement(b))
+                    trial.add_item(item, Placement(b))
                 except PackingError:
                     assert not fits
+                    assert self.state(trial) == self.state(p)  # a refusal changes nothing
                 else:
                     assert fits
-                    assert p.pop(b) == item
-                assert self.state(p) == self.state(before)
             b = min(target, p.cost)
             if p.fits(b, item):
                 p.add_item(item, Placement(b))
@@ -354,7 +315,6 @@ class TestRoomCache:
                 st.integers(min_value=2, max_value=60),  # perturbation exponent
                 st.integers(min_value=0, max_value=6),  # target bin, clipped
             ),
-            st.tuples(st.just("pop"), st.integers(min_value=0, max_value=6)),
             st.tuples(st.just("copy")),
         ),
         min_size=1,
@@ -383,40 +343,12 @@ class TestRoomCache:
                             color=ident % 3 if rules.colored else None)
                 b = min(target, p.cost)
                 p.add_item(item, Placement(b if p.fits(b, item) else p.cost))
-            elif op[0] == "pop":
-                nonempty = [b for b in range(p.cost) if p.bins[b]]
-                if not nonempty:
-                    continue
-                p.pop(nonempty[op[1] % len(nonempty)])
             else:
                 p = p.copy()
                 packings.append(p)
             self.assert_rooms(p)
         for q in packings:  # a copy shares no room list with its source
             self.assert_rooms(q)
-
-    def test_pop_restores_the_room_object(self):
-        p = Packing(ONED)
-        p.add_item(Item(0, rat("1/3") + power(10, 40)), Placement(0))
-        room = p.bin_room(0)
-        p.add_item(Item(1, rat("1/4")), Placement(0))
-        assert p.pop(0).ident == 1 and p.bin_room(0) is room
-
-    def test_a_copy_pops_apart_from_its_source(self):
-        p = Packing(ONED)
-        p.add_item(Item(0, rat("1/3")), Placement(0))
-        room = p.bin_room(0)
-        p.add_item(Item(1, rat("1/4")), Placement(0))
-        clone = p.copy()
-        clone.pop(0)
-        clone.add_item(Item(2, rat("1/2")), Placement(0))  # the source must not see this
-        p.pop(0)
-        assert p.bin_room(0) is room and clone.bin_room(0) == rat("1/6")
-        clone.pop(0)
-        assert clone.bin_room(0) is room
-        p.pop(0)
-        clone.add_item(Item(3, rat("1/5")), Placement(0))
-        assert p.cost == 0 and clone.pop(0).ident == 3 and clone.bin_room(0) is room
 
     def test_squares_bins_keep_the_largest_room_at_one(self):
         p = Packing(SQ)

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from packbound import optoracle
 
 from packbound.exact import Exact, power, rat
-from packbound.model import (Item, Packing, VariantRules, Violation, items_from_json,
-                             rules_from_json, validate_packing)
+from packbound.model import (ONE, Item, Packing, VariantRules, Violation, items_from_json,
+                             packing_to_json, rules_from_json, validate_packing)
 from packbound.optoracle import InvalidWitness, OracleInstance, min_bins
 
 ONED = VariantRules("one-d")
@@ -152,6 +152,12 @@ class TestSafetyChecks:
         with pytest.raises(InvalidWitness, match="overfull"):
             min_bins(instance)
 
+    def test_a_leaf_that_breaks_a_rule_is_refused_on_rebuild(self, monkeypatch):
+        # the search sees every size as 1/100, so its best leaf fills one bin
+        monkeypatch.setattr(optoracle, "_scaled_sizes", lambda items: ([1] * len(items), 100))
+        with pytest.raises(InvalidWitness, match="exceeds bin capacity"):
+            min_bins(OracleInstance(items_of(SEARCHED), ONED))
+
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one_is_rejected(self, budget):
         with pytest.raises(ValueError, match="node budget must be at least 1"):
@@ -181,37 +187,106 @@ class TestLowerBound:
         assert optoracle._lower_bound(rules, items_of(sizes, colors)) == bound
 
 
-class TestBacktrackingAddsNothing:
-    FIXTURES = sorted((Path(__file__).parent / "fixtures" / "oracle").glob("*.json"))
+def fixture_instances():
+    for path in sorted((Path(__file__).parent / "fixtures" / "oracle").glob("*.json")):
+        payload = json.loads(path.read_text())
+        items = tuple(item for item, _ in items_from_json(payload["items"]))
+        yield path.stem, OracleInstance(items, rules_from_json(payload["rules"]))
 
-    def test_one_subtraction_per_placement_and_none_per_pop(self, monkeypatch):
-        """A placement subtracts its size from the bin's room once; `pop`
-        puts back the room the bin had before, with no `Exact` arithmetic."""
-        counts = Counter()  # (innermost counted caller or None, name) -> calls
+
+def exact_path(monkeypatch):
+    """Make every later search run on the `Exact` sizes: no common
+    denominator is short enough for ints."""
+    monkeypatch.setattr(optoracle, "_INT_BITS_CAP", 0)
+
+
+class TestIntegerSearch:
+    """The search walks the same tree on int sizes as on the `Exact` ones."""
+
+    # shared rational parts, so that rooms tie and signatures repeat
+    RATIONALS = [Fraction(1, k) for k in range(2, 8)] + [
+        Fraction(2, 5), Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(3, 10)]
+
+    @given(
+        st.sampled_from(["one-d", "class-constrained"]),
+        st.lists(st.tuples(
+            st.sampled_from(RATIONALS),
+            st.sampled_from((-1, 0, 1)),  # perturbation sign
+            st.sampled_from((10, 20)),  # perturbation base
+            st.integers(min_value=1, max_value=60),  # perturbation exponent
+            st.integers(min_value=0, max_value=3),  # color, under colored rules
+        ), min_size=1, max_size=9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_int_and_exact_paths_agree(self, kind, specs):
+        rules = VariantRules(kind, t=2) if kind == "class-constrained" else VariantRules(kind)
+        items = []
+        for ident, (q, sign, base, exp, color) in enumerate(specs):
+            items.append(Item(ident, rat(q) + sign * power(base, exp),
+                              color=color if rules.colored else None))
+        instance = OracleInstance(tuple(items), rules, node_budget=3_000)
+        assert type(optoracle._scaled_sizes(items)[1]) is int  # these sizes take the int path
+        results = [min_bins(instance)]
+        with pytest.MonkeyPatch.context() as patch:
+            exact_path(patch)
+            assert optoracle._scaled_sizes(items)[1] is ONE
+            results.append(min_bins(instance))
+        ints, exacts = ((r.count, r.nodes, r.proven, packing_to_json(r.witness))
+                        for r in results)
+        assert ints == exacts
+        assert validate_packing(results[0].witness) == []
+
+    def test_an_unexpandable_exponent_runs_on_the_exact_sizes(self):
+        # SEARCHED with two items moved by -+10**-(10**30): the cap is
+        # decided from the exponent, and no power is expanded
+        tiny = power(10, 10**30)
+        sizes = [rat(s) for s in SEARCHED]
+        sizes[0], sizes[-1] = sizes[0] - tiny, sizes[-1] + tiny
+        items = tuple(Item(i, s) for i, s in enumerate(sizes))
+        assert optoracle._scaled_sizes(items)[1] is ONE
+        result = min_bins(OracleInstance(items, ONED))
+        assert result.proven and result.count == 3 and result.nodes > 0
+        assert validate_packing(result.witness) == []
+        assert sorted(it.ident for b in result.witness.bins for it, _ in b) == list(range(9))
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["ints", "exact"])
+    def test_only_the_exact_path_searches_with_exact_operations(self, monkeypatch, forced):
+        """Exact operations made outside the set-up and the witness checks
+        (sorting, the root bound, the first-fit seed, `add_item` and
+        `validate_packing`) are the search's own: none on ints, at least
+        one per node on the `Exact` sizes."""
+        counted = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__lt__",
+                   "__le__", "__gt__", "__ge__", "__eq__", "__hash__", "sign")
+        calls = Counter()  # innermost open wrapper (None: the search) -> Exact operations
         frames = []
 
-        def count(owner, name):
+        def wrap(owner, name, layer):
             fn = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                counts[frames[-1] if frames else None, name] += 1
-                frames.append(name)
+                if layer is None:
+                    calls[frames[-1] if frames else None] += 1
+                frames.append(layer or "exact")
                 try:
                     return fn(*args, **kwargs)
                 finally:
                     frames.pop()
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__"):
-            count(Exact, name)
-        count(Packing, "add_item")
-        count(Packing, "pop")
-        for path in self.FIXTURES:
-            payload = json.loads(path.read_text())
-            items = tuple(item for item, _ in items_from_json(payload["items"]))
-            min_bins(OracleInstance(items, rules_from_json(payload["rules"])))
-        placements = counts[None, "add_item"]
-        assert counts[None, "pop"] > 0 and placements > counts[None, "pop"]
-        assert {key[1]: c for key, c in counts.items() if key[0] == "add_item"} == {
-            "__sub__": placements}
-        assert [key for key in counts if key[0] == "pop"] == []
+        for name in counted:
+            wrap(Exact, name, None)
+        for name in ("_sorted_items", "_lower_bound", "first_fit", "validate_packing"):
+            wrap(optoracle, name, "checks")
+        wrap(Packing, "add_item", "checks")
+        if forced:
+            exact_path(monkeypatch)
+        searched = 0
+        for name, instance in fixture_instances():
+            calls.clear()
+            nodes = min_bins(instance).nodes
+            searched += nodes > 0
+            if forced:
+                assert calls[None] >= nodes, name
+            else:
+                assert calls[None] == 0 < calls["checks"], name
+        assert searched == 5
